@@ -5,7 +5,7 @@ division with a hard cap; inputs in this toolkit are human-scale.
 """
 
 import os
-from fractions import Fraction
+from math import gcd  # positive gcd, gcd(0, 0) == 0
 
 from .errors import FactorizationCapError
 
@@ -14,23 +14,6 @@ FACTOR_CAP_DEFAULT = 10**9
 
 def _factor_cap() -> int:
     return int(os.environ.get("GBS_TOOLKIT_FACTOR_CAP", FACTOR_CAP_DEFAULT))
-
-
-def gcd(a: int, b: int) -> int:
-    """Positive gcd, gcd(0, 0) == 0."""
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def gcd_many(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
 
 
 def lcm(a: int, b: int) -> int:
@@ -100,10 +83,6 @@ def sign(n: int) -> int:
     if n == 0:
         return 0
     return 1 if n > 0 else -1
-
-
-def frac(m: int, n: int) -> Fraction:
-    return Fraction(m, n)
 
 
 def divides(a: int, b: int) -> bool:

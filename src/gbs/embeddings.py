@@ -89,40 +89,27 @@ def check_weakly_admissible(wa: WeaklyAdmissibleMap) -> tuple[bool, list[str]]:
                 violations.append(f"edge {e}:{k}: origins do not commute with the map")
     if violations:
         return False, violations
-    for te in tgt.sorted_edges():
-        for tend in (0, 1):
-            lab = tgt.edges[te].labels[tend]
-            torigin = tgt.edges[te].endpoints[tend]
-            for x in src.sorted_vertices():
-                if wa.vertex_map[x] != torigin:
-                    continue
-                k_x = gcd(wa.vertex_mult[x], lab)
-                pre = [
-                    oe
-                    for oe in src.edges_at(x)
-                    if wa.edge_map[(oe.edge, oe.end)] == (te, tend)
-                ]
-                if len(pre) > k_x:
-                    violations.append(
-                        f"vertex {x} over {te}:{tend}: {len(pre)} preimage edges > gcd {k_x}"
-                    )
-                for oe in pre:
-                    if src.label(oe) != lab // k_x:
-                        violations.append(
-                            f"edge {oe.edge}:{oe.end}: label {src.label(oe)} != {lab}//{k_x}"
-                        )
-                    if wa.edge_mult[oe.edge] != wa.vertex_mult[x] // k_x:
-                        violations.append(
-                            f"edge {oe.edge}: multiplicity {wa.edge_mult[oe.edge]} != {wa.vertex_mult[x]}//{k_x}"
-                        )
+    for x, te, tend, lab, k_x, pre in _preimages(wa):
+        if len(pre) > k_x:
+            violations.append(
+                f"vertex {x} over {te}:{tend}: {len(pre)} preimage edges > gcd {k_x}"
+            )
+        for oe in pre:
+            if src.label(oe) != lab // k_x:
+                violations.append(
+                    f"edge {oe.edge}:{oe.end}: label {src.label(oe)} != {lab}//{k_x}"
+                )
+            if wa.edge_mult[oe.edge] != wa.vertex_mult[x] // k_x:
+                violations.append(
+                    f"edge {oe.edge}: multiplicity {wa.edge_mult[oe.edge]} != {wa.vertex_mult[x]}//{k_x}"
+                )
     return not violations, violations
 
 
-def check_admissible(wa: WeaklyAdmissibleMap) -> bool:
-    """Equality version: exactly gcd-many preimage edges everywhere (covers)."""
-    ok, _ = check_weakly_admissible(wa)
-    if not ok:
-        return False
+def _preimages(wa: WeaklyAdmissibleMap):
+    """(x, te, tend, label, k_x, preimage edges at x) for each oriented target
+    edge (te, tend) and each source vertex x over its origin, where k_x is
+    gcd(multiplicity of x, label).  Needs a map whose images all exist."""
     src, tgt = wa.source, wa.target
     for te in tgt.sorted_edges():
         for tend in (0, 1):
@@ -131,15 +118,18 @@ def check_admissible(wa: WeaklyAdmissibleMap) -> bool:
             for x in src.sorted_vertices():
                 if wa.vertex_map[x] != torigin:
                     continue
-                k_x = gcd(wa.vertex_mult[x], lab)
                 pre = [
                     oe
                     for oe in src.edges_at(x)
                     if wa.edge_map[(oe.edge, oe.end)] == (te, tend)
                 ]
-                if len(pre) != k_x:
-                    return False
-    return True
+                yield x, te, tend, lab, gcd(wa.vertex_mult[x], lab), pre
+
+
+def check_admissible(wa: WeaklyAdmissibleMap) -> bool:
+    """Equality version: exactly gcd-many preimage edges everywhere (covers)."""
+    ok, _ = check_weakly_admissible(wa)
+    return ok and all(len(pre) == k_x for _, _, _, _, k_x, pre in _preimages(wa))
 
 
 @dataclass

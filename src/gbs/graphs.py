@@ -13,6 +13,7 @@ together with a replayable MoveRecord.
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .arith import gcd
 from .errors import (
     DisconnectedGraphError,
     InputError,
@@ -35,9 +36,6 @@ class OrientedEdge:
     def reverse(self) -> "OrientedEdge":
         return OrientedEdge(self.edge, 1 - self.end)
 
-    def key(self):
-        return (id_key(self.edge), self.end)
-
 
 @dataclass(frozen=True)
 class EdgeData:
@@ -57,6 +55,8 @@ class LabelledGraph:
                     raise InputError(f"edge {name} touches unknown vertex {v}")
         if not self.vertices:
             raise InputError("graph needs at least one vertex")
+        # vertex -> oriented edges at it, built on first use (graphs never change)
+        self._incidence = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -77,15 +77,15 @@ class LabelledGraph:
         a, b = self.edges[edge].endpoints
         return a == b
 
-    def oriented_edges(self) -> list[OrientedEdge]:
-        out = []
-        for name in sorted(self.edges, key=id_key):
-            out.append(OrientedEdge(name, 0))
-            out.append(OrientedEdge(name, 1))
-        return out
-
-    def edges_at(self, v: str) -> list[OrientedEdge]:
-        return [oe for oe in self.oriented_edges() if self.origin(oe) == v]
+    def edges_at(self, v: str) -> tuple[OrientedEdge, ...]:
+        """Oriented edges with origin v, in (edge id, end) order."""
+        if self._incidence is None:
+            index = {u: [] for u in self.vertices}
+            for name in self.sorted_edges():
+                for end, u in enumerate(self.edges[name].endpoints):
+                    index[u].append(OrientedEdge(name, end))
+            self._incidence = {u: tuple(oes) for u, oes in index.items()}
+        return self._incidence.get(v, ())
 
     def valence(self, v: str) -> int:
         return len(self.edges_at(v))
@@ -323,25 +323,35 @@ class MoveRecord:
         return cls(data["kind"], tuple(fix(p) for p in data["params"]))
 
 
+def _rescaled_edges(g: LabelledGraph, at: dict, drop: str | None = None) -> dict:
+    """The edges of g less `drop`, with each end at a vertex u in `at`
+    re-rooted at at[u][1] and its label multiplied by at[u][0]."""
+    edges = {}
+    for name, ed in g.edges.items():
+        if name == drop:
+            continue
+        a, b = ed.endpoints
+        if a in at or b in at:
+            (ma, ua), (mb, ub) = at.get(a, (1, a)), at.get(b, (1, b))
+            ed = EdgeData((ua, ub), (ed.labels[0] * ma, ed.labels[1] * mb))
+        edges[name] = ed
+    return edges
+
+
 def sign_change(g: LabelledGraph, *, vertex: str | None = None, edge: str | None = None):
     """Negate all labels near a vertex, or both labels of an edge."""
     if (vertex is None) == (edge is None):
         raise MoveError("sign change needs exactly one of vertex / edge")
-    edges = dict(g.edges)
     if vertex is not None:
         if vertex not in g.vertices:
             raise MoveError(f"unknown vertex {vertex}")
-        for name, ed in g.edges.items():
-            labels = list(ed.labels)
-            for k in (0, 1):
-                if ed.endpoints[k] == vertex:
-                    labels[k] = -labels[k]
-            edges[name] = EdgeData(ed.endpoints, tuple(labels))
+        edges = _rescaled_edges(g, {vertex: (-1, vertex)})
         rec = MoveRecord("sign-change", ("vertex", vertex))
     else:
         if edge not in g.edges:
             raise MoveError(f"unknown edge {edge}")
         ed = g.edges[edge]
+        edges = dict(g.edges)
         edges[edge] = EdgeData(ed.endpoints, (-ed.labels[0], -ed.labels[1]))
         rec = MoveRecord("sign-change", ("edge", edge))
     return LabelledGraph(g.vertices, edges), rec
@@ -368,20 +378,9 @@ def collapse(g: LabelledGraph, edge: str, end: int | None = None):
     removed = ed.endpoints[end]
     survivor = ed.endpoints[1 - end]
     mult = ed.labels[end] * ed.labels[1 - end]
-    edges = {}
-    for name, other in g.edges.items():
-        if name == edge:
-            continue
-        endpoints = list(other.endpoints)
-        labels = list(other.labels)
-        for k in (0, 1):
-            if endpoints[k] == removed:
-                endpoints[k] = survivor
-                labels[k] *= mult
-        edges[name] = EdgeData(tuple(endpoints), tuple(labels))
-    vertices = g.vertices - {removed}
+    edges = _rescaled_edges(g, {removed: (mult, survivor)}, drop=edge)
     rec = MoveRecord("collapse", (edge, end, removed, survivor, mult))
-    return LabelledGraph(vertices, edges), rec
+    return LabelledGraph(g.vertices - {removed}, edges), rec
 
 
 def expansion(
@@ -431,45 +430,31 @@ def expansion(
     return LabelledGraph(g.vertices | {new_vertex}, edges), rec
 
 
-def contraction_move(g: LabelledGraph, edge: str):
+def contraction_move(g: LabelledGraph, edge: str, survivor_end: int = 0):
     """Contract a non-loop edge vw with labels q, r: labels near v are
-    multiplied by r/(q^r), labels near w by q/(q^r).  An epimorphism (proper
-    unless q or r is a unit)."""
-    from .arith import gcd
-
+    multiplied by r/(q^r), labels near w by q/(q^r), and the endpoint at
+    `survivor_end` absorbs the other.  An epimorphism (proper unless q or r
+    is a unit).  The record is (edge, survivor, removed, q, r, q^r)."""
     if edge not in g.edges:
         raise MoveError(f"unknown edge {edge}")
     if g.is_loop(edge):
         raise MoveError(f"cannot contract loop {edge}")
+    if survivor_end not in (0, 1):
+        raise MoveError("survivor_end must be 0 or 1")
     ed = g.edges[edge]
     v, w = ed.endpoints
     q, r = ed.labels
     d = gcd(q, r)
-    r1, q1 = r // d, q // d
-    edges = {}
-    for name, other in g.edges.items():
-        if name == edge:
-            continue
-        endpoints = list(other.endpoints)
-        labels = list(other.labels)
-        for k in (0, 1):
-            if endpoints[k] == v:
-                labels[k] *= r1
-            elif endpoints[k] == w:
-                endpoints[k] = v
-                labels[k] *= q1
-        edges[name] = EdgeData(tuple(endpoints), tuple(labels))
-    vertices = g.vertices - {w} if w != v else g.vertices
-    rec = MoveRecord("contraction", (edge, v, w, q, r, d))
-    return LabelledGraph(vertices, edges), rec
+    survivor, removed = ed.endpoints[survivor_end], ed.endpoints[1 - survivor_end]
+    edges = _rescaled_edges(g, {v: (r // d, survivor), w: (q // d, survivor)}, drop=edge)
+    rec = MoveRecord("contraction", (edge, survivor, removed, q, r, d))
+    return LabelledGraph(g.vertices - {removed}, edges), rec
 
 
 def displacement_move(g: LabelledGraph, edge: str, r: int, divided_end: int):
     """Move the factor r of the label at `divided_end` across the edge: that
     label is divided by r, every other label at the far endpoint is
     multiplied by r.  Requires r coprime to the far label of the edge."""
-    from .arith import gcd
-
     if edge not in g.edges:
         raise MoveError(f"unknown edge {edge}")
     if g.is_loop(edge):
@@ -482,17 +467,10 @@ def displacement_move(g: LabelledGraph, edge: str, r: int, divided_end: int):
     if gcd(q, r) != 1:
         raise MoveError(f"factor {r} not coprime to far label {q}")
     v = ed.endpoints[1 - divided_end]
-    edges = {}
-    for name, other in g.edges.items():
-        endpoints = other.endpoints
-        labels = list(other.labels)
-        if name == edge:
-            labels[divided_end] //= r
-        else:
-            for k in (0, 1):
-                if endpoints[k] == v:
-                    labels[k] *= r
-        edges[name] = EdgeData(endpoints, tuple(labels))
+    edges = _rescaled_edges(g, {v: (r, v)})
+    labels = list(ed.labels)
+    labels[divided_end] //= r
+    edges[edge] = EdgeData(ed.endpoints, tuple(labels))
     rec = MoveRecord("displacement", (edge, r, divided_end))
     return LabelledGraph(g.vertices, edges), rec
 
@@ -522,7 +500,9 @@ def apply_move(g: LabelledGraph, rec: MoveRecord) -> LabelledGraph:
         )
         return out
     if rec.kind == "contraction":
-        out, rec2 = contraction_move(g, rec.params[0])
+        edge, survivor = rec.params[:2]
+        survivor_end = int(edge in g.edges and g.edges[edge].endpoints[1] == survivor)
+        out, rec2 = contraction_move(g, edge, survivor_end)
         if rec2.params != rec.params:
             raise MoveError("contraction replay mismatch")
         return out
@@ -538,25 +518,22 @@ def reduce_graph(g: LabelledGraph, protect: str | None = None):
 
     Deterministic: lowest edge id first, end 0 before end 1.  With
     `protect`, collapses removing that vertex are skipped (the result may
-    then fail to be reduced)."""
+    then fail to be reduced).  A collapse only multiplies labels by nonzero
+    integers and merges two vertices, so an edge passed over never becomes
+    collapsible later: one pass in edge id order makes the same moves as
+    rescanning after every collapse."""
+    g.require_connected()
     records = []
-    while True:
-        g.require_connected()
-        done = True
-        for name in g.sorted_edges():
-            if g.is_loop(name):
-                continue
-            ed = g.edges[name]
-            for end in (0, 1):
-                if abs(ed.labels[end]) == 1 and ed.endpoints[end] != protect:
-                    g, rec = collapse(g, name, end)
-                    records.append(rec)
-                    done = False
-                    break
-            if not done:
+    for name in g.sorted_edges():
+        if g.is_loop(name):
+            continue
+        ed = g.edges[name]
+        for end in (0, 1):
+            if abs(ed.labels[end]) == 1 and ed.endpoints[end] != protect:
+                g, rec = collapse(g, name, end)
+                records.append(rec)
                 break
-        if done:
-            return g, records
+    return g, records
 
 
 def canonicalize_signs(g: LabelledGraph):
@@ -574,7 +551,7 @@ def canonicalize_signs(g: LabelledGraph):
     queue = [root]
     while queue:
         v = queue.pop(0)
-        for oe in sorted(g.edges_at(v), key=OrientedEdge.key):
+        for oe in g.edges_at(v):
             if oe.edge in tree and g.terminus(oe) not in seen:
                 seen.add(g.terminus(oe))
                 order.append(oe)
@@ -609,7 +586,7 @@ def spanning_tree(g: LabelledGraph) -> frozenset[str]:
     queue = [root]
     while queue:
         v = queue.pop(0)
-        for oe in sorted(g.edges_at(v), key=OrientedEdge.key):
+        for oe in g.edges_at(v):
             w = g.terminus(oe)
             if w not in seen:
                 seen.add(w)
@@ -660,7 +637,7 @@ def _walk_path(g: LabelledGraph, start: str, stop_at) -> tuple[list[str], list[O
     prev = None
     cur = start
     while True:
-        nxt = [oe for oe in sorted(g.edges_at(cur), key=OrientedEdge.key) if oe != prev]
+        nxt = [oe for oe in g.edges_at(cur) if oe != prev]
         if prev is not None:
             nxt = [oe for oe in nxt if oe != prev.reverse]
         oe = nxt[0]
@@ -672,17 +649,19 @@ def _walk_path(g: LabelledGraph, start: str, stop_at) -> tuple[list[str], list[O
             return verts, path
 
 
-def _cycle_from(g: LabelledGraph, base: str) -> list[OrientedEdge]:
-    first = sorted(g.edges_at(base), key=OrientedEdge.key)[0]
+def _cycle_from(g: LabelledGraph, base: str, skip: str | None = None) -> list[OrientedEdge] | None:
+    """The cycle walked from `base` along its first edge other than `skip`;
+    None when there is no such edge or a vertex on the way branches."""
+    first = next((oe for oe in g.edges_at(base) if oe.edge != skip), None)
+    if first is None:
+        return None
     cyc = [first]
     cur = g.terminus(first)
     prev = first
     while cur != base:
-        nxt = [
-            oe
-            for oe in sorted(g.edges_at(cur), key=OrientedEdge.key)
-            if oe != prev.reverse
-        ]
+        nxt = [oe for oe in g.edges_at(cur) if oe != prev.reverse]
+        if len(nxt) != 1:
+            return None
         oe = nxt[0]
         cyc.append(oe)
         cur = g.terminus(oe)
@@ -730,11 +709,7 @@ def classify_shape(g: LabelledGraph) -> Shape:
     if len(terminals) == 1 and len(tri) == 1 and all(d in (1, 2, 3) for d in valences.values()):
         w0 = tri[0]
         verts, path = _walk_path(g, terminals[0], lambda v: v == w0)
-        circle_edges = [oe for oe in g.edges_at(w0) if oe not in (path[-1].reverse,)]
-        circle_edges = [oe for oe in circle_edges if oe.edge != path[-1].edge]
-        if not circle_edges:
-            return Shape("other")
-        cyc = _cycle_from_lollipop(g, w0, path[-1])
+        cyc = _cycle_from(g, w0, skip=path[-1].edge)
         if cyc is None:
             return Shape("other")
         q = tuple(g.label(oe) for oe in path)
@@ -754,33 +729,6 @@ def classify_shape(g: LabelledGraph) -> Shape:
             y=y,
         )
     return Shape("other")
-
-
-def _cycle_from_lollipop(g, w0, last_path_edge):
-    candidates = [
-        oe
-        for oe in sorted(g.edges_at(w0), key=OrientedEdge.key)
-        if oe.edge != last_path_edge.edge
-    ]
-    if not candidates:
-        return None
-    first = candidates[0]
-    cyc = [first]
-    cur = g.terminus(first)
-    prev = first
-    while cur != w0:
-        nxt = [
-            oe
-            for oe in sorted(g.edges_at(cur), key=OrientedEdge.key)
-            if oe != prev.reverse
-        ]
-        if len(nxt) != 1:
-            return None
-        oe = nxt[0]
-        cyc.append(oe)
-        cur = g.terminus(oe)
-        prev = oe
-    return cyc
 
 
 def _circle_base(g: LabelledGraph) -> tuple[str, bool]:

@@ -32,6 +32,7 @@ from .graphs import (
     contraction_move,
     expansion,
     qrxy,
+    reduce_graph,
     sign_change,
 )
 from .words import (
@@ -353,13 +354,9 @@ def contraction_cert(g: LabelledGraph, edge: str, survivor_end: int = 0):
     """Contraction epimorphism with full Bezout surjectivity witnesses."""
     if survivor_end not in (0, 1):
         raise CertificateError("survivor_end must be 0 or 1")
-    ed = g.edges[edge]
-    if survivor_end == 1:
-        # re-express so the generic move keeps endpoints[0]
-        pass
-    g2, rec = contraction_move(g, edge) if survivor_end == 0 else _contraction_keep1(g, edge)
-    _, v, w, q, r, d = rec.params
-    survivor, removed = (v, w) if survivor_end == 0 else (w, v)
+    g2, rec = contraction_move(g, edge, survivor_end)
+    _, survivor, removed, q, r, d = rec.params
+    v, w = g.edges[edge].endpoints
     rp, qp = r // d, q // d  # multipliers: near v -> rp, near w -> qp
     src = Presentation(g, tree_containing(g, edge))
     tgt = Presentation(
@@ -394,33 +391,6 @@ def contraction_epi(g: LabelledGraph, edge: str, survivor_end: int = 0) -> HomCe
     return cert
 
 
-def _contraction_keep1(g: LabelledGraph, edge: str):
-    """contraction_move variant surviving endpoints[1]; same record layout."""
-    from .graphs import EdgeData, MoveRecord
-
-    ed = g.edges[edge]
-    v, w = ed.endpoints
-    q, r = ed.labels
-    d = gcd(q, r)
-    r1, q1 = r // d, q // d
-    edges = {}
-    for name, other in g.edges.items():
-        if name == edge:
-            continue
-        endpoints = list(other.endpoints)
-        labels = list(other.labels)
-        for k in (0, 1):
-            if endpoints[k] == v:
-                endpoints[k] = w
-                labels[k] *= r1
-            elif endpoints[k] == w:
-                labels[k] *= q1
-        edges[name] = EdgeData(tuple(endpoints), tuple(labels))
-    vertices = g.vertices - {v} if v != w else g.vertices
-    rec = MoveRecord("contraction", (edge, v, w, q, r, d))
-    return LabelledGraph(vertices, edges), rec
-
-
 def displacement_cert(g: LabelledGraph, edge: str, r: int, divided_end: int):
     """Displacement as expansion + contraction; returns (graph, cert, new edge name)."""
     ed = g.edges[edge]
@@ -440,27 +410,15 @@ def displacement_cert(g: LabelledGraph, edge: str, r: int, divided_end: int):
 
 
 def reduce_cert(g: LabelledGraph, protect: str | None = None):
-    """Compose collapse certificates along the deterministic reduction."""
-    cur = g
-    cert = None
-    while True:
-        move = None
-        for name in cur.sorted_edges():
-            if cur.is_loop(name):
-                continue
-            ed = cur.edges[name]
-            for end in (0, 1):
-                if abs(ed.labels[end]) == 1 and ed.endpoints[end] != protect:
-                    move = (name, end)
-                    break
-            if move:
-                break
-        if move is None:
-            if cert is None:
-                cert = identity_cert(Presentation(cur), "reduce(identity)")
-            return cur, cert
-        cur, fwd, _ = collapse_cert(cur, *move)
+    """Compose collapse certificates along reduce_graph's records."""
+    _, records = reduce_graph(g, protect)
+    if not records:
+        return g, identity_cert(Presentation(g), "reduce(identity)")
+    cur, cert = g, None
+    for rec in records:
+        cur, fwd, _ = collapse_cert(cur, rec.params[0], rec.params[1])
         cert = fwd if cert is None else compose(cert, fwd)
+    return cur, cert
 
 
 def loop_relabel_cert(g: LabelledGraph, m: int, n: int) -> HomCertificate:
@@ -798,7 +756,7 @@ def circle_minimal_epi(g: LabelledGraph, shape=None) -> HomCertificate:
         raise ShapeError("circle_minimal_epi expects a circle")
     prods = qrxy(shape)
     X, Y = prods.X, prods.Y
-    i0 = _find_i0(shape.x, shape.y, X, Y)
+    i0 = _find_i0(shape.x, shape.y, sorted(factorize(gcd(X, Y))))
     if i0 is None:
         raise DecisionError("no valid split index: G does not map onto BS(X, Y)")
     if shape.ell == 1:
@@ -810,18 +768,16 @@ def circle_minimal_epi(g: LabelledGraph, shape=None) -> HomCertificate:
     return compose_chain(*certs, provenance=f"circle->>BS({X},{Y})")
 
 
-def _find_i0(xs, ys, X, Y):
+def _find_i0(xs, ys, bilateral_primes):
     """Largest-prefix index i0 such that no bilateral prime divides x_i for
     i > i0 or y_j for j <= i0 (paper indexing: ys[j-1] is y_j)."""
-    bilateral = [p for p in factorize(gcd(X, Y))]
     ell = len(xs)
     for i0 in range(ell):
         ok = True
-        for p in bilateral:
-            if any(xs[i] % p == 0 for i in range(i0 + 1, ell)):
-                ok = False
-                break
-            if any(ys[j - 1] % p == 0 for j in range(1, i0 + 1)):
+        for p in bilateral_primes:
+            if any(xs[i] % p == 0 for i in range(i0 + 1, ell)) or any(
+                ys[j - 1] % p == 0 for j in range(1, i0 + 1)
+            ):
                 ok = False
                 break
         if ok:
@@ -907,8 +863,9 @@ def minimal_bs_epi(g: LabelledGraph) -> HomCertificate:
     if gcd(Y, Q * X) == 1 or gcd(X, Q * Y) == 1:
         if shape.ell == 1:
             return _small_lollipop_explicit(g, shape)
-        # clear the circle to a single edge first (R changes, Q/X/Y do not)
-        cur, certs, _ = _circle_to_small_all(g, shape)
+        # clear the circle to a single edge first (R changes, Q/X/Y do not);
+        # X and Y are coprime here, so every prime of the labels is cleared
+        cur, certs, _ = _circle_to_small(g, shape)
         cur, red = reduce_cert(cur, protect=shape.circ_vertices[0])
         certs.append(red)
         shape2 = classify_shape(cur)
@@ -921,27 +878,6 @@ def minimal_bs_epi(g: LabelledGraph) -> HomCertificate:
     shape2 = classify_shape(g2)
     rest = circle_minimal_epi(g2, shape2)
     return compose(cert, rest, provenance=f"lollipop->>BS({Q*X},{Q*Y})")
-
-
-def _circle_to_small_all(g, shape):
-    """Displacements moving every prime out of x_i (i>0) and y_j (j<ell),
-    legitimate when X and Y are coprime (all primes unilateral)."""
-    certs = []
-    cur = g
-    wv = list(shape.circ_vertices)
-    slots = [(oe.edge, oe.end) for oe in shape.circ_edges]
-    ell = len(wv)
-    for i in range(1, ell):
-        name, w_end = slots[i]
-        label = cur.edges[name].labels[w_end]
-        if abs(label) > 1:
-            cur = _move_factor_around_circle(cur, certs, wv, slots, i, abs(label), 1)
-    for j in range(1, ell):
-        name, w_end = slots[j - 1]
-        label = cur.edges[name].labels[1 - w_end]
-        if abs(label) > 1:
-            cur = _move_factor_around_circle(cur, certs, wv, slots, j, abs(label), -1)
-    return cur, certs, slots
 
 
 # -- checker-level structural properties --------------------------------------

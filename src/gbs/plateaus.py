@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arith import factorize
+from .arith import factorize, gcd
 from .errors import NotReducedError, VertexCapError
 from .graphs import LabelledGraph, Shape, classify_shape
 
@@ -155,7 +155,6 @@ def is_two_generated(g: LabelledGraph) -> tuple[bool, TwoGenWitness]:
 
 def check_copr(shape: Shape) -> list[str]:
     """Coprimality facts forced by 2-generation; nonempty list = violations."""
-    from .arith import gcd
     from .graphs import qrxy
 
     out = []

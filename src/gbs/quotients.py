@@ -19,7 +19,7 @@ from .graphs import (
     reduce_graph,
     segment_graph,
 )
-from .homs import HomCertificate, bs_source_epi
+from .homs import HomCertificate, _find_i0, bs_source_epi
 from .plateaus import is_two_generated
 from .words import is_unimodular, modular_image
 
@@ -101,21 +101,6 @@ def minimal_bs_source(g: LabelledGraph) -> MinimalSource:
     if src.kind == "segment":
         return MinimalSource(None, ((src.Q, src.Q), (src.R, src.R)))
     return MinimalSource((src.QX, src.QY), None)
-
-
-def _find_i0(xs, ys, bilateral_primes):
-    ell = len(xs)
-    for i0 in range(ell):
-        ok = True
-        for p in bilateral_primes:
-            if any(xs[i] % p == 0 for i in range(i0 + 1, ell)) or any(
-                ys[j - 1] % p == 0 for j in range(1, i0 + 1)
-            ):
-                ok = False
-                break
-        if ok:
-            return i0
-    return None
 
 
 def maps_onto_minimal_bs(g: LabelledGraph) -> Decision:

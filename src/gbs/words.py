@@ -15,6 +15,7 @@ The stable letter of edge eps with data ((v, w), (lv, lw)) satisfies
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import gcd
 from .errors import InputError, MalformedWordError
 from .graphs import LabelledGraph, OrientedEdge, spanning_tree
 from .lattice import RationalMultGroup
@@ -183,7 +184,7 @@ class Presentation:
         queue = [self.base]
         while queue:
             v = queue.pop(0)
-            for oe in sorted(self.graph.edges_at(v), key=OrientedEdge.key):
+            for oe in self.graph.edges_at(v):
                 if oe.edge in self.tree:
                     w = self.graph.terminus(oe)
                     if w not in geo:
@@ -368,8 +369,6 @@ def segment_center_index(r0: int, q: list[int], r: list[int]) -> int:
         raise InputError("labels and r0 must be nonzero")
     if len(q) != len(r):
         raise InputError("need as many q as r labels")
-    from .arith import gcd
-
     k = len(q)
     theta = 1
     rprod = abs(r0)

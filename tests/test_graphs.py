@@ -1,11 +1,13 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import graphs
 
 from gbs.errors import InputError, MoveError, ShapeError
 from gbs.graphs import (
+    EdgeData,
     LabelledGraph,
+    MoveRecord,
     OrientedEdge,
     apply_move,
     bs_graph,
@@ -107,6 +109,36 @@ def test_reduce_deterministic_and_idempotent():
     assert cur == red
 
 
+def _reduce_graph_reference(g, protect=None):
+    """The rescanning reduction: after every collapse, check connectivity
+    and restart the scan from the lowest edge id."""
+    records = []
+    while True:
+        g.require_connected()
+        done = True
+        for name in g.sorted_edges():
+            if g.is_loop(name):
+                continue
+            ed = g.edges[name]
+            for end in (0, 1):
+                if abs(ed.labels[end]) == 1 and ed.endpoints[end] != protect:
+                    g, rec = collapse(g, name, end)
+                    records.append(rec)
+                    done = False
+                    break
+            if not done:
+                break
+        if done:
+            return g, records
+
+
+@given(graphs(max_vertices=6, max_extra=3, max_label=3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_reduce_graph_matches_rescanning_reference(g, data):
+    protect = data.draw(st.sampled_from([None] + g.sorted_vertices()))
+    assert reduce_graph(g, protect) == _reduce_graph_reference(g, protect)
+
+
 def test_sign_change_involution():
     g = bs_graph(2, 3)
     g1, _ = sign_change(g, edge="e0")
@@ -131,6 +163,29 @@ def test_contraction_rescales_both_sides():
     assert out.edges["a1"].labels == (25, 9)  # alpha * r' = 5 * 5
     assert out.edges["c1"].labels == (21, 9)  # gamma * q' = 7 * 3
     assert "w" not in out.vertices
+
+
+@pytest.mark.parametrize("survivor_end", [0, 1])
+def test_contraction_replay_keeps_survivor(survivor_end):
+    from gbs.homs import contraction_cert
+
+    g = graph_from_edges(
+        [
+            ("eps", "v", "w", 6, 10),
+            ("a1", "v", "x", 5, 9),
+            ("c1", "w", "y", 7, 9),
+        ]
+    )
+    survivor, removed = ("v", "w") if survivor_end == 0 else ("w", "v")
+    out, rec = contraction_move(g, "eps", survivor_end)
+    assert rec.params == ("eps", survivor, removed, 6, 10, 2)
+    assert out.vertices == frozenset({survivor, "x", "y"})
+    assert out.edges["a1"] == EdgeData((survivor, "x"), (25, 9))
+    assert out.edges["c1"] == EdgeData((survivor, "y"), (21, 9))
+    assert apply_move(g, rec) == out
+    assert contraction_cert(g, "eps", survivor_end)[0] == out
+    with pytest.raises(MoveError):
+        apply_move(g, MoveRecord("contraction", ("eps", "x") + rec.params[2:]))
 
 
 def test_contraction_unit_is_collapse():

@@ -13,6 +13,7 @@ from gbs.graphs import (
     circle_graph,
     graph_from_edges,
     lollipop_graph,
+    reduce_graph,
     segment_graph,
 )
 from gbs.homs import (
@@ -281,3 +282,4 @@ def test_source_then_minimal_composes():
 def test_reduce_cert_random(g):
     red, cert = reduce_cert(g)
     assert check_epi(cert)
+    assert red == reduce_graph(g)[0]
