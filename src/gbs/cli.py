@@ -269,14 +269,21 @@ def cmd_verify(args):
 
 
 def _verify_payload(args, data):
+    if not isinstance(data, dict):
+        raise InputError("certificate JSON must be an object")
     kind = data.get("kind")
+    loader = {"embedding": EmbeddingCertificate, "hom": HomCertificate}.get(kind)
+    if loader is None:
+        raise InputError(f"unknown certificate kind {kind!r}")
+    try:
+        cert = loader.from_json(data)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"malformed {kind} certificate: {type(exc).__name__}: {exc}") from exc
     if kind == "embedding":
-        cert = EmbeddingCertificate.from_json(data)
         ok, violations = verify_embedding_certificate(cert)
         payload = {"answer": "valid" if ok else "invalid", "violations": violations}
         _emit(args, payload, payload["answer"] + ("" if ok else f": {violations[0]}"))
-    elif kind == "hom":
-        cert = HomCertificate.from_json(data)
+    else:
         hom_ok = check_hom(cert)
         epi_ok = hom_ok and cert.witnesses is not None and check_epi(cert)
         payload = {
@@ -285,8 +292,6 @@ def _verify_payload(args, data):
             "epi": epi_ok,
         }
         _emit(args, payload, f"hom: {hom_ok}, epi: {epi_ok}")
-    else:
-        raise InputError(f"unknown certificate kind {kind!r}")
 
 
 def cmd_catalog(args):

@@ -6,8 +6,10 @@ not part of P.  The subgraph is determined by its vertex set: an edge with
 both endpoints inside must have p dividing neither label (then it belongs
 to P and carries connectivity) or both labels (then it is excluded); mixed
 divisibility disqualifies the set, and edges leaving the set must be
-p-divisible on the inside.  Search is exhaustive over vertex subsets;
-graphs here are small, and a hard vertex cap guards the enumeration.
+p-divisible on the inside.  So the p-plateaus are exactly the connected
+components of the edges with neither label divisible by p, less those
+where a mixed edge has its non-divisible end; for one prime they are
+disjoint.
 """
 
 import os
@@ -43,62 +45,37 @@ class RankReport:
         return self.beta + self.mu
 
 
-def _subsets(g: LabelledGraph):
-    verts = g.sorted_vertices()
-    n = len(verts)
-    if n > _vertex_cap():
-        raise VertexCapError(f"{n} vertices exceeds cap {_vertex_cap()}")
-    for mask in range(1, 1 << n):
-        yield frozenset(verts[i] for i in range(n) if mask >> i & 1)
-
-
-def _plateau_edges(g: LabelledGraph, p: int, subset: frozenset[str]):
-    """Edges belonging to the plateau subgraph on this vertex set, or None
-    when the set violates the divisibility dichotomy."""
-    inside = []
-    for name, ed in g.edges.items():
-        a, b = ed.endpoints
-        la, lb = ed.labels
-        a_in, b_in = a in subset, b in subset
-        if a_in and b_in:
-            da, db = la % p == 0, lb % p == 0
-            if da != db:
-                return None
-            if not da:
-                inside.append(name)
-        elif a_in:
-            if la % p:
-                return None
-        elif b_in:
-            if lb % p:
-                return None
-    return inside
-
-
-def _is_plateau(g: LabelledGraph, p: int, subset: frozenset[str]) -> bool:
-    inside = _plateau_edges(g, p, subset)
-    if inside is None:
-        return False
-    start = next(iter(subset))
-    seen = {start}
-    stack = [start]
-    allowed = set(inside)
-    while stack:
-        v = stack.pop()
-        for oe in g.edges_at(v):
-            w = g.terminus(oe)
-            if oe.edge in allowed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == subset
-
-
 def plateaus(g: LabelledGraph, p: int) -> list[Plateau]:
-    """All p-plateaus, exhaustively."""
+    """All p-plateaus by one DFS over the edges with neither label divisible
+    by p, in the order of their subset masks over sorted_vertices()."""
     g.require_connected()
-    return [
-        Plateau(p, subset) for subset in _subsets(g) if _is_plateau(g, p, subset)
-    ]
+    index = {v: i for i, v in enumerate(g.sorted_vertices())}
+    seen: set[str] = set()
+    found = []
+    for v in index:
+        if v in seen:
+            continue
+        seen.add(v)
+        comp = [v]
+        stack = [v]
+        ok = True
+        while stack:
+            for oe in g.edges_at(stack.pop()):
+                if g.label(oe) % p == 0:
+                    continue
+                if g.colabel(oe) % p == 0:
+                    ok = False
+                    continue
+                w = g.terminus(oe)
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        if ok:
+            found.append(comp)
+    # the masks of disjoint sets compare as their highest vertices do
+    found.sort(key=lambda comp: max(index[w] for w in comp))
+    return [Plateau(p, frozenset(comp)) for comp in found]
 
 
 def label_primes(g: LabelledGraph) -> list[int]:
@@ -126,18 +103,29 @@ def vertices_meeting_all_plateaus(g: LabelledGraph) -> set[str]:
 
 
 def mu(g: LabelledGraph) -> RankReport:
-    """Exact minimal plateau hitting set; rank = beta + mu (reduced graphs)."""
+    """Exact minimal plateau hitting set; rank = beta + mu (reduced graphs).
+
+    Every hitting set holds the forced set F of singleton-plateau vertices;
+    a minimal one adds only vertices of U, the union of the plateaus F misses.
+    Subsets of U are searched in the order of a search over all vertices, so
+    the set found is the same.  The cost is exponential only in |U|, and
+    GBS_TOOLKIT_MAX_VERTICES caps the vertex count."""
     g.require_connected()
     if not g.is_reduced():
         raise NotReducedError("rank formula needs a reduced graph")
+    if len(g.vertices) > _vertex_cap():
+        raise VertexCapError(f"{len(g.vertices)} vertices exceeds cap {_vertex_cap()}")
     beta = g.betti()
     sets = sorted({pl.vertices for pl in plateau_family(g)}, key=lambda s: (len(s), sorted(s)))
-    verts = g.sorted_vertices()
-    for size in range(1, len(verts) + 1):
+    forced = frozenset(v for s in sets if len(s) == 1 for v in s)
+    unhit = [s for s in sets if not forced & s]
+    free = set().union(*unhit)
+    verts = [v for v in g.sorted_vertices() if v in free]
+    for size in range(len(verts) + 1):
         for combo in combinations(verts, size):
-            chosen = set(combo)
-            if all(chosen & s for s in sets):
-                return RankReport(beta, size, frozenset(chosen), tuple(sets))
+            chosen = forced.union(combo)
+            if all(chosen & s for s in unhit):
+                return RankReport(beta, len(chosen), chosen, tuple(sets))
     raise AssertionError("unreachable: whole vertex set hits everything")
 
 

@@ -126,27 +126,32 @@ def equal(g: LabelledGraph, w1: PathWord, w2: PathWord) -> bool:
 
 def is_elliptic(g: LabelledGraph, w: PathWord) -> bool:
     """True iff w is conjugate into a vertex group: cyclic Britton reduction
-    removes every traversal."""
-    nf = britton_reduce(g, w)
-    syls = list(nf.word.syllables)
-    while True:
-        traversal_idx = [i for i, s in enumerate(syls) if s[0] == "e"]
-        if not traversal_idx:
-            return True
-        first_i, last_i = traversal_idx[0], traversal_idx[-1]
-        first = OrientedEdge(syls[first_i][1], syls[first_i][2])
-        last = OrientedEdge(syls[last_i][1], syls[last_i][2])
-        lead = syls[0][2] if first_i == 1 else 0
-        tail = syls[-1][2] if last_i == len(syls) - 2 else 0
-        if first_i not in (0, 1) or last_i not in (len(syls) - 1, len(syls) - 2):
-            raise AssertionError("reduced word has stray syllables")
-        if first != last.reverse or (tail + lead) % g.colabel(last) != 0:
+    removes every traversal.  A reduced word has no pinch, so each layer
+    pinches the outer traversal pair and merges the carried vertex power into
+    the last syllable, peeling the word in place from both ends."""
+    syls = list(britton_reduce(g, w).word.syllables)
+    traversals = sum(1 for s in syls if s[0] == "e")
+    lo = 0
+    while traversals:
+        lead = 0
+        if syls[lo][0] == "v":
+            lead = syls[lo][2]
+            lo += 1
+        tail = syls.pop()[2] if syls[-1][0] == "v" else 0
+        first = OrientedEdge(syls[lo][1], syls[lo][2])
+        last = OrientedEdge(syls[-1][1], syls[-1][2])
+        far = g.colabel(last)
+        if first != last.reverse or (tail + lead) % far != 0:
             return False
-        wrap = ("v", g.origin(last), ((tail + lead) // g.colabel(last)) * g.label(last))
-        middle = syls[first_i + 1 : last_i]
-        base2 = g.terminus(first)
-        nf2 = britton_reduce(g, PathWord(base2, tuple(middle) + (wrap,)), validate=False)
-        syls = list(nf2.word.syllables)
+        syls.pop()
+        lo += 1
+        traversals -= 2
+        exp = (tail + lead) // far * g.label(last)
+        if lo < len(syls) and syls[-1][0] == "v":
+            exp += syls.pop()[2]
+        if exp:
+            syls.append(("v", g.origin(last), exp))
+    return True
 
 
 def modulus(g: LabelledGraph, w: PathWord) -> Fraction:

@@ -132,6 +132,17 @@ def test_input_errors_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "payload", [{"kind": "hom"}, {"kind": "embedding"}, [{"kind": "hom"}]], ids=["hom", "embedding", "array"]
+)
+def test_verify_malformed_certificate_exit_1(tmp_path, capsys, payload):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_cap_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("GBS_TOOLKIT_MAX_VERTICES", "2")
     code, _, err = run(capsys, "rank", "segment 2 3 5 7 11 13")

@@ -2,12 +2,24 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graphs
 
 from gbs.errors import NotReducedError, VertexCapError
-from gbs.graphs import Shape, bs_graph, graph_from_edges, lollipop_graph, segment_graph
+from gbs.graphs import (
+    Shape,
+    bs_graph,
+    circle_graph,
+    classify_shape,
+    graph_from_edges,
+    id_key,
+    lollipop_graph,
+    segment_graph,
+)
 from gbs.plateaus import (
+    Plateau,
+    RankReport,
     check_copr,
     is_two_generated,
     label_primes,
@@ -15,6 +27,87 @@ from gbs.plateaus import (
     plateau_family,
     plateaus,
 )
+
+
+# -- exhaustive oracle: every vertex subset, in mask order ---------------------
+
+
+def _plateau_edges(g, p, subset):
+    """Edges belonging to the plateau subgraph on this vertex set, or None
+    when the set violates the divisibility dichotomy."""
+    inside = []
+    for name, ed in g.edges.items():
+        a, b = ed.endpoints
+        la, lb = ed.labels
+        a_in, b_in = a in subset, b in subset
+        if a_in and b_in:
+            da, db = la % p == 0, lb % p == 0
+            if da != db:
+                return None
+            if not da:
+                inside.append(name)
+        elif a_in:
+            if la % p:
+                return None
+        elif b_in:
+            if lb % p:
+                return None
+    return inside
+
+
+def _is_plateau(g, p, subset):
+    inside = _plateau_edges(g, p, subset)
+    if inside is None:
+        return False
+    start = next(iter(subset))
+    seen = {start}
+    stack = [start]
+    allowed = set(inside)
+    while stack:
+        v = stack.pop()
+        for oe in g.edges_at(v):
+            w = g.terminus(oe)
+            if oe.edge in allowed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == subset
+
+
+def _plateaus_exhaustive(g, p):
+    verts = g.sorted_vertices()
+    n = len(verts)
+    out = []
+    for mask in range(1, 1 << n):
+        subset = frozenset(verts[i] for i in range(n) if mask >> i & 1)
+        if _is_plateau(g, p, subset):
+            out.append(Plateau(p, subset))
+    return out
+
+
+def _mu_reference(g):
+    """The full search: every vertex combination, smallest size first."""
+    sets = sorted({pl.vertices for pl in plateau_family(g)}, key=lambda s: (len(s), sorted(s)))
+    verts = g.sorted_vertices()
+    for size in range(1, len(verts) + 1):
+        for combo in combinations(verts, size):
+            chosen = set(combo)
+            if all(chosen & s for s in sets):
+                return RankReport(g.betti(), size, frozenset(chosen), tuple(sets))
+    raise AssertionError
+
+
+@given(graphs(max_vertices=6, max_extra=3, max_label=12), st.sampled_from([2, 3, 5, 7]))
+@settings(max_examples=300, deadline=None)
+def test_plateaus_match_exhaustive_oracle(g, p):
+    assert plateaus(g, p) == _plateaus_exhaustive(g, p)
+
+
+@given(graphs(max_vertices=6, max_extra=3, max_label=12))
+@settings(max_examples=150, deadline=None)
+def test_mu_matches_full_search(g):
+    if not g.is_reduced():
+        return
+    assert mu(g) == _mu_reference(g)
 
 
 def test_terminal_vertex_plateau():
@@ -53,7 +146,43 @@ def test_mu_rejects_nonreduced():
 def test_vertex_cap(monkeypatch):
     monkeypatch.setenv("GBS_TOOLKIT_MAX_VERTICES", "2")
     with pytest.raises(VertexCapError):
-        plateaus(segment_graph([2, 3, 5, 7, 11, 13]), 2)
+        mu(segment_graph([2, 3, 5, 7, 11, 13]))
+
+
+def _circle_labels(ell):
+    return [(2, 3, 5, 7, 6, 10)[j % 6] for j in range(2 * ell)]
+
+
+def test_large_circle_needs_no_cap(monkeypatch):
+    # only the mu search is capped: plateaus and shape are linear
+    monkeypatch.setenv("GBS_TOOLKIT_MAX_VERTICES", "2")
+    g = circle_graph(_circle_labels(1000))
+    assert len(plateaus(g, 2)) > 1
+    shape = classify_shape(g)
+    assert shape.kind == "circle" and shape.ell == 1000
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        _circle_labels(3),
+        _circle_labels(6),
+        [10, 6, 5, 10, 15, 3],
+        [15, 7, 5, 6, 5, 10, 7, 7, 10, 2],
+        [3, 2, 15, 3, 6, 2, 5, 7],
+    ],
+)
+def test_circle_base_matches_oracle_family(labels):
+    g = circle_graph(labels)
+    family = [frozenset(g.vertices)]
+    for p in label_primes(g):
+        family += [pl.vertices for pl in _plateaus_exhaustive(g, p)]
+    meeting = set(g.vertices).intersection(*family)
+    shape = classify_shape(g)
+    assert shape.kind == "circle"
+    assert shape.base_meets_all_plateaus == bool(meeting)
+    if meeting:
+        assert shape.circ_vertices[0] == min(meeting, key=id_key)
 
 
 def _mu_alternate(g):

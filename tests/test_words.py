@@ -3,11 +3,19 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import graphs, random_letters
+from conftest import graphs, random_letters, small_connected_graph
 
 from gbs.errors import MalformedWordError
-from gbs.graphs import bs_graph, graph_from_edges, lollipop_graph, segment_graph
+from gbs.graphs import (
+    OrientedEdge,
+    bs_graph,
+    circle_graph,
+    graph_from_edges,
+    lollipop_graph,
+    segment_graph,
+)
 from gbs.words import (
     PathWord,
     Presentation,
@@ -97,6 +105,66 @@ def test_elliptic_examples():
     assert not is_elliptic(
         g, pres.letters_to_path((("t", "e0", 2), ("v", "v0", 1), ("t", "e0", -1)))
     )
+
+
+def _is_elliptic_reference(g, w):
+    """The rescanning loop: each layer finds the outer traversals anew and
+    Britton-reduces the whole middle again."""
+    nf = britton_reduce(g, w)
+    syls = list(nf.word.syllables)
+    while True:
+        traversal_idx = [i for i, s in enumerate(syls) if s[0] == "e"]
+        if not traversal_idx:
+            return True
+        first_i, last_i = traversal_idx[0], traversal_idx[-1]
+        first = OrientedEdge(syls[first_i][1], syls[first_i][2])
+        last = OrientedEdge(syls[last_i][1], syls[last_i][2])
+        lead = syls[0][2] if first_i == 1 else 0
+        tail = syls[-1][2] if last_i == len(syls) - 2 else 0
+        if first_i not in (0, 1) or last_i not in (len(syls) - 1, len(syls) - 2):
+            raise AssertionError("reduced word has stray syllables")
+        if first != last.reverse or (tail + lead) % g.colabel(last) != 0:
+            return False
+        wrap = ("v", g.origin(last), ((tail + lead) // g.colabel(last)) * g.label(last))
+        middle = syls[first_i + 1 : last_i]
+        base2 = g.terminus(first)
+        nf2 = britton_reduce(g, PathWord(base2, tuple(middle) + (wrap,)), validate=False)
+        syls = list(nf2.word.syllables)
+
+
+def _elliptic_case(rng):
+    """A presentation and a word: a conjugated vertex power, a conjugated
+    relator, or a conjugated random word, on a BS, segment, circle,
+    lollipop or random small graph."""
+    labels = lambda n: [rng.choice((1, 2, 3, 4, 6, -2, -3)) for _ in range(n)]
+    kind = rng.randrange(5)
+    if kind == 0:
+        g = bs_graph(*labels(2))
+    elif kind == 1:
+        g = segment_graph(labels(2 * rng.randint(1, 3)))
+    elif kind == 2:
+        g = circle_graph(labels(2 * rng.randint(1, 3)))
+    elif kind == 3:
+        g = lollipop_graph(labels(2 * rng.randint(1, 2)), labels(2 * rng.randint(1, 2)))
+    else:
+        g = small_connected_graph(rng, max_vertices=4, max_extra=2, max_label=6)
+    pres = Presentation(g)
+    conj = random_letters(rng, pres, length=5)
+    shape = rng.randrange(3)
+    if shape == 0:
+        core = (("v", rng.choice(g.sorted_vertices()), rng.choice((1, 2, 3, 6, 12, -4))),)
+    elif shape == 1 and pres.relations():
+        core = rng.choice(pres.relations())
+    else:
+        core = random_letters(rng, pres, length=6)
+    return g, pres.letters_to_path(letters_concat(conj, core, letters_inverse(conj)))
+
+
+@given(st.integers(min_value=0, max_value=2**30))
+@settings(max_examples=400, deadline=None)
+def test_is_elliptic_matches_rescanning_reference(seed):
+    g, w = _elliptic_case(random.Random(seed))
+    assert is_elliptic(g, w) == _is_elliptic_reference(g, w)
 
 
 def test_modular_image_examples():
