@@ -15,6 +15,7 @@ from gbs.graphs import (
     graph_from_edges,
     id_key,
     lollipop_graph,
+    reduce_graph,
     segment_graph,
 )
 from gbs.plateaus import (
@@ -102,11 +103,10 @@ def test_plateaus_match_exhaustive_oracle(g, p):
     assert plateaus(g, p) == _plateaus_exhaustive(g, p)
 
 
-@given(graphs(max_vertices=6, max_extra=3, max_label=12))
+@given(graphs(max_vertices=12, max_extra=3, max_label=12))
 @settings(max_examples=150, deadline=None)
 def test_mu_matches_full_search(g):
-    if not g.is_reduced():
-        return
+    g, _ = reduce_graph(g)
     assert mu(g) == _mu_reference(g)
 
 
