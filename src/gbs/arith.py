@@ -7,13 +7,17 @@ division with a hard cap; inputs in this toolkit are human-scale.
 import os
 from math import gcd  # positive gcd, gcd(0, 0) == 0
 
-from .errors import FactorizationCapError
+from .errors import FactorizationCapError, InputError
 
 FACTOR_CAP_DEFAULT = 10**9
 
 
-def _factor_cap() -> int:
-    return int(os.environ.get("GBS_TOOLKIT_FACTOR_CAP", FACTOR_CAP_DEFAULT))
+def env_int(name: str, default: int) -> int:
+    """Integer value of the environment variable `name`, `default` if unset."""
+    try:
+        return int(os.environ.get(name, default))
+    except ValueError:
+        raise InputError(f"{name} must be an integer, not {os.environ[name]!r}") from None
 
 
 def lcm(a: int, b: int) -> int:
@@ -42,7 +46,7 @@ def factorize(n: int, cap: int | None = None) -> dict[int, int]:
     if n == 0:
         raise ValueError("cannot factor 0")
     if cap is None:
-        cap = _factor_cap()
+        cap = env_int("GBS_TOOLKIT_FACTOR_CAP", FACTOR_CAP_DEFAULT)
     n = abs(n)
     if n > cap:
         raise FactorizationCapError(f"|{n}| exceeds factorization cap {cap}")

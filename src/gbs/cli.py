@@ -425,7 +425,7 @@ def main(argv=None) -> int:
     except (VertexCapError, FactorizationCapError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
-    except (InputError, MalformedWordError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InputError, MalformedWordError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except GBSError as exc:

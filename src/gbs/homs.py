@@ -16,7 +16,7 @@ Baumslag-Solitar quotient).
 
 from dataclasses import dataclass
 
-from .arith import factorize, gcd, valuation, xgcd
+from .arith import env_int, factorize, gcd, valuation, xgcd
 from .errors import (
     CertificateError,
     DecisionError,
@@ -496,58 +496,57 @@ def solve_witnesses(tgt: Presentation, seeds, stable_handles: dict):
     seeds: (source_letters, image_letters) pairs; stable_handles maps each
     non-tree target edge to a source word whose image is exactly that stable
     letter.  Returns a witness dict or None when the gcd closure stalls.
+    An offer of a(v)^d is decided from d alone: its word is built only when
+    v has no word yet or d lowers the gcd kept for v.
     """
-    import os
-
-    budget = int(os.environ.get("GBS_TOOLKIT_WITNESS_DEPTH", 10000))
+    budget = env_int("GBS_TOOLKIT_WITNESS_DEPTH", 10000)
     g = tgt.graph
     best: dict[str, tuple[int, tuple]] = {}
     queue: list[str] = []
 
-    def offer(vertex, d, word):
+    def offer(vertex, d, make):
         if d == 0:
             return
-        if d < 0:
-            d, word = -d, letters_inverse(word)
         cur = best.get(vertex)
         if cur is None:
-            best[vertex] = (d, word)
-            queue.append(vertex)
-            return
-        d0, w0 = cur
-        gg, xx, yy = xgcd(d0, d)
-        if gg < d0:
-            best[vertex] = (gg, letters_concat(letters_power(w0, xx), letters_power(word, yy)))
-            queue.append(vertex)
+            gg = abs(d)
+        else:
+            d0, w0 = cur
+            gg, xx, yy = xgcd(d0, abs(d))
+            if gg >= d0:
+                return
+        word = make() if d > 0 else letters_inverse(make())
+        if cur is not None:
+            word = letters_concat(letters_power(w0, xx), letters_power(word, yy))
+        best[vertex] = (gg, word)
+        queue.append(vertex)
 
     for source_letters, image_letters in seeds:
         plain = _seed_to_plain(tgt, source_letters, image_letters)
         if plain is not None:
-            offer(*plain)
+            vertex, d, word = plain
+            offer(vertex, d, lambda: word)
     while queue:
         budget -= 1
         if budget < 0:
             return None
         v = queue.pop()
         d, word = best[v]
-        for name in g.sorted_edges():
-            (p0, p1) = g.edges[name].endpoints
-            (l0, l1) = g.edges[name].labels
+        for oe in g.edges_at(v):
+            name, end, near = oe.edge, oe.end, g.label(oe)
             handle = stable_handles.get(name)
-            if name not in tgt.tree and handle is None:
+            if handle is None and name not in tgt.tree:
                 continue
-            if p0 == v:
-                j = l0 // gcd(d, l0)
-                new_word = letters_power(word, j)
-                if name not in tgt.tree:
-                    new_word = letters_concat(handle, new_word, letters_inverse(handle))
-                offer(p1, l1 * (d // gcd(d, l0)), new_word)
-            if p1 == v:
-                j = l1 // gcd(d, l1)
-                new_word = letters_power(word, j)
-                if name not in tgt.tree:
-                    new_word = letters_concat(letters_inverse(handle), new_word, handle)
-                offer(p0, l0 * (d // gcd(d, l1)), new_word)
+
+            def make():
+                new_word = letters_power(word, near // gcd(d, near))
+                if name in tgt.tree:
+                    return new_word
+                if end == 0:
+                    return letters_concat(handle, new_word, letters_inverse(handle))
+                return letters_concat(letters_inverse(handle), new_word, handle)
+
+            offer(g.terminus(oe), g.colabel(oe) * (d // gcd(d, near)), make)
     witnesses = {}
     for vertex in g.sorted_vertices():
         got = best.get(vertex)

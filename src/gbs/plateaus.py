@@ -12,19 +12,14 @@ where a mixed edge has its non-divisible end; for one prime they are
 disjoint.
 """
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arith import factorize, gcd
+from .arith import env_int, factorize, gcd
 from .errors import NotReducedError, VertexCapError
 from .graphs import LabelledGraph, Shape, classify_shape
 
 VERTEX_CAP_DEFAULT = 24
-
-
-def _vertex_cap() -> int:
-    return int(os.environ.get("GBS_TOOLKIT_MAX_VERTICES", VERTEX_CAP_DEFAULT))
 
 
 @dataclass(frozen=True)
@@ -113,8 +108,9 @@ def mu(g: LabelledGraph) -> RankReport:
     g.require_connected()
     if not g.is_reduced():
         raise NotReducedError("rank formula needs a reduced graph")
-    if len(g.vertices) > _vertex_cap():
-        raise VertexCapError(f"{len(g.vertices)} vertices exceeds cap {_vertex_cap()}")
+    cap = env_int("GBS_TOOLKIT_MAX_VERTICES", VERTEX_CAP_DEFAULT)
+    if len(g.vertices) > cap:
+        raise VertexCapError(f"{len(g.vertices)} vertices exceeds cap {cap}")
     beta = g.betti()
     sets = sorted({pl.vertices for pl in plateau_family(g)}, key=lambda s: (len(s), sorted(s)))
     forced = frozenset(v for s in sets if len(s) == 1 for v in s)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .arith import gcd
 from .errors import InputError, MalformedWordError
-from .graphs import LabelledGraph, OrientedEdge, spanning_tree
+from .graphs import LabelledGraph, spanning_tree
 from .lattice import RationalMultGroup
 
 # syllables: ("v", vertex, exponent) | ("e", edge, end)
@@ -57,18 +57,22 @@ class NormalForm:
 def check_well_formed(g: LabelledGraph, w: PathWord):
     if w.base not in g.vertices:
         raise MalformedWordError(f"unknown base vertex {w.base}")
+    edges = g.edges
     pos = w.base
     for syl in w.syllables:
         if syl[0] == "v":
             if syl[1] != pos:
                 raise MalformedWordError(f"vertex power at {syl[1]} while at {pos}")
         elif syl[0] == "e":
-            oe = OrientedEdge(syl[1], syl[2])
-            if syl[1] not in g.edges:
+            ed = edges.get(syl[1])
+            if ed is None:
                 raise MalformedWordError(f"unknown edge {syl[1]}")
-            if g.origin(oe) != pos:
-                raise MalformedWordError(f"traversal {oe} does not start at {pos}")
-            pos = g.terminus(oe)
+            end = syl[2]
+            if end not in (0, 1):
+                raise MalformedWordError(f"traversal of {syl[1]} has end {end!r}, not 0 or 1")
+            if ed.endpoints[end] != pos:
+                raise MalformedWordError(f"traversal ({syl[1]}, {end}) does not start at {pos}")
+            pos = ed.endpoints[1 - end]
         else:
             raise MalformedWordError(f"bad syllable {syl!r}")
     if pos != w.base:
@@ -91,31 +95,28 @@ def britton_reduce(g: LabelledGraph, w: PathWord, *, validate: bool = True) -> N
     """Eliminate pinches until none applies; trivial iff nothing is left."""
     if validate:
         check_well_formed(g, w)
+    edges = g.edges
     stack: list = []
     for syl in w.syllables:
         if syl[0] == "v":
             _push_vertex(stack, syl[1], syl[2])
             continue
-        cur = OrientedEdge(syl[1], syl[2])
-        prev = None
-        mid = 0
-        if stack and stack[-1][0] == "e":
-            prev = OrientedEdge(stack[-1][1], stack[-1][2])
-            depth = 1
-        elif (
-            len(stack) >= 2
-            and stack[-1][0] == "v"
-            and stack[-2][0] == "e"
-        ):
-            prev = OrientedEdge(stack[-2][1], stack[-2][2])
-            mid = stack[-1][2]
-            depth = 2
-        if prev is not None and prev == cur.reverse:
-            far = g.colabel(prev)
-            if mid % far == 0:
-                del stack[-depth:]
-                _push_vertex(stack, g.origin(prev), (mid // far) * g.label(prev))
-                continue
+        if stack:
+            top = stack[-1]
+            if top[0] == "e":
+                prev, mid, depth = top, 0, 1
+            elif len(stack) >= 2 and stack[-2][0] == "e":
+                prev, mid, depth = stack[-2], top[2], 2
+            else:
+                prev = None
+            if prev is not None and prev[1] == syl[1] and prev[2] == 1 - syl[2]:
+                ed = edges[syl[1]]
+                end = prev[2]
+                far = ed.labels[1 - end]
+                if mid % far == 0:
+                    del stack[-depth:]
+                    _push_vertex(stack, ed.endpoints[end], (mid // far) * ed.labels[end])
+                    continue
         stack.append(syl)
     return NormalForm(PathWord(w.base, tuple(stack)), not stack)
 
@@ -138,19 +139,19 @@ def is_elliptic(g: LabelledGraph, w: PathWord) -> bool:
             lead = syls[lo][2]
             lo += 1
         tail = syls.pop()[2] if syls[-1][0] == "v" else 0
-        first = OrientedEdge(syls[lo][1], syls[lo][2])
-        last = OrientedEdge(syls[-1][1], syls[-1][2])
-        far = g.colabel(last)
-        if first != last.reverse or (tail + lead) % far != 0:
+        _, name, end = syls[-1]
+        ed = g.edges[name]
+        far = ed.labels[1 - end]
+        if syls[lo][1] != name or syls[lo][2] != 1 - end or (tail + lead) % far != 0:
             return False
         syls.pop()
         lo += 1
         traversals -= 2
-        exp = (tail + lead) // far * g.label(last)
+        exp = (tail + lead) // far * ed.labels[end]
         if lo < len(syls) and syls[-1][0] == "v":
             exp += syls.pop()[2]
         if exp:
-            syls.append(("v", g.origin(last), exp))
+            syls.append(("v", ed.endpoints[end], exp))
     return True
 
 
@@ -160,8 +161,8 @@ def modulus(g: LabelledGraph, w: PathWord) -> Fraction:
     out = Fraction(1)
     for syl in w.syllables:
         if syl[0] == "e":
-            oe = OrientedEdge(syl[1], syl[2])
-            out *= Fraction(g.colabel(oe), g.label(oe))
+            labels = g.edges[syl[1]].labels
+            out *= Fraction(labels[1 - syl[2]], labels[syl[2]])
     return out
 
 
@@ -180,12 +181,13 @@ class Presentation:
         self.base = base if base is not None else g.sorted_vertices()[0]
         if self.base not in g.vertices:
             raise InputError(f"unknown base vertex {self.base}")
-        self._geodesics = self._compute_geodesics()
+        self._geodesics, self._geo_inv = self._compute_geodesics()
         if len(self._geodesics) != len(g.vertices):
             raise InputError("spanning tree does not span")
 
-    def _compute_geodesics(self) -> dict[str, tuple]:
-        geo = {self.base: ()}
+    def _compute_geodesics(self) -> tuple[dict[str, tuple], dict[str, tuple]]:
+        """Tree paths from the base to each vertex, and their inverses."""
+        geo, inv = {self.base: ()}, {self.base: ()}
         queue = [self.base]
         while queue:
             v = queue.pop(0)
@@ -194,14 +196,12 @@ class Presentation:
                     w = self.graph.terminus(oe)
                     if w not in geo:
                         geo[w] = geo[v] + (("e", oe.edge, oe.end),)
+                        inv[w] = (("e", oe.edge, 1 - oe.end),) + inv[v]
                         queue.append(w)
-        return geo
+        return geo, inv
 
     def geodesic(self, v: str) -> tuple:
         return self._geodesics[v]
-
-    def _geo_inv(self, v: str) -> tuple:
-        return tuple(("e", e, 1 - end) for _, e, end in reversed(self._geodesics[v]))
 
     @property
     def stable_edges(self) -> list[str]:
@@ -237,15 +237,15 @@ class Presentation:
                     raise MalformedWordError(f"unknown vertex generator {name}")
                 syls.extend(self.geodesic(name))
                 syls.append(("v", name, exp))
-                syls.extend(self._geo_inv(name))
+                syls.extend(self._geo_inv[name])
             elif kind == "t":
                 if name not in self.graph.edges or name in self.tree:
                     raise MalformedWordError(f"{name} is not a stable-letter edge")
                 v, w = self.graph.edges[name].endpoints
                 if exp > 0:
-                    hop = self.geodesic(w) + (("e", name, 1),) + self._geo_inv(v)
+                    hop = self.geodesic(w) + (("e", name, 1),) + self._geo_inv[v]
                 else:
-                    hop = self.geodesic(v) + (("e", name, 0),) + self._geo_inv(w)
+                    hop = self.geodesic(v) + (("e", name, 0),) + self._geo_inv[w]
                 for _ in range(abs(exp)):
                     syls.extend(hop)
             else:

@@ -168,3 +168,45 @@ def test_quot_chain_and_family(capsys):
     assert code == 0 and out.count("ok") == 3
     code, out, _ = run(capsys, "quot", "family", "4", "6", "--count", "2")
     assert code == 0 and out.count("cert=ok") == 2
+
+
+@pytest.mark.parametrize(
+    "var, argv",
+    [
+        ("GBS_TOOLKIT_MAX_VERTICES", ("rank", "segment 2 3")),
+        ("GBS_TOOLKIT_FACTOR_CAP", ("rank", "segment 2 3")),
+        ("GBS_TOOLKIT_WITNESS_DEPTH", ("quot", "chain", "--n", "2")),
+    ],
+)
+def test_malformed_env_variable_exit_1(capsys, monkeypatch, var, argv):
+    for value in ("abc", "", "1.5"):
+        monkeypatch.setenv(var, value)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("input error:") and var in err and "Traceback" not in err
+
+
+def test_unreadable_files_exit_1(tmp_path, capsys):
+    binary = tmp_path / "cert.json"
+    binary.write_bytes(b"\xff\xfe")
+    for argv in (
+        ("verify", str(tmp_path)),
+        ("verify", str(binary)),
+        ("embed", "check", str(tmp_path)),
+        ("rank", str(tmp_path)),
+        ("rank", str(binary)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("input error:") and "Traceback" not in err, argv
+
+
+def test_unwritable_emit_cert_exit_1(tmp_path, capsys):
+    for argv in (
+        ("quot", "epi-equiv", "circle 2 5 5 7"),
+        ("quot", "onto-minimal", "lollipop 1 2 5 | 5 7"),
+        ("embed", "construct", "4", "9", "2", "3"),
+    ):
+        code, out, err = run(capsys, *argv, "--emit-cert", str(tmp_path))
+        assert code == 1 and out == "", argv
+        assert err.startswith("input error:") and "Traceback" not in err, argv

@@ -1,11 +1,16 @@
 import json
+import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graphs
 
+from gbs import homs, words
+from gbs.arith import gcd, xgcd
 from gbs.errors import DecisionError, MissingWitnessError
 from gbs.graphs import (
     OrientedEdge,
@@ -18,6 +23,7 @@ from gbs.graphs import (
 )
 from gbs.homs import (
     HomCertificate,
+    _seed_to_plain,
     bs_epi_cert,
     check_epi,
     check_hom,
@@ -39,7 +45,7 @@ from gbs.homs import (
     minimal_bs_epi,
     tree_containing,
 )
-from gbs.words import Presentation, britton_reduce, letters_concat
+from gbs.words import Presentation, britton_reduce, letters_concat, letters_inverse, letters_power
 
 
 def _round_trip_fixes_generators(fwd, rev):
@@ -231,6 +237,146 @@ def test_solve_witnesses_degrades():
     pres = Presentation(bs_graph(2, 4))
     seeds = [((("v", "v0", 1),), (("v", "v0", 2),))]
     assert solve_witnesses(pres, seeds, {"e0": (("t", "e0", 1),)}) is None
+
+
+def _solve_witnesses_reference(tgt, seeds, stable_handles):
+    """The eager closure: builds the word of every offer, kept or not."""
+    budget = int(os.environ.get("GBS_TOOLKIT_WITNESS_DEPTH", 10000))
+    g = tgt.graph
+    best, queue = {}, []
+
+    def offer(vertex, d, word):
+        if d == 0:
+            return
+        if d < 0:
+            d, word = -d, letters_inverse(word)
+        cur = best.get(vertex)
+        if cur is None:
+            best[vertex] = (d, word)
+            queue.append(vertex)
+            return
+        d0, w0 = cur
+        gg, xx, yy = xgcd(d0, d)
+        if gg < d0:
+            best[vertex] = (gg, letters_concat(letters_power(w0, xx), letters_power(word, yy)))
+            queue.append(vertex)
+
+    for source_letters, image_letters in seeds:
+        plain = _seed_to_plain(tgt, source_letters, image_letters)
+        if plain is not None:
+            offer(*plain)
+    while queue:
+        budget -= 1
+        if budget < 0:
+            return None
+        v = queue.pop()
+        d, word = best[v]
+        for name in g.sorted_edges():
+            (p0, p1) = g.edges[name].endpoints
+            (l0, l1) = g.edges[name].labels
+            handle = stable_handles.get(name)
+            if name not in tgt.tree and handle is None:
+                continue
+            if p0 == v:
+                new_word = letters_power(word, l0 // gcd(d, l0))
+                if name not in tgt.tree:
+                    new_word = letters_concat(handle, new_word, letters_inverse(handle))
+                offer(p1, l1 * (d // gcd(d, l0)), new_word)
+            if p1 == v:
+                new_word = letters_power(word, l1 // gcd(d, l1))
+                if name not in tgt.tree:
+                    new_word = letters_concat(letters_inverse(handle), new_word, handle)
+                offer(p0, l0 * (d // gcd(d, l1)), new_word)
+    witnesses = {}
+    for vertex in g.sorted_vertices():
+        got = best.get(vertex)
+        if got is None or got[0] != 1:
+            return None
+        witnesses[("v", vertex)] = got[1]
+    for e in tgt.stable_edges:
+        if e not in stable_handles:
+            return None
+        witnesses[("t", e)] = stable_handles[e]
+    return witnesses
+
+
+def _witness_problem(rng):
+    """A BS, lollipop or circle target with random elliptic seeds (some
+    conjugated by stable letters) and handles for most stable edges."""
+
+    def lab():
+        return rng.choice([1, 2, 3, 4, 6]) * rng.choice([1, 1, -1])
+
+    kind = rng.choice(["bs", "lollipop", "circle"])
+    if kind == "bs":
+        g = bs_graph(lab(), lab())
+    elif kind == "lollipop":
+        k = rng.randint(1, 2)
+        g = lollipop_graph([lab() for _ in range(2 * k)], [lab(), lab()])
+    else:
+        g = circle_graph([lab() for _ in range(2 * rng.randint(1, 3))])
+    tgt = Presentation(g)
+    stable = tgt.stable_edges
+    seeds = []
+    for i in range(rng.randint(1, 4)):
+        image = (("v", rng.choice(g.sorted_vertices()), rng.choice([1, 2, 3, 4, 6, -2, 9])),)
+        if stable and rng.random() < 0.3:
+            t = (("t", rng.choice(stable), rng.choice([1, -1, 2])),)
+            image = t + image + letters_inverse(t)
+        seeds.append(((("v", f"x{i}", 1), ("t", f"y{i}", -1)), image))
+    handles = {e: (("t", f"h{e}", 1), ("v", "x0", 2)) for e in stable if rng.random() < 0.9}
+    return tgt, seeds, handles
+
+
+@given(st.integers(min_value=0, max_value=2**30), st.sampled_from([None, "0", "1", "3"]))
+@settings(max_examples=150, deadline=None)
+def test_solve_witnesses_matches_eager_reference(seed, depth):
+    tgt, seeds, handles = _witness_problem(random.Random(seed))
+    env = {} if depth is None else {"GBS_TOOLKIT_WITNESS_DEPTH": depth}
+    with mock.patch.dict(os.environ, env):
+        assert solve_witnesses(tgt, seeds, handles) == _solve_witnesses_reference(tgt, seeds, handles)
+
+
+def test_witness_closure_builds_only_kept_words(monkeypatch):
+    """infinite_family(4, 6, 7) keeps witnesses of at most 516 letters; the
+    eager closure built 4.86M letters for them, the lazy one far fewer."""
+    from gbs.quotients import infinite_family
+
+    built, kept, inside = [0], [], [False]
+    concat, solve = words.letters_concat, homs.solve_witnesses
+
+    def counting_concat(*parts):
+        out = concat(*parts)
+        if inside[0]:
+            built[0] += len(out)
+        return out
+
+    def counted_solve(*args):
+        inside[0] = True
+        try:
+            got = solve(*args)
+        finally:
+            inside[0] = False
+        kept.extend(len(w) for w in got.values())
+        return got
+
+    monkeypatch.setattr(words, "letters_concat", counting_concat)
+    monkeypatch.setattr(homs, "letters_concat", counting_concat)
+    monkeypatch.setattr(homs, "solve_witnesses", counted_solve)
+    infinite_family(4, 6, 7)
+    assert max(kept) <= 516
+    assert 0 < built[0] < 100_000, built[0]
+
+
+def test_ladder_tops_verify_after_json_round_trip():
+    from gbs.quotients import descending_chain, infinite_family
+
+    member = descending_chain(8)
+    certs = [m.cert for m in infinite_family(4, 6, 11)]
+    certs += [member.from_bs_18_36, member.to_next, member.to_bs_9_18]
+    for cert in certs:
+        back = HomCertificate.from_json(json.loads(json.dumps(cert.to_json(), separators=(",", ":"))))
+        assert check_hom(back) and check_epi(back), cert.provenance
 
 
 def test_tree_containing():

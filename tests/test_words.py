@@ -75,12 +75,84 @@ def test_malformed_words():
         britton_reduce(g2seg, PathWord("v0", (("e", "s0", 0),)))
     with pytest.raises(MalformedWordError):
         britton_reduce(g2seg, PathWord("v0", (("v", "v1", 2),)))
+    for end in (2, -1):  # a traversal end is 0 or 1
+        with pytest.raises(MalformedWordError):
+            britton_reduce(g, PathWord("v0", (("e", "e0", end),)))
+        with pytest.raises(MalformedWordError):
+            britton_reduce(g, PathWord("v0", (("e", "e0", 0), ("e", "e0", end))))
     # base mismatch across multiplication
     g2 = segment_graph([2, 3])
     p0 = Presentation(g2, base="v0")
     p1 = Presentation(g2, base="v1")
     with pytest.raises(MalformedWordError):
         _ = p0.letters_to_path((("v", "v0", 1),)) * p1.letters_to_path((("v", "v1", 1),))
+
+
+def _britton_reduce_reference(g, w):
+    """The OrientedEdge pinch loop: an oracle for britton_reduce."""
+    from gbs.words import NormalForm, _push_vertex, check_well_formed
+
+    check_well_formed(g, w)
+    stack = []
+    for syl in w.syllables:
+        if syl[0] == "v":
+            _push_vertex(stack, syl[1], syl[2])
+            continue
+        cur = OrientedEdge(syl[1], syl[2])
+        prev = None
+        mid = 0
+        if stack and stack[-1][0] == "e":
+            prev = OrientedEdge(stack[-1][1], stack[-1][2])
+            depth = 1
+        elif len(stack) >= 2 and stack[-1][0] == "v" and stack[-2][0] == "e":
+            prev = OrientedEdge(stack[-2][1], stack[-2][2])
+            mid = stack[-1][2]
+            depth = 2
+        if prev is not None and prev == cur.reverse:
+            far = g.colabel(prev)
+            if mid % far == 0:
+                del stack[-depth:]
+                _push_vertex(stack, g.origin(prev), (mid // far) * g.label(prev))
+                continue
+        stack.append(syl)
+    return NormalForm(PathWord(w.base, tuple(stack)), not stack)
+
+
+def _closed_walk(rng, g, base, steps):
+    """A walk out of base and back along the same edges, with random vertex
+    powers on both legs, so that some pinches apply and some do not."""
+    labels = g.labels() or [1]
+    out, pos = [], base
+    for _ in range(steps if g.edges else 0):
+        oe = rng.choice(g.edges_at(pos))
+        if rng.random() < 0.5:
+            out.append(("v", pos, rng.choice(labels) * rng.randint(-2, 2) or 1))
+        out.append(("e", oe.edge, oe.end))
+        pos = g.terminus(oe)
+    back = PathWord(base, tuple(out)).inverse().syllables
+    mixed = []
+    for syl in back:
+        mixed.append(syl)
+        if syl[0] == "e" and rng.random() < 0.5:
+            mixed.append(("v", g.terminus(OrientedEdge(syl[1], syl[2])), rng.choice(labels) * rng.randint(1, 2)))
+    return PathWord(base, tuple(out) + tuple(mixed))
+
+
+@given(graphs(max_extra=3), st.integers(min_value=0, max_value=2**30))
+@settings(max_examples=60, deadline=None)
+def test_britton_reduce_matches_object_reference(g, seed):
+    rng = random.Random(seed)
+    pres = Presentation(g)
+    rels = pres.relations()
+    words = [pres.letters_to_path(random_letters(rng, pres, length=6)) for _ in range(3)]
+    for _ in range(3):
+        conj = random_letters(rng, pres, length=3)
+        rel = rng.choice(rels) if rels else ()
+        words.append(pres.letters_to_path(letters_concat(conj, rel, letters_inverse(conj))))
+    words += [_closed_walk(rng, g, pres.base, rng.randint(1, 6)) for _ in range(3)]
+    words.append(words[-1] * words[3] * words[0])
+    for w in words:
+        assert britton_reduce(g, w) == _britton_reduce_reference(g, w)
 
 
 def test_modulus_examples():
