@@ -1,4 +1,4 @@
-"""One SHA-256 over the compact JSON of a fixed set of quotient certificates.
+"""One SHA-256 over the compact JSON of a fixed set of certificates.
 
 Two commits that print the same digest build byte-identical certificates.
 One line per group of certificates comes first, the digest of all last.
@@ -8,23 +8,109 @@ The set:
 * infinite_family(m, n, count) for six (m, n, count), the first being
   (4, 6, 8), whose first members are the family ladder's smaller steps;
 * minimal_bs_epi on the circles (2 3)^l for l = 1 .. 4;
-* non_hopf_endo(m, n) for every non-Hopfian BS(m, n) with 0 < |m|, |n| <= 12.
+* non_hopf_endo(m, n) for every non-Hopfian BS(m, n) with 0 < |m|, |n| <= 12;
+* the move certificates of 400 seeded segments, circles and lollipops:
+  collapse (each unit end), contraction (both survivor ends), sign change
+  (a vertex and an edge), expansion and displacement (each prime of each
+  label that the move allows), reduce_cert, and, on the reduced graph
+  when it is 2-generated, bs_source_epi from each minimal source and
+  minimal_bs_epi where it exists;
+* embed_bs_construct for every BS(r, s) < BS(m, n) on the grid
+  0 < |r|, |s|, |m|, |n| <= 12 of acceptance criterion 3, one group per
+  route (block, power, pendant variant, delta-scaled, pendant index, the
+  small cases);
+* circle_bs_subgroup on four circles.
 
     python3 scripts/cert_digest.py
 """
 
 import hashlib
 import json
+import random
 import sys
 
 import gbs
-from gbs.arith import factorize
+from gbs.arith import factorize, gcd
+from gbs.errors import GBSError
+from gbs.graphs import OrientedEdge
+from gbs.homs import (
+    collapse_cert,
+    contraction_cert,
+    displacement_cert,
+    expansion_cert,
+    reduce_cert,
+    sign_change_cert,
+)
 
 FAMILIES = ((4, 6, 8), (6, 10, 4), (4, 12, 5), (6, 6, 8), (9, 6, 3), (8, 12, 3))
+MOVE_SEED = 905
+MOVE_GRAPHS = 400
+LABELS = (1, -1, 1, 2, -2, 3, 4, -3, 5, 6, 9)
+GRID = [i for i in range(-12, 13) if i]
+CIRCLES = ([2, 3], [2, 3, 5, 7], [4, 9, 5, -7], [2, 3, 5, 7, 11, 13])
 
 
 def _prime_set(n: int) -> set:
     return set(factorize(n)) if abs(n) > 1 else set()
+
+
+def _seeded_graphs():
+    rng = random.Random(MOVE_SEED)
+
+    def labels(edges):
+        return [rng.choice(LABELS) for _ in range(2 * edges)]
+
+    for i in range(MOVE_GRAPHS):
+        if i % 3 == 0:
+            yield gbs.segment_graph(labels(rng.randint(1, 3)))
+        elif i % 3 == 1:
+            yield gbs.circle_graph(labels(rng.randint(1, 2)))
+        else:
+            yield gbs.lollipop_graph(labels(rng.randint(1, 2)), labels(1))
+
+
+def _move_certs(g):
+    out = []
+    vertices, edges = g.sorted_vertices(), g.sorted_edges()
+    for e in edges:
+        if g.is_loop(e):
+            continue
+        labels = g.edges[e].labels
+        for end in (0, 1):
+            if abs(labels[end]) == 1:
+                out.extend(collapse_cert(g, e, end)[1:])
+            out.append(contraction_cert(g, e, survivor_end=end)[1])
+            for r in sorted(_prime_set(labels[end])):
+                if gcd(labels[1 - end], r) == 1:
+                    out.append(displacement_cert(g, e, r, end)[1])
+    for e in edges:
+        for end in (0, 1):
+            origin = g.edges[e].endpoints[end]
+            for r in sorted(_prime_set(g.edges[e].labels[end])):
+                out.extend(expansion_cert(g, origin, [OrientedEdge(e, end)], r, -1 if r % 2 else 1)[1:])
+    out.extend(sign_change_cert(g, vertex=vertices[-1])[1:])
+    out.extend(sign_change_cert(g, edge=edges[0])[1:])
+    red, cert = reduce_cert(g)
+    out.append(cert)
+    try:
+        sources = gbs.bs_sources(red)
+    except GBSError:  # elementary, of rank 3 or more, or another shape
+        return out
+    if sources.kind == "segment":
+        out.extend(gbs.bs_source_epi(red, q, q) for q in (sources.Q, sources.R))
+        return out
+    out.append(gbs.bs_source_epi(red, sources.QX, sources.QY))
+    if gbs.maps_onto_minimal_bs(red):
+        out.append(gbs.minimal_bs_epi(red))
+    return out
+
+
+def _route(cert) -> str:
+    prov = cert.provenance
+    for word in ("pendant index", "scaled into", "variant", "power circle", "block circle"):
+        if word in prov:
+            return word
+    return "small"
 
 
 def groups():
@@ -36,9 +122,27 @@ def groups():
         yield f"family {m} {n} {count}", [member.cert for member in gbs.infinite_family(m, n, count)]
     for l in range(1, 5):
         yield f"circle {l}", [gbs.minimal_bs_epi(gbs.circle_graph([2, 3] * l))]
-    vals = [i for i in range(-12, 13) if i]
-    pairs = [(m, n) for m in vals for n in vals if abs(m) != 1 and abs(n) != 1 and _prime_set(m) != _prime_set(n)]
+    pairs = [(m, n) for m in GRID for n in GRID if abs(m) != 1 and abs(n) != 1 and _prime_set(m) != _prime_set(n)]
     yield "non-Hopfian", [gbs.non_hopf_endo(m, n).cert for m, n in pairs]
+    yield f"moves seed {MOVE_SEED}", [c for g in _seeded_graphs() for c in _move_certs(g)]
+    routes = {}
+    for r in GRID:
+        for s in GRID:
+            if abs(r) == 1 and abs(s) == 1:
+                continue
+            for m in GRID:
+                for n in GRID:
+                    if gbs.embeds_bs(r, s, m, n):
+                        cert = gbs.embed_bs_construct(r, s, m, n)
+                        routes.setdefault(_route(cert), []).append(cert)
+    for route in sorted(routes):
+        yield f"embed {route}", routes[route]
+    subgroups = []
+    for labels in CIRCLES:
+        g = gbs.circle_graph(labels)
+        prods = gbs.qrxy(gbs.classify_shape(g))
+        subgroups.append(gbs.circle_bs_subgroup(g, prods.X, prods.Y))
+    yield "circle subgroup", subgroups
 
 
 def main() -> int:

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 
+from .arith import factorize
 from .bs_arith import embeds_bs, exists_epi_bs, is_hopfian_bs, is_rf_bs
 from .catalog import run_catalog
 from .embeddings import (
@@ -107,6 +108,8 @@ def cmd_rank(args):
 
 def cmd_plateaus(args):
     g = load_graph(args.graph)
+    if args.prime > 1 and factorize(args.prime) != {args.prime: 1}:
+        raise InputError(f"--prime must be a prime, not {args.prime}")
     found = plateaus(g, args.prime)
     payload = {"prime": args.prime, "plateaus": [sorted(p.vertices) for p in found]}
     _emit(args, payload, "\n".join(str(sorted(p.vertices)) for p in found) or "none")

@@ -190,42 +190,43 @@ def _pair_matches(got: tuple[int, int], want: tuple[int, int]) -> bool:
     )
 
 
+def _replayed_loop(g: LabelledGraph, records, side: str):
+    """The loop labels `records` reduce g to (None when that is not a single
+    loop); a replay that fails raises CertificateError naming `side`."""
+    try:
+        for rec in records:
+            g = apply_move(g, rec)
+    except Exception as exc:  # replay must not crash verification
+        raise CertificateError(f"{side} reduction replay failed: {exc}") from exc
+    return _loop_labels(g)
+
+
 def verify_embedding_certificate(cert: EmbeddingCertificate) -> tuple[bool, list[str]]:
     ok, violations = check_weakly_admissible(cert.map)
-    cur = cert.map.source
     try:
-        for rec in cert.source_reduce:
-            cur = apply_move(cur, rec)
-    except Exception as exc:  # replay must not crash verification
-        violations.append(f"source reduction replay failed: {exc}")
+        loop = _replayed_loop(cert.map.source, cert.source_reduce, "source")
+        if loop is None:
+            violations.append("source reduction does not end in a single loop")
+        elif not _pair_matches(loop, cert.map_claimed):
+            violations.append(f"source reduces to loop {loop}, certificate claims {cert.map_claimed}")
+        nu = 1
+        for rec in cert.aug_records:
+            if rec[0] != "scale" or rec[1] == 0:
+                violations.append(f"bad index record {rec}")
+            else:
+                nu *= rec[1]
+        scaled = (cert.claimed[0] * nu, cert.claimed[1] * nu)
+        if not _pair_matches(scaled, cert.map_claimed):
+            violations.append(
+                f"index records scale {cert.claimed} to {scaled}, not {cert.map_claimed}"
+            )
+        if cert.target_reduce:
+            loop = _replayed_loop(cert.map.target, cert.target_reduce, "target")
+            if cert.target_params is None or loop is None or not _pair_matches(loop, cert.target_params):
+                violations.append("target reduction does not reach the claimed loop")
+    except CertificateError as exc:
+        violations.append(str(exc))
         return False, violations
-    loop = _loop_labels(cur)
-    if loop is None:
-        violations.append("source reduction does not end in a single loop")
-    elif not _pair_matches(loop, cert.map_claimed):
-        violations.append(f"source reduces to loop {loop}, certificate claims {cert.map_claimed}")
-    nu = 1
-    for rec in cert.aug_records:
-        if rec[0] != "scale" or rec[1] == 0:
-            violations.append(f"bad index record {rec}")
-        else:
-            nu *= rec[1]
-    scaled = (cert.claimed[0] * nu, cert.claimed[1] * nu)
-    if not _pair_matches(scaled, cert.map_claimed):
-        violations.append(
-            f"index records scale {cert.claimed} to {scaled}, not {cert.map_claimed}"
-        )
-    if cert.target_reduce:
-        cur = cert.map.target
-        try:
-            for rec in cert.target_reduce:
-                cur = apply_move(cur, rec)
-        except Exception as exc:
-            violations.append(f"target reduction replay failed: {exc}")
-            return False, violations
-        loop = _loop_labels(cur)
-        if cert.target_params is None or loop is None or not _pair_matches(loop, cert.target_params):
-            violations.append("target reduction does not reach the claimed loop")
     return not violations, violations
 
 
@@ -261,6 +262,11 @@ def _derive_map(target: LabelledGraph, vertices: dict, edges: list) -> WeaklyAdm
     return WeaklyAdmissibleMap(source, target, vmap, emap, vmult, emult)
 
 
+def _scale(nu: int) -> tuple:
+    """The index records of BS(c) < BS(nu c): one ("scale", nu), none for nu = 1."""
+    return (("scale", nu),) if nu != 1 else ()
+
+
 def _finish_cert(
     wa: WeaklyAdmissibleMap,
     claimed,
@@ -270,6 +276,11 @@ def _finish_cert(
     target_params=None,
     target_reduce=(),
 ) -> EmbeddingCertificate:
+    """The certificate of a constructed map: check it is weakly admissible,
+    reduce its source (around `protect` first, then fully) and check that
+    the loop reached is nu * claimed up to swap and sign, nu being the
+    product of the ("scale", nu) records in `aug`.  Every construction ends
+    here, so this is the one place a construction's claim is checked."""
     ok, violations = check_weakly_admissible(wa)
     if not ok:
         raise CertificateError(f"construction not weakly admissible: {violations[:3]}")
@@ -463,17 +474,13 @@ def _construct_core(rhat, shat, beta, m, n) -> EmbeddingCertificate:
         for p in factorize(delta1):
             nu1 *= p ** (valuation(delta1, p) - valuation(rhat, p))
         r2, s2 = nu1 * rhat, nu1 * shat
-        aug = (("scale", nu1),) if nu1 != 1 else ()
         m1, n1 = m // delta1, n // delta1
         if abs(m1) == 1 or abs(n1) == 1:
-            swap = abs(m1) != 1
-            cert = _variant_power_circle(r2, s2, beta, m, n, swapped=swap)
-            cert.aug_records = aug + cert.aug_records
-            cert.claimed = (rhat, shat)
-            return cert
-        inner = _construct_core(r2 // delta1, s2 // delta1, beta, m1, n1)
-        cert = _pendant_extend(inner, delta1, m, n)
-        cert.aug_records = aug + cert.aug_records
+            cert = _power_circle(r2, s2, beta, m, n, swapped=abs(m1) != 1, variant_only=True)
+        else:
+            inner = _construct_core(r2 // delta1, s2 // delta1, beta, m1, n1)
+            cert = _pendant_extend(inner, delta1, m, n)
+        cert.aug_records = _scale(nu1) + cert.aug_records
         cert.claimed = (rhat, shat)
         return cert
 
@@ -510,20 +517,18 @@ def _block_circle(rhat, shat, beta, m, n) -> EmbeddingCertificate:
         if nu_val != expr_s // shat:
             continue
         try:
-            cert = _build_block_circle(x, y, beta, m, n)
+            wa = _block_circle_map(x, y, beta, m, n)
+            return _finish_cert(
+                wa, (rhat, shat), _scale(nu_val), f"block circle x={x} y={y} beta={beta}"
+            )
         except CertificateError:
             continue
-        aug = (("scale", nu_val),) if nu_val != 1 else ()
-        cert.aug_records = aug
-        cert.claimed = (rhat, shat)
-        # recheck the bridge with the actual reduction
-        if not _pair_matches((rhat * nu_val, shat * nu_val), cert.map_claimed):
-            raise CertificateError("block circle scaled to the wrong subgroup")
-        return cert
     raise CertificateError(f"no block-circle solution for ({rhat},{shat}) in ({m},{n})")
 
 
-def _build_block_circle(x, y, beta, m, n) -> EmbeddingCertificate:
+def _block_circle_map(x, y, beta, m, n) -> WeaklyAdmissibleMap:
+    """The seven-block circle over BS(m, n); it reduces to the loop
+    (m^(x+beta) n^y, m^x n^(y+beta))."""
     target = bs_graph(m, n)
     E_m, E_n = ("e0", 0), ("e0", 1)
     am, an = abs(m), abs(n)
@@ -559,55 +564,34 @@ def _build_block_circle(x, y, beta, m, n) -> EmbeddingCertificate:
         for _ in range(size):
             edges.append((f"d{idx}", f"z{idx}", f"z{(idx + 1) % total}", orient))
             idx += 1
-    wa = _derive_map(target, vertices, edges)
-    claimed = (m ** (x + beta) * n**y, m**x * n ** (y + beta))
-    return _finish_cert(wa, claimed, (), f"block circle x={x} y={y} beta={beta}")
+    return _derive_map(target, vertices, edges)
 
 
-def _power_circle(rhat, shat, beta, m, n, swapped=False) -> EmbeddingCertificate:
-    """BS(Delta^x, Delta^y) (plain) into BS(m, Delta m); swapped handles the
-    n | m orientation."""
+def _power_circle(rhat, shat, beta, m, n, swapped, variant_only=False) -> EmbeddingCertificate:
+    """BS(rhat, shat) into BS(mm, Delta mm), where (mm, nn) is (m, n), or
+    (n, m) when `swapped` (the n | m orientation), and Delta = nn / mm.
+
+    The plain form is a circle of x + y edges giving BS(Delta^x, Delta^y);
+    the variant adds a pendant edge and gives BS(mm Delta^x, mm Delta^y).
+    The plain form is tried first and the variant second.  `variant_only`
+    skips the plain form; it is set for the targets whose equal-exponent
+    primes were split off, where (rhat, shat) is scaled to carry those
+    primes."""
     mm, nn = (n, m) if swapped else (m, n)
-    rr, ss = (shat, rhat) if swapped else (rhat, shat)
     delta = nn // mm
-    solved = _solve_exponent(rr, delta)
-    if solved is None:
-        return _variant_power_circle(rhat, shat, beta, m, n, swapped=swapped)
-    x, nu = solved
-    y = x + beta
-    cert = _build_power_circle(x, y, mm, nn, variant=False, swapped=swapped)
-    cert.aug_records = (("scale", nu),) if nu != 1 else ()
-    cert.claimed = (rhat, shat)
-    if not _pair_matches((rhat * nu, shat * nu), cert.map_claimed):
-        raise CertificateError("power circle scaled to the wrong subgroup")
-    return cert
-
-
-def _variant_power_circle(rhat, shat, beta, m, n, swapped=False) -> EmbeddingCertificate:
-    """BS(m Delta^x, m Delta^y) into BS(m, Delta m) via the extra pendant edge."""
-    mm, nn = (n, m) if swapped else (m, n)
-    rr, ss = (shat, rhat) if swapped else (rhat, shat)
-    delta = nn // mm
-    solved = _solve_exponent(rr, delta, extra=mm)
-    if solved is None:
+    for variant in (True,) if variant_only else (False, True):
+        solved = _solve_exponent(shat if swapped else rhat, delta, extra=mm if variant else 1)
+        if solved is not None:
+            break
+    else:
         raise CertificateError(f"no power-circle form for ({rhat},{shat}) in ({m},{n})")
     x, nu = solved
     y = x + beta
-    cert = _build_power_circle(x, y, mm, nn, variant=True, swapped=swapped)
-    cert.aug_records = (("scale", nu),) if nu != 1 else ()
-    cert.claimed = (rhat, shat)
-    if not _pair_matches((rhat * nu, shat * nu), cert.map_claimed):
-        raise CertificateError("variant power circle scaled to the wrong subgroup")
-    return cert
-
-
-def _build_power_circle(x, y, mm, nn, variant, swapped) -> EmbeddingCertificate:
     target = bs_graph(mm, nn) if not swapped else bs_graph(nn, mm)
     if swapped:
         E_mm, E_nn = ("e0", 1), ("e0", 0)
     else:
         E_mm, E_nn = ("e0", 0), ("e0", 1)
-    delta = nn // mm
     total = x + y
     vertices = {f"z{i}": ("v0", abs(mm)) for i in range(total)}
     edges = []
@@ -621,9 +605,8 @@ def _build_power_circle(x, y, mm, nn, variant, swapped) -> EmbeddingCertificate:
         protect = "z0"
     wa = _derive_map(target, vertices, edges)
     label = "variant " if variant else ""
-    claimed = (mm * delta**x, mm * delta**y) if variant else (delta**x, delta**y)
     return _finish_cert(
-        wa, claimed, (), f"{label}power circle x={x} y={y}", protect=protect
+        wa, (rhat, shat), _scale(nu), f"{label}power circle x={x} y={y}", protect=protect
     )
 
 
@@ -640,16 +623,8 @@ def _delta_scale(inner: EmbeddingCertificate, delta: int, m, n) -> EmbeddingCert
         {v: mult * abs(delta) for v, mult in wa.vertex_mult.items()},
         dict(wa.edge_mult),
     )
-    ok, violations = check_weakly_admissible(new_wa)
-    if not ok:
-        raise CertificateError(f"delta scaling broke admissibility: {violations[:3]}")
-    return EmbeddingCertificate(
-        map=new_wa,
-        claimed=inner.claimed,
-        map_claimed=inner.map_claimed,
-        aug_records=inner.aug_records,
-        source_reduce=inner.source_reduce,
-        provenance=inner.provenance + f"; scaled into BS({m},{n})",
+    return _finish_cert(
+        new_wa, inner.claimed, inner.aug_records, inner.provenance + f"; scaled into BS({m},{n})"
     )
 
 
@@ -689,28 +664,19 @@ def _pendant_extend(inner: EmbeddingCertificate, delta1: int, m, n) -> Embedding
     edge_mult = dict(wa.edge_mult)
     edge_mult[pedge] = q
     new_wa = WeaklyAdmissibleMap(source, target, vertex_map, edge_map, vertex_mult, edge_mult)
-    ok, violations = check_weakly_admissible(new_wa)
-    if not ok:
-        raise CertificateError(f"pendant extension not admissible: {violations[:3]}")
-    cur, records = reduce_graph(source, protect=anchor)
-    cur, more = reduce_graph(cur)
-    records = tuple(records) + tuple(more)
-    loop = _loop_labels(cur)
-    if loop is None:
-        raise CertificateError("pendant source does not reduce to a loop")
     tgt_red, tgt_records = reduce_graph(target)
     tgt_loop = _loop_labels(tgt_red)
     if tgt_loop is None or not _pair_matches(tgt_loop, (m, n)):
         raise CertificateError("pendant target does not reduce to BS(m, n)")
-    return EmbeddingCertificate(
-        map=new_wa,
-        claimed=(0, 0),  # caller fills in
-        map_claimed=loop,
-        aug_records=inner.aug_records,
-        source_reduce=records,
+    r1, s1 = inner.claimed
+    return _finish_cert(
+        new_wa,
+        (delta1 * r1, delta1 * s1),
+        inner.aug_records,
+        inner.provenance + f"; pendant index {delta1}",
+        protect=anchor,
         target_params=(m, n),
-        target_reduce=tuple(tgt_records),
-        provenance=inner.provenance + f"; pendant index {delta1}",
+        target_reduce=tgt_records,
     )
 
 

@@ -170,11 +170,13 @@ def check_epi(cert: HomCertificate) -> bool:
     return True
 
 
+def _identity_images(pres: Presentation) -> dict:
+    """Each generator of pres sent to itself, in generator order."""
+    return {(kind, name): ((kind, name, 1),) for kind, name in pres.generators()}
+
+
 def identity_cert(pres: Presentation, provenance: str = "identity") -> HomCertificate:
-    ims = {}
-    for kind, name in pres.generators():
-        ims[(kind, name)] = ((kind, name, 1),)
-    return HomCertificate(pres, pres, dict(ims), dict(ims), provenance)
+    return HomCertificate(pres, pres, _identity_images(pres), _identity_images(pres), provenance)
 
 
 def convert_letters(letters, pres_from: Presentation, pres_to: Presentation) -> tuple:
@@ -268,33 +270,29 @@ def cert_from_graph_map(
     return HomCertificate(src, tgt, images, witnesses, provenance)
 
 
+def _merging_map(g: LabelledGraph, g2: LabelledGraph, edge: str, survivor, removed, mult: dict):
+    """Presentations of g and of g2, which is g with the non-loop `edge`
+    dropped and `removed` merged into `survivor`, and the GraphMap between
+    them that multiplies each vertex power by mult[vertex] (1 if absent)."""
+    src = Presentation(g, tree_containing(g, edge))
+    tgt = Presentation(g2, src.tree - {edge}, survivor if src.base == removed else src.base)
+    gmap = GraphMap(
+        {v: (survivor if v == removed else v) for v in g.vertices},
+        mult,
+        {(e, k): (() if e == edge else (("e", e, k),)) for e in g.edges for k in (0, 1)},
+    )
+    return src, tgt, gmap
+
+
 def collapse_cert(g: LabelledGraph, edge: str, end: int | None = None):
     """(new graph, forward iso certificate, reverse iso certificate)."""
     g2, rec = collapse(g, edge, end)
     _, end, removed, survivor, mult = rec.params
-    src = Presentation(g, tree_containing(g, edge))
-    tgt_tree = src.tree - {edge}
-    tgt = Presentation(g2, tgt_tree, survivor if src.base == removed else src.base)
-    vmap = {v: (survivor if v == removed else v) for v in g.vertices}
-    gmap = GraphMap(
-        vmap,
-        {removed: mult},
-        {
-            (e, k): (() if e == edge else (("e", e, k),))
-            for e in g.edges
-            for k in (0, 1)
-        },
-    )
-    witnesses = {}
-    for kind, name in tgt.generators():
-        witnesses[(kind, name)] = ((kind, name, 1),)
-    fwd = cert_from_graph_map(src, tgt, gmap, f"collapse({edge})", witnesses)
-    rev_images = {(k, n): ((k, n, 1),) for k, n in tgt.generators()}
-    rev_witnesses = {
-        (k, n): (((k, n, 1),) if n != removed else (("v", survivor, mult),))
-        for k, n in src.generators()
-    }
-    rev = HomCertificate(tgt, src, rev_images, rev_witnesses, f"collapse-inverse({edge})")
+    src, tgt, gmap = _merging_map(g, g2, edge, survivor, removed, {removed: mult})
+    fwd = cert_from_graph_map(src, tgt, gmap, f"collapse({edge})", _identity_images(tgt))
+    rev_witnesses = _identity_images(src)
+    rev_witnesses[("v", removed)] = (("v", survivor, mult),)
+    rev = HomCertificate(tgt, src, _identity_images(tgt), rev_witnesses, f"collapse-inverse({edge})")
     return g2, fwd, rev
 
 
@@ -321,19 +319,10 @@ def expansion_cert(
         for k in (0, 1):
             edge_map.setdefault((e, k), (("e", e, k),))
     gmap = GraphMap({v: v for v in g.vertices}, {}, edge_map)
-    witnesses = {}
-    for kind, name in tgt.generators():
-        if kind == "v" and name == new_vertex:
-            witnesses[(kind, name)] = (("v", vertex, sgn * label),)
-        else:
-            witnesses[(kind, name)] = ((kind, name, 1),)
-    fwd = cert_from_graph_map(src, tgt, gmap, f"expansion({new_edge})", witnesses)
-    rev_images = {
-        (k, n): (((k, n, 1),) if n != new_vertex else (("v", vertex, sgn * label),))
-        for k, n in tgt.generators()
-    }
-    rev_witnesses = {(k, n): ((k, n, 1),) for k, n in src.generators()}
-    rev = HomCertificate(tgt, src, rev_images, rev_witnesses, f"expansion-inverse({new_edge})")
+    split = _identity_images(tgt)  # new vertex -> the power of `vertex` it splits off
+    split[("v", new_vertex)] = (("v", vertex, sgn * label),)
+    fwd = cert_from_graph_map(src, tgt, gmap, f"expansion({new_edge})", split)
+    rev = HomCertificate(tgt, src, dict(split), _identity_images(src), f"expansion-inverse({new_edge})")
     return g2, fwd, rev
 
 
@@ -358,28 +347,10 @@ def contraction_cert(g: LabelledGraph, edge: str, survivor_end: int = 0):
     _, survivor, removed, q, r, d = rec.params
     v, w = g.edges[edge].endpoints
     rp, qp = r // d, q // d  # multipliers: near v -> rp, near w -> qp
-    src = Presentation(g, tree_containing(g, edge))
-    tgt = Presentation(
-        g2, src.tree - {edge}, survivor if src.base == removed else src.base
-    )
-    vmap = {u: (survivor if u == removed else u) for u in g.vertices}
-    mult = {v: rp, w: qp}
-    gmap = GraphMap(
-        vmap,
-        mult,
-        {
-            (e, k): (() if e == edge else (("e", e, k),))
-            for e in g.edges
-            for k in (0, 1)
-        },
-    )
-    witnesses = {}
+    src, tgt, gmap = _merging_map(g, g2, edge, survivor, removed, {v: rp, w: qp})
     _, x, y = xgcd(rp, qp)
-    for kind, name in tgt.generators():
-        if kind == "v" and name == survivor:
-            witnesses[(kind, name)] = letters_concat((("v", v, x),), (("v", w, y),))
-        else:
-            witnesses[(kind, name)] = ((kind, name, 1),)
+    witnesses = _identity_images(tgt)
+    witnesses[("v", survivor)] = letters_concat((("v", v, x),), (("v", w, y),))
     fwd = cert_from_graph_map(src, tgt, gmap, f"contraction({edge})", witnesses)
     return g2, fwd
 
@@ -560,6 +531,18 @@ def solve_witnesses(tgt: Presentation, seeds, stable_handles: dict):
     return witnesses
 
 
+def witnessed_cert(
+    src: Presentation, tgt: Presentation, images: dict, stable_handles: dict, provenance: str
+) -> HomCertificate:
+    """The certificate of `images` with witnesses from solve_witnesses, each
+    generator and its image being a seed.  When the search stalls the
+    certificate has no witnesses and carries the hom-only flag."""
+    seeds = [(((kind, name, 1),), word) for (kind, name), word in images.items()]
+    witnesses = solve_witnesses(tgt, seeds, stable_handles)
+    flags = ("hom-only: witness search failed",) if witnesses is None else ()
+    return HomCertificate(src, tgt, images, witnesses, provenance, flags)
+
+
 # -- Baumslag-Solitar epimorphisms -------------------------------------------
 
 
@@ -610,11 +593,9 @@ def non_hopf_endo(m: int, n: int) -> NonHopfResult:
     mprime = mm // p
     pres = Presentation(bs_graph(mm, nn))
     images = {("v", "v0"): (("v", "v0", p),), ("t", "e0"): (("t", "e0", 1),)}
-    seeds = [((("v", "v0", 1),), images[("v", "v0")])]
-    witnesses = solve_witnesses(pres, seeds, {"e0": (("t", "e0", 1),)})
-    if witnesses is None:
+    cert = witnessed_cert(pres, pres, images, {"e0": (("t", "e0", 1),)}, f"non-hopf-endo BS({mm},{nn})")
+    if cert.witnesses is None:
         raise AssertionError("gcd closure must succeed for the power map")
-    cert = HomCertificate(pres, pres, images, witnesses, f"non-hopf-endo BS({mm},{nn})")
     w = letters_concat(
         (("t", "e0", 1), ("v", "v0", mprime), ("t", "e0", -1), ("v", "v0", 1)),
         (("t", "e0", 1), ("v", "v0", -mprime), ("t", "e0", -1), ("v", "v0", -1)),
@@ -661,11 +642,7 @@ def bs_source_epi(g: LabelledGraph, m: int, n: int) -> HomCertificate:
             ia, it = vk, v0
         tgt = Presentation(g)
         images = {a: (("v", ia, 1),), t: (("v", it, 1),)}
-        seeds = [
-            ((("v", "v0", 1),), images[a]),
-            ((("t", "e0", 1),), images[t]),
-        ]
-        witnesses = solve_witnesses(tgt, seeds, {})
+        handles = {}
     else:
         QX, QY = prods.Q * prods.X, prods.Q * prods.Y
         tdir = None
@@ -678,14 +655,8 @@ def bs_source_epi(g: LabelledGraph, m: int, n: int) -> HomCertificate:
         g0 = shape.seg_vertices[0] if shape.kind == "lollipop" else shape.circ_vertices[0]
         tgt, tau = _lollipop_stable(g, shape)
         images = {a: (("v", g0, 1),), t: letters_power(tau, tdir)}
-        seeds = [((("v", "v0", 1),), images[a])]
-        handle = (("t", "e0", tau[0][2] * tdir),)
-        witnesses = solve_witnesses(tgt, seeds, {tau[0][1]: handle})
-    flags = ()
-    if witnesses is None:
-        flags = ("hom-only: witness search failed",)
-    cert = HomCertificate(src, tgt, images, witnesses, f"BS({m},{n})->>G", flags)
-    return cert
+        handles = {tau[0][1]: (("t", "e0", tau[0][2] * tdir),)}
+    return witnessed_cert(src, tgt, images, handles, f"BS({m},{n})->>G")
 
 
 # -- maps onto the minimal Baumslag-Solitar quotient --------------------------
@@ -713,15 +684,20 @@ def _move_factor_around_circle(cur, certs, wvertices, slots, start, factor, dire
     return cur
 
 
+def _unilateral_part(label: int, bilateral: int) -> int:
+    """The largest factor of `label` made of primes not dividing `bilateral`."""
+    factor = 1
+    for p in factorize(label):
+        if bilateral % p != 0:
+            factor *= p ** valuation(label, p)
+    return factor
+
+
 def _circle_to_small(g, shape):
     """Displacement certificates clearing unilateral primes out of x_i (i>0)
     and y_j (j<ell); returns (graph, certs, slots)."""
-    X = Y = 1
-    for v in shape.x:
-        X *= v
-    for v in shape.y:
-        Y *= v
-    bilateral = gcd(X, Y)
+    prods = qrxy(shape)
+    bilateral = gcd(prods.X, prods.Y)
     certs = []
     cur = g
     wv = list(shape.circ_vertices)
@@ -729,20 +705,12 @@ def _circle_to_small(g, shape):
     ell = len(wv)
     for i in range(1, ell):
         name, w_end = slots[i]
-        label = cur.edges[name].labels[w_end]
-        factor = 1
-        for p in factorize(label):
-            if bilateral % p != 0:
-                factor *= p ** valuation(label, p)
+        factor = _unilateral_part(cur.edges[name].labels[w_end], bilateral)
         if factor > 1:
             cur = _move_factor_around_circle(cur, certs, wv, slots, i, factor, 1)
     for j in range(1, ell):
         name, w_end = slots[j - 1]
-        label = cur.edges[name].labels[1 - w_end]  # y_j at w_j
-        factor = 1
-        for p in factorize(label):
-            if bilateral % p != 0:
-                factor *= p ** valuation(label, p)
+        factor = _unilateral_part(cur.edges[name].labels[1 - w_end], bilateral)  # y_j at w_j
         if factor > 1:
             cur = _move_factor_around_circle(cur, certs, wv, slots, j, factor, -1)
     return cur, certs, slots
@@ -829,15 +797,7 @@ def _small_lollipop_explicit(g: LabelledGraph, shape) -> HomCertificate:
         ("v", b0): b0_img,
         ("t", tau[0][1]): letters_power((("t", "e0", 1),), tau[0][2]),
     }
-    seeds = [
-        ((("v", a0, 1),), a0_img),
-        ((("v", b0, 1),), b0_img),
-    ]
-    witnesses = solve_witnesses(tgt, seeds, {"e0": letters_power(tau, 1)})
-    flags = ()
-    if witnesses is None:
-        flags = ("hom-only: witness search failed",)
-    return HomCertificate(src, tgt, images, witnesses, f"lollipop->>BS({QX},{QY})", flags)
+    return witnessed_cert(src, tgt, images, {"e0": letters_power(tau, 1)}, f"lollipop->>BS({QX},{QY})")
 
 
 def minimal_bs_epi(g: LabelledGraph) -> HomCertificate:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arith import env_int, factorize, gcd
-from .errors import NotReducedError, VertexCapError
+from .errors import InputError, NotReducedError, VertexCapError
 from .graphs import LabelledGraph, Shape, classify_shape
 
 VERTEX_CAP_DEFAULT = 24
@@ -43,6 +43,8 @@ class RankReport:
 def plateaus(g: LabelledGraph, p: int) -> list[Plateau]:
     """All p-plateaus by one DFS over the edges with neither label divisible
     by p, in the order of their subset masks over sorted_vertices()."""
+    if p < 2:
+        raise InputError(f"plateaus need a prime p, not {p}")
     g.require_connected()
     index = {v: i for i, v in enumerate(g.sorted_vertices())}
     seen: set[str] = set()

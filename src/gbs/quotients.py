@@ -11,17 +11,18 @@ from itertools import count as icount
 
 from .arith import factorize, gcd
 from .decision import Decision
-from .errors import DecisionError, ElementaryGroupError, NotReducedError, ShapeError
+from .errors import DecisionError, ElementaryGroupError, InputError, NotReducedError, ShapeError
 from .graphs import (
     LabelledGraph,
+    bs_graph,
     lollipop_graph,
     qrxy,
     reduce_graph,
     segment_graph,
 )
-from .homs import HomCertificate, _find_i0, bs_source_epi
+from .homs import HomCertificate, _find_i0, bs_source_epi, witnessed_cert
 from .plateaus import is_two_generated
-from .words import is_unimodular, modular_image
+from .words import Presentation, is_unimodular, modular_image
 
 
 def _detect_elementary(g: LabelledGraph) -> str | None:
@@ -247,9 +248,6 @@ class ChainMember:
 def descending_chain(n: int) -> ChainMember:
     """G_n = <a, b, t | a^6 = b^(2^n), t b^3 t^-1 = b^6> with its three
     verified epimorphisms."""
-    from .homs import HomCertificate, Presentation, solve_witnesses
-    from .graphs import bs_graph
-
     if n < 1:
         raise DecisionError("chain index starts at 1")
     g = lollipop_graph([6, 2**n], [3, 6])
@@ -264,12 +262,7 @@ def descending_chain(n: int) -> ChainMember:
         ("v", "w0"): (("v", "w0", 2),),
         ("t", "c0"): (("t", "c0", 1),),
     }
-    seeds = [
-        ((("v", "v0", 1),), images[("v", "v0")]),
-        ((("v", "w0", 1),), images[("v", "w0")]),
-    ]
-    witnesses = solve_witnesses(pres_next, seeds, {"c0": (("t", "c0", 1),)})
-    cert_next = HomCertificate(pres, pres_next, images, witnesses, f"G_{n}->>G_{n+1}")
+    cert_next = witnessed_cert(pres, pres_next, images, {"c0": (("t", "c0", 1),)}, f"G_{n}->>G_{n+1}")
 
     tgt = Presentation(bs_graph(9, 18))
     images2 = {
@@ -277,12 +270,7 @@ def descending_chain(n: int) -> ChainMember:
         ("v", "w0"): (("v", "v0", 3),),
         ("t", "c0"): (("t", "e0", 1),),
     }
-    seeds2 = [
-        ((("v", "v0", 1),), images2[("v", "v0")]),
-        ((("v", "w0", 1),), images2[("v", "w0")]),
-    ]
-    witnesses2 = solve_witnesses(tgt, seeds2, {"e0": (("t", "c0", 1),)})
-    cert_918 = HomCertificate(pres, tgt, images2, witnesses2, f"G_{n}->>BS(9,18)")
+    cert_918 = witnessed_cert(pres, tgt, images2, {"e0": (("t", "c0", 1),)}, f"G_{n}->>BS(9,18)")
     return ChainMember(n, g, cert_from, cert_next, cert_918)
 
 
@@ -322,6 +310,8 @@ def _hn_factorization(m: int, n: int):
 def infinite_family(m: int, n: int, count: int = 5) -> list[FamilyMember]:
     """`count` pairwise distinct GBS quotients of BS(m, n), each with a
     verified certificate, from the three explicit constructions."""
+    if count < 1:
+        raise InputError(f"a family needs count >= 1, not {count}")
     if finitely_many_quotients(m, n):
         raise DecisionError(f"BS({m},{n}) has only finitely many GBS quotients")
     members = []

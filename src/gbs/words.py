@@ -321,8 +321,11 @@ def parse_letters(text: str) -> tuple:
     for tok in text.split():
         if tok == "1":
             continue
-        head, _, exp_s = tok.partition("^")
-        exp = int(exp_s) if exp_s else 1
+        head, caret, exp_s = tok.partition("^")
+        try:
+            exp = int(exp_s) if caret else 1
+        except ValueError:
+            raise InputError(f"exponent of word token {tok!r} is not an integer") from None
         if head.startswith("a(") and head.endswith(")"):
             out.append(("v", head[2:-1], exp))
         elif head.startswith("t(") and head.endswith(")"):

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from gbs import quotients
 from gbs.cli import main
 
 
@@ -139,6 +141,40 @@ def test_verify_malformed_certificate_exit_1(tmp_path, capsys, payload):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(payload))
     code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("prime", ["0", "1", "-2", "4"])
+def test_plateaus_non_prime_exit_1(capsys, prime):
+    code, out, err = run(capsys, "plateaus", "segment 2 3", "--prime", prime)
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("word", "reduce", "bs 2 3", "a(v0)^x"),
+        ("word", "equal", "bs 2 3", "a(v0)", "t(e0)^1.5"),
+        ("word", "reduce", "bs 2 3", "a(v0)^"),
+    ],
+)
+def test_non_integer_word_exponent_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_family_count_below_one_exit_1(capsys, monkeypatch, count):
+    def refuse(*args, **kwargs):  # a member built means the count was not rejected
+        raise AssertionError("a family member was built")
+
+    monkeypatch.setattr(quotients, "lollipop_graph", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "quot", "family", "4", "6", "--count", count)
+    assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert err.startswith("input error:") and "Traceback" not in err
 

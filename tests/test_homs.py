@@ -45,6 +45,7 @@ from gbs.homs import (
     minimal_bs_epi,
     tree_containing,
 )
+from gbs.quotients import descending_chain
 from gbs.words import Presentation, britton_reduce, letters_concat, letters_inverse, letters_power
 
 
@@ -237,6 +238,26 @@ def test_solve_witnesses_degrades():
     pres = Presentation(bs_graph(2, 4))
     seeds = [((("v", "v0", 1),), (("v", "v0", 2),))]
     assert solve_witnesses(pres, seeds, {"e0": (("t", "e0", 1),)}) is None
+
+
+def test_stalled_witness_search_flags_hom_only(monkeypatch):
+    """With no closure budget every witness-backed builder still returns a
+    checkable homomorphism, without witnesses and flagged as hom-only."""
+    monkeypatch.setenv("GBS_TOOLKIT_WITNESS_DEPTH", "0")
+    explicit = minimal_bs_epi(lollipop_graph([2, 5], [5, 7]))  # k = l = 1: the explicit route
+    assert explicit.provenance == "lollipop->>BS(10,14)"
+    chain = descending_chain(2)
+    for cert in (
+        bs_source_epi(segment_graph([2, 3]), 6, 6),
+        bs_source_epi(lollipop_graph([6, 4], [3, 6]), 18, 36),
+        explicit,
+        chain.from_bs_18_36,
+        chain.to_next,
+        chain.to_bs_9_18,
+    ):
+        assert check_hom(cert), cert.provenance
+        assert cert.witnesses is None, cert.provenance
+        assert cert.flags == ("hom-only: witness search failed",), cert.provenance
 
 
 def _solve_witnesses_reference(tgt, seeds, stable_handles):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 
-from gbs.errors import NotReducedError, VertexCapError
+from gbs.errors import InputError, NotReducedError, VertexCapError
 from gbs.graphs import (
     Shape,
     bs_graph,
@@ -108,6 +108,12 @@ def test_plateaus_match_exhaustive_oracle(g, p):
 def test_mu_matches_full_search(g):
     g, _ = reduce_graph(g)
     assert mu(g) == _mu_reference(g)
+
+
+@pytest.mark.parametrize("p", [0, 1, -2])
+def test_plateaus_reject_p_below_two(p):
+    with pytest.raises(InputError):
+        plateaus(segment_graph([2, 3]), p)
 
 
 def test_terminal_vertex_plateau():

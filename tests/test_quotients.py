@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
+from gbs import quotients
 from gbs.decision import Decision
-from gbs.errors import DecisionError, ElementaryGroupError, NotReducedError, ShapeError
+from gbs.errors import DecisionError, ElementaryGroupError, InputError, NotReducedError, ShapeError
 from gbs.graphs import (
     bs_graph,
     circle_graph,
@@ -202,6 +204,19 @@ def test_infinite_family_variants():
     assert all(m.params["swapped"] for m in fam4)
     for mem in fam4:
         assert check_epi(mem.cert)
+
+
+def test_infinite_family_rejects_count_below_one(monkeypatch):
+    def refuse(*args, **kwargs):  # a count the family cannot reach fails here, not by running on
+        raise AssertionError("a family member was built")
+
+    monkeypatch.setattr(quotients, "segment_graph", refuse)
+    monkeypatch.setattr(quotients, "lollipop_graph", refuse)
+    start = time.perf_counter()
+    for m, n, count in ((4, 6, 0), (4, 6, -1), (6, 6, 0), (6, 12, -3)):
+        with pytest.raises(InputError):
+            infinite_family(m, n, count)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_quotient_monotone_under_bs_epis():

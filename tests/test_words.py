@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs, random_letters, small_connected_graph
 
-from gbs.errors import MalformedWordError
+from gbs.errors import InputError, MalformedWordError
 from gbs.graphs import (
     OrientedEdge,
     bs_graph,
@@ -262,6 +262,12 @@ def test_letters_round_trip_and_parse():
     back = pres.path_to_letters(path)
     assert equal(g, path, pres.letters_to_path(back))
     assert parse_letters(format_letters(letters)) == letters
+
+
+@pytest.mark.parametrize("text", ["a(v0)^x", "t(e0)^1.5", "a(v0)^", "a(v0) t(e0)^ a(v0)"])
+def test_parse_letters_rejects_non_integer_exponents(text):
+    with pytest.raises(InputError):
+        parse_letters(text)
 
 
 @given(graphs())
