@@ -1,7 +1,9 @@
 """Exact integer arithmetic helpers: gcd/Bezout, trial-division factoring, valuations.
 
-Everything works on arbitrary-precision ints.  Factorization is trial
-division with a hard cap; inputs in this toolkit are human-scale.
+Everything works on arbitrary-precision ints.  `split_power` compares
+valuations by gcd alone, so the certificate builders factor only to name
+or choose a prime.  Factorization is trial division with a hard cap; the
+deciders and plateaus still use it.
 """
 
 import os
@@ -81,6 +83,19 @@ def valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def split_power(a: int, b: int) -> tuple[int, int]:
+    """(x, rest) for a != 0: x = max over primes p | b of ceil(v_p(a) / v_p(b))
+    (0 when there is none), the least x with the b-primary part of a dividing
+    b^x; rest is a (signed) with every prime of b removed."""
+    if a == 0:
+        raise ValueError("split_power of 0")
+    x = 0
+    while (g := gcd(a, b)) > 1:
+        a //= g
+        x += 1
+    return x, a
 
 
 def sign(n: int) -> int:

@@ -54,7 +54,8 @@ def load_graph(spec: str) -> LabelledGraph:
     if os.path.exists(spec):
         with open(spec) as fh:
             return parse_graph(fh.read())
-    if any(tok in spec for tok in ("vertex", "edge", "segment", "circle", "lollipop", "bs")):
+    tokens = [t for line in spec.splitlines() for t in line.split("#", 1)[0].split()]
+    if tokens and tokens[0] in ("vertex", "edge", "segment", "circle", "lollipop", "bs"):
         return parse_graph(spec)
     raise InputError(f"no such file and not an inline graph: {spec!r}")
 
@@ -223,12 +224,6 @@ def cmd_embed_construct(args):
     _emit(args, payload, f"yes; certificate {'verified' if ok else 'INVALID'} ({cert.provenance})")
 
 
-def cmd_embed_check(args):
-    with open(args.cert) as fh:
-        data = json.load(fh)
-    _verify_payload(args, data)
-
-
 def cmd_embed_bsnn(args):
     g = load_graph(args.graph)
     if args.n is not None:
@@ -268,10 +263,6 @@ def cmd_word(args):
 def cmd_verify(args):
     with open(args.cert) as fh:
         data = json.load(fh)
-    _verify_payload(args, data)
-
-
-def _verify_payload(args, data):
     if not isinstance(data, dict):
         raise InputError("certificate JSON must be an object")
     kind = data.get("kind")
@@ -382,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_embed_construct)
     q = esub.add_parser("check")
     q.add_argument("cert")
-    q.set_defaults(fn=cmd_embed_check)
+    q.set_defaults(fn=cmd_verify)
     q = esub.add_parser("bsnn")
     q.add_argument("graph")
     q.add_argument("n", type=int, nargs="?")

@@ -11,7 +11,7 @@ Baumslag-Solitar groups, and the equal-label test for subgroups of BS(n,n).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, gcd, lcm, sign, valuation
+from .arith import gcd, lcm, sign, split_power
 from .bs_arith import embeds_bs, power_of_ratio
 from .decision import Decision
 from .errors import CertificateError, DecisionError, NotReducedError, ShapeError
@@ -275,23 +275,29 @@ def _finish_cert(
     protect=None,
     target_params=None,
     target_reduce=(),
+    reduced=None,
 ) -> EmbeddingCertificate:
     """The certificate of a constructed map: check it is weakly admissible,
     reduce its source (around `protect` first, then fully) and check that
     the loop reached is nu * claimed up to swap and sign, nu being the
-    product of the ("scale", nu) records in `aug`.  Every construction ends
+    product of the ("scale", nu) records in `aug`.  `reduced` is a
+    certificate whose map has the same source graph; its reduction and
+    loop are taken instead of reducing again.  Every construction ends
     here, so this is the one place a construction's claim is checked."""
     ok, violations = check_weakly_admissible(wa)
     if not ok:
         raise CertificateError(f"construction not weakly admissible: {violations[:3]}")
-    cur, records = reduce_graph(wa.source, protect=protect)
-    records = list(records)
-    if protect is not None:
-        cur, more = reduce_graph(cur)
-        records.extend(more)
-    loop = _loop_labels(cur)
-    if loop is None:
-        raise CertificateError("source graph does not reduce to a loop")
+    if reduced is not None:
+        records, loop = reduced.source_reduce, reduced.map_claimed
+    else:
+        cur, records = reduce_graph(wa.source, protect=protect)
+        records = list(records)
+        if protect is not None:
+            cur, more = reduce_graph(cur)
+            records.extend(more)
+        loop = _loop_labels(cur)
+        if loop is None:
+            raise CertificateError("source graph does not reduce to a loop")
     nu = 1
     for rec in aug:
         nu *= rec[1]
@@ -398,21 +404,11 @@ def contains_bs(g: LabelledGraph, m: int, n: int) -> bool:
 def _solve_exponent(rhat, base, extra=1, xmin=1):
     """Smallest x >= xmin and nu with nu*rhat = extra * base^x (signed), all
     of nu's primes dividing base*extra; returns (x, nu) or None."""
-    fb = factorize(base)
-    fr = factorize(rhat)
-    fe = factorize(extra)
-    for p in fr:
-        if p not in fb and fr[p] > fe.get(p, 0):
-            return None
-    x = xmin
-    for p, e in fb.items():
-        need = fr.get(p, 0) - fe.get(p, 0)
-        if need > 0:
-            x = max(x, -(-need // e))
-    expr = extra * base**x
-    if expr % rhat != 0:
-        raise AssertionError("exponent solve: divisibility must hold")
-    return x, expr // rhat
+    x, rest = split_power(rhat // gcd(rhat, extra), base)
+    if abs(rest) != 1:
+        return None
+    x = max(x, xmin)
+    return x, extra * base**x // rhat
 
 
 def embed_bs_construct(r: int, s: int, m: int, n: int) -> EmbeddingCertificate:
@@ -464,15 +460,8 @@ def _construct_core(rhat, shat, beta, m, n) -> EmbeddingCertificate:
         return _finish_cert(wa, (rhat, shat), (), f"{k}-cycle in solvable BS({m},{n})")
 
     # same-exponent primes split off first
-    delta1 = 1
-    for p in sorted(set(factorize(m)) | set(factorize(n))):
-        vm, vn = valuation(m, p), valuation(n, p)
-        if vm == vn and vm > 0:
-            delta1 *= p**vm
+    delta1, nu1 = _equal_exponent_part(m, n, rhat)
     if delta1 > 1:
-        nu1 = 1
-        for p in factorize(delta1):
-            nu1 *= p ** (valuation(delta1, p) - valuation(rhat, p))
         r2, s2 = nu1 * rhat, nu1 * shat
         m1, n1 = m // delta1, n // delta1
         if abs(m1) == 1 or abs(n1) == 1:
@@ -496,19 +485,21 @@ def _construct_core(rhat, shat, beta, m, n) -> EmbeddingCertificate:
     return _delta_scale(inner, delta, m, n)
 
 
+def _equal_exponent_part(m, n, rhat):
+    """(delta1, nu1): delta1 > 0 is the product of p^v_p(m) over the primes
+    with v_p(m) = v_p(n) > 0, the primes of g = gcd(m, n) that do not divide
+    (m/g)(n/g); nu1 = delta1 / gcd(delta1, rhat)."""
+    g = gcd(m, n)
+    delta1 = split_power(g, (m // g) * (n // g))[1]
+    return delta1, delta1 // gcd(delta1, rhat)
+
+
 def _block_circle(rhat, shat, beta, m, n) -> EmbeddingCertificate:
     """Seven-block circle for coprime m, n (with index scaling when the
     exponents x, y would drop below the construction's reach)."""
-    fr = factorize(rhat)
-    fs = factorize(shat)
+    x0, y0 = split_power(shat, m)[0], split_power(rhat, n)[0]
     for xmin, ymin in ((0, 0), (1, 1)):
-        xs = [xmin]
-        ys = [ymin]
-        for p in factorize(m):
-            xs.append(-(-fs.get(p, 0) // valuation(m, p)))
-        for p in factorize(n):
-            ys.append(-(-fr.get(p, 0) // valuation(n, p)))
-        x, y = max(xs), max(ys)
+        x, y = max(x0, xmin), max(y0, ymin)
         expr_r = m ** (x + beta) * n**y
         expr_s = m**x * n ** (y + beta)
         if expr_r % rhat or expr_s % shat:
@@ -612,7 +603,8 @@ def _power_circle(rhat, shat, beta, m, n, swapped, variant_only=False) -> Embedd
 
 def _delta_scale(inner: EmbeddingCertificate, delta: int, m, n) -> EmbeddingCertificate:
     """Retarget a certificate into BS(m', n') onto BS(delta m', delta n') by
-    scaling every vertex multiplicity (the local gcds scale along)."""
+    scaling every vertex multiplicity (the local gcds scale along); the
+    source graph, and so its reduction, is the inner one."""
     target = bs_graph(m, n)
     wa = inner.map
     new_wa = WeaklyAdmissibleMap(
@@ -623,9 +615,8 @@ def _delta_scale(inner: EmbeddingCertificate, delta: int, m, n) -> EmbeddingCert
         {v: mult * abs(delta) for v, mult in wa.vertex_mult.items()},
         dict(wa.edge_mult),
     )
-    return _finish_cert(
-        new_wa, inner.claimed, inner.aug_records, inner.provenance + f"; scaled into BS({m},{n})"
-    )
+    provenance = inner.provenance + f"; scaled into BS({m},{n})"
+    return _finish_cert(new_wa, inner.claimed, inner.aug_records, provenance, reduced=inner)
 
 
 def _pendant_extend(inner: EmbeddingCertificate, delta1: int, m, n) -> EmbeddingCertificate:

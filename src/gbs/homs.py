@@ -16,7 +16,7 @@ Baumslag-Solitar quotient).
 
 from dataclasses import dataclass
 
-from .arith import env_int, factorize, gcd, valuation, xgcd
+from .arith import env_int, factorize, gcd, split_power, xgcd
 from .errors import (
     CertificateError,
     DecisionError,
@@ -35,6 +35,7 @@ from .graphs import (
     reduce_graph,
     sign_change,
 )
+from .plateaus import is_two_generated
 from .words import (
     PathWord,
     Presentation,
@@ -579,17 +580,13 @@ def non_hopf_endo(m: int, n: int) -> NonHopfResult:
 
     if is_hopfian_bs(m, n):
         raise DecisionError(f"BS({m},{n}) is Hopfian")
-    choice = None
     for mm, nn in ((m, n), (n, m)):
-        for p in sorted(factorize(mm)):
-            if nn % p != 0:
-                choice = (mm, nn, p)
-                break
-        if choice:
+        one_sided = abs(split_power(mm, nn)[1])  # the primes of mm not dividing nn
+        if one_sided > 1:
+            p = min(factorize(one_sided))
             break
-    if choice is None:
+    else:
         raise AssertionError("non-Hopfian pair admits a one-sided prime")
-    mm, nn, p = choice
     mprime = mm // p
     pres = Presentation(bs_graph(mm, nn))
     images = {("v", "v0"): (("v", "v0", p),), ("t", "e0"): (("t", "e0", 1),)}
@@ -626,7 +623,10 @@ def bs_source_epi(g: LabelledGraph, m: int, n: int) -> HomCertificate:
     """Certificate for BS(m, n) ->> G for a reduced 2-generated G admitting
     it (segment: m = n divisible by Q or R; lollipop: (m,n) an integral
     multiple of (QX, QY) or (QY, QX))."""
-    shape = classify_shape(g)
+    ok, witness = is_two_generated(g)
+    if not ok:
+        raise DecisionError(f"group has rank {witness.rank.rank} > 2")
+    shape = witness.shape
     if shape.kind == "other":
         raise ShapeError("not a segment/circle/lollipop")
     prods = qrxy(shape)
@@ -684,18 +684,9 @@ def _move_factor_around_circle(cur, certs, wvertices, slots, start, factor, dire
     return cur
 
 
-def _unilateral_part(label: int, bilateral: int) -> int:
-    """The largest factor of `label` made of primes not dividing `bilateral`."""
-    factor = 1
-    for p in factorize(label):
-        if bilateral % p != 0:
-            factor *= p ** valuation(label, p)
-    return factor
-
-
 def _circle_to_small(g, shape):
-    """Displacement certificates clearing unilateral primes out of x_i (i>0)
-    and y_j (j<ell); returns (graph, certs, slots)."""
+    """Displacement certificates clearing unilateral primes (not dividing
+    gcd(X, Y)) out of x_i (i>0) and y_j (j<ell); returns (graph, certs, slots)."""
     prods = qrxy(shape)
     bilateral = gcd(prods.X, prods.Y)
     certs = []
@@ -705,12 +696,12 @@ def _circle_to_small(g, shape):
     ell = len(wv)
     for i in range(1, ell):
         name, w_end = slots[i]
-        factor = _unilateral_part(cur.edges[name].labels[w_end], bilateral)
+        factor = abs(split_power(cur.edges[name].labels[w_end], bilateral)[1])
         if factor > 1:
             cur = _move_factor_around_circle(cur, certs, wv, slots, i, factor, 1)
     for j in range(1, ell):
         name, w_end = slots[j - 1]
-        factor = _unilateral_part(cur.edges[name].labels[1 - w_end], bilateral)  # y_j at w_j
+        factor = abs(split_power(cur.edges[name].labels[1 - w_end], bilateral)[1])  # y_j at w_j
         if factor > 1:
             cur = _move_factor_around_circle(cur, certs, wv, slots, j, factor, -1)
     return cur, certs, slots
@@ -723,7 +714,7 @@ def circle_minimal_epi(g: LabelledGraph, shape=None) -> HomCertificate:
         raise ShapeError("circle_minimal_epi expects a circle")
     prods = qrxy(shape)
     X, Y = prods.X, prods.Y
-    i0 = _find_i0(shape.x, shape.y, sorted(factorize(gcd(X, Y))))
+    i0 = _find_i0(shape.x, shape.y, gcd(X, Y))
     if i0 is None:
         raise DecisionError("no valid split index: G does not map onto BS(X, Y)")
     if shape.ell == 1:
@@ -735,37 +726,22 @@ def circle_minimal_epi(g: LabelledGraph, shape=None) -> HomCertificate:
     return compose_chain(*certs, provenance=f"circle->>BS({X},{Y})")
 
 
-def _find_i0(xs, ys, bilateral_primes):
-    """Largest-prefix index i0 such that no bilateral prime divides x_i for
+def _find_i0(xs, ys, bilateral):
+    """Smallest index i0 such that no prime of `bilateral` divides x_i for
     i > i0 or y_j for j <= i0 (paper indexing: ys[j-1] is y_j)."""
-    ell = len(xs)
-    for i0 in range(ell):
-        ok = True
-        for p in bilateral_primes:
-            if any(xs[i] % p == 0 for i in range(i0 + 1, ell)) or any(
-                ys[j - 1] % p == 0 for j in range(1, i0 + 1)
-            ):
-                ok = False
-                break
-        if ok:
+    for i0 in range(len(xs)):
+        if all(gcd(x, bilateral) == 1 for x in xs[i0 + 1 :] + ys[:i0]):
             return i0
     return None
 
 
 def _solve_alpha_beta(R, X, Y):
     """alpha, beta >= 0 and Rtilde with R * Rtilde = X^alpha * Y^beta."""
-    alpha = beta = 0
-    for p, c in factorize(R).items():
-        if X % p == 0:
-            alpha = max(alpha, -(-c // valuation(X, p)))
-        elif Y % p == 0:
-            beta = max(beta, -(-c // valuation(Y, p)))
-        else:
-            raise DecisionError(f"prime {p} of R divides neither X nor Y")
-    power = X**alpha * Y**beta
-    if power % R != 0:
-        raise AssertionError("alpha/beta solve failed")
-    return alpha, beta, power // R
+    alpha, rest = split_power(R, X)
+    beta, rest = split_power(rest, Y)
+    if abs(rest) != 1:
+        raise DecisionError(f"prime {min(factorize(rest))} of R divides neither X nor Y")
+    return alpha, beta, X**alpha * Y**beta // R
 
 
 def _small_lollipop_explicit(g: LabelledGraph, shape) -> HomCertificate:

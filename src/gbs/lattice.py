@@ -107,8 +107,6 @@ class RationalMultGroup:
         rows = [self._vector(g) for g in gens]
         rows.append([0] * n + [2])  # (-1)^2 = 1
         self._lat = IntLattice.from_rows(rows, n + 1)
-        # exponent lattice without the sign coordinate
-        self._exp_lat = IntLattice.from_rows([r[:n] for r in rows], n)
 
     def _vector(self, q: Fraction) -> list[int]:
         """Exponent vector + sign slot; raises KeyError-like ValueError if q
@@ -140,7 +138,7 @@ class RationalMultGroup:
 
     @property
     def exponent_rank(self) -> int:
-        return self._exp_lat.rank
+        return self._lat.rank - 1  # the sign axis adds rank 1: (0,...,0,2) is in it
 
     def is_trivial(self) -> bool:
         return all(g == 1 for g in self.generators) or (

@@ -122,7 +122,7 @@ def maps_onto_minimal_bs(g: LabelledGraph) -> Decision:
         return Decision(True, "Y^QX=1")
     if shape.kind == "lollipop" and gcd(Q, shape.r[-1]) != 1:
         return Decision(False, "all clauses fail", (f"gcd(Q, r_k) = {gcd(Q, shape.r[-1])}",))
-    i0 = _find_i0(shape.x, shape.y, sorted(factorize(gcd(QX, QY))))
+    i0 = _find_i0(shape.x, shape.y, gcd(QX, QY))
     if i0 is not None:
         return Decision(True, "split index", (f"i0={i0}",))
     return Decision(False, "all clauses fail", ("no split index",))

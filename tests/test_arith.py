@@ -1,11 +1,15 @@
 from fractions import Fraction
 from itertools import product
+from math import prod
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gbs.arith import factorize, gcd, lcm, prime_set, valuation, xgcd
-from gbs.errors import FactorizationCapError
+from gbs.arith import factorize, gcd, lcm, prime_set, split_power, valuation, xgcd
+from gbs.embeddings import _equal_exponent_part, _solve_exponent
+from gbs.errors import DecisionError, FactorizationCapError
+from gbs.homs import _find_i0, _solve_alpha_beta
 from gbs.lattice import IntLattice, RationalMultGroup
 
 
@@ -34,6 +38,130 @@ def test_factorize():
     assert valuation(48, 2) == 4
     with pytest.raises(FactorizationCapError):
         factorize(10**9 + 7, cap=10**6)
+
+
+nonzero = st.integers(-10**6, 10**6).filter(bool)
+
+
+@given(nonzero, nonzero)
+def test_split_power_matches_valuations(a, b):
+    x, rest = split_power(a, b)
+    fb = factorize(b) if abs(b) > 1 else {}
+    assert x == max([-(-valuation(a, p) // e) for p, e in fb.items()], default=0)
+    assert rest * prod(p ** valuation(a, p) for p in fb) == a
+    assert gcd(rest, b) == 1
+
+
+def test_split_power_of_zero():
+    with pytest.raises(ValueError):
+        split_power(0, 6)
+
+
+# -- the factor-and-loop routines split_power replaced, kept as oracles ----------
+
+
+def _solve_exponent_reference(rhat, base, extra=1, xmin=1):
+    fb = factorize(base)
+    fr = factorize(rhat)
+    fe = factorize(extra)
+    for p in fr:
+        if p not in fb and fr[p] > fe.get(p, 0):
+            return None
+    x = xmin
+    for p, e in fb.items():
+        need = fr.get(p, 0) - fe.get(p, 0)
+        if need > 0:
+            x = max(x, -(-need // e))
+    expr = extra * base**x
+    assert expr % rhat == 0
+    return x, expr // rhat
+
+
+def _equal_exponent_part_reference(m, n, rhat):
+    """delta1 and nu1 by prime loops; nu1 is a Fraction, an integer exactly
+    when v_p(rhat) <= v_p(delta1) for every prime of delta1."""
+    delta1 = 1
+    for p in sorted(set(factorize(m)) | set(factorize(n))):
+        vm, vn = valuation(m, p), valuation(n, p)
+        if vm == vn and vm > 0:
+            delta1 *= p**vm
+    nu1 = Fraction(1)
+    for p in factorize(delta1):
+        nu1 *= Fraction(p) ** (valuation(delta1, p) - valuation(rhat, p))
+    return delta1, nu1
+
+
+def _unilateral_part_reference(label, bilateral):
+    factor = 1
+    for p in factorize(label):
+        if bilateral % p != 0:
+            factor *= p ** valuation(label, p)
+    return factor
+
+
+def _find_i0_reference(xs, ys, bilateral_primes):
+    ell = len(xs)
+    for i0 in range(ell):
+        ok = True
+        for p in bilateral_primes:
+            if any(xs[i] % p == 0 for i in range(i0 + 1, ell)) or any(
+                ys[j - 1] % p == 0 for j in range(1, i0 + 1)
+            ):
+                ok = False
+                break
+        if ok:
+            return i0
+    return None
+
+
+def _solve_alpha_beta_reference(R, X, Y):
+    alpha = beta = 0
+    for p, c in factorize(R).items():
+        if X % p == 0:
+            alpha = max(alpha, -(-c // valuation(X, p)))
+        elif Y % p == 0:
+            beta = max(beta, -(-c // valuation(Y, p)))
+        else:
+            raise DecisionError(f"prime {p} of R divides neither X nor Y")
+    power = X**alpha * Y**beta
+    assert power % R == 0
+    return alpha, beta, power // R
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DecisionError as exc:
+        return str(exc)
+
+
+def test_gcd_helpers_match_factor_oracles():
+    small = [i for i in range(-24, 25) if i]
+    for rhat, base, extra, xmin in product(small, small, (1, 2, -3, 4, 6, 9, 12), (0, 1)):
+        got = _solve_exponent(rhat, base, extra, xmin)
+        assert got == _solve_exponent_reference(rhat, base, extra, xmin), (rhat, base, extra)
+    for m, n, rhat in product(small, small, (1, -2, 3, 4, -6, 8, 9, 12)):
+        delta1, nu1 = _equal_exponent_part(m, n, rhat)
+        ref_delta1, ref_nu1 = _equal_exponent_part_reference(m, n, rhat)
+        assert delta1 == ref_delta1, (m, n)
+        if ref_nu1.denominator == 1:
+            assert nu1 == ref_nu1, (m, n, rhat)
+    for label, bilateral in product(small, range(1, 25)):
+        got = abs(split_power(label, bilateral)[1])
+        assert got == _unilateral_part_reference(label, bilateral), (label, bilateral)
+    labels = (1, -1, 2, 3, -4, 5, 6, 9, 10, -12, 15)
+    rng = Random(2024)
+    for _ in range(4000):
+        ell = rng.randint(1, 5)
+        xs = tuple(rng.choice(labels) for _ in range(ell))
+        ys = tuple(rng.choice(labels) for _ in range(ell))
+        bilateral = gcd(prod(xs), prod(ys))
+        assert _find_i0(xs, ys, bilateral) == _find_i0_reference(
+            xs, ys, sorted(factorize(bilateral))
+        ), (xs, ys)
+    for R, X, Y in product(range(1, 61), small, small):
+        got = _outcome(_solve_alpha_beta, R, X, Y)
+        assert got == _outcome(_solve_alpha_beta_reference, R, X, Y), (R, X, Y)
 
 
 def test_lattice_membership():
@@ -91,3 +219,21 @@ def test_mult_group_against_brute_force(gens, exps):
         Fraction(g).numerator % 5 != 0 and Fraction(g).numerator % 7 != 0 for g in gens
     ):
         assert not group.contains(probe)
+
+
+@given(
+    st.lists(
+        st.fractions(min_value=Fraction(-40), max_value=Fraction(40), max_denominator=40).filter(
+            bool
+        ),
+        max_size=4,
+    )
+)
+def test_exponent_rank_matches_sign_free_lattice(gens):
+    """The rank read off the one echelon form equals the rank of the
+    exponent lattice built without the sign coordinate."""
+    group = RationalMultGroup(gens)
+    n = len(group.primes)
+    exp_lat = IntLattice.from_rows([group._vector(g)[:n] for g in group.generators], n)
+    assert group.exponent_rank == exp_lat.rank
+    assert group.is_subgroup_of_pm1() == (exp_lat.rank == 0)

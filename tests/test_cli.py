@@ -246,3 +246,10 @@ def test_unwritable_emit_cert_exit_1(tmp_path, capsys):
         code, out, err = run(capsys, *argv, "--emit-cert", str(tmp_path))
         assert code == 1 and out == "", argv
         assert err.startswith("input error:") and "Traceback" not in err, argv
+
+
+def test_missing_graph_file_named_like_a_shorthand(capsys):
+    for spec in ("missing_segment.txt", "graphs/bs_edge.txt"):
+        code, out, err = run(capsys, "rank", spec)
+        assert code == 1 and out == "", spec
+        assert err.startswith("input error: no such file and not an inline graph"), spec

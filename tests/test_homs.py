@@ -190,6 +190,12 @@ def test_bs_source_epi_multiples():
         bs_source_epi(g, 18, 35)
 
 
+def test_bs_source_epi_rejects_rank_3():
+    # reduced, Q = R = 60, but rank 3: no Baumslag-Solitar group maps onto it
+    with pytest.raises(DecisionError, match="group has rank 3 > 2"):
+        bs_source_epi(segment_graph([6, 6, 10, 15]), 60, 60)
+
+
 def test_bs_source_epi_segment_routes():
     g = segment_graph([2, 3])
     assert check_epi(bs_source_epi(g, 2, 2))
