@@ -1,9 +1,9 @@
-"""Exact integer arithmetic helpers: gcd/Bezout, trial-division factoring, valuations.
+"""Exact integer arithmetic: gcd/Bezout, valuations by gcd, a coprime base,
+and trial-division factoring (with a hard cap) on arbitrary-precision ints.
 
-Everything works on arbitrary-precision ints.  `split_power` compares
-valuations by gcd alone, so the certificate builders factor only to name
-or choose a prime.  Factorization is trial division with a hard cap; the
-deciders and plateaus still use it.
+`split_power` and `coprime_base` compare valuations by gcd alone.  Only
+three kinds of caller factor: to name a prime (a failing condition), to
+choose one (`non_hopf_endo`, `infinite_family`), or to test primality.
 """
 
 import os
@@ -69,10 +69,6 @@ def factorize(n: int, cap: int | None = None) -> dict[int, int]:
     return out
 
 
-def prime_set(n: int) -> frozenset[int]:
-    return frozenset(factorize(n))
-
-
 def valuation(n: int, p: int) -> int:
     """p-adic valuation of n != 0."""
     if n == 0:
@@ -98,12 +94,26 @@ def split_power(a: int, b: int) -> tuple[int, int]:
     return x, a
 
 
+def coprime_base(nums) -> list[int]:
+    """Sorted, pairwise coprime integers > 1, every nonzero input +- a product
+    of their powers (a gcd-free basis by naive refinement): each prime of an
+    input divides one element, whose primes all divide the same inputs."""
+    base: list[int] = []
+    pending = [abs(a) for a in nums if abs(a) > 1]
+    while pending:
+        a = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                pending.extend(x for x in (g, a // g, b // g) if x > 1)
+                break
+        else:
+            base.append(a)
+    return sorted(base)
+
+
 def sign(n: int) -> int:
     if n == 0:
         return 0
     return 1 if n > 0 else -1
-
-
-def divides(a: int, b: int) -> bool:
-    """a | b (a != 0)."""
-    return b % a == 0

@@ -7,7 +7,7 @@ embeddings.py.
 
 from fractions import Fraction
 
-from .arith import factorize, gcd, prime_set, sign, valuation
+from .arith import factorize, gcd, split_power, valuation
 from .decision import Decision
 from .errors import DecisionError
 from .lattice import RationalMultGroup
@@ -23,19 +23,25 @@ def is_hopfian_bs(m: int, n: int) -> bool:
     _require_nonzero(m, n)
     if abs(m) == 1 or abs(n) == 1:
         return True
-    return prime_set(m) == prime_set(n)
+    return abs(split_power(m, n)[1]) == 1 and abs(split_power(n, m)[1]) == 1
+
+
+def multiple_direction(m: int, n: int, a: int, b: int):
+    """1 if (m, n) is an integral multiple of (a, b), else -1 if it is one
+    of (b, a), else None."""
+    for direction, (x, y) in ((1, (a, b)), (-1, (b, a))):
+        if m % x == 0 and n % y == 0 and m // x == n // y:
+            return direction
+    return None
 
 
 def exists_epi_bs(m: int, n: int, m2: int, n2: int) -> bool:
     """BS(m,n) ->> BS(m2,n2): (m,n) an integral multiple of (m2,n2) or
     (n2,m2), or the target is the Klein bottle group and m = n is even."""
     _require_nonzero(m, n, m2, n2)
-    for a, b in ((m2, n2), (n2, m2)):
-        if m % a == 0 and n % b == 0 and m // a == n // b:
-            return True
-    if (m2, n2) in ((1, -1), (-1, 1)) and m == n and m % 2 == 0:
+    if multiple_direction(m, n, m2, n2) is not None:
         return True
-    return False
+    return (m2, n2) in ((1, -1), (-1, 1)) and m == n and m % 2 == 0
 
 
 def power_of_ratio(r: int, s: int, m: int, n: int):
@@ -52,22 +58,28 @@ def power_of_ratio(r: int, s: int, m: int, n: int):
         return 1 if target == -1 else None
     if target == 1:
         return 0
-    base_f = factorize(base.numerator)
-    for p, e in factorize(base.denominator).items():
-        base_f[p] = base_f.get(p, 0) - e
-    tgt_f = factorize(target.numerator)
-    for p, e in factorize(target.denominator).items():
-        tgt_f[p] = tgt_f.get(p, 0) - e
-    p0, d0 = next((p, e) for p, e in sorted(base_f.items()) if e != 0)
-    if tgt_f.get(p0, 0) % d0 != 0:
-        return None
-    beta = tgt_f.get(p0, 0) // d0
-    for p in set(base_f) | set(tgt_f):
-        if tgt_f.get(p, 0) != beta * base_f.get(p, 0):
-            return None
+    # r/s = a/b, m/n = c/d in lowest terms: beta > 0 forces |a| = |c|^beta and
+    # b = d^beta, beta < 0 forces |a| = d^|beta| and b = |c|^|beta|
+    a, b = abs(target.numerator), target.denominator
+    c, d = abs(base.numerator), base.denominator
+    sgn = 1
+    if gcd(a, c) == 1 and gcd(b, d) == 1:
+        sgn, c, d = -1, d, c
+    x, y = (a, c) if c > 1 else (b, d)
+    beta = 0
+    while x % y == 0:
+        x //= y
+        beta += sgn
     if target != base**beta:  # covers the sign
         return None
     return beta
+
+
+def equal_exponent_part(m: int, n: int) -> int:
+    """delta1 > 0, the product of p^v_p(m) over the primes with v_p(m) =
+    v_p(n) > 0: the primes of g = gcd(m, n) not dividing (m/g)(n/g)."""
+    g = gcd(m, n)
+    return split_power(g, (m // g) * (n // g))[1]
 
 
 def embeds_bs(r: int, s: int, m: int, n: int) -> Decision:
@@ -79,14 +91,14 @@ def embeds_bs(r: int, s: int, m: int, n: int) -> Decision:
     beta = power_of_ratio(r, s, m, n)
     if beta is None:
         return Decision(False, "condition 1", (f"{r}/{s} is not a power of {m}/{n}",))
-    for p in sorted(prime_set(r) | prime_set(s) | prime_set(m) | prime_set(n)):
-        vm, vn = valuation(m, p), valuation(n, p)
-        if vm == vn:
-            alpha = vm
-            if valuation(r, p) > alpha or valuation(s, p) > alpha:
-                return Decision(
-                    False, "condition 2", (f"p={p}, alpha={alpha}",)
-                )
+    # v_p(m) = v_p(n) iff p does not divide u, and then v_p(m) = v_p(delta1):
+    # condition 2 asks that r and s without the primes of u divide delta1
+    u, delta1 = m * n // gcd(m, n) ** 2, equal_exponent_part(m, n)
+    rests = [abs(split_power(x, u)[1]) for x in (r, s)]
+    failing = [rest // gcd(rest, delta1) for rest in rests if delta1 % rest]
+    if failing:
+        p = min(min(factorize(f)) for f in failing)
+        return Decision(False, "condition 2", (f"p={p}, alpha={valuation(m, p)}",))
     if (abs(m) == 1 or abs(n) == 1) and not (abs(r) == 1 or abs(s) == 1):
         return Decision(False, "condition 3", ("target is solvable, source is not",))
     return Decision(True, f"conditions 1-3 hold (beta={beta})")

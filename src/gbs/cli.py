@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .arith import factorize
+from .arith import env_int, factorize
 from .bs_arith import embeds_bs, exists_epi_bs, is_hopfian_bs, is_rf_bs
 from .catalog import run_catalog
 from .embeddings import (
@@ -415,6 +415,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.json = json_flag
     try:
+        for name in ("GBS_TOOLKIT_FACTOR_CAP", "GBS_TOOLKIT_MAX_VERTICES", "GBS_TOOLKIT_WITNESS_DEPTH"):
+            env_int(name, 0)  # a malformed value is an input error for every subcommand
         args.fn(args)
     except (VertexCapError, FactorizationCapError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import gcd, lcm, sign, split_power
-from .bs_arith import embeds_bs, power_of_ratio
+from .bs_arith import embeds_bs, equal_exponent_part, power_of_ratio
 from .decision import Decision
 from .errors import CertificateError, DecisionError, NotReducedError, ShapeError
 from .graphs import (
@@ -486,11 +486,10 @@ def _construct_core(rhat, shat, beta, m, n) -> EmbeddingCertificate:
 
 
 def _equal_exponent_part(m, n, rhat):
-    """(delta1, nu1): delta1 > 0 is the product of p^v_p(m) over the primes
-    with v_p(m) = v_p(n) > 0, the primes of g = gcd(m, n) that do not divide
-    (m/g)(n/g); nu1 = delta1 / gcd(delta1, rhat)."""
-    g = gcd(m, n)
-    delta1 = split_power(g, (m // g) * (n // g))[1]
+    """(delta1, nu1): delta1 = bs_arith.equal_exponent_part(m, n), the
+    product of p^v_p(m) over the primes with v_p(m) = v_p(n) > 0;
+    nu1 = delta1 / gcd(delta1, rhat)."""
+    delta1 = equal_exponent_part(m, n)
     return delta1, delta1 // gcd(delta1, rhat)
 
 

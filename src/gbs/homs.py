@@ -17,6 +17,7 @@ Baumslag-Solitar quotient).
 from dataclasses import dataclass
 
 from .arith import env_int, factorize, gcd, split_power, xgcd
+from .bs_arith import is_hopfian_bs, multiple_direction
 from .errors import (
     CertificateError,
     DecisionError,
@@ -552,12 +553,10 @@ def bs_epi_cert(m: int, n: int, m2: int, n2: int) -> HomCertificate:
     src = Presentation(bs_graph(m, n))
     tgt = Presentation(bs_graph(m2, n2))
     a, t, a2, t2 = ("v", "v0"), ("t", "e0"), ("v", "v0"), ("t", "e0")
-    if m % m2 == 0 and n % n2 == 0 and m // m2 == n // n2:
-        images = {a: (("v", "v0", 1),), t: (("t", "e0", 1),)}
-        witnesses = {a2: (("v", "v0", 1),), t2: (("t", "e0", 1),)}
-    elif m % n2 == 0 and n % m2 == 0 and m // n2 == n // m2:
-        images = {a: (("v", "v0", 1),), t: (("t", "e0", -1),)}
-        witnesses = {a2: (("v", "v0", 1),), t2: (("t", "e0", -1),)}
+    direction = multiple_direction(m, n, m2, n2)
+    if direction is not None:
+        images = {a: (("v", "v0", 1),), t: (("t", "e0", direction),)}
+        witnesses = {a2: (("v", "v0", 1),), t2: (("t", "e0", direction),)}
     elif (m2, n2) in ((1, -1), (-1, 1)) and m == n and m % 2 == 0:
         images = {a: (("t", "e0", 1),), t: (("v", "v0", 1),)}
         witnesses = {a2: (("t", "e0", 1),), t2: (("v", "v0", 1),)}
@@ -576,8 +575,6 @@ class NonHopfResult:
 def non_hopf_endo(m: int, n: int) -> NonHopfResult:
     """Non-injective self-epimorphism a -> a^p, t -> t of a non-Hopfian
     BS(m, n), with a machine-checked kernel element."""
-    from .bs_arith import is_hopfian_bs
-
     if is_hopfian_bs(m, n):
         raise DecisionError(f"BS({m},{n}) is Hopfian")
     for mm, nn in ((m, n), (n, m)):
@@ -645,11 +642,7 @@ def bs_source_epi(g: LabelledGraph, m: int, n: int) -> HomCertificate:
         handles = {}
     else:
         QX, QY = prods.Q * prods.X, prods.Q * prods.Y
-        tdir = None
-        if QX * n == QY * m and m % QX == 0 and n % QY == 0:
-            tdir = 1
-        elif QY * n == QX * m and m % QY == 0 and n % QX == 0:
-            tdir = -1
+        tdir = multiple_direction(m, n, QX, QY)
         if tdir is None:
             raise DecisionError(f"({m},{n}) is not a multiple of ({QX},{QY}) either way")
         g0 = shape.seg_vertices[0] if shape.kind == "lollipop" else shape.circ_vertices[0]

@@ -2,16 +2,17 @@
 group of nonzero rationals generated by finitely many elements.
 
 A subgroup of Q* generated by q_1..q_k is stored as a sign bit per generator
-plus an exponent vector over the primes occurring in the generators.  The
-whole group embeds in Z/2 x Z^n; we encode it as a lattice in Z^(n+1) where
-the last coordinate holds the sign exponent and (0,...,0,2) is always a
-member ((-1)^2 = 1).
+plus an exponent vector over the coprime base b_1..b_n of the generators'
+numerators and denominators (`arith.coprime_base`), no factoring needed;
+base exponents map injectively to prime exponents.  The whole group embeds
+in Z/2 x Z^n; we encode it as a lattice in Z^(n+1) where the last
+coordinate holds the sign exponent and (0,...,0,2) is always a member.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize
+from .arith import coprime_base
 
 
 def _echelon(rows: list[list[int]]) -> list[list[int]]:
@@ -24,16 +25,14 @@ def _echelon(rows: list[list[int]]) -> list[list[int]]:
     ncols = len(rows[0])
     basis: list[list[int]] = []
     for col in range(ncols):
-        work = [r for r in rows if r[col] != 0 and all(x == 0 for x in r[:col])]
+        work = [r for r in rows if r[col]]
         if not work:
             continue
-        # gcd-reduce all rows with this pivot column into one pivot row
-        pivot = None
-        for r in work:
-            if pivot is None:
-                pivot = r
-                rows.remove(r)
-                continue
+        # gcd-reduce all rows nonzero in this column into one pivot row; the
+        # others end with 0 here, as every remaining row has in earlier columns
+        pivot = work[0]
+        rows.remove(pivot)
+        for r in work[1:]:
             a, b = pivot[col], r[col]
             while b:
                 q = a // b
@@ -43,15 +42,10 @@ def _echelon(rows: list[list[int]]) -> list[list[int]]:
         if pivot[col] < 0:
             pivot = [-x for x in pivot]
         basis.append(pivot)
-        # clear the column in remaining rows
-        for r in rows:
-            if r[col]:
-                q = r[col] // pivot[col]
-                for j in range(ncols):
-                    r[j] -= q * pivot[j]
         rows = [r for r in rows if any(r)]
-    # reduce above-pivot entries for canonicity
-    for i in range(len(basis) - 1, -1, -1):
+    # reduce above-pivot entries for canonicity; a later pivot row changes
+    # only columns right of the earlier pivots, so go left to right
+    for i in range(len(basis)):
         piv_col = next(j for j, x in enumerate(basis[i]) if x)
         p = basis[i][piv_col]
         for k in range(i):
@@ -97,32 +91,29 @@ class RationalMultGroup:
         gens = [Fraction(g) for g in generators]
         if any(g == 0 for g in gens):
             raise ValueError("zero generator")
-        primes: set[int] = set()
-        for g in gens:
-            primes |= set(factorize(g.numerator))
-            primes |= set(factorize(g.denominator))
-        self.primes: tuple[int, ...] = tuple(sorted(primes))
+        self.basis: tuple[int, ...] = tuple(
+            coprime_base([x for g in gens for x in (g.numerator, g.denominator)])
+        )
         self.generators: tuple[Fraction, ...] = tuple(gens)
-        n = len(self.primes)
+        n = len(self.basis)
         rows = [self._vector(g) for g in gens]
         rows.append([0] * n + [2])  # (-1)^2 = 1
         self._lat = IntLattice.from_rows(rows, n + 1)
 
     def _vector(self, q: Fraction) -> list[int]:
-        """Exponent vector + sign slot; raises KeyError-like ValueError if q
-        needs a prime outside the basis."""
-        num = factorize(q.numerator)
-        den = factorize(q.denominator)
-        idx = {p: i for i, p in enumerate(self.primes)}
-        vec = [0] * (len(self.primes) + 1)
-        for p, e in num.items():
-            if p not in idx:
-                raise ValueError(f"prime {p} outside group basis")
-            vec[idx[p]] += e
-        for p, e in den.items():
-            if p not in idx:
-                raise ValueError(f"prime {p} outside group basis")
-            vec[idx[p]] -= e
+        """Base exponent vector + sign slot; raises ValueError if q is not
+        +- a product of powers of the base (then q is outside the group)."""
+        num, den = abs(q.numerator), q.denominator
+        vec = [0] * (len(self.basis) + 1)
+        for i, b in enumerate(self.basis):
+            while num % b == 0:
+                num //= b
+                vec[i] += 1
+            while den % b == 0:
+                den //= b
+                vec[i] -= 1
+        if num != 1 or den != 1:
+            raise ValueError(f"{q} is not a product of powers of the group basis")
         vec[-1] = 0 if q > 0 else 1
         return vec
 
@@ -159,12 +150,12 @@ class RationalMultGroup:
             return False
         if r == 0:
             return True
-        return not self._lat.contains([0] * len(self.primes) + [1])
+        return not self._lat.contains([0] * len(self.basis) + [1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMultGroup):
             return NotImplemented
-        if self.primes != other.primes:
+        if self.basis != other.basis:
             # compare via mutual membership on generators
             return all(other.contains(g) for g in self.generators) and all(
                 self.contains(g) for g in other.generators

@@ -10,12 +10,15 @@ p-divisible on the inside.  So the p-plateaus are exactly the connected
 components of the edges with neither label divisible by p, less those
 where a mixed edge has its non-divisible end; for one prime they are
 disjoint.
+
+`plateaus(g, p)` reads "p divides" as gcd(label, p) > 1; for an element p of
+the labels' coprime base these are the q-plateaus of every prime q | p.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arith import env_int, factorize, gcd
+from .arith import coprime_base, env_int, factorize, gcd, split_power
 from .errors import InputError, NotReducedError, VertexCapError
 from .graphs import LabelledGraph, Shape, classify_shape
 
@@ -24,7 +27,7 @@ VERTEX_CAP_DEFAULT = 24
 
 @dataclass(frozen=True)
 class Plateau:
-    prime: int
+    prime: int  # the p of plateaus(g, p): a coprime-base element in plateau_family
     vertices: frozenset[str]
 
 
@@ -58,9 +61,9 @@ def plateaus(g: LabelledGraph, p: int) -> list[Plateau]:
         ok = True
         while stack:
             for oe in g.edges_at(stack.pop()):
-                if g.label(oe) % p == 0:
+                if gcd(g.label(oe), p) > 1:
                     continue
-                if g.colabel(oe) % p == 0:
+                if gcd(g.colabel(oe), p) > 1:
                     ok = False
                     continue
                 w = g.terminus(oe)
@@ -75,28 +78,18 @@ def plateaus(g: LabelledGraph, p: int) -> list[Plateau]:
     return [Plateau(p, frozenset(comp)) for comp in found]
 
 
-def label_primes(g: LabelledGraph) -> list[int]:
-    primes: set[int] = set()
-    for l in g.labels():
-        primes |= set(factorize(l))
-    return sorted(primes)
-
-
 def plateau_family(g: LabelledGraph) -> list[Plateau]:
-    """Plateaus for every prime dividing some label, plus the whole graph
-    (the only plateau for all other primes)."""
+    """Plateaus for every element of the labels' coprime base (the primes of
+    one element share their plateaus), plus the whole graph (the only
+    plateau for every prime dividing no label)."""
     fam = [Plateau(0, frozenset(g.vertices))]
-    for p in label_primes(g):
+    for p in coprime_base(set(g.labels())):
         fam.extend(plateaus(g, p))
     return fam
 
 
 def vertices_meeting_all_plateaus(g: LabelledGraph) -> set[str]:
-    sets = {pl.vertices for pl in plateau_family(g)}
-    out = set(g.vertices)
-    for s in sets:
-        out &= s
-    return out
+    return set(g.vertices).intersection(*(pl.vertices for pl in plateau_family(g)))
 
 
 def mu(g: LabelledGraph) -> RankReport:
@@ -156,10 +149,10 @@ def check_copr(shape: Shape) -> list[str]:
                 if gcd(shape.x[j], shape.y[i - 1]) != 1:
                     out.append(f"gcd(x_{j}, y_{i}) = {gcd(shape.x[j], shape.y[i - 1])} > 1")
         prods = qrxy(shape)
-        for p in factorize(prods.R):
-            divides_x = prods.X % p == 0
-            divides_y = prods.Y % p == 0
-            if divides_x == divides_y:
-                side = "both of" if divides_x else "neither of"
-                out.append(f"prime {p} of R divides {side} X and Y")
+        both = gcd(prods.R, prods.X, prods.Y)  # primes of R dividing X and Y
+        neither = split_power(prods.R, prods.X * prods.Y)[1]  # primes dividing neither
+        sides = [(p, "both of") for p in factorize(both)]
+        sides += [(p, "neither of") for p in factorize(neither)]
+        for p, side in sorted(sides):
+            out.append(f"prime {p} of R divides {side} X and Y")
     return out

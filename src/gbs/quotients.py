@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from itertools import count as icount
 
 from .arith import factorize, gcd
+from .bs_arith import multiple_direction
 from .decision import Decision
 from .errors import DecisionError, ElementaryGroupError, InputError, NotReducedError, ShapeError
 from .graphs import (
@@ -73,10 +74,7 @@ class SourceSet:
             raise DecisionError("Baumslag-Solitar parameters must be nonzero")
         if self.kind == "segment":
             return m == n and (m % self.Q == 0 or m % self.R == 0)
-        for a, b in ((self.QX, self.QY), (self.QY, self.QX)):
-            if m % a == 0 and n % b == 0 and m // a == n // b:
-                return True
-        return False
+        return multiple_direction(m, n, self.QX, self.QY) is not None
 
 
 def bs_sources(g: LabelledGraph) -> SourceSet:

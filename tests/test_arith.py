@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from gbs.arith import factorize, gcd, lcm, prime_set, split_power, valuation, xgcd
+from gbs.arith import coprime_base, factorize, gcd, lcm, split_power, valuation, xgcd
 from gbs.embeddings import _equal_exponent_part, _solve_exponent
 from gbs.errors import DecisionError, FactorizationCapError
 from gbs.homs import _find_i0, _solve_alpha_beta
@@ -34,7 +34,6 @@ def test_xgcd(a, b):
 def test_factorize():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(-7) == {7: 1}
-    assert prime_set(12) == frozenset({2, 3})
     assert valuation(48, 2) == 4
     with pytest.raises(FactorizationCapError):
         factorize(10**9 + 7, cap=10**6)
@@ -55,6 +54,34 @@ def test_split_power_matches_valuations(a, b):
 def test_split_power_of_zero():
     with pytest.raises(ValueError):
         split_power(0, 6)
+
+
+@given(
+    st.lists(st.integers(-10**6, 10**6), max_size=6)
+    | st.lists(st.sampled_from([0, 1, -1, 4, 6, 9, 12, 18, 35, 100]), max_size=6)
+)
+def test_coprime_base_is_a_gcd_free_basis(nums):
+    base = coprime_base(nums)
+    assert base == sorted(base) and all(b > 1 for b in base)
+    assert all(gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1 :])
+    for a in nums:
+        if a == 0:
+            continue
+        rest = abs(a)
+        for b in base:
+            while rest % b == 0:
+                rest //= b
+        assert rest == 1, (a, base)
+        for p in factorize(a):  # a prime of an input lies in exactly one element
+            assert sum(b % p == 0 for b in base) == 1
+
+
+def test_coprime_base_examples():
+    assert coprime_base([]) == coprime_base([0, 1, -1]) == []
+    assert coprime_base([12, 18]) == [2, 3]
+    assert coprime_base([6, 6, -36]) == [6]
+    assert coprime_base([4, 6, 35]) == [2, 3, 35]
+    assert coprime_base([10**30 + 57, 10**15]) == sorted([10**30 + 57, 10**15])
 
 
 # -- the factor-and-loop routines split_power replaced, kept as oracles ----------
@@ -233,7 +260,104 @@ def test_exponent_rank_matches_sign_free_lattice(gens):
     """The rank read off the one echelon form equals the rank of the
     exponent lattice built without the sign coordinate."""
     group = RationalMultGroup(gens)
-    n = len(group.primes)
+    n = len(group.basis)
     exp_lat = IntLattice.from_rows([group._vector(g)[:n] for g in group.generators], n)
     assert group.exponent_rank == exp_lat.rank
     assert group.is_subgroup_of_pm1() == (exp_lat.rank == 0)
+
+
+def test_lattice_canonical_after_later_pivots():
+    # reducing row 0 by the pivot row (0, 3, 1) must not undo column 2
+    a = IntLattice.from_rows([[0, 3, 1], [-1, -3, 3], [1, -3, -3]], 3)
+    b = IntLattice.from_rows([[0, 3, 1], [-1, -3, 3], [0, -6, 0]], 3)
+    assert a.basis == b.basis == ((1, 0, 0), (0, 3, 1), (0, 0, 2))
+    assert RationalMultGroup([6, -3]) == RationalMultGroup([-2, -3])
+
+
+rows3 = st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=1, max_size=4)
+
+
+@given(rows3, st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([1, -1])), max_size=8))
+def test_lattice_echelon_is_canonical(rows, moves):
+    """Unimodular row moves r_i <- r_i +- r_j keep the lattice and its form."""
+    moved = [r[:] for r in rows]
+    for i, j, e in moves:
+        i, j = i % len(moved), j % len(moved)
+        if i != j:
+            moved[i] = [x + e * y for x, y in zip(moved[i], moved[j])]
+    assert IntLattice.from_rows(rows, 3) == IntLattice.from_rows(moved, 3)
+
+
+# -- the prime-vector RationalMultGroup the coprime base replaced, kept as oracle --
+
+
+BIG = 10**40  # the oracle's values have only small primes, so no cap is needed
+
+
+class _PrimeVectorGroupReference:
+    def __init__(self, generators):
+        self.generators = [Fraction(g) for g in generators]
+        primes = set()
+        for g in self.generators:
+            primes |= set(factorize(g.numerator, BIG)) | set(factorize(g.denominator, BIG))
+        self.primes = sorted(primes)
+        rows = [self.vector(g) for g in self.generators] + [[0] * len(self.primes) + [2]]
+        self.lat = IntLattice.from_rows(rows, len(self.primes) + 1)
+
+    def vector(self, q):
+        fq = factorize(q.numerator, BIG)
+        for p, e in factorize(q.denominator, BIG).items():
+            fq[p] = fq.get(p, 0) - e
+        if set(fq) - set(self.primes):
+            return None
+        return [fq.get(p, 0) for p in self.primes] + [0 if q > 0 else 1]
+
+    def contains(self, q):
+        vec = self.vector(Fraction(q))
+        return vec is not None and self.lat.contains(vec)
+
+    @property
+    def exponent_rank(self):
+        return self.lat.rank - 1
+
+    def is_cyclic(self):
+        r = self.exponent_rank
+        return r == 0 or (r == 1 and not self.lat.contains([0] * len(self.primes) + [1]))
+
+
+small_rationals = st.fractions(min_value=Fraction(-60), max_value=Fraction(60), max_denominator=60).filter(bool)
+
+
+@given(
+    st.lists(small_rationals, max_size=4),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(5, 7), Fraction(4), Fraction(1, 6)]),
+)
+def test_mult_group_matches_prime_vector_oracle(gens, exps, twist):
+    group, ref = RationalMultGroup(gens), _PrimeVectorGroupReference(gens)
+    assert group.exponent_rank == ref.exponent_rank
+    assert group.is_cyclic() == ref.is_cyclic()
+    assert group.is_trivial() == (all(g == 1 for g in gens) or (ref.exponent_rank == 0 and not ref.contains(-1)))
+    value = twist
+    for g, e in zip(gens, exps):
+        value *= g**e
+    for q in (value, twist, -1, Fraction(2, 3)):
+        assert group.contains(q) == ref.contains(q), q
+
+
+@given(
+    st.lists(small_rationals, min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([1, -1])), max_size=6),
+    st.integers(0, 3),
+    st.integers(-3, 3),
+)
+def test_mult_group_equality_survives_generator_moves(gens, moves, k, e):
+    """g_i <- g_i g_j^+-1 and one extra power g_k^e generate the same group."""
+    moved = list(gens)
+    for i, j, sgn in moves:
+        i, j = i % len(moved), j % len(moved)
+        if i != j:
+            moved[i] *= moved[j] ** sgn
+    moved.append(gens[k % len(gens)] ** e)
+    assert RationalMultGroup(gens) == RationalMultGroup(moved)
+    assert RationalMultGroup(moved) == RationalMultGroup(gens)

@@ -1,14 +1,23 @@
-import pytest
+from fractions import Fraction
+from itertools import product
+from math import prod
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gbs.arith import factorize, valuation
 from gbs.bs_arith import (
     embeds_bs,
     embeds_elementary,
     exists_epi_bs,
     is_hopfian_bs,
     is_rf_bs,
+    multiple_direction,
     power_of_ratio,
 )
-from gbs.errors import DecisionError
+from gbs.decision import Decision
+from gbs.errors import DecisionError, FactorizationCapError
 
 GRID = [i for i in range(-8, 9) if i != 0]
 
@@ -121,3 +130,131 @@ def test_rf_table():
     for m in GRID:
         for n in GRID:
             assert is_rf_bs(m, n) == (abs(m) == 1 or abs(n) == 1 or m == n or m == -n)
+
+
+def test_multiple_direction():
+    assert multiple_direction(6, 10, 3, 5) == 1
+    assert multiple_direction(6, 10, 5, 3) == -1
+    assert multiple_direction(4, 4, 2, 2) == 1  # (a, b) is checked first
+    assert multiple_direction(-10, 6, 3, -5) == -1
+    assert multiple_direction(2, 3, 3, 5) is None
+    assert multiple_direction(6, 10, 3, 10) is None  # both divide, quotients differ
+
+
+# -- the factor-based deciders the gcd layer replaced, kept as oracles ---------
+
+BIG = 10**40  # the oracles see only small primes, so no cap is needed
+
+
+def _factorize(n):
+    return factorize(n, BIG)
+
+
+def _prime_set_reference(n):
+    return frozenset(_factorize(n))
+
+
+def _is_hopfian_bs_reference(m, n):
+    return abs(m) == 1 or abs(n) == 1 or _prime_set_reference(m) == _prime_set_reference(n)
+
+
+def _power_of_ratio_reference(r, s, m, n):
+    target, base = Fraction(r, s), Fraction(m, n)
+    if base == 1:
+        return 0 if target == 1 else None
+    if base == -1:
+        if target == 1:
+            return 0
+        return 1 if target == -1 else None
+    if target == 1:
+        return 0
+    base_f = _factorize(base.numerator)
+    for p, e in _factorize(base.denominator).items():
+        base_f[p] = base_f.get(p, 0) - e
+    tgt_f = _factorize(target.numerator)
+    for p, e in _factorize(target.denominator).items():
+        tgt_f[p] = tgt_f.get(p, 0) - e
+    p0, d0 = next((p, e) for p, e in sorted(base_f.items()) if e != 0)
+    if tgt_f.get(p0, 0) % d0 != 0:
+        return None
+    beta = tgt_f.get(p0, 0) // d0
+    for p in set(base_f) | set(tgt_f):
+        if tgt_f.get(p, 0) != beta * base_f.get(p, 0):
+            return None
+    if target != base**beta:
+        return None
+    return beta
+
+
+def _embeds_bs_reference(r, s, m, n):
+    beta = _power_of_ratio_reference(r, s, m, n)
+    if beta is None:
+        return Decision(False, "condition 1", (f"{r}/{s} is not a power of {m}/{n}",))
+    primes = _prime_set_reference(r) | _prime_set_reference(s) | _prime_set_reference(m) | _prime_set_reference(n)
+    for p in sorted(primes):
+        vm, vn = valuation(m, p), valuation(n, p)
+        if vm == vn and (valuation(r, p) > vm or valuation(s, p) > vm):
+            return Decision(False, "condition 2", (f"p={p}, alpha={vm}",))
+    if (abs(m) == 1 or abs(n) == 1) and not (abs(r) == 1 or abs(s) == 1):
+        return Decision(False, "condition 3", ("target is solvable, source is not",))
+    return Decision(True, f"conditions 1-3 hold (beta={beta})")
+
+
+def test_deciders_match_factor_oracles_on_grid():
+    for m, n in product(GRID, GRID):
+        assert is_hopfian_bs(m, n) == _is_hopfian_bs_reference(m, n), (m, n)
+        for r, s in product(GRID, GRID):
+            assert power_of_ratio(r, s, m, n) == _power_of_ratio_reference(r, s, m, n), (r, s, m, n)
+            if abs(r) == 1 and abs(s) == 1:
+                continue
+            got, want = embeds_bs(r, s, m, n), _embeds_bs_reference(r, s, m, n)
+            assert got == want, (r, s, m, n)
+
+
+small_prime_products = st.builds(
+    lambda primes, sgn: sgn * prod(primes),
+    st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=5),
+    st.sampled_from([1, -1]),
+)
+
+
+@given(small_prime_products, small_prime_products, small_prime_products, small_prime_products, st.integers(-3, 3))
+@settings(max_examples=400, deadline=None)
+def test_deciders_match_factor_oracles_on_prime_products(a, b, m, n, beta):
+    """(r, s) = (a, b), and k (m^beta, n^beta) (inverted for beta < 0) for
+    k = a and k = ab, so that condition 1 often holds and condition 2
+    decides.  Naming a failing prime factors a number that may pass the
+    default cap, so the cap is raised; the primes are small."""
+    assert is_hopfian_bs(m, n) == _is_hopfian_bs_reference(m, n)
+    mb, nb = (m**beta, n**beta) if beta >= 0 else (n**-beta, m**-beta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GBS_TOOLKIT_FACTOR_CAP", str(BIG))
+        for r, s in ((a, b), (a * mb, a * nb), (a * b * mb, a * b * nb)):
+            assert power_of_ratio(r, s, m, n) == _power_of_ratio_reference(r, s, m, n), (r, s, m, n)
+            if abs(r) == 1 and abs(s) == 1:
+                continue
+            got, want = embeds_bs(r, s, m, n), _embeds_bs_reference(r, s, m, n)
+            assert got == want, (r, s, m, n)
+
+
+P = 10**12 + 39  # a prime above the default factorization cap
+
+
+def test_deciders_answer_above_the_factor_cap():
+    assert embeds_bs(2 * P, P, P, 2 * P)
+    assert embeds_bs(2 * P, P, P, 2 * P).clause == "conditions 1-3 hold (beta=-1)"
+    assert is_hopfian_bs(P, P**2)
+    assert not is_hopfian_bs(2 * P, P**2)
+    a, b = 10**15 + 37, 10**15 - 11  # values near 10^30 below
+    assert power_of_ratio(a**2, b**2, a, b) == 2
+    assert power_of_ratio(b * 7, a * 7, a, b) == -1
+    assert power_of_ratio(-(a**3), b**3, -a, b) == 3
+    assert power_of_ratio(a**2 + 1, b**2, a, b) is None
+    assert power_of_ratio(a**2, b**2, a * b, b) is None
+
+
+def test_condition_2_names_a_prime_above_the_cap_by_factoring():
+    # the failing part is p itself: naming it is the one factorization left
+    with pytest.raises(FactorizationCapError):
+        embeds_bs(P**2, P**2, P, P)
+    assert not embeds_bs(4, 4, 2, 2) and embeds_bs(4, 4, 2, 2).reasons == ("p=2, alpha=1",)

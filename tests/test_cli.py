@@ -222,6 +222,32 @@ def test_malformed_env_variable_exit_1(capsys, monkeypatch, var, argv):
         assert err.startswith("input error:") and var in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "var", ["GBS_TOOLKIT_MAX_VERTICES", "GBS_TOOLKIT_FACTOR_CAP", "GBS_TOOLKIT_WITNESS_DEPTH"]
+)
+def test_malformed_env_variable_exit_1_on_any_subcommand(capsys, monkeypatch, var):
+    monkeypatch.setenv(var, "abc")
+    code, out, err = run(capsys, "bs", "rf", "2", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and var in err and "Traceback" not in err
+
+
+P = 10**12 + 39  # a prime above the default factorization cap
+
+
+def test_deciders_answer_above_the_factor_cap(capsys):
+    assert run(capsys, "bs", "embeds", str(2 * P), str(P), str(P), str(2 * P)) == (
+        0,
+        "yes (conditions 1-3 hold (beta=-1))\n",
+        "",
+    )
+    assert run(capsys, "bs", "hopfian", str(P), str(P**2)) == (0, "yes\n", "")
+    assert run(capsys, "rank", f"segment {P} 6") == (0, "rank 2 (beta 0 + mu 2)\n", "")
+    # naming the failing prime p of condition 2 still factors it
+    code, out, err = run(capsys, "bs", "embeds", str(P**2), str(P**2), str(P), str(P))
+    assert code == 2 and out == "" and err.startswith("cap exceeded:")
+
+
 def test_unreadable_files_exit_1(tmp_path, capsys):
     binary = tmp_path / "cert.json"
     binary.write_bytes(b"\xff\xfe")

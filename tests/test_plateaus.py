@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 
+from gbs.arith import factorize
 from gbs.errors import InputError, NotReducedError, VertexCapError
 from gbs.graphs import (
     Shape,
@@ -15,6 +16,7 @@ from gbs.graphs import (
     graph_from_edges,
     id_key,
     lollipop_graph,
+    qrxy,
     reduce_graph,
     segment_graph,
 )
@@ -23,7 +25,6 @@ from gbs.plateaus import (
     RankReport,
     check_copr,
     is_two_generated,
-    label_primes,
     mu,
     plateau_family,
     plateaus,
@@ -85,9 +86,40 @@ def _plateaus_exhaustive(g, p):
     return out
 
 
-def _mu_reference(g):
+# -- the factor-based plateau family and check_copr, kept as oracles -----------
+
+
+def _label_primes_reference(g):
+    primes = set()
+    for l in g.labels():
+        primes |= set(factorize(l))
+    return sorted(primes)
+
+
+def _plateau_family_reference(g):
+    """The whole graph plus the exhaustive p-plateaus of every label prime."""
+    fam = [Plateau(0, frozenset(g.vertices))]
+    for p in _label_primes_reference(g):
+        fam.extend(_plateaus_exhaustive(g, p))
+    return fam
+
+
+def _check_copr_reference(shape):
+    """check_copr with the prime loop over R: its R messages come last."""
+    out = [msg for msg in check_copr(shape) if not msg.startswith("prime ")]
+    if shape.kind in ("circle", "lollipop"):
+        prods = qrxy(shape)
+        for p in factorize(prods.R):
+            divides_x, divides_y = prods.X % p == 0, prods.Y % p == 0
+            if divides_x == divides_y:
+                side = "both of" if divides_x else "neither of"
+                out.append(f"prime {p} of R divides {side} X and Y")
+    return out
+
+
+def _mu_reference(g, family=plateau_family):
     """The full search: every vertex combination, smallest size first."""
-    sets = sorted({pl.vertices for pl in plateau_family(g)}, key=lambda s: (len(s), sorted(s)))
+    sets = sorted({pl.vertices for pl in family(g)}, key=lambda s: (len(s), sorted(s)))
     verts = g.sorted_vertices()
     for size in range(1, len(verts) + 1):
         for combo in combinations(verts, size):
@@ -181,7 +213,7 @@ def test_large_circle_needs_no_cap(monkeypatch):
 def test_circle_base_matches_oracle_family(labels):
     g = circle_graph(labels)
     family = [frozenset(g.vertices)]
-    for p in label_primes(g):
+    for p in _label_primes_reference(g):
         family += [pl.vertices for pl in _plateaus_exhaustive(g, p)]
     meeting = set(g.vertices).intersection(*family)
     shape = classify_shape(g)
@@ -275,5 +307,48 @@ def test_bil_two_generation_parity():
         assert ok == expect
 
 
-def test_label_primes():
-    assert label_primes(segment_graph([4, 9])) == [2, 3]
+@given(graphs(max_vertices=6, max_extra=3, max_label=30))
+@settings(max_examples=200, deadline=None)
+def test_plateau_family_and_mu_match_prime_oracle(g):
+    assert {pl.vertices for pl in plateau_family(g)} == {
+        pl.vertices for pl in _plateau_family_reference(g)
+    }
+    g, _ = reduce_graph(g)
+    assert mu(g) == _mu_reference(g, _plateau_family_reference)
+
+
+def test_composite_p_gives_the_plateaus_of_its_primes():
+    g = segment_graph([6, 35, 36, 5])  # the labels' coprime base is [5, 6, 7]
+    for p in (2, 3):
+        assert [pl.vertices for pl in plateaus(g, 6)] == [pl.vertices for pl in plateaus(g, p)]
+    # "6 divides" reads as sharing a prime with 6, so 4 and 9 both count
+    assert [pl.vertices for pl in plateaus(segment_graph([4, 9]), 6)] == [{"v0"}, {"v1"}]
+
+
+@st.composite
+def circles_and_lollipops(draw):
+    label = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 14, 15, 18, 21, 30, -2, -3, -6])
+    ell = draw(st.integers(1, 3))
+    x_y = draw(st.lists(label, min_size=2 * ell, max_size=2 * ell))
+    if draw(st.booleans()):
+        return circle_graph(x_y)
+    k = draw(st.integers(1, 2))
+    return lollipop_graph(draw(st.lists(label, min_size=2 * k, max_size=2 * k)), x_y)
+
+
+@given(circles_and_lollipops())
+@settings(max_examples=300, deadline=None)
+def test_check_copr_and_circle_base_match_prime_oracle(g):
+    shape = classify_shape(g)
+    assert check_copr(shape) == _check_copr_reference(shape)
+    if shape.kind == "circle":
+        meeting = set(g.vertices).intersection(*(pl.vertices for pl in _plateau_family_reference(g)))
+        assert shape.base_meets_all_plateaus == bool(meeting)
+        if meeting:
+            assert shape.circ_vertices[0] == min(meeting, key=id_key)
+
+
+def test_rank_above_the_factor_cap():
+    p = 10**12 + 39  # a prime above the default factorization cap
+    report = mu(segment_graph([p, 6]))
+    assert (report.beta, report.mu, report.rank) == (0, 2, 2)
