@@ -1,8 +1,10 @@
 """One SHA-256 over the compact JSON of a fixed set of certificates.
 
-Two commits that print the same digest build byte-identical certificates.
-One line per group of certificates comes first, the digest of all last.
-The set:
+Homomorphism certificates are hashed in their expanded (version 1) JSON,
+every shared subword written out, so the digest compares certificate
+content across the version-2 format.  Two commits that print the same
+digest build the same certificates.  One line per group of certificates
+comes first, the digest of all last.  The set:
 
 * descending_chain(n) for n = 1 .. 8 (three certificates each);
 * infinite_family(m, n, count) for six (m, n, count), the first being
@@ -24,6 +26,7 @@ The set:
     python3 scripts/cert_digest.py
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -34,6 +37,7 @@ from gbs.arith import factorize, gcd
 from gbs.errors import GBSError
 from gbs.graphs import OrientedEdge
 from gbs.homs import (
+    HomCertificate,
     collapse_cert,
     contraction_cert,
     displacement_cert,
@@ -41,6 +45,7 @@ from gbs.homs import (
     reduce_cert,
     sign_change_cert,
 )
+from gbs.words import expand_letters
 
 FAMILIES = ((4, 6, 8), (6, 10, 4), (4, 12, 5), (6, 6, 8), (9, 6, 3), (8, 12, 3))
 MOVE_SEED = 905
@@ -145,13 +150,24 @@ def groups():
     yield "circle subgroup", subgroups
 
 
+def expanded(cert):
+    """The certificate with every word written out (version-1 JSON)."""
+    if not isinstance(cert, HomCertificate):
+        return cert
+
+    def flat(words):
+        return None if words is None else {gen: expand_letters(word) for gen, word in words.items()}
+
+    return dataclasses.replace(cert, images=flat(cert.images), witnesses=flat(cert.witnesses))
+
+
 def main() -> int:
     total = hashlib.sha256()
     count = 0
     for name, certs in groups():
         part = hashlib.sha256()
         for cert in certs:
-            text = json.dumps(cert.to_json(), separators=(",", ":")).encode()
+            text = json.dumps(expanded(cert).to_json(), separators=(",", ":")).encode()
             part.update(text + b"\n")
             total.update(text + b"\n")
         count += len(certs)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .arith import factorize, gcd, split_power, valuation
 from .decision import Decision
-from .errors import DecisionError
+from .errors import DecisionError, FactorizationCapError
 from .lattice import RationalMultGroup
 
 
@@ -97,7 +97,13 @@ def embeds_bs(r: int, s: int, m: int, n: int) -> Decision:
     rests = [abs(split_power(x, u)[1]) for x in (r, s)]
     failing = [rest // gcd(rest, delta1) for rest in rests if delta1 % rest]
     if failing:
-        p = min(min(factorize(f)) for f in failing)
+        primes = []
+        for f in failing:  # the answer is known; only naming the least p needs factoring
+            try:
+                primes.append(min(factorize(f)))
+            except FactorizationCapError:
+                return Decision(False, "condition 2", (f"failing part {f} is above the factorization cap",))
+        p = min(primes)
         return Decision(False, "condition 2", (f"p={p}, alpha={valuation(m, p)}",))
     if (abs(m) == 1 or abs(n) == 1) and not (abs(r) == 1 or abs(s) == 1):
         return Decision(False, "condition 3", ("target is solvable, source is not",))

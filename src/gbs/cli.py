@@ -27,6 +27,7 @@ from .errors import (
     InputError,
     MalformedWordError,
     VertexCapError,
+    WordCapError,
 )
 from .graphs import LabelledGraph, classify_shape, parse_graph, qrxy, reduce_graph
 from .homs import HomCertificate, check_epi, check_hom, minimal_bs_epi
@@ -418,7 +419,7 @@ def main(argv=None) -> int:
         for name in ("GBS_TOOLKIT_FACTOR_CAP", "GBS_TOOLKIT_MAX_VERTICES", "GBS_TOOLKIT_WITNESS_DEPTH"):
             env_int(name, 0)  # a malformed value is an input error for every subcommand
         args.fn(args)
-    except (VertexCapError, FactorizationCapError) as exc:
+    except (VertexCapError, FactorizationCapError, WordCapError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
     except (InputError, MalformedWordError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

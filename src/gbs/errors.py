@@ -51,3 +51,7 @@ class VertexCapError(GBSError):
 
 class DecisionError(GBSError):
     """Decider preconditions violated (zero labels, excluded groups, ...)."""
+
+
+class WordCapError(GBSError):
+    """A word would be written out beyond the expansion cap."""

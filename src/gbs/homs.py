@@ -4,7 +4,8 @@ A certificate carries generator images (letter words over the target
 presentation) and optional surjectivity witnesses (for each target
 generator, a source word mapping onto it).  Checking is purely mechanical:
 source relators must map to Britton-trivial words, witness equations must
-verify under the word engine.
+verify under the word engine.  Words may hold shared subword powers; they
+are mapped and reduced once per shared subword, never written out.
 
 The module also produces the canonical certificates: the ones induced by
 graph moves (collapse, expansion, sign change, contraction, displacement),
@@ -21,6 +22,7 @@ from .bs_arith import is_hopfian_bs, multiple_direction
 from .errors import (
     CertificateError,
     DecisionError,
+    InputError,
     MissingWitnessError,
     ShapeError,
 )
@@ -41,11 +43,16 @@ from .words import (
     PathWord,
     Presentation,
     britton_reduce,
+    check_word_cap,
     format_letters,
+    is_elliptic,
     letters_concat,
     letters_inverse,
     letters_power,
+    memoize_shared,
+    modulus,
     parse_letters,
+    reduce_syllables,
 )
 
 
@@ -87,17 +94,26 @@ class HomCertificate:
         return substitute_letters(letters, self.images)
 
     def to_json(self) -> dict:
-        return {
-            "kind": "hom",
-            "source": _pres_json(self.source),
-            "target": _pres_json(self.target),
-            "images": {gen_name(k): format_letters(v) for k, v in self.images.items()},
-            "witnesses": None
-            if self.witnesses is None
-            else {gen_name(k): format_letters(v) for k, v in self.witnesses.items()},
-            "provenance": self.provenance,
-            "flags": list(self.flags),
-        }
+        """Version 1 when no word holds a shared subword.  Otherwise version 2:
+        "words" lists each shared subword once, and a word names entry i as
+        w<i> or w<i>^k; an entry names only earlier entries."""
+        refs: dict = {}
+        table: list[str] = []
+
+        def ref(sub):
+            if id(sub) not in refs:
+                memoize_shared(refs, sub, lambda s: table.append(format_letters(s, ref)) or len(table) - 1)
+            return f"w{refs[id(sub)][1]}"
+
+        images = {gen_name(k): format_letters(v, ref) for k, v in self.images.items()}
+        witnesses = None
+        if self.witnesses is not None:
+            witnesses = {gen_name(k): format_letters(v, ref) for k, v in self.witnesses.items()}
+        out = {"kind": "hom", "version": 2, "source": _pres_json(self.source), "target": _pres_json(self.target)}
+        out.update(words=table, images=images, witnesses=witnesses, provenance=self.provenance, flags=list(self.flags))
+        if not table:
+            del out["version"], out["words"]
+        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "HomCertificate":
@@ -105,13 +121,20 @@ class HomCertificate:
             kind = "v" if s.startswith("a(") else "t"
             return (kind, s[2:-1])
 
+        texts = data.get("words", [])
+        strings = isinstance(texts, list) and all(isinstance(t, str) for t in texts)
+        if data.get("version", 1) not in (1, 2) or not strings:
+            raise InputError('a hom certificate has version 1 or 2, and its "words" are a list of strings')
+        table: list = []
+        for text in texts:
+            table.append(parse_letters(text, table))
         return cls(
             source=_pres_from_json(data["source"]),
             target=_pres_from_json(data["target"]),
-            images={parse_gen(k): parse_letters(v) for k, v in data["images"].items()},
+            images={parse_gen(k): parse_letters(v, table) for k, v in data["images"].items()},
             witnesses=None
             if data.get("witnesses") is None
-            else {parse_gen(k): parse_letters(v) for k, v in data["witnesses"].items()},
+            else {parse_gen(k): parse_letters(v, table) for k, v in data["witnesses"].items()},
             provenance=data.get("provenance", ""),
             flags=tuple(data.get("flags", ())),
         )
@@ -133,9 +156,16 @@ def _pres_from_json(data: dict) -> Presentation:
     )
 
 
-def substitute_letters(letters, images: dict) -> tuple:
+def substitute_letters(letters, images: dict, memo: dict | None = None) -> tuple:
+    """The image of a letter word; memo maps each shared subword once."""
+    memo = {} if memo is None else memo
     out = []
     for kind, name, exp in letters:
+        if kind == "w":
+            if id(name) not in memo:
+                memoize_shared(memo, name, lambda sub: substitute_letters(sub, images, memo))
+            out.append(letters_power(memo[id(name)][1], exp))
+            continue
         try:
             word = images[(kind, name)]
         except KeyError:
@@ -144,30 +174,83 @@ def substitute_letters(letters, images: dict) -> tuple:
     return letters_concat(*out)
 
 
+class _Reducer:
+    """Britton-reduced images under a certificate, each shared subword
+    reduced once.  A power of a reduced p a(v)^x p^-1 is written
+    p a(v)^(kx) p^-1; any other power is written out, under the word cap."""
+
+    def __init__(self, cert: "HomCertificate"):
+        self.cert = cert
+        self.memos: tuple[dict, dict] = ({}, {})  # target words, source words
+        self.written = 0  # syllables written out so far, under the word cap
+
+    def pieces(self, word, source: bool) -> list:
+        """The syllables of word (source letters through the images if
+        `source`), reduced within each letter only."""
+        memo, syls = self.memos[source], []
+        for kind, name, exp in word:
+            got = memo.get(id(name) if kind == "w" else (kind, name))
+            if got is None:
+                if not exp:
+                    continue
+                got = self.leaf(kind, name, source)
+            piece = got[1]
+            check_word_cap(self.written + len(syls) + len(piece))
+            if exp == 1:
+                syls.extend(piece)
+            elif exp:
+                mid = len(piece) // 2
+                elliptic = len(piece) % 2 and piece[mid][0] == "v"  # p a(v)^x p^-1
+                if elliptic and (not mid or piece[mid + 1 :] == _inverse(piece[:mid])):
+                    syls.extend(piece[:mid] + (("v", piece[mid][1], piece[mid][2] * exp),) + piece[mid + 1 :])
+                else:
+                    check_word_cap(self.written + len(syls) + abs(exp) * len(piece))
+                    syls.extend((piece if exp > 0 else _inverse(piece)) * abs(exp))
+        return syls
+
+    def leaf(self, kind, name, source: bool) -> tuple:
+        """Set and return the memo entry of a letter seen first."""
+        memo = self.memos[source]
+        if kind == "w":
+            memoize_shared(memo, name, lambda sub: self.reduce(sub, source))
+            return memo[id(name)]
+        if not source:
+            got = self.cert.target.reduced_generator(kind, name)
+        elif (kind, name) in self.cert.images:
+            got = tuple(self.pieces(self.cert.images[(kind, name)], False))
+        else:
+            raise CertificateError(f"no image for generator {gen_name((kind, name))}")
+        return memo.setdefault((kind, name), (None, got))
+
+    def reduce(self, word, source: bool, tail: tuple = ()) -> tuple:
+        syls = self.pieces(word, source)
+        syls.extend(tail)
+        self.written += len(syls)
+        check_word_cap(self.written)
+        return reduce_syllables(self.cert.target.graph.edges, syls)
+
+
+def _inverse(syls) -> tuple:
+    return tuple(("v", s[1], -s[2]) if s[0] == "v" else ("e", s[1], 1 - s[2]) for s in reversed(syls))
+
+
 def check_hom(cert: HomCertificate) -> bool:
     """Every source relator maps to a Britton-trivial target word."""
-    tgt = cert.target
-    for rel in cert.source.relations():
-        image = cert.image_of(rel)
-        if not britton_reduce(tgt.graph, tgt.letters_to_path(image)).trivial:
-            return False
-    return True
+    red = _Reducer(cert)
+    return all(not red.reduce(rel, True) for rel in cert.source.relations())
 
 
 def check_epi(cert: HomCertificate) -> bool:
     """check_hom plus verification of every surjectivity witness."""
-    if not check_hom(cert):
+    red = _Reducer(cert)
+    if any(red.reduce(rel, True) for rel in cert.source.relations()):
         return False
     if cert.witnesses is None:
         raise MissingWitnessError(f"certificate {cert.provenance!r} has no witnesses")
-    tgt = cert.target
-    for gen in tgt.generators():
+    for gen in cert.target.generators():
         if gen not in cert.witnesses:
             raise MissingWitnessError(f"missing witness for {gen_name(gen)}")
-        mapped = cert.image_of(cert.witnesses[gen])
-        target_gen = (("v", gen[1], 1),) if gen[0] == "v" else (("t", gen[1], 1),)
-        diff = letters_concat(mapped, letters_inverse(target_gen))
-        if not britton_reduce(tgt.graph, tgt.letters_to_path(diff)).trivial:
+        if red.reduce(cert.witnesses[gen], True, _inverse(cert.target.reduced_generator(*gen))):
             return False
     return True
 
@@ -181,36 +264,57 @@ def identity_cert(pres: Presentation, provenance: str = "identity") -> HomCertif
     return HomCertificate(pres, pres, _identity_images(pres), _identity_images(pres), provenance)
 
 
-def convert_letters(letters, pres_from: Presentation, pres_to: Presentation) -> tuple:
+def convert_letters(letters, pres_from: Presentation, pres_to: Presentation, memo: dict | None = None) -> tuple:
     """Rewrite a letter word between presentations of the same graph.
 
     Conversion always runs through paths at one canonical base vertex so
     that the two directions used during composition are mutually inverse
-    (base-dependent conversions would differ by an inner automorphism)."""
+    (base-dependent conversions would differ by an inner automorphism).
+    Runs of plain letters go through paths; memo maps each shared subword
+    once, and keeps the two helper presentations."""
     if pres_from.graph != pres_to.graph:
         raise CertificateError("presentations live on different graphs")
     if pres_from.tree == pres_to.tree:
         return letters
-    base = pres_from.graph.sorted_vertices()[0]
-    helper_from = Presentation(pres_from.graph, pres_from.tree, base)
-    helper_to = Presentation(pres_to.graph, pres_to.tree, base)
-    return helper_to.path_to_letters(helper_from.letters_to_path(letters))
+    memo = {} if memo is None else memo
+    if "helpers" not in memo:
+        base = pres_from.graph.sorted_vertices()[0]
+        memo["helpers"] = tuple(Presentation(p.graph, p.tree, base) for p in (pres_from, pres_to))
+    helper_from, helper_to = memo["helpers"]
+
+    def convert(word):
+        out, start = [], 0
+        for i, (kind, sub, exp) in enumerate(word):
+            if kind != "w":
+                continue
+            out.append(helper_to.path_to_letters(helper_from.letters_to_path(word[start:i])))
+            if id(sub) not in memo:
+                memoize_shared(memo, sub, convert)
+            out.append(letters_power(memo[id(sub)][1], exp))
+            start = i + 1
+        out.append(helper_to.path_to_letters(helper_from.letters_to_path(word[start:])))
+        return out[0] if len(out) == 1 else letters_concat(*out)
+
+    return convert(letters)
 
 
 def compose(c1: HomCertificate, c2: HomCertificate, provenance: str = "") -> HomCertificate:
-    """Certificate for the composite map (c2 after c1)."""
+    """Certificate for the composite map (c2 after c1).  Shared subwords
+    are converted and mapped once, for the images and for the witnesses."""
     if c1.target.graph != c2.source.graph:
         raise CertificateError("composition: target/source graphs differ")
     images = {}
+    converted, mapped = {}, {}
     for gen, word in c1.images.items():
-        mid = convert_letters(word, c1.target, c2.source)
-        images[gen] = substitute_letters(mid, c2.images)
+        mid = convert_letters(word, c1.target, c2.source, converted)
+        images[gen] = substitute_letters(mid, c2.images, mapped)
     witnesses = None
     if c1.witnesses is not None and c2.witnesses is not None:
         witnesses = {}
+        converted, mapped = {}, {}
         for gen, word in c2.witnesses.items():
-            mid = convert_letters(word, c2.source, c1.target)
-            witnesses[gen] = substitute_letters(mid, c1.witnesses)
+            mid = convert_letters(word, c2.source, c1.target, converted)
+            witnesses[gen] = substitute_letters(mid, c1.witnesses, mapped)
     return HomCertificate(
         c1.source,
         c2.target,
@@ -812,8 +916,6 @@ def minimal_bs_epi(g: LabelledGraph) -> HomCertificate:
 
 
 def images_of_elliptics_are_elliptic(cert: HomCertificate) -> bool:
-    from .words import is_elliptic
-
     for kind, name in cert.source.generators():
         if kind != "v":
             continue
@@ -824,8 +926,6 @@ def images_of_elliptics_are_elliptic(cert: HomCertificate) -> bool:
 
 
 def preserves_moduli(cert: HomCertificate) -> bool:
-    from .words import modulus
-
     for kind, name in cert.source.generators():
         src_mod = modulus(cert.source.graph, cert.source.letters_to_path(((kind, name, 1),)))
         tgt_mod = modulus(cert.target.graph, cert.target.letters_to_path(cert.images[(kind, name)]))

@@ -145,16 +145,16 @@ def finitely_many_quotients(m: int, n: int) -> Decision:
     """Finitely many GBS quotients of BS(m, n) up to isomorphism?"""
     if m == 0 or n == 0:
         raise DecisionError("parameters must be nonzero")
+    fm, fn = factorize(m), factorize(n)  # each parameter factored once
     clauses = []
-    for a, b in ((m, n), (n, m)):
-        fa = factorize(a)
+    for a, b, fa, fb in ((m, n, fm, fn), (n, m, fn, fm)):
         if gcd(a, b) == 1:
             clauses.append("(a) coprime")
         if len(fa) == 1 and sum(fa.values()) == 1 and a != b:
             clauses.append("(b) prime")
         if a == -b:
             clauses.append("(c) opposite")
-        if len(fa) == 1 and len(factorize(b)) == 1 and set(fa) == set(factorize(b)) and a != b:
+        if len(fa) == 1 and len(fb) == 1 and fa.keys() == fb.keys() and a != b:
             clauses.append("(d) powers of one prime")
     if clauses:
         return Decision(True, ", ".join(dict.fromkeys(clauses)))
@@ -165,10 +165,13 @@ def quotient_rigidity(m: int, n: int) -> str:
     """'all_noncyclic_iso', 'all_nonsolvable_iso' or 'neither'."""
     if m == 0 or n == 0:
         raise DecisionError("parameters must be nonzero")
+    primes: dict[int, bool] = {}  # each parameter factored at most once, and only when asked
 
     def prime_abs(a):
-        fa = factorize(a)
-        return len(fa) == 1 and sum(fa.values()) == 1
+        if a not in primes:
+            fa = factorize(a)
+            primes[a] = len(fa) == 1 and sum(fa.values()) == 1
+        return primes[a]
 
     for a, b in ((m, n), (n, m)):
         if abs(a) == 1 or (prime_abs(a) and b % a != 0):

@@ -10,18 +10,31 @@ Presentation letters (vertex generators ``a(v)``, stable letters ``t(eps)``
 for non-tree edges) convert to and from path words through a spanning tree.
 The stable letter of edge eps with data ((v, w), (lv, lw)) satisfies
 ``t a(v)^lv t^-1 = a(w)^lw``.
+
+A letter may also be a shared subword power ``("w", word, k)``, making the
+word a straight-line program (Lohrey, *The Compressed Word Problem for
+Groups*, 2014).  Letter words multiply in the free group, so
+``expand_letters`` gives exactly the word built without sharing.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import gcd
-from .errors import InputError, MalformedWordError
+from .errors import InputError, MalformedWordError, WordCapError
 from .graphs import LabelledGraph, spanning_tree
 from .lattice import RationalMultGroup
 
 # syllables: ("v", vertex, exponent) | ("e", edge, end)
-# letters:   ("v", vertex, exponent) | ("t", edge, exponent)
+# letters:   ("v", vertex, exponent) | ("t", edge, exponent) | ("w", word, exponent)
+
+WORD_CAP = 10**7  # syllables or letters one word may be written out to
+
+
+def check_word_cap(size: int):
+    """Raise WordCapError before a word of `size` syllables is allocated."""
+    if size > WORD_CAP:
+        raise WordCapError(f"a word of {size} syllables exceeds the expansion cap {WORD_CAP}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +108,14 @@ def britton_reduce(g: LabelledGraph, w: PathWord, *, validate: bool = True) -> N
     """Eliminate pinches until none applies; trivial iff nothing is left."""
     if validate:
         check_well_formed(g, w)
-    edges = g.edges
+    stack = reduce_syllables(g.edges, w.syllables)
+    return NormalForm(PathWord(w.base, stack), not stack)
+
+
+def reduce_syllables(edges, syllables) -> tuple:
+    """The pinch-free syllables of a path: one stack pass."""
     stack: list = []
-    for syl in w.syllables:
+    for syl in syllables:
         if syl[0] == "v":
             _push_vertex(stack, syl[1], syl[2])
             continue
@@ -118,7 +136,7 @@ def britton_reduce(g: LabelledGraph, w: PathWord, *, validate: bool = True) -> N
                     _push_vertex(stack, ed.endpoints[end], (mid // far) * ed.labels[end])
                     continue
         stack.append(syl)
-    return NormalForm(PathWord(w.base, tuple(stack)), not stack)
+    return tuple(stack)
 
 
 def equal(g: LabelledGraph, w1: PathWord, w2: PathWord) -> bool:
@@ -182,6 +200,7 @@ class Presentation:
         if self.base not in g.vertices:
             raise InputError(f"unknown base vertex {self.base}")
         self._geodesics, self._geo_inv = self._compute_geodesics()
+        self._reduced: dict = {}
         if len(self._geodesics) != len(g.vertices):
             raise InputError("spanning tree does not span")
 
@@ -202,6 +221,14 @@ class Presentation:
 
     def geodesic(self, v: str) -> tuple:
         return self._geodesics[v]
+
+    def reduced_generator(self, kind: str, name: str) -> tuple:
+        """Britton-reduced syllables of one generator, computed once."""
+        got = self._reduced.get((kind, name))
+        if got is None:
+            path = self.letters_to_path(((kind, name, 1),)).syllables
+            got = self._reduced[(kind, name)] = reduce_syllables(self.graph.edges, path)
+        return got
 
     @property
     def stable_edges(self) -> list[str]:
@@ -225,7 +252,7 @@ class Presentation:
                 rels.append((("t", name, 1), ("v", v, lv), ("t", name, -1), ("v", w, -lw)))
         return rels
 
-    # letter words: tuples of ("v", vertex, exp) | ("t", edge, exp)
+    # letter words: tuples of ("v", vertex, exp) | ("t", edge, exp) | ("w", word, exp)
 
     def letters_to_path(self, letters) -> PathWord:
         syls: list = []
@@ -246,8 +273,13 @@ class Presentation:
                     hop = self.geodesic(w) + (("e", name, 1),) + self._geo_inv[v]
                 else:
                     hop = self.geodesic(v) + (("e", name, 0),) + self._geo_inv[w]
+                check_word_cap(len(syls) + abs(exp) * len(hop))
                 for _ in range(abs(exp)):
                     syls.extend(hop)
+            elif kind == "w":
+                piece = self.letters_to_path(expand_letters(((kind, name, exp),))).syllables
+                check_word_cap(len(syls) + len(piece))
+                syls.extend(piece)
             else:
                 raise MalformedWordError(f"bad letter kind {kind!r}")
         return PathWord(self.base, tuple(syls))
@@ -283,12 +315,14 @@ def letters_inverse(letters) -> tuple:
 
 
 def letters_concat(*words) -> tuple:
+    """Free-group product.  Shared subwords merge only when they are the
+    same object: == could walk a DAG in time exponential in its size."""
     out: list = []
     for word in words:
         for k, n, e in word:
             if e == 0:
                 continue
-            if out and out[-1][0] == k and out[-1][1] == n:
+            if out and out[-1][0] == k and (out[-1][1] is n or (k != "w" and out[-1][1] == n)):
                 merged = out[-1][2] + e
                 out.pop()
                 if merged:
@@ -299,24 +333,69 @@ def letters_concat(*words) -> tuple:
 
 
 def letters_power(letters, exp: int) -> tuple:
+    """letters^exp.  Written u c u^-1 with u as long as the letters allow,
+    the power is u c^exp u^-1, and c^exp for a core c of two or more letters
+    and |exp| >= 2 is the one shared-subword letter ("w", c, exp)."""
     if exp == 0:
         return ()
     if len(letters) == 1:
         k, n, e = letters[0]
         return ((k, n, e * exp),)
-    base = letters if exp > 0 else letters_inverse(letters)
-    return letters_concat(*([base] * abs(exp)))
+    if abs(exp) == 1:
+        return letters_concat(letters if exp > 0 else letters_inverse(letters))
+    i = 0
+    while 2 * i + 1 < len(letters):
+        (k, n, e), (k2, n2, e2) = letters[i], letters[-1 - i]
+        if k != k2 or e != -e2 or not (n is n2 or (k != "w" and n == n2)):
+            break
+        i += 1
+    core = letters[i : len(letters) - i]
+    power = letters_power(core, exp) if len(core) == 1 else (("w", core, exp),)
+    return letters_concat(letters[:i], power, letters_inverse(letters[:i]))
 
 
-def format_letters(letters) -> str:
+def memoize_shared(memo: dict, word, fn):
+    """Set memo[id(s)] = (s, fn(s)) for the shared subword `word` and each one
+    under it not yet in memo, inner ones first, so fn(s) finds them done
+    (keeping s pins its id).  Iterative: JSON tables may nest deeply."""
+    stack = [(word, iter(word))]
+    while stack:
+        for kind, sub, _ in stack[-1][1]:
+            if kind == "w" and id(sub) not in memo:
+                stack.append((sub, iter(sub)))
+                break
+        else:
+            sub = stack.pop()[0]
+            memo[id(sub)] = (sub, fn(sub))
+
+
+def expand_letters(letters, memo: dict | None = None) -> tuple:
+    """The flat letter word: each shared subword expanded once."""
+    memo = {} if memo is None else memo
+    out: list = []
+    for kind, sub, exp in letters:
+        if kind != "w":
+            out.append((kind, sub, exp))
+            continue
+        if id(sub) not in memo:
+            memoize_shared(memo, sub, lambda s: expand_letters(s, memo))
+        flat = memo[id(sub)][1]
+        check_word_cap(len(out) + abs(exp) * len(flat))
+        out.extend((flat if exp > 0 else letters_inverse(flat)) * abs(exp))
+    return letters_concat(out)
+
+
+def format_letters(letters, ref=None) -> str:
+    """Text of a letter word; ref(word) names a shared subword (w<i>)."""
     parts = []
     for kind, name, exp in letters:
-        head = f"a({name})" if kind == "v" else f"t({name})"
+        head = f"a({name})" if kind == "v" else f"t({name})" if kind == "t" else ref(name)
         parts.append(head if exp == 1 else f"{head}^{exp}")
     return " ".join(parts) or "1"
 
 
-def parse_letters(text: str) -> tuple:
+def parse_letters(text: str, table=()) -> tuple:
+    """Inverse of format_letters; a token w<i> is table[i], shared."""
     out = []
     for tok in text.split():
         if tok == "1":
@@ -330,6 +409,10 @@ def parse_letters(text: str) -> tuple:
             out.append(("v", head[2:-1], exp))
         elif head.startswith("t(") and head.endswith(")"):
             out.append(("t", head[2:-1], exp))
+        elif head[:1] == "w" and head[1:].isascii() and head[1:].isdigit():
+            if int(head[1:]) >= len(table):
+                raise InputError(f"word token {tok!r} names no earlier shared word")
+            out.append(("w", table[int(head[1:])], exp))
         else:
             raise InputError(f"cannot parse word token {tok!r}")
     return tuple(out)

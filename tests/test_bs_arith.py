@@ -17,7 +17,7 @@ from gbs.bs_arith import (
     power_of_ratio,
 )
 from gbs.decision import Decision
-from gbs.errors import DecisionError, FactorizationCapError
+from gbs.errors import DecisionError
 
 GRID = [i for i in range(-8, 9) if i != 0]
 
@@ -253,8 +253,29 @@ def test_deciders_answer_above_the_factor_cap():
     assert power_of_ratio(a**2, b**2, a * b, b) is None
 
 
-def test_condition_2_names_a_prime_above_the_cap_by_factoring():
-    # the failing part is p itself: naming it is the one factorization left
-    with pytest.raises(FactorizationCapError):
-        embeds_bs(P**2, P**2, P, P)
+def test_condition_2_names_the_failing_part_above_the_cap():
+    # the failing part is p itself: above the cap it is named, not factored
+    got = embeds_bs(P**2, P**2, P, P)
+    assert not got and got.clause == "condition 2"
+    assert got.reasons == (f"failing part {P} is above the factorization cap",)
     assert not embeds_bs(4, 4, 2, 2) and embeds_bs(4, 4, 2, 2).reasons == ("p=2, alpha=1",)
+
+
+def test_condition_2_reasons_under_a_low_cap(monkeypatch):
+    """Answers and clauses never depend on the cap; a reason changes only
+    where a failing part is above it, and then names that part."""
+    monkeypatch.setenv("GBS_TOOLKIT_FACTOR_CAP", "4")
+    named = same = 0
+    for r, s, m, n in product(GRID, GRID, GRID, GRID):
+        if abs(r) == 1 and abs(s) == 1:
+            continue
+        got, want = embeds_bs(r, s, m, n), _embeds_bs_reference(r, s, m, n)
+        assert (got.answer, got.clause) == (want.answer, want.clause), (r, s, m, n)
+        if got.reasons == want.reasons:
+            same += want.clause == "condition 2"
+            continue
+        head, _, tail = got.reasons[0].partition(" is above")
+        part = int(head.removeprefix("failing part "))
+        assert tail == " the factorization cap" and part > 4 and (r * s) % part == 0, (r, s, m, n)
+        named += 1
+    assert named > 1000 and same > 1000

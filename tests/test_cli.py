@@ -243,9 +243,12 @@ def test_deciders_answer_above_the_factor_cap(capsys):
     )
     assert run(capsys, "bs", "hopfian", str(P), str(P**2)) == (0, "yes\n", "")
     assert run(capsys, "rank", f"segment {P} 6") == (0, "rank 2 (beta 0 + mu 2)\n", "")
-    # naming the failing prime p of condition 2 still factors it
-    code, out, err = run(capsys, "bs", "embeds", str(P**2), str(P**2), str(P), str(P))
-    assert code == 2 and out == "" and err.startswith("cap exceeded:")
+    # the failing part p of condition 2 is above the cap: it is named, not factored
+    assert run(capsys, "bs", "embeds", str(P**2), str(P**2), str(P), str(P)) == (
+        0,
+        f"no (condition 2: failing part {P} is above the factorization cap)\n",
+        "",
+    )
 
 
 def test_unreadable_files_exit_1(tmp_path, capsys):
@@ -279,3 +282,54 @@ def test_missing_graph_file_named_like_a_shorthand(capsys):
         code, out, err = run(capsys, "rank", spec)
         assert code == 1 and out == "", spec
         assert err.startswith("input error: no such file and not an inline graph"), spec
+
+
+def test_word_expansion_cap_exit_2(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "word", "reduce", "bs 2 3", "t(e0)^100000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("cap exceeded:")
+
+
+def _nested_cert(words, images):
+    bs = {"graph": {"vertices": ["v0"], "edges": [{"name": "e0", "endpoints": ["v0", "v0"], "labels": [2, 3]}]},
+          "tree": [], "base": "v0"}
+    return {"kind": "hom", "version": 2, "source": bs, "target": bs, "words": words,
+            "images": images, "witnesses": None, "provenance": "", "flags": []}
+
+
+def test_verify_nested_powers_cap_exit_2(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    data = _nested_cert(["a(v0) t(e0)", "w0^100000", "w1^100000"], {"a(v0)": "w2", "t(e0)": "t(e0)"})
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and err.startswith("cap exceeded:")
+    # the same certificate with small powers is read and checked (it is no homomorphism)
+    data["words"] = ["a(v0) t(e0)", "w0^3", "w1^2"]
+    path.write_text(json.dumps(data))
+    assert run(capsys, "verify", str(path)) == (0, "hom: False, epi: False\n", "")
+
+
+def test_verify_deep_shared_word_table(tmp_path, capsys):
+    # 5,000 entries, each naming the one before it: nesting has no recursion limit
+    path = tmp_path / "cert.json"
+    words = ["a(v0) t(e0)"] + [f"w{i}" for i in range(4999)]
+    path.write_text(json.dumps(_nested_cert(words, {"a(v0)": "w4999", "t(e0)": "t(e0)"})))
+    assert run(capsys, "verify", str(path)) == (0, "hom: False, epi: False\n", "")
+
+
+@pytest.mark.parametrize(
+    "words, images",
+    [
+        (["w1", "a(v0)"], {"a(v0)": "w0", "t(e0)": "t(e0)"}),
+        (["a(v0)^2"], {"a(v0)": "w1", "t(e0)": "t(e0)"}),
+        ("a(v0)", {"a(v0)": "a(v0)", "t(e0)": "t(e0)"}),
+    ],
+    ids=["forward", "out-of-range", "not-a-list"],
+)
+def test_verify_bad_shared_word_table_exit_1(tmp_path, capsys, words, images):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_nested_cert(words, images)))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err

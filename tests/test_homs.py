@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -11,7 +12,7 @@ from conftest import graphs
 
 from gbs import homs, words
 from gbs.arith import gcd, xgcd
-from gbs.errors import DecisionError, MissingWitnessError
+from gbs.errors import CertificateError, DecisionError, InputError, MissingWitnessError, WordCapError
 from gbs.graphs import (
     OrientedEdge,
     bs_graph,
@@ -46,7 +47,15 @@ from gbs.homs import (
     tree_containing,
 )
 from gbs.quotients import descending_chain
-from gbs.words import Presentation, britton_reduce, letters_concat, letters_inverse, letters_power
+from gbs.words import (
+    Presentation,
+    britton_reduce,
+    expand_letters,
+    letters_concat,
+    letters_inverse,
+    letters_power,
+)
+from test_words import letters_power_reference
 
 
 def _round_trip_fixes_generators(fwd, rev):
@@ -456,3 +465,207 @@ def test_reduce_cert_random(g):
     red, cert = reduce_cert(g)
     assert check_epi(cert)
     assert red == reduce_graph(g)[0]
+
+
+# -- compressed certificate words ------------------------------------------------
+
+
+def substitute_letters_reference(letters, images):
+    out = []
+    for kind, name, exp in letters:
+        try:
+            word = images[(kind, name)]
+        except KeyError:
+            raise CertificateError(f"no image for generator {homs.gen_name((kind, name))}")
+        out.append(letters_power_reference(word, exp))
+    return letters_concat(*out)
+
+
+def convert_letters_reference(letters, pres_from, pres_to):
+    if pres_from.graph != pres_to.graph:
+        raise CertificateError("presentations live on different graphs")
+    if pres_from.tree == pres_to.tree:
+        return letters
+    base = pres_from.graph.sorted_vertices()[0]
+    helper_from = Presentation(pres_from.graph, pres_from.tree, base)
+    helper_to = Presentation(pres_to.graph, pres_to.tree, base)
+    return helper_to.path_to_letters(helper_from.letters_to_path(letters))
+
+
+def compose_reference(c1, c2, provenance=""):
+    """The eager composite: every word written out."""
+    if c1.target.graph != c2.source.graph:
+        raise CertificateError("composition: target/source graphs differ")
+    images = {}
+    for gen, word in c1.images.items():
+        mid = convert_letters_reference(word, c1.target, c2.source)
+        images[gen] = substitute_letters_reference(mid, c2.images)
+    witnesses = None
+    if c1.witnesses is not None and c2.witnesses is not None:
+        witnesses = {}
+        for gen, word in c2.witnesses.items():
+            mid = convert_letters_reference(word, c2.source, c1.target)
+            witnesses[gen] = substitute_letters_reference(mid, c1.witnesses)
+    return HomCertificate(
+        c1.source,
+        c2.target,
+        images,
+        witnesses,
+        provenance or f"{c1.provenance};{c2.provenance}",
+        tuple(dict.fromkeys(c1.flags + c2.flags)),
+    )
+
+
+def _eager(mp):
+    """Make the builders use the eager word operations."""
+    mp.setattr(homs, "letters_power", letters_power_reference)
+    mp.setattr(homs, "substitute_letters", substitute_letters_reference)
+    mp.setattr(homs, "convert_letters", convert_letters_reference)
+    mp.setattr(homs, "compose", compose_reference)
+
+
+def _flat_words(cert):
+    def flat(words):
+        return None if words is None else {gen: expand_letters(word) for gen, word in words.items()}
+
+    return flat(cert.images), flat(cert.witnesses)
+
+
+def _shares(cert) -> bool:
+    words = list(cert.images.values()) + list((cert.witnesses or {}).values())
+    return any(letter[0] == "w" for word in words for letter in word)
+
+
+def _quotient_certs():
+    for n in range(1, 9):
+        member = descending_chain(n)
+        yield from (member.from_bs_18_36, member.to_next, member.to_bs_9_18)
+    for ell in range(1, 5):
+        yield minimal_bs_epi(circle_graph([2, 3] * ell))
+    grid = [i for i in range(-12, 13) if abs(i) > 1]
+    for m in grid:
+        for n in grid:
+            if not homs.is_hopfian_bs(m, n):
+                yield non_hopf_endo(m, n).cert
+
+
+def test_compressed_certificates_expand_to_eager_ones():
+    compressed = list(_quotient_certs())
+    with pytest.MonkeyPatch.context() as mp:
+        _eager(mp)
+        eager = list(_quotient_certs())
+    assert len(compressed) == len(eager) == 24 + 4 + 400
+    assert sum(map(_shares, compressed)) >= 8 and not any(map(_shares, eager))
+    for cert, want in zip(compressed, eager):
+        assert _flat_words(cert) == (want.images, want.witnesses), cert.provenance
+
+
+def _move_chain(seed):
+    """A random circle or lollipop and a composite of random contraction and
+    displacement certificates, then the reduction of what is left."""
+    rng = random.Random(seed)
+    labels = [rng.choice((1, 2, -2, 3, 4, 6, 9)) for _ in range(4)]
+    g = circle_graph(labels) if rng.random() < 0.5 else lollipop_graph(labels[:2], labels[2:])
+    cert = identity_cert(Presentation(g))
+    for _ in range(rng.randint(1, 3)):
+        edges = [e for e in g.sorted_edges() if not g.is_loop(e)]
+        if not edges:
+            break
+        e = rng.choice(edges)
+        end = rng.randint(0, 1)
+        q, r = g.edges[e].labels[1 - end], g.edges[e].labels[end]
+        primes = [p for p in (2, 3) if r % p == 0 and q % p]
+        if primes and rng.random() < 0.6:
+            g, step, _ = displacement_cert(g, e, rng.choice(primes), end)
+        else:
+            g, step = contraction_cert(g, e, survivor_end=end)
+        cert = homs.compose(cert, step)
+    g, red = reduce_cert(g)
+    return homs.compose(cert, red)
+
+
+@given(st.integers(min_value=0, max_value=2**30))
+@settings(max_examples=40, deadline=None)
+def test_move_chains_expand_to_eager_ones(seed):
+    cert = _move_chain(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        _eager(mp)
+        want = _move_chain(seed)
+    assert _flat_words(cert) == (want.images, want.witnesses)
+    assert check_epi(cert)
+
+
+def _round_trip(cert):
+    return HomCertificate.from_json(json.loads(json.dumps(cert.to_json(), separators=(",", ":"))))
+
+
+def test_version_1_certificate_loads_and_verifies():
+    cert = descending_chain(6).from_bs_18_36
+    assert _shares(cert) and cert.to_json()["version"] == 2
+    flat_images, flat_witnesses = _flat_words(cert)
+    flat = dataclasses.replace(cert, images=flat_images, witnesses=flat_witnesses)
+    data = flat.to_json()
+    assert "version" not in data and "words" not in data
+    back = HomCertificate.from_json(json.loads(json.dumps(data)))
+    assert check_hom(back) and check_epi(back)
+    assert _flat_words(_round_trip(cert)) == (flat_images, flat_witnesses)
+
+
+def test_ladder_tops_build_round_trip_and_verify():
+    member = descending_chain(11)
+    certs = [member.from_bs_18_36, member.to_next, member.to_bs_9_18]
+    certs.append(minimal_bs_epi(circle_graph([2, 3] * 8)))
+    for cert in certs:
+        data = cert.to_json()
+        assert len(json.dumps(data)) < 20_000, cert.provenance
+        back = _round_trip(cert)
+        assert check_hom(back) and check_epi(back), cert.provenance
+    assert certs[0].to_json()["version"] == certs[3].to_json()["version"] == 2
+
+
+def _bump_first_exponent(text):
+    head, *rest = text.split(" ")
+    base, caret, exp = head.partition("^")
+    return " ".join([f"{base}^{int(exp) + 1 if caret else 2}", *rest])
+
+
+def test_tampered_version_2_entries_are_rejected():
+    cert = minimal_bs_epi(circle_graph([2, 3] * 4))
+    data = cert.to_json()
+    assert len(data["words"]) >= 5
+    for i in range(len(data["words"])):
+        bad = json.loads(json.dumps(data))
+        bad["words"][i] = _bump_first_exponent(bad["words"][i])
+        back = HomCertificate.from_json(bad)
+        assert not (check_hom(back) and check_epi(back)), (i, data["words"][i])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["words"].__setitem__(0, "w1 a(v0)"),  # forward reference
+        lambda d: d["images"].__setitem__("t(e0)", f"w{len(d['words'])}"),  # out of range
+        lambda d: d.__setitem__("words", "w0"),
+        lambda d: d.__setitem__("words", [1, 2]),
+        lambda d: d.__setitem__("version", 3),
+    ],
+    ids=["forward", "out-of-range", "not-a-list", "not-strings", "version"],
+)
+def test_malformed_version_2_is_an_input_error(edit):
+    data = descending_chain(5).from_bs_18_36.to_json()
+    assert data["version"] == 2
+    edit(data)
+    with pytest.raises(InputError):
+        HomCertificate.from_json(data)
+
+
+def test_reducer_caps_what_it_writes_out(monkeypatch):
+    """Each entry doubles its predecessor once reduced: the total written
+    out grows past the cap, which is checked before the next pass."""
+    data = descending_chain(3).to_bs_9_18.to_json()
+    data.update(version=2, words=["a(v0) t(e0)"] + [f"w{i} w{i}" for i in range(40)])
+    data["images"]["a(v0)"] = "w40"
+    cert = HomCertificate.from_json(data)
+    monkeypatch.setattr(words, "WORD_CAP", 10_000)
+    with pytest.raises(WordCapError):
+        check_hom(cert)

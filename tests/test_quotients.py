@@ -4,6 +4,7 @@ import time
 import pytest
 
 from gbs import quotients
+from gbs.arith import factorize, gcd
 from gbs.decision import Decision
 from gbs.errors import DecisionError, ElementaryGroupError, InputError, NotReducedError, ShapeError
 from gbs.graphs import (
@@ -128,6 +129,61 @@ def test_rigidity():
     assert quotient_rigidity(4, 6) == "neither"
     assert quotient_rigidity(3, 5) == "all_noncyclic_iso"
     assert quotient_rigidity(2, 2) == "neither"
+
+
+def _finitely_many_quotients_reference(m, n):
+    clauses = []
+    for a, b in ((m, n), (n, m)):
+        fa = factorize(a)
+        if gcd(a, b) == 1:
+            clauses.append("(a) coprime")
+        if len(fa) == 1 and sum(fa.values()) == 1 and a != b:
+            clauses.append("(b) prime")
+        if a == -b:
+            clauses.append("(c) opposite")
+        if len(fa) == 1 and len(factorize(b)) == 1 and set(fa) == set(factorize(b)) and a != b:
+            clauses.append("(d) powers of one prime")
+    if clauses:
+        return Decision(True, ", ".join(dict.fromkeys(clauses)))
+    return Decision(False, "no clause applies")
+
+
+def _quotient_rigidity_reference(m, n):
+    def prime_abs(a):
+        fa = factorize(a)
+        return len(fa) == 1 and sum(fa.values()) == 1
+
+    for a, b in ((m, n), (n, m)):
+        if abs(a) == 1 or (prime_abs(a) and b % a != 0):
+            return "all_noncyclic_iso"
+    for a, b in ((m, n), (n, m)):
+        if abs(a) == 1 or (prime_abs(a) and a != b):
+            return "all_nonsolvable_iso"
+    return "neither"
+
+
+def test_quotient_deciders_factor_each_parameter_once(monkeypatch):
+    calls = []
+
+    def counting(n, cap=None):
+        calls.append(n)
+        return factorize(n, cap)
+
+    monkeypatch.setattr(quotients, "factorize", counting)
+    grid = [i for i in range(-12, 13) if i]
+    for m in grid:
+        for n in grid:
+            calls.clear()
+            assert finitely_many_quotients(m, n) == _finitely_many_quotients_reference(m, n), (m, n)
+            assert sorted(calls) == sorted([m, n]), (m, n)
+            calls.clear()
+            assert quotient_rigidity(m, n) == _quotient_rigidity_reference(m, n), (m, n)
+            assert len(calls) == len(set(calls)) <= 2, (m, n)
+
+
+def test_rigidity_answers_without_factoring_a_unit_pair():
+    big = 2 * (10**12 + 39)  # above the factorization cap, never factored here
+    assert quotient_rigidity(1, big) == quotient_rigidity(-1, big) == "all_noncyclic_iso"
 
 
 def test_large():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs, random_letters, small_connected_graph
 
-from gbs.errors import InputError, MalformedWordError
+from gbs.errors import InputError, MalformedWordError, WordCapError
 from gbs.graphs import (
     OrientedEdge,
     bs_graph,
@@ -24,8 +24,10 @@ from gbs.words import (
     has_nontrivial_center,
     is_elliptic,
     is_unimodular,
+    expand_letters,
     letters_concat,
     letters_inverse,
+    letters_power,
     modular_image,
     modulus,
     parse_letters,
@@ -432,3 +434,122 @@ def test_transport_identity_random_segments(rng):
             lhs = pres.letters_to_path((("v", "v0", qprod),))
             rhs = pres.letters_to_path((("v", f"v{j}", rprod),))
             assert equal(g, lhs, rhs)
+
+
+# -- shared subword powers ----------------------------------------------------
+
+
+def letters_power_reference(letters, exp):
+    """The eager power: the word written out |exp| times."""
+    if exp == 0:
+        return ()
+    if len(letters) == 1:
+        k, n, e = letters[0]
+        return ((k, n, e * exp),)
+    base = letters if exp > 0 else letters_inverse(letters)
+    return letters_concat(*([base] * abs(exp)))
+
+
+def test_letters_power_shares_the_word():
+    word = (("v", "v0", 2), ("t", "e0", 1))
+    (letter,) = letters_power(word, -3)
+    assert letter[0] == "w" and letter[1] is word and letter[2] == -3
+    assert letters_power(word, 1) == word and letters_power(word, -1) == letters_inverse(word)
+    assert letters_power((letter,), 2) == (("w", word, -6),)
+    assert expand_letters((letter,)) == letters_power_reference(word, -3)
+
+
+def test_letters_power_keeps_the_conjugator_flat():
+    t, t_inv = ("t", "e0", 1), ("t", "e0", -1)
+    # a conjugate of one letter: its power is as short as the word
+    assert letters_power((t, ("v", "v0", 2), t_inv), 5) == (t, ("v", "v0", 10), t_inv)
+    word = (t, ("v", "v0", 2), ("v", "w0", 1), t_inv)
+    got = letters_power(word, -3)
+    assert got[0] == t and got[2] == t_inv and got[1][0] == "w" and got[1][2] == -3
+    assert got[1][1] == word[1:3]
+    assert expand_letters(got) == letters_power_reference(word, -3)
+
+
+def test_shared_subwords_merge_only_when_identical():
+    word = (("v", "v0", 2), ("t", "e0", 1))
+    twin = (word[0], word[1])  # equal, another object
+    assert twin == word and twin is not word
+    assert letters_concat((("w", word, 2),), (("w", word, 3),)) == (("w", word, 5),)
+    assert letters_concat((("w", word, 2),), (("w", word, -2),)) == ()
+    assert len(letters_concat((("w", word, 2),), (("w", twin, 3),))) == 2
+
+
+@st.composite
+def compressed_words(draw):
+    """A word built by random products, inverses and powers from random
+    reduced words, and the same word built by the eager operations."""
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    pool = []
+    for _ in range(draw(st.integers(1, 12))):
+        op = rng.random()
+        if op < 0.35 or len(pool) < 2:
+            word = letters_concat(
+                [
+                    (rng.choice("vt"), rng.choice(("x", "y")), rng.choice((-2, -1, 1, 2, 3)))
+                    for _ in range(rng.randint(1, 3))
+                ]
+            )
+            pool.append((word, word))
+        elif op < 0.6:
+            (a, fa), (b, fb) = rng.choice(pool), rng.choice(pool)
+            pool.append((letters_concat(a, b), letters_concat(fa, fb)))
+        elif op < 0.7:
+            a, fa = rng.choice(pool)
+            pool.append((letters_inverse(a), letters_inverse(fa)))
+        else:
+            k = rng.choice((-3, -2, -1, 2, 3, 4))
+            a, fa = rng.choice(pool)
+            pool.append((letters_power(a, k), letters_power_reference(fa, k)))
+    return pool[-1]
+
+
+@given(compressed_words())
+@settings(max_examples=300, deadline=None)
+def test_expand_letters_matches_eager_operations(pair):
+    word, flat = pair
+    assert expand_letters(word) == flat
+
+
+@given(compressed_words())
+@settings(max_examples=100, deadline=None)
+def test_letters_to_path_expands_shared_subwords(pair):
+    g = graph_from_edges([("e", "x", "y", 2, 3), ("t", "x", "x", 5, 7), ("f", "y", "x", 4, 6)])
+    pres = Presentation(g, frozenset({"e"}))
+    word, flat = pair
+    rename = {("v", "x"): "x", ("v", "y"): "y", ("t", "x"): "t", ("t", "y"): "f"}
+
+    def on_graph(w):
+        return tuple(
+            ("w", on_graph(n), e) if k == "w" else (k, rename[(k, n)], e) for k, n, e in w
+        )
+
+    assert equal(g, pres.letters_to_path(on_graph(word)), pres.letters_to_path(on_graph(flat)))
+
+
+def test_word_expansion_is_capped_before_allocating():
+    w0 = (("v", "v0", 1), ("t", "e0", 1))
+    w2 = letters_power((("w", w0, 100000), ("v", "v0", 1)), 100000)
+    with pytest.raises(WordCapError):
+        expand_letters(w2)
+    pres = Presentation(bs_graph(2, 3))
+    with pytest.raises(WordCapError):
+        pres.letters_to_path((("t", "e0", 10**8),))
+    with pytest.raises(WordCapError):
+        pres.letters_to_path(w2)
+
+
+def test_shared_subwords_format_and_parse():
+    table = [parse_letters("a(v0) t(e0)")]
+    table.append(parse_letters("w0^3 a(v0)^-1", table))
+    word = parse_letters("t(e0) w1^-2 w0", table)
+    assert word[1] == ("w", table[1], -2) and word[1][1][0][1] is table[0]
+    names = {id(sub): f"w{i}" for i, sub in enumerate(table)}
+    assert format_letters(word, lambda sub: names[id(sub)]) == "t(e0) w1^-2 w0"
+    for text in ("w1", "w0 w7", "w-1", "w", "wx"):
+        with pytest.raises(InputError):
+            parse_letters(text, table[:1])
