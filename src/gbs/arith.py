@@ -3,7 +3,8 @@ and trial-division factoring (with a hard cap) on arbitrary-precision ints.
 
 `split_power` and `coprime_base` compare valuations by gcd alone.  Only
 three kinds of caller factor: to name a prime (a failing condition), to
-choose one (`non_hopf_endo`, `infinite_family`), or to test primality.
+choose one (`non_hopf_endo`, `infinite_family`), or to test primality
+(`least_prime_factor`, which tries small divisors first).
 """
 
 import os
@@ -12,6 +13,7 @@ from math import gcd  # positive gcd, gcd(0, 0) == 0
 from .errors import FactorizationCapError, InputError
 
 FACTOR_CAP_DEFAULT = 10**9
+TRIAL_BOUND = 1000  # least_prime_factor's trial divisors stay below this
 
 
 def env_int(name: str, default: int) -> int:
@@ -67,6 +69,18 @@ def factorize(n: int, cap: int | None = None) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def least_prime_factor(n: int) -> int:
+    """The least prime dividing |n| > 1 (1 for a unit).  Trial division below
+    TRIAL_BOUND finds it for most n, and proves |n| prime below
+    TRIAL_BOUND**2; only when it finds none is |n| factored, under the cap."""
+    n, d = abs(n), 2
+    while d < TRIAL_BOUND and d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n if d * d > n else min(factorize(n))
 
 
 def valuation(n: int, p: int) -> int:

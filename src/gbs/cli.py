@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .arith import env_int, factorize
+from .arith import env_int, least_prime_factor
 from .bs_arith import embeds_bs, exists_epi_bs, is_hopfian_bs, is_rf_bs
 from .catalog import run_catalog
 from .embeddings import (
@@ -110,7 +110,7 @@ def cmd_rank(args):
 
 def cmd_plateaus(args):
     g = load_graph(args.graph)
-    if args.prime > 1 and factorize(args.prime) != {args.prime: 1}:
+    if args.prime > 1 and least_prime_factor(args.prime) != args.prime:
         raise InputError(f"--prime must be a prime, not {args.prime}")
     found = plateaus(g, args.prime)
     payload = {"prime": args.prime, "plateaus": [sorted(p.vertices) for p in found]}

@@ -7,7 +7,9 @@ endpoint pair and a label pair; the oriented edge (name, end) has origin
 endpoints, two labels).
 
 Graph values are immutable by convention: every move returns a new graph
-together with a replayable MoveRecord.
+together with a replayable MoveRecord.  No query result is cached on a graph
+(the incidence index `_incidence` is its only lazily built field); each
+public entry point computes an invariant once and passes it down.
 """
 
 from dataclasses import dataclass
@@ -138,6 +140,8 @@ class LabelledGraph:
         )
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, LabelledGraph):
             return NotImplemented
         return self._key() == other._key()
@@ -669,11 +673,13 @@ def _cycle_from(g: LabelledGraph, base: str, skip: str | None = None) -> list[Or
     return cyc
 
 
-def classify_shape(g: LabelledGraph) -> Shape:
+def classify_shape(g: LabelledGraph, *, _plateau_sets=None) -> Shape:
     """Segment / circle / lollipop recognition per the standard numbering.
 
     For circles the base w_0 is a vertex meeting every plateau when one
     exists (lowest id wins); otherwise the lowest id with a recording flag.
+    `_plateau_sets` passes down the plateau family's vertex sets from a
+    caller that has built them (is_two_generated), so they are built once.
     """
     g.require_connected()
     beta = g.betti()
@@ -692,7 +698,7 @@ def classify_shape(g: LabelledGraph) -> Shape:
     if beta != 1:
         return Shape("other")
     if all(d == 2 for d in valences.values()):
-        base, meets_all = _circle_base(g)
+        base, meets_all = _circle_base(g, _plateau_sets)
         cyc = _cycle_from(g, base)
         verts = [base] + [g.terminus(oe) for oe in cyc[:-1]]
         x = tuple(g.label(oe) for oe in cyc)
@@ -731,10 +737,10 @@ def classify_shape(g: LabelledGraph) -> Shape:
     return Shape("other")
 
 
-def _circle_base(g: LabelledGraph) -> tuple[str, bool]:
-    from .plateaus import vertices_meeting_all_plateaus
+def _circle_base(g: LabelledGraph, plateau_sets) -> tuple[str, bool]:
+    from .plateaus import plateau_family
 
-    meeting = vertices_meeting_all_plateaus(g)
+    meeting = set(g.vertices).intersection(*(plateau_sets or [pl.vertices for pl in plateau_family(g)]))
     if meeting:
         return sorted(meeting, key=id_key)[0], True
     return g.sorted_vertices()[0], False

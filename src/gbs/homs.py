@@ -279,7 +279,9 @@ def convert_letters(letters, pres_from: Presentation, pres_to: Presentation, mem
     memo = {} if memo is None else memo
     if "helpers" not in memo:
         base = pres_from.graph.sorted_vertices()[0]
-        memo["helpers"] = tuple(Presentation(p.graph, p.tree, base) for p in (pres_from, pres_to))
+        memo["helpers"] = tuple(  # a presentation already at the base is its own helper
+            p if p.base == base else Presentation(p.graph, p.tree, base) for p in (pres_from, pres_to)
+        )
     helper_from, helper_to = memo["helpers"]
 
     def convert(word):

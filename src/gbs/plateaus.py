@@ -88,10 +88,6 @@ def plateau_family(g: LabelledGraph) -> list[Plateau]:
     return fam
 
 
-def vertices_meeting_all_plateaus(g: LabelledGraph) -> set[str]:
-    return set(g.vertices).intersection(*(pl.vertices for pl in plateau_family(g)))
-
-
 def mu(g: LabelledGraph) -> RankReport:
     """Exact minimal plateau hitting set; rank = beta + mu (reduced graphs).
 
@@ -127,8 +123,10 @@ class TwoGenWitness:
 
 
 def is_two_generated(g: LabelledGraph) -> tuple[bool, TwoGenWitness]:
+    """rank <= 2, with the rank report and the shape; the plateau family is
+    built once, by mu, and its vertex sets choose a circle's base."""
     report = mu(g)
-    shape = classify_shape(g)
+    shape = classify_shape(g, _plateau_sets=report.plateau_sets)
     return report.rank <= 2, TwoGenWitness(report, shape)
 
 

@@ -9,7 +9,7 @@ families.  Positive answers come with certificates built in homs.py.
 from dataclasses import dataclass
 from itertools import count as icount
 
-from .arith import factorize, gcd
+from .arith import factorize, gcd, least_prime_factor, split_power
 from .bs_arith import multiple_direction
 from .decision import Decision
 from .errors import DecisionError, ElementaryGroupError, InputError, NotReducedError, ShapeError
@@ -40,12 +40,17 @@ def _detect_elementary(g: LabelledGraph) -> str | None:
     return None
 
 
-def _validated_shape(g: LabelledGraph, allow_z2: bool = True):
+def _validated_shape(g: LabelledGraph):
     if not g.is_reduced():
         raise NotReducedError("decider needs a reduced graph")
     kind = _detect_elementary(g)
-    if kind == "Z" or kind == "K" or (kind == "Z2" and not allow_z2):
+    if kind == "Z" or kind == "K":
         raise ElementaryGroupError(f"excluded elementary group {kind}")
+    return _two_generated_shape(g)
+
+
+def _two_generated_shape(g: LabelledGraph):
+    """The shape of a reduced, non-elementary g; raises unless 2-generated."""
     ok, witness = is_two_generated(g)
     if not ok:
         raise DecisionError(f"group has rank {witness.rank.rank} > 2")
@@ -107,6 +112,11 @@ def maps_onto_minimal_bs(g: LabelledGraph) -> Decision:
     shape = _validated_shape(g)
     if shape.kind == "segment":
         raise ShapeError("segments have no minimal Baumslag-Solitar source")
+    return _onto_minimal(shape)
+
+
+def _onto_minimal(shape) -> Decision:
+    """The gcd-clause test of maps_onto_minimal_bs on a circle or lollipop shape."""
     prods = qrxy(shape)
     Q, R, X, Y = prods.Q, prods.R, prods.X, prods.Y
     QX, QY = Q * X, Q * Y
@@ -135,7 +145,7 @@ def epi_equivalent_bs(g: LabelledGraph):
     ok, witness = is_two_generated(g)
     if not ok or witness.rank.rank != 2 or witness.shape.kind in ("segment", "other"):
         return None
-    if not maps_onto_minimal_bs(g):
+    if not _onto_minimal(witness.shape):
         return None
     prods = qrxy(witness.shape)
     return (prods.Q * prods.X, prods.Q * prods.Y)
@@ -145,16 +155,18 @@ def finitely_many_quotients(m: int, n: int) -> Decision:
     """Finitely many GBS quotients of BS(m, n) up to isomorphism?"""
     if m == 0 or n == 0:
         raise DecisionError("parameters must be nonzero")
-    fm, fn = factorize(m), factorize(n)  # each parameter factored once
+    p, q = least_prime_factor(m), least_prime_factor(n)  # |a| is prime iff its least prime is |a| > 1
+    # powers of one prime: m * n has no prime but the least prime of |m|
+    one_prime = 1 not in (p, q) and abs(split_power(m * n, p)[1]) == 1
     clauses = []
-    for a, b, fa, fb in ((m, n, fm, fn), (n, m, fn, fm)):
+    for a, b, pa in ((m, n, p), (n, m, q)):
         if gcd(a, b) == 1:
             clauses.append("(a) coprime")
-        if len(fa) == 1 and sum(fa.values()) == 1 and a != b:
+        if a != b and pa == abs(a) > 1:
             clauses.append("(b) prime")
         if a == -b:
             clauses.append("(c) opposite")
-        if len(fa) == 1 and len(fb) == 1 and fa.keys() == fb.keys() and a != b:
+        if one_prime and a != b:
             clauses.append("(d) powers of one prime")
     if clauses:
         return Decision(True, ", ".join(dict.fromkeys(clauses)))
@@ -165,21 +177,15 @@ def quotient_rigidity(m: int, n: int) -> str:
     """'all_noncyclic_iso', 'all_nonsolvable_iso' or 'neither'."""
     if m == 0 or n == 0:
         raise DecisionError("parameters must be nonzero")
-    primes: dict[int, bool] = {}  # each parameter factored at most once, and only when asked
-
-    def prime_abs(a):
-        if a not in primes:
-            fa = factorize(a)
-            primes[a] = len(fa) == 1 and sum(fa.values()) == 1
-        return primes[a]
-
-    for a, b in ((m, n), (n, m)):
-        if abs(a) == 1 or (prime_abs(a) and b % a != 0):
-            return "all_noncyclic_iso"
-    for a, b in ((m, n), (n, m)):
-        if abs(a) == 1 or (prime_abs(a) and a != b):
-            return "all_nonsolvable_iso"
-    return "neither"
+    if 1 in (abs(m), abs(n)):  # a unit answers alone: the other parameter is never tested
+        return "all_noncyclic_iso"
+    m_prime = least_prime_factor(m) == abs(m)
+    if m_prime and n % m:
+        return "all_noncyclic_iso"
+    n_prime = least_prime_factor(n) == abs(n)  # tested only when m does not answer
+    if n_prime and m % n:
+        return "all_noncyclic_iso"
+    return "all_nonsolvable_iso" if (m_prime or n_prime) and m != n else "neither"
 
 
 def is_large(g: LabelledGraph) -> bool:
@@ -188,7 +194,7 @@ def is_large(g: LabelledGraph) -> bool:
         raise NotReducedError("decider needs a reduced graph")
     if _detect_elementary(g) is not None:
         return False  # virtually abelian
-    shape = _validated_shape(g)
+    shape = _two_generated_shape(g)
     if shape.kind == "segment":
         return True
     prods = qrxy(shape)

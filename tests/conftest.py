@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
 
-from gbs.graphs import graph_from_edges
+from gbs.graphs import graph_from_edges, reduce_graph
 
 
 def small_connected_graph(rng: random.Random, max_vertices=4, max_extra=2, max_label=9):
@@ -45,3 +46,30 @@ def random_letters(rng: random.Random, pres, length=4, max_exp=4):
         exp = rng.randint(-max_exp, max_exp) or 1
         out.append((kind, name, exp))
     return tuple(out)
+
+
+def criterion_6_circles():
+    """The 196 reduced two-edge circles of criterion 6 (the quot_certs
+    benchmark's epi-equivalence decisions), as (alpha, beta, gamma, graph)."""
+    out = []
+    for alpha in range(1, 8):
+        for beta in range(1, 8):
+            for gamma in range(1, 8, 2):
+                g = graph_from_edges([("e0", "w0", "w1", 2 * beta, 2), ("e1", "w1", "w0", gamma, 2 * alpha)])
+                out.append((alpha, beta, gamma, reduce_graph(g)[0]))
+    return out
+
+
+def count_calls(monkeypatch, targets) -> Counter:
+    """Replace each (owner, attribute) by a wrapper counting its calls under
+    the attribute's name; the returned Counter fills as they run."""
+    calls = Counter()
+    for owner, name in targets:
+        fn = getattr(owner, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls

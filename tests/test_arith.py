@@ -6,7 +6,17 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from gbs.arith import coprime_base, factorize, gcd, lcm, split_power, valuation, xgcd
+from gbs.arith import (
+    TRIAL_BOUND,
+    coprime_base,
+    factorize,
+    gcd,
+    lcm,
+    least_prime_factor,
+    split_power,
+    valuation,
+    xgcd,
+)
 from gbs.embeddings import _equal_exponent_part, _solve_exponent
 from gbs.errors import DecisionError, FactorizationCapError
 from gbs.homs import _find_i0, _solve_alpha_beta
@@ -37,6 +47,33 @@ def test_factorize():
     assert valuation(48, 2) == 4
     with pytest.raises(FactorizationCapError):
         factorize(10**9 + 7, cap=10**6)
+
+
+def test_least_prime_factor_matches_factorize():
+    for n in list(range(-5000, 5000)) + [1009 * 1013, 1009**2, 1000003, 999983 * 2]:
+        if abs(n) > 1:
+            assert least_prime_factor(n) == min(factorize(n)), n
+    assert least_prime_factor(1) == least_prime_factor(-1) == 1
+
+
+def test_least_prime_factor_factors_only_without_a_small_divisor(monkeypatch):
+    from gbs import arith
+
+    calls = []
+
+    def counting(n, cap=None):
+        calls.append(n)
+        return factorize(n, cap)
+
+    monkeypatch.setattr(arith, "factorize", counting)
+    big = 10**12 + 39
+    assert least_prime_factor(2 * big) == 2  # above the cap, decided by its divisor 2
+    assert least_prime_factor(999983) == 999983 and least_prime_factor(3 * 999983) == 3  # a prime below TRIAL_BOUND**2
+    assert calls == []
+    assert least_prime_factor(1009 * 1013) == 1009 and calls == [1009 * 1013]  # both above TRIAL_BOUND
+    assert 1009 > TRIAL_BOUND
+    with pytest.raises(FactorizationCapError):
+        least_prime_factor(1009 * big)
 
 
 nonzero = st.integers(-10**6, 10**6).filter(bool)

@@ -145,7 +145,7 @@ def test_verify_malformed_certificate_exit_1(tmp_path, capsys, payload):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("prime", ["0", "1", "-2", "4"])
+@pytest.mark.parametrize("prime", ["0", "1", "-2", "4", str(2 * (10**12 + 39))])  # the last is above the factor cap
 def test_plateaus_non_prime_exit_1(capsys, prime):
     code, out, err = run(capsys, "plateaus", "segment 2 3", "--prime", prime)
     assert code == 1 and out == ""

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import graphs
+from conftest import count_calls, graphs
 
 from gbs.errors import InputError, MoveError, ShapeError
 from gbs.graphs import (
@@ -350,3 +350,12 @@ def test_moves_keep_labels_nonzero():
     g = circle_graph([2, 1, -3, 1])
     red, _ = reduce_graph(g)
     assert all(l != 0 for l in red.labels())
+
+
+def test_graph_equals_itself_without_building_keys(monkeypatch):
+    g = parse_graph("circle 2 3 5 7")
+    calls = count_calls(monkeypatch, [(LabelledGraph, "_key")])
+    assert g == g and not g != g
+    assert calls["_key"] == 0
+    assert g == parse_graph("circle 2 3 5 7") and calls["_key"] == 2
+    assert g != parse_graph("circle 2 3 5 11")

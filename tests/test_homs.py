@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import count_calls, graphs
 
 from gbs import homs, words
 from gbs.arith import gcd, xgcd
 from gbs.errors import CertificateError, DecisionError, InputError, MissingWitnessError, WordCapError
 from gbs.graphs import (
+    LabelledGraph,
     OrientedEdge,
     bs_graph,
     circle_graph,
@@ -669,3 +670,19 @@ def test_reducer_caps_what_it_writes_out(monkeypatch):
     monkeypatch.setattr(words, "WORD_CAP", 10_000)
     with pytest.raises(WordCapError):
         check_hom(cert)
+
+
+def test_circle_composition_builds_no_duplicate_presentations(monkeypatch):
+    # compose and convert_letters compare a graph with itself and reuse a
+    # presentation already at the canonical base (the parent counts: 128, 572)
+    calls = count_calls(monkeypatch, [(Presentation, "__init__"), (LabelledGraph, "_key")])
+    g = circle_graph([2, 3] * 4)
+    counts = []
+    for _ in range(2):  # no cross-call cache: the second call does the same work
+        calls.clear()
+        cert = minimal_bs_epi(g)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["__init__"] <= 84
+    assert counts[0].get("_key", 0) <= 57
+    assert check_epi(cert)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import count_calls, criterion_6_circles, graphs
 
 from gbs.arith import factorize
 from gbs.errors import InputError, NotReducedError, VertexCapError
@@ -23,6 +23,7 @@ from gbs.graphs import (
 from gbs.plateaus import (
     Plateau,
     RankReport,
+    TwoGenWitness,
     check_copr,
     is_two_generated,
     mu,
@@ -352,3 +353,48 @@ def test_rank_above_the_factor_cap():
     p = 10**12 + 39  # a prime above the default factorization cap
     report = mu(segment_graph([p, 6]))
     assert (report.beta, report.mu, report.rank) == (0, 2, 2)
+
+
+# -- the 2-generation test builds the plateau family once ----------------------
+
+
+def _is_two_generated_reference(g):
+    """The double pass: mu and classify_shape each build the plateau family."""
+    report = mu(g)
+    shape = classify_shape(g)
+    return report.rank <= 2, TwoGenWitness(report, shape)
+
+
+def test_two_generation_matches_double_pass_on_criterion_6_circles():
+    for _, _, _, g in criterion_6_circles():
+        assert is_two_generated(g) == _is_two_generated_reference(g), g
+
+
+@st.composite
+def reduced_segments_circles_lollipops(draw):
+    label = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 14, 15, 18, 21, 30, -2, -3, -6])
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 4))
+        g = segment_graph(draw(st.lists(label, min_size=2 * k, max_size=2 * k)))
+    else:
+        g = draw(circles_and_lollipops())
+    return reduce_graph(g)[0]
+
+
+@given(reduced_segments_circles_lollipops())
+@settings(max_examples=300, deadline=None)
+def test_two_generation_matches_double_pass(g):
+    # whole outputs: rank report (hitting set, plateau sets) and shape (base, flag)
+    assert is_two_generated(g) == _is_two_generated_reference(g)
+
+
+def test_two_generation_builds_one_plateau_family(monkeypatch):
+    import sys
+
+    mod = sys.modules["gbs.plateaus"]
+    calls = count_calls(monkeypatch, [(mod, "plateau_family"), (mod, "mu"), (mod, "classify_shape")])
+    g = circle_graph([4, 2, 3, 10])
+    for _ in range(2):  # the second call on the same graph does the same work
+        calls.clear()
+        assert is_two_generated(g)[1].shape.kind == "circle"
+        assert calls == {"plateau_family": 1, "mu": 1, "classify_shape": 1}

@@ -1,20 +1,27 @@
 import random
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings
 
-from gbs import quotients
+from conftest import count_calls, criterion_6_circles
+from gbs import arith, quotients
 from gbs.arith import factorize, gcd
 from gbs.decision import Decision
 from gbs.errors import DecisionError, ElementaryGroupError, InputError, NotReducedError, ShapeError
 from gbs.graphs import (
+    LabelledGraph,
     bs_graph,
     circle_graph,
     graph_from_edges,
     lollipop_graph,
+    qrxy,
     segment_graph,
 )
 from gbs.homs import check_epi, bs_source_epi, minimal_bs_epi
+from gbs.plateaus import is_two_generated
+from test_plateaus import reduced_segments_circles_lollipops
 from gbs.bs_arith import exists_epi_bs
 from gbs.quotients import (
     bs_sources,
@@ -162,7 +169,8 @@ def _quotient_rigidity_reference(m, n):
     return "neither"
 
 
-def test_quotient_deciders_factor_each_parameter_once(monkeypatch):
+def test_quotient_deciders_match_reference_without_factoring(monkeypatch):
+    # trial division decides every parameter of the grid: nothing is factored
     calls = []
 
     def counting(n, cap=None):
@@ -170,20 +178,60 @@ def test_quotient_deciders_factor_each_parameter_once(monkeypatch):
         return factorize(n, cap)
 
     monkeypatch.setattr(quotients, "factorize", counting)
+    monkeypatch.setattr(arith, "factorize", counting)
     grid = [i for i in range(-12, 13) if i]
     for m in grid:
         for n in grid:
-            calls.clear()
             assert finitely_many_quotients(m, n) == _finitely_many_quotients_reference(m, n), (m, n)
-            assert sorted(calls) == sorted([m, n]), (m, n)
-            calls.clear()
             assert quotient_rigidity(m, n) == _quotient_rigidity_reference(m, n), (m, n)
-            assert len(calls) == len(set(calls)) <= 2, (m, n)
+    assert calls == []
+
+
+def test_quotient_deciders_factor_only_without_a_small_divisor(monkeypatch):
+    calls = []
+
+    def counting(n, cap=None):
+        calls.append(n)
+        return factorize(n, cap)
+
+    monkeypatch.setattr(arith, "factorize", counting)
+    p, q = 1009, 1013  # no divisor below the trial bound
+    assert quotient_rigidity(p * q, 2 * p) == "neither"
+    assert calls == [p * q]
+    calls.clear()
+    assert finitely_many_quotients(p * q, 2 * p * q) == _finitely_many_quotients_reference(p * q, 2 * p * q)
+    assert calls == [p * q]  # 2 divides 2pq, and {pq, 2pq} has two base elements
+
+
+def test_quotient_deciders_match_reference_on_prime_powers():
+    vals = [s * b**e for b in (2, 3, 1009) for e in (1, 2, 3) if b**e < 10**7 for s in (1, -1)]
+    for m in vals + [1, 12, -18]:
+        for n in vals:
+            assert finitely_many_quotients(m, n) == _finitely_many_quotients_reference(m, n), (m, n)
+            assert quotient_rigidity(m, n) == _quotient_rigidity_reference(m, n), (m, n)
+    # 4 and -4 are powers of one prime, although their coprime base {4} is not a prime
+    assert "(d)" in finitely_many_quotients(4, -4).clause
+
+
+P_BIG = 10**12 + 39  # 2 * P_BIG is above the default factorization cap
 
 
 def test_rigidity_answers_without_factoring_a_unit_pair():
-    big = 2 * (10**12 + 39)  # above the factorization cap, never factored here
+    big = 2 * P_BIG  # above the factorization cap, never factored here
     assert quotient_rigidity(1, big) == quotient_rigidity(-1, big) == "all_noncyclic_iso"
+
+
+def test_rigidity_tests_a_unit_before_the_other_parameter():
+    big = 2 * P_BIG
+    for m, n in ((big, -1), (-1, big), (big, 1), (1, big)):
+        assert quotient_rigidity(m, n) == "all_noncyclic_iso", (m, n)
+
+
+def test_quotient_deciders_see_a_small_divisor_above_the_cap():
+    # 2 | 2p and 2 | 4p: neither parameter is prime, and {2p, 4p} has the coprime base {2, p}
+    for m, n in ((2 * P_BIG, 4 * P_BIG), (4 * P_BIG, 2 * P_BIG)):
+        assert finitely_many_quotients(m, n) == Decision(False, "no clause applies"), (m, n)
+        assert quotient_rigidity(m, n) == "neither", (m, n)
 
 
 def test_large():
@@ -393,3 +441,66 @@ def test_epi_equivalence_consistency():
         assert is_quotient_of_bs(g, *got)
         assert check_epi(bs_source_epi(g, *got))
         assert check_epi(minimal_bs_epi(g))
+
+
+# -- epi-equivalence runs the 2-generation test once ----------------------------
+
+
+def _epi_equivalent_bs_reference(g):
+    """The double pass: maps_onto_minimal_bs reruns reducedness, the
+    elementary check and the 2-generation test."""
+    if not g.is_reduced():
+        raise NotReducedError("decider needs a reduced graph")
+    if quotients._detect_elementary(g) in ("Z", "K"):
+        return None
+    ok, witness = is_two_generated(g)
+    if not ok or witness.rank.rank != 2 or witness.shape.kind in ("segment", "other"):
+        return None
+    if not maps_onto_minimal_bs(g):
+        return None
+    prods = qrxy(witness.shape)
+    return (prods.Q * prods.X, prods.Q * prods.Y)
+
+
+def test_epi_equivalence_matches_double_pass_on_criterion_6_circles():
+    for alpha, _, gamma, g in criterion_6_circles():
+        got = epi_equivalent_bs(g)
+        assert got == _epi_equivalent_bs_reference(g), g
+        assert (got is not None) == (gcd(gamma, alpha) == 1), g
+
+
+@given(reduced_segments_circles_lollipops())
+@settings(max_examples=300, deadline=None)
+def test_epi_equivalence_matches_double_pass(g):
+    try:
+        want = _epi_equivalent_bs_reference(g)
+    except Exception as exc:  # the same typed error, or none
+        with pytest.raises(type(exc)):
+            epi_equivalent_bs(g)
+        return
+    assert epi_equivalent_bs(g) == want
+
+
+def test_epi_equivalence_runs_each_graph_query_once(monkeypatch):
+    mod = sys.modules["gbs.plateaus"]
+    calls = count_calls(
+        monkeypatch,
+        [
+            (mod, "mu"),
+            (mod, "classify_shape"),
+            (quotients, "_detect_elementary"),
+            (LabelledGraph, "is_connected"),
+            (LabelledGraph, "is_reduced"),
+        ],
+    )
+    g = graph_from_edges([("e0", "w0", "w1", 4, 2), ("e1", "w1", "w0", 3, 10)])
+    counts = []
+    for _ in range(2):  # no cross-call cache: the second call does the same work
+        calls.clear()
+        assert epi_equivalent_bs(g) == (12, 20)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    # the double pass made 2, 2, 2, 20 and 4 calls (mu checks reducedness too)
+    assert counts[0]["mu"] == counts[0]["classify_shape"] == counts[0]["_detect_elementary"] == 1
+    assert counts[0]["is_connected"] <= 7
+    assert counts[0]["is_reduced"] == 2
