@@ -161,15 +161,20 @@ def expanded(cert):
     return dataclasses.replace(cert, images=flat(cert.images), witnesses=flat(cert.witnesses))
 
 
+def cert_line(cert) -> bytes:
+    """The compact expanded JSON of one certificate, as one line."""
+    return json.dumps(expanded(cert).to_json(), separators=(",", ":")).encode() + b"\n"
+
+
 def main() -> int:
     total = hashlib.sha256()
     count = 0
     for name, certs in groups():
         part = hashlib.sha256()
         for cert in certs:
-            text = json.dumps(expanded(cert).to_json(), separators=(",", ":")).encode()
-            part.update(text + b"\n")
-            total.update(text + b"\n")
+            text = cert_line(cert)
+            part.update(text)
+            total.update(text)
         count += len(certs)
         print(f"{part.hexdigest()}  {name} ({len(certs)})")
     print(f"{total.hexdigest()}  {count} certificates")

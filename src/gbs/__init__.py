@@ -28,7 +28,6 @@ from .words import (
     modular_image,
     modulus,
     segment_center_index,
-    standard_presentation,
 )
 from .plateaus import check_copr, is_two_generated, mu, plateaus
 from .bs_arith import (
@@ -45,7 +44,6 @@ from .homs import (
     check_epi,
     check_hom,
     contraction_cert,
-    contraction_epi,
     non_hopf_endo,
     bs_source_epi,
     minimal_bs_epi,

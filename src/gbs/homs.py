@@ -6,6 +6,8 @@ generator, a source word mapping onto it).  Checking is purely mechanical:
 source relators must map to Britton-trivial words, witness equations must
 verify under the word engine.  Words may hold shared subword powers; they
 are mapped and reduced once per shared subword, never written out.
+Composition is substitution: each generator of the middle presentation is
+rewritten and mapped once, and every word goes through that generator map.
 
 The module also produces the canonical certificates: the ones induced by
 graph moves (collapse, expansion, sign change, contraction, displacement),
@@ -53,6 +55,7 @@ from .words import (
     modulus,
     parse_letters,
     reduce_syllables,
+    syllables_inverse,
 )
 
 
@@ -77,8 +80,15 @@ def tree_containing(g: LabelledGraph, edge: str) -> frozenset[str]:
 
 
 def gen_name(gen: tuple[str, str]) -> str:
-    kind, name = gen
-    return f"a({name})" if kind == "v" else f"t({name})"
+    return format_letters((gen + (1,),))
+
+
+def _parse_gen(key: str) -> tuple[str, str]:
+    """The generator a certificate key names: one plain letter, exponent 1."""
+    letters = parse_letters(key)
+    if len(letters) != 1 or letters[0][2] != 1:  # a w<i> token names no entry here
+        raise InputError(f"certificate key {key!r} names no generator a(v) or t(e)")
+    return letters[0][:2]
 
 
 @dataclass
@@ -117,10 +127,6 @@ class HomCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "HomCertificate":
-        def parse_gen(s: str):
-            kind = "v" if s.startswith("a(") else "t"
-            return (kind, s[2:-1])
-
         texts = data.get("words", [])
         strings = isinstance(texts, list) and all(isinstance(t, str) for t in texts)
         if data.get("version", 1) not in (1, 2) or not strings:
@@ -131,10 +137,10 @@ class HomCertificate:
         return cls(
             source=_pres_from_json(data["source"]),
             target=_pres_from_json(data["target"]),
-            images={parse_gen(k): parse_letters(v, table) for k, v in data["images"].items()},
+            images={_parse_gen(k): parse_letters(v, table) for k, v in data["images"].items()},
             witnesses=None
             if data.get("witnesses") is None
-            else {parse_gen(k): parse_letters(v, table) for k, v in data["witnesses"].items()},
+            else {_parse_gen(k): parse_letters(v, table) for k, v in data["witnesses"].items()},
             provenance=data.get("provenance", ""),
             flags=tuple(data.get("flags", ())),
         )
@@ -201,11 +207,11 @@ class _Reducer:
             elif exp:
                 mid = len(piece) // 2
                 elliptic = len(piece) % 2 and piece[mid][0] == "v"  # p a(v)^x p^-1
-                if elliptic and (not mid or piece[mid + 1 :] == _inverse(piece[:mid])):
+                if elliptic and (not mid or piece[mid + 1 :] == syllables_inverse(piece[:mid])):
                     syls.extend(piece[:mid] + (("v", piece[mid][1], piece[mid][2] * exp),) + piece[mid + 1 :])
                 else:
                     check_word_cap(self.written + len(syls) + abs(exp) * len(piece))
-                    syls.extend((piece if exp > 0 else _inverse(piece)) * abs(exp))
+                    syls.extend((piece if exp > 0 else syllables_inverse(piece)) * abs(exp))
         return syls
 
     def leaf(self, kind, name, source: bool) -> tuple:
@@ -230,10 +236,6 @@ class _Reducer:
         return reduce_syllables(self.cert.target.graph.edges, syls)
 
 
-def _inverse(syls) -> tuple:
-    return tuple(("v", s[1], -s[2]) if s[0] == "v" else ("e", s[1], 1 - s[2]) for s in reversed(syls))
-
-
 def check_hom(cert: HomCertificate) -> bool:
     """Every source relator maps to a Britton-trivial target word."""
     red = _Reducer(cert)
@@ -250,7 +252,7 @@ def check_epi(cert: HomCertificate) -> bool:
     for gen in cert.target.generators():
         if gen not in cert.witnesses:
             raise MissingWitnessError(f"missing witness for {gen_name(gen)}")
-        if red.reduce(cert.witnesses[gen], True, _inverse(cert.target.reduced_generator(*gen))):
+        if red.reduce(cert.witnesses[gen], True, syllables_inverse(cert.target.reduced_generator(*gen))):
             return False
     return True
 
@@ -264,59 +266,38 @@ def identity_cert(pres: Presentation, provenance: str = "identity") -> HomCertif
     return HomCertificate(pres, pres, _identity_images(pres), _identity_images(pres), provenance)
 
 
-def convert_letters(letters, pres_from: Presentation, pres_to: Presentation, memo: dict | None = None) -> tuple:
-    """Rewrite a letter word between presentations of the same graph.
-
-    Conversion always runs through paths at one canonical base vertex so
-    that the two directions used during composition are mutually inverse
-    (base-dependent conversions would differ by an inner automorphism).
-    Runs of plain letters go through paths; memo maps each shared subword
-    once, and keeps the two helper presentations."""
-    if pres_from.graph != pres_to.graph:
-        raise CertificateError("presentations live on different graphs")
+def _generator_map(pres_from: Presentation, pres_to: Presentation, images: dict) -> dict:
+    """Each generator of pres_from rewritten over pres_to, a presentation of
+    the same graph, then sent through `images` (keyed by pres_to's
+    generators).  Rewriting runs through paths at one canonical base vertex,
+    so that the two directions used in composition are mutually inverse
+    (base-dependent rewritings would differ by an inner automorphism)."""
     if pres_from.tree == pres_to.tree:
-        return letters
-    memo = {} if memo is None else memo
-    if "helpers" not in memo:
-        base = pres_from.graph.sorted_vertices()[0]
-        memo["helpers"] = tuple(  # a presentation already at the base is its own helper
-            p if p.base == base else Presentation(p.graph, p.tree, base) for p in (pres_from, pres_to)
-        )
-    helper_from, helper_to = memo["helpers"]
-
-    def convert(word):
-        out, start = [], 0
-        for i, (kind, sub, exp) in enumerate(word):
-            if kind != "w":
-                continue
-            out.append(helper_to.path_to_letters(helper_from.letters_to_path(word[start:i])))
-            if id(sub) not in memo:
-                memoize_shared(memo, sub, convert)
-            out.append(letters_power(memo[id(sub)][1], exp))
-            start = i + 1
-        out.append(helper_to.path_to_letters(helper_from.letters_to_path(word[start:])))
-        return out[0] if len(out) == 1 else letters_concat(*out)
-
-    return convert(letters)
+        return images
+    base = pres_from.graph.sorted_vertices()[0]
+    helper_from, helper_to = (  # a presentation already at the base is its own helper
+        p if p.base == base else Presentation(p.graph, p.tree, base) for p in (pres_from, pres_to)
+    )
+    through = {}
+    for kind, name in pres_from.generators():
+        letters = helper_to.path_to_letters(helper_from.letters_to_path(((kind, name, 1),)))
+        through[(kind, name)] = substitute_letters(letters, images)
+    return through
 
 
 def compose(c1: HomCertificate, c2: HomCertificate, provenance: str = "") -> HomCertificate:
-    """Certificate for the composite map (c2 after c1).  Shared subwords
-    are converted and mapped once, for the images and for the witnesses."""
+    """Certificate for the composite map (c2 after c1): each word goes
+    through one generator map, each shared subword mapped once."""
     if c1.target.graph != c2.source.graph:
         raise CertificateError("composition: target/source graphs differ")
-    images = {}
-    converted, mapped = {}, {}
-    for gen, word in c1.images.items():
-        mid = convert_letters(word, c1.target, c2.source, converted)
-        images[gen] = substitute_letters(mid, c2.images, mapped)
+    through = _generator_map(c1.target, c2.source, c2.images)
+    memo: dict = {}
+    images = {gen: substitute_letters(word, through, memo) for gen, word in c1.images.items()}
     witnesses = None
     if c1.witnesses is not None and c2.witnesses is not None:
-        witnesses = {}
-        converted, mapped = {}, {}
-        for gen, word in c2.witnesses.items():
-            mid = convert_letters(word, c2.source, c1.target, converted)
-            witnesses[gen] = substitute_letters(mid, c1.witnesses, mapped)
+        through = _generator_map(c2.source, c1.target, c1.witnesses)
+        memo = {}
+        witnesses = {gen: substitute_letters(word, through, memo) for gen, word in c2.witnesses.items()}
     return HomCertificate(
         c1.source,
         c2.target,
@@ -461,13 +442,6 @@ def contraction_cert(g: LabelledGraph, edge: str, survivor_end: int = 0):
     witnesses[("v", survivor)] = letters_concat((("v", v, x),), (("v", w, y),))
     fwd = cert_from_graph_map(src, tgt, gmap, f"contraction({edge})", witnesses)
     return g2, fwd
-
-
-def contraction_epi(g: LabelledGraph, edge: str, survivor_end: int = 0) -> HomCertificate:
-    """The epimorphism induced by contracting a non-loop edge (certificate
-    only; contraction_cert also returns the quotient graph)."""
-    _, cert = contraction_cert(g, edge, survivor_end)
-    return cert
 
 
 def displacement_cert(g: LabelledGraph, edge: str, r: int, divided_end: int):

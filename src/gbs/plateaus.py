@@ -49,6 +49,11 @@ def plateaus(g: LabelledGraph, p: int) -> list[Plateau]:
     if p < 2:
         raise InputError(f"plateaus need a prime p, not {p}")
     g.require_connected()
+    return _plateaus(g, p)
+
+
+def _plateaus(g: LabelledGraph, p: int) -> list[Plateau]:
+    """plateaus(g, p) on a graph already known to be connected."""
     index = {v: i for i, v in enumerate(g.sorted_vertices())}
     seen: set[str] = set()
     found = []
@@ -81,10 +86,11 @@ def plateaus(g: LabelledGraph, p: int) -> list[Plateau]:
 def plateau_family(g: LabelledGraph) -> list[Plateau]:
     """Plateaus for every element of the labels' coprime base (the primes of
     one element share their plateaus), plus the whole graph (the only
-    plateau for every prime dividing no label)."""
+    plateau for every prime dividing no label).  The graph must be connected:
+    mu and classify_shape check it first."""
     fam = [Plateau(0, frozenset(g.vertices))]
     for p in coprime_base(set(g.labels())):
-        fam.extend(plateaus(g, p))
+        fam.extend(_plateaus(g, p))
     return fam
 
 
@@ -95,14 +101,15 @@ def mu(g: LabelledGraph) -> RankReport:
     a minimal one adds only vertices of U, the union of the plateaus F misses.
     Subsets of U are searched in the order of a search over all vertices, so
     the set found is the same.  The cost is exponential only in |U|, and
-    GBS_TOOLKIT_MAX_VERTICES caps the vertex count."""
+    GBS_TOOLKIT_MAX_VERTICES caps the vertex count.  Connectivity is checked
+    once, here; beta and the plateau family rely on it."""
     g.require_connected()
     if not g.is_reduced():
         raise NotReducedError("rank formula needs a reduced graph")
     cap = env_int("GBS_TOOLKIT_MAX_VERTICES", VERTEX_CAP_DEFAULT)
     if len(g.vertices) > cap:
         raise VertexCapError(f"{len(g.vertices)} vertices exceeds cap {cap}")
-    beta = g.betti()
+    beta = len(g.edges) - len(g.vertices) + 1
     sets = sorted({pl.vertices for pl in plateau_family(g)}, key=lambda s: (len(s), sorted(s)))
     forced = frozenset(v for s in sets if len(s) == 1 for v in s)
     unhit = [s for s in sets if not forced & s]

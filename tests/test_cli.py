@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from gbs import quotients
+from gbs import non_hopf_endo, quotients
 from gbs.cli import main
 
 
@@ -140,6 +140,33 @@ def test_input_errors_exit_1(capsys):
 def test_verify_malformed_certificate_exit_1(tmp_path, capsys, payload):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def _rename_stable_keys(data):
+    data["witnesses"]["x(e0)"] = data["witnesses"].pop("t(e0)")
+    data["images"]["y(e0)"] = data["images"].pop("t(e0)")
+    data["images"]["bogus"] = "a(v0)"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _rename_stable_keys,
+        lambda d: d["images"].__setitem__("a(v0)^2", "a(v0)"),
+        lambda d: d["images"].__setitem__("a(v0) t(e0)", "a(v0)"),
+        lambda d: d["witnesses"].__setitem__("1", "a(v0)"),
+        lambda d: d["witnesses"].__setitem__("w0", "a(v0)"),
+    ],
+    ids=["renamed", "power", "two-letters", "empty", "shared"],
+)
+def test_verify_malformed_generator_key_exit_1(tmp_path, capsys, edit):
+    data = non_hopf_endo(2, 3).cert.to_json()
+    edit(data)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1 and out == ""
     assert err.startswith("input error:") and "Traceback" not in err

@@ -521,7 +521,6 @@ def _eager(mp):
     """Make the builders use the eager word operations."""
     mp.setattr(homs, "letters_power", letters_power_reference)
     mp.setattr(homs, "substitute_letters", substitute_letters_reference)
-    mp.setattr(homs, "convert_letters", convert_letters_reference)
     mp.setattr(homs, "compose", compose_reference)
 
 
@@ -673,8 +672,8 @@ def test_reducer_caps_what_it_writes_out(monkeypatch):
 
 
 def test_circle_composition_builds_no_duplicate_presentations(monkeypatch):
-    # compose and convert_letters compare a graph with itself and reuse a
-    # presentation already at the canonical base (the parent counts: 128, 572)
+    # compose compares a graph with itself, and its generator maps reuse a
+    # presentation already at the canonical base (earlier counts: 128, 572)
     calls = count_calls(monkeypatch, [(Presentation, "__init__"), (LabelledGraph, "_key")])
     g = circle_graph([2, 3] * 4)
     counts = []

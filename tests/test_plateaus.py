@@ -9,6 +9,7 @@ from conftest import count_calls, criterion_6_circles, graphs
 from gbs.arith import factorize
 from gbs.errors import InputError, NotReducedError, VertexCapError
 from gbs.graphs import (
+    LabelledGraph,
     Shape,
     bs_graph,
     circle_graph,
@@ -398,3 +399,10 @@ def test_two_generation_builds_one_plateau_family(monkeypatch):
         calls.clear()
         assert is_two_generated(g)[1].shape.kind == "circle"
         assert calls == {"plateau_family": 1, "mu": 1, "classify_shape": 1}
+
+
+def test_mu_checks_connectivity_once(monkeypatch):
+    calls = count_calls(monkeypatch, [(LabelledGraph, "is_connected")])
+    report = mu(circle_graph([2, 3, 5, 7, 3, 4]))
+    assert calls == {"is_connected": 1}
+    assert report.beta == 1 and report.plateau_sets

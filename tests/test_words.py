@@ -32,6 +32,7 @@ from gbs.words import (
     modulus,
     parse_letters,
     format_letters,
+    reduce_syllables,
     segment_center_index,
 )
 
@@ -201,9 +202,7 @@ def _is_elliptic_reference(g, w):
             return False
         wrap = ("v", g.origin(last), ((tail + lead) // g.colabel(last)) * g.label(last))
         middle = syls[first_i + 1 : last_i]
-        base2 = g.terminus(first)
-        nf2 = britton_reduce(g, PathWord(base2, tuple(middle) + (wrap,)), validate=False)
-        syls = list(nf2.word.syllables)
+        syls = list(reduce_syllables(g.edges, tuple(middle) + (wrap,)))
 
 
 def _elliptic_case(rng):
