@@ -7,9 +7,12 @@ endpoint pair and a label pair; the oriented edge (name, end) has origin
 endpoints, two labels).
 
 Graph values are immutable by convention: every move returns a new graph
-together with a replayable MoveRecord.  No query result is cached on a graph
-(the incidence index `_incidence` is its only lazily built field); each
-public entry point computes an invariant once and passes it down.
+together with a replayable MoveRecord.  The multi-move routines
+(`reduce_graph`, `canonicalize_signs`) edit one working copy and build their
+result graph once, with the same records as the single moves.  No query
+result is cached on a graph (the incidence index `_incidence` is its only
+lazily built field); each public entry point computes an invariant once and
+passes it down.
 """
 
 from dataclasses import dataclass
@@ -327,18 +330,21 @@ class MoveRecord:
         return cls(data["kind"], tuple(fix(p) for p in data["params"]))
 
 
+def _rescaled(ed: EdgeData, at: dict) -> EdgeData:
+    """`ed` with each end at a vertex u in `at` re-rooted at at[u][1] and its
+    label multiplied by at[u][0]."""
+    (a, b), (la, lb) = ed.endpoints, ed.labels
+    (ma, ua), (mb, ub) = at.get(a, (1, a)), at.get(b, (1, b))
+    return EdgeData((ua, ub), (la * ma, lb * mb))
+
+
 def _rescaled_edges(g: LabelledGraph, at: dict, drop: str | None = None) -> dict:
-    """The edges of g less `drop`, with each end at a vertex u in `at`
-    re-rooted at at[u][1] and its label multiplied by at[u][0]."""
+    """The edges of g less `drop`, each `_rescaled` by `at` where it meets it."""
     edges = {}
     for name, ed in g.edges.items():
-        if name == drop:
-            continue
-        a, b = ed.endpoints
-        if a in at or b in at:
-            (ma, ua), (mb, ub) = at.get(a, (1, a)), at.get(b, (1, b))
-            ed = EdgeData((ua, ub), (ed.labels[0] * ma, ed.labels[1] * mb))
-        edges[name] = ed
+        if name != drop:
+            a, b = ed.endpoints
+            edges[name] = _rescaled(ed, at) if a in at or b in at else ed
     return edges
 
 
@@ -525,28 +531,40 @@ def reduce_graph(g: LabelledGraph, protect: str | None = None):
     then fail to be reduced).  A collapse only multiplies labels by nonzero
     integers and merges two vertices, so an edge passed over never becomes
     collapsible later: one pass in edge id order makes the same moves as
-    rescanning after every collapse."""
+    rescanning after every collapse.  Each collapse rewrites only the edges
+    at the removed vertex of one working copy; the result is built once."""
     g.require_connected()
+    edges = dict(g.edges)
+    incident = {v: set() for v in g.vertices}  # vertex -> names of the edges at it
+    for name, ed in edges.items():
+        for v in ed.endpoints:
+            incident[v].add(name)
     records = []
     for name in g.sorted_edges():
-        if g.is_loop(name):
-            continue
-        ed = g.edges[name]
+        ed = edges[name]
         for end in (0, 1):
-            if abs(ed.labels[end]) == 1 and ed.endpoints[end] != protect:
-                g, rec = collapse(g, name, end)
-                records.append(rec)
+            removed, survivor = ed.endpoints[end], ed.endpoints[1 - end]
+            if abs(ed.labels[end]) == 1 and removed != survivor and removed != protect:
+                mult = ed.labels[end] * ed.labels[1 - end]
+                del edges[name]
+                incident[survivor].discard(name)
+                at = {removed: (mult, survivor)}
+                for other in incident.pop(removed) - {name}:
+                    edges[other] = _rescaled(edges[other], at)
+                    incident[survivor].add(other)
+                records.append(MoveRecord("collapse", (name, end, removed, survivor, mult)))
                 break
-    return g, records
+    return (LabelledGraph(incident, edges) if records else g), records
 
 
 def canonicalize_signs(g: LabelledGraph):
     """Admissible sign changes making all but at most beta(G) labels positive.
 
     Tree labels become positive; each non-tree edge keeps at most one
-    negative label, placed at end 1.  Deterministic."""
-    g.require_connected()
+    negative label, placed at end 1.  Deterministic.  The moves edit one
+    working copy of the labels; the result is built once."""
     tree = spanning_tree(g)
+    labels = {name: list(ed.labels) for name, ed in g.edges.items()}
     records = []
     root = g.sorted_vertices()[0]
     # BFS order over tree edges
@@ -561,29 +579,27 @@ def canonicalize_signs(g: LabelledGraph):
                 order.append(oe)
                 queue.append(g.terminus(oe))
     for oe in order:
-        parent_label = g.label(oe)
-        child_label = g.colabel(oe)
-        child = g.terminus(oe)
-        if parent_label < 0:
-            g, rec = sign_change(g, edge=oe.edge)
-            records.append(rec)
-            child_label = -child_label
-        if child_label < 0:
-            g, rec = sign_change(g, vertex=child)
-            records.append(rec)
+        lab = labels[oe.edge]
+        if lab[oe.end] < 0:
+            lab[0], lab[1] = -lab[0], -lab[1]
+            records.append(MoveRecord("sign-change", ("edge", oe.edge)))
+        if lab[1 - oe.end] < 0:
+            child = g.terminus(oe)
+            for near in g.edges_at(child):
+                labels[near.edge][near.end] *= -1
+            records.append(MoveRecord("sign-change", ("vertex", child)))
     for name in g.sorted_edges():
-        if name in tree:
-            continue
-        l0, l1 = g.edges[name].labels
-        if (l0 < 0 and l1 < 0) or (l0 < 0 < l1):
-            g, rec = sign_change(g, edge=name)
-            records.append(rec)
+        if name not in tree and labels[name][0] < 0:
+            labels[name] = [-l for l in labels[name]]
+            records.append(MoveRecord("sign-change", ("edge", name)))
+    if records:
+        g = LabelledGraph(g.vertices, {n: EdgeData(ed.endpoints, tuple(labels[n])) for n, ed in g.edges.items()})
     return g, records
 
 
 def spanning_tree(g: LabelledGraph) -> frozenset[str]:
-    """Deterministic BFS spanning tree (set of edge names)."""
-    g.require_connected()
+    """Deterministic BFS spanning tree (set of edge names); its search is the
+    connectivity check."""
     root = g.sorted_vertices()[0]
     seen = {root}
     tree = set()
@@ -596,6 +612,8 @@ def spanning_tree(g: LabelledGraph) -> frozenset[str]:
                 seen.add(w)
                 tree.add(oe.edge)
                 queue.append(w)
+    if len(seen) != len(g.vertices):
+        raise DisconnectedGraphError("graph is not connected")
     return frozenset(tree)
 
 
@@ -682,7 +700,7 @@ def classify_shape(g: LabelledGraph, *, _plateau_sets=None) -> Shape:
     caller that has built them (is_two_generated), so they are built once.
     """
     g.require_connected()
-    beta = g.betti()
+    beta = len(g.edges) - len(g.vertices) + 1
     valences = {v: g.valence(v) for v in g.vertices}
     terminals = sorted((v for v, d in valences.items() if d == 1), key=id_key)
     if not g.edges:

@@ -191,18 +191,24 @@ class Presentation:
     """Standard presentation attached to (graph, spanning tree, base)."""
 
     def __init__(self, g: LabelledGraph, tree: frozenset[str] | None = None, base: str | None = None):
-        g.require_connected()
         self.graph = g
         self.tree = frozenset(tree) if tree is not None else spanning_tree(g)
         if len(self.tree) != len(g.vertices) - 1 or any(e not in g.edges for e in self.tree):
-            raise InputError("not a spanning tree")
+            raise self._invalid("not a spanning tree")
         self.base = base if base is not None else g.sorted_vertices()[0]
         if self.base not in g.vertices:
-            raise InputError(f"unknown base vertex {self.base}")
+            raise self._invalid(f"unknown base vertex {self.base}")
         self._geodesics, self._geo_inv = self._compute_geodesics()
         self._reduced: dict = {}
         if len(self._geodesics) != len(g.vertices):
-            raise InputError("spanning tree does not span")
+            raise self._invalid("spanning tree does not span")
+
+    def _invalid(self, message: str) -> InputError:
+        """A tree that spans proves the graph connected, so connectivity is
+        checked only when a check fails; a disconnected graph is reported
+        as such first."""
+        self.graph.require_connected()
+        return InputError(message)
 
     def _compute_geodesics(self) -> tuple[dict[str, tuple], dict[str, tuple]]:
         """Tree paths from the base to each vertex, and their inverses."""

@@ -1,9 +1,12 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import count_calls, graphs
 
-from gbs.errors import InputError, MoveError, ShapeError
+from gbs.errors import DisconnectedGraphError, InputError, MoveError, ShapeError
 from gbs.graphs import (
     EdgeData,
     LabelledGraph,
@@ -27,6 +30,7 @@ from gbs.graphs import (
     sign_change,
     spanning_tree,
 )
+from gbs.plateaus import is_two_generated
 
 
 def test_parse_and_serialize_round_trip():
@@ -132,11 +136,56 @@ def _reduce_graph_reference(g, protect=None):
             return g, records
 
 
+def _assert_reduces_like_reference(g, protect):
+    red, recs = reduce_graph(g, protect)
+    ref, ref_recs = _reduce_graph_reference(g, protect)
+    assert red == ref and list(red.edges) == list(ref.edges)
+    assert [r.to_json() for r in recs] == [r.to_json() for r in ref_recs]
+
+
+def _unit_segment_labels(rng, units):
+    """Segment labels with `units` unit edges, each unit at either end and
+    of either sign, shuffled among a few reduced edges."""
+    labels = []
+    kinds = ["unit"] * units + ["rest"] * max(2, units // 8)
+    rng.shuffle(kinds)
+    for kind in kinds:
+        if kind == "unit":
+            pair = [rng.choice((1, -1)), rng.choice((1, -1, 2, -2, 3))]
+            rng.shuffle(pair)
+        else:
+            pair = [rng.choice((2, 3, 5, -2)), rng.choice((2, 3, 5, -3))]
+        labels += pair
+    return labels
+
+
 @given(graphs(max_vertices=6, max_extra=3, max_label=3), st.data())
 @settings(max_examples=150, deadline=None)
 def test_reduce_graph_matches_rescanning_reference(g, data):
     protect = data.draw(st.sampled_from([None] + g.sorted_vertices()))
-    assert reduce_graph(g, protect) == _reduce_graph_reference(g, protect)
+    _assert_reduces_like_reference(g, protect)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_long_segment_reduction_matches_rescanning_reference(seed):
+    rng = random.Random(seed)
+    g = segment_graph(_unit_segment_labels(rng, rng.randint(50, 200)))
+    for protect in (None, rng.choice(g.sorted_vertices()), "v0"):
+        _assert_reduces_like_reference(g, protect)
+
+
+def test_multi_move_routines_build_no_graph_per_move(monkeypatch):
+    mod = sys.modules["gbs.graphs"]
+    calls = count_calls(
+        monkeypatch, [(mod, "collapse"), (mod, "sign_change"), (LabelledGraph, "is_connected")]
+    )
+    red, recs = reduce_graph(segment_graph([1, 2] * 200))
+    assert len(recs) == 200 and not red.edges
+    assert calls == {"is_connected": 1}
+    calls.clear()
+    out, recs = canonicalize_signs(circle_graph([-2, 3, 5, -7] * 25))
+    assert recs and sum(l < 0 for l in out.labels()) <= 1  # beta = 1
+    assert calls == {}
 
 
 def test_sign_change_involution():
@@ -308,6 +357,65 @@ def test_qrxy_two_edge_circle():
     assert {abs(prods.X), abs(prods.Y)} == {2 * betav * gamma, 4 * alpha}
 
 
+def _canonicalize_signs_reference(g):
+    """Sign normalization one move at a time: each sign change builds a new
+    graph with `sign_change`."""
+    g.require_connected()
+    tree = spanning_tree(g)
+    records = []
+    root = g.sorted_vertices()[0]
+    seen = {root}
+    order = []
+    queue = [root]
+    while queue:
+        v = queue.pop(0)
+        for oe in g.edges_at(v):
+            if oe.edge in tree and g.terminus(oe) not in seen:
+                seen.add(g.terminus(oe))
+                order.append(oe)
+                queue.append(g.terminus(oe))
+    for oe in order:
+        parent_label = g.label(oe)
+        child_label = g.colabel(oe)
+        child = g.terminus(oe)
+        if parent_label < 0:
+            g, rec = sign_change(g, edge=oe.edge)
+            records.append(rec)
+            child_label = -child_label
+        if child_label < 0:
+            g, rec = sign_change(g, vertex=child)
+            records.append(rec)
+    for name in g.sorted_edges():
+        if name in tree:
+            continue
+        l0, l1 = g.edges[name].labels
+        if (l0 < 0 and l1 < 0) or (l0 < 0 < l1):
+            g, rec = sign_change(g, edge=name)
+            records.append(rec)
+    return g, records
+
+
+@st.composite
+def graphs_with_loops(draw):
+    """Small connected graphs with extra loops; labels of both signs."""
+    g = draw(graphs(max_vertices=6, max_extra=4))
+    label = st.integers(min_value=1, max_value=9).flatmap(lambda n: st.sampled_from([n, -n]))
+    loops = draw(st.lists(st.tuples(st.sampled_from(g.sorted_vertices()), label, label), max_size=3))
+    edges = dict(g.edges)
+    for i, (v, a, b) in enumerate(loops):
+        edges[f"l{i}"] = EdgeData((v, v), (a, b))
+    return LabelledGraph(g.vertices, edges)
+
+
+@given(graphs_with_loops())
+@settings(max_examples=200, deadline=None)
+def test_canonicalize_signs_matches_per_move_reference(g):
+    out, recs = canonicalize_signs(g)
+    ref, ref_recs = _canonicalize_signs_reference(g)
+    assert out == ref and list(out.edges) == list(ref.edges)
+    assert [r.to_json() for r in recs] == [r.to_json() for r in ref_recs]
+
+
 @given(graphs())
 @settings(max_examples=60, deadline=None)
 def test_canonicalize_signs_bound(g):
@@ -344,6 +452,18 @@ def test_spanning_tree():
     tree = spanning_tree(g)
     assert tree == frozenset({"s0"})
     assert spanning_tree(bs_graph(2, 3)) == frozenset()
+    with pytest.raises(DisconnectedGraphError):
+        spanning_tree(graph_from_edges([("e0", "a", "b", 2, 3)], extra_vertices=["c"]))
+
+
+def test_classify_shape_checks_connectivity_once(monkeypatch):
+    calls = count_calls(monkeypatch, [(LabelledGraph, "is_connected")])
+    g = circle_graph([2, 3, 5, 7, 3, 4])
+    assert classify_shape(g).kind == "circle"
+    assert calls == {"is_connected": 1}
+    calls.clear()
+    assert is_two_generated(g)[1].shape.kind == "circle"
+    assert calls == {"is_connected": 2}
 
 
 def test_moves_keep_labels_nonzero():

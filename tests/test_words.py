@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs, random_letters, small_connected_graph
 
-from gbs.errors import InputError, MalformedWordError, WordCapError
+from gbs.errors import DisconnectedGraphError, InputError, MalformedWordError, WordCapError
 from gbs.graphs import (
     OrientedEdge,
     bs_graph,
@@ -57,6 +57,27 @@ def test_classic_nonhopf_witness_words():
         (("t", "e0", 1), ("v", "v0", -1), ("t", "e0", -1), ("v", "v0", -1)),
     )
     assert not britton_reduce(g, pres.letters_to_path(w)).trivial
+
+
+@pytest.mark.parametrize(
+    "tree, base",
+    [
+        (None, None),
+        (None, "zz"),
+        ({"e0"}, None),  # too few edges
+        ({"e0", "e1", "zz"}, None),  # an unknown edge
+        ({"e0", "e1", "l0"}, None),  # enough edges, but they do not span
+        ({"e0", "e1", "l0"}, "zz"),  # and an unknown base
+    ],
+)
+def test_presentation_reports_a_disconnected_graph_first(tree, base):
+    g = graph_from_edges([("e0", "a", "b", 2, 3), ("e1", "c", "d", 2, 3), ("l0", "c", "c", 1, 2)])
+    with pytest.raises(DisconnectedGraphError):
+        Presentation(g, tree, base)
+    connected = graph_from_edges([("e0", "a", "b", 2, 3), ("e1", "b", "c", 2, 3), ("e2", "c", "d", 2, 3)])
+    if tree is not None or base is not None:  # the same bad tree or base on a connected graph
+        with pytest.raises(InputError):
+            Presentation(connected, tree, base)
 
 
 def test_lollipop_relation_a_power_equals_b_power():
