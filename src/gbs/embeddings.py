@@ -673,37 +673,41 @@ def _pendant_extend(inner: EmbeddingCertificate, delta1: int, m, n) -> Embedding
 # -- subgroups of BS(n, n) ------------------------------------------------------
 
 
+def _vertex_labels(g: LabelledGraph, up_to_sign: bool = False) -> list[int] | None:
+    """The one label near each vertex with edges (after greedy sign
+    normalization; its absolute value with up_to_sign), or None when some
+    vertex carries two.  A vertex with no edges imposes no condition."""
+    if not g.is_reduced():
+        raise NotReducedError("test needs a reduced graph")
+    norm, _ = canonicalize_signs(g)
+    out = []
+    for v in norm.sorted_vertices():
+        labels = {norm.label(oe) for oe in norm.edges_at(v)}
+        if up_to_sign:
+            labels = {abs(l) for l in labels}
+        if len(labels) > 1:
+            return None
+        out.extend(labels)
+    return out
+
+
 def subgroup_of_bs_nn(g: LabelledGraph, n: int, up_to_sign: bool = False) -> bool:
     """Equal labels near every vertex (after greedy sign normalization),
     all dividing n.  up_to_sign tests the BS(n, +-n) variant."""
     if n < 2:
         raise DecisionError("criterion holds only for n >= 2")
-    if not g.is_reduced():
-        raise NotReducedError("test needs a reduced graph")
-    norm, _ = canonicalize_signs(g)
-    for v in norm.sorted_vertices():
-        labels = [norm.label(oe) for oe in norm.edges_at(v)]
-        if up_to_sign:
-            labels = [abs(l) for l in labels]
-        if len(set(labels)) != 1:
-            return False
-        if n % labels[0] != 0:
-            return False
-    return True
+    labels = _vertex_labels(g, up_to_sign)
+    return labels is not None and all(n % l == 0 for l in labels)
 
 
 def embeds_in_some_bs_nn(g: LabelledGraph):
     """Smallest n (as lcm of labels, floored at 2) with G < BS(n, n), or None."""
-    if not g.is_reduced():
-        raise NotReducedError("test needs a reduced graph")
-    norm, _ = canonicalize_signs(g)
+    labels = _vertex_labels(g)
+    if labels is None:
+        return None
     out = 1
-    for v in norm.sorted_vertices():
-        labels = [norm.label(oe) for oe in norm.edges_at(v)]
-        if labels and len(set(labels)) != 1:
-            return None
-        if labels:
-            out = abs(lcm(out, labels[0]))
+    for l in labels:
+        out = abs(lcm(out, l))
     return max(out, 2)
 
 

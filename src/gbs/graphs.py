@@ -330,6 +330,19 @@ class MoveRecord:
         return cls(data["kind"], tuple(fix(p) for p in data["params"]))
 
 
+def _exact(x, what: str) -> int:
+    """x when it is an int (a bool or float is refused: labels stay exact)."""
+    if type(x) is not int:
+        raise MoveError(f"{what} must be an integer, not {x!r}")
+    return x
+
+
+def _end(x, what: str = "end") -> int:
+    if type(x) is not int or x not in (0, 1):
+        raise MoveError(f"{what} must be 0 or 1, not {x!r}")
+    return x
+
+
 def _rescaled(ed: EdgeData, at: dict) -> EdgeData:
     """`ed` with each end at a vertex u in `at` re-rooted at at[u][1] and its
     label multiplied by at[u][0]."""
@@ -353,12 +366,12 @@ def sign_change(g: LabelledGraph, *, vertex: str | None = None, edge: str | None
     if (vertex is None) == (edge is None):
         raise MoveError("sign change needs exactly one of vertex / edge")
     if vertex is not None:
-        if vertex not in g.vertices:
+        if type(vertex) is not str or vertex not in g.vertices:
             raise MoveError(f"unknown vertex {vertex}")
         edges = _rescaled_edges(g, {vertex: (-1, vertex)})
         rec = MoveRecord("sign-change", ("vertex", vertex))
     else:
-        if edge not in g.edges:
+        if type(edge) is not str or edge not in g.edges:
             raise MoveError(f"unknown edge {edge}")
         ed = g.edges[edge]
         edges = dict(g.edges)
@@ -373,7 +386,7 @@ def collapse(g: LabelledGraph, edge: str, end: int | None = None):
     The vertex at the unit-label end disappears; every other label near it
     is multiplied by (unit sign) * (far label).
     """
-    if edge not in g.edges:
+    if type(edge) is not str or edge not in g.edges:
         raise MoveError(f"unknown edge {edge}")
     if g.is_loop(edge):
         raise MoveError(f"cannot collapse loop {edge}")
@@ -383,6 +396,8 @@ def collapse(g: LabelledGraph, edge: str, end: int | None = None):
         if not units:
             raise MoveError(f"edge {edge} has no unit label")
         end = units[0]
+    elif type(end) is not int or end not in (0, 1):
+        raise MoveError(f"end must be 0 or 1, not {end!r}")
     if abs(ed.labels[end]) != 1:
         raise MoveError(f"label of {edge} at end {end} is not +-1")
     removed = ed.endpoints[end]
@@ -408,20 +423,23 @@ def expansion(
     the oriented edges in `moved` are re-rooted at the new vertex, their
     labels divided by sgn*label.
     """
-    if vertex not in g.vertices:
+    if type(vertex) is not str or vertex not in g.vertices:
         raise MoveError(f"unknown vertex {vertex}")
-    if label == 0 or sgn not in (1, -1):
+    if _exact(label, "expansion label") == 0 or _exact(sgn, "expansion sign") not in (1, -1):
         raise MoveError("expansion needs a nonzero label and sign +-1")
     div = sgn * label
     for oe in moved:
+        if type(oe.edge) is not str or oe.edge not in g.edges:
+            raise MoveError(f"unknown edge {oe.edge}")
+        _end(oe.end)
         if g.origin(oe) != vertex:
             raise MoveError(f"{oe} does not start at {vertex}")
         if g.label(oe) % div != 0:
             raise MoveError(f"label {g.label(oe)} of {oe} not divisible by {div}")
     new_vertex = new_vertex or g.fresh_vertex()
     new_edge = new_edge or g.fresh_edge()
-    if new_vertex in g.vertices or new_edge in g.edges:
-        raise MoveError("new vertex/edge name already in use")
+    if type(new_vertex) is not str or type(new_edge) is not str or new_vertex in g.vertices or new_edge in g.edges:
+        raise MoveError("new vertex/edge names must be strings not already in use")
     moved_set = {(oe.edge, oe.end) for oe in moved}
     edges = {}
     for name, ed in g.edges.items():
@@ -445,12 +463,11 @@ def contraction_move(g: LabelledGraph, edge: str, survivor_end: int = 0):
     multiplied by r/(q^r), labels near w by q/(q^r), and the endpoint at
     `survivor_end` absorbs the other.  An epimorphism (proper unless q or r
     is a unit).  The record is (edge, survivor, removed, q, r, q^r)."""
-    if edge not in g.edges:
+    if type(edge) is not str or edge not in g.edges:
         raise MoveError(f"unknown edge {edge}")
     if g.is_loop(edge):
         raise MoveError(f"cannot contract loop {edge}")
-    if survivor_end not in (0, 1):
-        raise MoveError("survivor_end must be 0 or 1")
+    _end(survivor_end, "survivor_end")
     ed = g.edges[edge]
     v, w = ed.endpoints
     q, r = ed.labels
@@ -465,14 +482,14 @@ def displacement_move(g: LabelledGraph, edge: str, r: int, divided_end: int):
     """Move the factor r of the label at `divided_end` across the edge: that
     label is divided by r, every other label at the far endpoint is
     multiplied by r.  Requires r coprime to the far label of the edge."""
-    if edge not in g.edges:
+    if type(edge) is not str or edge not in g.edges:
         raise MoveError(f"unknown edge {edge}")
     if g.is_loop(edge):
         raise MoveError("displacement across a loop is not defined")
     ed = g.edges[edge]
-    rs = ed.labels[divided_end]
+    rs = ed.labels[_end(divided_end, "divided end")]
     q = ed.labels[1 - divided_end]
-    if r == 0 or rs % r != 0:
+    if _exact(r, "displacement factor") == 0 or rs % r != 0:
         raise MoveError(f"{r} does not divide the label {rs}")
     if gcd(q, r) != 1:
         raise MoveError(f"factor {r} not coprime to far label {q}")
@@ -485,42 +502,43 @@ def displacement_move(g: LabelledGraph, edge: str, r: int, divided_end: int):
     return LabelledGraph(g.vertices, edges), rec
 
 
+_ARITY = {"sign-change": 2, "collapse": 5, "expansion": 6, "contraction": 6, "displacement": 3}
+
+
 def apply_move(g: LabelledGraph, rec: MoveRecord) -> LabelledGraph:
-    """Replay a MoveRecord (used to verify certificate traces)."""
-    if rec.kind == "sign-change":
-        what, name = rec.params
+    """Replay a MoveRecord (used to verify certificate traces).  Records are
+    read from certificate JSON, so a malformed one raises MoveError; the
+    checks here and in the moves read the record, never every edge."""
+    kind, params = rec.kind, rec.params
+    if type(kind) is not str or type(params) is not tuple or _ARITY.get(kind) != len(params):
+        raise MoveError(f"malformed move record {kind!r} {params!r}")
+    if kind == "collapse":
+        out, rec2 = collapse(g, params[0], params[1])
+        if rec2.params != params:
+            raise MoveError(f"collapse replay mismatch on {params[0]}")
+        return out
+    if kind == "sign-change":
+        what, name = params
+        if what not in ("vertex", "edge"):
+            raise MoveError(f"a sign change is at a vertex or an edge, not {what!r}")
         out, _ = sign_change(g, **{what: name})
         return out
-    if rec.kind == "collapse":
-        edge, end = rec.params[0], rec.params[1]
-        out, rec2 = collapse(g, edge, end)
-        if rec2.params != rec.params:
-            raise MoveError(f"collapse replay mismatch on {edge}")
+    if kind == "expansion":
+        vertex, moved, label, sgn, new_vertex, new_edge = params
+        if type(moved) is not tuple or any(type(m) is not tuple or len(m) != 2 for m in moved):
+            raise MoveError(f"expansion moves (edge, end) pairs, not {moved!r}")
+        moved = [OrientedEdge(e, k) for e, k in moved]
+        out, _ = expansion(g, vertex, moved, label, sgn, new_vertex, new_edge)
         return out
-    if rec.kind == "expansion":
-        vertex, moved, label, sgn, new_vertex, new_edge = rec.params
-        out, _ = expansion(
-            g,
-            vertex,
-            [OrientedEdge(e, k) for e, k in moved],
-            label,
-            sgn,
-            new_vertex,
-            new_edge,
-        )
-        return out
-    if rec.kind == "contraction":
-        edge, survivor = rec.params[:2]
-        survivor_end = int(edge in g.edges and g.edges[edge].endpoints[1] == survivor)
+    if kind == "contraction":
+        edge, survivor = params[:2]
+        survivor_end = int(type(edge) is str and edge in g.edges and g.edges[edge].endpoints[1] == survivor)
         out, rec2 = contraction_move(g, edge, survivor_end)
-        if rec2.params != rec.params:
+        if rec2.params != params:
             raise MoveError("contraction replay mismatch")
         return out
-    if rec.kind == "displacement":
-        edge, r, divided_end = rec.params
-        out, _ = displacement_move(g, edge, r, divided_end)
-        return out
-    raise MoveError(f"unknown move kind {rec.kind}")
+    out, _ = displacement_move(g, *params)
+    return out
 
 
 def reduce_graph(g: LabelledGraph, protect: str | None = None):

@@ -14,7 +14,10 @@ graph moves (collapse, expansion, sign change, contraction, displacement),
 epimorphisms between Baumslag-Solitar groups, the non-Hopfian
 self-epimorphism, and the two families of quotient constructions for
 2-generated groups (smallest-source quotients and maps onto the minimal
-Baumslag-Solitar quotient).
+Baumslag-Solitar quotient).  A move certificate is a substitution of the
+moved generators: collapse, contraction and expansion send each a(v) to
+a(u)^k by the multiplier map the move applies to labels, and each stable
+letter to itself, every image Britton-reduced over the target.
 """
 
 from dataclasses import dataclass
@@ -320,65 +323,31 @@ def compose_chain(first: HomCertificate, *rest: HomCertificate, provenance: str 
 # -- move-induced certificates ----------------------------------------------
 
 
-@dataclass
-class GraphMap:
-    """Syllable-level map of path words induced by a graph move."""
-
-    vertex_map: dict
-    vertex_mult: dict
-    edge_map: dict  # (edge, end) -> tuple of ("e", edge, end) syllables
-
-    def map_path(self, syllables) -> tuple:
-        out = []
-        for syl in syllables:
-            if syl[0] == "v":
-                v = self.vertex_map[syl[1]]
-                exp = syl[2] * self.vertex_mult.get(syl[1], 1)
-                if exp:
-                    out.append(("v", v, exp))
-            else:
-                out.extend(self.edge_map[(syl[1], syl[2])])
-        return tuple(out)
-
-
-def cert_from_graph_map(
-    src: Presentation,
-    tgt: Presentation,
-    gmap: GraphMap,
-    provenance: str,
-    witnesses: dict | None = None,
-) -> HomCertificate:
-    if tgt.base != gmap.vertex_map[src.base]:
-        raise CertificateError("target presentation based at the wrong vertex")
+def _move_cert(src: Presentation, tgt: Presentation, at: dict, provenance: str, witnesses: dict) -> HomCertificate:
+    """The certificate of a move: a(v) goes to a(u)^k where at[v] = (k, u)
+    (the multiplier map `graphs._rescaled` applies to labels; (1, v) when v
+    is absent), each t(e) to itself, each image Britton-reduced over tgt."""
     images = {}
     for kind, name in src.generators():
-        path = src.letters_to_path(((kind, name, 1),))
-        mapped = gmap.map_path(path.syllables)
-        nf = britton_reduce(tgt.graph, PathWord(tgt.base, mapped))
-        images[(kind, name)] = tgt.path_to_letters(nf.word)
+        k, u = at.get(name, (1, name)) if kind == "v" else (1, name)
+        syls = reduce_syllables(tgt.graph.edges, tgt.letters_to_path(((kind, u, k),)).syllables)
+        images[(kind, name)] = tgt.path_to_letters(PathWord(tgt.base, syls))
     return HomCertificate(src, tgt, images, witnesses, provenance)
 
 
-def _merging_map(g: LabelledGraph, g2: LabelledGraph, edge: str, survivor, removed, mult: dict):
+def _merged_presentations(g: LabelledGraph, g2: LabelledGraph, edge: str, survivor, removed):
     """Presentations of g and of g2, which is g with the non-loop `edge`
-    dropped and `removed` merged into `survivor`, and the GraphMap between
-    them that multiplies each vertex power by mult[vertex] (1 if absent)."""
+    dropped and `removed` merged into `survivor`: g2's tree is g's less `edge`."""
     src = Presentation(g, tree_containing(g, edge))
-    tgt = Presentation(g2, src.tree - {edge}, survivor if src.base == removed else src.base)
-    gmap = GraphMap(
-        {v: (survivor if v == removed else v) for v in g.vertices},
-        mult,
-        {(e, k): (() if e == edge else (("e", e, k),)) for e in g.edges for k in (0, 1)},
-    )
-    return src, tgt, gmap
+    return src, Presentation(g2, src.tree - {edge}, survivor if src.base == removed else src.base)
 
 
 def collapse_cert(g: LabelledGraph, edge: str, end: int | None = None):
     """(new graph, forward iso certificate, reverse iso certificate)."""
     g2, rec = collapse(g, edge, end)
-    _, end, removed, survivor, mult = rec.params
-    src, tgt, gmap = _merging_map(g, g2, edge, survivor, removed, {removed: mult})
-    fwd = cert_from_graph_map(src, tgt, gmap, f"collapse({edge})", _identity_images(tgt))
+    removed, survivor, mult = rec.params[2:]
+    src, tgt = _merged_presentations(g, g2, edge, survivor, removed)
+    fwd = _move_cert(src, tgt, {removed: (mult, survivor)}, f"collapse({edge})", _identity_images(tgt))
     rev_witnesses = _identity_images(src)
     rev_witnesses[("v", removed)] = (("v", survivor, mult),)
     rev = HomCertificate(tgt, src, _identity_images(tgt), rev_witnesses, f"collapse-inverse({edge})")
@@ -395,22 +364,12 @@ def expansion_cert(
     new_edge: str | None = None,
 ):
     g2, rec = expansion(g, vertex, moved, label, sgn, new_vertex, new_edge)
-    _, moved_set, label, sgn, new_vertex, new_edge = rec.params
+    _, _, label, sgn, new_vertex, new_edge = rec.params
     src = Presentation(g)
     tgt = Presentation(g2, src.tree | {new_edge}, src.base)
-    edge_map = {}
-    for e in g.edges:
-        for k in (0, 1):
-            if (e, k) in moved_set:
-                edge_map[(e, k)] = (("e", new_edge, 0), ("e", e, k))
-                edge_map[(e, 1 - k)] = (("e", e, 1 - k), ("e", new_edge, 1))
-    for e in g.edges:
-        for k in (0, 1):
-            edge_map.setdefault((e, k), (("e", e, k),))
-    gmap = GraphMap({v: v for v in g.vertices}, {}, edge_map)
     split = _identity_images(tgt)  # new vertex -> the power of `vertex` it splits off
     split[("v", new_vertex)] = (("v", vertex, sgn * label),)
-    fwd = cert_from_graph_map(src, tgt, gmap, f"expansion({new_edge})", split)
+    fwd = _move_cert(src, tgt, {}, f"expansion({new_edge})", split)
     rev = HomCertificate(tgt, src, dict(split), _identity_images(src), f"expansion-inverse({new_edge})")
     return g2, fwd, rev
 
@@ -436,11 +395,11 @@ def contraction_cert(g: LabelledGraph, edge: str, survivor_end: int = 0):
     _, survivor, removed, q, r, d = rec.params
     v, w = g.edges[edge].endpoints
     rp, qp = r // d, q // d  # multipliers: near v -> rp, near w -> qp
-    src, tgt, gmap = _merging_map(g, g2, edge, survivor, removed, {v: rp, w: qp})
+    src, tgt = _merged_presentations(g, g2, edge, survivor, removed)
     _, x, y = xgcd(rp, qp)
     witnesses = _identity_images(tgt)
     witnesses[("v", survivor)] = letters_concat((("v", v, x),), (("v", w, y),))
-    fwd = cert_from_graph_map(src, tgt, gmap, f"contraction({edge})", witnesses)
+    fwd = _move_cert(src, tgt, {v: (rp, survivor), w: (qp, survivor)}, f"contraction({edge})", witnesses)
     return g2, fwd
 
 

@@ -123,6 +123,8 @@ def test_embed_bsnn(capsys):
     assert code == 0 and out.strip() == "yes"
     code, out, _ = run(capsys, "embed", "bsnn", "segment 2 3")
     assert code == 0 and "n = 6" in out
+    code, out, _ = run(capsys, "embed", "bsnn", "vertex v", "2")
+    assert code == 0 and out.strip() == "yes"
 
 
 def test_input_errors_exit_1(capsys):

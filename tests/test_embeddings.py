@@ -2,6 +2,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+
+from conftest import graphs
 
 from gbs.decision import Decision
 from gbs.errors import DecisionError
@@ -9,6 +12,8 @@ from gbs.graphs import (
     bs_graph,
     circle_graph,
     graph_from_edges,
+    parse_graph,
+    reduce_graph,
     segment_graph,
 )
 from gbs.embeddings import (
@@ -215,6 +220,23 @@ def test_embeds_in_some_bs_nn():
     assert embeds_in_some_bs_nn(segment_graph([2, 3])) == 6
     assert embeds_in_some_bs_nn(bs_graph(2, 3)) is None
     assert embeds_in_some_bs_nn(bs_graph(1, 1)) == 2
+
+
+@pytest.mark.parametrize("up_to_sign", [False, True])
+@pytest.mark.parametrize("n", [2, 6])
+def test_one_vertex_graph_lies_in_every_bs_nn(n, up_to_sign):
+    # Z: a vertex with no edges imposes no condition
+    assert subgroup_of_bs_nn(parse_graph("vertex v"), n, up_to_sign=up_to_sign)
+    assert embeds_in_some_bs_nn(parse_graph("vertex v")) == 2
+
+
+@given(graphs())
+@settings(max_examples=150, deadline=None)
+def test_smallest_bs_nn_is_a_bs_nn_containing_g(g):
+    red, _ = reduce_graph(g)
+    n = embeds_in_some_bs_nn(red)
+    if n is not None:
+        assert subgroup_of_bs_nn(red, n)
 
 
 def test_contains_z2_k():

@@ -47,9 +47,7 @@ def test_parse_and_serialize_round_trip():
 
 
 def test_parse_shorthand():
-    assert parse_graph("circle 2 3") == bs_graph(2, 3).__class__(
-        bs_graph(2, 3).vertices, {}
-    ) or True  # shapes compared below instead
+    assert parse_graph("circle 2 3") == graph_from_edges([("c0", "w0", "w0", 2, 3)])
     assert classify_shape(parse_graph("circle 2 3")).kind == "circle"
     assert classify_shape(parse_graph("segment 2 3 5 7")).kind == "segment"
     assert classify_shape(parse_graph("lollipop 1 6 2 | 3 6")).kind == "lollipop"
@@ -292,6 +290,35 @@ def test_displacement_preserves_label_products():
     out, _ = displacement_move(g, s.circ_edges[1].edge, 3, s.circ_edges[1].end)
     s2 = classify_shape(out)
     assert abs(qrxy(s2).X) == abs(X) and abs(qrxy(s2).Y) == abs(Y)
+
+
+_REPLAY_GRAPH = graph_from_edges([("mid", "v", "w", 5, 1), ("g1", "w", "a", 3, 11)])
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("collapse", ("mid", 5, "w", "v", 5)),
+        ("collapse", ()),
+        ("expansion", ("w", (("zz", 0),), 3, 1, "u", "new")),
+        ("sign-change", ("foo", "v")),
+        ("displacement", ("g1", 3, 2)),
+        ("displacement", ("g1", "a", 0)),
+        ("contraction", ("mid",)),
+        ("expansion", ("w", (("g1", 0),), 0.5, 1, "u", "new")),
+    ],
+    ids=["collapse-end-5", "collapse-no-params", "expansion-unknown-edge", "sign-change-foo",
+         "displacement-end-2", "displacement-factor-a", "contraction-one-param", "expansion-label-0.5"],
+)
+def test_malformed_records_raise_move_error(kind, params):
+    # records are read from certificate JSON: a bad one is a MoveError, never a crash
+    with pytest.raises(MoveError):
+        apply_move(_REPLAY_GRAPH, MoveRecord(kind, params))
+
+
+def test_expansion_of_an_unknown_edge_is_a_move_error():
+    with pytest.raises(MoveError):
+        expansion(_REPLAY_GRAPH, "w", [OrientedEdge("zz", 0)], 3)
 
 
 def test_expansion_round_trip():

@@ -49,6 +49,7 @@ from gbs.homs import (
 )
 from gbs.quotients import descending_chain
 from gbs.words import (
+    PathWord,
     Presentation,
     britton_reduce,
     expand_letters,
@@ -87,6 +88,14 @@ def test_collapse_cert_round_trip():
 def test_expansion_cert_round_trip():
     g = graph_from_edges([("e", "v", "w", 6, 10), ("f", "v", "v", 9, 12)])
     g2, fwd, rev = expansion_cert(g, "v", [OrientedEdge("e", 0), OrientedEdge("f", 1)], 3)
+    assert check_epi(fwd) and check_epi(rev)
+    _round_trip_fixes_generators(fwd, rev)
+
+
+def test_expansion_cert_moves_both_ends_of_a_loop():
+    # the loop's traversals must cross the new edge both before and after it
+    g = graph_from_edges([("e0", "v", "v", 6, 6), ("e1", "v", "v", 6, 6)])
+    g2, fwd, rev = expansion_cert(g, "v", [OrientedEdge("e0", 0), OrientedEdge("e0", 1)], 6)
     assert check_epi(fwd) and check_epi(rev)
     _round_trip_fixes_generators(fwd, rev)
 
@@ -466,6 +475,81 @@ def test_reduce_cert_random(g):
     red, cert = reduce_cert(g)
     assert check_epi(cert)
     assert red == reduce_graph(g)[0]
+
+
+# -- move certificates against the syllable-level move map -----------------------
+
+
+def _syllable_map_images(cert, vertex_map, vertex_mult, edge_map):
+    """The images of a move certificate as a map of path words builds them:
+    each source generator's path, its vertex powers renamed by vertex_map and
+    multiplied by vertex_mult (1 if absent), each traversal replaced by its
+    edge_map path, Britton-reduced over the target."""
+    src, tgt = cert.source, cert.target
+    assert tgt.base == vertex_map[src.base]
+
+    def map_path(syllables):
+        out = []
+        for syl in syllables:
+            if syl[0] == "v":
+                exp = syl[2] * vertex_mult.get(syl[1], 1)
+                if exp:
+                    out.append(("v", vertex_map[syl[1]], exp))
+            else:
+                out.extend(edge_map[(syl[1], syl[2])])
+        return tuple(out)
+
+    images = {}
+    for gen in src.generators():
+        path = src.letters_to_path((gen + (1,),))
+        nf = britton_reduce(tgt.graph, PathWord(tgt.base, map_path(path.syllables)))
+        images[gen] = tgt.path_to_letters(nf.word)
+    return images
+
+
+def _merging_images(cert, g, edge, survivor, removed, mult):
+    """Reference images of a collapse or contraction: `edge` is dropped and
+    `removed` merged into `survivor`."""
+    vertex_map = {v: (survivor if v == removed else v) for v in g.vertices}
+    edge_map = {(e, k): (() if e == edge else (("e", e, k),)) for e in g.edges for k in (0, 1)}
+    return _syllable_map_images(cert, vertex_map, mult, edge_map)
+
+
+def _expansion_images(cert, g, moved, new_edge):
+    """Reference images of an expansion: a traversal leaving a moved end first
+    crosses new_edge out of the split vertex, one arriving at it crosses back."""
+    edge_map = {}
+    for e in g.edges:
+        for k in (0, 1):
+            before = (("e", new_edge, 0),) if (e, k) in moved else ()
+            after = (("e", new_edge, 1),) if (e, 1 - k) in moved else ()
+            edge_map[(e, k)] = before + (("e", e, k),) + after
+    return _syllable_map_images(cert, {v: v for v in g.vertices}, {}, edge_map)
+
+
+@given(graphs(max_vertices=5, max_extra=3))
+@settings(max_examples=150, deadline=None)
+def test_move_certs_match_the_syllable_map(g):
+    for e in g.sorted_edges():
+        if g.is_loop(e):
+            continue
+        (v, w), (q, r) = g.edges[e].endpoints, g.edges[e].labels
+        for end in (0, 1):
+            survivor, removed = (v, w)[end], (v, w)[1 - end]
+            if abs((q, r)[1 - end]) == 1:  # collapse_cert names the removed end
+                _, fwd, _ = collapse_cert(g, e, 1 - end)
+                assert fwd.images == _merging_images(fwd, g, e, survivor, removed, {removed: q * r})
+            _, con = contraction_cert(g, e, survivor_end=end)
+            d = gcd(q, r)
+            assert con.images == _merging_images(con, g, e, survivor, removed, {v: r // d, w: q // d})
+    for vertex in g.sorted_vertices():
+        for label in (1, 2, 3):
+            ends = [oe for oe in g.edges_at(vertex) if g.label(oe) % label == 0]
+            for moved in (ends, ends[::2], ends[1::2]):
+                g2, fwd, _ = expansion_cert(g, vertex, moved, label, -1 if label == 2 else 1)
+                (new_edge,) = set(g2.edges) - set(g.edges)
+                want = _expansion_images(fwd, g, {(oe.edge, oe.end) for oe in moved}, new_edge)
+                assert fwd.images == want
 
 
 # -- compressed certificate words ------------------------------------------------
