@@ -18,13 +18,13 @@ from .errors import CertificateError, DecisionError, NotReducedError, ShapeError
 from .graphs import (
     LabelledGraph,
     MoveRecord,
-    apply_move,
     bs_graph,
     canonicalize_signs,
     classify_shape,
     graph_from_edges,
     qrxy,
     reduce_graph,
+    replay,
 )
 from .words import modular_image
 
@@ -194,8 +194,7 @@ def _replayed_loop(g: LabelledGraph, records, side: str):
     """The loop labels `records` reduce g to (None when that is not a single
     loop); a replay that fails raises CertificateError naming `side`."""
     try:
-        for rec in records:
-            g = apply_move(g, rec)
+        g = replay(g, records)
     except Exception as exc:  # replay must not crash verification
         raise CertificateError(f"{side} reduction replay failed: {exc}") from exc
     return _loop_labels(g)

@@ -6,16 +6,18 @@ endpoint pair and a label pair; the oriented edge (name, end) has origin
 ``endpoints[end]`` and label ``labels[end]``.  Loops are allowed (equal
 endpoints, two labels).
 
-Graph values are immutable by convention: every move returns a new graph
-together with a replayable MoveRecord.  The multi-move routines
-(`reduce_graph`, `canonicalize_signs`) edit one working copy and build their
-result graph once, with the same records as the single moves.  No query
-result is cached on a graph (the incidence index `_incidence` is its only
-lazily built field); each public entry point computes an invariant once and
-passes it down.
+Graph values are immutable by convention.  Each move kind has one body, a
+method of the working copy `_Work` that edits it in place and returns a
+replayable MoveRecord.  A single move (`collapse`, `expansion`, ...) runs it
+on a fresh copy and builds one new graph; `reduce_graph`,
+`canonicalize_signs` and `replay` (a whole certificate trace) run many on one
+indexed copy and build their result once.  No query result is cached on a
+graph (the incidence index `_incidence` is its only lazily built field);
+each public entry point computes an invariant once and passes it down.
 """
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Optional
 
 from .arith import gcd
@@ -50,14 +52,14 @@ class EdgeData:
 
 class LabelledGraph:
     def __init__(self, vertices: Iterable[str], edges: dict[str, EdgeData]):
-        self.vertices = frozenset(vertices)
+        self.vertices = vertices = frozenset(vertices)
         self.edges = dict(edges)
         for name, ed in self.edges.items():
-            if ed.labels[0] == 0 or ed.labels[1] == 0:
+            (a, b), (la, lb) = ed.endpoints, ed.labels
+            if la == 0 or lb == 0:
                 raise InputError(f"edge {name} has a zero label")
-            for v in ed.endpoints:
-                if v not in self.vertices:
-                    raise InputError(f"edge {name} touches unknown vertex {v}")
+            if a not in vertices or b not in vertices:
+                raise InputError(f"edge {name} touches unknown vertex {a if a not in vertices else b}")
         if not self.vertices:
             raise InputError("graph needs at least one vertex")
         # vertex -> oriented edges at it, built on first use (graphs never change)
@@ -107,17 +109,11 @@ class LabelledGraph:
     # -- global properties ----------------------------------------------
 
     def is_connected(self) -> bool:
-        verts = self.sorted_vertices()
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            v = stack.pop()
-            for oe in self.edges_at(v):
-                w = self.terminus(oe)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        try:
+            _bfs_tree(self)
+        except DisconnectedGraphError:
+            return False
+        return True
 
     def require_connected(self):
         if not self.is_connected():
@@ -343,41 +339,167 @@ def _end(x, what: str = "end") -> int:
     return x
 
 
-def _rescaled(ed: EdgeData, at: dict) -> EdgeData:
-    """`ed` with each end at a vertex u in `at` re-rooted at at[u][1] and its
-    label multiplied by at[u][0]."""
-    (a, b), (la, lb) = ed.endpoints, ed.labels
-    (ma, ua), (mb, ub) = at.get(a, (1, a)), at.get(b, (1, b))
-    return EdgeData((ua, ub), (la * ma, lb * mb))
+# the number of parameters of each kind's record; kind k is `_Work`'s move k with "-" as "_"
+_ARITY = {"sign-change": 2, "collapse": 5, "expansion": 6, "contraction": 6, "displacement": 3}
 
 
-def _rescaled_edges(g: LabelledGraph, at: dict, drop: str | None = None) -> dict:
-    """The edges of g less `drop`, each `_rescaled` by `at` where it meets it."""
-    edges = {}
-    for name, ed in g.edges.items():
-        if name != drop:
-            a, b = ed.endpoints
-            edges[name] = _rescaled(ed, at) if a in at or b in at else ed
-    return edges
+class _Work:
+    """A working copy of a graph that the one body of each move kind edits in
+    place.  A vertex -> edge-name index (keys: the vertex set) finds the edges
+    at a vertex when `indexed`, a scan (cheaper for one move) when not.  A
+    move takes its record's parameters (the outputs, `*_`, are compared by
+    `replay`), checks them (MoveError before any edit), returns its record."""
+
+    __slots__ = ("edges", "index", "vertices")
+
+    def __init__(self, g: LabelledGraph, indexed: bool = False):
+        self.edges = dict(g.edges)
+        self.index, self.vertices = None, g.vertices
+        if indexed:
+            self.index = self.vertices = index = {v: set() for v in g.vertices}
+            for name, ed in self.edges.items():
+                a, b = ed.endpoints
+                index[a].add(name)
+                index[b].add(name)
+
+    def _vertex(self, v) -> str:
+        if type(v) is not str or v not in self.vertices:
+            raise MoveError(f"unknown vertex {v}")
+        return v
+
+    def _edge(self, name, move: str | None = None) -> EdgeData:
+        if type(name) is not str or name not in self.edges:
+            raise MoveError(f"unknown edge {name}")
+        ed = self.edges[name]
+        if move and ed.endpoints[0] == ed.endpoints[1]:
+            raise MoveError(f"cannot {move} loop {name}")
+        return ed
+
+    def _drop(self, name) -> EdgeData:
+        ed = self.edges.pop(name)
+        if self.index is not None:
+            for v in ed.endpoints:
+                self.index[v].discard(name)
+        return ed
+
+    def _merge(self, u: str, mult: int, image: str):
+        """Re-root every end at u at `image`, its label multiplied by mult."""
+        edges, index = self.edges, self.index
+        names = [n for n, ed in edges.items() if u in ed.endpoints] if index is None else index[u]
+        for n in names:
+            ed = edges[n]
+            (a, b), (la, lb) = ed.endpoints, ed.labels
+            if a == u:
+                a, la = image, la * mult
+            if b == u:
+                b, lb = image, lb * mult
+            edges[n] = EdgeData((a, b), (la, lb))
+        if image != u:
+            if index is None:
+                self.vertices = self.vertices - {u}
+            else:
+                index[image] |= index.pop(u)
+
+    def sign_change(self, what, name) -> MoveRecord:
+        if what == "vertex":
+            self._merge(self._vertex(name), -1, name)
+        elif what == "edge":
+            ed = self._edge(name)
+            self.edges[name] = EdgeData(ed.endpoints, (-ed.labels[0], -ed.labels[1]))
+        else:
+            raise MoveError(f"a sign change is at a vertex or an edge, not {what!r}")
+        return MoveRecord("sign-change", (what, name))
+
+    def collapse(self, edge, end=None, *_) -> MoveRecord:
+        ed = self._edge(edge, "collapse")
+        if end is None:
+            end = 0 if abs(ed.labels[0]) == 1 else 1
+        elif type(end) is not int or end not in (0, 1):
+            raise MoveError(f"end must be 0 or 1, not {end!r}")
+        if abs(ed.labels[end]) != 1:
+            raise MoveError(f"label of {edge} at end {end} is not +-1")
+        return self._collapse(edge, end)
+
+    def _collapse(self, edge: str, end: int) -> MoveRecord:
+        """The collapse body, for a caller that has checked its parameters."""
+        ed = self._drop(edge)
+        removed, survivor = ed.endpoints[end], ed.endpoints[1 - end]
+        mult = ed.labels[end] * ed.labels[1 - end]
+        self._merge(removed, mult, survivor)
+        return MoveRecord("collapse", (edge, end, removed, survivor, mult))
+
+    def expansion(self, vertex, moved, label, sgn, new_vertex, new_edge) -> MoveRecord:
+        self._vertex(vertex)
+        if _exact(label, "expansion label") == 0 or _exact(sgn, "expansion sign") not in (1, -1):
+            raise MoveError("expansion needs a nonzero label and sign +-1")
+        if type(moved) is not tuple or any(type(m) is not tuple or len(m) != 2 for m in moved):
+            raise MoveError(f"expansion moves (edge, end) pairs, not {moved!r}")
+        div = sgn * label
+        for e, k in moved:
+            ed = self._edge(e)
+            if ed.endpoints[_end(k)] != vertex:
+                raise MoveError(f"{OrientedEdge(e, k)} does not start at {vertex}")
+            if ed.labels[k] % div != 0:
+                raise MoveError(f"label {ed.labels[k]} of {OrientedEdge(e, k)} not divisible by {div}")
+        edges = self.edges
+        for new, used in ((new_vertex, self.vertices), (new_edge, edges)):
+            if type(new) is not str or not new or new in used:
+                raise MoveError(f"a new vertex or edge needs a non-empty unused name, not {new!r}")
+        moved = tuple(sorted(set(moved)))
+        for e, k in moved:
+            ed = edges[e]
+            endpoints, labels = list(ed.endpoints), list(ed.labels)
+            endpoints[k] = new_vertex
+            labels[k] //= div
+            edges[e] = EdgeData(tuple(endpoints), tuple(labels))
+        edges[new_edge] = EdgeData((vertex, new_vertex), (label, sgn))
+        if self.index is None:
+            self.vertices = self.vertices | {new_vertex}
+        else:
+            self.index[new_vertex] = {e for e, _ in moved} | {new_edge}
+            self.index[vertex] -= {e for e, _ in moved if vertex not in edges[e].endpoints}
+            self.index[vertex].add(new_edge)
+        return MoveRecord("expansion", (vertex, moved, label, sgn, new_vertex, new_edge))
+
+    def contraction(self, edge, survivor, *_) -> MoveRecord:
+        ed = self._edge(edge, "contract")
+        if survivor not in ed.endpoints:
+            raise MoveError(f"the survivor of contracting {edge} is one of its ends, not {survivor!r}")
+        self._drop(edge)
+        q, r = ed.labels
+        d = gcd(q, r)
+        end = ed.endpoints.index(survivor)
+        removed = ed.endpoints[1 - end]
+        # the survivor first, while no end of `removed` has moved onto it
+        self._merge(survivor, (r, q)[end] // d, survivor)
+        self._merge(removed, (q, r)[end] // d, survivor)
+        return MoveRecord("contraction", (edge, survivor, removed, q, r, d))
+
+    def displacement(self, edge, r, divided_end) -> MoveRecord:
+        ed = self._edge(edge, "displace across")
+        rs = ed.labels[_end(divided_end, "divided end")]
+        q = ed.labels[1 - divided_end]
+        if _exact(r, "displacement factor") == 0 or rs % r != 0:
+            raise MoveError(f"{r} does not divide the label {rs}")
+        if gcd(q, r) != 1:
+            raise MoveError(f"factor {r} not coprime to far label {q}")
+        v = ed.endpoints[1 - divided_end]
+        self._merge(v, r, v)
+        self.edges[edge] = EdgeData(ed.endpoints, (rs // r, q) if divided_end == 0 else (q, rs // r))
+        return MoveRecord("displacement", (edge, r, divided_end))
+
+
+def _one_move(g: LabelledGraph, move, *args):
+    work = _Work(g)
+    rec = move(work, *args)
+    return LabelledGraph(work.vertices, work.edges), rec
 
 
 def sign_change(g: LabelledGraph, *, vertex: str | None = None, edge: str | None = None):
     """Negate all labels near a vertex, or both labels of an edge."""
     if (vertex is None) == (edge is None):
         raise MoveError("sign change needs exactly one of vertex / edge")
-    if vertex is not None:
-        if type(vertex) is not str or vertex not in g.vertices:
-            raise MoveError(f"unknown vertex {vertex}")
-        edges = _rescaled_edges(g, {vertex: (-1, vertex)})
-        rec = MoveRecord("sign-change", ("vertex", vertex))
-    else:
-        if type(edge) is not str or edge not in g.edges:
-            raise MoveError(f"unknown edge {edge}")
-        ed = g.edges[edge]
-        edges = dict(g.edges)
-        edges[edge] = EdgeData(ed.endpoints, (-ed.labels[0], -ed.labels[1]))
-        rec = MoveRecord("sign-change", ("edge", edge))
-    return LabelledGraph(g.vertices, edges), rec
+    return _one_move(g, _Work.sign_change, *(("edge", edge) if vertex is None else ("vertex", vertex)))
 
 
 def collapse(g: LabelledGraph, edge: str, end: int | None = None):
@@ -386,26 +508,7 @@ def collapse(g: LabelledGraph, edge: str, end: int | None = None):
     The vertex at the unit-label end disappears; every other label near it
     is multiplied by (unit sign) * (far label).
     """
-    if type(edge) is not str or edge not in g.edges:
-        raise MoveError(f"unknown edge {edge}")
-    if g.is_loop(edge):
-        raise MoveError(f"cannot collapse loop {edge}")
-    ed = g.edges[edge]
-    if end is None:
-        units = [k for k in (0, 1) if abs(ed.labels[k]) == 1]
-        if not units:
-            raise MoveError(f"edge {edge} has no unit label")
-        end = units[0]
-    elif type(end) is not int or end not in (0, 1):
-        raise MoveError(f"end must be 0 or 1, not {end!r}")
-    if abs(ed.labels[end]) != 1:
-        raise MoveError(f"label of {edge} at end {end} is not +-1")
-    removed = ed.endpoints[end]
-    survivor = ed.endpoints[1 - end]
-    mult = ed.labels[end] * ed.labels[1 - end]
-    edges = _rescaled_edges(g, {removed: (mult, survivor)}, drop=edge)
-    rec = MoveRecord("collapse", (edge, end, removed, survivor, mult))
-    return LabelledGraph(g.vertices - {removed}, edges), rec
+    return _one_move(g, _Work.collapse, edge, end)
 
 
 def expansion(
@@ -421,41 +524,12 @@ def expansion(
 
     A new edge (label near `vertex`, sgn near the new vertex) is created and
     the oriented edges in `moved` are re-rooted at the new vertex, their
-    labels divided by sgn*label.
+    labels divided by sgn*label.  Unnamed, the new vertex and edge get the
+    first free names u0, u1, ... and x0, x1, ....
     """
-    if type(vertex) is not str or vertex not in g.vertices:
-        raise MoveError(f"unknown vertex {vertex}")
-    if _exact(label, "expansion label") == 0 or _exact(sgn, "expansion sign") not in (1, -1):
-        raise MoveError("expansion needs a nonzero label and sign +-1")
-    div = sgn * label
-    for oe in moved:
-        if type(oe.edge) is not str or oe.edge not in g.edges:
-            raise MoveError(f"unknown edge {oe.edge}")
-        _end(oe.end)
-        if g.origin(oe) != vertex:
-            raise MoveError(f"{oe} does not start at {vertex}")
-        if g.label(oe) % div != 0:
-            raise MoveError(f"label {g.label(oe)} of {oe} not divisible by {div}")
-    new_vertex = new_vertex or g.fresh_vertex()
-    new_edge = new_edge or g.fresh_edge()
-    if type(new_vertex) is not str or type(new_edge) is not str or new_vertex in g.vertices or new_edge in g.edges:
-        raise MoveError("new vertex/edge names must be strings not already in use")
-    moved_set = {(oe.edge, oe.end) for oe in moved}
-    edges = {}
-    for name, ed in g.edges.items():
-        endpoints = list(ed.endpoints)
-        labels = list(ed.labels)
-        for k in (0, 1):
-            if (name, k) in moved_set:
-                endpoints[k] = new_vertex
-                labels[k] //= div
-        edges[name] = EdgeData(tuple(endpoints), tuple(labels))
-    edges[new_edge] = EdgeData((vertex, new_vertex), (label, sgn))
-    rec = MoveRecord(
-        "expansion",
-        (vertex, tuple(sorted(moved_set)), label, sgn, new_vertex, new_edge),
-    )
-    return LabelledGraph(g.vertices | {new_vertex}, edges), rec
+    pairs = tuple((oe.edge, oe.end) for oe in moved)
+    names = new_vertex or g.fresh_vertex(), new_edge or g.fresh_edge()
+    return _one_move(g, _Work.expansion, vertex, pairs, label, sgn, *names)
 
 
 def contraction_move(g: LabelledGraph, edge: str, survivor_end: int = 0):
@@ -463,82 +537,38 @@ def contraction_move(g: LabelledGraph, edge: str, survivor_end: int = 0):
     multiplied by r/(q^r), labels near w by q/(q^r), and the endpoint at
     `survivor_end` absorbs the other.  An epimorphism (proper unless q or r
     is a unit).  The record is (edge, survivor, removed, q, r, q^r)."""
-    if type(edge) is not str or edge not in g.edges:
-        raise MoveError(f"unknown edge {edge}")
-    if g.is_loop(edge):
-        raise MoveError(f"cannot contract loop {edge}")
-    _end(survivor_end, "survivor_end")
-    ed = g.edges[edge]
-    v, w = ed.endpoints
-    q, r = ed.labels
-    d = gcd(q, r)
-    survivor, removed = ed.endpoints[survivor_end], ed.endpoints[1 - survivor_end]
-    edges = _rescaled_edges(g, {v: (r // d, survivor), w: (q // d, survivor)}, drop=edge)
-    rec = MoveRecord("contraction", (edge, survivor, removed, q, r, d))
-    return LabelledGraph(g.vertices - {removed}, edges), rec
+    work = _Work(g)
+    rec = work.contraction(edge, work._edge(edge, "contract").endpoints[_end(survivor_end, "survivor_end")])
+    return LabelledGraph(work.vertices, work.edges), rec
 
 
 def displacement_move(g: LabelledGraph, edge: str, r: int, divided_end: int):
     """Move the factor r of the label at `divided_end` across the edge: that
     label is divided by r, every other label at the far endpoint is
     multiplied by r.  Requires r coprime to the far label of the edge."""
-    if type(edge) is not str or edge not in g.edges:
-        raise MoveError(f"unknown edge {edge}")
-    if g.is_loop(edge):
-        raise MoveError("displacement across a loop is not defined")
-    ed = g.edges[edge]
-    rs = ed.labels[_end(divided_end, "divided end")]
-    q = ed.labels[1 - divided_end]
-    if _exact(r, "displacement factor") == 0 or rs % r != 0:
-        raise MoveError(f"{r} does not divide the label {rs}")
-    if gcd(q, r) != 1:
-        raise MoveError(f"factor {r} not coprime to far label {q}")
-    v = ed.endpoints[1 - divided_end]
-    edges = _rescaled_edges(g, {v: (r, v)})
-    labels = list(ed.labels)
-    labels[divided_end] //= r
-    edges[edge] = EdgeData(ed.endpoints, tuple(labels))
-    rec = MoveRecord("displacement", (edge, r, divided_end))
-    return LabelledGraph(g.vertices, edges), rec
+    return _one_move(g, _Work.displacement, edge, r, divided_end)
 
 
-_ARITY = {"sign-change": 2, "collapse": 5, "expansion": 6, "contraction": 6, "displacement": 3}
+def replay(g: LabelledGraph, records) -> LabelledGraph:
+    """The graph a sequence of MoveRecords takes g to, built once (used to
+    verify certificate traces).  Records are read from certificate JSON, so
+    a malformed one, or one its move would not make, raises MoveError; the
+    checks read the record, never every edge."""
+    if not records:
+        return g
+    work = _Work(g, indexed=len(records) > 1)
+    for rec in records:
+        kind, params = rec.kind, rec.params
+        if type(kind) is not str or type(params) is not tuple or _ARITY.get(kind) != len(params):
+            raise MoveError(f"malformed move record {kind!r} {params!r}")
+        if getattr(work, kind.replace("-", "_"))(*params).params != params:
+            raise MoveError(f"{kind} replay mismatch: {params!r}")
+    return LabelledGraph(work.vertices, work.edges)
 
 
 def apply_move(g: LabelledGraph, rec: MoveRecord) -> LabelledGraph:
-    """Replay a MoveRecord (used to verify certificate traces).  Records are
-    read from certificate JSON, so a malformed one raises MoveError; the
-    checks here and in the moves read the record, never every edge."""
-    kind, params = rec.kind, rec.params
-    if type(kind) is not str or type(params) is not tuple or _ARITY.get(kind) != len(params):
-        raise MoveError(f"malformed move record {kind!r} {params!r}")
-    if kind == "collapse":
-        out, rec2 = collapse(g, params[0], params[1])
-        if rec2.params != params:
-            raise MoveError(f"collapse replay mismatch on {params[0]}")
-        return out
-    if kind == "sign-change":
-        what, name = params
-        if what not in ("vertex", "edge"):
-            raise MoveError(f"a sign change is at a vertex or an edge, not {what!r}")
-        out, _ = sign_change(g, **{what: name})
-        return out
-    if kind == "expansion":
-        vertex, moved, label, sgn, new_vertex, new_edge = params
-        if type(moved) is not tuple or any(type(m) is not tuple or len(m) != 2 for m in moved):
-            raise MoveError(f"expansion moves (edge, end) pairs, not {moved!r}")
-        moved = [OrientedEdge(e, k) for e, k in moved]
-        out, _ = expansion(g, vertex, moved, label, sgn, new_vertex, new_edge)
-        return out
-    if kind == "contraction":
-        edge, survivor = params[:2]
-        survivor_end = int(type(edge) is str and edge in g.edges and g.edges[edge].endpoints[1] == survivor)
-        out, rec2 = contraction_move(g, edge, survivor_end)
-        if rec2.params != params:
-            raise MoveError("contraction replay mismatch")
-        return out
-    out, _ = displacement_move(g, *params)
-    return out
+    """Replay one MoveRecord."""
+    return replay(g, (rec,))
 
 
 def reduce_graph(g: LabelledGraph, protect: str | None = None):
@@ -549,30 +579,20 @@ def reduce_graph(g: LabelledGraph, protect: str | None = None):
     then fail to be reduced).  A collapse only multiplies labels by nonzero
     integers and merges two vertices, so an edge passed over never becomes
     collapsible later: one pass in edge id order makes the same moves as
-    rescanning after every collapse.  Each collapse rewrites only the edges
-    at the removed vertex of one working copy; the result is built once."""
+    rescanning after every collapse.  The collapses edit one indexed working
+    copy; the result is built once."""
     g.require_connected()
-    edges = dict(g.edges)
-    incident = {v: set() for v in g.vertices}  # vertex -> names of the edges at it
-    for name, ed in edges.items():
-        for v in ed.endpoints:
-            incident[v].add(name)
+    work = _Work(g, indexed=True)
+    edges = work.edges
     records = []
     for name in g.sorted_edges():
         ed = edges[name]
         for end in (0, 1):
-            removed, survivor = ed.endpoints[end], ed.endpoints[1 - end]
-            if abs(ed.labels[end]) == 1 and removed != survivor and removed != protect:
-                mult = ed.labels[end] * ed.labels[1 - end]
-                del edges[name]
-                incident[survivor].discard(name)
-                at = {removed: (mult, survivor)}
-                for other in incident.pop(removed) - {name}:
-                    edges[other] = _rescaled(edges[other], at)
-                    incident[survivor].add(other)
-                records.append(MoveRecord("collapse", (name, end, removed, survivor, mult)))
+            removed = ed.endpoints[end]
+            if abs(ed.labels[end]) == 1 and removed != ed.endpoints[1 - end] and removed != protect:
+                records.append(work._collapse(name, end))
                 break
-    return (LabelledGraph(incident, edges) if records else g), records
+    return (LabelledGraph(work.vertices, work.edges) if records else g), records
 
 
 def canonicalize_signs(g: LabelledGraph):
@@ -580,59 +600,47 @@ def canonicalize_signs(g: LabelledGraph):
 
     Tree labels become positive; each non-tree edge keeps at most one
     negative label, placed at end 1.  Deterministic.  The moves edit one
-    working copy of the labels; the result is built once."""
-    tree = spanning_tree(g)
-    labels = {name: list(ed.labels) for name, ed in g.edges.items()}
+    indexed working copy; the result is built once."""
+    order = _bfs_tree(g)
+    tree = {oe.edge for oe in order}
+    work = _Work(g, indexed=True)
+    edges = work.edges
     records = []
-    root = g.sorted_vertices()[0]
-    # BFS order over tree edges
+    for oe in order:
+        if edges[oe.edge].labels[oe.end] < 0:
+            records.append(work.sign_change("edge", oe.edge))
+        if edges[oe.edge].labels[1 - oe.end] < 0:
+            records.append(work.sign_change("vertex", g.terminus(oe)))
+    for name in g.sorted_edges():
+        if name not in tree and edges[name].labels[0] < 0:
+            records.append(work.sign_change("edge", name))
+    return (LabelledGraph(work.vertices, work.edges) if records else g), records
+
+
+def _bfs_tree(g: LabelledGraph) -> list[OrientedEdge]:
+    """The edges of the deterministic BFS spanning tree, each oriented away
+    from the lowest vertex, in the order the search meets them; the search
+    is the connectivity check."""
+    root = min(g.vertices, key=id_key)
     seen = {root}
     order = []
     queue = [root]
     while queue:
         v = queue.pop(0)
         for oe in g.edges_at(v):
-            if oe.edge in tree and g.terminus(oe) not in seen:
-                seen.add(g.terminus(oe))
-                order.append(oe)
-                queue.append(g.terminus(oe))
-    for oe in order:
-        lab = labels[oe.edge]
-        if lab[oe.end] < 0:
-            lab[0], lab[1] = -lab[0], -lab[1]
-            records.append(MoveRecord("sign-change", ("edge", oe.edge)))
-        if lab[1 - oe.end] < 0:
-            child = g.terminus(oe)
-            for near in g.edges_at(child):
-                labels[near.edge][near.end] *= -1
-            records.append(MoveRecord("sign-change", ("vertex", child)))
-    for name in g.sorted_edges():
-        if name not in tree and labels[name][0] < 0:
-            labels[name] = [-l for l in labels[name]]
-            records.append(MoveRecord("sign-change", ("edge", name)))
-    if records:
-        g = LabelledGraph(g.vertices, {n: EdgeData(ed.endpoints, tuple(labels[n])) for n, ed in g.edges.items()})
-    return g, records
-
-
-def spanning_tree(g: LabelledGraph) -> frozenset[str]:
-    """Deterministic BFS spanning tree (set of edge names); its search is the
-    connectivity check."""
-    root = g.sorted_vertices()[0]
-    seen = {root}
-    tree = set()
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for oe in g.edges_at(v):
-            w = g.terminus(oe)
+            w = g.edges[oe.edge].endpoints[1 - oe.end]
             if w not in seen:
                 seen.add(w)
-                tree.add(oe.edge)
+                order.append(oe)
                 queue.append(w)
     if len(seen) != len(g.vertices):
         raise DisconnectedGraphError("graph is not connected")
-    return frozenset(tree)
+    return order
+
+
+def spanning_tree(g: LabelledGraph) -> frozenset[str]:
+    """Deterministic BFS spanning tree (set of edge names)."""
+    return frozenset([oe.edge for oe in _bfs_tree(g)])
 
 
 # -- shape classification ---------------------------------------------------
@@ -786,16 +794,7 @@ def qrxy(shape: Shape) -> QRXY:
     """The products Q, R, X, Y of Definition-style label bookkeeping."""
     if shape.kind == "other":
         raise ShapeError("QRXY undefined for shape 'other'")
-    Q = R = 1
-    for v in shape.q:
-        Q *= v
-    for v in shape.r:
-        R *= v
+    Q, R = prod(shape.q), prod(shape.r)
     if shape.kind == "segment":
         return QRXY(Q, R, None, None)
-    X = Y = 1
-    for v in shape.x:
-        X *= v
-    for v in shape.y:
-        Y *= v
-    return QRXY(Q, R, X, Y)
+    return QRXY(Q, R, prod(shape.x), prod(shape.y))

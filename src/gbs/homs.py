@@ -325,7 +325,7 @@ def compose_chain(first: HomCertificate, *rest: HomCertificate, provenance: str 
 
 def _move_cert(src: Presentation, tgt: Presentation, at: dict, provenance: str, witnesses: dict) -> HomCertificate:
     """The certificate of a move: a(v) goes to a(u)^k where at[v] = (k, u)
-    (the multiplier map `graphs._rescaled` applies to labels; (1, v) when v
+    (the multiplier map the move applies to the labels at v; (1, v) when v
     is absent), each t(e) to itself, each image Britton-reduced over tgt."""
     images = {}
     for kind, name in src.generators():
@@ -389,8 +389,6 @@ def sign_change_cert(g: LabelledGraph, *, vertex: str | None = None, edge: str |
 
 def contraction_cert(g: LabelledGraph, edge: str, survivor_end: int = 0):
     """Contraction epimorphism with full Bezout surjectivity witnesses."""
-    if survivor_end not in (0, 1):
-        raise CertificateError("survivor_end must be 0 or 1")
     g2, rec = contraction_move(g, edge, survivor_end)
     _, survivor, removed, q, r, d = rec.params
     v, w = g.edges[edge].endpoints

@@ -174,6 +174,17 @@ def test_verify_malformed_generator_key_exit_1(tmp_path, capsys, edit):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,value", [("labels", [2]), ("endpoints", ["v0", "v0", "v0"])], ids=["one-label", "three-ends"])
+def test_verify_edge_of_wrong_arity_exit_1(tmp_path, capsys, field, value):
+    data = non_hopf_endo(2, 3).cert.to_json()
+    data["source"]["graph"]["edges"][0][field] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("prime", ["0", "1", "-2", "4", str(2 * (10**12 + 39))])  # the last is above the factor cap
 def test_plateaus_non_prime_exit_1(capsys, prime):
     code, out, err = run(capsys, "plateaus", "segment 2 3", "--prime", prime)

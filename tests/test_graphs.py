@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import count_calls, graphs
 
+from gbs.arith import gcd
 from gbs.errors import DisconnectedGraphError, InputError, MoveError, ShapeError
 from gbs.graphs import (
     EdgeData,
@@ -26,11 +27,116 @@ from gbs.graphs import (
     parse_graph,
     qrxy,
     reduce_graph,
+    replay,
     segment_graph,
     sign_change,
     spanning_tree,
 )
 from gbs.plateaus import is_two_generated
+
+
+# -- reference moves ---------------------------------------------------------
+# Each move rebuilds every edge of a new graph, independently of the working
+# copy engine in gbs.graphs; the engine must match them record for record.
+
+
+def _ref_rescaled(ed, at):
+    (a, b), (la, lb) = ed.endpoints, ed.labels
+    (ma, ua), (mb, ub) = at.get(a, (1, a)), at.get(b, (1, b))
+    return EdgeData((ua, ub), (la * ma, lb * mb))
+
+
+def _ref_rescaled_edges(g, at, drop=None):
+    edges = {}
+    for name, ed in g.edges.items():
+        if name != drop:
+            a, b = ed.endpoints
+            edges[name] = _ref_rescaled(ed, at) if a in at or b in at else ed
+    return edges
+
+
+def _ref_sign_change(g, *, vertex=None, edge=None):
+    if vertex is not None:
+        assert vertex in g.vertices
+        edges = _ref_rescaled_edges(g, {vertex: (-1, vertex)})
+        return LabelledGraph(g.vertices, edges), MoveRecord("sign-change", ("vertex", vertex))
+    ed = g.edges[edge]
+    edges = dict(g.edges)
+    edges[edge] = EdgeData(ed.endpoints, (-ed.labels[0], -ed.labels[1]))
+    return LabelledGraph(g.vertices, edges), MoveRecord("sign-change", ("edge", edge))
+
+
+def _ref_collapse(g, edge, end=None):
+    assert not g.is_loop(edge)
+    ed = g.edges[edge]
+    if end is None:
+        end = [k for k in (0, 1) if abs(ed.labels[k]) == 1][0]
+    assert abs(ed.labels[end]) == 1
+    removed, survivor = ed.endpoints[end], ed.endpoints[1 - end]
+    mult = ed.labels[end] * ed.labels[1 - end]
+    edges = _ref_rescaled_edges(g, {removed: (mult, survivor)}, drop=edge)
+    rec = MoveRecord("collapse", (edge, end, removed, survivor, mult))
+    return LabelledGraph(g.vertices - {removed}, edges), rec
+
+
+def _ref_expansion(g, vertex, moved, label, sgn=1, new_vertex=None, new_edge=None):
+    div = sgn * label
+    assert all(g.origin(oe) == vertex and g.label(oe) % div == 0 for oe in moved)
+    new_vertex = new_vertex or g.fresh_vertex()
+    new_edge = new_edge or g.fresh_edge()
+    assert new_vertex not in g.vertices and new_edge not in g.edges
+    moved_set = {(oe.edge, oe.end) for oe in moved}
+    edges = {}
+    for name, ed in g.edges.items():
+        endpoints, labels = list(ed.endpoints), list(ed.labels)
+        for k in (0, 1):
+            if (name, k) in moved_set:
+                endpoints[k] = new_vertex
+                labels[k] //= div
+        edges[name] = EdgeData(tuple(endpoints), tuple(labels))
+    edges[new_edge] = EdgeData((vertex, new_vertex), (label, sgn))
+    rec = MoveRecord("expansion", (vertex, tuple(sorted(moved_set)), label, sgn, new_vertex, new_edge))
+    return LabelledGraph(g.vertices | {new_vertex}, edges), rec
+
+
+def _ref_contraction(g, edge, survivor_end=0):
+    assert not g.is_loop(edge)
+    ed = g.edges[edge]
+    v, w = ed.endpoints
+    q, r = ed.labels
+    d = gcd(q, r)
+    survivor, removed = ed.endpoints[survivor_end], ed.endpoints[1 - survivor_end]
+    edges = _ref_rescaled_edges(g, {v: (r // d, survivor), w: (q // d, survivor)}, drop=edge)
+    rec = MoveRecord("contraction", (edge, survivor, removed, q, r, d))
+    return LabelledGraph(g.vertices - {removed}, edges), rec
+
+
+def _ref_displacement(g, edge, r, divided_end):
+    assert not g.is_loop(edge)
+    ed = g.edges[edge]
+    assert ed.labels[divided_end] % r == 0 and gcd(ed.labels[1 - divided_end], r) == 1
+    v = ed.endpoints[1 - divided_end]
+    edges = _ref_rescaled_edges(g, {v: (r, v)})
+    labels = list(ed.labels)
+    labels[divided_end] //= r
+    edges[edge] = EdgeData(ed.endpoints, tuple(labels))
+    return LabelledGraph(g.vertices, edges), MoveRecord("displacement", (edge, r, divided_end))
+
+
+def _ref_apply_move(g, rec):
+    """Replay a valid record through the reference moves."""
+    kind, params = rec.kind, rec.params
+    if kind == "collapse":
+        return _ref_collapse(g, *params[:2])[0]
+    if kind == "sign-change":
+        return _ref_sign_change(g, **{params[0]: params[1]})[0]
+    if kind == "expansion":
+        vertex, moved, label, sgn, new_vertex, new_edge = params
+        return _ref_expansion(g, vertex, [OrientedEdge(e, k) for e, k in moved], label, sgn, new_vertex, new_edge)[0]
+    if kind == "contraction":
+        edge, survivor = params[:2]
+        return _ref_contraction(g, edge, int(g.edges[edge].endpoints[1] == survivor))[0]
+    return _ref_displacement(g, *params)[0]
 
 
 def test_parse_and_serialize_round_trip():
@@ -124,7 +230,7 @@ def _reduce_graph_reference(g, protect=None):
             ed = g.edges[name]
             for end in (0, 1):
                 if abs(ed.labels[end]) == 1 and ed.endpoints[end] != protect:
-                    g, rec = collapse(g, name, end)
+                    g, rec = _ref_collapse(g, name, end)
                     records.append(rec)
                     done = False
                     break
@@ -184,6 +290,11 @@ def test_multi_move_routines_build_no_graph_per_move(monkeypatch):
     out, recs = canonicalize_signs(circle_graph([-2, 3, 5, -7] * 25))
     assert recs and sum(l < 0 for l in out.labels()) <= 1  # beta = 1
     assert calls == {}
+    g = segment_graph([1, 2] * 200)
+    red, recs = reduce_graph(g)
+    calls = count_calls(monkeypatch, [(LabelledGraph, "__init__")])
+    assert replay(g, recs) == red
+    assert calls == {"__init__": 1}
 
 
 def test_sign_change_involution():
@@ -321,6 +432,19 @@ def test_expansion_of_an_unknown_edge_is_a_move_error():
         expansion(_REPLAY_GRAPH, "w", [OrientedEdge("zz", 0)], 3)
 
 
+@pytest.mark.parametrize("names", [(None, None), ("", ""), ("u", None)])
+def test_replayed_expansion_names_its_new_vertex_and_edge(names):
+    # no move makes such a record: replay would have to invent the names
+    rec = MoveRecord("expansion", ("w", (), 3, 1) + names)
+    with pytest.raises(MoveError):
+        apply_move(_REPLAY_GRAPH, rec)
+    with pytest.raises(MoveError):
+        replay(_REPLAY_GRAPH, [rec, rec])
+    out, made = expansion(_REPLAY_GRAPH, "w", [], 3, 1, *names)  # a direct call picks free names
+    assert made.params[4:] == ((names[0] or "u0"), "x0")
+    assert apply_move(_REPLAY_GRAPH, made) == out
+
+
 def test_expansion_round_trip():
     g = graph_from_edges([("e", "v", "w", 6, 10), ("f", "v", "v", 9, 12)])
     moved = [OrientedEdge("e", 0), OrientedEdge("f", 1)]
@@ -386,7 +510,7 @@ def test_qrxy_two_edge_circle():
 
 def _canonicalize_signs_reference(g):
     """Sign normalization one move at a time: each sign change builds a new
-    graph with `sign_change`."""
+    graph with `_ref_sign_change`."""
     g.require_connected()
     tree = spanning_tree(g)
     records = []
@@ -406,18 +530,18 @@ def _canonicalize_signs_reference(g):
         child_label = g.colabel(oe)
         child = g.terminus(oe)
         if parent_label < 0:
-            g, rec = sign_change(g, edge=oe.edge)
+            g, rec = _ref_sign_change(g, edge=oe.edge)
             records.append(rec)
             child_label = -child_label
         if child_label < 0:
-            g, rec = sign_change(g, vertex=child)
+            g, rec = _ref_sign_change(g, vertex=child)
             records.append(rec)
     for name in g.sorted_edges():
         if name in tree:
             continue
         l0, l1 = g.edges[name].labels
         if (l0 < 0 and l1 < 0) or (l0 < 0 < l1):
-            g, rec = sign_change(g, edge=name)
+            g, rec = _ref_sign_change(g, edge=name)
             records.append(rec)
     return g, records
 
@@ -441,6 +565,142 @@ def test_canonicalize_signs_matches_per_move_reference(g):
     ref, ref_recs = _canonicalize_signs_reference(g)
     assert out == ref and list(out.edges) == list(ref.edges)
     assert [r.to_json() for r in recs] == [r.to_json() for r in ref_recs]
+
+
+_REF_MOVES = {
+    "sign-change": (_ref_sign_change, sign_change),
+    "collapse": (_ref_collapse, collapse),
+    "expansion": (_ref_expansion, expansion),
+    "contraction": (_ref_contraction, contraction_move),
+    "displacement": (_ref_displacement, displacement_move),
+}
+
+
+def _draw_move(data, g, step):
+    """A valid move on g: (kind, args, kwargs), drawn with `data`."""
+    non_loops = [n for n in g.sorted_edges() if not g.is_loop(n)]
+    unit_ends = [(n, k) for n in non_loops for k in (0, 1) if abs(g.edges[n].labels[k]) == 1]
+    kinds = ["sign-change", "expansion"] + ["collapse"] * bool(unit_ends) + ["contraction", "displacement"] * bool(non_loops)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "sign-change":
+        if g.edges and data.draw(st.booleans()):
+            return kind, (), {"edge": data.draw(st.sampled_from(g.sorted_edges()))}
+        return kind, (), {"vertex": data.draw(st.sampled_from(g.sorted_vertices()))}
+    if kind == "collapse":
+        edge, end = data.draw(st.sampled_from(unit_ends))
+        return kind, (edge, data.draw(st.sampled_from([end, None]))), {}
+    if kind == "expansion":
+        vertex = data.draw(st.sampled_from(g.sorted_vertices()))
+        label, sgn = data.draw(st.sampled_from([1, 2, 3])), data.draw(st.sampled_from([1, -1]))
+        ends = [oe for oe in g.edges_at(vertex) if g.label(oe) % (sgn * label) == 0]
+        moved = [oe for oe in ends if data.draw(st.booleans())]
+        names = data.draw(st.sampled_from([(None, None), (f"n{step}", f"y{step}")]))
+        return kind, (vertex, moved, label, sgn) + names, {}
+    edge = data.draw(st.sampled_from(non_loops))
+    end = data.draw(st.sampled_from([0, 1]))
+    if kind == "contraction":
+        return kind, (edge, end), {}
+    rs, q = g.edges[edge].labels[end], g.edges[edge].labels[1 - end]
+    r = data.draw(st.sampled_from([d for d in range(1, abs(rs) + 1) if rs % d == 0 and gcd(q, d) == 1]))
+    return kind, (edge, r * data.draw(st.sampled_from([1, -1])), end), {}
+
+
+@st.composite
+def graphs_with_loops_and_parallels(draw):
+    g = draw(graphs_with_loops())
+    edges = dict(g.edges)
+    for i, name in enumerate(draw(st.lists(st.sampled_from(g.sorted_edges()), max_size=2)) if g.edges else []):
+        a, b = edges[name].endpoints
+        edges[f"p{i}"] = EdgeData((a, b), draw(st.tuples(st.sampled_from([1, -2, 3, 6]), st.sampled_from([-1, 2, 3, 4]))))
+    return LabelledGraph(g.vertices, edges)
+
+
+@given(graphs_with_loops_and_parallels(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_moves_and_replay_match_the_reference_moves(g, data):
+    ref, records = g, []
+    for step in range(data.draw(st.integers(min_value=1, max_value=6))):
+        kind, args, kwargs = _draw_move(data, ref, step)
+        ref_move, move = _REF_MOVES[kind]
+        out, rec = move(ref, *args, **kwargs)
+        ref, ref_rec = ref_move(ref, *args, **kwargs)
+        assert out == ref and list(out.edges) == list(ref.edges)
+        assert rec == ref_rec and rec.to_json() == ref_rec.to_json()
+        records.append(rec)
+    replayed = replay(g, records)
+    assert replayed == ref and list(replayed.edges) == list(ref.edges)
+    cur = ref_cur = g
+    for rec in records:
+        cur, ref_cur = apply_move(cur, rec), _ref_apply_move(ref_cur, rec)
+        assert cur == ref_cur and list(cur.edges) == list(ref_cur.edges)
+    assert cur == ref
+
+
+def _fuzz_graph():
+    """Unit labels, a loop and parallel edges: every move kind has a target."""
+    return graph_from_edges(
+        [("a", "v0", "v1", 1, 2), ("b", "v1", "v2", 2, -3), ("c", "v1", "v1", 4, 6),
+         ("d", "v0", "v1", 3, 1), ("e", "v2", "v3", 6, 1)]
+    )
+
+
+_FUZZ_GRAPH = _fuzz_graph()
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=6)
+    | st.integers(min_value=2**63, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats(allow_nan=True)
+    | st.sampled_from(["a", "b", "c", "d", "e", "v0", "v1", "v2", "v3", "zz", "", "vertex", "edge"])
+)
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple), max_leaves=6)
+
+
+@st.composite
+def json_move_records(draw):
+    """MoveRecords as JSON can carry them: any kind, any arity, any values."""
+    kind = draw(st.sampled_from(["sign-change", "collapse", "expansion", "contraction", "displacement", "foo", 3]))
+    arity = {"sign-change": 2, "collapse": 5, "expansion": 6, "contraction": 6, "displacement": 3}.get(kind, 2)
+    n = draw(st.sampled_from([arity, arity, arity, 0, arity - 1, arity + 1]))
+    params = tuple(draw(st.lists(_JSON_VALUES, min_size=n, max_size=n)))
+    return MoveRecord(kind, draw(st.sampled_from([params, list(params)])))
+
+
+_VALID_RECORDS = [
+    collapse(_FUZZ_GRAPH, "a", 0)[1],
+    collapse(_FUZZ_GRAPH, "e", 1)[1],
+    sign_change(_FUZZ_GRAPH, vertex="v1")[1],
+    sign_change(_FUZZ_GRAPH, edge="c")[1],
+    expansion(_FUZZ_GRAPH, "v1", [OrientedEdge("c", 0), OrientedEdge("b", 0)], 2, -1, "n", "y")[1],
+    contraction_move(_FUZZ_GRAPH, "b", 1)[1],
+    displacement_move(_FUZZ_GRAPH, "b", 2, 0)[1],
+]
+
+
+@st.composite
+def mutated_records(draw):
+    """A record some move makes on the fuzz graph, one parameter perhaps replaced."""
+    rec = draw(st.sampled_from(_VALID_RECORDS))
+    params = list(rec.params)
+    i = draw(st.integers(min_value=0, max_value=len(params)))
+    if i < len(params):
+        params[i] = draw(_JSON_VALUES)
+    return MoveRecord(rec.kind, tuple(params))
+
+
+@given(st.lists(json_move_records() | mutated_records(), min_size=1, max_size=3))
+@settings(max_examples=400, deadline=None)
+def test_any_record_replays_or_raises_move_error(records):
+    for rec in records:
+        try:
+            apply_move(_FUZZ_GRAPH, rec)
+        except MoveError:
+            pass
+    try:
+        replay(_FUZZ_GRAPH, records)
+    except MoveError:
+        pass
+    assert _FUZZ_GRAPH == _fuzz_graph() and list(_FUZZ_GRAPH.edges) == list(_fuzz_graph().edges)
 
 
 @given(graphs())

@@ -12,7 +12,7 @@ from conftest import count_calls, graphs
 
 from gbs import homs, words
 from gbs.arith import gcd, xgcd
-from gbs.errors import CertificateError, DecisionError, InputError, MissingWitnessError, WordCapError
+from gbs.errors import CertificateError, DecisionError, InputError, MissingWitnessError, MoveError, WordCapError
 from gbs.graphs import (
     LabelledGraph,
     OrientedEdge,
@@ -124,6 +124,13 @@ def test_contraction_cert_bezout_witness():
     g = graph_from_edges([("eps", "v", "w", 6, 10), ("lp", "v", "v", 7, 11)])
     g2, cert = contraction_cert(g, "eps")
     assert check_epi(cert)
+
+
+@pytest.mark.parametrize("survivor_end", [2, True])
+def test_contraction_cert_survivor_end_is_checked_by_the_move(survivor_end):
+    g = graph_from_edges([("eps", "v", "w", 6, 10), ("lp", "v", "v", 7, 11)])
+    with pytest.raises(MoveError):
+        contraction_cert(g, "eps", survivor_end)
 
 
 def test_displacement_cert():
