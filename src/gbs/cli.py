@@ -246,7 +246,7 @@ def cmd_word(args):
         nf = britton_reduce(g, w)
         payload = {
             "trivial": nf.trivial,
-            "reduced": format_letters(pres.path_to_letters(nf.word)),
+            "reduced": format_letters(pres.path_to_letters(nf.word.syllables)),
         }
         _emit(args, payload, f"trivial: {nf.trivial}; reduced: {payload['reduced']}")
     elif args.op == "modulus":
@@ -263,11 +263,14 @@ def cmd_word(args):
 
 def cmd_verify(args):
     with open(args.cert) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # also an integer of more digits than int() reads
+            raise InputError(f"certificate JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("certificate JSON must be an object")
     kind = data.get("kind")
-    loader = {"embedding": EmbeddingCertificate, "hom": HomCertificate}.get(kind)
+    loader = {"embedding": EmbeddingCertificate, "hom": HomCertificate}.get(kind) if type(kind) is str else None
     if loader is None:
         raise InputError(f"unknown certificate kind {kind!r}")
     try:

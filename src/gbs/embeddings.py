@@ -10,11 +10,12 @@ Baumslag-Solitar groups, and the equal-label test for subgroups of BS(n,n).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .arith import gcd, lcm, sign, split_power
 from .bs_arith import embeds_bs, equal_exponent_part, power_of_ratio
 from .decision import Decision
-from .errors import CertificateError, DecisionError, NotReducedError, ShapeError
+from .errors import CertificateError, DecisionError, InputError, NotReducedError, ShapeError
 from .graphs import (
     LabelledGraph,
     MoveRecord,
@@ -50,18 +51,35 @@ class WeaklyAdmissibleMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "WeaklyAdmissibleMap":
+        """Images are names, and multiplicities and edge ends JSON integers
+        (InputError otherwise)."""
         edge_map = {}
-        for key, val in data["edge_map"].items():
+        for key, (image, end) in data["edge_map"].items():
+            if type(image) is not str or type(end) is not int:
+                raise InputError(f"the image of {key} must be an edge and an end, not {[image, end]!r}")
             e, k = key.rsplit(":", 1)
-            edge_map[(e, int(k))] = (val[0], int(val[1]))
+            edge_map[(e, int(k))] = (image, end)
+        vertex_map, vertex_mult, edge_mult = dict(data["vertex_map"]), dict(data["vertex_mult"]), dict(data["edge_mult"])
+        if set(map(type, chain(vertex_mult.values(), edge_mult.values()))) - {int}:
+            raise InputError("each multiplicity must be an integer")
+        if set(map(type, vertex_map.values())) - {str}:
+            raise InputError("each vertex image must be a vertex name")
         return cls(
             LabelledGraph.from_json(data["source"]),
             LabelledGraph.from_json(data["target"]),
-            dict(data["vertex_map"]),
+            vertex_map,
             edge_map,
-            {k: int(v) for k, v in data["vertex_mult"].items()},
-            {k: int(v) for k, v in data["edge_mult"].items()},
+            vertex_mult,
+            edge_mult,
         )
+
+
+def _items(x, kinds: tuple, what: str) -> tuple:
+    """x as a tuple when it is a JSON list whose items have the types `kinds`
+    exactly (a bool or float is no int); InputError otherwise."""
+    if type(x) is not list or tuple(map(type, x)) != kinds:
+        raise InputError(f"{what} must be a list of {len(kinds)} ({', '.join(k.__name__ for k in kinds)}), not {x!r}")
+    return tuple(x)
 
 
 def check_weakly_admissible(wa: WeaklyAdmissibleMap) -> tuple[bool, list[str]]:
@@ -165,11 +183,13 @@ class EmbeddingCertificate:
     def from_json(cls, data: dict) -> "EmbeddingCertificate":
         return cls(
             map=WeaklyAdmissibleMap.from_json(data["map"]),
-            claimed=tuple(data["claimed"]),
-            map_claimed=tuple(data["map_claimed"]),
-            aug_records=tuple(tuple(r) for r in data.get("aug_records", ())),
+            claimed=_items(data["claimed"], (int, int), "claimed"),
+            map_claimed=_items(data["map_claimed"], (int, int), "map_claimed"),
+            aug_records=tuple(_items(r, (str, int), "an index record") for r in data.get("aug_records", ())),
             source_reduce=tuple(MoveRecord.from_json(r) for r in data.get("source_reduce", ())),
-            target_params=tuple(data["target_params"]) if data.get("target_params") else None,
+            target_params=_items(data["target_params"], (int, int), "target_params")
+            if data.get("target_params")
+            else None,
             target_reduce=tuple(MoveRecord.from_json(r) for r in data.get("target_reduce", ())),
             provenance=data.get("provenance", ""),
         )

@@ -17,6 +17,7 @@ each public entry point computes an invariant once and passes it down.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
 from typing import Iterable, Optional
 
@@ -171,10 +172,18 @@ class LabelledGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "LabelledGraph":
-        edges = {
-            e["name"]: EdgeData(tuple(e["endpoints"]), tuple(int(x) for x in e["labels"]))
-            for e in data["edges"]
-        }
+        """Names are strings and labels JSON integers (InputError otherwise:
+        a float or bool label is refused, not truncated).  An endpoint needs
+        no check: the graph refuses one that is not a vertex."""
+        edges = {}
+        for e in data["edges"]:
+            labels = tuple(e["labels"])
+            for x in labels:
+                _exact(x, "a label", InputError)
+            edges[e["name"]] = EdgeData(tuple(e["endpoints"]), labels)
+        for x in chain(data["vertices"], edges):
+            if type(x) is not str:
+                raise InputError(f"a vertex or edge name must be a string, not {x!r}")
         return cls(data["vertices"], edges)
 
     def to_text(self) -> str:
@@ -326,10 +335,10 @@ class MoveRecord:
         return cls(data["kind"], tuple(fix(p) for p in data["params"]))
 
 
-def _exact(x, what: str) -> int:
+def _exact(x, what: str, error=MoveError) -> int:
     """x when it is an int (a bool or float is refused: labels stay exact)."""
     if type(x) is not int:
-        raise MoveError(f"{what} must be an integer, not {x!r}")
+        raise error(f"{what} must be an integer, not {x!r}")
     return x
 
 

@@ -8,6 +8,8 @@ verify under the word engine.  Words may hold shared subword powers; they
 are mapped and reduced once per shared subword, never written out.
 Composition is substitution: each generator of the middle presentation is
 rewritten and mapped once, and every word goes through that generator map.
+A change of spanning tree is conjugation by one tree path, at one base
+vertex for both directions: composing builds no presentation.
 
 The module also produces the canonical certificates: the ones induced by
 graph moves (collapse, expansion, sign change, contraction, displacement),
@@ -38,6 +40,7 @@ from .graphs import (
     classify_shape,
     collapse,
     contraction_move,
+    displacement_move,
     expansion,
     qrxy,
     reduce_graph,
@@ -45,7 +48,6 @@ from .graphs import (
 )
 from .plateaus import is_two_generated
 from .words import (
-    PathWord,
     Presentation,
     britton_reduce,
     check_word_cap,
@@ -272,19 +274,22 @@ def identity_cert(pres: Presentation, provenance: str = "identity") -> HomCertif
 def _generator_map(pres_from: Presentation, pres_to: Presentation, images: dict) -> dict:
     """Each generator of pres_from rewritten over pres_to, a presentation of
     the same graph, then sent through `images` (keyed by pres_to's
-    generators).  Rewriting runs through paths at one canonical base vertex,
-    so that the two directions used in composition are mutually inverse
-    (base-dependent rewritings would differ by an inner automorphism)."""
+    generators).  A change of tree is conjugation by a tree path (Serre,
+    Trees, I.5): read at the canonical base vertex, a generator is
+    hop^-1 w hop, for w its path at pres_from's base and hop pres_from's tree
+    path from there to the canonical base, written over pres_to's tree.
+    Both directions of a composition read at that one base, so they are
+    mutually inverse (each presentation's own base would give maps that
+    differ by an inner automorphism)."""
     if pres_from.tree == pres_to.tree:
         return images
     base = pres_from.graph.sorted_vertices()[0]
-    helper_from, helper_to = (  # a presentation already at the base is its own helper
-        p if p.base == base else Presentation(p.graph, p.tree, base) for p in (pres_from, pres_to)
-    )
+    hop = pres_from.geodesic(base)
+    back = syllables_inverse(hop)
     through = {}
     for kind, name in pres_from.generators():
-        letters = helper_to.path_to_letters(helper_from.letters_to_path(((kind, name, 1),)))
-        through[(kind, name)] = substitute_letters(letters, images)
+        w = pres_from.letters_to_path(((kind, name, 1),)).syllables
+        through[(kind, name)] = substitute_letters(pres_to.path_to_letters(back + w + hop), images)
     return through
 
 
@@ -331,7 +336,7 @@ def _move_cert(src: Presentation, tgt: Presentation, at: dict, provenance: str, 
     for kind, name in src.generators():
         k, u = at.get(name, (1, name)) if kind == "v" else (1, name)
         syls = reduce_syllables(tgt.graph.edges, tgt.letters_to_path(((kind, u, k),)).syllables)
-        images[(kind, name)] = tgt.path_to_letters(PathWord(tgt.base, syls))
+        images[(kind, name)] = tgt.path_to_letters(syls)
     return HomCertificate(src, tgt, images, witnesses, provenance)
 
 
@@ -402,17 +407,10 @@ def contraction_cert(g: LabelledGraph, edge: str, survivor_end: int = 0):
 
 
 def displacement_cert(g: LabelledGraph, edge: str, r: int, divided_end: int):
-    """Displacement as expansion + contraction; returns (graph, cert, new edge name)."""
-    ed = g.edges[edge]
-    rs = ed.labels[divided_end]
-    q = ed.labels[1 - divided_end]
-    if r == 0 or rs % r != 0 or gcd(q, r) != 1:
-        raise CertificateError("displacement preconditions violated")
-    s = rs // r
-    w_vertex = ed.endpoints[divided_end]
-    g1, c_exp, _ = expansion_cert(
-        g, w_vertex, [OrientedEdge(edge, divided_end)], s, 1
-    )
+    """Displacement as expansion + contraction; returns (graph, cert, new
+    edge name).  The move itself checks the factor (MoveError)."""
+    s = displacement_move(g, edge, r, divided_end)[0].edges[edge].labels[divided_end]  # rs // r
+    g1, c_exp, _ = expansion_cert(g, g.edges[edge].endpoints[divided_end], [OrientedEdge(edge, divided_end)], s, 1)
     new_edge = next(e for e in g1.edges if e not in g.edges)
     g2, c_con = contraction_cert(g1, edge, survivor_end=1 - divided_end)
     cert = compose(c_exp, c_con, provenance=f"displacement({edge},{r})")

@@ -290,12 +290,12 @@ class Presentation:
                 raise MalformedWordError(f"bad letter kind {kind!r}")
         return PathWord(self.base, tuple(syls))
 
-    def path_to_letters(self, w: PathWord) -> tuple:
-        if w.base != self.base:
-            raise MalformedWordError("path word based elsewhere")
+    def path_to_letters(self, syllables) -> tuple:
+        """The letters of a path.  They read only the tree, so a path w from
+        another vertex u reads as p w p^-1, for p the tree path from the base to u."""
         return letters_concat(
             syl if syl[0] == "v" else ("t", syl[1], 1 if syl[2] == 1 else -1)
-            for syl in w.syllables
+            for syl in syllables
             if syl[0] == "v" or syl[1] not in self.tree
         )
 

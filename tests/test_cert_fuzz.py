@@ -1,0 +1,91 @@
+"""Certificate-JSON fuzz: `gbs verify` on mutated certificates answers or
+exits with a documented code (0, 1 or 2), never with a traceback.
+
+Each case mutates one node of a valid certificate (version-1 hom, version-2
+hom, embedding): a value of the wrong type, a float, a bool, a huge integer,
+a list of the wrong length, or a missing key.  The mutations are seeded, so a
+failure names a case that replays.  The malformed shapes and inexact numbers
+of test_cli come first, each an input error (exit 1)."""
+
+import dataclasses
+import json
+import random
+
+import pytest
+
+from gbs import circle_graph, descending_chain, minimal_bs_epi
+from gbs.cli import main
+from gbs.words import expand_letters
+from test_cli import INEXACT_NUMBERS, MALFORMED_EMBEDDINGS, edit_json, seed_certificate
+
+HUGE = 10**40
+VALUES = [None, True, False, 0, -1, 2, 1.5, 2.0, HUGE, -HUGE, "", "x", "a(v0)", [], [4], ["a", "b"], [[]], {}, {"x": 1}]
+
+
+def _version_1_hom():
+    cert = descending_chain(3).to_bs_9_18
+    flat = {gen: expand_letters(word) for gen, word in cert.images.items()}
+    return dataclasses.replace(cert, images=flat, witnesses={g: expand_letters(w) for g, w in cert.witnesses.items()})
+
+
+def _seeds() -> dict:
+    v1 = _version_1_hom().to_json()
+    v2 = minimal_bs_epi(circle_graph([2, 3] * 3)).to_json()
+    embedding = seed_certificate("embedding")
+    assert "version" not in v1 and v2["version"] == 2
+    return {"hom-v1": v1, "hom-v2": v2, "embedding": embedding}
+
+
+def _nodes(data, path=()):
+    """The path of every node under data (the root excluded)."""
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _nodes(value, path + (key,))
+
+
+def _mutate(data, rng: random.Random):
+    data = json.loads(json.dumps(data))
+    path = rng.choice(list(_nodes(data)))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    key, old = path[-1], parent[path[-1]]
+    roll = rng.random()
+    if roll < 0.15 and isinstance(parent, dict):
+        del parent[key]
+    elif roll < 0.3 and isinstance(old, list):
+        if old and rng.random() < 0.5:
+            old.pop(rng.randrange(len(old)))
+        else:
+            old.append(rng.choice(old) if old else rng.choice(VALUES))
+    elif roll < 0.4 and type(old) is int:
+        parent[key] = rng.choice([float(old), old == 1, -old, old * HUGE, str(old)])
+    else:
+        parent[key] = rng.choice(VALUES)
+    return data
+
+
+def _verify(tmp_path, capsys, data) -> int:
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code
+
+
+@pytest.mark.parametrize("kind", ["hom-v1", "hom-v2", "embedding"])
+def test_mutated_certificates_exit_with_a_documented_code(tmp_path, capsys, kind):
+    seed = _seeds()[kind]
+    assert _verify(tmp_path, capsys, seed) == 0
+    family = kind.split("-")[0]
+    for cert_kind, path, value in [*MALFORMED_EMBEDDINGS.values(), *INEXACT_NUMBERS.values()]:
+        if cert_kind == family:
+            data = json.loads(json.dumps(seed))
+            edit_json(data, path, value)
+            assert _verify(tmp_path, capsys, data) == 1, (kind, path, value)
+    rng = random.Random(f"cert-fuzz {kind}")
+    for i in range(300):
+        data = _mutate(seed, rng)
+        assert _verify(tmp_path, capsys, data) in (0, 1, 2), (kind, i, data)

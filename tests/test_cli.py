@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from gbs import non_hopf_endo, quotients
+from gbs import embed_bs_construct, non_hopf_endo, quotients
 from gbs.cli import main
 
 
@@ -180,6 +180,60 @@ def test_verify_edge_of_wrong_arity_exit_1(tmp_path, capsys, field, value):
     data["source"]["graph"]["edges"][0][field] = value
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def seed_certificate(kind):
+    """A valid certificate's JSON: a hom (BS(2, 3) onto itself) or an embedding."""
+    return (non_hopf_endo(2, 3).cert if kind == "hom" else embed_bs_construct(4, 9, 2, 3)).to_json()
+
+
+def edit_json(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+# (certificate kind, path to a node, value put there): each is an input error
+MALFORMED_EMBEDDINGS = {
+    "record-empty": ("embedding", ("aug_records",), [[]]),
+    "record-index-not-int": ("embedding", ("aug_records",), [["scale", "x"]]),
+    "claimed-strings": ("embedding", ("claimed",), ["a", "b"]),
+    "claimed-one-int": ("embedding", ("claimed",), [4]),
+    "map-claimed-one-int": ("embedding", ("map_claimed",), [4]),
+    "edge-image-no-end": ("embedding", ("map", "edge_map", "d0:0"), ["e0"]),
+}
+INEXACT_NUMBERS = {
+    f"{where}={value!r}": (kind, path, value)
+    for where, (kind, path) in {
+        "hom-label": ("hom", ("source", "graph", "edges", 0, "labels", 0)),
+        "embedding-label": ("embedding", ("map", "source", "edges", 0, "labels", 0)),
+        "vertex-mult": ("embedding", ("map", "vertex_mult", "z1")),
+        "edge-mult": ("embedding", ("map", "edge_mult", "d0")),
+    }.items()
+    for value in (2.5, 2.0, True, "2")
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_EMBEDDINGS, *INEXACT_NUMBERS])
+def test_verify_malformed_shape_or_inexact_number_exit_1(tmp_path, capsys, case):
+    # int() would read a label 2.5 as 2 and true as 1, and the hom would verify
+    kind, path, value = {**MALFORMED_EMBEDDINGS, **INEXACT_NUMBERS}[case]
+    data = seed_certificate(kind)
+    edit_json(data, path, value)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+    assert case in MALFORMED_EMBEDDINGS or "must be an integer" in err
+
+
+def test_verify_integer_too_long_to_read_exit_1(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(seed_certificate("hom")).replace('"labels": [2,', f'"labels": [{"9" * 5000},'))
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1 and out == ""
     assert err.startswith("input error:") and "Traceback" not in err

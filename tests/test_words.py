@@ -281,7 +281,7 @@ def test_letters_round_trip_and_parse():
     pres = Presentation(g, frozenset({"s0"}))
     letters = parse_letters("a(v0)^2 t(c0)^-1 a(w0)")
     path = pres.letters_to_path(letters)
-    back = pres.path_to_letters(path)
+    back = pres.path_to_letters(path.syllables)
     assert equal(g, path, pres.letters_to_path(back))
     assert parse_letters(format_letters(letters)) == letters
 
