@@ -36,7 +36,6 @@ from .bs_arith import (
     exists_epi_bs,
     is_hopfian_bs,
     is_rf_bs,
-    mult_group,
     power_of_ratio,
 )
 from .homs import (

@@ -10,7 +10,6 @@ from fractions import Fraction
 from .arith import factorize, gcd, split_power, valuation
 from .decision import Decision
 from .errors import DecisionError, FactorizationCapError
-from .lattice import RationalMultGroup
 
 
 def _require_nonzero(*values):
@@ -131,8 +130,3 @@ def is_rf_bs(m: int, n: int) -> bool:
     """Residually finite iff m = +-1, n = +-1, or m = +-n."""
     _require_nonzero(m, n)
     return abs(m) == 1 or abs(n) == 1 or abs(m) == abs(n)
-
-
-def mult_group(generators) -> RationalMultGroup:
-    """Multiplicative subgroup of Q* generated by the given rationals."""
-    return RationalMultGroup(generators)

@@ -419,7 +419,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.json = json_flag
     try:
-        for name in ("GBS_TOOLKIT_FACTOR_CAP", "GBS_TOOLKIT_MAX_VERTICES", "GBS_TOOLKIT_WITNESS_DEPTH"):
+        for name in ("GBS_TOOLKIT_FACTOR_CAP", "GBS_TOOLKIT_MAX_VERTICES"):
             env_int(name, 0)  # a malformed value is an input error for every subcommand
         args.fn(args)
     except (VertexCapError, FactorizationCapError, WordCapError) as exc:

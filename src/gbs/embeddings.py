@@ -210,6 +210,14 @@ def _pair_matches(got: tuple[int, int], want: tuple[int, int]) -> bool:
     )
 
 
+def _shown(pair) -> str:
+    """A pair for a violation message.  An integer of 100 digits or more is
+    shown by its bit length: a scaled or replayed label is a product, which
+    can pass the digits that int-to-str allows."""
+    shown = (str(x) if abs(x) < 10**100 else f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>" for x in pair)
+    return f"({', '.join(shown)})"
+
+
 def _replayed_loop(g: LabelledGraph, records, side: str):
     """The loop labels `records` reduce g to (None when that is not a single
     loop); a replay that fails raises CertificateError naming `side`."""
@@ -227,7 +235,7 @@ def verify_embedding_certificate(cert: EmbeddingCertificate) -> tuple[bool, list
         if loop is None:
             violations.append("source reduction does not end in a single loop")
         elif not _pair_matches(loop, cert.map_claimed):
-            violations.append(f"source reduces to loop {loop}, certificate claims {cert.map_claimed}")
+            violations.append(f"source reduces to loop {_shown(loop)}, certificate claims {_shown(cert.map_claimed)}")
         nu = 1
         for rec in cert.aug_records:
             if rec[0] != "scale" or rec[1] == 0:
@@ -237,7 +245,7 @@ def verify_embedding_certificate(cert: EmbeddingCertificate) -> tuple[bool, list
         scaled = (cert.claimed[0] * nu, cert.claimed[1] * nu)
         if not _pair_matches(scaled, cert.map_claimed):
             violations.append(
-                f"index records scale {cert.claimed} to {scaled}, not {cert.map_claimed}"
+                f"index records scale {_shown(cert.claimed)} to {_shown(scaled)}, not {_shown(cert.map_claimed)}"
             )
         if cert.target_reduce:
             loop = _replayed_loop(cert.map.target, cert.target_reduce, "target")

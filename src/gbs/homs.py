@@ -13,18 +13,18 @@ vertex for both directions: composing builds no presentation.
 
 The module also produces the canonical certificates: the ones induced by
 graph moves (collapse, expansion, sign change, contraction, displacement),
-epimorphisms between Baumslag-Solitar groups, the non-Hopfian
-self-epimorphism, and the two families of quotient constructions for
-2-generated groups (smallest-source quotients and maps onto the minimal
-Baumslag-Solitar quotient).  A move certificate is a substitution of the
-moved generators: collapse, contraction and expansion send each a(v) to
-a(u)^k by the multiplier map the move applies to labels, and each stable
-letter to itself, every image Britton-reduced over the target.
+the non-Hopfian self-epimorphism, and the two families of quotient
+constructions for 2-generated groups (smallest-source quotients, which
+include BS(m, n) ->> BS(m', n') on a one-loop target, and maps onto the
+minimal Baumslag-Solitar quotient).  A move certificate is a substitution
+of the moved generators: collapse, contraction and expansion send each
+a(v) to a(u)^k by the multiplier map the move applies to labels, and each
+stable letter to itself, every image Britton-reduced over the target.
 """
 
 from dataclasses import dataclass
 
-from .arith import env_int, factorize, gcd, split_power, xgcd
+from .arith import factorize, gcd, split_power, xgcd
 from .bs_arith import is_hopfian_bs, multiple_direction
 from .errors import (
     CertificateError,
@@ -36,28 +36,26 @@ from .errors import (
 from .graphs import (
     LabelledGraph,
     OrientedEdge,
+    _Work,
     bs_graph,
     classify_shape,
     collapse,
     contraction_move,
-    displacement_move,
     expansion,
     qrxy,
     reduce_graph,
     sign_change,
 )
-from .plateaus import is_two_generated
+from .plateaus import two_generated_shape
 from .words import (
     Presentation,
     britton_reduce,
     check_word_cap,
     format_letters,
-    is_elliptic,
     letters_concat,
     letters_inverse,
     letters_power,
     memoize_shared,
-    modulus,
     parse_letters,
     reduce_syllables,
     syllables_inverse,
@@ -408,8 +406,11 @@ def contraction_cert(g: LabelledGraph, edge: str, survivor_end: int = 0):
 
 def displacement_cert(g: LabelledGraph, edge: str, r: int, divided_end: int):
     """Displacement as expansion + contraction; returns (graph, cert, new
-    edge name).  The move itself checks the factor (MoveError)."""
-    s = displacement_move(g, edge, r, divided_end)[0].edges[edge].labels[divided_end]  # rs // r
+    edge name).  The move body checks the factor (MoveError) on a working
+    copy, whose graph is never built."""
+    work = _Work(g)
+    work.displacement(edge, r, divided_end)
+    s = work.edges[edge].labels[divided_end]  # rs // r
     g1, c_exp, _ = expansion_cert(g, g.edges[edge].endpoints[divided_end], [OrientedEdge(edge, divided_end)], s, 1)
     new_edge = next(e for e in g1.edges if e not in g.edges)
     g2, c_con = contraction_cert(g1, edge, survivor_end=1 - divided_end)
@@ -506,8 +507,13 @@ def solve_witnesses(tgt: Presentation, seeds, stable_handles: dict):
     letter.  Returns a witness dict or None when the gcd closure stalls.
     An offer of a(v)^d is decided from d alone: its word is built only when
     v has no word yet or d lowers the gcd kept for v.
+
+    The closure needs no budget.  A vertex is queued on its first offer, of
+    some d0 != 0, and after that only when xgcd strictly lowers its kept d;
+    the new d divides the old one, so it is at most half of it.  So v is
+    queued at most 1 + log2|d0| times (|d0|.bit_length()), and the number of
+    pops is at most the sum of that over the vertices.
     """
-    budget = env_int("GBS_TOOLKIT_WITNESS_DEPTH", 10000)
     g = tgt.graph
     best: dict[str, tuple[int, tuple]] = {}
     queue: list[str] = []
@@ -535,9 +541,6 @@ def solve_witnesses(tgt: Presentation, seeds, stable_handles: dict):
             vertex, d, word = plain
             offer(vertex, d, lambda: word)
     while queue:
-        budget -= 1
-        if budget < 0:
-            return None
         v = queue.pop()
         d, word = best[v]
         for oe in g.edges_at(v):
@@ -580,24 +583,7 @@ def witnessed_cert(
     return HomCertificate(src, tgt, images, witnesses, provenance, flags)
 
 
-# -- Baumslag-Solitar epimorphisms -------------------------------------------
-
-
-def bs_epi_cert(m: int, n: int, m2: int, n2: int) -> HomCertificate:
-    """Certificate for BS(m,n) ->> BS(m2,n2) (multiple or Klein-bottle case)."""
-    src = Presentation(bs_graph(m, n))
-    tgt = Presentation(bs_graph(m2, n2))
-    a, t, a2, t2 = ("v", "v0"), ("t", "e0"), ("v", "v0"), ("t", "e0")
-    direction = multiple_direction(m, n, m2, n2)
-    if direction is not None:
-        images = {a: (("v", "v0", 1),), t: (("t", "e0", direction),)}
-        witnesses = {a2: (("v", "v0", 1),), t2: (("t", "e0", direction),)}
-    elif (m2, n2) in ((1, -1), (-1, 1)) and m == n and m % 2 == 0:
-        images = {a: (("t", "e0", 1),), t: (("v", "v0", 1),)}
-        witnesses = {a2: (("t", "e0", 1),), t2: (("v", "v0", 1),)}
-    else:
-        raise DecisionError(f"no epimorphism BS({m},{n}) ->> BS({m2},{n2})")
-    return HomCertificate(src, tgt, images, witnesses, f"BS({m},{n})->>BS({m2},{n2})")
+# -- the non-Hopfian self-epimorphism -----------------------------------------
 
 
 @dataclass
@@ -655,12 +641,7 @@ def bs_source_epi(g: LabelledGraph, m: int, n: int) -> HomCertificate:
     """Certificate for BS(m, n) ->> G for a reduced 2-generated G admitting
     it (segment: m = n divisible by Q or R; lollipop: (m,n) an integral
     multiple of (QX, QY) or (QY, QX))."""
-    ok, witness = is_two_generated(g)
-    if not ok:
-        raise DecisionError(f"group has rank {witness.rank.rank} > 2")
-    shape = witness.shape
-    if shape.kind == "other":
-        raise ShapeError("not a segment/circle/lollipop")
+    shape = two_generated_shape(g)
     prods = qrxy(shape)
     src = Presentation(bs_graph(m, n))
     a, t = ("v", "v0"), ("t", "e0")
@@ -841,25 +822,3 @@ def minimal_bs_epi(g: LabelledGraph) -> HomCertificate:
     shape2 = classify_shape(g2)
     rest = circle_minimal_epi(g2, shape2)
     return compose(cert, rest, provenance=f"lollipop->>BS({Q*X},{Q*Y})")
-
-
-# -- checker-level structural properties --------------------------------------
-
-
-def images_of_elliptics_are_elliptic(cert: HomCertificate) -> bool:
-    for kind, name in cert.source.generators():
-        if kind != "v":
-            continue
-        path = cert.target.letters_to_path(cert.images[(kind, name)])
-        if not is_elliptic(cert.target.graph, path):
-            return False
-    return True
-
-
-def preserves_moduli(cert: HomCertificate) -> bool:
-    for kind, name in cert.source.generators():
-        src_mod = modulus(cert.source.graph, cert.source.letters_to_path(((kind, name, 1),)))
-        tgt_mod = modulus(cert.target.graph, cert.target.letters_to_path(cert.images[(kind, name)]))
-        if src_mod != tgt_mod:
-            return False
-    return True

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arith import coprime_base, env_int, factorize, gcd, split_power
-from .errors import InputError, NotReducedError, VertexCapError
+from .errors import DecisionError, InputError, NotReducedError, ShapeError, VertexCapError
 from .graphs import LabelledGraph, Shape, classify_shape
 
 VERTEX_CAP_DEFAULT = 24
@@ -135,6 +135,17 @@ def is_two_generated(g: LabelledGraph) -> tuple[bool, TwoGenWitness]:
     report = mu(g)
     shape = classify_shape(g, _plateau_sets=report.plateau_sets)
     return report.rank <= 2, TwoGenWitness(report, shape)
+
+
+def two_generated_shape(g: LabelledGraph) -> Shape:
+    """The shape of a 2-generated g; raises unless g has rank <= 2 and is a
+    segment, circle or lollipop."""
+    ok, witness = is_two_generated(g)
+    if not ok:
+        raise DecisionError(f"group has rank {witness.rank.rank} > 2")
+    if witness.shape.kind == "other":
+        raise ShapeError("graph is not a segment, circle or lollipop")
+    return witness.shape
 
 
 def check_copr(shape: Shape) -> list[str]:

@@ -22,7 +22,7 @@ from .graphs import (
     segment_graph,
 )
 from .homs import HomCertificate, _find_i0, bs_source_epi, witnessed_cert
-from .plateaus import is_two_generated
+from .plateaus import is_two_generated, two_generated_shape
 from .words import Presentation, is_unimodular, modular_image
 
 
@@ -46,17 +46,7 @@ def _validated_shape(g: LabelledGraph):
     kind = _detect_elementary(g)
     if kind == "Z" or kind == "K":
         raise ElementaryGroupError(f"excluded elementary group {kind}")
-    return _two_generated_shape(g)
-
-
-def _two_generated_shape(g: LabelledGraph):
-    """The shape of a reduced, non-elementary g; raises unless 2-generated."""
-    ok, witness = is_two_generated(g)
-    if not ok:
-        raise DecisionError(f"group has rank {witness.rank.rank} > 2")
-    if witness.shape.kind == "other":
-        raise ShapeError("graph is not a segment, circle or lollipop")
-    return witness.shape
+    return two_generated_shape(g)
 
 
 @dataclass(frozen=True)
@@ -194,7 +184,7 @@ def is_large(g: LabelledGraph) -> bool:
         raise NotReducedError("decider needs a reduced graph")
     if _detect_elementary(g) is not None:
         return False  # virtually abelian
-    shape = _two_generated_shape(g)
+    shape = two_generated_shape(g)
     if shape.kind == "segment":
         return True
     prods = qrxy(shape)

@@ -50,10 +50,6 @@ class PathWord:
     def inverse(self) -> "PathWord":
         return PathWord(self.base, syllables_inverse(self.syllables))
 
-    @property
-    def traversal_count(self) -> int:
-        return sum(1 for s in self.syllables if s[0] == "e")
-
 
 def syllables_inverse(syllables) -> tuple:
     """The reversed path: vertex powers negated, each traversal from its other end.

@@ -89,3 +89,36 @@ def test_mutated_certificates_exit_with_a_documented_code(tmp_path, capsys, kind
     for i in range(300):
         data = _mutate(seed, rng)
         assert _verify(tmp_path, capsys, data) in (0, 1, 2), (kind, i, data)
+
+
+def _replayed_past_the_limit(data):
+    """The source reduces, by one collapse of a 2,501-digit label, to a loop
+    with a label of 5,001 digits."""
+    big = 10**2500
+    data["map"]["source"] = {
+        "vertices": ["z0", "z1"],
+        "edges": [
+            {"name": "d0", "endpoints": ["z0", "z1"], "labels": [big, 1]},
+            {"name": "d1", "endpoints": ["z1", "z1"], "labels": [big, 1]},
+        ],
+    }
+    data["source_reduce"] = [{"kind": "collapse", "params": ["d0", 1, "z1", "z0", big]}]
+
+
+def _scaled_past_the_limit(data):
+    data["claimed"], data["aug_records"] = [10**2500, 1], [["scale", 10**2500]]
+
+
+@pytest.mark.parametrize("edit", [_scaled_past_the_limit, _replayed_past_the_limit], ids=["scaled", "replayed"])
+def test_products_past_the_int_to_str_limit_verify_invalid(tmp_path, capsys, edit):
+    """A product of certificate integers can pass the digits that int-to-str
+    allows; the violation message still prints, and the answer is invalid."""
+    data = seed_certificate("embedding")
+    edit(data)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    assert main(["--json", "verify", str(path)]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["answer"] == "invalid" and err == ""
+    assert any("-bit integer>" in v for v in payload["violations"]), payload["violations"]

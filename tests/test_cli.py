@@ -305,7 +305,6 @@ def test_quot_chain_and_family(capsys):
     [
         ("GBS_TOOLKIT_MAX_VERTICES", ("rank", "segment 2 3")),
         ("GBS_TOOLKIT_FACTOR_CAP", ("rank", "segment 2 3")),
-        ("GBS_TOOLKIT_WITNESS_DEPTH", ("quot", "chain", "--n", "2")),
     ],
 )
 def test_malformed_env_variable_exit_1(capsys, monkeypatch, var, argv):
@@ -316,9 +315,7 @@ def test_malformed_env_variable_exit_1(capsys, monkeypatch, var, argv):
         assert err.startswith("input error:") and var in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "var", ["GBS_TOOLKIT_MAX_VERTICES", "GBS_TOOLKIT_FACTOR_CAP", "GBS_TOOLKIT_WITNESS_DEPTH"]
-)
+@pytest.mark.parametrize("var", ["GBS_TOOLKIT_MAX_VERTICES", "GBS_TOOLKIT_FACTOR_CAP"])
 def test_malformed_env_variable_exit_1_on_any_subcommand(capsys, monkeypatch, var):
     monkeypatch.setenv(var, "abc")
     code, out, err = run(capsys, "bs", "rf", "2", "3")

@@ -1,9 +1,7 @@
 import dataclasses
 import json
-import os
 import random
 from collections import Counter
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,16 @@ from conftest import count_calls, graphs
 
 from gbs import homs, words
 from gbs.arith import gcd, xgcd
-from gbs.errors import CertificateError, DecisionError, InputError, MissingWitnessError, MoveError, WordCapError
+from gbs.bs_arith import exists_epi_bs
+from gbs.errors import (
+    CertificateError,
+    DecisionError,
+    InputError,
+    MissingWitnessError,
+    MoveError,
+    ShapeError,
+    WordCapError,
+)
 from gbs.graphs import (
     LabelledGraph,
     OrientedEdge,
@@ -28,7 +35,6 @@ from gbs.graphs import (
 from gbs.homs import (
     HomCertificate,
     _seed_to_plain,
-    bs_epi_cert,
     check_epi,
     check_hom,
     collapse_cert,
@@ -37,10 +43,8 @@ from gbs.homs import (
     displacement_cert,
     expansion_cert,
     identity_cert,
-    images_of_elliptics_are_elliptic,
     loop_relabel_cert,
     non_hopf_endo,
-    preserves_moduli,
     circle_minimal_epi,
     reduce_cert,
     sign_change_cert,
@@ -55,11 +59,34 @@ from gbs.words import (
     Presentation,
     britton_reduce,
     expand_letters,
+    is_elliptic,
     letters_concat,
     letters_inverse,
     letters_power,
+    modulus,
 )
 from test_words import letters_power_reference
+
+
+def images_of_elliptics_are_elliptic(cert: HomCertificate) -> bool:
+    """Oracle: every vertex generator maps to an elliptic word."""
+    for kind, name in cert.source.generators():
+        if kind != "v":
+            continue
+        path = cert.target.letters_to_path(cert.images[(kind, name)])
+        if not is_elliptic(cert.target.graph, path):
+            return False
+    return True
+
+
+def preserves_moduli(cert: HomCertificate) -> bool:
+    """Oracle: every generator and its image have the same modulus."""
+    for kind, name in cert.source.generators():
+        src_mod = modulus(cert.source.graph, cert.source.letters_to_path(((kind, name, 1),)))
+        tgt_mod = modulus(cert.target.graph, cert.target.letters_to_path(cert.images[(kind, name)]))
+        if src_mod != tgt_mod:
+            return False
+    return True
 
 
 def _round_trip_fixes_generators(fwd, rev):
@@ -142,6 +169,14 @@ def test_displacement_cert():
     assert new_edge in g2.edges
 
 
+def test_displacement_cert_builds_only_the_move_graphs(monkeypatch):
+    # the expansion's graph and the contraction's; the factor is checked on a working copy
+    g = circle_graph([2, 5, 3, 7])
+    calls = count_calls(monkeypatch, [(LabelledGraph, "__init__")])
+    displacement_cert(g, "c1", 3, 0)
+    assert calls["__init__"] == 2
+
+
 @pytest.mark.parametrize(
     "g,edge,r,end",
     [
@@ -210,11 +245,13 @@ def test_check_hom_rejects_bad_images():
 
 
 def test_bs_epi_cert_cases():
-    for args in ((18, 36, 9, 18), (6, 10, 3, 5), (6, 10, 5, 3), (4, 4, 1, -1), (12, 18, -2, -3)):
-        cert = bs_epi_cert(*args)
-        assert check_epi(cert), args
+    # BS(m, n) ->> BS(m2, n2) when (m, n) is a multiple of (m2, n2) either way
+    for m, n, m2, n2 in ((18, 36, 9, 18), (6, 10, 3, 5), (6, 10, 5, 3), (12, 18, -2, -3)):
+        cert = bs_source_epi(bs_graph(m2, n2), m, n)
+        assert check_epi(cert) and not cert.flags, (m, n, m2, n2)
+    assert exists_epi_bs(4, 4, 1, -1)  # onto the Klein bottle group: decided, not certified
     with pytest.raises(DecisionError):
-        bs_epi_cert(2, 3, 3, 5)
+        bs_source_epi(bs_graph(3, 5), 2, 3)
 
 
 def test_non_hopf_pipeline():
@@ -243,6 +280,11 @@ def test_bs_source_epi_rejects_rank_3():
     # reduced, Q = R = 60, but rank 3: no Baumslag-Solitar group maps onto it
     with pytest.raises(DecisionError, match="group has rank 3 > 2"):
         bs_source_epi(segment_graph([6, 6, 10, 15]), 60, 60)
+
+
+def test_bs_source_epi_rejects_other_shapes():
+    with pytest.raises(ShapeError, match="graph is not a segment, circle or lollipop"):
+        bs_source_epi(LabelledGraph({"v"}, {}), 1, 1)
 
 
 def test_bs_source_epi_segment_routes():
@@ -295,10 +337,9 @@ def test_solve_witnesses_degrades():
     assert solve_witnesses(pres, seeds, {"e0": (("t", "e0", 1),)}) is None
 
 
-def test_stalled_witness_search_flags_hom_only(monkeypatch):
-    """With no closure budget every witness-backed builder still returns a
-    checkable homomorphism, without witnesses and flagged as hom-only."""
-    monkeypatch.setenv("GBS_TOOLKIT_WITNESS_DEPTH", "0")
+def test_stalled_witness_search_flags_hom_only():
+    """Every witness-backed builder finds its witnesses; a map that is not
+    onto stalls the search and comes back a hom-only certificate."""
     explicit = minimal_bs_epi(lollipop_graph([2, 5], [5, 7]))  # k = l = 1: the explicit route
     assert explicit.provenance == "lollipop->>BS(10,14)"
     chain = descending_chain(2)
@@ -310,16 +351,22 @@ def test_stalled_witness_search_flags_hom_only(monkeypatch):
         chain.to_next,
         chain.to_bs_9_18,
     ):
-        assert check_hom(cert), cert.provenance
-        assert cert.witnesses is None, cert.provenance
-        assert cert.flags == ("hom-only: witness search failed",), cert.provenance
+        assert check_epi(cert), cert.provenance
+        assert cert.witnesses is not None and cert.flags == (), cert.provenance
+    pres = Presentation(bs_graph(2, 4))
+    images = {("v", "v0"): (("v", "v0", 2),), ("t", "e0"): (("t", "e0", 1),)}
+    stalled = homs.witnessed_cert(pres, pres, images, {"e0": (("t", "e0", 1),)}, "a -> a^2")
+    assert check_hom(stalled)
+    assert stalled.witnesses is None
+    assert stalled.flags == ("hom-only: witness search failed",)
 
 
 def _solve_witnesses_reference(tgt, seeds, stable_handles):
-    """The eager closure: builds the word of every offer, kept or not."""
-    budget = int(os.environ.get("GBS_TOOLKIT_WITNESS_DEPTH", 10000))
+    """The eager closure: builds the word of every offer, kept or not.  It
+    pops a vertex at most |d0|.bit_length() times, for d0 its first offer."""
     g = tgt.graph
-    best, queue = {}, []
+    best, queue, first = {}, [], {}
+    pops = 0
 
     def offer(vertex, d, word):
         if d == 0:
@@ -328,7 +375,7 @@ def _solve_witnesses_reference(tgt, seeds, stable_handles):
             d, word = -d, letters_inverse(word)
         cur = best.get(vertex)
         if cur is None:
-            best[vertex] = (d, word)
+            best[vertex] = first[vertex] = (d, word)
             queue.append(vertex)
             return
         d0, w0 = cur
@@ -342,9 +389,7 @@ def _solve_witnesses_reference(tgt, seeds, stable_handles):
         if plain is not None:
             offer(*plain)
     while queue:
-        budget -= 1
-        if budget < 0:
-            return None
+        pops += 1
         v = queue.pop()
         d, word = best[v]
         for name in g.sorted_edges():
@@ -363,6 +408,7 @@ def _solve_witnesses_reference(tgt, seeds, stable_handles):
                 if name not in tgt.tree:
                     new_word = letters_concat(letters_inverse(handle), new_word, handle)
                 offer(p0, l0 * (d // gcd(d, l1)), new_word)
+    assert pops <= sum(d0.bit_length() for d0, _ in first.values())
     witnesses = {}
     for vertex in g.sorted_vertices():
         got = best.get(vertex)
@@ -404,13 +450,11 @@ def _witness_problem(rng):
     return tgt, seeds, handles
 
 
-@given(st.integers(min_value=0, max_value=2**30), st.sampled_from([None, "0", "1", "3"]))
+@given(st.integers(min_value=0, max_value=2**30))
 @settings(max_examples=150, deadline=None)
-def test_solve_witnesses_matches_eager_reference(seed, depth):
+def test_solve_witnesses_matches_eager_reference(seed):
     tgt, seeds, handles = _witness_problem(random.Random(seed))
-    env = {} if depth is None else {"GBS_TOOLKIT_WITNESS_DEPTH": depth}
-    with mock.patch.dict(os.environ, env):
-        assert solve_witnesses(tgt, seeds, handles) == _solve_witnesses_reference(tgt, seeds, handles)
+    assert solve_witnesses(tgt, seeds, handles) == _solve_witnesses_reference(tgt, seeds, handles)
 
 
 def test_witness_closure_builds_only_kept_words(monkeypatch):

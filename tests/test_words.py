@@ -321,7 +321,7 @@ def test_britton_confluence_triviality(g):
     nf = britton_reduce(g, w)
     rev = britton_reduce(g, w.inverse())
     assert nf.trivial == rev.trivial
-    assert nf.word.traversal_count == rev.word.traversal_count
+    assert [s[0] for s in nf.word.syllables].count("e") == [s[0] for s in rev.word.syllables].count("e")
 
 
 @given(graphs())
