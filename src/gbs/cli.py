@@ -13,7 +13,7 @@ import sys
 
 from .arith import env_int, least_prime_factor
 from .bs_arith import embeds_bs, exists_epi_bs, is_hopfian_bs, is_rf_bs
-from .catalog import run_catalog
+from .catalog import ENTRIES, run_catalog
 from .embeddings import (
     EmbeddingCertificate,
     embed_bs_construct,
@@ -68,10 +68,18 @@ def _emit(args, payload: dict, human: str):
         print(human)
 
 
-def _presentation(args, g: LabelledGraph) -> Presentation:
-    tree = frozenset(args.tree.split(",")) if getattr(args, "tree", None) else None
-    base = getattr(args, "base", None)
-    return Presentation(g, tree, base)
+def _yes_no(args, got, human: str = "yes", **fields):
+    """Emit a yes/no answer; `fields` join the JSON payload of a yes."""
+    _emit(args, {"answer": "yes", **fields} if got else {"answer": "no"}, human if got else "no")
+
+
+def _emit_cert(args, payload: dict, build) -> dict:
+    """Write build()'s certificate to --emit-cert, if given, before any output."""
+    if args.emit_cert:
+        with open(args.emit_cert, "w") as fh:
+            json.dump(build().to_json(), fh, indent=2)
+        payload["certificate"] = args.emit_cert
+    return payload
 
 
 def cmd_graph_info(args):
@@ -120,13 +128,12 @@ def cmd_plateaus(args):
 def cmd_quot_sources(args):
     g = load_graph(args.graph)
     src = bs_sources(g)
-    payload = {"sources": src.describe()}
+    payload, human = {"sources": src.describe()}, src.describe()
     if args.test:
         m, n = args.test
-        payload["test"] = {"m": m, "n": n, "answer": src.contains(m, n)}
-    human = src.describe()
-    if args.test:
-        human += f"\nBS({args.test[0]},{args.test[1]}): {'yes' if payload['test']['answer'] else 'no'}"
+        got = src.contains(m, n)
+        payload["test"] = {"m": m, "n": n, "answer": got}
+        human += f"\nBS({m},{n}): {'yes' if got else 'no'}"
     _emit(args, payload, human)
 
 
@@ -142,15 +149,8 @@ def cmd_quot_minimal(args):
 def cmd_quot_epi_equiv(args):
     g = load_graph(args.graph)
     got = epi_equivalent_bs(g)
-    payload = {"answer": "yes" if got else "no"}
-    if got:
-        payload["bs"] = list(got)
-        if args.emit_cert:
-            cert = minimal_bs_epi(g)
-            with open(args.emit_cert, "w") as fh:
-                json.dump(cert.to_json(), fh, indent=2)
-            payload["certificate"] = args.emit_cert
-    _emit(args, payload, f"epi-equivalent to BS{got}" if got else "no")
+    fields = _emit_cert(args, {"bs": list(got)}, lambda: minimal_bs_epi(g)) if got else {}
+    _yes_no(args, got, f"epi-equivalent to BS{got}", **fields)
 
 
 def cmd_quot_family(args):
@@ -181,84 +181,51 @@ def cmd_quot_onto_minimal(args):
     g = load_graph(args.graph)
     dec = maps_onto_minimal_bs(g)
     payload = dec.to_json()
-    if dec and args.emit_cert:
-        cert = minimal_bs_epi(g)
-        with open(args.emit_cert, "w") as fh:
-            json.dump(cert.to_json(), fh, indent=2)
-        payload["certificate"] = args.emit_cert
+    if dec:
+        _emit_cert(args, payload, lambda: minimal_bs_epi(g))
     _emit(args, payload, f"{'yes' if dec else 'no'} ({dec.clause})")
 
 
-def cmd_bs(args):
-    if args.op == "hopfian":
-        got = is_hopfian_bs(args.params[0], args.params[1])
-        _emit(args, {"answer": "yes" if got else "no"}, "yes" if got else "no")
-    elif args.op == "rf":
-        got = is_rf_bs(args.params[0], args.params[1])
-        _emit(args, {"answer": "yes" if got else "no"}, "yes" if got else "no")
-    elif args.op == "epi":
-        got = exists_epi_bs(*args.params)
-        _emit(args, {"answer": "yes" if got else "no"}, "yes" if got else "no")
-    elif args.op == "embeds":
-        dec = embeds_bs(*args.params)
-        payload = dec.to_json()
-        if dec.reasons:
-            payload["reason"] = f"{dec.clause}: {dec.reasons[0]}"
-        else:
-            payload["reason"] = dec.clause
-        _emit(args, payload, f"{'yes' if dec else 'no'} ({payload['reason']})")
+def cmd_bs_embeds(args):
+    dec = embeds_bs(*args.params)
+    reason = f"{dec.clause}: {dec.reasons[0]}" if dec.reasons else dec.clause
+    _emit(args, {**dec.to_json(), "reason": reason}, f"{'yes' if dec else 'no'} ({reason})")
 
 
 def cmd_embed_construct(args):
-    r, s, m, n = args.r, args.s, args.m, args.n
-    dec = embeds_bs(r, s, m, n)
+    dec = embeds_bs(args.r, args.s, args.m, args.n)
     if not dec:
-        _emit(args, dec.to_json(), f"no ({dec.clause})")
-        return
-    cert = embed_bs_construct(r, s, m, n)
-    ok, violations = verify_embedding_certificate(cert)
-    payload = {"answer": "yes", "verified": ok, "provenance": cert.provenance}
-    if args.emit_cert:
-        with open(args.emit_cert, "w") as fh:
-            json.dump(cert.to_json(), fh, indent=2)
-        payload["certificate"] = args.emit_cert
-    _emit(args, payload, f"yes; certificate {'verified' if ok else 'INVALID'} ({cert.provenance})")
+        return _emit(args, dec.to_json(), f"no ({dec.clause})")
+    cert = embed_bs_construct(args.r, args.s, args.m, args.n)
+    ok, _ = verify_embedding_certificate(cert)
+    fields = _emit_cert(args, {"verified": ok, "provenance": cert.provenance}, lambda: cert)
+    _yes_no(args, True, f"yes; certificate {'verified' if ok else 'INVALID'} ({cert.provenance})", **fields)
 
 
 def cmd_embed_bsnn(args):
     g = load_graph(args.graph)
     if args.n is not None:
-        got = subgroup_of_bs_nn(g, args.n, up_to_sign=args.up_to_sign)
-        _emit(args, {"answer": "yes" if got else "no"}, "yes" if got else "no")
+        _yes_no(args, subgroup_of_bs_nn(g, args.n, up_to_sign=args.up_to_sign))
     else:
         n = embeds_in_some_bs_nn(g)
-        payload = {"answer": "yes" if n else "no"}
-        if n:
-            payload["n"] = n
-        _emit(args, payload, f"yes, n = {n}" if n else "no")
+        _yes_no(args, n, f"yes, n = {n}", n=n)
 
 
 def cmd_word(args):
     g = load_graph(args.graph)
-    pres = _presentation(args, g)
+    pres = Presentation(g, frozenset(args.tree.split(",")) if args.tree else None, args.base)
     w = pres.letters_to_path(parse_letters(args.word))
     if args.op == "reduce":
         nf = britton_reduce(g, w)
-        payload = {
-            "trivial": nf.trivial,
-            "reduced": format_letters(pres.path_to_letters(nf.word.syllables)),
-        }
-        _emit(args, payload, f"trivial: {nf.trivial}; reduced: {payload['reduced']}")
+        reduced = format_letters(pres.path_to_letters(nf.word.syllables))
+        _emit(args, {"trivial": nf.trivial, "reduced": reduced}, f"trivial: {nf.trivial}; reduced: {reduced}")
     elif args.op == "modulus":
         val = modulus(g, w)
         _emit(args, {"modulus": str(val)}, str(val))
-    elif args.op == "elliptic":
-        got = is_elliptic(g, w)
-        _emit(args, {"elliptic": got}, "yes" if got else "no")
-    elif args.op == "equal":
-        w2 = pres.letters_to_path(parse_letters(args.word2))
-        got = equal(g, w, w2)
-        _emit(args, {"equal": got}, "yes" if got else "no")
+    else:  # elliptic or equal: yes/no, keyed by the op in JSON
+        got = (equal(g, w, pres.letters_to_path(parse_letters(args.word2))) if args.op == "equal"
+               else is_elliptic(g, w))
+        _emit(args, {args.op: got}, "yes" if got else "no")
 
 
 def cmd_verify(args):
@@ -279,30 +246,75 @@ def cmd_verify(args):
         raise InputError(f"malformed {kind} certificate: {type(exc).__name__}: {exc}") from exc
     if kind == "embedding":
         ok, violations = verify_embedding_certificate(cert)
-        payload = {"answer": "valid" if ok else "invalid", "violations": violations}
-        _emit(args, payload, payload["answer"] + ("" if ok else f": {violations[0]}"))
+        fields, human = {"violations": violations}, "valid" if ok else f"invalid: {violations[0]}"
     else:
-        hom_ok = check_hom(cert)
-        epi_ok = hom_ok and cert.witnesses is not None and check_epi(cert)
-        payload = {
-            "answer": "valid" if hom_ok else "invalid",
-            "hom": hom_ok,
-            "epi": epi_ok,
-        }
-        _emit(args, payload, f"hom: {hom_ok}, epi: {epi_ok}")
+        ok = check_hom(cert)
+        epi_ok = ok and cert.witnesses is not None and check_epi(cert)
+        fields, human = {"hom": ok, "epi": epi_ok}, f"hom: {ok}, epi: {epi_ok}"
+    _emit(args, {"answer": "valid" if ok else "invalid", **fields}, human)
 
 
 def cmd_catalog(args):
     results = run_catalog(only=args.only)
     ok = all(r["ok"] for r in results)
-    if args.json:
-        print(json.dumps({"ok": ok, "entries": results}, indent=2))
-    else:
-        for r in results:
-            print(f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']:<18} {r['detail']}")
-        print(f"{sum(r['ok'] for r in results)}/{len(results)} entries pass")
+    lines = [f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']:<18} {r['detail']}" for r in results]
+    lines.append(f"{sum(r['ok'] for r in results)}/{len(results)} entries pass")
+    _emit(args, {"ok": ok, "entries": results}, "\n".join(lines))
     if not ok:
         sys.exit(3)
+
+
+# An argument is (name, kind, argparse options).  Kinds: graph (a graph file or an inline
+# graph), word (letter syntax), int, cert (a certificate file to read), out (one to write),
+# vertex, edges (comma-separated names), flag and entry (a catalog entry name).
+_KINDS = {
+    "int": {"type": int},
+    "flag": {"action": "store_true"},
+    "entry": {"choices": [name for name, _ in ENTRIES]},
+}
+_GRAPH, _CERT, _EMIT = ("graph", "graph", {}), ("cert", "cert", {}), ("--emit-cert", "out", {})
+_WORD = (_GRAPH, ("word", "word", {}), ("--base", "vertex", {}),
+         ("--tree", "edges", {"help": "comma-separated spanning tree edges"}))
+_PARAMS2, _PARAMS4 = (("params", "int", {"nargs": 2}),), (("params", "int", {"nargs": 4}),)
+
+# Every subcommand once: its path, its handler and its arguments in order.
+COMMANDS = (
+    ("graph info", cmd_graph_info, (_GRAPH,)),
+    ("graph reduce", cmd_graph_reduce, (_GRAPH,)),
+    ("rank", cmd_rank, (_GRAPH,)),
+    ("plateaus", cmd_plateaus, (_GRAPH, ("--prime", "int", {"required": True}))),
+    ("quot sources", cmd_quot_sources, (_GRAPH, ("--test", "int", {"nargs": 2, "metavar": ("M", "N")}))),
+    ("quot minimal", cmd_quot_minimal, (_GRAPH,)),
+    ("quot epi-equiv", cmd_quot_epi_equiv, (_GRAPH, _EMIT)),
+    ("quot onto-minimal", cmd_quot_onto_minimal, (_GRAPH, _EMIT)),
+    ("quot family", cmd_quot_family, (("m", "int", {}), ("n", "int", {}), ("--count", "int", {"default": 5}))),
+    ("quot chain", cmd_quot_chain, (("--n", "int", {"required": True}),)),
+    ("bs hopfian", lambda args: _yes_no(args, is_hopfian_bs(*args.params)), _PARAMS2),
+    ("bs rf", lambda args: _yes_no(args, is_rf_bs(*args.params)), _PARAMS2),
+    ("bs epi", lambda args: _yes_no(args, exists_epi_bs(*args.params)), _PARAMS4),
+    ("bs embeds", cmd_bs_embeds, _PARAMS4),
+    ("embed construct", cmd_embed_construct, (*((x, "int", {}) for x in "rsmn"), _EMIT)),
+    ("embed check", cmd_verify, (_CERT,)),
+    ("embed bsnn", cmd_embed_bsnn, (_GRAPH, ("n", "int", {"nargs": "?"}), ("--up-to-sign", "flag", {}))),
+    ("word reduce", cmd_word, _WORD),
+    ("word modulus", cmd_word, _WORD),
+    ("word elliptic", cmd_word, _WORD),
+    ("word equal", cmd_word, (*_WORD, ("word2", "word", {}))),
+    ("verify", cmd_verify, (_CERT,)),
+    ("catalog", cmd_catalog, (("--only", "entry", {}),)),
+)
+# the help of each top-level name; bs and word name their choice "op"
+_HELP = {
+    "graph": "inspect graphs",
+    "rank": "rank = beta + mu (reduced graphs)",
+    "plateaus": "list p-plateaus",
+    "quot": "quotient-direction deciders",
+    "bs": "Baumslag-Solitar parameter deciders",
+    "embed": "subgroup certificates",
+    "word": "word problem over a graph",
+    "verify": "re-verify a certificate file",
+    "catalog": "run the worked-example regression table",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -316,98 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="gbs", description=__doc__)
     top.add_argument("--json", action="store_true", help="machine-readable output (accepted anywhere)")
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("graph", help="inspect graphs")
-    gsub = p.add_subparsers(dest="subcommand", required=True)
-    q = gsub.add_parser("info")
-    q.add_argument("graph")
-    q.set_defaults(fn=cmd_graph_info)
-    q = gsub.add_parser("reduce")
-    q.add_argument("graph")
-    q.set_defaults(fn=cmd_graph_reduce)
-
-    q = sub.add_parser("rank", help="rank = beta + mu (reduced graphs)")
-    q.add_argument("graph")
-    q.set_defaults(fn=cmd_rank)
-
-    q = sub.add_parser("plateaus", help="list p-plateaus")
-    q.add_argument("graph")
-    q.add_argument("--prime", type=int, required=True)
-    q.set_defaults(fn=cmd_plateaus)
-
-    p = sub.add_parser("quot", help="quotient-direction deciders")
-    qsub = p.add_subparsers(dest="subcommand", required=True)
-    q = qsub.add_parser("sources")
-    q.add_argument("graph")
-    q.add_argument("--test", type=int, nargs=2, metavar=("M", "N"))
-    q.set_defaults(fn=cmd_quot_sources)
-    q = qsub.add_parser("minimal")
-    q.add_argument("graph")
-    q.set_defaults(fn=cmd_quot_minimal)
-    q = qsub.add_parser("epi-equiv")
-    q.add_argument("graph")
-    q.add_argument("--emit-cert")
-    q.set_defaults(fn=cmd_quot_epi_equiv)
-    q = qsub.add_parser("onto-minimal")
-    q.add_argument("graph")
-    q.add_argument("--emit-cert")
-    q.set_defaults(fn=cmd_quot_onto_minimal)
-    q = qsub.add_parser("family")
-    q.add_argument("m", type=int)
-    q.add_argument("n", type=int)
-    q.add_argument("--count", type=int, default=5)
-    q.set_defaults(fn=cmd_quot_family)
-    q = qsub.add_parser("chain")
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(fn=cmd_quot_chain)
-
-    p = sub.add_parser("bs", help="Baumslag-Solitar parameter deciders")
-    bsub = p.add_subparsers(dest="op", required=True)
-    for op, nargs in (("hopfian", 2), ("rf", 2), ("epi", 4), ("embeds", 4)):
-        q = bsub.add_parser(op)
-        q.add_argument("params", type=int, nargs=nargs)
-        q.set_defaults(fn=cmd_bs, op=op)
-
-    p = sub.add_parser("embed", help="subgroup certificates")
-    esub = p.add_subparsers(dest="subcommand", required=True)
-    q = esub.add_parser("construct")
-    for name in ("r", "s", "m", "n"):
-        q.add_argument(name, type=int)
-    q.add_argument("--emit-cert")
-    q.set_defaults(fn=cmd_embed_construct)
-    q = esub.add_parser("check")
-    q.add_argument("cert")
-    q.set_defaults(fn=cmd_verify)
-    q = esub.add_parser("bsnn")
-    q.add_argument("graph")
-    q.add_argument("n", type=int, nargs="?")
-    q.add_argument("--up-to-sign", action="store_true")
-    q.set_defaults(fn=cmd_embed_bsnn)
-
-    p = sub.add_parser("word", help="word problem over a graph")
-    wsub = p.add_subparsers(dest="op", required=True)
-    for op in ("reduce", "modulus", "elliptic"):
-        q = wsub.add_parser(op)
-        q.add_argument("graph")
-        q.add_argument("word")
-        q.add_argument("--base")
-        q.add_argument("--tree", help="comma-separated spanning tree edges")
-        q.set_defaults(fn=cmd_word, op=op)
-    q = wsub.add_parser("equal")
-    q.add_argument("graph")
-    q.add_argument("word")
-    q.add_argument("word2")
-    q.add_argument("--base")
-    q.add_argument("--tree")
-    q.set_defaults(fn=cmd_word, op="equal")
-
-    q = sub.add_parser("verify", help="re-verify a certificate file")
-    q.add_argument("cert")
-    q.set_defaults(fn=cmd_verify)
-
-    q = sub.add_parser("catalog", help="run the worked-example regression table")
-    q.add_argument("--only")
-    q.set_defaults(fn=cmd_catalog)
+    groups = {}
+    for path, fn, arguments in COMMANDS:
+        head, _, leaf = path.partition(" ")
+        if leaf and head not in groups:
+            dest = "op" if head in ("bs", "word") else "subcommand"
+            groups[head] = sub.add_parser(head, help=_HELP[head]).add_subparsers(dest=dest, required=True)
+        q = groups[head].add_parser(leaf) if leaf else sub.add_parser(head, help=_HELP[head])
+        for name, kind, options in arguments:
+            q.add_argument(name, **_KINDS.get(kind, {}), **options)
+        q.set_defaults(fn=fn)
     return top
 
 

@@ -449,7 +449,7 @@ class _Work:
             if ed.endpoints[_end(k)] != vertex:
                 raise MoveError(f"{OrientedEdge(e, k)} does not start at {vertex}")
             if ed.labels[k] % div != 0:
-                raise MoveError(f"label {ed.labels[k]} of {OrientedEdge(e, k)} not divisible by {div}")
+                raise MoveError(f"label of {OrientedEdge(e, k)} not divisible by {div}")
         edges = self.edges
         for new, used in ((new_vertex, self.vertices), (new_edge, edges)):
             if type(new) is not str or not new or new in used:
@@ -489,9 +489,9 @@ class _Work:
         rs = ed.labels[_end(divided_end, "divided end")]
         q = ed.labels[1 - divided_end]
         if _exact(r, "displacement factor") == 0 or rs % r != 0:
-            raise MoveError(f"{r} does not divide the label {rs}")
+            raise MoveError(f"{r} does not divide the label of {OrientedEdge(edge, divided_end)}")
         if gcd(q, r) != 1:
-            raise MoveError(f"factor {r} not coprime to far label {q}")
+            raise MoveError(f"factor {r} not coprime to the far label of {edge}")
         v = ed.endpoints[1 - divided_end]
         self._merge(v, r, v)
         self.edges[edge] = EdgeData(ed.endpoints, (rs // r, q) if divided_end == 0 else (q, rs // r))

@@ -1,10 +1,12 @@
+import hashlib
 import json
+import os
 import time
 
 import pytest
 
 from gbs import embed_bs_construct, non_hopf_endo, quotients
-from gbs.cli import main
+from gbs.cli import COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -424,3 +426,128 @@ def test_verify_bad_shared_word_table_exit_1(tmp_path, capsys, words, images):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1 and out == ""
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_catalog_unknown_entry_exit_1(capsys):
+    # a mistyped entry name once ran no entry and read "0/0 entries pass" (exit 0)
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--only", "nope"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: gbs catalog")
+    assert "input error: argument --only: invalid choice: 'nope'" in err
+
+
+# Every subcommand's outputs, pinned: (argv, environment, digest of the human run, digest of
+# the --json run).  A digest is the first 16 hex digits of the SHA-256 of the JSON list
+# [exit code, stdout, stderr, text of the written cert.json or null], run in a directory that
+# holds hom.json and embedding.json (`seed_certificate`) with COLUMNS=80.  They were recorded
+# from the hand-built parser that the subcommand table replaced.
+CLI_PINS = [
+    (("graph", "info", "lollipop 1 6 2 | 3 6"), {}, "cd008089aa20e797", "959f80273734a720"),
+    (("graph", "info", "segment 2 3 5 7"), {}, "2f30f66c57f0194b", "9579154b21b330d2"),
+    (("graph", "info", "segment 1"), {}, "acfea5664810366d", "acfea5664810366d"),
+    (("graph", "reduce", "segment 1 2 3 5"), {}, "c824c4c4ed084ea4", "2ceb56a19b81773f"),
+    (("graph", "reduce", "circle 2 3"), {}, "ceaaea279c408484", "f22d26784ec0b501"),
+    (("rank", "lollipop 1 6 2 | 3 6"), {}, "a3d3ebf598c1bce2", "934c25d3668d7a0c"),
+    (("rank", "segment 2 3 5 7 11 13"), {"GBS_TOOLKIT_MAX_VERTICES": "2"}, "185d901ac8c70348", "185d901ac8c70348"),
+    (("rank", "missing_segment.txt"), {}, "38e7dd5631bd0c07", "38e7dd5631bd0c07"),
+    (("plateaus", "segment 2 3", "--prime", "2"), {}, "c1a1e1c3da5363e9", "403a23f5238d309f"),
+    (("plateaus", "segment 2 3", "--prime", "4"), {}, "8f65679ddc344f4f", "8f65679ddc344f4f"),
+    (("quot", "sources", "segment 2 3", "--test", "4", "4"), {}, "45d44b6d93be691c", "aeef61da03cf1e21"),
+    (("quot", "sources", "lollipop 1 6 2 | 3 6"), {}, "1246709297ed73b8", "425f101f9be75718"),
+    (("quot", "minimal", "lollipop 1 6 2 | 3 6"), {}, "9b4e8e469a45a374", "f2f157db9f6ee911"),
+    (("quot", "minimal", "segment 2 3"), {}, "7913b3231dbe13d7", "bf1a3a45f7ead9f4"),
+    (("quot", "epi-equiv", "circle 2 5 5 7", "--emit-cert", "cert.json"), {}, "2884e3f98ee9fe11", "328725b2875d35ca"),
+    (("quot", "epi-equiv", "lollipop 1 6 2 | 3 6", "--emit-cert", "cert.json"), {}, "2e664087c866bb82", "cfca6f589cee3c99"),
+    (("quot", "onto-minimal", "lollipop 1 2 5 | 5 7", "--emit-cert", "cert.json"), {}, "8387088a5ae889a8", "1eeee4d909540207"),
+    (("quot", "onto-minimal", "lollipop 1 6 2 | 3 6"), {}, "550a844fab2dced9", "758661e0752a4c28"),
+    (("quot", "onto-minimal", "lollipop 1 2 2 | 2 3 2 3", "--emit-cert", "cert.json"), {}, "f5139148ac116115", "645601b5e85f32e9"),
+    (("quot", "family", "4", "6", "--count", "2"), {}, "ec0a750c8b3820f8", "5251426c90ac0eb7"),
+    (("quot", "family", "4", "6", "--count", "0"), {}, "35e46193a0376e01", "35e46193a0376e01"),
+    (("quot", "chain", "--n", "1"), {}, "e0e2950a484fc93d", "dcbc8b1bf32db197"),
+    (("bs", "hopfian", "2", "3"), {}, "2e664087c866bb82", "cfca6f589cee3c99"),
+    (("bs", "hopfian", "2", "4"), {}, "af6e0cd10d51da7a", "e6284a23a90c61d2"),
+    (("bs", "rf", "2", "3"), {}, "2e664087c866bb82", "cfca6f589cee3c99"),
+    (("bs", "rf", "1", "3"), {}, "af6e0cd10d51da7a", "e6284a23a90c61d2"),
+    (("bs", "rf", "2", "4"), {"GBS_TOOLKIT_FACTOR_CAP": "abc"}, "60848b1cb1117d20", "60848b1cb1117d20"),
+    (("bs", "epi", "4", "6", "2", "3"), {}, "af6e0cd10d51da7a", "e6284a23a90c61d2"),
+    (("bs", "epi", "2", "3", "2", "4"), {}, "2e664087c866bb82", "cfca6f589cee3c99"),
+    (("bs", "embeds", "12", "20", "6", "10"), {}, "2472d1aa6d7d9801", "3beea9127d89325d"),
+    (("bs", "embeds", "4", "9", "2", "3"), {}, "d40968f221c60a88", "f3b14ec59579a4d2"),
+    (("bs", "embeds", "12", "20", "6"), {}, "ca20cdf44c87de32", "ca20cdf44c87de32"),
+    (("embed", "construct", "4", "9", "2", "3", "--emit-cert", "cert.json"), {}, "ce9b037a5658364a", "3c599c47a86409aa"),
+    (("embed", "construct", "12", "20", "6", "10", "--emit-cert", "cert.json"), {}, "6fbd8a004943a4ae", "d66c67f382fb4f0c"),
+    (("embed", "check", "embedding.json"), {}, "073ee63cdbf125c2", "bc32b68caabf3fa8"),
+    (("embed", "check", "missing.json"), {}, "64267a069c2f3fb2", "64267a069c2f3fb2"),
+    (("embed", "bsnn", "segment 2 2", "6"), {}, "af6e0cd10d51da7a", "e6284a23a90c61d2"),
+    (("embed", "bsnn", "segment 2 3", "2", "--up-to-sign"), {}, "2e664087c866bb82", "cfca6f589cee3c99"),
+    (("embed", "bsnn", "segment 2 3"), {}, "48d76b4af8af9323", "c07c1b110bde4a59"),
+    (("embed", "bsnn", "segment 2 4"), {}, "4c249a380b862f26", "0f339bf4c9439e4a"),
+    (("word", "reduce", "bs 2 3", "t(e0) a(v0)^2 t(e0)^-1 a(v0)^-3"), {}, "9d53f0409284099d", "043ea02bca16fb25"),
+    (("word", "reduce", "lollipop 1 6 2 | 3 6", "a(v0)^6 a(w0)^-2", "--tree", "s0"), {}, "9d53f0409284099d", "043ea02bca16fb25"),
+    (("word", "reduce", "bs 2 3", "t(e0)^100000000"), {}, "975fe46534fc5b2e", "975fe46534fc5b2e"),
+    (("word", "reduce", "bs 2 3", "a(v0)^x"), {}, "b723254ae4fd8f34", "b723254ae4fd8f34"),
+    (("word", "modulus", "bs 2 3", "t(e0)"), {}, "c746e3467578f5cb", "ed8e62942b526b43"),
+    (("word", "modulus", "lollipop 1 6 2 | 3 6", "t(c0)", "--tree", "s0", "--base", "w0"), {}, "407e6626e66e0a54", "dd4538ce93bab568"),
+    (("word", "elliptic", "bs 2 3", "t(e0) a(v0) t(e0)^-1"), {}, "af6e0cd10d51da7a", "9c04be4070313dc1"),
+    (("word", "elliptic", "bs 2 3", "t(e0)"), {}, "2e664087c866bb82", "11ddec5290a89a23"),
+    (("word", "equal", "bs 2 3", "a(v0)^2", "a(v0)^2"), {}, "af6e0cd10d51da7a", "0d3e690d95d97e96"),
+    (("word", "equal", "bs 2 3", "a(v0)", "t(e0)", "--base", "v0"), {}, "2e664087c866bb82", "7163dbdb10568a00"),
+    (("verify", "hom.json"), {}, "3334722f0d934777", "7e0922b943979693"),
+    (("verify", "embedding.json"), {}, "073ee63cdbf125c2", "bc32b68caabf3fa8"),
+    (("verify", "missing.json"), {}, "64267a069c2f3fb2", "64267a069c2f3fb2"),
+    (("catalog", "--only", "hopf-table"), {}, "e61cfb03ca1418ca", "b08d60e85756121b"),
+    (("catalog", "--only", "rf"), {}, "a8b202d405b10ad8", "9369749dfcb62150"),
+    (("bs",), {}, "53bc9c80e6b03bdc", "53bc9c80e6b03bdc"),
+    (("word", "equal", "bs 2 3", "a(v0)"), {}, "9633cb95baff04c7", "9633cb95baff04c7"),
+    (("nope",), {}, "6919040d45c4c6ad", "6919040d45c4c6ad"),
+    (("--help",), {}, "2ffafda8a4f11897", "2ffafda8a4f11897"),
+    (("graph", "--help"), {}, "ad8c3d5bc8133f97", "ad8c3d5bc8133f97"),
+    (("quot", "--help"), {}, "5a9bdbb88796d9c0", "5a9bdbb88796d9c0"),
+    (("bs", "--help"), {}, "911f29dba0ec4284", "911f29dba0ec4284"),
+    (("embed", "--help"), {}, "28dded435cef1150", "28dded435cef1150"),
+    (("word", "--help"), {}, "d03aa32e32e2f7ec", "d03aa32e32e2f7ec"),
+    (("rank", "--help"), {}, "2bf765022d0bb0ef", "2bf765022d0bb0ef"),
+    (("plateaus", "--help"), {}, "d747df5067368173", "d747df5067368173"),
+    (("verify", "--help"), {}, "b2a5d65c7e40c425", "b2a5d65c7e40c425"),
+    (("word", "equal", "bs 2 3", "1", "1"), {}, "af6e0cd10d51da7a", "0d3e690d95d97e96"),
+    (("word", "reduce", "bs 2 3", "1"), {}, "9d53f0409284099d", "043ea02bca16fb25"),
+]
+
+
+def _pinned_run(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argv errors and --help leave through argparse
+        code = exc.code
+    out, err = capsys.readouterr()
+    written = None
+    if os.path.exists("cert.json"):
+        with open("cert.json") as fh:
+            written = fh.read()
+        os.remove("cert.json")
+    return hashlib.sha256(json.dumps([code, out, err, written]).encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def seed_certificate_texts():
+    return {kind: json.dumps(seed_certificate(kind)) for kind in ("hom", "embedding")}
+
+
+@pytest.mark.parametrize("argv, env, human, as_json", CLI_PINS, ids=[" ".join(p[0]) for p in CLI_PINS])
+def test_cli_outputs_are_pinned(tmp_path, monkeypatch, capsys, seed_certificate_texts, argv, env, human, as_json):
+    for kind, text in seed_certificate_texts.items():
+        (tmp_path / f"{kind}.json").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert _pinned_run(capsys, argv) == human
+    assert _pinned_run(capsys, (*argv, "--json")) == as_json
+
+
+def test_every_subcommand_has_a_pinned_case():
+    pinned = [argv for argv, _, _, _ in CLI_PINS]
+    missing = [path for path, _, _ in COMMANDS if not any(argv[: len(path.split())] == tuple(path.split()) for argv in pinned)]
+    assert not missing, missing

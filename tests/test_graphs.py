@@ -427,6 +427,25 @@ def test_malformed_records_raise_move_error(kind, params):
         apply_move(_REPLAY_GRAPH, MoveRecord(kind, params))
 
 
+@pytest.mark.parametrize(
+    "rec",
+    [
+        MoveRecord("expansion", ("z0", (("d1", 0),), 7, 1, "u", "x")),  # 7 does not divide 10^5000
+        MoveRecord("displacement", ("d2", 7, 0)),  # 7 does not divide 10^5000
+        MoveRecord("displacement", ("d2", 2, 1)),  # 2 divides 2, not coprime to 10^5000
+    ],
+    ids=["expansion-not-divisible", "displacement-not-dividing", "displacement-not-coprime"],
+)
+def test_replay_move_errors_on_labels_past_the_int_to_str_limit(rec):
+    # the collapse multiplies labels at z1 to 5,000 digits, past Python's int-to-str limit:
+    # the error names the oriented edge, never formats its label
+    big = 10**2500
+    g = graph_from_edges([("d0", "z0", "z1", big, 1), ("d1", "z1", "z1", big, 1), ("d2", "z1", "z2", big, 2)])
+    _, first = collapse(g, "d0", 1)
+    with pytest.raises(MoveError):
+        replay(g, [first, rec])
+
+
 def test_expansion_of_an_unknown_edge_is_a_move_error():
     with pytest.raises(MoveError):
         expansion(_REPLAY_GRAPH, "w", [OrientedEdge("zz", 0)], 3)

@@ -26,9 +26,11 @@ from gbs.graphs import (
     OrientedEdge,
     bs_graph,
     circle_graph,
+    classify_shape,
     displacement_move,
     graph_from_edges,
     lollipop_graph,
+    qrxy,
     reduce_graph,
     segment_graph,
 )
@@ -308,6 +310,24 @@ def test_minimal_bs_epi_all_routes():
         assert check_epi(cert), g
     with pytest.raises(DecisionError):
         minimal_bs_epi(lollipop_graph([6, 2], [3, 6]))  # all gcd clauses fail
+
+
+@pytest.mark.parametrize(
+    "q_r, x_y",
+    [([2, 2], [2, 3, 2, 3]), ([3, 4], [7, 5, 6, 5]), ([7, 3], [2, 5, 3, 7]), ([5, 2], [4, 3, 5, 3, 2, 3])],
+)
+def test_minimal_bs_epi_lollipop_with_a_longer_circle(q_r, x_y):
+    # k = 1 and l >= 2 under the X^QY = 1 / Y^QX = 1 clause: the circle is cleared to one edge first
+    g = lollipop_graph(q_r, x_y)
+    shape = classify_shape(g)
+    assert shape.k == 1 and shape.ell >= 2
+    p = qrxy(shape)
+    assert gcd(p.Y, p.Q * p.X) == 1 or gcd(p.X, p.Q * p.Y) == 1
+    cert = minimal_bs_epi(g)
+    assert cert.provenance == f"lollipop->>BS({p.Q * p.X},{p.Q * p.Y})"
+    (edge,) = cert.target.graph.edges.values()  # BS(QX, QY), its labels in either order
+    assert sorted(edge.labels) == sorted((p.Q * p.X, p.Q * p.Y))
+    assert check_hom(cert) and check_epi(cert)
 
 
 def test_circle_minimal_epi_matches_decider():
