@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the Baumslag-Solitar embedding grid: decide BS(r,s) < BS(m,n) for
 all parameters in a box, construct a certificate for every yes, verify it,
-and print a route histogram.
+and print the seconds spent deciding, building and verifying, and a route
+histogram.  The default bound 12 is the full criterion-3 grid.
 
 Usage: python scripts/embedding_grid.py [BOUND]  (default 12)
 """
@@ -17,24 +18,34 @@ def main(bound: int = 12) -> int:
     rng = [i for i in range(-bound, bound + 1) if i != 0]
     routes = Counter()
     yes = bad = 0
-    t0 = time.time()
+    phases = Counter()
+    clock = time.perf_counter
+    t0 = clock()
     for r in rng:
         for s in rng:
             if abs(r) == 1 and abs(s) == 1:
                 continue
             for m in rng:
                 for n in rng:
-                    if not embeds_bs(r, s, m, n):
+                    t = clock()
+                    dec = embeds_bs(r, s, m, n)
+                    phases["decide"] += clock() - t
+                    if not dec:
                         continue
                     yes += 1
+                    t = clock()
                     cert = embed_bs_construct(r, s, m, n)
+                    phases["build"] += clock() - t
+                    t = clock()
                     ok, violations = verify_embedding_certificate(cert)
+                    phases["verify"] += clock() - t
                     if not ok:
                         bad += 1
                         print(f"FAILED ({r},{s}) in ({m},{n}): {violations[:1]}")
                     routes[cert.provenance.split(";")[0].split(" x=")[0]] += 1
-    dt = time.time() - t0
+    dt = clock() - t0
     print(f"bound {bound}: {yes} embeddings, {bad} failures, {dt:.1f}s")
+    print("  " + ", ".join(f"{phase} {phases[phase]:.2f}s" for phase in ("decide", "build", "verify")))
     for route, count in routes.most_common():
         print(f"  {count:6d}  {route}")
     return 1 if bad else 0

@@ -5,15 +5,13 @@ pure integer arithmetic; graph-level questions live in quotients.py and
 embeddings.py.
 """
 
-from fractions import Fraction
-
 from .arith import factorize, gcd, split_power, valuation
 from .decision import Decision
 from .errors import DecisionError, FactorizationCapError
 
 
 def _require_nonzero(*values):
-    if any(v == 0 for v in values):
+    if 0 in values:
         raise DecisionError("Baumslag-Solitar parameters must be nonzero")
 
 
@@ -43,24 +41,30 @@ def exists_epi_bs(m: int, n: int, m2: int, n2: int) -> bool:
     return (m2, n2) in ((1, -1), (-1, 1)) and m == n and m % 2 == 0
 
 
+def _lowest_terms(p: int, q: int) -> tuple[int, int]:
+    """p/q as (numerator, denominator) with gcd 1 and denominator > 0."""
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    return p // g, q // g
+
+
 def power_of_ratio(r: int, s: int, m: int, n: int):
     """Integer beta with r/s = (m/n)^beta in Q*, or None.  beta = 0 only for
-    r/s = 1; sign compatibility is part of the test."""
+    r/s = 1; sign compatibility is part of the test.  Integers only: the
+    final test cross-multiplies."""
     _require_nonzero(r, s, m, n)
-    target = Fraction(r, s)
-    base = Fraction(m, n)
-    if base == 1:
-        return 0 if target == 1 else None
-    if base == -1:
-        if target == 1:
+    ta, tb = _lowest_terms(r, s)
+    ba, bb = _lowest_terms(m, n)
+    if ba == bb:
+        return 0 if ta == tb else None
+    if ba == -bb:
+        if ta == tb:
             return 0
-        return 1 if target == -1 else None
-    if target == 1:
+        return 1 if ta == -tb else None
+    if ta == tb:
         return 0
     # r/s = a/b, m/n = c/d in lowest terms: beta > 0 forces |a| = |c|^beta and
     # b = d^beta, beta < 0 forces |a| = d^|beta| and b = |c|^|beta|
-    a, b = abs(target.numerator), target.denominator
-    c, d = abs(base.numerator), base.denominator
+    a, b, c, d = abs(ta), tb, abs(ba), bb
     sgn = 1
     if gcd(a, c) == 1 and gcd(b, d) == 1:
         sgn, c, d = -1, d, c
@@ -69,7 +73,9 @@ def power_of_ratio(r: int, s: int, m: int, n: int):
     while x % y == 0:
         x //= y
         beta += sgn
-    if target != base**beta:  # covers the sign
+    # r/s == (m/n)^beta, signs included, cross-multiplied
+    up, down, k = (ba, bb, beta) if beta >= 0 else (bb, ba, -beta)
+    if ta * down**k != tb * up**k:
         return None
     return beta
 

@@ -8,6 +8,7 @@ subgroups, the block-circle and power-circle embeddings between
 Baumslag-Solitar groups, and the equal-label test for subgroups of BS(n,n).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -84,6 +85,16 @@ def _items(x, kinds: tuple, what: str) -> tuple:
 
 def check_weakly_admissible(wa: WeaklyAdmissibleMap) -> tuple[bool, list[str]]:
     """Verify the local conditions; returns (ok, violation list)."""
+    violations, _ = _check(wa)
+    return not violations, violations
+
+
+def _check(wa: WeaklyAdmissibleMap):
+    """(violations, preimage groups).  The groups are (x, te, tend, label,
+    k_x, preimage edge ends at x) for each oriented target edge (te, tend)
+    and each source vertex x with an edge end over it, in (te, tend, x)
+    order, where k_x is gcd(multiplicity of x, label); they are None when
+    an image or a multiplicity is already at fault."""
     violations = []
     src, tgt = wa.source, wa.target
     for v in src.sorted_vertices():
@@ -91,7 +102,8 @@ def check_weakly_admissible(wa: WeaklyAdmissibleMap) -> tuple[bool, list[str]]:
             violations.append(f"vertex {v}: image missing or unknown")
         if wa.vertex_mult.get(v, 0) <= 0:
             violations.append(f"vertex {v}: multiplicity must be positive")
-    for e in src.sorted_edges():
+    src_edges = src.sorted_edges()
+    for e in src_edges:
         if wa.edge_mult.get(e, 0) <= 0:
             violations.append(f"edge {e}: multiplicity must be positive")
         for k in (0, 1):
@@ -106,48 +118,42 @@ def check_weakly_admissible(wa: WeaklyAdmissibleMap) -> tuple[bool, list[str]]:
             if wa.vertex_map.get(o) != tgt.edges[img[0]].endpoints[img[1]]:
                 violations.append(f"edge {e}:{k}: origins do not commute with the map")
     if violations:
-        return False, violations
-    for x, te, tend, lab, k_x, pre in _preimages(wa):
+        return violations, None
+    # one pass over the source's edge ends, grouped by (target edge rank,
+    # end, source vertex rank); each group keeps (edge id, end) order
+    t_rank = {te: i for i, te in enumerate(tgt.sorted_edges())}
+    v_rank = {v: i for i, v in enumerate(src.sorted_vertices())}
+    pres = {}
+    for e in src_edges:
+        for k, x in enumerate(src.edges[e].endpoints):
+            te, tend = wa.edge_map[(e, k)]
+            pres.setdefault((t_rank[te], tend, v_rank[x], te, x), []).append((e, k))
+    groups = []
+    for (_, tend, _, te, x), pre in sorted(pres.items()):
+        lab = tgt.edges[te].labels[tend]
+        k_x = gcd(wa.vertex_mult[x], lab)
+        groups.append((x, te, tend, lab, k_x, pre))
         if len(pre) > k_x:
-            violations.append(
-                f"vertex {x} over {te}:{tend}: {len(pre)} preimage edges > gcd {k_x}"
-            )
-        for oe in pre:
-            if src.label(oe) != lab // k_x:
-                violations.append(
-                    f"edge {oe.edge}:{oe.end}: label {src.label(oe)} != {lab}//{k_x}"
-                )
-            if wa.edge_mult[oe.edge] != wa.vertex_mult[x] // k_x:
-                violations.append(
-                    f"edge {oe.edge}: multiplicity {wa.edge_mult[oe.edge]} != {wa.vertex_mult[x]}//{k_x}"
-                )
-    return not violations, violations
-
-
-def _preimages(wa: WeaklyAdmissibleMap):
-    """(x, te, tend, label, k_x, preimage edges at x) for each oriented target
-    edge (te, tend) and each source vertex x over its origin, where k_x is
-    gcd(multiplicity of x, label).  Needs a map whose images all exist."""
-    src, tgt = wa.source, wa.target
-    for te in tgt.sorted_edges():
-        for tend in (0, 1):
-            lab = tgt.edges[te].labels[tend]
-            torigin = tgt.edges[te].endpoints[tend]
-            for x in src.sorted_vertices():
-                if wa.vertex_map[x] != torigin:
-                    continue
-                pre = [
-                    oe
-                    for oe in src.edges_at(x)
-                    if wa.edge_map[(oe.edge, oe.end)] == (te, tend)
-                ]
-                yield x, te, tend, lab, gcd(wa.vertex_mult[x], lab), pre
+            violations.append(f"vertex {x} over {te}:{tend}: {len(pre)} preimage edges > gcd {k_x}")
+        for e, k in pre:
+            if src.edges[e].labels[k] != lab // k_x:
+                violations.append(f"edge {e}:{k}: label {src.edges[e].labels[k]} != {lab}//{k_x}")
+            if wa.edge_mult[e] != wa.vertex_mult[x] // k_x:
+                violations.append(f"edge {e}: multiplicity {wa.edge_mult[e]} != {wa.vertex_mult[x]}//{k_x}")
+    return violations, groups
 
 
 def check_admissible(wa: WeaklyAdmissibleMap) -> bool:
-    """Equality version: exactly gcd-many preimage edges everywhere (covers)."""
-    ok, _ = check_weakly_admissible(wa)
-    return ok and all(len(pre) == k_x for _, _, _, _, k_x, pre in _preimages(wa))
+    """Equality version: exactly gcd-many preimage edges everywhere (covers).
+    A source vertex with no edge end over some target edge end at its image
+    fails."""
+    violations, groups = _check(wa)
+    if violations:
+        return False
+    covered = Counter(x for x, *_ in groups)
+    return all(len(pre) == k_x for _, _, _, _, k_x, pre in groups) and all(
+        covered[x] == wa.target.valence(wa.vertex_map[x]) for x in wa.source.vertices
+    )
 
 
 @dataclass
@@ -247,7 +253,7 @@ def verify_embedding_certificate(cert: EmbeddingCertificate) -> tuple[bool, list
             violations.append(
                 f"index records scale {_shown(cert.claimed)} to {_shown(scaled)}, not {_shown(cert.map_claimed)}"
             )
-        if cert.target_reduce:
+        if cert.target_params is not None or cert.target_reduce:  # no records: the target itself
             loop = _replayed_loop(cert.map.target, cert.target_reduce, "target")
             if cert.target_params is None or loop is None or not _pair_matches(loop, cert.target_params):
                 violations.append("target reduction does not reach the claimed loop")
@@ -525,6 +531,8 @@ def _block_circle(rhat, shat, beta, m, n) -> EmbeddingCertificate:
     exponents x, y would drop below the construction's reach)."""
     x0, y0 = split_power(shat, m)[0], split_power(rhat, n)[0]
     for xmin, ymin in ((0, 0), (1, 1)):
+        if xmin == 0 and beta == 0 and (x0 == 0) != (y0 == 0):
+            continue  # z0 has multiplicity 1 and two edge ends over one target end
         x, y = max(x0, xmin), max(y0, ymin)
         expr_r = m ** (x + beta) * n**y
         expr_s = m**x * n ** (y + beta)

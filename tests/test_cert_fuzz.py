@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from gbs import circle_graph, descending_chain, minimal_bs_epi
+from gbs import circle_graph, descending_chain, embed_bs_construct, minimal_bs_epi
 from gbs.cli import main
 from gbs.words import expand_letters
 from test_cli import INEXACT_NUMBERS, MALFORMED_EMBEDDINGS, edit_json, seed_certificate
@@ -122,3 +122,31 @@ def test_products_past_the_int_to_str_limit_verify_invalid(tmp_path, capsys, edi
     payload = json.loads(out)
     assert payload["answer"] == "invalid" and err == ""
     assert any("-bit integer>" in v for v in payload["violations"]), payload["violations"]
+
+
+def _loop_target_params_edited():
+    """BS(2, 3) < BS(2, 3), with a target claim the target does not meet."""
+    data = embed_bs_construct(2, 3, 2, 3).to_json()
+    data["target_params"] = [5, 7]
+    return data
+
+
+def _pendant_target_records_emptied():
+    """A pendant certificate whose target records are dropped and whose
+    target claim is changed."""
+    data = embed_bs_construct(1, 2, 6, 12).to_json()
+    assert data["target_reduce"]
+    data["target_reduce"], data["target_params"] = [], [99, 100]
+    return data
+
+
+@pytest.mark.parametrize("make", [_loop_target_params_edited, _pendant_target_records_emptied], ids=["loop", "pendant"])
+def test_target_claim_checked_without_target_records(tmp_path, capsys, make):
+    """A target claim is checked whenever it is set: no records replay to
+    the target itself."""
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(make()))
+    assert main(["--json", "verify", str(path)]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["answer"] == "invalid" and err == "", payload

@@ -1,11 +1,16 @@
+import hashlib
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
 
+from gbs import embeddings
+from gbs.arith import gcd, split_power
+from gbs.bs_arith import embeds_bs
 from gbs.decision import Decision
 from gbs.errors import DecisionError
 from gbs.graphs import (
@@ -133,6 +138,130 @@ def test_mutations_always_caught():
         for mutant in _mutations(cert, rng, 100):
             ok, violations = check_weakly_admissible(mutant)
             assert not ok and violations
+
+
+def _check_weakly_admissible_reference(wa):
+    """The double-loop checker: for each oriented target edge and each
+    source vertex over its origin, scan the vertex's edges for preimages."""
+    violations = []
+    src, tgt = wa.source, wa.target
+    for v in src.sorted_vertices():
+        if wa.vertex_map.get(v) not in tgt.vertices:
+            violations.append(f"vertex {v}: image missing or unknown")
+        if wa.vertex_mult.get(v, 0) <= 0:
+            violations.append(f"vertex {v}: multiplicity must be positive")
+    for e in src.sorted_edges():
+        if wa.edge_mult.get(e, 0) <= 0:
+            violations.append(f"edge {e}: multiplicity must be positive")
+        for k in (0, 1):
+            img = wa.edge_map.get((e, k))
+            if img is None or img[0] not in tgt.edges or img[1] not in (0, 1):
+                violations.append(f"edge {e}:{k}: image missing or unknown")
+                continue
+            rev = wa.edge_map.get((e, 1 - k))
+            if rev != (img[0], 1 - img[1]):
+                violations.append(f"edge {e}: images not reverse-compatible")
+            o = src.edges[e].endpoints[k]
+            if wa.vertex_map.get(o) != tgt.edges[img[0]].endpoints[img[1]]:
+                violations.append(f"edge {e}:{k}: origins do not commute with the map")
+    if violations:
+        return False, violations
+    for x, te, tend, lab, k_x, pre in _preimages_reference(wa):
+        if len(pre) > k_x:
+            violations.append(f"vertex {x} over {te}:{tend}: {len(pre)} preimage edges > gcd {k_x}")
+        for oe in pre:
+            if src.label(oe) != lab // k_x:
+                violations.append(f"edge {oe.edge}:{oe.end}: label {src.label(oe)} != {lab}//{k_x}")
+            if wa.edge_mult[oe.edge] != wa.vertex_mult[x] // k_x:
+                violations.append(f"edge {oe.edge}: multiplicity {wa.edge_mult[oe.edge]} != {wa.vertex_mult[x]}//{k_x}")
+    return not violations, violations
+
+
+def _preimages_reference(wa):
+    src, tgt = wa.source, wa.target
+    for te in tgt.sorted_edges():
+        for tend in (0, 1):
+            lab = tgt.edges[te].labels[tend]
+            torigin = tgt.edges[te].endpoints[tend]
+            for x in src.sorted_vertices():
+                if wa.vertex_map[x] != torigin:
+                    continue
+                pre = [oe for oe in src.edges_at(x) if wa.edge_map[(oe.edge, oe.end)] == (te, tend)]
+                yield x, te, tend, lab, gcd(wa.vertex_mult[x], lab), pre
+
+
+def _check_admissible_reference(wa):
+    ok, _ = _check_weakly_admissible_reference(wa)
+    return ok and all(len(pre) == k_x for _, _, _, _, k_x, pre in _preimages_reference(wa))
+
+
+def _grid_certificates(bound):
+    grid = [i for i in range(-bound, bound + 1) if i != 0]
+    for r in grid:
+        for s in grid:
+            if abs(r) == 1 and abs(s) == 1:
+                continue
+            for m in grid:
+                for n in grid:
+                    if embeds_bs(r, s, m, n):
+                        yield embed_bs_construct(r, s, m, n)
+
+
+def test_checker_matches_double_loop_reference():
+    """The one-pass checker reports what the double loop reports, in the same
+    order, and agrees on the covering test: on every certificate of the
+    5-box grid, on the criterion-11 mutations, and on identity maps."""
+    rng = random.Random(1234)
+    maps = [cert.map for cert in _grid_certificates(5)]
+    for cert in (circle_bs_subgroup(circle_graph([2, 5, 3, 7]), 6, 35), embed_bs_construct(4, 8, 2, 4)):
+        maps.extend(_mutations(cert, rng, 100))
+    maps.extend(identity_map(g) for g in (bs_graph(2, 3), circle_graph([2, 3, 5, 7]), segment_graph([2, 3, 4, 5])))
+    admissible = 0
+    for wa in maps:
+        assert check_weakly_admissible(wa) == _check_weakly_admissible_reference(wa)
+        assert check_admissible(wa) == _check_admissible_reference(wa)
+        admissible += check_admissible(wa)
+    assert len(maps) == 732 + 200 + 3 and admissible >= 3
+
+
+def test_checker_is_linear_in_the_map():
+    """The identity map on a circle of 4,000 edges checks in well under a
+    second (the double loop took seconds)."""
+    wa = identity_map(circle_graph([2, 3] * 2000))
+    start = time.perf_counter()
+    assert check_weakly_admissible(wa) == (True, [])
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert check_admissible(wa)
+    assert time.perf_counter() - start < 1.0
+
+
+# SHA-256 over the JSON of every embed_bs_construct certificate of the
+# 12-box grid, one line each, in grid order
+GRID12_CERTS, GRID12_DIGEST = 9668, "e7367aa6fc50cf0b5e26eba25caa88a4d6b4cdd016b1ba4d9adbd3a0b1a57fd3"
+
+
+def test_block_circle_skips_only_attempts_the_checker_rejects(monkeypatch):
+    """With beta = 0 and exactly one of x, y zero, the (0, 0) block circle
+    has a multiplicity-1 vertex with two edge ends over one target end, so
+    it is never weakly admissible; skipping it changes no certificate."""
+    calls = []
+    block_circle = embeddings._block_circle
+    monkeypatch.setattr(embeddings, "_block_circle", lambda *args: calls.append(args) or block_circle(*args))
+    digest, count = hashlib.sha256(), 0
+    for cert in _grid_certificates(12):
+        digest.update(json.dumps(cert.to_json()).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == (GRID12_CERTS, GRID12_DIGEST)
+    skipped = set()
+    for rhat, shat, beta, m, n in calls:
+        x0, y0 = split_power(shat, m)[0], split_power(rhat, n)[0]
+        if beta == 0 and (x0 == 0) != (y0 == 0):
+            skipped.add((x0, y0, m, n))
+    assert len(skipped) == 856
+    for x0, y0, m, n in skipped:
+        ok, violations = check_weakly_admissible(embeddings._block_circle_map(x0, y0, 0, m, n))
+        assert not ok and any("preimage edges > gcd 1" in v for v in violations), (x0, y0, m, n)
 
 
 def test_admissible_implies_weak(rng):
