@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the Baumslag-Solitar embedding grid: decide BS(r,s) < BS(m,n) for
 all parameters in a box, construct a certificate for every yes, verify it,
-and print the seconds spent deciding, building and verifying, and a route
-histogram.  The default bound 12 is the full criterion-3 grid.
+and print the seconds spent deciding, building and verifying, and the
+number of certificates of each route kind (the groups of
+scripts/cert_digest.py).  The default bound 12 is the full criterion-3 grid.
 
 Usage: python scripts/embedding_grid.py [BOUND]  (default 12)
 """
@@ -11,6 +12,7 @@ import sys
 import time
 from collections import Counter
 
+from cert_digest import _route
 from gbs import embed_bs_construct, embeds_bs, verify_embedding_certificate
 
 
@@ -42,7 +44,7 @@ def main(bound: int = 12) -> int:
                     if not ok:
                         bad += 1
                         print(f"FAILED ({r},{s}) in ({m},{n}): {violations[:1]}")
-                    routes[cert.provenance.split(";")[0].split(" x=")[0]] += 1
+                    routes[_route(cert)] += 1
     dt = clock() - t0
     print(f"bound {bound}: {yes} embeddings, {bad} failures, {dt:.1f}s")
     print("  " + ", ".join(f"{phase} {phases[phase]:.2f}s" for phase in ("decide", "build", "verify")))

@@ -24,6 +24,7 @@ from .graphs import (
     canonicalize_signs,
     classify_shape,
     graph_from_edges,
+    id_key,
     qrxy,
     reduce_graph,
     replay,
@@ -266,18 +267,34 @@ def verify_embedding_certificate(cert: EmbeddingCertificate) -> tuple[bool, list
 # -- pattern builder -----------------------------------------------------------
 
 
-def _derive_map(target: LabelledGraph, vertices: dict, edges: list) -> WeaklyAdmissibleMap:
-    """Build the source graph forced by a combinatorial pattern.
+@dataclass
+class _Pattern:
+    """A construction before its map is derived.  vertices: name -> (target
+    vertex, multiplicity); edges: (name, origin, terminus, (target edge,
+    end)) rows.  The rest is copied into the certificate: the index records
+    `aug`, the provenance, the vertex the source is reduced around first,
+    and the target's claimed loop with the records that reach it."""
 
-    vertices: name -> (target vertex, multiplicity).  edges: (name, origin,
-    terminus, (target edge, end)) rows; labels and edge multiplicities are
-    derived from the local gcd equations."""
-    vmap = {n: tv for n, (tv, _) in vertices.items()}
-    vmult = {n: abs(m) for n, (_, m) in vertices.items()}
+    target: LabelledGraph
+    vertices: dict
+    edges: list
+    aug: tuple = ()
+    provenance: str = ""
+    protect: str | None = None
+    target_params: tuple[int, int] | None = None
+    target_reduce: tuple = ()
+
+
+def _derive_map(pattern: _Pattern) -> WeaklyAdmissibleMap:
+    """Build the source graph forced by a pattern: labels and edge
+    multiplicities are derived from the local gcd equations."""
+    target = pattern.target
+    vmap = {n: tv for n, (tv, _) in pattern.vertices.items()}
+    vmult = {n: abs(m) for n, (_, m) in pattern.vertices.items()}
     rows = []
     emap = {}
     emult = {}
-    for name, o, t, (te, tend) in edges:
+    for name, o, t, (te, tend) in pattern.edges:
         lab_o = target.edges[te].labels[tend]
         lab_t = target.edges[te].labels[1 - tend]
         k_o = gcd(vmult[o], lab_o)
@@ -300,56 +317,43 @@ def _scale(nu: int) -> tuple:
     return (("scale", nu),) if nu != 1 else ()
 
 
-def _finish_cert(
-    wa: WeaklyAdmissibleMap,
-    claimed,
-    aug,
-    provenance,
-    protect=None,
-    target_params=None,
-    target_reduce=(),
-    reduced=None,
-) -> EmbeddingCertificate:
-    """The certificate of a constructed map: check it is weakly admissible,
-    reduce its source (around `protect` first, then fully) and check that
-    the loop reached is nu * claimed up to swap and sign, nu being the
-    product of the ("scale", nu) records in `aug`.  `reduced` is a
-    certificate whose map has the same source graph; its reduction and
-    loop are taken instead of reducing again.  Every construction ends
-    here, so this is the one place a construction's claim is checked."""
+def _finish_cert(pattern: _Pattern, claimed) -> EmbeddingCertificate:
+    """The certificate of a pattern: derive its map, check it is weakly
+    admissible, reduce its source (around `protect` first, then fully) and
+    check that the loop reached is nu * claimed up to swap and sign, nu
+    being the product of the ("scale", nu) records in `aug`.  Every
+    certificate is finished here once, so this is the one place a
+    construction's claim is checked."""
+    wa = _derive_map(pattern)
     ok, violations = check_weakly_admissible(wa)
     if not ok:
         raise CertificateError(f"construction not weakly admissible: {violations[:3]}")
-    if reduced is not None:
-        records, loop = reduced.source_reduce, reduced.map_claimed
-    else:
-        cur, records = reduce_graph(wa.source, protect=protect)
-        records = list(records)
-        if protect is not None:
-            cur, more = reduce_graph(cur)
-            records.extend(more)
-        loop = _loop_labels(cur)
-        if loop is None:
-            raise CertificateError("source graph does not reduce to a loop")
+    cur, records = reduce_graph(wa.source, protect=pattern.protect)
+    records = list(records)
+    if pattern.protect is not None:
+        cur, more = reduce_graph(cur)
+        records.extend(more)
+    loop = _loop_labels(cur)
+    if loop is None:
+        raise CertificateError("source graph does not reduce to a loop")
     nu = 1
-    for rec in aug:
+    for rec in pattern.aug:
         nu *= rec[1]
-    cert = EmbeddingCertificate(
-        map=wa,
-        claimed=tuple(claimed),
-        map_claimed=loop,
-        aug_records=tuple(aug),
-        source_reduce=tuple(records),
-        target_params=target_params,
-        target_reduce=tuple(target_reduce),
-        provenance=provenance,
-    )
     scaled = (claimed[0] * nu, claimed[1] * nu)
     if not _pair_matches(scaled, loop):
         raise CertificateError(
-            f"{provenance}: reduces to {loop}, expected +-{scaled} up to swap"
+            f"{pattern.provenance}: reduces to {loop}, expected +-{scaled} up to swap"
         )
-    return cert
+    return EmbeddingCertificate(
+        map=wa,
+        claimed=tuple(claimed),
+        map_claimed=loop,
+        aug_records=tuple(pattern.aug),
+        source_reduce=tuple(records),
+        target_params=pattern.target_params,
+        target_reduce=tuple(pattern.target_reduce),
+        provenance=pattern.provenance,
+    )
 
 
 # -- the circle construction ---------------------------------------------------
@@ -368,12 +372,9 @@ def circle_bs_subgroup(g: LabelledGraph, m: int, n: int) -> EmbeddingCertificate
         raise DecisionError("construction needs coprime parameters")
     ell = shape.ell
     if ell == 1:
-        wa = _derive_map(
-            g,
-            {"z0": (shape.circ_vertices[0], 1)},
-            [("d0", "z0", "z0", (shape.circ_edges[0].edge, shape.circ_edges[0].end))],
-        )
-        return _finish_cert(wa, (m, n), (), "identity circle")
+        ce = shape.circ_edges[0]
+        vertices, edges = {"z0": (shape.circ_vertices[0], 1)}, [("d0", "z0", "z0", (ce.edge, ce.end))]
+        return _finish_cert(_Pattern(g, vertices, edges, provenance="identity circle"), (m, n))
     xs, ys = shape.x, shape.y
     vertices = {}
     edges = []
@@ -415,8 +416,7 @@ def circle_bs_subgroup(g: LabelledGraph, m: int, n: int) -> EmbeddingCertificate
                 (ce.edge, ce.end),
             )
         )
-    wa = _derive_map(g, vertices, edges)
-    return _finish_cert(wa, (m, n), (), f"three-block circle for BS({m},{n})")
+    return _finish_cert(_Pattern(g, vertices, edges, provenance=f"three-block circle for BS({m},{n})"), (m, n))
 
 
 def contains_bs(g: LabelledGraph, m: int, n: int) -> bool:
@@ -452,45 +452,44 @@ def embed_bs_construct(r: int, s: int, m: int, n: int) -> EmbeddingCertificate:
         raise DecisionError(f"BS({r},{s}) does not embed into BS({m},{n}): {dec.clause}")
     beta = power_of_ratio(r, s, m, n)
     rhat, shat = (r, s) if beta >= 0 else (s, r)
-    beta = abs(beta)
-    cert = _construct_core(rhat, shat, beta, m, n)
-    cert.claimed = (r, s)
-    return cert
+    return _finish_cert(_construct_core(rhat, shat, abs(beta), m, n), (r, s))
 
 
-def _construct_core(rhat, shat, beta, m, n) -> EmbeddingCertificate:
+def _construct_core(rhat, shat, beta, m, n) -> _Pattern:
+    """The pattern of BS(rhat, shat) < BS(m, n), where rhat/shat =
+    (m/n)^beta; its aug records scale (rhat, shat) to its loop."""
     target = bs_graph(m, n)
     E_m, E_n = ("e0", 0), ("e0", 1)
 
     # Z^2 wrap: unit pairs arise as inner steps of the index split
     if abs(rhat) == 1 and abs(shat) == 1:
-        wa = _derive_map(
+        return _Pattern(
             target,
             {"z0": ("v0", abs(m)), "z1": ("v0", abs(n))},
             [("d0", "z0", "z1", E_m), ("d1", "z1", "z0", E_n)],
+            provenance=f"unit wrap in BS({m},{n})",
         )
-        return _finish_cert(wa, (rhat, shat), (), f"unit wrap in BS({m},{n})")
 
     # unimodular target
     if m == n or m == -n:
         mu = abs(m // rhat)
         if sign(rhat * shat) == sign(m * n):
-            wa = _derive_map(target, {"z0": ("v0", mu)}, [("d0", "z0", "z0", E_m)])
-            return _finish_cert(wa, (rhat, shat), (), f"power loop in BS({m},{n})")
-        wa = _derive_map(
+            return _Pattern(
+                target, {"z0": ("v0", mu)}, [("d0", "z0", "z0", E_m)], provenance=f"power loop in BS({m},{n})"
+            )
+        return _Pattern(
             target,
             {"z0": ("v0", mu), "z1": ("v0", abs(m))},
             [("d0", "z0", "z1", E_m), ("d1", "z1", "z0", E_m)],
+            provenance=f"double wrap in BS({m},{n})",
         )
-        return _finish_cert(wa, (rhat, shat), (), f"double wrap in BS({m},{n})")
 
     # solvable target
     if abs(m) == 1 or abs(n) == 1:
         k = max(beta, 1)
         vertices = {f"z{i}": ("v0", 1) for i in range(k)}
         edges = [(f"d{i}", f"z{i}", f"z{(i + 1) % k}", E_m) for i in range(k)]
-        wa = _derive_map(target, vertices, edges)
-        return _finish_cert(wa, (rhat, shat), (), f"{k}-cycle in solvable BS({m},{n})")
+        return _Pattern(target, vertices, edges, provenance=f"{k}-cycle in solvable BS({m},{n})")
 
     # same-exponent primes split off first
     delta1, nu1 = _equal_exponent_part(m, n, rhat)
@@ -498,13 +497,11 @@ def _construct_core(rhat, shat, beta, m, n) -> EmbeddingCertificate:
         r2, s2 = nu1 * rhat, nu1 * shat
         m1, n1 = m // delta1, n // delta1
         if abs(m1) == 1 or abs(n1) == 1:
-            cert = _power_circle(r2, s2, beta, m, n, swapped=abs(m1) != 1, variant_only=True)
+            pattern = _power_circle(r2, s2, beta, m, n, swapped=abs(m1) != 1, variant_only=True)
         else:
-            inner = _construct_core(r2 // delta1, s2 // delta1, beta, m1, n1)
-            cert = _pendant_extend(inner, delta1, m, n)
-        cert.aug_records = _scale(nu1) + cert.aug_records
-        cert.claimed = (rhat, shat)
-        return cert
+            pattern = _pendant_extend(_construct_core(r2 // delta1, s2 // delta1, beta, m1, n1), delta1, m, n)
+        pattern.aug = _scale(nu1) + pattern.aug
+        return pattern
 
     if gcd(m, n) == 1:
         return _block_circle(rhat, shat, beta, m, n)
@@ -514,8 +511,7 @@ def _construct_core(rhat, shat, beta, m, n) -> EmbeddingCertificate:
         return _power_circle(rhat, shat, beta, m, n, swapped=swap)
 
     delta = gcd(m, n)
-    inner = _construct_core(rhat, shat, beta, m // delta, n // delta)
-    return _delta_scale(inner, delta, m, n)
+    return _delta_scale(_construct_core(rhat, shat, beta, m // delta, n // delta), delta, m, n)
 
 
 def _equal_exponent_part(m, n, rhat):
@@ -526,35 +522,24 @@ def _equal_exponent_part(m, n, rhat):
     return delta1, delta1 // gcd(delta1, rhat)
 
 
-def _block_circle(rhat, shat, beta, m, n) -> EmbeddingCertificate:
-    """Seven-block circle for coprime m, n (with index scaling when the
-    exponents x, y would drop below the construction's reach)."""
-    x0, y0 = split_power(shat, m)[0], split_power(rhat, n)[0]
-    for xmin, ymin in ((0, 0), (1, 1)):
-        if xmin == 0 and beta == 0 and (x0 == 0) != (y0 == 0):
-            continue  # z0 has multiplicity 1 and two edge ends over one target end
-        x, y = max(x0, xmin), max(y0, ymin)
-        expr_r = m ** (x + beta) * n**y
-        expr_s = m**x * n ** (y + beta)
-        if expr_r % rhat or expr_s % shat:
-            continue
-        nu_val = expr_r // rhat
-        if nu_val != expr_s // shat:
-            continue
-        try:
-            wa = _block_circle_map(x, y, beta, m, n)
-            return _finish_cert(
-                wa, (rhat, shat), _scale(nu_val), f"block circle x={x} y={y} beta={beta}"
-            )
-        except CertificateError:
-            continue
-    raise CertificateError(f"no block-circle solution for ({rhat},{shat}) in ({m},{n})")
+def _block_circle(rhat, shat, beta, m, n) -> _Pattern:
+    """Seven-block circle for coprime m, n, with index scaling.  x and y are
+    the exponents of m in shat and of n in rhat; with beta = 0 and exactly
+    one of them 0 both are raised to 1 (at (x, y) z0 would have
+    multiplicity 1 and two edge ends over one target end)."""
+    x, y = split_power(shat, m)[0], split_power(rhat, n)[0]
+    if beta == 0 and (x == 0) != (y == 0):
+        x, y = max(x, 1), max(y, 1)
+    expr_r = m ** (x + beta) * n**y
+    expr_s = m**x * n ** (y + beta)
+    if expr_r % rhat or expr_s % shat or expr_r // rhat != expr_s // shat:
+        raise CertificateError(f"no block-circle solution for ({rhat},{shat}) in ({m},{n})")
+    return _block_circle_map(x, y, beta, m, n, _scale(expr_r // rhat))
 
 
-def _block_circle_map(x, y, beta, m, n) -> WeaklyAdmissibleMap:
+def _block_circle_map(x, y, beta, m, n, aug=()) -> _Pattern:
     """The seven-block circle over BS(m, n); it reduces to the loop
     (m^(x+beta) n^y, m^x n^(y+beta))."""
-    target = bs_graph(m, n)
     E_m, E_n = ("e0", 0), ("e0", 1)
     am, an = abs(m), abs(n)
     sizes = [x + beta, x + beta, y, x + y + beta, x, y + beta, y + beta]
@@ -589,10 +574,10 @@ def _block_circle_map(x, y, beta, m, n) -> WeaklyAdmissibleMap:
         for _ in range(size):
             edges.append((f"d{idx}", f"z{idx}", f"z{(idx + 1) % total}", orient))
             idx += 1
-    return _derive_map(target, vertices, edges)
+    return _Pattern(bs_graph(m, n), vertices, edges, aug, f"block circle x={x} y={y} beta={beta}")
 
 
-def _power_circle(rhat, shat, beta, m, n, swapped, variant_only=False) -> EmbeddingCertificate:
+def _power_circle(rhat, shat, beta, m, n, swapped, variant_only=False) -> _Pattern:
     """BS(rhat, shat) into BS(mm, Delta mm), where (mm, nn) is (m, n), or
     (n, m) when `swapped` (the n | m orientation), and Delta = nn / mm.
 
@@ -628,81 +613,44 @@ def _power_circle(rhat, shat, beta, m, n, swapped, variant_only=False) -> Embedd
         vertices["zp"] = ("v0", abs(delta))
         edges.append(("dp", "zp", "z0", E_nn))
         protect = "z0"
-    wa = _derive_map(target, vertices, edges)
     label = "variant " if variant else ""
-    return _finish_cert(
-        wa, (rhat, shat), _scale(nu), f"{label}power circle x={x} y={y}", protect=protect
-    )
+    return _Pattern(target, vertices, edges, _scale(nu), f"{label}power circle x={x} y={y}", protect)
 
 
-def _delta_scale(inner: EmbeddingCertificate, delta: int, m, n) -> EmbeddingCertificate:
-    """Retarget a certificate into BS(m', n') onto BS(delta m', delta n') by
-    scaling every vertex multiplicity (the local gcds scale along); the
-    source graph, and so its reduction, is the inner one."""
-    target = bs_graph(m, n)
-    wa = inner.map
-    new_wa = WeaklyAdmissibleMap(
-        wa.source,
-        target,
-        dict(wa.vertex_map),
-        dict(wa.edge_map),
-        {v: mult * abs(delta) for v, mult in wa.vertex_mult.items()},
-        dict(wa.edge_mult),
-    )
-    provenance = inner.provenance + f"; scaled into BS({m},{n})"
-    return _finish_cert(new_wa, inner.claimed, inner.aug_records, provenance, reduced=inner)
+def _delta_scale(inner: _Pattern, delta: int, m, n) -> _Pattern:
+    """Retarget a pattern into BS(m', n') onto BS(delta m', delta n') by
+    scaling every vertex multiplicity: each local gcd scales along, so the
+    derived map is the inner one with scaled vertex multiplicities."""
+    inner.target = bs_graph(m, n)
+    inner.vertices = {v: (tv, mult * delta) for v, (tv, mult) in inner.vertices.items()}
+    inner.provenance += f"; scaled into BS({m},{n})"
+    return inner
 
 
-def _pendant_extend(inner: EmbeddingCertificate, delta1: int, m, n) -> EmbeddingCertificate:
+def _pendant_extend(inner: _Pattern, delta1: int, m, n) -> _Pattern:
     """Index extension BS(delta1 r1, delta1 s1) < BS(delta1 m1, delta1 n1):
-    attach a (delta1, 1) pendant at a multiplicity-coprime vertex and map
-    into the two-vertex graph representing BS(m, n)."""
-    wa = inner.map
-    m1, n1 = wa.target.edges["e0"].labels
+    attach a (delta1, 1) pendant edge pd0 from a new vertex pz0 at a
+    multiplicity-coprime vertex and map into the two-vertex graph
+    representing BS(m, n).  The inner names are z<i>, zp, d<i> and dp, so
+    pz0 and pd0 are free."""
+    m1, n1 = inner.target.edges["e0"].labels
     target = graph_from_edges(
         [("e0", "v0", "v0", m1, n1), ("pe", "p0", "v0", delta1, 1)]
     )
-    anchor = None
-    for v in wa.source.sorted_vertices():
-        if gcd(wa.vertex_mult[v], delta1) == 1:
-            anchor = v
-            break
-    if anchor is None:
+    coprime = [v for v in sorted(inner.vertices, key=id_key) if gcd(inner.vertices[v][1], delta1) == 1]
+    if not coprime:
         raise CertificateError("no multiplicity coprime to the index: cannot extend")
-    q = wa.vertex_mult[anchor]
-    src_edges = [
-        (name, wa.source.edges[name].endpoints[0], wa.source.edges[name].endpoints[1],
-         wa.source.edges[name].labels[0], wa.source.edges[name].labels[1])
-        for name in wa.source.sorted_edges()
-    ]
-    pv = wa.source.fresh_vertex("pz")
-    pedge = wa.source.fresh_edge("pd")
-    src_edges.append((pedge, pv, anchor, delta1, 1))
-    source = graph_from_edges(src_edges)
-    vertex_map = dict(wa.vertex_map)
-    vertex_map[pv] = "p0"
-    vertex_mult = dict(wa.vertex_mult)
-    vertex_mult[pv] = q
-    edge_map = dict(wa.edge_map)
-    edge_map[(pedge, 0)] = ("pe", 0)
-    edge_map[(pedge, 1)] = ("pe", 1)
-    edge_mult = dict(wa.edge_mult)
-    edge_mult[pedge] = q
-    new_wa = WeaklyAdmissibleMap(source, target, vertex_map, edge_map, vertex_mult, edge_mult)
     tgt_red, tgt_records = reduce_graph(target)
     tgt_loop = _loop_labels(tgt_red)
     if tgt_loop is None or not _pair_matches(tgt_loop, (m, n)):
         raise CertificateError("pendant target does not reduce to BS(m, n)")
-    r1, s1 = inner.claimed
-    return _finish_cert(
-        new_wa,
-        (delta1 * r1, delta1 * s1),
-        inner.aug_records,
-        inner.provenance + f"; pendant index {delta1}",
-        protect=anchor,
-        target_params=(m, n),
-        target_reduce=tgt_records,
-    )
+    anchor = coprime[0]
+    inner.target, inner.protect = target, anchor
+    inner.vertices["pz0"] = ("p0", abs(inner.vertices[anchor][1]))
+    inner.edges.append(("pd0", "pz0", anchor, ("pe", 0)))
+    inner.provenance += f"; pendant index {delta1}"
+    inner.target_params, inner.target_reduce = (m, n), tgt_records
+    return inner
 
 
 # -- subgroups of BS(n, n) ------------------------------------------------------

@@ -282,16 +282,19 @@ def _hn_factorization(m: int, n: int):
     """m = alpha*beta, n = alpha*beta*gamma*delta with alpha^delta = 1 and
     alpha, beta, delta nonunits; prefers beta^delta = 1, then smallest."""
     c = n // m
-    candidates = []
-    for alpha in sorted(
-        (d for d in range(2, abs(m) + 1) if m % d == 0), key=abs
-    ):
+
+    def divisors(x):  # the divisors >= 2 of |x|, from its factorization
+        out = [1]
+        for p, e in factorize(x).items():
+            out = [d * p**k for d in out for k in range(e + 1)]
+        return out[1:]
+
+    candidates, deltas = [], divisors(c)
+    for alpha in divisors(m):
         beta = m // alpha
         if abs(beta) == 1:
             continue
-        for delta in sorted(
-            (d for d in range(2, abs(c) + 1) if c % d == 0), key=abs
-        ):
+        for delta in deltas:
             gamma = c // delta
             if gcd(alpha, delta) != 1:
                 continue

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs
+from conftest import count_calls, graphs
 
 from gbs import embeddings
 from gbs.arith import gcd, split_power
@@ -244,15 +244,18 @@ GRID12_CERTS, GRID12_DIGEST = 9668, "e7367aa6fc50cf0b5e26eba25caa88a4d6b4cdd016b
 def test_block_circle_skips_only_attempts_the_checker_rejects(monkeypatch):
     """With beta = 0 and exactly one of x, y zero, the (0, 0) block circle
     has a multiplicity-1 vertex with two edge ends over one target end, so
-    it is never weakly admissible; skipping it changes no certificate."""
+    it is never weakly admissible; skipping it changes no certificate.
+    Each certificate's map is checked once, when it is finished."""
     calls = []
     block_circle = embeddings._block_circle
     monkeypatch.setattr(embeddings, "_block_circle", lambda *args: calls.append(args) or block_circle(*args))
+    checks = count_calls(monkeypatch, [(embeddings, "check_weakly_admissible")])
     digest, count = hashlib.sha256(), 0
     for cert in _grid_certificates(12):
         digest.update(json.dumps(cert.to_json()).encode() + b"\n")
         count += 1
     assert (count, digest.hexdigest()) == (GRID12_CERTS, GRID12_DIGEST)
+    assert checks["check_weakly_admissible"] == GRID12_CERTS
     skipped = set()
     for rhat, shat, beta, m, n in calls:
         x0, y0 = split_power(shat, m)[0], split_power(rhat, n)[0]
@@ -260,7 +263,8 @@ def test_block_circle_skips_only_attempts_the_checker_rejects(monkeypatch):
             skipped.add((x0, y0, m, n))
     assert len(skipped) == 856
     for x0, y0, m, n in skipped:
-        ok, violations = check_weakly_admissible(embeddings._block_circle_map(x0, y0, 0, m, n))
+        pattern = embeddings._block_circle_map(x0, y0, 0, m, n)
+        ok, violations = check_weakly_admissible(embeddings._derive_map(pattern))
         assert not ok and any("preimage edges > gcd 1" in v for v in violations), (x0, y0, m, n)
 
 

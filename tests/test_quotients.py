@@ -310,6 +310,52 @@ def test_infinite_family_variants():
         assert check_epi(mem.cert)
 
 
+def _hn_factorization_reference(m: int, n: int):
+    """The trial-division search `quotients._hn_factorization` replaced:
+    every integer up to |m|, and up to |n/m|, tried as a divisor."""
+    c = n // m
+    candidates = []
+    for alpha in sorted((d for d in range(2, abs(m) + 1) if m % d == 0), key=abs):
+        beta = m // alpha
+        if abs(beta) == 1:
+            continue
+        for delta in sorted((d for d in range(2, abs(c) + 1) if c % d == 0), key=abs):
+            gamma = c // delta
+            if gcd(alpha, delta) != 1:
+                continue
+            candidates.append(
+                (0 if gcd(beta, delta) == 1 else 1, abs(alpha), abs(beta), abs(delta), alpha, beta, gamma, delta)
+            )
+    if not candidates:
+        raise DecisionError(f"no valid factorization for BS({m},{n}) family")
+    _, _, _, _, alpha, beta, gamma, delta = min(candidates)
+    return alpha, beta, gamma, delta
+
+
+def _answer(fn, m, n):
+    try:
+        return fn(m, n)
+    except DecisionError:
+        return None
+
+
+def test_hn_factorization_matches_trial_division():
+    """Divisors from the factorization give the trial loop's answer on every
+    2 <= |m|, |n/m| <= 60."""
+    span = [i for i in range(-60, 61) if abs(i) >= 2]
+    for m in span:
+        for c in span:
+            assert _answer(quotients._hn_factorization, m, m * c) == _answer(_hn_factorization_reference, m, m * c)
+
+
+def test_hn_factorization_is_fast_on_large_parameters():
+    """The trial loop tries 10^8 candidate divisors for m = 10^8; the
+    divisors of 10^8 and of 2 come from their factorizations."""
+    start = time.perf_counter()
+    quotients._hn_factorization(10**8, 2 * 10**8)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_infinite_family_rejects_count_below_one(monkeypatch):
     def refuse(*args, **kwargs):  # a count the family cannot reach fails here, not by running on
         raise AssertionError("a family member was built")
