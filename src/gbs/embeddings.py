@@ -458,13 +458,12 @@ def embed_bs_construct(r: int, s: int, m: int, n: int) -> EmbeddingCertificate:
 def _construct_core(rhat, shat, beta, m, n) -> _Pattern:
     """The pattern of BS(rhat, shat) < BS(m, n), where rhat/shat =
     (m/n)^beta; its aug records scale (rhat, shat) to its loop."""
-    target = bs_graph(m, n)
     E_m, E_n = ("e0", 0), ("e0", 1)
 
     # Z^2 wrap: unit pairs arise as inner steps of the index split
     if abs(rhat) == 1 and abs(shat) == 1:
         return _Pattern(
-            target,
+            bs_graph(m, n),
             {"z0": ("v0", abs(m)), "z1": ("v0", abs(n))},
             [("d0", "z0", "z1", E_m), ("d1", "z1", "z0", E_n)],
             provenance=f"unit wrap in BS({m},{n})",
@@ -475,10 +474,10 @@ def _construct_core(rhat, shat, beta, m, n) -> _Pattern:
         mu = abs(m // rhat)
         if sign(rhat * shat) == sign(m * n):
             return _Pattern(
-                target, {"z0": ("v0", mu)}, [("d0", "z0", "z0", E_m)], provenance=f"power loop in BS({m},{n})"
+                bs_graph(m, n), {"z0": ("v0", mu)}, [("d0", "z0", "z0", E_m)], provenance=f"power loop in BS({m},{n})"
             )
         return _Pattern(
-            target,
+            bs_graph(m, n),
             {"z0": ("v0", mu), "z1": ("v0", abs(m))},
             [("d0", "z0", "z1", E_m), ("d1", "z1", "z0", E_m)],
             provenance=f"double wrap in BS({m},{n})",
@@ -489,7 +488,7 @@ def _construct_core(rhat, shat, beta, m, n) -> _Pattern:
         k = max(beta, 1)
         vertices = {f"z{i}": ("v0", 1) for i in range(k)}
         edges = [(f"d{i}", f"z{i}", f"z{(i + 1) % k}", E_m) for i in range(k)]
-        return _Pattern(target, vertices, edges, provenance=f"{k}-cycle in solvable BS({m},{n})")
+        return _Pattern(bs_graph(m, n), vertices, edges, provenance=f"{k}-cycle in solvable BS({m},{n})")
 
     # same-exponent primes split off first
     delta1, nu1 = _equal_exponent_part(m, n, rhat)

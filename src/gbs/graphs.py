@@ -11,10 +11,12 @@ method of the working copy `_Work` that edits it in place and returns a
 replayable MoveRecord.  A single move (`collapse`, `expansion`, ...) runs it
 on a fresh copy and builds one new graph; `reduce_graph`,
 `canonicalize_signs` and `replay` (a whole certificate trace) run many on one
-indexed copy and build their result once.  No query result is cached on a
-graph (the incidence index `_incidence` is its only lazily built field);
-each public entry point computes an invariant once and passes it down.
-"""
+indexed copy and build their result once.  The boundary constructors
+(`LabelledGraph(...)`, `from_json`, `graph_from_edges`, `parse_graph`) check
+every edge; a move's result (`_Work.graph`) is not re-checked, as the move
+has checked its parameters.  No query result is cached on a graph (the
+incidence index `_incidence` is its only lazily built field); each public
+entry point computes an invariant once and passes it down."""
 
 from dataclasses import dataclass
 from itertools import chain
@@ -35,7 +37,7 @@ def id_key(name: str):
     return (len(name), name)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(slots=True, unsafe_hash=True, order=True)
 class OrientedEdge:
     edge: str
     end: int
@@ -45,7 +47,7 @@ class OrientedEdge:
         return OrientedEdge(self.edge, 1 - self.end)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EdgeData:
     endpoints: tuple[str, str]
     labels: tuple[int, int]
@@ -319,7 +321,7 @@ def parse_graph(text: str) -> LabelledGraph:
 # -- moves ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MoveRecord:
     kind: str
     params: tuple
@@ -329,10 +331,11 @@ class MoveRecord:
 
     @classmethod
     def from_json(cls, data):
-        def fix(p):
-            return tuple(fix(x) for x in p) if isinstance(p, list) else p
+        return cls(data["kind"], _tuples(data["params"]))
 
-        return cls(data["kind"], tuple(fix(p) for p in data["params"]))
+
+def _tuples(items) -> tuple:  # JSON lists as tuples, at every depth
+    return tuple([_tuples(x) if type(x) is list else x for x in items])
 
 
 def _exact(x, what: str, error=MoveError) -> int:
@@ -348,16 +351,14 @@ def _end(x, what: str = "end") -> int:
     return x
 
 
-# the number of parameters of each kind's record; kind k is `_Work`'s move k with "-" as "_"
-_ARITY = {"sign-change": 2, "collapse": 5, "expansion": 6, "contraction": 6, "displacement": 3}
-
-
 class _Work:
     """A working copy of a graph that the one body of each move kind edits in
     place.  A vertex -> edge-name index (keys: the vertex set) finds the edges
     at a vertex when `indexed`, a scan (cheaper for one move) when not.  A
     move takes its record's parameters (the outputs, `*_`, are compared by
-    `replay`), checks them (MoveError before any edit), returns its record."""
+    `replay`), checks them (MoveError before any edit), returns its record.
+    Its edits keep every label a nonzero integer and every endpoint a vertex
+    (and leave at least one vertex), so `graph` needs no check."""
 
     __slots__ = ("edges", "index", "vertices")
 
@@ -370,6 +371,12 @@ class _Work:
                 a, b = ed.endpoints
                 index[a].add(name)
                 index[b].add(name)
+
+    def graph(self) -> LabelledGraph:
+        """The copy as a graph, its edges not re-checked (see above); the copy is not edited after."""
+        g = LabelledGraph.__new__(LabelledGraph)
+        g.vertices, g.edges, g._incidence = frozenset(self.vertices), self.edges, None
+        return g
 
     def _vertex(self, v) -> str:
         if type(v) is not str or v not in self.vertices:
@@ -421,10 +428,7 @@ class _Work:
 
     def collapse(self, edge, end=None, *_) -> MoveRecord:
         ed = self._edge(edge, "collapse")
-        if end is None:
-            end = 0 if abs(ed.labels[0]) == 1 else 1
-        elif type(end) is not int or end not in (0, 1):
-            raise MoveError(f"end must be 0 or 1, not {end!r}")
+        end = (0 if abs(ed.labels[0]) == 1 else 1) if end is None else _end(end)
         if abs(ed.labels[end]) != 1:
             raise MoveError(f"label of {edge} at end {end} is not +-1")
         return self._collapse(edge, end)
@@ -498,10 +502,16 @@ class _Work:
         return MoveRecord("displacement", (edge, r, divided_end))
 
 
+# each record kind's number of parameters and move body
+_MOVES = {"sign-change": (2, _Work.sign_change), "collapse": (5, _Work.collapse),
+          "expansion": (6, _Work.expansion), "contraction": (6, _Work.contraction),
+          "displacement": (3, _Work.displacement)}
+
+
 def _one_move(g: LabelledGraph, move, *args):
     work = _Work(g)
     rec = move(work, *args)
-    return LabelledGraph(work.vertices, work.edges), rec
+    return work.graph(), rec
 
 
 def sign_change(g: LabelledGraph, *, vertex: str | None = None, edge: str | None = None):
@@ -548,7 +558,7 @@ def contraction_move(g: LabelledGraph, edge: str, survivor_end: int = 0):
     is a unit).  The record is (edge, survivor, removed, q, r, q^r)."""
     work = _Work(g)
     rec = work.contraction(edge, work._edge(edge, "contract").endpoints[_end(survivor_end, "survivor_end")])
-    return LabelledGraph(work.vertices, work.edges), rec
+    return work.graph(), rec
 
 
 def displacement_move(g: LabelledGraph, edge: str, r: int, divided_end: int):
@@ -568,11 +578,12 @@ def replay(g: LabelledGraph, records) -> LabelledGraph:
     work = _Work(g, indexed=len(records) > 1)
     for rec in records:
         kind, params = rec.kind, rec.params
-        if type(kind) is not str or type(params) is not tuple or _ARITY.get(kind) != len(params):
+        arity, move = _MOVES.get(kind, (None, None)) if type(kind) is str else (None, None)
+        if type(params) is not tuple or arity != len(params):
             raise MoveError(f"malformed move record {kind!r} {params!r}")
-        if getattr(work, kind.replace("-", "_"))(*params).params != params:
+        if move(work, *params).params != params:
             raise MoveError(f"{kind} replay mismatch: {params!r}")
-    return LabelledGraph(work.vertices, work.edges)
+    return work.graph()
 
 
 def apply_move(g: LabelledGraph, rec: MoveRecord) -> LabelledGraph:
@@ -601,7 +612,7 @@ def reduce_graph(g: LabelledGraph, protect: str | None = None):
             if abs(ed.labels[end]) == 1 and removed != ed.endpoints[1 - end] and removed != protect:
                 records.append(work._collapse(name, end))
                 break
-    return (LabelledGraph(work.vertices, work.edges) if records else g), records
+    return (work.graph() if records else g), records
 
 
 def canonicalize_signs(g: LabelledGraph):
@@ -623,7 +634,7 @@ def canonicalize_signs(g: LabelledGraph):
     for name in g.sorted_edges():
         if name not in tree and edges[name].labels[0] < 0:
             records.append(work.sign_change("edge", name))
-    return (LabelledGraph(work.vertices, work.edges) if records else g), records
+    return (work.graph() if records else g), records
 
 
 def _bfs_tree(g: LabelledGraph) -> list[OrientedEdge]:

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import strategies as st
 
-from gbs.graphs import graph_from_edges, reduce_graph
+from gbs.graphs import LabelledGraph, _Work, graph_from_edges, reduce_graph
 
 
 def small_connected_graph(rng: random.Random, max_vertices=4, max_extra=2, max_label=9):
@@ -73,3 +73,10 @@ def count_calls(monkeypatch, targets) -> Counter:
 
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_graph_builds(monkeypatch) -> Counter:
+    """Count graph builds by both routes: the checking constructor
+    (`LabelledGraph.__init__`) and a move's unchecked result (`_Work.graph`).
+    Sum the Counter's values for the number of graphs built."""
+    return count_calls(monkeypatch, [(LabelledGraph, "__init__"), (_Work, "graph")])

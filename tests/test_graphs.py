@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_calls, graphs
+from conftest import count_calls, count_graph_builds, graphs
 
 from gbs.arith import gcd
 from gbs.errors import DisconnectedGraphError, InputError, MoveError, ShapeError
@@ -292,9 +292,9 @@ def test_multi_move_routines_build_no_graph_per_move(monkeypatch):
     assert calls == {}
     g = segment_graph([1, 2] * 200)
     red, recs = reduce_graph(g)
-    calls = count_calls(monkeypatch, [(LabelledGraph, "__init__")])
+    calls = count_graph_builds(monkeypatch)
     assert replay(g, recs) == red
-    assert calls == {"__init__": 1}
+    assert sum(calls.values()) == 1
 
 
 def test_sign_change_involution():
@@ -720,6 +720,85 @@ def test_any_record_replays_or_raises_move_error(records):
     except MoveError:
         pass
     assert _FUZZ_GRAPH == _fuzz_graph() and list(_FUZZ_GRAPH.edges) == list(_fuzz_graph().edges)
+
+
+def _mutated(rec: MoveRecord, how: str) -> MoveRecord:
+    """rec with a wrong kind, a wrong arity, a factor that divides no label
+    here, or an unknown edge or vertex."""
+    kind, params = rec.kind, list(rec.params)
+    if how == "kind":
+        kind = {"collapse": "expansion", "expansion": "contraction"}.get(kind, "collapse")
+    elif how == "arity":
+        params = params[:-1] if params else ["zz"]
+    elif how == "factor":
+        i = {"expansion": 2, "displacement": 1}.get(kind, len(params) - 1)
+        params[i] = 97
+    else:
+        params[1 if kind == "sign-change" else 0] = "zz"
+    return MoveRecord(kind, tuple(params))
+
+
+def _checked(g: LabelledGraph) -> LabelledGraph:
+    """g, asserted equal to its rebuild by the checking constructor (which
+    raises on a zero label, an unknown endpoint or no vertex)."""
+    assert g == LabelledGraph(g.vertices, dict(g.edges))
+    return g
+
+
+def _unless_move_error(call, *args, **kwargs):
+    """The graph call returns (checked), or None when it raises MoveError."""
+    try:
+        out = call(*args, **kwargs)
+    except MoveError:
+        return None
+    return _checked(out[0] if type(out) is tuple else out)
+
+
+@given(graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_unchecked_move_results_pass_the_constructor_checks(g, data):
+    # a move's result is built by _Work.graph without the constructor's checks:
+    # each call raises MoveError or returns a graph that passes them
+    start, records = g, []
+    for step in range(data.draw(st.integers(min_value=1, max_value=4))):
+        kind, args, kwargs = _draw_move(data, g, step)
+        move = _REF_MOVES[kind][1]
+        if args and data.draw(st.booleans()):  # an unknown name, or a factor that divides no label
+            i = data.draw(st.sampled_from([0, 2 if kind == "expansion" else 1]))
+            _unless_move_error(move, g, *args[:i], data.draw(st.sampled_from(["zz", 97])), *args[i + 1 :], **kwargs)
+        out, rec = move(g, *args, **kwargs)
+        _checked(out)
+        how = data.draw(st.sampled_from([None, "kind", "arity", "factor", "name"]))
+        rec = rec if how is None else _mutated(rec, how)
+        records.append(rec)
+        after = _unless_move_error(apply_move, g, rec)
+        if after is not None:
+            g = after
+    _unless_move_error(replay, start, records)
+    protect = data.draw(st.sampled_from([None, *g.sorted_vertices()]))
+    red, recs = reduce_graph(g, protect)
+    assert _checked(replay(g, recs)) == _checked(red)
+    signed, recs = canonicalize_signs(g)
+    assert _checked(replay(g, recs)) == _checked(signed)
+
+
+def test_value_types_keep_their_repr_equality_order_and_hash():
+    oe, ed = OrientedEdge("c1", 0), EdgeData(("v", "w"), (2, -3))
+    rec = MoveRecord("collapse", ("a", 0, "v0", "v1", 2))
+    assert repr(oe) == "OrientedEdge(edge='c1', end=0)" and str(oe) == repr(oe)
+    assert repr(ed) == "EdgeData(endpoints=('v', 'w'), labels=(2, -3))"
+    assert repr(rec) == "MoveRecord(kind='collapse', params=('a', 0, 'v0', 'v1', 2))"
+    assert oe == OrientedEdge("c1", 0) and oe != OrientedEdge("c1", 1) and oe != ("c1", 0)
+    assert ed == EdgeData(("v", "w"), (2, -3)) and ed != EdgeData(("v", "w"), (2, 3))
+    assert rec == MoveRecord("collapse", ("a", 0, "v0", "v1", 2)) and rec != MoveRecord("collapse", ("a", 1, "v0", "v1", 2))
+    assert OrientedEdge("c1", 1) < OrientedEdge("c2", 0) and OrientedEdge("c1", 0) < oe.reverse
+    assert sorted([OrientedEdge("b", 1), OrientedEdge("a", 1), OrientedEdge("b", 0)]) == [
+        OrientedEdge("a", 1), OrientedEdge("b", 0), OrientedEdge("b", 1)
+    ]
+    assert hash(oe) == hash(("c1", 0))
+    assert hash(ed) == hash((("v", "w"), (2, -3)))
+    assert hash(rec) == hash(("collapse", ("a", 0, "v0", "v1", 2)))
+    assert len({oe, OrientedEdge("c1", 0), oe.reverse}) == 2
 
 
 @given(graphs())
