@@ -6,10 +6,10 @@ generator, a source word mapping onto it).  Checking is purely mechanical:
 source relators must map to Britton-trivial words, witness equations must
 verify under the word engine.  Words may hold shared subword powers; they
 are mapped and reduced once per shared subword, never written out.
-Composition is substitution: each generator of the middle presentation is
-rewritten and mapped once, and every word goes through that generator map.
-A change of spanning tree is conjugation by one tree path, at one base
-vertex for both directions: composing builds no presentation.
+Composition is substitution through one map of the middle presentation's
+generators.  A change of spanning tree is conjugation along tree paths at
+one base vertex: only generators whose tree path crosses an edge the other
+tree makes stable are rewritten, and composing builds no presentation.
 
 The module also produces the canonical certificates: the ones induced by
 graph moves (collapse, expansion, sign change, contraction, displacement),
@@ -59,6 +59,7 @@ from .words import (
     parse_letters,
     reduce_syllables,
     syllables_inverse,
+    tree_walk,
 )
 
 
@@ -272,22 +273,29 @@ def identity_cert(pres: Presentation, provenance: str = "identity") -> HomCertif
 def _generator_map(pres_from: Presentation, pres_to: Presentation, images: dict) -> dict:
     """Each generator of pres_from rewritten over pres_to, a presentation of
     the same graph, then sent through `images` (keyed by pres_to's
-    generators).  A change of tree is conjugation by a tree path (Serre,
-    Trees, I.5): read at the canonical base vertex, a generator is
-    hop^-1 w hop, for w its path at pres_from's base and hop pres_from's tree
-    path from there to the canonical base, written over pres_to's tree.
-    Both directions of a composition read at that one base, so they are
-    mutually inverse (each presentation's own base would give maps that
-    differ by an inner automorphism)."""
+    generators).  A change of tree is conjugation along tree paths (Serre,
+    Trees, I.5): at the canonical base vertex, a(v) is p(v) a(v) p(v)^-1 and
+    t(e) for e = (v, w) is p(w) t(e) p(v)^-1, p(v) being the letters pres_to
+    gives pres_from's tree path to v; with p empty the image is kept.  Both
+    directions of a composition read at that one base, so they are mutually
+    inverse (each presentation's own base would give maps that differ by an
+    inner automorphism)."""
     if pres_from.tree == pres_to.tree:
         return images
-    base = pres_from.graph.sorted_vertices()[0]
-    hop = pres_from.geodesic(base)
-    back = syllables_inverse(hop)
+    g, tree_to = pres_from.graph, pres_to.tree
+    base = g.sorted_vertices()[0]
+    prefix = {base: ()}
+    for w, (v, e, end) in tree_walk(g, pres_from.tree, base).items():
+        prefix[w] = prefix[v] if e in tree_to else prefix[v] + (("t", e, 2 * end - 1),)
     through = {}
     for kind, name in pres_from.generators():
-        w = pres_from.letters_to_path(((kind, name, 1),)).syllables
-        through[(kind, name)] = substitute_letters(pres_to.path_to_letters(back + w + hop), images)
+        v, w = (name, name) if kind == "v" else g.edges[name].endpoints
+        p, q = prefix[w], prefix[v]
+        got = None if p or q else images.get((kind, name))
+        if got is None:
+            mid = ((kind, name, 1),) if kind == "v" or name not in tree_to else ()
+            got = substitute_letters(letters_concat(p, mid, letters_inverse(q)), images)
+        through[(kind, name)] = got
     return through
 
 
@@ -329,12 +337,18 @@ def compose_chain(first: HomCertificate, *rest: HomCertificate, provenance: str 
 def _move_cert(src: Presentation, tgt: Presentation, at: dict, provenance: str, witnesses: dict) -> HomCertificate:
     """The certificate of a move: a(v) goes to a(u)^k where at[v] = (k, u)
     (the multiplier map the move applies to the labels at v; (1, v) when v
-    is absent), each t(e) to itself, each image Britton-reduced over tgt."""
+    is absent), each stable t(e) to itself, each image Britton-reduced over
+    tgt, where a(u)^k pinches only up u's tree path."""
     images = {}
     for kind, name in src.generators():
         k, u = at.get(name, (1, name)) if kind == "v" else (1, name)
-        syls = reduce_syllables(tgt.graph.edges, tgt.letters_to_path(((kind, u, k),)).syllables)
-        images[(kind, name)] = tgt.path_to_letters(syls)
+        while kind == "v" and u in tgt.up:
+            parent, e, end = tgt.up[u]
+            labels = tgt.graph.edges[e].labels
+            if k % labels[1 - end]:
+                break
+            k, u = k // labels[1 - end] * labels[end], parent
+        images[(kind, name)] = ((kind, u, k),)
     return HomCertificate(src, tgt, images, witnesses, provenance)
 
 

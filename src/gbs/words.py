@@ -183,8 +183,27 @@ def modulus(g: LabelledGraph, w: PathWord) -> Fraction:
 # -- presentations and letter words ----------------------------------------
 
 
+def tree_walk(g: LabelledGraph, tree, root: str) -> dict[str, tuple]:
+    """Each vertex but root mapped to (its tree parent, the edge, the parent's
+    end), parents first: a tree path is unique, so the tree's edges give it."""
+    adj: dict = {}
+    for e in tree:
+        a, b = g.edges[e].endpoints
+        adj.setdefault(a, []).append((e, 0, b))
+        adj.setdefault(b, []).append((e, 1, a))
+    up, stack = {}, [root]
+    while stack:
+        v = stack.pop()
+        for e, end, w in adj.get(v, ()):
+            if w not in up and w != root:
+                up[w] = (v, e, end)
+                stack.append(w)
+    return up
+
+
 class Presentation:
-    """Standard presentation attached to (graph, spanning tree, base)."""
+    """Standard presentation attached to (graph, spanning tree, base); `up`
+    is tree_walk from the base, tree paths and generators built on first use."""
 
     def __init__(self, g: LabelledGraph, tree: frozenset[str] | None = None, base: str | None = None):
         self.graph = g
@@ -194,10 +213,12 @@ class Presentation:
         self.base = base if base is not None else g.sorted_vertices()[0]
         if self.base not in g.vertices:
             raise self._invalid(f"unknown base vertex {self.base}")
-        self._geodesics, self._geo_inv = self._compute_geodesics()
-        self._reduced: dict = {}
-        if len(self._geodesics) != len(g.vertices):
+        self.up = tree_walk(g, self.tree, self.base)
+        if len(self.up) != len(self.tree):
             raise self._invalid("spanning tree does not span")
+        self._paths: tuple | None = None
+        self._reduced: dict = {}
+        self._generators: tuple | None = None
 
     def _invalid(self, message: str) -> InputError:
         """A tree that spans proves the graph connected, so connectivity is
@@ -206,23 +227,14 @@ class Presentation:
         self.graph.require_connected()
         return InputError(message)
 
-    def _compute_geodesics(self) -> tuple[dict[str, tuple], dict[str, tuple]]:
+    def tree_paths(self) -> tuple[dict, dict]:
         """Tree paths from the base to each vertex, and their inverses."""
-        geo, inv = {self.base: ()}, {self.base: ()}
-        queue = [self.base]
-        while queue:
-            v = queue.pop(0)
-            for oe in self.graph.edges_at(v):
-                if oe.edge in self.tree:
-                    w = self.graph.terminus(oe)
-                    if w not in geo:
-                        geo[w] = geo[v] + (("e", oe.edge, oe.end),)
-                        inv[w] = (("e", oe.edge, 1 - oe.end),) + inv[v]
-                        queue.append(w)
-        return geo, inv
-
-    def geodesic(self, v: str) -> tuple:
-        return self._geodesics[v]
+        if self._paths is None:
+            geo, inv = {self.base: ()}, {self.base: ()}
+            for w, (v, e, end) in self.up.items():
+                geo[w], inv[w] = geo[v] + (("e", e, end),), (("e", e, 1 - end),) + inv[v]
+            self._paths = geo, inv
+        return self._paths
 
     def reduced_generator(self, kind: str, name: str) -> tuple:
         """Britton-reduced syllables of one generator, computed once."""
@@ -236,10 +248,11 @@ class Presentation:
     def stable_edges(self) -> list[str]:
         return [e for e in self.graph.sorted_edges() if e not in self.tree]
 
-    def generators(self) -> list[tuple[str, str]]:
-        gens = [("v", v) for v in self.graph.sorted_vertices()]
-        gens += [("t", e) for e in self.stable_edges]
-        return gens
+    def generators(self) -> tuple[tuple[str, str], ...]:
+        if self._generators is None:
+            gens = [("v", v) for v in self.graph.sorted_vertices()]
+            self._generators = tuple(gens + [("t", e) for e in self.stable_edges])
+        return self._generators
 
     def relations(self) -> list[tuple]:
         """One relator letter-word per non-oriented edge."""
@@ -257,6 +270,7 @@ class Presentation:
     # letter words: tuples of ("v", vertex, exp) | ("t", edge, exp) | ("w", word, exp)
 
     def letters_to_path(self, letters) -> PathWord:
+        geo, inv = self.tree_paths()
         syls: list = []
         for kind, name, exp in letters:
             if exp == 0:
@@ -264,17 +278,17 @@ class Presentation:
             if kind == "v":
                 if name not in self.graph.vertices:
                     raise MalformedWordError(f"unknown vertex generator {name}")
-                syls.extend(self.geodesic(name))
+                syls.extend(geo[name])
                 syls.append(("v", name, exp))
-                syls.extend(self._geo_inv[name])
+                syls.extend(inv[name])
             elif kind == "t":
                 if name not in self.graph.edges or name in self.tree:
                     raise MalformedWordError(f"{name} is not a stable-letter edge")
                 v, w = self.graph.edges[name].endpoints
                 if exp > 0:
-                    hop = self.geodesic(w) + (("e", name, 1),) + self._geo_inv[v]
+                    hop = geo[w] + (("e", name, 1),) + inv[v]
                 else:
-                    hop = self.geodesic(v) + (("e", name, 0),) + self._geo_inv[w]
+                    hop = geo[v] + (("e", name, 0),) + inv[w]
                 check_word_cap(len(syls) + abs(exp) * len(hop))
                 for _ in range(abs(exp)):
                     syls.extend(hop)

@@ -1,10 +1,15 @@
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
 
+from gbs import embeddings
+from gbs.bs_arith import embeds_bs
+from gbs.embeddings import embed_bs_construct
 from gbs.graphs import LabelledGraph, _Work, graph_from_edges, reduce_graph
+from gbs.words import Presentation
 
 
 def small_connected_graph(rng: random.Random, max_vertices=4, max_extra=2, max_label=9):
@@ -80,3 +85,52 @@ def count_graph_builds(monkeypatch) -> Counter:
     (`LabelledGraph.__init__`) and a move's unchecked result (`_Work.graph`).
     Sum the Counter's values for the number of graphs built."""
     return count_calls(monkeypatch, [(LabelledGraph, "__init__"), (_Work, "graph")])
+
+
+def random_presentation(g, rng: random.Random, keep=()) -> Presentation:
+    """A presentation of g on a random spanning tree that holds the non-loop
+    edges `keep`, based at a random vertex other than the canonical one
+    (when g has another)."""
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    tree = set()
+    for e in list(keep) + rng.sample(g.sorted_edges(), len(g.edges)):
+        a, b = map(find, g.edges[e].endpoints)
+        if a != b:
+            root[a] = b
+            tree.add(e)
+    return Presentation(g, frozenset(tree), rng.choice(g.sorted_vertices()[1:] or g.sorted_vertices()))
+
+
+def grid_certificates(bound):
+    """((r, s, m, n), embed_bs_construct(r, s, m, n)) for every
+    BS(r, s) < BS(m, n) of the box |.| <= bound, in grid order."""
+    grid = [i for i in range(-bound, bound + 1) if i != 0]
+    for r in grid:
+        for s in grid:
+            if abs(r) == 1 and abs(s) == 1:
+                continue
+            for m in grid:
+                for n in grid:
+                    if embeds_bs(r, s, m, n):
+                        yield (r, s, m, n), embed_bs_construct(r, s, m, n)
+
+
+@pytest.fixture(scope="session")
+def grid12():
+    """The 9,668 certificates of the 12-box grid (acceptance criterion 3),
+    built once for the session: `certs` as grid_certificates yields them,
+    `block_circle` the arguments of each `_block_circle` attempt and
+    `checks` the `check_weakly_admissible` calls made while building."""
+    attempts = []
+    with pytest.MonkeyPatch.context() as mp:
+        block_circle = embeddings._block_circle
+        mp.setattr(embeddings, "_block_circle", lambda *args: attempts.append(args) or block_circle(*args))
+        checks = count_calls(mp, [(embeddings, "check_weakly_admissible")])
+        certs = list(grid_certificates(12))
+    return SimpleNamespace(certs=certs, block_circle=attempts, checks=checks["check_weakly_admissible"])

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from gbs import embed_bs_construct, non_hopf_endo, quotients
+from gbs import bs_graph, bs_source_epi, embed_bs_construct, non_hopf_endo, quotients
 from gbs.cli import COMMANDS, main
 
 
@@ -401,6 +401,21 @@ def test_verify_nested_powers_cap_exit_2(tmp_path, capsys):
     data["words"] = ["a(v0) t(e0)", "w0^3", "w1^2"]
     path.write_text(json.dumps(data))
     assert run(capsys, "verify", str(path)) == (0, "hom: False, epi: False\n", "")
+
+
+def test_verify_hom_whose_witnesses_fail_is_invalid(tmp_path, capsys):
+    """A certificate with witnesses claims an epimorphism, so it is valid
+    only when the witnesses verify: a(v0) -> a(v0)^2 keeps the map a
+    homomorphism but leaves the witnesses of BS(4, 6) ->> BS(2, 3) short."""
+    path = tmp_path / "cert.json"
+    data = bs_source_epi(bs_graph(2, 3), 4, 6).to_json()
+    path.write_text(json.dumps(data))
+    assert json.loads(run(capsys, "verify", str(path), "--json")[1])["answer"] == "valid"
+    data["images"]["a(v0)"] = "a(v0)^2"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "verify", str(path)) == (0, "hom: True, epi: False\n", "")
+    code, out, err = run(capsys, "verify", str(path), "--json")
+    assert (code, json.loads(out), err) == (0, {"answer": "invalid", "hom": True, "epi": False}, "")
 
 
 def test_verify_deep_shared_word_table(tmp_path, capsys):

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from conftest import count_calls, graphs
+from conftest import graphs, grid_certificates
 
 from gbs import embeddings
 from gbs.arith import gcd, split_power
@@ -195,24 +195,12 @@ def _check_admissible_reference(wa):
     return ok and all(len(pre) == k_x for _, _, _, _, k_x, pre in _preimages_reference(wa))
 
 
-def _grid_certificates(bound):
-    grid = [i for i in range(-bound, bound + 1) if i != 0]
-    for r in grid:
-        for s in grid:
-            if abs(r) == 1 and abs(s) == 1:
-                continue
-            for m in grid:
-                for n in grid:
-                    if embeds_bs(r, s, m, n):
-                        yield embed_bs_construct(r, s, m, n)
-
-
 def test_checker_matches_double_loop_reference():
     """The one-pass checker reports what the double loop reports, in the same
     order, and agrees on the covering test: on every certificate of the
     5-box grid, on the criterion-11 mutations, and on identity maps."""
     rng = random.Random(1234)
-    maps = [cert.map for cert in _grid_certificates(5)]
+    maps = [cert.map for _, cert in grid_certificates(5)]
     for cert in (circle_bs_subgroup(circle_graph([2, 5, 3, 7]), 6, 35), embed_bs_construct(4, 8, 2, 4)):
         maps.extend(_mutations(cert, rng, 100))
     maps.extend(identity_map(g) for g in (bs_graph(2, 3), circle_graph([2, 3, 5, 7]), segment_graph([2, 3, 4, 5])))
@@ -241,23 +229,19 @@ def test_checker_is_linear_in_the_map():
 GRID12_CERTS, GRID12_DIGEST = 9668, "e7367aa6fc50cf0b5e26eba25caa88a4d6b4cdd016b1ba4d9adbd3a0b1a57fd3"
 
 
-def test_block_circle_skips_only_attempts_the_checker_rejects(monkeypatch):
+def test_block_circle_skips_only_attempts_the_checker_rejects(grid12):
     """With beta = 0 and exactly one of x, y zero, the (0, 0) block circle
     has a multiplicity-1 vertex with two edge ends over one target end, so
     it is never weakly admissible; skipping it changes no certificate.
     Each certificate's map is checked once, when it is finished."""
-    calls = []
-    block_circle = embeddings._block_circle
-    monkeypatch.setattr(embeddings, "_block_circle", lambda *args: calls.append(args) or block_circle(*args))
-    checks = count_calls(monkeypatch, [(embeddings, "check_weakly_admissible")])
     digest, count = hashlib.sha256(), 0
-    for cert in _grid_certificates(12):
+    for _, cert in grid12.certs:
         digest.update(json.dumps(cert.to_json()).encode() + b"\n")
         count += 1
     assert (count, digest.hexdigest()) == (GRID12_CERTS, GRID12_DIGEST)
-    assert checks["check_weakly_admissible"] == GRID12_CERTS
+    assert grid12.checks == GRID12_CERTS
     skipped = set()
-    for rhat, shat, beta, m, n in calls:
+    for rhat, shat, beta, m, n in grid12.block_circle:
         x0, y0 = split_power(shat, m)[0], split_power(rhat, n)[0]
         if beta == 0 and (x0 == 0) != (y0 == 0):
             skipped.add((x0, y0, m, n))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, count_graph_builds, graphs
+from conftest import count_calls, count_graph_builds, graphs, random_presentation
 
 from gbs import homs, words
 from gbs.arith import gcd, xgcd
@@ -27,7 +27,10 @@ from gbs.graphs import (
     bs_graph,
     circle_graph,
     classify_shape,
+    collapse,
+    contraction_move,
     displacement_move,
+    expansion,
     graph_from_edges,
     lollipop_graph,
     qrxy,
@@ -66,6 +69,7 @@ from gbs.words import (
     letters_inverse,
     letters_power,
     modulus,
+    reduce_syllables,
 )
 from test_words import letters_power_reference
 
@@ -885,31 +889,72 @@ def test_compose_builds_no_presentation(monkeypatch):
     assert check_epi(cert)
 
 
-def _random_presentation(g, rng):
-    """A presentation of g on a random spanning tree, based at a random vertex
-    other than the canonical one (when g has another)."""
-    root = {v: v for v in g.vertices}
-
-    def find(v):
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    tree = set()
-    for e in rng.sample(g.sorted_edges(), len(g.edges)):
-        a, b = map(find, g.edges[e].endpoints)
-        if a != b:
-            root[a] = b
-            tree.add(e)
-    return Presentation(g, frozenset(tree), rng.choice(g.sorted_vertices()[1:] or g.sorted_vertices()))
-
-
 @given(graphs(max_vertices=5, max_extra=3), st.integers(min_value=0, max_value=2**30))
 @settings(max_examples=150, deadline=None)
 def test_generator_map_matches_the_helper_presentations(g, seed):
     rng = random.Random(seed)
-    p, q = _random_presentation(g, rng), _random_presentation(g, rng)
+    p, q = random_presentation(g, rng), random_presentation(g, rng)
     for pres_from, pres_to in ((p, q), (q, p)):
         through = homs._generator_map(pres_from, pres_to, homs._identity_images(pres_to))
         for gen in pres_from.generators():
             assert through[gen] == convert_letters_reference((gen + (1,),), pres_from, pres_to)
+
+
+def _move_cert_reference(src, tgt, at) -> dict:
+    """The images of _move_cert as every generator was once built: its path
+    over tgt, Britton-reduced, read back as letters."""
+    images = {}
+    for kind, name in src.generators():
+        k, u = at.get(name, (1, name)) if kind == "v" else (1, name)
+        syls = reduce_syllables(tgt.graph.edges, tgt.letters_to_path(((kind, u, k),)).syllables)
+        images[(kind, name)] = tgt.path_to_letters(syls)
+    return images
+
+
+def _random_moves(g, rng):
+    """(src, tgt, at) for each collapse, contraction and expansion of g that
+    the move certificates make, src on a random tree and base."""
+    for e in g.sorted_edges():
+        if g.is_loop(e):
+            continue
+        v, w = g.edges[e].endpoints
+        for end in (0, 1):
+            moves = [contraction_move(g, e, end)]
+            if abs(g.edges[e].labels[1 - end]) == 1:
+                moves.append(collapse(g, e, 1 - end))
+            for g2, rec in moves:
+                if rec.kind == "collapse":
+                    removed, survivor, mult = rec.params[2:]
+                    at = {removed: (mult, survivor)}
+                else:
+                    _, survivor, removed, q, r, d = rec.params
+                    at = {v: (r // d, survivor), w: (q // d, survivor)}
+                src = random_presentation(g, rng, keep=[e])
+                yield src, Presentation(g2, src.tree - {e}, survivor if src.base == removed else src.base), at
+    for vertex in g.sorted_vertices():
+        label = rng.choice((1, 2, 3))
+        ends = [oe for oe in g.edges_at(vertex) if g.label(oe) % label == 0]
+        g2, rec = expansion(g, vertex, ends[rng.randrange(2) :: 2], label, rng.choice((1, -1)))
+        src = random_presentation(g, rng)
+        yield src, Presentation(g2, src.tree | {rec.params[5]}, src.base), {}
+
+
+@given(graphs(max_vertices=5, max_extra=3), st.integers(min_value=0, max_value=2**30))
+@settings(max_examples=150, deadline=None)
+def test_move_cert_matches_the_reduce_every_generator_loop(g, seed):
+    """_move_cert reduces only what can pinch; its images are those of the
+    loop that reduces every generator: on the collapses, contractions and
+    expansions of random trees and bases, and on multipliers (products of
+    labels) that pinch up a random tree."""
+    rng = random.Random(seed)
+    for src, tgt, at in _random_moves(g, rng):
+        assert homs._move_cert(src, tgt, at, "", None).images == _move_cert_reference(src, tgt, at)
+    pres = random_presentation(g, rng)
+    labels = g.labels()
+    at = {}
+    for v in g.sorted_vertices():
+        k = rng.choice((1, -1, 2))
+        for label in rng.sample(labels, rng.randint(0, min(3, len(labels)))):
+            k *= label
+        at[v] = (k, rng.choice(g.sorted_vertices()))
+    assert homs._move_cert(pres, pres, at, "", None).images == _move_cert_reference(pres, pres, at)

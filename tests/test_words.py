@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, random_letters, small_connected_graph
+from conftest import graphs, random_letters, random_presentation, small_connected_graph
 
 from gbs.errors import DisconnectedGraphError, InputError, MalformedWordError, WordCapError
 from gbs.graphs import (
@@ -78,6 +78,34 @@ def test_presentation_reports_a_disconnected_graph_first(tree, base):
     if tree is not None or base is not None:  # the same bad tree or base on a connected graph
         with pytest.raises(InputError):
             Presentation(connected, tree, base)
+
+
+def _compute_geodesics_reference(pres):
+    """Tree paths from the base, and their inverses, by breadth-first search
+    over the graph's incidence index."""
+    g = pres.graph
+    geo, inv = {pres.base: ()}, {pres.base: ()}
+    queue = [pres.base]
+    while queue:
+        v = queue.pop(0)
+        for oe in g.edges_at(v):
+            if oe.edge in pres.tree:
+                w = g.terminus(oe)
+                if w not in geo:
+                    geo[w] = geo[v] + (("e", oe.edge, oe.end),)
+                    inv[w] = (("e", oe.edge, 1 - oe.end),) + inv[v]
+                    queue.append(w)
+    return geo, inv
+
+
+@given(graphs(max_vertices=7, max_extra=3), st.integers(min_value=0, max_value=2**30))
+@settings(max_examples=150, deadline=None)
+def test_tree_paths_match_the_breadth_first_reference(g, seed):
+    """The tree paths read from the tree's edges alone are the breadth-first
+    ones, on random trees and bases and on the default presentation."""
+    for pres in (Presentation(g), random_presentation(g, random.Random(seed))):
+        assert pres.tree_paths() == _compute_geodesics_reference(pres)
+        assert pres.generators() is pres.generators()
 
 
 def test_lollipop_relation_a_power_equals_b_power():
