@@ -93,55 +93,54 @@ def check_weakly_admissible(wa: WeaklyAdmissibleMap) -> tuple[bool, list[str]]:
 def _check(wa: WeaklyAdmissibleMap):
     """(violations, preimage groups).  The groups are (x, te, tend, label,
     k_x, preimage edge ends at x) for each oriented target edge (te, tend)
-    and each source vertex x with an edge end over it, in (te, tend, x)
-    order, where k_x is gcd(multiplicity of x, label); they are None when
-    an image or a multiplicity is already at fault."""
-    violations = []
+    and each source vertex x with an edge end over it, in no fixed order,
+    where k_x is gcd(multiplicity of x, label); they are None when an image
+    or a multiplicity is already at fault.  One pass in set and dict order
+    (grouping as it checks the images), then one over the groups; each
+    violation carries a key giving the reported order (vertices, then
+    edges, by id; then groups by target edge id, end and vertex id, each
+    group's count first, then its edge ends by id), so only a faulty map
+    sorts."""
+    found, pres = [], {}
     src, tgt = wa.source, wa.target
-    for v in src.sorted_vertices():
-        if wa.vertex_map.get(v) not in tgt.vertices:
-            violations.append(f"vertex {v}: image missing or unknown")
-        if wa.vertex_mult.get(v, 0) <= 0:
-            violations.append(f"vertex {v}: multiplicity must be positive")
-    src_edges = src.sorted_edges()
-    for e in src_edges:
-        if wa.edge_mult.get(e, 0) <= 0:
-            violations.append(f"edge {e}: multiplicity must be positive")
-        for k in (0, 1):
-            img = wa.edge_map.get((e, k))
+    vmap, vmult, emap, emult = wa.vertex_map, wa.vertex_mult, wa.edge_map, wa.edge_mult
+    for v in src.vertices:
+        if vmap.get(v) not in tgt.vertices:
+            found.append(((0, id_key(v), 0), f"vertex {v}: image missing or unknown"))
+        if vmult.get(v, 0) <= 0:
+            found.append(((0, id_key(v), 1), f"vertex {v}: multiplicity must be positive"))
+    for e, ed in src.edges.items():
+        if emult.get(e, 0) <= 0:
+            found.append(((1, id_key(e), 0), f"edge {e}: multiplicity must be positive"))
+        for k, x in enumerate(ed.endpoints):
+            img = emap.get((e, k))
             if img is None or img[0] not in tgt.edges or img[1] not in (0, 1):
-                violations.append(f"edge {e}:{k}: image missing or unknown")
+                found.append(((1, id_key(e), 1 + 3 * k), f"edge {e}:{k}: image missing or unknown"))
                 continue
-            rev = wa.edge_map.get((e, 1 - k))
-            if rev != (img[0], 1 - img[1]):
-                violations.append(f"edge {e}: images not reverse-compatible")
-            o = src.edges[e].endpoints[k]
-            if wa.vertex_map.get(o) != tgt.edges[img[0]].endpoints[img[1]]:
-                violations.append(f"edge {e}:{k}: origins do not commute with the map")
-    if violations:
-        return violations, None
-    # one pass over the source's edge ends, grouped by (target edge rank,
-    # end, source vertex rank); each group keeps (edge id, end) order
-    t_rank = {te: i for i, te in enumerate(tgt.sorted_edges())}
-    v_rank = {v: i for i, v in enumerate(src.sorted_vertices())}
-    pres = {}
-    for e in src_edges:
-        for k, x in enumerate(src.edges[e].endpoints):
-            te, tend = wa.edge_map[(e, k)]
-            pres.setdefault((t_rank[te], tend, v_rank[x], te, x), []).append((e, k))
+            te, tend = img
+            if emap.get((e, 1 - k)) != (te, 1 - tend):
+                found.append(((1, id_key(e), 2 + 3 * k), f"edge {e}: images not reverse-compatible"))
+            if vmap.get(x) != tgt.edges[te].endpoints[tend]:
+                found.append(((1, id_key(e), 3 + 3 * k), f"edge {e}:{k}: origins do not commute with the map"))
+            pres.setdefault((te, tend, x), []).append((e, k))
+    if found:
+        return [msg for _, msg in sorted(found)], None
     groups = []
-    for (_, tend, _, te, x), pre in sorted(pres.items()):
-        lab = tgt.edges[te].labels[tend]
-        k_x = gcd(wa.vertex_mult[x], lab)
+    for (te, tend, x), pre in pres.items():
+        lab, mult = tgt.edges[te].labels[tend], vmult[x]
+        k_x = gcd(mult, lab)
         groups.append((x, te, tend, lab, k_x, pre))
         if len(pre) > k_x:
-            violations.append(f"vertex {x} over {te}:{tend}: {len(pre)} preimage edges > gcd {k_x}")
+            found.append(((id_key(te), tend, id_key(x), 0),
+                          f"vertex {x} over {te}:{tend}: {len(pre)} preimage edges > gcd {k_x}"))
         for e, k in pre:
             if src.edges[e].labels[k] != lab // k_x:
-                violations.append(f"edge {e}:{k}: label {src.edges[e].labels[k]} != {lab}//{k_x}")
-            if wa.edge_mult[e] != wa.vertex_mult[x] // k_x:
-                violations.append(f"edge {e}: multiplicity {wa.edge_mult[e]} != {wa.vertex_mult[x]}//{k_x}")
-    return violations, groups
+                found.append(((id_key(te), tend, id_key(x), 1, id_key(e), k, 0),
+                              f"edge {e}:{k}: label {src.edges[e].labels[k]} != {lab}//{k_x}"))
+            if emult[e] != mult // k_x:
+                found.append(((id_key(te), tend, id_key(x), 1, id_key(e), k, 1),
+                              f"edge {e}: multiplicity {emult[e]} != {mult}//{k_x}"))
+    return [msg for _, msg in sorted(found)], groups
 
 
 def check_admissible(wa: WeaklyAdmissibleMap) -> bool:

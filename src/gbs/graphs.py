@@ -15,11 +15,12 @@ indexed copy and build their result once.  The boundary constructors
 (`LabelledGraph(...)`, `from_json`, `graph_from_edges`, `parse_graph`) check
 every edge; a move's result (`_Work.graph`) is not re-checked, as the move
 has checked its parameters.  No query result is cached on a graph (the
-incidence index `_incidence` is its only lazily built field); each public
-entry point computes an invariant once and passes it down."""
+incidence index `_incidence` is its only lazily built field, built by the
+first ordered query, `edges_at`; the connectivity check, which needs no
+order, and `reduce_graph` never build it); each public entry point computes
+an invariant once and passes it down."""
 
 from dataclasses import dataclass
-from itertools import chain
 from math import prod
 from typing import Iterable, Optional
 
@@ -112,11 +113,20 @@ class LabelledGraph:
     # -- global properties ----------------------------------------------
 
     def is_connected(self) -> bool:
-        try:
-            _bfs_tree(self)
-        except DisconnectedGraphError:
-            return False
-        return True
+        """One stack search over the edge endpoints: connectivity needs no
+        order, so no incidence index is built (`_bfs_tree` is the ordered search)."""
+        nbrs = {v: [] for v in self.vertices}
+        for a, b in (ed.endpoints for ed in self.edges.values()):
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        stack = [next(iter(self.vertices))]
+        seen = set(stack)
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == len(self.vertices)
 
     def require_connected(self):
         if not self.is_connected():
@@ -174,19 +184,27 @@ class LabelledGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "LabelledGraph":
-        """Names are strings and labels JSON integers (InputError otherwise:
-        a float or bool label is refused, not truncated).  An endpoint needs
-        no check: the graph refuses one that is not a vertex."""
-        edges = {}
+        """The vertices are a list of names; each edge has a name of its own,
+        a list of two vertex names and a list of two JSON integer labels
+        (InputError otherwise: a float or bool label is refused, not
+        truncated, a repeated edge does not replace the first, and a string
+        is no list).  The graph refuses an endpoint that is not a vertex."""
+        vertices, edges = data["vertices"], {}
+        for v in vertices if type(vertices) is list else (None,):  # a str would read as one vertex per letter
+            if type(v) is not str:
+                raise InputError(f"the vertices must be a list of names, not {vertices!r}")
         for e in data["edges"]:
-            labels = tuple(e["labels"])
-            for x in labels:
-                _exact(x, "a label", InputError)
-            edges[e["name"]] = EdgeData(tuple(e["endpoints"]), labels)
-        for x in chain(data["vertices"], edges):
-            if type(x) is not str:
-                raise InputError(f"a vertex or edge name must be a string, not {x!r}")
-        return cls(data["vertices"], edges)
+            name, ends, labels = e["name"], e["endpoints"], e["labels"]
+            ok = (type(name) is str and name not in edges and type(ends) is type(labels) is list
+                  and len(ends) == len(labels) == 2)
+            if ok:
+                (a, b), (la, lb) = ends, labels
+                ok = type(a) is type(b) is str and type(la) is type(lb) is int
+            if not ok:
+                raise InputError(f"edge {name!r} must have a string name no other edge has, two vertex names as "
+                                 f"endpoints and two labels, and a label must be an integer; it has {ends!r}, {labels!r}")
+            edges[name] = EdgeData((a, b), (la, lb))
+        return cls(vertices, edges)
 
     def to_text(self) -> str:
         lines = [f"vertex {v}" for v in self.sorted_vertices()]
@@ -338,10 +356,10 @@ def _tuples(items) -> tuple:  # JSON lists as tuples, at every depth
     return tuple([_tuples(x) if type(x) is list else x for x in items])
 
 
-def _exact(x, what: str, error=MoveError) -> int:
+def _exact(x, what: str) -> int:
     """x when it is an int (a bool or float is refused: labels stay exact)."""
     if type(x) is not int:
-        raise error(f"{what} must be an integer, not {x!r}")
+        raise MoveError(f"{what} must be an integer, not {x!r}")
     return x
 
 
@@ -639,14 +657,13 @@ def canonicalize_signs(g: LabelledGraph):
 
 def _bfs_tree(g: LabelledGraph) -> list[OrientedEdge]:
     """The edges of the deterministic BFS spanning tree, each oriented away
-    from the lowest vertex, in the order the search meets them; the search
-    is the connectivity check."""
+    from the lowest vertex, in the order the search meets them
+    (DisconnectedGraphError if the search misses a vertex)."""
     root = min(g.vertices, key=id_key)
     seen = {root}
     order = []
     queue = [root]
-    while queue:
-        v = queue.pop(0)
+    for v in queue:  # the list grows as the search meets vertices: a FIFO without pops
         for oe in g.edges_at(v):
             w = g.edges[oe.edge].endpoints[1 - oe.end]
             if w not in seen:

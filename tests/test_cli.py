@@ -233,6 +233,20 @@ def test_verify_malformed_shape_or_inexact_number_exit_1(tmp_path, capsys, case)
     assert case in MALFORMED_EMBEDDINGS or "must be an integer" in err
 
 
+def test_verify_repeated_source_edge_exit_1(tmp_path, capsys):
+    """A second d0 listed first, with labels of its own, used to be read over
+    by the first d0 and the certificate verified as valid."""
+    data = seed_certificate("embedding")
+    edges = data["map"]["source"]["edges"]
+    assert edges[0]["name"] == "d0"
+    edges.insert(0, {**edges[0], "labels": [97, 89]})
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("input error: edge 'd0' must have a string name no other edge has") and "Traceback" not in err
+
+
 def test_verify_integer_too_long_to_read_exit_1(tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(seed_certificate("hom")).replace('"labels": [2,', f'"labels": [{"9" * 5000},'))

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs, grid_certificates
+from conftest import count_calls, graphs, grid_certificates
 
 from gbs import embeddings
 from gbs.arith import gcd, split_power
@@ -14,6 +16,8 @@ from gbs.bs_arith import embeds_bs
 from gbs.decision import Decision
 from gbs.errors import DecisionError
 from gbs.graphs import (
+    EdgeData,
+    LabelledGraph,
     bs_graph,
     circle_graph,
     graph_from_edges,
@@ -195,12 +199,18 @@ def _check_admissible_reference(wa):
     return ok and all(len(pre) == k_x for _, _, _, _, k_x, pre in _preimages_reference(wa))
 
 
-def test_checker_matches_double_loop_reference():
+@pytest.fixture(scope="module")
+def grid5_maps():
+    """The weakly admissible maps of the 732 certificates of the 5-box grid."""
+    return [cert.map for _, cert in grid_certificates(5)]
+
+
+def test_checker_matches_double_loop_reference(grid5_maps):
     """The one-pass checker reports what the double loop reports, in the same
     order, and agrees on the covering test: on every certificate of the
     5-box grid, on the criterion-11 mutations, and on identity maps."""
     rng = random.Random(1234)
-    maps = [cert.map for _, cert in grid_certificates(5)]
+    maps = list(grid5_maps)
     for cert in (circle_bs_subgroup(circle_graph([2, 5, 3, 7]), 6, 35), embed_bs_construct(4, 8, 2, 4)):
         maps.extend(_mutations(cert, rng, 100))
     maps.extend(identity_map(g) for g in (bs_graph(2, 3), circle_graph([2, 3, 5, 7]), segment_graph([2, 3, 4, 5])))
@@ -210,6 +220,74 @@ def test_checker_matches_double_loop_reference():
         assert check_admissible(wa) == _check_admissible_reference(wa)
         admissible += check_admissible(wa)
     assert len(maps) == 732 + 200 + 3 and admissible >= 3
+
+
+def _edited(wa, rng, edits):
+    """wa after `edits` random edits, each to an image, a multiplicity or a
+    source label (an edit may leave the map weakly admissible)."""
+    source, tgt = wa.source, wa.target
+    vmap, vm, em, emap = dict(wa.vertex_map), dict(wa.vertex_mult), dict(wa.edge_mult), dict(wa.edge_map)
+    for _ in range(edits):
+        v, e, k = rng.choice(source.sorted_vertices()), rng.choice(source.sorted_edges()), rng.randint(0, 1)
+        kind = rng.randrange(7)
+        if kind == 0:  # a vertex image: gone, unknown or another target vertex
+            vmap[v] = rng.choice(["nowhere", *tgt.sorted_vertices()])
+        elif kind == 1:
+            vm[v] = rng.choice([0, -1, 1, 2, vm.get(v, 1) + 1, 2 * vm.get(v, 1)])
+        elif kind == 2:
+            em[e] = rng.choice([0, -1, 1, 2, em.get(e, 1) + 1, 2 * em.get(e, 1)])
+        elif kind == 3:  # an edge end's image: unknown, a bad end or another target edge end
+            emap[(e, k)] = rng.choice([("nowhere", 0), (emap.get((e, k), ("e0",))[0], 2),
+                                       (rng.choice(tgt.sorted_edges()), rng.randint(0, 1))])
+        elif kind == 4:
+            emap[(e, 0)], emap[(e, 1)] = emap.get((e, 1)), emap.get((e, 0))
+        elif kind == 5:  # a whole entry dropped
+            table, key = rng.choice([(vmap, v), (vm, v), (em, e), (emap, (e, k))])
+            table.pop(key, None)
+        else:
+            labels = list(source.edges[e].labels)
+            labels[k] *= rng.choice([-1, 2, 3])
+            source = LabelledGraph(source.vertices, {**source.edges, e: EdgeData(source.edges[e].endpoints, tuple(labels))})
+    emap = {key: img for key, img in emap.items() if img is not None}
+    return WeaklyAdmissibleMap(source, tgt, vmap, emap, vm, em)
+
+
+VIOLATION_KINDS = {
+    "vertex image": r"vertex \S+: image missing or unknown",
+    "vertex multiplicity": r"vertex \S+: multiplicity must be positive",
+    "edge multiplicity": r"edge \S+: multiplicity must be positive",
+    "edge image": r"edge \S+:[01]: image missing or unknown",
+    "reverse": r"edge \S+: images not reverse-compatible",
+    "origin": r"edge \S+:[01]: origins do not commute with the map",
+    "count": r"vertex \S+ over \S+:[01]: \d+ preimage edges > gcd \d+",
+    "label": r"edge \S+:[01]: label -?\d+ != -?\d+//\d+",
+    "multiplicity": r"edge \S+: multiplicity -?\d+ != \d+//\d+",
+}
+
+
+def test_checker_order_matches_reference_on_multi_fault_maps(grid5_maps):
+    """Seeded fuzz: 2,000 faulty maps, each a 5-box grid map with 1-3 random
+    edits.  The unsorted checker reports the reference's violation list, in
+    its order, and the same covering answer; every violation message occurs,
+    and most faulty maps have several violations to order."""
+    rng = random.Random(22)
+    kinds, faulty, several = Counter(), 0, 0
+    while faulty < 2000:
+        wa = _edited(rng.choice(grid5_maps), rng, rng.randint(1, 3))
+        ok, violations = check_weakly_admissible(wa)
+        assert (ok, violations) == _check_weakly_admissible_reference(wa)
+        assert check_admissible(wa) == _check_admissible_reference(wa)
+        faulty += not ok
+        several += len(violations) > 1
+        for msg in violations:
+            kinds[next(kind for kind, pattern in VIOLATION_KINDS.items() if re.fullmatch(pattern, msg))] += 1
+    assert set(kinds) == set(VIOLATION_KINDS) and several >= 1000, (kinds, several)
+
+
+def test_checker_sorts_nothing_on_valid_maps(grid5_maps, monkeypatch):
+    calls = count_calls(monkeypatch, [(LabelledGraph, "sorted_vertices"), (LabelledGraph, "sorted_edges")])
+    assert all(check_weakly_admissible(wa) == (True, []) for wa in grid5_maps)
+    assert calls == {}
 
 
 def test_checker_is_linear_in_the_map():

@@ -31,6 +31,7 @@ from gbs.graphs import (
     segment_graph,
     sign_change,
     spanning_tree,
+    _bfs_tree,
 )
 from gbs.plateaus import is_two_generated
 
@@ -150,6 +151,39 @@ def test_parse_and_serialize_round_trip():
     g = parse_graph(text)
     assert g == parse_graph(g.to_text())
     assert g == LabelledGraph.from_json(g.to_json())
+
+
+@pytest.mark.parametrize(
+    "vertices, edge",
+    [
+        ("ab", {"name": "e0", "endpoints": ["a", "b"], "labels": [2, 3]}),  # a string is no vertex list
+        (["a", "b"], {"name": "e0", "endpoints": "ab", "labels": [2, 3]}),  # nor a pair of endpoints
+        (["a", "b"], {"name": "e0", "endpoints": ["a", "b", "a"], "labels": [2, 3]}),
+        (["a", "b"], {"name": "e0", "endpoints": ["a", "b"], "labels": [2, 3, 5]}),
+        (["a", "b"], {"name": "e0", "endpoints": ["a", "b"], "labels": [2]}),
+        (["a", "b"], {"name": "e0", "endpoints": ["a", "b"], "labels": [2.0, 3]}),
+        (["a", "b"], {"name": "e0", "endpoints": ["a", "b"], "labels": [True, 3]}),
+        (["a", "b"], {"name": 7, "endpoints": ["a", "b"], "labels": [2, 3]}),
+        ([7, "b"], {"name": "e0", "endpoints": ["b", "b"], "labels": [2, 3]}),
+        (["a", "b"], {"name": "e0", "endpoints": ["a", 7], "labels": [2, 3]}),
+        (["a", "b"], {"name": "e0", "endpoints": ["a", "c"], "labels": [2, 3]}),
+        (["a", "b"], {"name": "e0", "endpoints": ["a", "b"], "labels": [0, 3]}),
+    ],
+)
+def test_from_json_refuses_what_names_no_graph(vertices, edge):
+    data = {"vertices": vertices, "edges": [{"name": "e1", "endpoints": ["b", "b"], "labels": [5, 7]}, edge]}
+    with pytest.raises(InputError):
+        LabelledGraph.from_json(data)
+
+
+def test_from_json_refuses_a_repeated_edge_name():
+    """A second edge of one name used to replace the first silently."""
+    g = segment_graph([2, 3, 5, 7])
+    data = g.to_json()
+    assert LabelledGraph.from_json(data) == g
+    data["edges"].append({**data["edges"][0], "labels": [97, 89]})
+    with pytest.raises(InputError, match="string name no other edge has"):
+        LabelledGraph.from_json(data)
 
 
 def test_parse_shorthand():
@@ -839,6 +873,49 @@ def test_spanning_tree():
     assert spanning_tree(bs_graph(2, 3)) == frozenset()
     with pytest.raises(DisconnectedGraphError):
         spanning_tree(graph_from_edges([("e0", "a", "b", 2, 3)], extra_vertices=["c"]))
+
+
+def _bfs_tree_reference(g):
+    """The BFS that pops its queue from the front (quadratic in the vertex count)."""
+    root = min(g.vertices, key=lambda v: (len(v), v))
+    seen, order, queue = {root}, [], [root]
+    while queue:
+        v = queue.pop(0)
+        for oe in g.edges_at(v):
+            w = g.terminus(oe)
+            if w not in seen:
+                seen.add(w)
+                order.append(oe)
+                queue.append(w)
+    return order if len(seen) == len(g.vertices) else None
+
+
+@given(graphs(max_vertices=7, max_extra=4), st.sampled_from(["connected", "isolated vertex", "separate edge"]))
+@settings(max_examples=200, deadline=None)
+def test_bfs_tree_and_connectivity_match_the_popping_reference(g, extra):
+    """`_bfs_tree` meets the same edges in the same order as the reference;
+    `is_connected` (a search with no order) agrees on connectivity."""
+    if extra == "isolated vertex":
+        g = LabelledGraph(g.vertices | {"z0"}, g.edges)
+    elif extra == "separate edge":
+        g = LabelledGraph(g.vertices | {"z0", "z1"}, {**g.edges, "y0": EdgeData(("z0", "z1"), (2, 3))})
+    ref = _bfs_tree_reference(g)
+    assert g.is_connected() == (ref is not None) == (extra == "connected")
+    if ref is None:
+        with pytest.raises(DisconnectedGraphError):
+            _bfs_tree(g)
+    else:
+        assert _bfs_tree(g) == ref
+        assert spanning_tree(g) == frozenset(oe.edge for oe in ref)
+
+
+def test_connectivity_check_builds_no_incidence_index():
+    """`reduce_graph` checks connectivity without the sorted incidence index,
+    which the one-shot source graph never reads again."""
+    g = segment_graph([1, 2] * 30 + [2, 3])
+    red, recs = reduce_graph(g)
+    assert len(recs) == 30 and len(red.edges) == 1
+    assert g._incidence is None
 
 
 def test_classify_shape_checks_connectivity_once(monkeypatch):
