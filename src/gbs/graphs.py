@@ -184,17 +184,24 @@ class LabelledGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "LabelledGraph":
-        """The vertices are a list of names; each edge has a name of its own,
-        a list of two vertex names and a list of two JSON integer labels
-        (InputError otherwise: a float or bool label is refused, not
-        truncated, a repeated edge does not replace the first, and a string
-        is no list).  The graph refuses an endpoint that is not a vertex."""
-        vertices, edges = data["vertices"], {}
+        """An object of a list of vertex names and a list of edge objects,
+        each with a name of its own, a list of two vertex names and a list of
+        two JSON integer labels (InputError otherwise: a float or bool label is
+        refused, not truncated, a repeated edge does not replace the first, a
+        string is no list, a missing key no value).  The graph refuses an
+        endpoint that is not a vertex."""
+        if type(data) is not dict:
+            raise InputError(f"a graph must be a JSON object, not {data!r:.60}")
+        vertices, listed, edges = data.get("vertices"), data.get("edges"), {}
         for v in vertices if type(vertices) is list else (None,):  # a str would read as one vertex per letter
             if type(v) is not str:
                 raise InputError(f"the vertices must be a list of names, not {vertices!r}")
-        for e in data["edges"]:
-            name, ends, labels = e["name"], e["endpoints"], e["labels"]
+        for e in listed if type(listed) is list else (None,):
+            try:
+                name, ends, labels = e["name"], e["endpoints"], e["labels"]
+            except (KeyError, TypeError):
+                raise InputError(f"the edges must be a list of objects with a name, endpoints and labels, "
+                                 f"not {listed!r:.60}") from None
             ok = (type(name) is str and name not in edges and type(ends) is type(labels) is list
                   and len(ends) == len(labels) == 2)
             if ok:

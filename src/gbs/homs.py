@@ -237,7 +237,7 @@ class _Reducer:
         syls.extend(tail)
         self.written += len(syls)
         check_word_cap(self.written)
-        return reduce_syllables(self.cert.target.graph.edges, syls)
+        return reduce_syllables(self.cert.target.graph.edges, syls, self.cert.target.base)
 
 
 def check_hom(cert: HomCertificate) -> bool:

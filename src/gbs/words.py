@@ -4,7 +4,9 @@ Elements are based path words: alternating vertex powers and edge
 traversals forming a loop at a base vertex.  A pinch  T_e a^x T_e~  with
 the far label dividing x collapses to a vertex power at the near end;
 iterating pinches decides the word problem (Britton / normal form for
-graphs of groups).
+graphs of groups).  `reduce_syllables` is the one kernel: a single stack
+pass that checks each syllable where the path stands, then pinches it
+against the stack top, so a malformed word is refused at its first fault.
 
 Presentation letters (vertex generators ``a(v)``, stable letters ``t(eps)``
 for non-tree edges) convert to and from path words through a spanning tree.
@@ -37,7 +39,7 @@ def check_word_cap(size: int):
         raise WordCapError(f"a word of {size} syllables exceeds the expansion cap {WORD_CAP}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PathWord:
     base: str
     syllables: tuple
@@ -58,80 +60,72 @@ def syllables_inverse(syllables) -> tuple:
     return tuple([("v", s[1], -s[2]) if s[0] == "v" else ("e", s[1], 1 - s[2]) for s in reversed(syllables)])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NormalForm:
     word: PathWord
     trivial: bool
 
 
-def check_well_formed(g: LabelledGraph, w: PathWord):
-    if w.base not in g.vertices:
-        raise MalformedWordError(f"unknown base vertex {w.base}")
-    edges = g.edges
-    pos = w.base
-    for syl in w.syllables:
-        if syl[0] == "v":
-            if syl[1] != pos:
-                raise MalformedWordError(f"vertex power at {syl[1]} while at {pos}")
-        elif syl[0] == "e":
-            ed = edges.get(syl[1])
-            if ed is None:
-                raise MalformedWordError(f"unknown edge {syl[1]}")
-            end = syl[2]
-            if end not in (0, 1):
-                raise MalformedWordError(f"traversal of {syl[1]} has end {end!r}, not 0 or 1")
-            if ed.endpoints[end] != pos:
-                raise MalformedWordError(f"traversal ({syl[1]}, {end}) does not start at {pos}")
-            pos = ed.endpoints[1 - end]
-        else:
-            raise MalformedWordError(f"bad syllable {syl!r}")
-    if pos != w.base:
-        raise MalformedWordError("word is not a loop at its base vertex")
-
-
-def _push_vertex(stack, v, exp):
-    if exp == 0:
-        return
-    if stack and stack[-1][0] == "v" and stack[-1][1] == v:
-        merged = stack[-1][2] + exp
-        stack.pop()
-        if merged:
-            stack.append(("v", v, merged))
-    else:
-        stack.append(("v", v, exp))
-
-
 def britton_reduce(g: LabelledGraph, w: PathWord) -> NormalForm:
     """Eliminate pinches until none applies; trivial iff nothing is left."""
-    check_well_formed(g, w)
-    stack = reduce_syllables(g.edges, w.syllables)
+    if w.base not in g.vertices:
+        raise MalformedWordError(f"unknown base vertex {w.base}")
+    stack = reduce_syllables(g.edges, w.syllables, w.base)
     return NormalForm(PathWord(w.base, stack), not stack)
 
 
-def reduce_syllables(edges, syllables) -> tuple:
-    """The pinch-free syllables of a path: one stack pass."""
+def reduce_syllables(edges, syllables, base) -> tuple:
+    """The pinch-free syllables of a loop at base, in one stack pass that
+    checks each syllable where the path stands (MalformedWordError at the
+    first that does not fit) before it reduces it.  The stack is a path
+    from base to pos with no two vertex powers in a row, so a vertex power
+    on top stands at pos and a traversal under it ends there."""
     stack: list = []
+    pos = base
     for syl in syllables:
-        if syl[0] == "v":
-            _push_vertex(stack, syl[1], syl[2])
+        kind, name, x = syl
+        if kind == "v":
+            if name != pos:
+                raise MalformedWordError(f"vertex power at {name} while at {pos}")
+            if x:
+                if stack and stack[-1][0] == "v":
+                    x += stack.pop()[2]
+                    if x:
+                        stack.append(("v", pos, x))
+                else:
+                    stack.append(syl)
             continue
+        if kind != "e":
+            raise MalformedWordError(f"bad syllable {syl!r}")
+        ed = edges.get(name)
+        if ed is None:
+            raise MalformedWordError(f"unknown edge {name}")
+        if x == 0:
+            start, pos_next = ed.endpoints
+        elif x == 1:
+            pos_next, start = ed.endpoints
+        else:
+            raise MalformedWordError(f"traversal of {name} has end {x!r}, not 0 or 1")
+        if start != pos:
+            raise MalformedWordError(f"traversal ({name}, {x}) does not start at {pos}")
+        pos = pos_next
         if stack:
             top = stack[-1]
             if top[0] == "e":
-                prev, mid, depth = top, 0, 1
-            elif len(stack) >= 2 and stack[-2][0] == "e":
-                prev, mid, depth = stack[-2], top[2], 2
-            else:
-                prev = None
-            if prev is not None and prev[1] == syl[1] and prev[2] == 1 - syl[2]:
-                ed = edges[syl[1]]
-                end = prev[2]
-                far = ed.labels[1 - end]
-                if mid % far == 0:
-                    del stack[-depth:]
-                    _push_vertex(stack, ed.endpoints[end], (mid // far) * ed.labels[end])
+                if top[1] == name and top[2] != x:  # a free cancellation: the pinch with mid 0
+                    stack.pop()
                     continue
+            elif len(stack) > 1 and stack[-2][1] == name and stack[-2][2] != x and top[2] % ed.labels[x] == 0:
+                del stack[-2:]  # the pinch T a^mid T~, its far label ed.labels[x] dividing mid
+                mid = top[2] // ed.labels[x] * ed.labels[1 - x]
+                if stack and stack[-1][0] == "v":
+                    mid += stack.pop()[2]
+                if mid:
+                    stack.append(("v", pos, mid))
+                continue
         stack.append(syl)
+    if pos != base:
+        raise MalformedWordError("word is not a loop at its base vertex")
     return tuple(stack)
 
 
@@ -170,10 +164,10 @@ def is_elliptic(g: LabelledGraph, w: PathWord) -> bool:
 
 
 def modulus(g: LabelledGraph, w: PathWord) -> Fraction:
-    """Product of far-label / near-label over the traversals of w."""
-    check_well_formed(g, w)
+    """Product of far-label / near-label over the traversals of w, read off
+    its normal form: a pinch's two traversals contribute ratios that cancel."""
     out = Fraction(1)
-    for syl in w.syllables:
+    for syl in britton_reduce(g, w).word.syllables:
         if syl[0] == "e":
             labels = g.edges[syl[1]].labels
             out *= Fraction(labels[1 - syl[2]], labels[syl[2]])
@@ -241,7 +235,7 @@ class Presentation:
         got = self._reduced.get((kind, name))
         if got is None:
             path = self.letters_to_path(((kind, name, 1),)).syllables
-            got = self._reduced[(kind, name)] = reduce_syllables(self.graph.edges, path)
+            got = self._reduced[(kind, name)] = reduce_syllables(self.graph.edges, path, self.base)
         return got
 
     @property
@@ -425,10 +419,7 @@ def modular_image(g: LabelledGraph) -> RationalMultGroup:
     """Image of the modular homomorphism, generated by the stable letters'
     label-ratio products around their fundamental loops."""
     pres = Presentation(g)
-    gens = []
-    for e in pres.stable_edges:
-        gens.append(modulus(g, pres.letters_to_path((("t", e, 1),))))
-    return RationalMultGroup(gens)
+    return RationalMultGroup([modulus(g, pres.letters_to_path((("t", e, 1),))) for e in pres.stable_edges])
 
 
 def is_unimodular(g: LabelledGraph) -> bool:

@@ -187,6 +187,18 @@ def test_verify_edge_of_wrong_arity_exit_1(tmp_path, capsys, field, value):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edges", ["ab", [5], 5], ids=["string", "list-of-numbers", "number"])
+def test_verify_edges_that_are_no_objects_exit_1(tmp_path, capsys, edges):
+    """The graph reader's own input error, not a raw TypeError the verifier rewraps."""
+    data = non_hopf_endo(2, 3).cert.to_json()
+    data["source"]["graph"]["edges"] = edges
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("input error: the edges must be a list of objects") and "TypeError" not in err
+
+
 def seed_certificate(kind):
     """A valid certificate's JSON: a hom (BS(2, 3) onto itself) or an embedding."""
     return (non_hopf_endo(2, 3).cert if kind == "hom" else embed_bs_construct(4, 9, 2, 3)).to_json()

@@ -176,6 +176,24 @@ def test_from_json_refuses_what_names_no_graph(vertices, edge):
         LabelledGraph.from_json(data)
 
 
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": ["a"], "edges": "ab"},
+        {"vertices": ["a"], "edges": [5]},
+        {"vertices": ["a"], "edges": 5},
+        {"vertices": ["a"]},
+        {"vertices": ["a"], "edges": [{"name": "e0", "labels": [2, 3]}]},
+        ["a"],
+    ],
+    ids=["edges-a-string", "edge-not-an-object", "edges-a-number", "no-edges", "edge-without-endpoints", "not-an-object"],
+)
+def test_from_json_refuses_shapes_with_an_input_error(data):
+    """Each of these raised a raw TypeError or KeyError."""
+    with pytest.raises(InputError):
+        LabelledGraph.from_json(data)
+
 def test_from_json_refuses_a_repeated_edge_name():
     """A second edge of one name used to replace the first silently."""
     g = segment_graph([2, 3, 5, 7])

@@ -906,7 +906,7 @@ def _move_cert_reference(src, tgt, at) -> dict:
     images = {}
     for kind, name in src.generators():
         k, u = at.get(name, (1, name)) if kind == "v" else (1, name)
-        syls = reduce_syllables(tgt.graph.edges, tgt.letters_to_path(((kind, u, k),)).syllables)
+        syls = reduce_syllables(tgt.graph.edges, tgt.letters_to_path(((kind, u, k),)).syllables, tgt.base)
         images[(kind, name)] = tgt.path_to_letters(syls)
     return images
 

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from gbs.graphs import (
     segment_graph,
 )
 from gbs.words import (
+    NormalForm,
     PathWord,
     Presentation,
     britton_reduce,
@@ -140,10 +143,81 @@ def test_malformed_words():
         _ = p0.letters_to_path((("v", "v0", 1),)) * p1.letters_to_path((("v", "v1", 1),))
 
 
+# -- the two-pass kernel: a check, then a reduction ---------------------------
+
+
+def check_well_formed(g, w):
+    if w.base not in g.vertices:
+        raise MalformedWordError(f"unknown base vertex {w.base}")
+    edges = g.edges
+    pos = w.base
+    for syl in w.syllables:
+        if syl[0] == "v":
+            if syl[1] != pos:
+                raise MalformedWordError(f"vertex power at {syl[1]} while at {pos}")
+        elif syl[0] == "e":
+            ed = edges.get(syl[1])
+            if ed is None:
+                raise MalformedWordError(f"unknown edge {syl[1]}")
+            end = syl[2]
+            if end not in (0, 1):
+                raise MalformedWordError(f"traversal of {syl[1]} has end {end!r}, not 0 or 1")
+            if ed.endpoints[end] != pos:
+                raise MalformedWordError(f"traversal ({syl[1]}, {end}) does not start at {pos}")
+            pos = ed.endpoints[1 - end]
+        else:
+            raise MalformedWordError(f"bad syllable {syl!r}")
+    if pos != w.base:
+        raise MalformedWordError("word is not a loop at its base vertex")
+
+
+def _push_vertex(stack, v, exp):
+    if exp == 0:
+        return
+    if stack and stack[-1][0] == "v" and stack[-1][1] == v:
+        merged = stack[-1][2] + exp
+        stack.pop()
+        if merged:
+            stack.append(("v", v, merged))
+    else:
+        stack.append(("v", v, exp))
+
+
+def _reduce_syllables_reference(edges, syllables) -> tuple:
+    """The pinch-free syllables of a path checked beforehand: one stack pass."""
+    stack: list = []
+    for syl in syllables:
+        if syl[0] == "v":
+            _push_vertex(stack, syl[1], syl[2])
+            continue
+        if stack:
+            top = stack[-1]
+            if top[0] == "e":
+                prev, mid, depth = top, 0, 1
+            elif len(stack) >= 2 and stack[-2][0] == "e":
+                prev, mid, depth = stack[-2], top[2], 2
+            else:
+                prev = None
+            if prev is not None and prev[1] == syl[1] and prev[2] == 1 - syl[2]:
+                ed = edges[syl[1]]
+                end = prev[2]
+                far = ed.labels[1 - end]
+                if mid % far == 0:
+                    del stack[-depth:]
+                    _push_vertex(stack, ed.endpoints[end], (mid // far) * ed.labels[end])
+                    continue
+        stack.append(syl)
+    return tuple(stack)
+
+
+def _two_pass_reduce(g, w):
+    """check_well_formed, then the reduction: the kernel's oracle."""
+    check_well_formed(g, w)
+    return _reduce_syllables_reference(g.edges, w.syllables)
+
+
 def _britton_reduce_reference(g, w):
     """The OrientedEdge pinch loop: an oracle for britton_reduce."""
-    from gbs.words import NormalForm, _push_vertex, check_well_formed
-
     check_well_formed(g, w)
     stack = []
     for syl in w.syllables:
@@ -207,6 +281,90 @@ def test_britton_reduce_matches_object_reference(g, seed):
         assert britton_reduce(g, w) == _britton_reduce_reference(g, w)
 
 
+def _corrupt(rng, g, syls):
+    """syls with one fault, or none: a vertex power at a random vertex, an
+    unknown edge, end 2 or -1, a bad kind, a traversal from its other end,
+    or the loop cut short."""
+    syls = list(syls)
+    fault = rng.randrange(7)
+    if fault == 6 or not syls:
+        return syls
+    i = rng.randrange(len(syls))
+    kind, name, x = syls[i]
+    if fault == 0:
+        syls.insert(i, ("v", rng.choice(g.sorted_vertices()), rng.choice((-2, 1, 3))))
+    elif fault == 1:
+        syls.insert(i, ("e", "nope", rng.randint(0, 1)))
+    elif fault == 2 and kind == "e":
+        syls[i] = (kind, name, rng.choice((2, -1)))
+    elif fault == 3:
+        syls[i] = (rng.choice(("t", "w", "")), name, x)
+    elif fault == 4 and kind == "e":
+        syls[i] = (kind, name, 1 - x)
+    else:
+        del syls[len(syls) - rng.randint(1, len(syls)) :]
+    return syls
+
+
+def _outcome(fn, *args):
+    """fn's value, or the message of the MalformedWordError it raised."""
+    try:
+        return fn(*args)
+    except MalformedWordError as exc:
+        return str(exc)
+
+
+MESSAGES = (  # check_well_formed's, by their first words
+    "unknown base vertex",
+    "vertex power at",
+    "unknown edge",
+    "traversal of",  # ... has end 2, not 0 or 1
+    "traversal (",  # ... does not start at ...
+    "bad syllable",
+    "word is not a loop",
+)
+
+
+def test_one_pass_kernel_matches_the_two_pass_reference():
+    """A seeded fuzz of 6,000 words, most with one fault, on circles (loops
+    among them), segments, lollipops, BS graphs and random small graphs:
+    the one-pass kernel gives the two-pass kernel's syllables, or the error
+    message check_well_formed raised first."""
+    rng = random.Random("one-pass kernel")
+    labels = lambda n: [rng.choice((1, 2, 3, 4, 6, -1, -2, -3)) for _ in range(n)]
+    seen = Counter()
+    for i in range(6000):
+        shape = i % 6
+        if shape == 0:
+            g = circle_graph(labels(2))  # a loop at one vertex
+        elif shape == 1:
+            g = circle_graph(labels(2 * rng.randint(2, 5)))
+        elif shape == 2:
+            g = segment_graph(labels(2 * rng.randint(1, 4)))
+        elif shape == 3:
+            g = lollipop_graph(labels(2 * rng.randint(1, 2)), labels(2 * rng.randint(1, 3)))
+        elif shape == 4:
+            g = bs_graph(*labels(2))
+        else:
+            g = small_connected_graph(rng, max_vertices=4, max_extra=2, max_label=6)
+        pres = random_presentation(g, rng)
+        if rng.random() < 0.3:
+            w = _closed_walk(rng, g, pres.base, rng.randint(1, 6))
+        else:
+            conj = random_letters(rng, pres, length=4)
+            core = rng.choice(pres.relations() or [random_letters(rng, pres)])
+            w = pres.letters_to_path(letters_concat(conj, core, letters_inverse(conj), random_letters(rng, pres)))
+        base = pres.base if i % 50 else "zz"  # an unknown base now and then
+        w = PathWord(base, tuple(_corrupt(rng, g, w.syllables)))
+        want = _outcome(_two_pass_reduce, g, w)
+        assert _outcome(britton_reduce, g, w) == (
+            want if type(want) is str else NormalForm(PathWord(base, want), not want)
+        ), (g, w)
+        if base != "zz":
+            assert _outcome(reduce_syllables, g.edges, w.syllables, base) == want
+        seen["well formed" if type(want) is not str else next(m for m in MESSAGES if want.startswith(m))] += 1
+    assert seen["well formed"] >= 2000 and min(seen[m] for m in MESSAGES) >= 100, seen
+
 def test_modulus_examples():
     g = bs_graph(4, 6)
     pres = Presentation(g)
@@ -216,6 +374,29 @@ def test_modulus_examples():
     presp = Presentation(gp, frozenset({"s0"}))
     assert modulus(gp, presp.letters_to_path((("t", "c0", 1),))) == Fraction(1, 2)
 
+
+
+def _modulus_reference(g, w):
+    """The product over the unreduced path."""
+    check_well_formed(g, w)
+    out = Fraction(1)
+    for syl in w.syllables:
+        if syl[0] == "e":
+            labels = g.edges[syl[1]].labels
+            out *= Fraction(labels[1 - syl[2]], labels[syl[2]])
+    return out
+
+
+@given(graphs(max_extra=3), st.integers(min_value=0, max_value=2**30))
+@settings(max_examples=100, deadline=None)
+def test_modulus_matches_the_product_over_the_unreduced_path(g, seed):
+    """modulus reads the normal form; a pinch's two traversals cancel."""
+    rng = random.Random(seed)
+    pres = random_presentation(g, rng)
+    words = [pres.letters_to_path(random_letters(rng, pres, length=8)) for _ in range(3)]
+    words += [_closed_walk(rng, g, pres.base, rng.randint(1, 6)) for _ in range(2)]
+    for w in words:
+        assert modulus(g, w) == _modulus_reference(g, w)
 
 def test_elliptic_examples():
     g = bs_graph(2, 3)
@@ -251,7 +432,7 @@ def _is_elliptic_reference(g, w):
             return False
         wrap = ("v", g.origin(last), ((tail + lead) // g.colabel(last)) * g.label(last))
         middle = syls[first_i + 1 : last_i]
-        syls = list(reduce_syllables(g.edges, tuple(middle) + (wrap,)))
+        syls = list(_reduce_syllables_reference(g.edges, tuple(middle) + (wrap,)))
 
 
 def _elliptic_case(rng):
@@ -601,3 +782,51 @@ def test_shared_subwords_format_and_parse():
     for text in ("w1", "w0 w7", "w-1", "w", "wx"):
         with pytest.raises(InputError):
             parse_letters(text, table[:1])
+
+
+# -- pinned normal forms ------------------------------------------------------
+
+NF_QUERIES, NF_DIGEST = 2000, "bed956c8df54aeddf2860123a5fee3adc35736a7d5dfe6cb4e99dda09b2395af"
+
+
+def _normal_form_queries():
+    """2,000 seeded queries on graph_scale-like shapes: circles and lollipops
+    of 2-12 vertices, and one-vertex circles (loops), with the graph_scale
+    labels, each on a random tree and base.  A query is a conjugated relator,
+    a conjugated vertex power or a random word, times a random word."""
+    rng = random.Random("normal forms")
+    labels = lambda n: [rng.choice((2, 3, 4, 6, 9, 10, 15, -2, -3)) for _ in range(n)]
+    pool = []
+    for v in range(1, 13):
+        pool.append(circle_graph(labels(2 * v)))
+        if v > 1:
+            k = rng.randint(1, v - 1)
+            pool.append(lollipop_graph(labels(2 * k), labels(2 * (v - k))))
+    pool = [random_presentation(g, rng) for g in pool]
+    for i in range(NF_QUERIES):
+        pres = pool[i % len(pool)]
+        conj = random_letters(rng, pres, length=4)
+        kind = i % 3
+        if kind == 0:
+            core = rng.choice(pres.relations())
+        elif kind == 1:
+            core = (("v", rng.choice(pres.graph.sorted_vertices()), rng.choice((-6, -3, -2, 1, 2, 4, 9))),)
+        else:
+            core = random_letters(rng, pres, length=5)
+        tail = random_letters(rng, pres, length=3)
+        w1 = letters_concat(conj, core, letters_inverse(conj), tail if rng.random() < 0.5 else ())
+        yield pres, pres.letters_to_path(w1), pres.letters_to_path(tail)
+
+
+def test_normal_forms_match_pinned_digest():
+    """`britton_reduce` syllables and triviality, `equal`, `is_elliptic` and
+    `modulus`, pinned: the certificate digests never cover a normal form, and
+    `gbs word reduce` prints them."""
+    digest, count = hashlib.sha256(), 0
+    for pres, w1, w2 in _normal_form_queries():
+        g = pres.graph
+        nf = britton_reduce(g, w1)
+        row = (nf.word.base, nf.word.syllables, nf.trivial, equal(g, w1, w2), is_elliptic(g, w1), str(modulus(g, w1)))
+        digest.update(repr(row).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == (NF_QUERIES, NF_DIGEST)
