@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import prod
 
 from .arith import gcd, lcm, sign, split_power
 from .bs_arith import embeds_bs, equal_exponent_part, power_of_ratio
@@ -187,18 +188,23 @@ class EmbeddingCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "EmbeddingCertificate":
-        return cls(
-            map=WeaklyAdmissibleMap.from_json(data["map"]),
-            claimed=_items(data["claimed"], (int, int), "claimed"),
-            map_claimed=_items(data["map_claimed"], (int, int), "map_claimed"),
-            aug_records=tuple(_items(r, (str, int), "an index record") for r in data.get("aug_records", ())),
-            source_reduce=tuple(MoveRecord.from_json(r) for r in data.get("source_reduce", ())),
-            target_params=_items(data["target_params"], (int, int), "target_params")
-            if data.get("target_params")
-            else None,
-            target_reduce=tuple(MoveRecord.from_json(r) for r in data.get("target_reduce", ())),
-            provenance=data.get("provenance", ""),
-        )
+        """InputError on a shape the readers do not unpack (a missing key, a
+        list for an object, an edge key with no integer end, ...)."""
+        try:
+            return cls(
+                map=WeaklyAdmissibleMap.from_json(data["map"]),
+                claimed=_items(data["claimed"], (int, int), "claimed"),
+                map_claimed=_items(data["map_claimed"], (int, int), "map_claimed"),
+                aug_records=tuple(_items(r, (str, int), "an index record") for r in data.get("aug_records", ())),
+                source_reduce=tuple(MoveRecord.from_json(r) for r in data.get("source_reduce", ())),
+                target_params=_items(data["target_params"], (int, int), "target_params")
+                if data.get("target_params")
+                else None,
+                target_reduce=tuple(MoveRecord.from_json(r) for r in data.get("target_reduce", ())),
+                provenance=data.get("provenance", ""),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise InputError(f"malformed embedding certificate: {type(exc).__name__}: {exc}") from exc
 
 
 def _loop_labels(g: LabelledGraph):
@@ -374,31 +380,13 @@ def circle_bs_subgroup(g: LabelledGraph, m: int, n: int) -> EmbeddingCertificate
         ce = shape.circ_edges[0]
         vertices, edges = {"z0": (shape.circ_vertices[0], 1)}, [("d0", "z0", "z0", (ce.edge, ce.end))]
         return _finish_cert(_Pattern(g, vertices, edges, provenance="identity circle"), (m, n))
-    xs, ys = shape.x, shape.y
-    vertices = {}
-    edges = []
-
-    def yprod(upto):  # |y_1 ... y_upto|
-        out = 1
-        for t in range(upto):
-            out *= abs(ys[t])
-        return out
-
-    def xprod(from_i):  # |x_from ... x_{ell-1}|
-        out = 1
-        for t in range(from_i, ell):
-            out *= abs(xs[t])
-        return out
-
-    for i in range(ell):
-        vertices[f"z{i}"] = (shape.circ_vertices[i % ell], yprod(i))
+    xs, ys = [abs(x) for x in shape.x], [abs(y) for y in shape.y]  # prod(ys[:i]) is |y_1 ... y_i|
+    vertices = {f"z{i}": (shape.circ_vertices[i], prod(ys[:i])) for i in range(ell)}
     for i in range(ell + 1):
-        vertices[f"z{ell + i}"] = (
-            shape.circ_vertices[(ell - i) % ell],
-            yprod(ell - i) * xprod(ell - i),
-        )
+        vertices[f"z{ell + i}"] = (shape.circ_vertices[(ell - i) % ell], prod(ys[: ell - i]) * prod(xs[ell - i :]))
     for i in range(1, ell):
-        vertices[f"z{2 * ell + i}"] = (shape.circ_vertices[i % ell], xprod(i))
+        vertices[f"z{2 * ell + i}"] = (shape.circ_vertices[i], prod(xs[i:]))
+    edges = []
     for i in range(ell):
         ce = shape.circ_edges[i]
         edges.append((f"d{i}", f"z{i}", f"z{i + 1}", (ce.edge, ce.end)))

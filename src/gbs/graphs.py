@@ -723,42 +723,22 @@ class QRXY:
     Y: Optional[int]
 
 
-def _walk_path(g: LabelledGraph, start: str, stop_at) -> tuple[list[str], list[OrientedEdge]]:
-    verts = [start]
-    path = []
-    prev = None
-    cur = start
-    while True:
-        nxt = [oe for oe in g.edges_at(cur) if oe != prev]
-        if prev is not None:
-            nxt = [oe for oe in nxt if oe != prev.reverse]
-        oe = nxt[0]
-        path.append(oe)
-        cur = g.terminus(oe)
-        verts.append(cur)
-        prev = oe
-        if stop_at(cur):
-            return verts, path
+def _walk(g: LabelledGraph, first: OrientedEdge, stop) -> list[OrientedEdge]:
+    """The oriented edges of the walk along `first`: at each vertex it leaves
+    by the first edge end, in `edges_at` order, that is not the way back, and
+    it ends at the first vertex `stop` accepts."""
+    path = [first]
+    while not stop(cur := g.terminus(path[-1])):
+        back = path[-1].reverse
+        path.append(next(oe for oe in g.edges_at(cur) if oe != back))
+    return path
 
 
-def _cycle_from(g: LabelledGraph, base: str, skip: str | None = None) -> list[OrientedEdge] | None:
-    """The cycle walked from `base` along its first edge other than `skip`;
-    None when there is no such edge or a vertex on the way branches."""
-    first = next((oe for oe in g.edges_at(base) if oe.edge != skip), None)
-    if first is None:
-        return None
-    cyc = [first]
-    cur = g.terminus(first)
-    prev = first
-    while cur != base:
-        nxt = [oe for oe in g.edges_at(cur) if oe != prev.reverse]
-        if len(nxt) != 1:
-            return None
-        oe = nxt[0]
-        cyc.append(oe)
-        cur = g.terminus(oe)
-        prev = oe
-    return cyc
+def _read(g: LabelledGraph, path: list[OrientedEdge]):
+    """The vertices of a walk from its first origin on, its near labels and
+    its far labels."""
+    verts = (g.origin(path[0]), *(g.terminus(oe) for oe in path))
+    return verts, tuple(g.label(oe) for oe in path), tuple(g.colabel(oe) for oe in path)
 
 
 def classify_shape(g: LabelledGraph, *, _plateau_sets=None) -> Shape:
@@ -768,60 +748,37 @@ def classify_shape(g: LabelledGraph, *, _plateau_sets=None) -> Shape:
     exists (lowest id wins); otherwise the lowest id with a recording flag.
     `_plateau_sets` passes down the plateau family's vertex sets from a
     caller that has built them (is_two_generated), so they are built once.
+    Every vertex a walk passes before its stop has valence 2, so it never
+    branches.
     """
     g.require_connected()
     beta = len(g.edges) - len(g.vertices) + 1
     valences = {v: g.valence(v) for v in g.vertices}
     terminals = sorted((v for v, d in valences.items() if d == 1), key=id_key)
-    if not g.edges:
-        return Shape("other")
     if beta == 0:
         if len(terminals) == 2 and all(d <= 2 for d in valences.values()):
-            start = terminals[0]
-            verts, path = _walk_path(g, start, lambda v: valences[v] == 1 and v != start)
-            q = tuple(g.label(oe) for oe in path)
-            r = tuple(g.colabel(oe) for oe in path)
-            return Shape("segment", seg_vertices=tuple(verts), seg_edges=tuple(path), q=q, r=r)
+            path = _walk(g, g.edges_at(terminals[0])[0], lambda v: valences[v] == 1)
+            verts, q, r = _read(g, path)
+            return Shape("segment", seg_vertices=verts, seg_edges=tuple(path), q=q, r=r)
         return Shape("other")
     if beta != 1:
         return Shape("other")
     if all(d == 2 for d in valences.values()):
         base, meets_all = _circle_base(g, _plateau_sets)
-        cyc = _cycle_from(g, base)
-        verts = [base] + [g.terminus(oe) for oe in cyc[:-1]]
-        x = tuple(g.label(oe) for oe in cyc)
-        y = tuple(g.colabel(oe) for oe in cyc)
-        return Shape(
-            "circle",
-            circ_vertices=tuple(verts),
-            circ_edges=tuple(cyc),
-            x=x,
-            y=y,
-            base_meets_all_plateaus=meets_all,
-        )
-    tri = sorted((v for v, d in valences.items() if d == 3), key=id_key)
+        cyc = _walk(g, g.edges_at(base)[0], lambda v: v == base)
+        verts, x, y = _read(g, cyc)
+        return Shape("circle", circ_vertices=verts[:-1], circ_edges=tuple(cyc), x=x, y=y,
+                     base_meets_all_plateaus=meets_all)
+    tri = [v for v, d in valences.items() if d == 3]
     if len(terminals) == 1 and len(tri) == 1 and all(d in (1, 2, 3) for d in valences.values()):
         w0 = tri[0]
-        verts, path = _walk_path(g, terminals[0], lambda v: v == w0)
-        cyc = _cycle_from(g, w0, skip=path[-1].edge)
-        if cyc is None:
-            return Shape("other")
-        q = tuple(g.label(oe) for oe in path)
-        r = tuple(g.colabel(oe) for oe in path)
-        cverts = [w0] + [g.terminus(oe) for oe in cyc[:-1]]
-        x = tuple(g.label(oe) for oe in cyc)
-        y = tuple(g.colabel(oe) for oe in cyc)
-        return Shape(
-            "lollipop",
-            seg_vertices=tuple(verts),
-            seg_edges=tuple(path),
-            q=q,
-            r=r,
-            circ_vertices=tuple(cverts),
-            circ_edges=tuple(cyc),
-            x=x,
-            y=y,
-        )
+        at_w0 = lambda v: v == w0
+        path = _walk(g, g.edges_at(terminals[0])[0], at_w0)
+        cyc = _walk(g, next(oe for oe in g.edges_at(w0) if oe.edge != path[-1].edge), at_w0)
+        verts, q, r = _read(g, path)
+        cverts, x, y = _read(g, cyc)
+        return Shape("lollipop", seg_vertices=verts, seg_edges=tuple(path), q=q, r=r,
+                     circ_vertices=cverts[:-1], circ_edges=tuple(cyc), x=x, y=y)
     return Shape("other")
 
 

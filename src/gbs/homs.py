@@ -437,11 +437,11 @@ def reduce_cert(g: LabelledGraph, protect: str | None = None):
     _, records = reduce_graph(g, protect)
     if not records:
         return g, identity_cert(Presentation(g), "reduce(identity)")
-    cur, cert = g, None
+    cur, certs = g, []
     for rec in records:
         cur, fwd, _ = collapse_cert(cur, rec.params[0], rec.params[1])
-        cert = fwd if cert is None else compose(cert, fwd)
-    return cur, cert
+        certs.append(fwd)
+    return cur, compose_chain(*certs)
 
 
 def loop_relabel_cert(g: LabelledGraph, m: int, n: int) -> HomCertificate:
@@ -491,25 +491,16 @@ def _seed_to_plain(tgt: Presentation, source_letters, image_letters):
     for kind, name, e in prefix:
         steps.extend([(name, 1 if e > 0 else -1)] * abs(e))
     mult = 1
-    g = tgt.graph
     for edge, sgn in reversed(steps):
-        (p0, p1) = g.edges[edge].endpoints
-        (l0, l1) = g.edges[edge].labels
-        if sgn == 1:
-            # t a(p0)^(l0 k) t^-1 = a(p1)^(l1 k)
-            if vertex != p0:
-                return None
-            j = abs(l0) // gcd(exp, l0)
-            mult *= j
-            exp = l1 * ((exp * j) // l0)
-            vertex = p1
-        else:
-            if vertex != p1:
-                return None
-            j = abs(l1) // gcd(exp, l1)
-            mult *= j
-            exp = l0 * ((exp * j) // l1)
-            vertex = p0
+        # t a(p0)^(l0 k) t^-1 = a(p1)^(l1 k), read from end 1 when t is inverted
+        ed, near = tgt.graph.edges[edge], int(sgn < 0)
+        if vertex != ed.endpoints[near]:
+            return None
+        l = ed.labels[near]
+        j = abs(l) // gcd(exp, l)
+        mult *= j
+        exp = ed.labels[1 - near] * ((exp * j) // l)
+        vertex = ed.endpoints[1 - near]
     return vertex, exp, letters_power(source_letters, mult)
 
 
@@ -685,21 +676,15 @@ def bs_source_epi(g: LabelledGraph, m: int, n: int) -> HomCertificate:
 # -- maps onto the minimal Baumslag-Solitar quotient --------------------------
 
 
-def _move_factor_around_circle(cur, certs, wvertices, slots, start, factor, direction):
+def _move_factor_around_circle(cur, certs, slots, start, factor, direction):
     """Chain of displacement certificates moving `factor` from position
     `start` to w_0: forward through increasing indices for x-labels
     (direction=+1), backward for y-labels (direction=-1)."""
-    ell = len(wvertices)
-    if direction == 1:
-        positions = list(range(start, ell))
-    else:
-        positions = list(range(start - 1, -1, -1))
+    positions = range(start, len(slots)) if direction == 1 else range(start - 1, -1, -1)
     for s in positions:
         name, w_end = slots[s]
-        if direction == 1:
-            divided_end = w_end  # x-label sits at the w_s side
-        else:
-            divided_end = 1 - w_end  # y-label sits at the w_{s+1} side
+        # an x-label sits at the w_s side, a y-label at the w_{s+1} side
+        divided_end = w_end if direction == 1 else 1 - w_end
         cur, cert, new_name = displacement_cert(cur, name, factor, divided_end)
         certs.append(cert)
         # new edge: endpoints (divided-side vertex, far vertex), divided side is end 0
@@ -709,25 +694,23 @@ def _move_factor_around_circle(cur, certs, wvertices, slots, start, factor, dire
 
 def _circle_to_small(g, shape):
     """Displacement certificates clearing unilateral primes (not dividing
-    gcd(X, Y)) out of x_i (i>0) and y_j (j<ell); returns (graph, certs, slots)."""
+    gcd(X, Y)) out of x_i (i>0) and y_j (j<ell); returns (graph, certs)."""
     prods = qrxy(shape)
     bilateral = gcd(prods.X, prods.Y)
     certs = []
     cur = g
-    wv = list(shape.circ_vertices)
     slots = [(oe.edge, oe.end) for oe in shape.circ_edges]
-    ell = len(wv)
-    for i in range(1, ell):
+    for i in range(1, shape.ell):
         name, w_end = slots[i]
         factor = abs(split_power(cur.edges[name].labels[w_end], bilateral)[1])
         if factor > 1:
-            cur = _move_factor_around_circle(cur, certs, wv, slots, i, factor, 1)
-    for j in range(1, ell):
+            cur = _move_factor_around_circle(cur, certs, slots, i, factor, 1)
+    for j in range(1, shape.ell):
         name, w_end = slots[j - 1]
         factor = abs(split_power(cur.edges[name].labels[1 - w_end], bilateral)[1])  # y_j at w_j
         if factor > 1:
-            cur = _move_factor_around_circle(cur, certs, wv, slots, j, factor, -1)
-    return cur, certs, slots
+            cur = _move_factor_around_circle(cur, certs, slots, j, factor, -1)
+    return cur, certs
 
 
 def circle_minimal_epi(g: LabelledGraph, shape=None) -> HomCertificate:
@@ -742,11 +725,9 @@ def circle_minimal_epi(g: LabelledGraph, shape=None) -> HomCertificate:
         raise DecisionError("no valid split index: G does not map onto BS(X, Y)")
     if shape.ell == 1:
         return loop_relabel_cert(g, X, Y)
-    cur, certs, _ = _circle_to_small(g, shape)
+    cur, certs = _circle_to_small(g, shape)
     cur, red = reduce_cert(cur)
-    certs.append(red)
-    certs.append(loop_relabel_cert(cur, X, Y))
-    return compose_chain(*certs, provenance=f"circle->>BS({X},{Y})")
+    return compose_chain(*certs, red, loop_relabel_cert(cur, X, Y), provenance=f"circle->>BS({X},{Y})")
 
 
 def _find_i0(xs, ys, bilateral):
@@ -823,12 +804,10 @@ def minimal_bs_epi(g: LabelledGraph) -> HomCertificate:
             return _small_lollipop_explicit(g, shape)
         # clear the circle to a single edge first (R changes, Q/X/Y do not);
         # X and Y are coprime here, so every prime of the labels is cleared
-        cur, certs, _ = _circle_to_small(g, shape)
+        cur, certs = _circle_to_small(g, shape)
         cur, red = reduce_cert(cur, protect=shape.circ_vertices[0])
-        certs.append(red)
-        shape2 = classify_shape(cur)
-        certs.append(_small_lollipop_explicit(cur, shape2))
-        return compose_chain(*certs, provenance=f"lollipop->>BS({Q*X},{Q*Y})")
+        last = _small_lollipop_explicit(cur, classify_shape(cur))
+        return compose_chain(*certs, red, last, provenance=f"lollipop->>BS({Q*X},{Q*Y})")
     if gcd(Q, shape.r[-1]) != 1:
         raise DecisionError("all three gcd clauses fail: no epimorphism")
     edge = shape.seg_edges[-1]

@@ -150,3 +150,40 @@ def test_target_claim_checked_without_target_records(tmp_path, capsys, make):
     out, err = capsys.readouterr()
     payload = json.loads(out)
     assert payload["answer"] == "invalid" and err == "", payload
+
+
+def _last_source_record_dropped():
+    data = embed_bs_construct(4, 9, 2, 3).to_json()
+    assert len(data["source_reduce"]) == 9
+    data["source_reduce"].pop()
+    return data
+
+
+def _index_record(record):
+    def make():
+        data = embed_bs_construct(4, 9, 2, 3).to_json()
+        data["aug_records"] = [record]
+        return data
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make, violation",
+    [
+        (_last_source_record_dropped, "source reduction does not end in a single loop"),
+        (_index_record(["scale", 0]), "bad index record ('scale', 0)"),
+        (_index_record(["grow", 2]), "bad index record ('grow', 2)"),
+    ],
+    ids=["source-short", "scale-0", "grow"],
+)
+def test_source_and_index_records_checked(tmp_path, capsys, make, violation):
+    """A source replay that stops short of a loop, and an index record that
+    is no nonzero scale, each name their violation."""
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(make()))
+    assert main(["--json", "verify", str(path)]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["answer"] == "invalid" and err == "", payload
+    assert violation in payload["violations"], payload["violations"]

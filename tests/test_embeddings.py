@@ -14,7 +14,7 @@ from gbs import embeddings
 from gbs.arith import gcd, split_power
 from gbs.bs_arith import embeds_bs
 from gbs.decision import Decision
-from gbs.errors import DecisionError
+from gbs.errors import DecisionError, InputError
 from gbs.graphs import (
     EdgeData,
     LabelledGraph,
@@ -380,6 +380,39 @@ def test_tampered_certificate_fails():
     bad2 = EmbeddingCertificate.from_json(data2)
     ok2, violations2 = verify_embedding_certificate(bad2)
     assert not ok2
+
+
+def _renamed_edge_key(new):
+    def edit(data):
+        edge_map = data["map"]["edge_map"]
+        edge_map[new] = edge_map.pop("d0:0")
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _renamed_edge_key("d0"),
+        _renamed_edge_key("d0:x"),
+        lambda d: d["map"]["edge_map"].__setitem__("d0:0", ["e0"]),
+        lambda d: d["map"]["edge_map"].__setitem__("d0:0", 5),
+        lambda d: d["map"].__setitem__("edge_map", []),
+        lambda d: d["map"].__setitem__("vertex_map", [1]),
+        lambda d: d.pop("map"),
+        lambda d: d.__setitem__("source_reduce", [5]),
+        lambda d: d.__setitem__("aug_records", 5),
+    ],
+    ids=["key-no-colon", "key-end-not-int", "image-no-end", "image-a-number", "edge-map-a-list",
+         "vertex-map-a-list", "no-map", "record-a-number", "records-a-number"],
+)
+def test_from_json_refuses_shapes_with_an_input_error(edit):
+    """Each of these raised a raw ValueError, TypeError, AttributeError or
+    KeyError to a library caller."""
+    data = embed_bs_construct(4, 9, 2, 3).to_json()
+    edit(data)
+    with pytest.raises(InputError, match="malformed embedding certificate"):
+        EmbeddingCertificate.from_json(data)
 
 
 def test_subgroup_of_bs_nn():

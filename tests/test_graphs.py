@@ -1,10 +1,12 @@
+import hashlib
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_calls, count_graph_builds, graphs
+from conftest import count_calls, count_graph_builds, graphs, small_connected_graph
 
 from gbs.arith import gcd
 from gbs.errors import DisconnectedGraphError, InputError, MoveError, ShapeError
@@ -557,6 +559,57 @@ def test_classify_circle_base_convention():
     s = classify_shape(g)
     assert s.circ_vertices[0] == "w1"
     assert s.base_meets_all_plateaus
+
+
+SHAPE_GRAPHS, SHAPE_DIGEST = 2400, "98c5c06690a6ba61ac931427962067bdd8a3806bca8640e959bb8649be01ee17"
+
+
+def _renamed(g, rng):
+    """g with its vertices and edges under shuffled names and each edge
+    turned round with probability 1/2: the walks read edges in name order."""
+    vs, es = g.sorted_vertices(), g.sorted_edges()
+    vname = dict(zip(vs, (f"u{j}" for j in rng.sample(range(40), len(vs)))))
+    rows = []
+    for e, j in zip(es, rng.sample(range(40), len(es))):
+        (a, b), (la, lb) = g.edges[e].endpoints, g.edges[e].labels
+        if rng.random() < 0.5:
+            a, b, la, lb = b, a, lb, la
+        rows.append((f"f{j}", vname[a], vname[b], la, lb))
+    return graph_from_edges(rows, extra_vertices=vname.values())
+
+
+def _shape_graphs():
+    """2,400 seeded graphs, renamed: segments of 1-8 edges, circles of 1-8
+    edges (one loop, two parallel edges), lollipops with 1-5 edges on each
+    side (a loop cycle, a one-edge path), and random connected graphs of up
+    to 6 vertices with loops and parallel edges.  Unit labels make the
+    reductions collapse."""
+    rng = random.Random("shapes")
+    labels = lambda n: [rng.choice((1, 2, 3, 4, 6, -1, -2, -3)) for _ in range(n)]
+    for i in range(SHAPE_GRAPHS):
+        kind = i % 4
+        if kind == 0:
+            g = segment_graph(labels(2 * rng.randint(1, 8)))
+        elif kind == 1:
+            g = circle_graph(labels(2 * rng.randint(1, 8)))
+        elif kind == 2:
+            g = lollipop_graph(labels(2 * rng.randint(1, 5)), labels(2 * rng.randint(1, 5)))
+        else:
+            g = small_connected_graph(rng, max_vertices=6, max_extra=3)
+        yield _renamed(g, rng)
+
+
+def test_shapes_match_pinned_digest():
+    """`classify_shape` of each graph and of its reduction, field for field:
+    every quotient decider and certificate reads its labels off a Shape."""
+    digest, kinds = hashlib.sha256(), Counter()
+    for g in _shape_graphs():
+        for h in (g, reduce_graph(g)[0]):
+            shape = classify_shape(h)
+            kinds[shape.kind] += 1
+            digest.update(repr(shape).encode() + b"\n")
+    assert min(kinds.values()) > 300, kinds
+    assert digest.hexdigest() == SHAPE_DIGEST
 
 
 def test_qrxy():

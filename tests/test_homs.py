@@ -54,6 +54,7 @@ from gbs.homs import (
     reduce_cert,
     sign_change_cert,
     solve_witnesses,
+    substitute_letters,
     bs_source_epi,
     minimal_bs_epi,
     tree_containing,
@@ -239,15 +240,26 @@ def test_missing_witness_error():
 
 
 def test_check_hom_rejects_bad_images():
+    """A failing relator makes check_epi answer False, not raise, even with
+    witnesses that verify."""
     pres = Presentation(bs_graph(2, 3))
     bad = HomCertificate(
         pres,
         pres,
         {("v", "v0"): (("v", "v0", 1),), ("t", "e0"): (("v", "v0", 1),)},
-        None,
+        {("v", "v0"): (("v", "v0", 1),), ("t", "e0"): (("t", "e0", 1),)},
         "broken",
     )
     assert not check_hom(bad)
+    assert not check_epi(bad)
+
+
+def test_compose_and_substitution_refuse_what_does_not_fit():
+    c = bs_source_epi(bs_graph(2, 3), 4, 6)
+    with pytest.raises(CertificateError, match="target/source graphs differ"):
+        compose(c, c)
+    with pytest.raises(CertificateError, match=r"no image for generator t\(e0\)"):
+        substitute_letters((("v", "v0", 2), ("t", "e0", 1)), {("v", "v0"): (("v", "v0", 1),)})
 
 
 def test_bs_epi_cert_cases():
