@@ -118,6 +118,16 @@ def _route(cert) -> str:
     return "small"
 
 
+def circle_subgroups():
+    """circle_bs_subgroup on each circle of CIRCLES, for its own (X, Y)."""
+    out = []
+    for labels in CIRCLES:
+        g = gbs.circle_graph(labels)
+        prods = gbs.qrxy(gbs.classify_shape(g))
+        out.append(gbs.circle_bs_subgroup(g, prods.X, prods.Y))
+    return out
+
+
 def groups():
     """(name, certificates) pairs in a fixed order."""
     for n in range(1, 9):
@@ -142,12 +152,7 @@ def groups():
                         routes.setdefault(_route(cert), []).append(cert)
     for route in sorted(routes):
         yield f"embed {route}", routes[route]
-    subgroups = []
-    for labels in CIRCLES:
-        g = gbs.circle_graph(labels)
-        prods = gbs.qrxy(gbs.classify_shape(g))
-        subgroups.append(gbs.circle_bs_subgroup(g, prods.X, prods.Y))
-    yield "circle subgroup", subgroups
+    yield "circle subgroup", circle_subgroups()
 
 
 def expanded(cert):

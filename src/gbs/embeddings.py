@@ -17,7 +17,7 @@ from math import prod
 from .arith import gcd, lcm, sign, split_power
 from .bs_arith import embeds_bs, equal_exponent_part, power_of_ratio
 from .decision import Decision
-from .errors import CertificateError, DecisionError, InputError, NotReducedError, ShapeError
+from .errors import CertificateError, DecisionError, InputError, NotReducedError, ShapeError, malformed
 from .graphs import (
     LabelledGraph,
     MoveRecord,
@@ -30,6 +30,7 @@ from .graphs import (
     reduce_graph,
     replay,
 )
+from .quotients import _detect_elementary
 from .words import modular_image
 
 
@@ -53,9 +54,10 @@ class WeaklyAdmissibleMap:
         }
 
     @classmethod
+    @malformed("embedding")
     def from_json(cls, data: dict) -> "WeaklyAdmissibleMap":
-        """Images are names, and multiplicities and edge ends JSON integers
-        (InputError otherwise)."""
+        """Images are names, and multiplicities and edge ends JSON integers;
+        InputError otherwise, and on a shape the readers do not unpack."""
         edge_map = {}
         for key, (image, end) in data["edge_map"].items():
             if type(image) is not str or type(end) is not int:
@@ -187,24 +189,22 @@ class EmbeddingCertificate:
         }
 
     @classmethod
+    @malformed("embedding")
     def from_json(cls, data: dict) -> "EmbeddingCertificate":
         """InputError on a shape the readers do not unpack (a missing key, a
         list for an object, an edge key with no integer end, ...)."""
-        try:
-            return cls(
-                map=WeaklyAdmissibleMap.from_json(data["map"]),
-                claimed=_items(data["claimed"], (int, int), "claimed"),
-                map_claimed=_items(data["map_claimed"], (int, int), "map_claimed"),
-                aug_records=tuple(_items(r, (str, int), "an index record") for r in data.get("aug_records", ())),
-                source_reduce=tuple(MoveRecord.from_json(r) for r in data.get("source_reduce", ())),
-                target_params=_items(data["target_params"], (int, int), "target_params")
-                if data.get("target_params")
-                else None,
-                target_reduce=tuple(MoveRecord.from_json(r) for r in data.get("target_reduce", ())),
-                provenance=data.get("provenance", ""),
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise InputError(f"malformed embedding certificate: {type(exc).__name__}: {exc}") from exc
+        return cls(
+            map=WeaklyAdmissibleMap.from_json(data["map"]),
+            claimed=_items(data["claimed"], (int, int), "claimed"),
+            map_claimed=_items(data["map_claimed"], (int, int), "map_claimed"),
+            aug_records=tuple(_items(r, (str, int), "an index record") for r in data.get("aug_records", ())),
+            source_reduce=tuple(MoveRecord.from_json(r) for r in data.get("source_reduce", ())),
+            target_params=_items(data["target_params"], (int, int), "target_params")
+            if data.get("target_params")
+            else None,
+            target_reduce=tuple(MoveRecord.from_json(r) for r in data.get("target_reduce", ())),
+            provenance=data.get("provenance", ""),
+        )
 
 
 def _loop_labels(g: LabelledGraph):
@@ -317,6 +317,15 @@ def _derive_map(pattern: _Pattern) -> WeaklyAdmissibleMap:
     return WeaklyAdmissibleMap(source, target, vmap, emap, vmult, emult)
 
 
+def _ring(target, verts, orients, provenance, aug=()) -> _Pattern:
+    """The circle z0 ... z(N-1) over `target`: z<i> maps to verts[i] (a target
+    vertex and a multiplicity), and d<i> runs from z<i> to z<(i+1) mod N> over
+    the target edge end orients[i]."""
+    vertices = {f"z{i}": v for i, v in enumerate(verts)}
+    edges = [(f"d{i}", f"z{i}", f"z{(i + 1) % len(verts)}", o) for i, o in enumerate(orients)]
+    return _Pattern(target, vertices, edges, aug, provenance)
+
+
 def _scale(nu: int) -> tuple:
     """The index records of BS(c) < BS(nu c): one ("scale", nu), none for nu = 1."""
     return (("scale", nu),) if nu != 1 else ()
@@ -375,43 +384,22 @@ def circle_bs_subgroup(g: LabelledGraph, m: int, n: int) -> EmbeddingCertificate
         raise DecisionError(f"circle has (X, Y) = ({prods.X}, {prods.Y}), not ({m}, {n})")
     if gcd(m, n) != 1:
         raise DecisionError("construction needs coprime parameters")
-    ell = shape.ell
+    ell, cv = shape.ell, shape.circ_vertices
+    circ = [(ce.edge, ce.end) for ce in shape.circ_edges]
     if ell == 1:
-        ce = shape.circ_edges[0]
-        vertices, edges = {"z0": (shape.circ_vertices[0], 1)}, [("d0", "z0", "z0", (ce.edge, ce.end))]
-        return _finish_cert(_Pattern(g, vertices, edges, provenance="identity circle"), (m, n))
+        return _finish_cert(_ring(g, [(cv[0], 1)], circ, provenance="identity circle"), (m, n))
     xs, ys = [abs(x) for x in shape.x], [abs(y) for y in shape.y]  # prod(ys[:i]) is |y_1 ... y_i|
-    vertices = {f"z{i}": (shape.circ_vertices[i], prod(ys[:i])) for i in range(ell)}
-    for i in range(ell + 1):
-        vertices[f"z{ell + i}"] = (shape.circ_vertices[(ell - i) % ell], prod(ys[: ell - i]) * prod(xs[ell - i :]))
-    for i in range(1, ell):
-        vertices[f"z{2 * ell + i}"] = (shape.circ_vertices[i], prod(xs[i:]))
-    edges = []
-    for i in range(ell):
-        ce = shape.circ_edges[i]
-        edges.append((f"d{i}", f"z{i}", f"z{i + 1}", (ce.edge, ce.end)))
-    for i in range(ell):
-        ce = shape.circ_edges[ell - 1 - i]
-        edges.append((f"d{ell + i}", f"z{ell + i}", f"z{ell + i + 1}", (ce.edge, 1 - ce.end)))
-    for i in range(ell):
-        ce = shape.circ_edges[i]
-        edges.append(
-            (
-                f"d{2 * ell + i}",
-                f"z{2 * ell + i}",
-                f"z{(2 * ell + i + 1) % (3 * ell)}",
-                (ce.edge, ce.end),
-            )
-        )
-    return _finish_cert(_Pattern(g, vertices, edges, provenance=f"three-block circle for BS({m},{n})"), (m, n))
+    verts = [(cv[i], prod(ys[:i])) for i in range(ell)]
+    verts += [(cv[(ell - i) % ell], prod(ys[: ell - i]) * prod(xs[ell - i :])) for i in range(ell + 1)]
+    verts += [(cv[i], prod(xs[i:])) for i in range(1, ell)]
+    orients = circ + [(e, 1 - end) for e, end in reversed(circ)] + circ
+    return _finish_cert(_ring(g, verts, orients, provenance=f"three-block circle for BS({m},{n})"), (m, n))
 
 
 def contains_bs(g: LabelledGraph, m: int, n: int) -> bool:
     """m/n in lowest terms, m != +-n: BS(m, n) embeds iff m/n is a modulus."""
     if m == 0 or n == 0 or gcd(m, n) != 1 or m == n or m == -n:
         raise DecisionError("need coprime m, n with m != +-n")
-    from .quotients import _detect_elementary
-
     red, _ = reduce_graph(g)
     if _detect_elementary(red) is not None:
         raise DecisionError("modulus criterion needs a non-elementary group")
@@ -421,13 +409,13 @@ def contains_bs(g: LabelledGraph, m: int, n: int) -> bool:
 # -- Baumslag-Solitar into Baumslag-Solitar ------------------------------------
 
 
-def _solve_exponent(rhat, base, extra=1, xmin=1):
-    """Smallest x >= xmin and nu with nu*rhat = extra * base^x (signed), all
-    of nu's primes dividing base*extra; returns (x, nu) or None."""
+def _solve_exponent(rhat, base, extra=1):
+    """Smallest x >= 1 and nu with nu*rhat = extra * base^x (signed), all of
+    nu's primes dividing base*extra; returns (x, nu) or None."""
     x, rest = split_power(rhat // gcd(rhat, extra), base)
     if abs(rest) != 1:
         return None
-    x = max(x, xmin)
+    x = max(x, 1)
     return x, extra * base**x // rhat
 
 
@@ -449,33 +437,21 @@ def _construct_core(rhat, shat, beta, m, n) -> _Pattern:
 
     # Z^2 wrap: unit pairs arise as inner steps of the index split
     if abs(rhat) == 1 and abs(shat) == 1:
-        return _Pattern(
-            bs_graph(m, n),
-            {"z0": ("v0", abs(m)), "z1": ("v0", abs(n))},
-            [("d0", "z0", "z1", E_m), ("d1", "z1", "z0", E_n)],
-            provenance=f"unit wrap in BS({m},{n})",
-        )
+        verts = [("v0", abs(m)), ("v0", abs(n))]
+        return _ring(bs_graph(m, n), verts, [E_m, E_n], provenance=f"unit wrap in BS({m},{n})")
 
     # unimodular target
     if m == n or m == -n:
         mu = abs(m // rhat)
         if sign(rhat * shat) == sign(m * n):
-            return _Pattern(
-                bs_graph(m, n), {"z0": ("v0", mu)}, [("d0", "z0", "z0", E_m)], provenance=f"power loop in BS({m},{n})"
-            )
-        return _Pattern(
-            bs_graph(m, n),
-            {"z0": ("v0", mu), "z1": ("v0", abs(m))},
-            [("d0", "z0", "z1", E_m), ("d1", "z1", "z0", E_m)],
-            provenance=f"double wrap in BS({m},{n})",
-        )
+            return _ring(bs_graph(m, n), [("v0", mu)], [E_m], provenance=f"power loop in BS({m},{n})")
+        verts = [("v0", mu), ("v0", abs(m))]
+        return _ring(bs_graph(m, n), verts, [E_m, E_m], provenance=f"double wrap in BS({m},{n})")
 
     # solvable target
     if abs(m) == 1 or abs(n) == 1:
         k = max(beta, 1)
-        vertices = {f"z{i}": ("v0", 1) for i in range(k)}
-        edges = [(f"d{i}", f"z{i}", f"z{(i + 1) % k}", E_m) for i in range(k)]
-        return _Pattern(bs_graph(m, n), vertices, edges, provenance=f"{k}-cycle in solvable BS({m},{n})")
+        return _ring(bs_graph(m, n), [("v0", 1)] * k, [E_m] * k, provenance=f"{k}-cycle in solvable BS({m},{n})")
 
     # same-exponent primes split off first
     delta1, nu1 = _equal_exponent_part(m, n, rhat)
@@ -527,40 +503,24 @@ def _block_circle_map(x, y, beta, m, n, aug=()) -> _Pattern:
     """The seven-block circle over BS(m, n); it reduces to the loop
     (m^(x+beta) n^y, m^x n^(y+beta))."""
     E_m, E_n = ("e0", 0), ("e0", 1)
-    am, an = abs(m), abs(n)
-    sizes = [x + beta, x + beta, y, x + y + beta, x, y + beta, y + beta]
-    orients = [E_m, E_n, E_n, E_m, E_n, E_n, E_m]
-
-    def mults():
-        out = []
-        for j in range(x + beta + 1):
-            out.append(an**j)
-        for j in range(1, x + beta + 1):
-            out.append(an ** (x + beta - j) * am**j)
-        for j in range(1, y + 1):
-            out.append(am ** (x + beta + j))
-        for j in range(1, x + y + beta + 1):
-            out.append(am ** (x + y + beta - j) * an**j)
-        for j in range(1, x + 1):
-            out.append(an ** (x + y + beta - j))
-        for j in range(1, y + beta + 1):
-            out.append(an ** (y + beta - j) * am**j)
-        for j in range(1, y + beta + 1):
-            out.append(am ** (y + beta - j))
-        return out
-
-    values = mults()
-    total = sum(sizes)
-    if len(values) != total + 1 or values[-1] != 1:
-        raise AssertionError("block multiplicities misaligned")
-    vertices = {f"z{i}": ("v0", values[i]) for i in range(total)}
-    edges = []
-    idx = 0
-    for size, orient in zip(sizes, orients):
+    blocks = [  # (size, orientation, step in (i, j)); a vertex at (i, j) has multiplicity |m|^i |n|^j
+        (x + beta, E_m, (0, 1)),
+        (x + beta, E_n, (1, -1)),
+        (y, E_n, (1, 0)),
+        (x + y + beta, E_m, (-1, 1)),
+        (x, E_n, (0, -1)),
+        (y + beta, E_n, (1, -1)),
+        (y + beta, E_m, (-1, 0)),
+    ]
+    verts, orients, i, j = [], [], 0, 0
+    for size, orient, (di, dj) in blocks:
         for _ in range(size):
-            edges.append((f"d{idx}", f"z{idx}", f"z{(idx + 1) % total}", orient))
-            idx += 1
-    return _Pattern(bs_graph(m, n), vertices, edges, aug, f"block circle x={x} y={y} beta={beta}")
+            verts.append(("v0", abs(m) ** i * abs(n) ** j))
+            orients.append(orient)
+            i, j = i + di, j + dj
+    if (i, j) != (0, 0):
+        raise AssertionError("block circle does not close")
+    return _ring(bs_graph(m, n), verts, orients, f"block circle x={x} y={y} beta={beta}", aug)
 
 
 def _power_circle(rhat, shat, beta, m, n, swapped, variant_only=False) -> _Pattern:
@@ -583,24 +543,15 @@ def _power_circle(rhat, shat, beta, m, n, swapped, variant_only=False) -> _Patte
         raise CertificateError(f"no power-circle form for ({rhat},{shat}) in ({m},{n})")
     x, nu = solved
     y = x + beta
-    target = bs_graph(mm, nn) if not swapped else bs_graph(nn, mm)
-    if swapped:
-        E_mm, E_nn = ("e0", 1), ("e0", 0)
-    else:
-        E_mm, E_nn = ("e0", 0), ("e0", 1)
-    total = x + y
-    vertices = {f"z{i}": ("v0", abs(mm)) for i in range(total)}
-    edges = []
-    for i in range(total):
-        orient = E_nn if i < x else E_mm
-        edges.append((f"d{i}", f"z{i}", f"z{(i + 1) % total}", orient))
-    protect = None
-    if variant:
-        vertices["zp"] = ("v0", abs(delta))
-        edges.append(("dp", "zp", "z0", E_nn))
-        protect = "z0"
+    E_mm, E_nn = ("e0", int(swapped)), ("e0", int(not swapped))  # the ends of bs_graph(m, n) labelled mm and nn
     label = "variant " if variant else ""
-    return _Pattern(target, vertices, edges, _scale(nu), f"{label}power circle x={x} y={y}", protect)
+    verts, orients = [("v0", abs(mm))] * (x + y), [E_nn] * x + [E_mm] * y
+    pattern = _ring(bs_graph(m, n), verts, orients, f"{label}power circle x={x} y={y}", _scale(nu))
+    if variant:
+        pattern.vertices["zp"] = ("v0", abs(delta))
+        pattern.edges.append(("dp", "zp", "z0", E_nn))
+        pattern.protect = "z0"
+    return pattern
 
 
 def _delta_scale(inner: _Pattern, delta: int, m, n) -> _Pattern:

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and `malformed`, the guard that
+turns the raw errors of a certificate reader into an InputError."""
+
+from functools import wraps
 
 
 class GBSError(Exception):
@@ -55,3 +58,21 @@ class DecisionError(GBSError):
 
 class WordCapError(GBSError):
     """A word would be written out beyond the expansion cap."""
+
+
+def malformed(kind: str):
+    """Decorate a from_json reader: the KeyError, TypeError, ValueError or
+    AttributeError it meets on a JSON shape it does not unpack is raised as
+    InputError("malformed <kind> certificate: ...")."""
+
+    def decorate(read):
+        @wraps(read)
+        def guarded(cls, data):
+            try:
+                return read(cls, data)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise InputError(f"malformed {kind} certificate: {type(exc).__name__}: {exc}") from exc
+
+        return guarded
+
+    return decorate

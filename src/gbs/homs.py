@@ -32,6 +32,7 @@ from .errors import (
     InputError,
     MissingWitnessError,
     ShapeError,
+    malformed,
 )
 from .graphs import (
     LabelledGraph,
@@ -130,7 +131,9 @@ class HomCertificate:
         return out
 
     @classmethod
+    @malformed("hom")
     def from_json(cls, data: dict) -> "HomCertificate":
+        """InputError on a shape the readers do not unpack."""
         texts = data.get("words", [])
         strings = isinstance(texts, list) and all(isinstance(t, str) for t in texts)
         if data.get("version", 1) not in (1, 2) or not strings:

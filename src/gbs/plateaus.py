@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .arith import coprime_base, env_int, factorize, gcd, split_power
 from .errors import DecisionError, InputError, NotReducedError, ShapeError, VertexCapError
-from .graphs import LabelledGraph, Shape, classify_shape
+from .graphs import LabelledGraph, Shape, classify_shape, qrxy
 
 VERTEX_CAP_DEFAULT = 24
 
@@ -150,8 +150,6 @@ def two_generated_shape(g: LabelledGraph) -> Shape:
 
 def check_copr(shape: Shape) -> list[str]:
     """Coprimality facts forced by 2-generation; nonempty list = violations."""
-    from .graphs import qrxy
-
     out = []
     k = shape.k
     for j in range(1, k):  # paper's q_j, 1 <= j <= k-1

@@ -314,22 +314,12 @@ def infinite_family(m: int, n: int, count: int = 5) -> list[FamilyMember]:
         raise InputError(f"a family needs count >= 1, not {count}")
     if finitely_many_quotients(m, n):
         raise DecisionError(f"BS({m},{n}) has only finitely many GBS quotients")
-    members = []
+    mm, nn, swapped = (n, m, True) if n % m != 0 and m % n == 0 else (m, n, False)
     if m == n:
-        for N in icount(2):
-            g = segment_graph([m, N])
-            cert = bs_source_epi(g, m, n)
-            members.append(FamilyMember(g, cert, {"kind": "segment", "N": N}))
-            if len(members) == count:
-                return members
-    swapped = False
-    mm, nn = m, n
-    if nn % mm != 0 and mm % nn == 0:
-        mm, nn = nn, mm
-        swapped = True
-    if nn % mm == 0:
+        gen = ((N, segment_graph([m, N])) for N in icount(2))
+        params = {"kind": "segment"}
+    elif nn % mm == 0:
         alpha, beta, gamma, delta = _hn_factorization(mm, nn)
-        source = (mm, nn)
         gen = (
             (N, lollipop_graph([beta, delta**N], [alpha, alpha * gamma * delta]))
             for N in icount(2)
@@ -342,18 +332,15 @@ def infinite_family(m: int, n: int, count: int = 5) -> list[FamilyMember]:
         primes = sorted(factorize(np_))
         good = [p for p in primes if mm % p != 0]
         p = (good or primes)[0]
-        source = (mm, nn)
         gen = (
             (N, lollipop_graph([delta, p**N], [mp, np_]))
             for N in icount(2)
             if np_ % (p**N) != 0
         )
         params = {"kind": "G_N", "delta": delta, "m_prime": mp, "n_prime": np_, "p": p, "swapped": swapped}
+    members = []
     for N, g in gen:
-        cert = bs_source_epi(g, *source)
-        member_params = dict(params)
-        member_params["N"] = N
-        members.append(FamilyMember(g, cert, member_params))
+        members.append(FamilyMember(g, bs_source_epi(g, mm, nn), {**params, "N": N}))
         if len(members) == count:
             return members
     raise AssertionError("family generator exhausted")

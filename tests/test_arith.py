@@ -124,14 +124,14 @@ def test_coprime_base_examples():
 # -- the factor-and-loop routines split_power replaced, kept as oracles ----------
 
 
-def _solve_exponent_reference(rhat, base, extra=1, xmin=1):
+def _solve_exponent_reference(rhat, base, extra=1):
     fb = factorize(base)
     fr = factorize(rhat)
     fe = factorize(extra)
     for p in fr:
         if p not in fb and fr[p] > fe.get(p, 0):
             return None
-    x = xmin
+    x = 1
     for p, e in fb.items():
         need = fr.get(p, 0) - fe.get(p, 0)
         if need > 0:
@@ -201,9 +201,9 @@ def _outcome(fn, *args):
 
 def test_gcd_helpers_match_factor_oracles():
     small = [i for i in range(-24, 25) if i]
-    for rhat, base, extra, xmin in product(small, small, (1, 2, -3, 4, 6, 9, 12), (0, 1)):
-        got = _solve_exponent(rhat, base, extra, xmin)
-        assert got == _solve_exponent_reference(rhat, base, extra, xmin), (rhat, base, extra)
+    for rhat, base, extra in product(small, small, (1, 2, -3, 4, 6, 9, 12)):
+        got = _solve_exponent(rhat, base, extra)
+        assert got == _solve_exponent_reference(rhat, base, extra), (rhat, base, extra)
     for m, n, rhat in product(small, small, (1, -2, 3, 4, -6, 8, 9, 12)):
         delta1, nu1 = _equal_exponent_part(m, n, rhat)
         ref_delta1, ref_nu1 = _equal_exponent_part_reference(m, n, rhat)

@@ -1,5 +1,6 @@
 """Certificate bytes pinned: scripts/cert_digest.py's group digests for every
-group before the embedding ones (those take longer and stay script-only)."""
+group before the embedding ones, and for the circle subgroups (the grid of
+embedding routes is pinned by GRID12_DIGEST in tests/test_embeddings.py)."""
 
 import hashlib
 import importlib.util
@@ -31,13 +32,29 @@ WANT = {
 }
 
 
-def test_certificate_digests_match_pinned_values():
+def _script():
     spec = importlib.util.spec_from_file_location("cert_digest", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def _digest(script, certs):
+    return hashlib.sha256(b"".join(map(script.cert_line, certs))).hexdigest(), len(certs)
+
+
+def test_certificate_digests_match_pinned_values():
+    script = _script()
     got = {}
     for name, certs in script.groups():
         if name.startswith("embed "):
             break
-        got[name] = (hashlib.sha256(b"".join(map(script.cert_line, certs))).hexdigest(), len(certs))
+        got[name] = _digest(script, certs)
     assert got == WANT
+
+
+def test_circle_subgroup_digest_matches_pinned_value():
+    """The script's "circle subgroup" group: circle_bs_subgroup on its circles."""
+    script = _script()
+    got = _digest(script, script.circle_subgroups())
+    assert got == ("5b4929804d8bbb32e09d261b20e81b0e8d80986195faaf3d9dd5572fc8d3fc5f", 4)

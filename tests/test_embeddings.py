@@ -415,6 +415,12 @@ def test_from_json_refuses_shapes_with_an_input_error(edit):
         EmbeddingCertificate.from_json(data)
 
 
+def test_map_from_json_refuses_a_list_of_edge_images():
+    """It raised a raw AttributeError to a library caller."""
+    with pytest.raises(InputError, match="malformed embedding certificate"):
+        WeaklyAdmissibleMap.from_json({"edge_map": []})
+
+
 def test_subgroup_of_bs_nn():
     four_n = graph_from_edges([("e0", "v", "v", 6, 6), ("e1", "v", "v", 6, 6)])
     assert subgroup_of_bs_nn(four_n, 6)

@@ -853,6 +853,25 @@ def test_malformed_version_2_is_an_input_error(edit):
         HomCertificate.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: {"kind": "hom"},
+        lambda d: {**d, "images": []},
+        lambda d: {**d, "images": 5},
+        lambda d: {**d, "source": {**d["source"], "tree": 5}},
+        lambda d: {**d, "witnesses": dict.fromkeys(d["witnesses"], 5)},
+    ],
+    ids=["kind-only", "images-a-list", "images-a-number", "tree-a-number", "witness-a-number"],
+)
+def test_from_json_refuses_shapes_with_an_input_error(edit):
+    """Each of these raised a raw KeyError, AttributeError or TypeError to a
+    library caller."""
+    data = edit(descending_chain(5).from_bs_18_36.to_json())
+    with pytest.raises(InputError, match="malformed hom certificate"):
+        HomCertificate.from_json(data)
+
+
 def test_reducer_caps_what_it_writes_out(monkeypatch):
     """Each entry doubles its predecessor once reduced: the total written
     out grows past the cap, which is checked before the next pass."""
