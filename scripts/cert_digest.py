@@ -31,6 +31,7 @@ import hashlib
 import json
 import random
 import sys
+from itertools import product
 
 import gbs
 from gbs.arith import factorize, gcd
@@ -110,6 +111,14 @@ def _move_certs(g):
     return out
 
 
+def criterion3_grid(bound: int = 12):
+    """Every (r, s, m, n) with 0 < |r|, |s|, |m|, |n| <= bound, in lexicographic
+    order, save the sources with |r| = |s| = 1: the box of acceptance
+    criterion 3 at bound 12."""
+    box = [i for i in range(-bound, bound + 1) if i]
+    return ((r, s, m, n) for r, s, m, n in product(box, repeat=4) if abs(r) != 1 or abs(s) != 1)
+
+
 def _route(cert) -> str:
     prov = cert.provenance
     for word in ("pendant index", "scaled into", "variant", "power circle", "block circle"):
@@ -123,8 +132,8 @@ def circle_subgroups():
     out = []
     for labels in CIRCLES:
         g = gbs.circle_graph(labels)
-        prods = gbs.qrxy(gbs.classify_shape(g))
-        out.append(gbs.circle_bs_subgroup(g, prods.X, prods.Y))
+        shape = gbs.classify_shape(g)
+        out.append(gbs.circle_bs_subgroup(g, shape.X, shape.Y))
     return out
 
 
@@ -141,15 +150,10 @@ def groups():
     yield "non-Hopfian", [gbs.non_hopf_endo(m, n).cert for m, n in pairs]
     yield f"moves seed {MOVE_SEED}", [c for g in _seeded_graphs() for c in _move_certs(g)]
     routes = {}
-    for r in GRID:
-        for s in GRID:
-            if abs(r) == 1 and abs(s) == 1:
-                continue
-            for m in GRID:
-                for n in GRID:
-                    if gbs.embeds_bs(r, s, m, n):
-                        cert = gbs.embed_bs_construct(r, s, m, n)
-                        routes.setdefault(_route(cert), []).append(cert)
+    for r, s, m, n in criterion3_grid():
+        if gbs.embeds_bs(r, s, m, n):
+            cert = gbs.embed_bs_construct(r, s, m, n)
+            routes.setdefault(_route(cert), []).append(cert)
     for route in sorted(routes):
         yield f"embed {route}", routes[route]
     yield "circle subgroup", circle_subgroups()

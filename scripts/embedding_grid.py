@@ -12,39 +12,33 @@ import sys
 import time
 from collections import Counter
 
-from cert_digest import _route
+from cert_digest import _route, criterion3_grid
 from gbs import embed_bs_construct, embeds_bs, verify_embedding_certificate
 
 
 def main(bound: int = 12) -> int:
-    rng = [i for i in range(-bound, bound + 1) if i != 0]
     routes = Counter()
     yes = bad = 0
     phases = Counter()
     clock = time.perf_counter
     t0 = clock()
-    for r in rng:
-        for s in rng:
-            if abs(r) == 1 and abs(s) == 1:
-                continue
-            for m in rng:
-                for n in rng:
-                    t = clock()
-                    dec = embeds_bs(r, s, m, n)
-                    phases["decide"] += clock() - t
-                    if not dec:
-                        continue
-                    yes += 1
-                    t = clock()
-                    cert = embed_bs_construct(r, s, m, n)
-                    phases["build"] += clock() - t
-                    t = clock()
-                    ok, violations = verify_embedding_certificate(cert)
-                    phases["verify"] += clock() - t
-                    if not ok:
-                        bad += 1
-                        print(f"FAILED ({r},{s}) in ({m},{n}): {violations[:1]}")
-                    routes[_route(cert)] += 1
+    for r, s, m, n in criterion3_grid(bound):
+        t = clock()
+        dec = embeds_bs(r, s, m, n)
+        phases["decide"] += clock() - t
+        if not dec:
+            continue
+        yes += 1
+        t = clock()
+        cert = embed_bs_construct(r, s, m, n)
+        phases["build"] += clock() - t
+        t = clock()
+        ok, violations = verify_embedding_certificate(cert)
+        phases["verify"] += clock() - t
+        if not ok:
+            bad += 1
+            print(f"FAILED ({r},{s}) in ({m},{n}): {violations[:1]}")
+        routes[_route(cert)] += 1
     dt = clock() - t0
     print(f"bound {bound}: {yes} embeddings, {bad} failures, {dt:.1f}s")
     print("  " + ", ".join(f"{phase} {phases[phase]:.2f}s" for phase in ("decide", "build", "verify")))

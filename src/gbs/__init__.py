@@ -13,7 +13,6 @@ from .graphs import (
     expansion,
     lollipop_graph,
     parse_graph,
-    qrxy,
     reduce_graph,
     segment_graph,
     sign_change,

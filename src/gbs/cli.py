@@ -29,7 +29,7 @@ from .errors import (
     VertexCapError,
     WordCapError,
 )
-from .graphs import LabelledGraph, classify_shape, parse_graph, qrxy, reduce_graph
+from .graphs import LabelledGraph, classify_shape, parse_graph, reduce_graph
 from .homs import HomCertificate, check_epi, check_hom, minimal_bs_epi
 from .plateaus import mu, plateaus
 from .quotients import (
@@ -92,8 +92,7 @@ def cmd_graph_info(args):
         "shape": shape.kind,
     }
     if shape.kind != "other":
-        prods = qrxy(shape)
-        payload["qrxy"] = {"Q": prods.Q, "R": prods.R, "X": prods.X, "Y": prods.Y}
+        payload["qrxy"] = {"Q": shape.Q, "R": shape.R, "X": shape.X, "Y": shape.Y}
     _emit(args, payload, "\n".join(f"{k}: {v}" for k, v in payload.items() if k != "graph"))
 
 

@@ -26,7 +26,6 @@ from .graphs import (
     classify_shape,
     graph_from_edges,
     id_key,
-    qrxy,
     reduce_graph,
     replay,
 )
@@ -135,14 +134,14 @@ def _check(wa: WeaklyAdmissibleMap):
         groups.append((x, te, tend, lab, k_x, pre))
         if len(pre) > k_x:
             found.append(((id_key(te), tend, id_key(x), 0),
-                          f"vertex {x} over {te}:{tend}: {len(pre)} preimage edges > gcd {k_x}"))
+                          f"vertex {x} over {te}:{tend}: {len(pre)} preimage edges > gcd {_int(k_x)}"))
         for e, k in pre:
-            if src.edges[e].labels[k] != lab // k_x:
+            if (label := src.edges[e].labels[k]) != lab // k_x:
                 found.append(((id_key(te), tend, id_key(x), 1, id_key(e), k, 0),
-                              f"edge {e}:{k}: label {src.edges[e].labels[k]} != {lab}//{k_x}"))
+                              f"edge {e}:{k}: label {_int(label)} != {_int(lab)}//{_int(k_x)}"))
             if emult[e] != mult // k_x:
                 found.append(((id_key(te), tend, id_key(x), 1, id_key(e), k, 1),
-                              f"edge {e}: multiplicity {emult[e]} != {mult}//{k_x}"))
+                              f"edge {e}: multiplicity {_int(emult[e])} != {_int(mult)}//{_int(k_x)}"))
     return [msg for _, msg in sorted(found)], groups
 
 
@@ -222,12 +221,13 @@ def _pair_matches(got: tuple[int, int], want: tuple[int, int]) -> bool:
     )
 
 
+def _int(x: int) -> str:
+    """x for a violation message: from 100 digits on, its bit length (int-to-str stops at 4,300 digits)."""
+    return str(x) if abs(x) < 10**100 else f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
+
+
 def _shown(pair) -> str:
-    """A pair for a violation message.  An integer of 100 digits or more is
-    shown by its bit length: a scaled or replayed label is a product, which
-    can pass the digits that int-to-str allows."""
-    shown = (str(x) if abs(x) < 10**100 else f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>" for x in pair)
-    return f"({', '.join(shown)})"
+    return f"({', '.join(map(_int, pair))})"
 
 
 def _replayed_loop(g: LabelledGraph, records, side: str):
@@ -379,9 +379,8 @@ def circle_bs_subgroup(g: LabelledGraph, m: int, n: int) -> EmbeddingCertificate
     shape = classify_shape(g)
     if shape.kind != "circle":
         raise ShapeError("construction needs a circle")
-    prods = qrxy(shape)
-    if (prods.X, prods.Y) != (m, n):
-        raise DecisionError(f"circle has (X, Y) = ({prods.X}, {prods.Y}), not ({m}, {n})")
+    if (shape.X, shape.Y) != (m, n):
+        raise DecisionError(f"circle has (X, Y) = ({shape.X}, {shape.Y}), not ({m}, {n})")
     if gcd(m, n) != 1:
         raise DecisionError("construction needs coprime parameters")
     ell, cv = shape.ell, shape.circ_vertices

@@ -61,14 +61,16 @@ class WordCapError(GBSError):
 
 
 def malformed(kind: str):
-    """Decorate a from_json reader: the KeyError, TypeError, ValueError or
-    AttributeError it meets on a JSON shape it does not unpack is raised as
-    InputError("malformed <kind> certificate: ...")."""
+    """Decorate a from_json reader: a provenance that is no string, and the
+    KeyError, TypeError, ValueError or AttributeError the reader meets on a JSON
+    shape it does not unpack, raise InputError("malformed <kind> certificate: ...")."""
 
     def decorate(read):
         @wraps(read)
         def guarded(cls, data):
             try:
+                if type(data.get("provenance", "")) is not str:
+                    raise InputError(f"malformed {kind} certificate: its provenance must be a string")
                 return read(cls, data)
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise InputError(f"malformed {kind} certificate: {type(exc).__name__}: {exc}") from exc

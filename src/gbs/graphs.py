@@ -21,8 +21,9 @@ order, and `reduce_graph` never build it); each public entry point computes
 an invariant once and passes it down."""
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .arith import gcd
 from .errors import (
@@ -60,6 +61,8 @@ class LabelledGraph:
         self.edges = dict(edges)
         for name, ed in self.edges.items():
             (a, b), (la, lb) = ed.endpoints, ed.labels
+            if not type(la) is type(lb) is int:  # a bool or float is refused, not truncated: labels stay exact
+                raise InputError(f"edge {name}: a label must be an integer, not {lb if type(la) is int else la!r}")
             if la == 0 or lb == 0:
                 raise InputError(f"edge {name} has a zero label")
             if a not in vertices or b not in vertices:
@@ -186,10 +189,10 @@ class LabelledGraph:
     def from_json(cls, data: dict) -> "LabelledGraph":
         """An object of a list of vertex names and a list of edge objects,
         each with a name of its own, a list of two vertex names and a list of
-        two JSON integer labels (InputError otherwise: a float or bool label is
-        refused, not truncated, a repeated edge does not replace the first, a
-        string is no list, a missing key no value).  The graph refuses an
-        endpoint that is not a vertex."""
+        two JSON integer labels (InputError otherwise: a repeated edge does not
+        replace the first, a string is no list, a missing key no value).  The
+        graph refuses an endpoint that is not a vertex, and a float or bool
+        label."""
         if type(data) is not dict:
             raise InputError(f"a graph must be a JSON object, not {data!r:.60}")
         vertices, listed, edges = data.get("vertices"), data.get("edges"), {}
@@ -203,14 +206,11 @@ class LabelledGraph:
                 raise InputError(f"the edges must be a list of objects with a name, endpoints and labels, "
                                  f"not {listed!r:.60}") from None
             ok = (type(name) is str and name not in edges and type(ends) is type(labels) is list
-                  and len(ends) == len(labels) == 2)
-            if ok:
-                (a, b), (la, lb) = ends, labels
-                ok = type(a) is type(b) is str and type(la) is type(lb) is int
+                  and len(ends) == len(labels) == 2 and type(ends[0]) is type(ends[1]) is str)
             if not ok:
                 raise InputError(f"edge {name!r} must have a string name no other edge has, two vertex names as "
-                                 f"endpoints and two labels, and a label must be an integer; it has {ends!r}, {labels!r}")
-            edges[name] = EdgeData((a, b), (la, lb))
+                                 f"endpoints and two labels; it has {ends!r}, {labels!r}")
+            edges[name] = EdgeData(tuple(ends), tuple(labels))
         return cls(vertices, edges)
 
     def to_text(self) -> str:
@@ -247,7 +247,7 @@ def graph_from_edges(edge_list, extra_vertices=()) -> LabelledGraph:
         vertices.add(w)
         if name in edges:
             raise InputError(f"duplicate edge name {name}")
-        edges[name] = EdgeData((v, w), (int(lv), int(lw)))
+        edges[name] = EdgeData((v, w), (lv, lw))
     return LabelledGraph(vertices, edges)
 
 
@@ -693,7 +693,8 @@ def spanning_tree(g: LabelledGraph) -> frozenset[str]:
 @dataclass(frozen=True)
 class Shape:
     """Homeomorphism type of a connected graph, with labels read off in the
-    standard numbering.  `kind` is segment / circle / lollipop / other."""
+    standard numbering.  `kind` is segment / circle / lollipop / other.  The
+    label products Q, R, X, Y are cached, not fields: repr, == and hash read the labels."""
 
     kind: str
     seg_vertices: tuple[str, ...] = ()
@@ -714,13 +715,26 @@ class Shape:
     def ell(self) -> int:
         return len(self.circ_edges)
 
+    @cached_property
+    def Q(self) -> int:
+        return self._product(self.q)
 
-@dataclass(frozen=True)
-class QRXY:
-    Q: int
-    R: int
-    X: Optional[int]
-    Y: Optional[int]
+    @cached_property
+    def R(self) -> int:
+        return self._product(self.r)
+
+    @cached_property
+    def X(self) -> int | None:
+        return None if self.kind == "segment" else self._product(self.x)
+
+    @cached_property
+    def Y(self) -> int | None:
+        return None if self.kind == "segment" else self._product(self.y)
+
+    def _product(self, labels: tuple[int, ...]) -> int:
+        if self.kind == "other":
+            raise ShapeError("Q, R, X and Y are undefined for shape 'other'")
+        return prod(labels)
 
 
 def _walk(g: LabelledGraph, first: OrientedEdge, stop) -> list[OrientedEdge]:
@@ -790,12 +804,3 @@ def _circle_base(g: LabelledGraph, plateau_sets) -> tuple[str, bool]:
         return sorted(meeting, key=id_key)[0], True
     return g.sorted_vertices()[0], False
 
-
-def qrxy(shape: Shape) -> QRXY:
-    """The products Q, R, X, Y of Definition-style label bookkeeping."""
-    if shape.kind == "other":
-        raise ShapeError("QRXY undefined for shape 'other'")
-    Q, R = prod(shape.q), prod(shape.r)
-    if shape.kind == "segment":
-        return QRXY(Q, R, None, None)
-    return QRXY(Q, R, prod(shape.x), prod(shape.y))

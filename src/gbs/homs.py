@@ -43,7 +43,6 @@ from .graphs import (
     collapse,
     contraction_move,
     expansion,
-    qrxy,
     reduce_graph,
     sign_change,
 )
@@ -133,11 +132,11 @@ class HomCertificate:
     @classmethod
     @malformed("hom")
     def from_json(cls, data: dict) -> "HomCertificate":
-        """InputError on a shape the readers do not unpack."""
-        texts = data.get("words", [])
-        strings = isinstance(texts, list) and all(isinstance(t, str) for t in texts)
-        if data.get("version", 1) not in (1, 2) or not strings:
-            raise InputError('a hom certificate has version 1 or 2, and its "words" are a list of strings')
+        """InputError on a shape the readers do not unpack (a bool or float is no version)."""
+        texts, flags = data.get("words", []), data.get("flags", [])
+        strings = type(texts) is type(flags) is list and all(type(t) is str for t in (*texts, *flags))
+        if type(version := data.get("version", 1)) is not int or version not in (1, 2) or not strings:
+            raise InputError('a hom certificate has version 1 or 2, and its "words" and "flags" are lists of strings')
         table: list = []
         for text in texts:
             table.append(parse_letters(text, table))
@@ -149,7 +148,7 @@ class HomCertificate:
             if data.get("witnesses") is None
             else {_parse_gen(k): parse_letters(v, table) for k, v in data["witnesses"].items()},
             provenance=data.get("provenance", ""),
-            flags=tuple(data.get("flags", ())),
+            flags=tuple(flags),
         )
 
 
@@ -650,14 +649,13 @@ def bs_source_epi(g: LabelledGraph, m: int, n: int) -> HomCertificate:
     it (segment: m = n divisible by Q or R; lollipop: (m,n) an integral
     multiple of (QX, QY) or (QY, QX))."""
     shape = two_generated_shape(g)
-    prods = qrxy(shape)
     src = Presentation(bs_graph(m, n))
     a, t = ("v", "v0"), ("t", "e0")
     if shape.kind == "segment":
-        if m != n or (m % prods.Q and m % prods.R):
+        if m != n or (m % shape.Q and m % shape.R):
             raise DecisionError(f"BS({m},{n}) does not map onto this segment group")
         v0, vk = shape.seg_vertices[0], shape.seg_vertices[-1]
-        if m % prods.Q == 0:
+        if m % shape.Q == 0:
             ia, it = v0, vk
         else:
             ia, it = vk, v0
@@ -665,7 +663,7 @@ def bs_source_epi(g: LabelledGraph, m: int, n: int) -> HomCertificate:
         images = {a: (("v", ia, 1),), t: (("v", it, 1),)}
         handles = {}
     else:
-        QX, QY = prods.Q * prods.X, prods.Q * prods.Y
+        QX, QY = shape.Q * shape.X, shape.Q * shape.Y
         tdir = multiple_direction(m, n, QX, QY)
         if tdir is None:
             raise DecisionError(f"({m},{n}) is not a multiple of ({QX},{QY}) either way")
@@ -698,8 +696,7 @@ def _move_factor_around_circle(cur, certs, slots, start, factor, direction):
 def _circle_to_small(g, shape):
     """Displacement certificates clearing unilateral primes (not dividing
     gcd(X, Y)) out of x_i (i>0) and y_j (j<ell); returns (graph, certs)."""
-    prods = qrxy(shape)
-    bilateral = gcd(prods.X, prods.Y)
+    bilateral = gcd(shape.X, shape.Y)
     certs = []
     cur = g
     slots = [(oe.edge, oe.end) for oe in shape.circ_edges]
@@ -721,8 +718,7 @@ def circle_minimal_epi(g: LabelledGraph, shape=None) -> HomCertificate:
     shape = shape or classify_shape(g)
     if shape.kind != "circle":
         raise ShapeError("circle_minimal_epi expects a circle")
-    prods = qrxy(shape)
-    X, Y = prods.X, prods.Y
+    X, Y = shape.X, shape.Y
     i0 = _find_i0(shape.x, shape.y, gcd(X, Y))
     if i0 is None:
         raise DecisionError("no valid split index: G does not map onto BS(X, Y)")
@@ -755,8 +751,7 @@ def _small_lollipop_explicit(g: LabelledGraph, shape) -> HomCertificate:
     """The k = l = 1 lollipop onto BS(QX, QY) by the explicit assignment
     a_0 -> a^(Y^(alpha+beta)), b_0 -> t^alpha a^(Rt*Q) t^-alpha, tau -> t
     (or its X/Y-mirrored variant)."""
-    prods = qrxy(shape)
-    Q, R, X, Y = prods.Q, prods.R, prods.X, prods.Y
+    Q, R, X, Y = shape.Q, shape.R, shape.X, shape.Y
     QX, QY = Q * X, Q * Y
     alpha, beta, rt = _solve_alpha_beta(R, X, Y)
     src, tau = _lollipop_stable(g, shape)
@@ -791,12 +786,9 @@ def minimal_bs_epi(g: LabelledGraph) -> HomCertificate:
         return circle_minimal_epi(g, shape)
     if shape.kind != "lollipop":
         raise ShapeError("minimal_bs_epi expects a circle or lollipop")
-    prods = qrxy(shape)
-    Q, R, X, Y = prods.Q, prods.R, prods.X, prods.Y
+    Q, R, X, Y = shape.Q, shape.R, shape.X, shape.Y
     if shape.k > 1:
-        q0 = shape.q[0]
-        r1 = shape.r[0]
-        if gcd(q0, r1) != 1:
+        if gcd(shape.q[0], shape.r[0]) != 1:
             raise DecisionError("q_0 and r_1 share a factor: no epimorphism")
         edge = shape.seg_edges[0]
         g2, cert = contraction_cert(g, edge.edge, survivor_end=edge.end)

@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .arith import coprime_base, env_int, factorize, gcd, split_power
 from .errors import DecisionError, InputError, NotReducedError, ShapeError, VertexCapError
-from .graphs import LabelledGraph, Shape, classify_shape, qrxy
+from .graphs import LabelledGraph, Shape, classify_shape
 
 VERTEX_CAP_DEFAULT = 24
 
@@ -162,9 +162,8 @@ def check_copr(shape: Shape) -> list[str]:
             for i in range(1, j + 1):
                 if gcd(shape.x[j], shape.y[i - 1]) != 1:
                     out.append(f"gcd(x_{j}, y_{i}) = {gcd(shape.x[j], shape.y[i - 1])} > 1")
-        prods = qrxy(shape)
-        both = gcd(prods.R, prods.X, prods.Y)  # primes of R dividing X and Y
-        neither = split_power(prods.R, prods.X * prods.Y)[1]  # primes dividing neither
+        both = gcd(shape.R, shape.X, shape.Y)  # primes of R dividing X and Y
+        neither = split_power(shape.R, shape.X * shape.Y)[1]  # primes dividing neither
         sides = [(p, "both of") for p in factorize(both)]
         sides += [(p, "neither of") for p in factorize(neither)]
         for p, side in sorted(sides):

@@ -17,7 +17,6 @@ from .graphs import (
     LabelledGraph,
     bs_graph,
     lollipop_graph,
-    qrxy,
     reduce_graph,
     segment_graph,
 )
@@ -74,10 +73,9 @@ class SourceSet:
 
 def bs_sources(g: LabelledGraph) -> SourceSet:
     shape = _validated_shape(g)
-    prods = qrxy(shape)
     if shape.kind == "segment":
-        return SourceSet("segment", prods.Q, prods.R)
-    return SourceSet("lollipop", prods.Q, prods.R, prods.Q * prods.X, prods.Q * prods.Y)
+        return SourceSet("segment", shape.Q, shape.R)
+    return SourceSet("lollipop", shape.Q, shape.R, shape.Q * shape.X, shape.Q * shape.Y)
 
 
 def is_quotient_of_bs(g: LabelledGraph, m: int, n: int) -> bool:
@@ -107,19 +105,17 @@ def maps_onto_minimal_bs(g: LabelledGraph) -> Decision:
 
 def _onto_minimal(shape) -> Decision:
     """The gcd-clause test of maps_onto_minimal_bs on a circle or lollipop shape."""
-    prods = qrxy(shape)
-    Q, R, X, Y = prods.Q, prods.R, prods.X, prods.Y
-    QX, QY = Q * X, Q * Y
+    QX, QY = shape.Q * shape.X, shape.Q * shape.Y
     for i in range(shape.k):
         for j in range(i + 1, shape.k):  # paper's r_j, j < k
             if gcd(shape.q[i], shape.r[j - 1]) != 1:
                 return Decision(False, "prefix", (f"gcd(q_{i}, r_{j}) > 1",))
-    if gcd(X, QY) == 1:
+    if gcd(shape.X, QY) == 1:
         return Decision(True, "X^QY=1")
-    if gcd(Y, QX) == 1:
+    if gcd(shape.Y, QX) == 1:
         return Decision(True, "Y^QX=1")
-    if shape.kind == "lollipop" and gcd(Q, shape.r[-1]) != 1:
-        return Decision(False, "all clauses fail", (f"gcd(Q, r_k) = {gcd(Q, shape.r[-1])}",))
+    if shape.kind == "lollipop" and gcd(shape.Q, shape.r[-1]) != 1:
+        return Decision(False, "all clauses fail", (f"gcd(Q, r_k) = {gcd(shape.Q, shape.r[-1])}",))
     i0 = _find_i0(shape.x, shape.y, gcd(QX, QY))
     if i0 is not None:
         return Decision(True, "split index", (f"i0={i0}",))
@@ -137,8 +133,7 @@ def epi_equivalent_bs(g: LabelledGraph):
         return None
     if not _onto_minimal(witness.shape):
         return None
-    prods = qrxy(witness.shape)
-    return (prods.Q * prods.X, prods.Q * prods.Y)
+    return (witness.shape.Q * witness.shape.X, witness.shape.Q * witness.shape.Y)
 
 
 def finitely_many_quotients(m: int, n: int) -> Decision:
@@ -187,8 +182,7 @@ def is_large(g: LabelledGraph) -> bool:
     shape = two_generated_shape(g)
     if shape.kind == "segment":
         return True
-    prods = qrxy(shape)
-    return gcd(prods.Q * prods.X, prods.Q * prods.Y) != 1
+    return gcd(shape.Q * shape.X, shape.Q * shape.Y) != 1
 
 
 def is_rf_gbs(g: LabelledGraph) -> Decision:

@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +12,8 @@ from gbs.bs_arith import embeds_bs
 from gbs.embeddings import embed_bs_construct
 from gbs.graphs import LabelledGraph, _Work, graph_from_edges, reduce_graph
 from gbs.words import Presentation
+
+CERT_DIGEST = Path(__file__).resolve().parents[1] / "scripts" / "cert_digest.py"
 
 
 def small_connected_graph(rng: random.Random, max_vertices=4, max_extra=2, max_label=9):
@@ -107,18 +111,20 @@ def random_presentation(g, rng: random.Random, keep=()) -> Presentation:
     return Presentation(g, frozenset(tree), rng.choice(g.sorted_vertices()[1:] or g.sorted_vertices()))
 
 
+def cert_digest_script():
+    """scripts/cert_digest.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("cert_digest", CERT_DIGEST)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def grid_certificates(bound):
     """((r, s, m, n), embed_bs_construct(r, s, m, n)) for every
     BS(r, s) < BS(m, n) of the box |.| <= bound, in grid order."""
-    grid = [i for i in range(-bound, bound + 1) if i != 0]
-    for r in grid:
-        for s in grid:
-            if abs(r) == 1 and abs(s) == 1:
-                continue
-            for m in grid:
-                for n in grid:
-                    if embeds_bs(r, s, m, n):
-                        yield (r, s, m, n), embed_bs_construct(r, s, m, n)
+    for params in cert_digest_script().criterion3_grid(bound):
+        if embeds_bs(*params):
+            yield params, embed_bs_construct(*params)
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,8 @@ group before the embedding ones, and for the circle subgroups (the grid of
 embedding routes is pinned by GRID12_DIGEST in tests/test_embeddings.py)."""
 
 import hashlib
-import importlib.util
-from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "cert_digest.py"
+from conftest import cert_digest_script
 
 WANT = {
     "chain 1": ("84eac4f17784127a609763c5cd0081290ce965125edadbd420f9ba2fb24e9ce7", 3),
@@ -32,19 +30,12 @@ WANT = {
 }
 
 
-def _script():
-    spec = importlib.util.spec_from_file_location("cert_digest", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 def _digest(script, certs):
     return hashlib.sha256(b"".join(map(script.cert_line, certs))).hexdigest(), len(certs)
 
 
 def test_certificate_digests_match_pinned_values():
-    script = _script()
+    script = cert_digest_script()
     got = {}
     for name, certs in script.groups():
         if name.startswith("embed "):
@@ -55,6 +46,6 @@ def test_certificate_digests_match_pinned_values():
 
 def test_circle_subgroup_digest_matches_pinned_value():
     """The script's "circle subgroup" group: circle_bs_subgroup on its circles."""
-    script = _script()
+    script = cert_digest_script()
     got = _digest(script, script.circle_subgroups())
     assert got == ("5b4929804d8bbb32e09d261b20e81b0e8d80986195faaf3d9dd5572fc8d3fc5f", 4)

@@ -82,11 +82,11 @@ def test_trg_single_loop():
 
 
 def test_trg_longer_circle():
-    from gbs.graphs import classify_shape, qrxy
+    from gbs.graphs import classify_shape
 
     g = circle_graph([2, 3, 5, 7, 4, 11])  # products 40 and 231: coprime
-    prods = qrxy(classify_shape(g))  # base and direction follow the convention
-    cert = circle_bs_subgroup(g, prods.X, prods.Y)
+    shape = classify_shape(g)  # base and direction follow the convention
+    cert = circle_bs_subgroup(g, shape.X, shape.Y)
     ok, violations = verify_embedding_certificate(cert)
     assert ok, violations
 
@@ -412,6 +412,26 @@ def test_from_json_refuses_shapes_with_an_input_error(edit):
     data = embed_bs_construct(4, 9, 2, 3).to_json()
     edit(data)
     with pytest.raises(InputError, match="malformed embedding certificate"):
+        EmbeddingCertificate.from_json(data)
+
+
+@pytest.mark.parametrize("mult", ["vertex_mult", "edge_mult"])
+def test_a_multiplicity_past_the_int_to_str_limit_verifies_invalid(mult):
+    """A library caller's map may carry any integer; the violation message
+    shows it by its bit length, where it raised a raw ValueError."""
+    cert = embed_bs_construct(4, 9, 2, 3)
+    mults = getattr(cert.map, mult)
+    mults[min(mults)] = 10**5000
+    ok, violations = verify_embedding_certificate(cert)
+    assert not ok
+    assert any("multiplicity" in v and "<16610-bit integer>" in v for v in violations), violations
+
+
+def test_from_json_refuses_a_provenance_that_is_no_string():
+    """It was kept, and the certificate then verified valid."""
+    data = embed_bs_construct(4, 9, 2, 3).to_json()
+    data["provenance"] = 5
+    with pytest.raises(InputError, match="provenance"):
         EmbeddingCertificate.from_json(data)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import sys
@@ -27,7 +28,6 @@ from gbs.graphs import (
     graph_from_edges,
     lollipop_graph,
     parse_graph,
-    qrxy,
     reduce_graph,
     replay,
     segment_graph,
@@ -195,6 +195,22 @@ def test_from_json_refuses_shapes_with_an_input_error(data):
     """Each of these raised a raw TypeError or KeyError."""
     with pytest.raises(InputError):
         LabelledGraph.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [(2.5, "a label must be an integer, not 2.5"), (2.0, "not 2.0"), (True, "not True"), ("3", "not '3'"),
+     (0, "^edge e has a zero label$")],
+    ids=["float", "integral-float", "bool", "string", "zero"],
+)
+def test_constructors_keep_labels_exact(label, message):
+    """graph_from_edges read 2.5 and 2.0 as 2, True as 1 and "3" as 3, and the
+    checking constructor kept 2.5: a label is an int, never a bool."""
+    with pytest.raises(InputError, match=message):
+        graph_from_edges([("e", "v", "w", label, 3)])
+    with pytest.raises(InputError, match=message):
+        LabelledGraph(["v"], {"e": EdgeData(("v", "v"), (3, label))})
+
 
 def test_from_json_refuses_a_repeated_edge_name():
     """A second edge of one name used to replace the first silently."""
@@ -451,10 +467,10 @@ def test_displacement_preserves_label_products():
     # verified by the reduce-equivalence style oracle: X, Y products match
     g = circle_graph([2, 5, 3, 7])
     s = classify_shape(g)
-    X, Y = qrxy(s).X, qrxy(s).Y
+    X, Y = s.X, s.Y
     out, _ = displacement_move(g, s.circ_edges[1].edge, 3, s.circ_edges[1].end)
     s2 = classify_shape(out)
-    assert abs(qrxy(s2).X) == abs(X) and abs(qrxy(s2).Y) == abs(Y)
+    assert abs(s2.X) == abs(X) and abs(s2.Y) == abs(Y)
 
 
 _REPLAY_GRAPH = graph_from_edges([("mid", "v", "w", 5, 1), ("g1", "w", "a", 3, 11)])
@@ -562,6 +578,7 @@ def test_classify_circle_base_convention():
 
 
 SHAPE_GRAPHS, SHAPE_DIGEST = 2400, "98c5c06690a6ba61ac931427962067bdd8a3806bca8640e959bb8649be01ee17"
+PRODUCTS_DIGEST = "9af09ee7b539e664d81f9b21597a5ee4ebb7852e0cb2c29b7659a61c9f15af81"
 
 
 def _renamed(g, rng):
@@ -612,15 +629,46 @@ def test_shapes_match_pinned_digest():
     assert digest.hexdigest() == SHAPE_DIGEST
 
 
+def test_shape_products_match_pinned_digest():
+    """Q, R, X, Y of each shape of the digest above, or the ShapeError of an
+    "other" shape: the quotient deciders and certificates read them."""
+    digest, count = hashlib.sha256(), 0
+    for g in _shape_graphs():
+        for h in (g, reduce_graph(g)[0]):
+            shape = classify_shape(h)
+            count += 1
+            try:
+                row = (shape.kind, shape.Q, shape.R, shape.X, shape.Y)
+            except ShapeError:
+                row = (shape.kind, "ShapeError")
+            digest.update(repr(row).encode() + b"\n")
+    assert count == 2 * SHAPE_GRAPHS
+    assert digest.hexdigest() == PRODUCTS_DIGEST
+
+
 def test_qrxy():
     s = classify_shape(bs_graph(2, 3))
-    prods = qrxy(s)
-    assert (prods.Q, prods.R, prods.X, prods.Y) == (1, 1, 2, 3)
+    assert (s.Q, s.R, s.X, s.Y) == (1, 1, 2, 3)
     s2 = classify_shape(segment_graph([2, 3]))
-    prods2 = qrxy(s2)
-    assert (prods2.Q, prods2.R) == (2, 3) and prods2.X is None
-    with pytest.raises(ShapeError):
-        qrxy(classify_shape(graph_from_edges([], extra_vertices=["v"])))
+    assert (s2.Q, s2.R) == (2, 3) and s2.X is None
+    other = classify_shape(graph_from_edges([], extra_vertices=["v"]))
+    for product in ("Q", "R", "X", "Y"):
+        with pytest.raises(ShapeError):
+            getattr(other, product)
+
+
+def test_shape_products_are_computed_once_and_are_not_fields(monkeypatch):
+    """Each product is computed on first read only, and repr, == and hash
+    read the labels alone (the shape digest above pins repr)."""
+    g = lollipop_graph([2, 3], [4, 5])
+    s = classify_shape(g)
+    calls = count_calls(monkeypatch, [(sys.modules["gbs.graphs"], "prod")])
+    for _ in range(3):
+        assert (s.Q, s.R, s.X, s.Y) == (2, 3, 4, 5)
+    assert calls["prod"] == 4
+    fresh = classify_shape(g)
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    assert not {"Q", "R", "X", "Y"} & {f.name for f in dataclasses.fields(s)}
 
 
 def test_qrxy_two_edge_circle():
@@ -628,8 +676,8 @@ def test_qrxy_two_edge_circle():
     g = graph_from_edges(
         [("e0", "w0", "w1", 2 * betav, 2), ("e1", "w1", "w0", gamma, 2 * alpha)]
     )
-    prods = qrxy(classify_shape(g))
-    assert {abs(prods.X), abs(prods.Y)} == {2 * betav * gamma, 4 * alpha}
+    s = classify_shape(g)
+    assert {abs(s.X), abs(s.Y)} == {2 * betav * gamma, 4 * alpha}
 
 
 def _canonicalize_signs_reference(g):
@@ -926,13 +974,11 @@ def test_qrxy_abs_invariant_under_sign_change(g):
     s = classify_shape(g)
     if s.kind == "other":
         return
-    prods = qrxy(s)
     g2, _ = sign_change(g, vertex=g.sorted_vertices()[0])
     s2 = classify_shape(g2)
     if s2.kind != s.kind:
         return
-    prods2 = qrxy(s2)
-    for a, b in ((prods.Q, prods2.Q), (prods.R, prods2.R), (prods.X, prods2.X), (prods.Y, prods2.Y)):
+    for a, b in ((s.Q, s2.Q), (s.R, s2.R), (s.X, s2.X), (s.Y, s2.Y)):
         if a is not None:
             assert abs(a) == abs(b)
 

@@ -33,7 +33,6 @@ from gbs.graphs import (
     expansion,
     graph_from_edges,
     lollipop_graph,
-    qrxy,
     reduce_graph,
     segment_graph,
 )
@@ -337,12 +336,12 @@ def test_minimal_bs_epi_lollipop_with_a_longer_circle(q_r, x_y):
     g = lollipop_graph(q_r, x_y)
     shape = classify_shape(g)
     assert shape.k == 1 and shape.ell >= 2
-    p = qrxy(shape)
-    assert gcd(p.Y, p.Q * p.X) == 1 or gcd(p.X, p.Q * p.Y) == 1
+    Q, X, Y = shape.Q, shape.X, shape.Y
+    assert gcd(Y, Q * X) == 1 or gcd(X, Q * Y) == 1
     cert = minimal_bs_epi(g)
-    assert cert.provenance == f"lollipop->>BS({p.Q * p.X},{p.Q * p.Y})"
+    assert cert.provenance == f"lollipop->>BS({Q * X},{Q * Y})"
     (edge,) = cert.target.graph.edges.values()  # BS(QX, QY), its labels in either order
-    assert sorted(edge.labels) == sorted((p.Q * p.X, p.Q * p.Y))
+    assert sorted(edge.labels) == sorted((Q * X, Q * Y))
     assert check_hom(cert) and check_epi(cert)
 
 
@@ -842,10 +841,19 @@ def test_tampered_version_2_entries_are_rejected():
         lambda d: d.__setitem__("words", "w0"),
         lambda d: d.__setitem__("words", [1, 2]),
         lambda d: d.__setitem__("version", 3),
+        lambda d: d.__setitem__("version", True),
+        lambda d: d.__setitem__("version", 1.0),
+        lambda d: d.__setitem__("version", 2.0),
+        lambda d: d.__setitem__("provenance", 5),
+        lambda d: d.__setitem__("flags", "hom-only"),
+        lambda d: d.__setitem__("flags", [5]),
     ],
-    ids=["forward", "out-of-range", "not-a-list", "not-strings", "version"],
+    ids=["forward", "out-of-range", "not-a-list", "not-strings", "version", "version-a-bool", "version-a-float",
+         "version-2-a-float", "provenance-a-number", "flags-a-string", "flags-not-strings"],
 )
 def test_malformed_version_2_is_an_input_error(edit):
+    """The last six were read as version 1 or 2, a provenance of 5, or the
+    flags ('h', 'o', 'm', ...)."""
     data = descending_chain(5).from_bs_18_36.to_json()
     assert data["version"] == 2
     edit(data)

@@ -17,7 +17,6 @@ from gbs.graphs import (
     graph_from_edges,
     id_key,
     lollipop_graph,
-    qrxy,
     reduce_graph,
     segment_graph,
 )
@@ -110,9 +109,8 @@ def _check_copr_reference(shape):
     """check_copr with the prime loop over R: its R messages come last."""
     out = [msg for msg in check_copr(shape) if not msg.startswith("prime ")]
     if shape.kind in ("circle", "lollipop"):
-        prods = qrxy(shape)
-        for p in factorize(prods.R):
-            divides_x, divides_y = prods.X % p == 0, prods.Y % p == 0
+        for p in factorize(shape.R):
+            divides_x, divides_y = shape.X % p == 0, shape.Y % p == 0
             if divides_x == divides_y:
                 side = "both of" if divides_x else "neither of"
                 out.append(f"prime {p} of R divides {side} X and Y")

@@ -16,7 +16,6 @@ from gbs.graphs import (
     circle_graph,
     graph_from_edges,
     lollipop_graph,
-    qrxy,
     segment_graph,
 )
 from gbs.homs import check_epi, bs_source_epi, minimal_bs_epi
@@ -504,8 +503,8 @@ def _epi_equivalent_bs_reference(g):
         return None
     if not maps_onto_minimal_bs(g):
         return None
-    prods = qrxy(witness.shape)
-    return (prods.Q * prods.X, prods.Q * prods.Y)
+    shape = witness.shape
+    return (shape.Q * shape.X, shape.Q * shape.Y)
 
 
 def test_epi_equivalence_matches_double_pass_on_criterion_6_circles():
