@@ -47,11 +47,13 @@ def _lowest_terms(p: int, q: int) -> tuple[int, int]:
     return p // g, q // g
 
 
-def power_of_ratio(r: int, s: int, m: int, n: int):
+def power_of_ratio(r: int, s: int, m: int, n: int, *, _checked: bool = False):
     """Integer beta with r/s = (m/n)^beta in Q*, or None.  beta = 0 only for
     r/s = 1; sign compatibility is part of the test.  Integers only: the
-    final test cross-multiplies."""
-    _require_nonzero(r, s, m, n)
+    final test cross-multiplies.  `_checked`: the caller has checked that
+    no parameter is 0."""
+    if not _checked:
+        _require_nonzero(r, s, m, n)
     ta, tb = _lowest_terms(r, s)
     ba, bb = _lowest_terms(m, n)
     if ba == bb:
@@ -93,7 +95,7 @@ def embeds_bs(r: int, s: int, m: int, n: int) -> Decision:
     _require_nonzero(r, s, m, n)
     if abs(r) == 1 and abs(s) == 1:
         raise DecisionError("elementary BS(r,s): use embeds_elementary")
-    beta = power_of_ratio(r, s, m, n)
+    beta = power_of_ratio(r, s, m, n, _checked=True)
     if beta is None:
         return Decision(False, "condition 1", (f"{r}/{s} is not a power of {m}/{n}",))
     # v_p(m) = v_p(n) iff p does not divide u, and then v_p(m) = v_p(delta1):

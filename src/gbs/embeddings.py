@@ -221,9 +221,9 @@ def _pair_matches(got: tuple[int, int], want: tuple[int, int]) -> bool:
     )
 
 
-def _int(x: int) -> str:
-    """x for a violation message: from 100 digits on, its bit length (int-to-str stops at 4,300 digits)."""
-    return str(x) if abs(x) < 10**100 else f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
+def _int(x) -> str:
+    """x for a violation message: its repr, or from 100 digits on an int's bit length (int-to-str stops at 4,300)."""
+    return repr(x) if type(x) is not int or abs(x) < 10**100 else f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
 
 
 def _shown(pair) -> str:
@@ -250,8 +250,8 @@ def verify_embedding_certificate(cert: EmbeddingCertificate) -> tuple[bool, list
             violations.append(f"source reduces to loop {_shown(loop)}, certificate claims {_shown(cert.map_claimed)}")
         nu = 1
         for rec in cert.aug_records:
-            if rec[0] != "scale" or rec[1] == 0:
-                violations.append(f"bad index record {rec}")
+            if tuple(map(type, rec)) != (str, int) or rec[0] != "scale" or rec[1] == 0:
+                violations.append(f"bad index record {_shown(rec)}")
             else:
                 nu *= rec[1]
         scaled = (cert.claimed[0] * nu, cert.claimed[1] * nu)

@@ -21,7 +21,6 @@ order, and `reduce_graph` never build it); each public entry point computes
 an invariant once and passes it down."""
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import prod
 from typing import Iterable
 
@@ -690,7 +689,25 @@ def spanning_tree(g: LabelledGraph) -> frozenset[str]:
 # -- shape classification ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+class _product:
+    """A label product of a Shape (Q from q, ...), computed on first read and
+    kept in the instance __dict__, which later reads find first (a non-data
+    descriptor; Python 3.11's cached_property takes a lock on each first read)."""
+
+    def __init__(self, labels: str):
+        self.labels = labels
+
+    def __get__(self, shape, owner=None):
+        if shape is None:
+            return self
+        if shape.kind == "other":
+            raise ShapeError("Q, R, X and Y are undefined for shape 'other'")
+        value = None if shape.kind == "segment" and self.labels in "xy" else prod(getattr(shape, self.labels))
+        shape.__dict__[self.labels.upper()] = value
+        return value
+
+
+@dataclass(unsafe_hash=True)
 class Shape:
     """Homeomorphism type of a connected graph, with labels read off in the
     standard numbering.  `kind` is segment / circle / lollipop / other.  The
@@ -715,26 +732,10 @@ class Shape:
     def ell(self) -> int:
         return len(self.circ_edges)
 
-    @cached_property
-    def Q(self) -> int:
-        return self._product(self.q)
-
-    @cached_property
-    def R(self) -> int:
-        return self._product(self.r)
-
-    @cached_property
-    def X(self) -> int | None:
-        return None if self.kind == "segment" else self._product(self.x)
-
-    @cached_property
-    def Y(self) -> int | None:
-        return None if self.kind == "segment" else self._product(self.y)
-
-    def _product(self, labels: tuple[int, ...]) -> int:
-        if self.kind == "other":
-            raise ShapeError("Q, R, X and Y are undefined for shape 'other'")
-        return prod(labels)
+    Q = _product("q")
+    R = _product("r")
+    X = _product("x")
+    Y = _product("y")
 
 
 def _walk(g: LabelledGraph, first: OrientedEdge, stop) -> list[OrientedEdge]:

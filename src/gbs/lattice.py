@@ -56,7 +56,7 @@ def _echelon(rows: list[list[int]]) -> list[list[int]]:
     return basis
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntLattice:
     """Sublattice of Z^n spanned by integer rows, held in echelon form."""
 

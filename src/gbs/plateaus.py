@@ -25,13 +25,13 @@ from .graphs import LabelledGraph, Shape, classify_shape
 VERTEX_CAP_DEFAULT = 24
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Plateau:
     prime: int  # the p of plateaus(g, p): a coprime-base element in plateau_family
     vertices: frozenset[str]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RankReport:
     beta: int
     mu: int
@@ -123,7 +123,7 @@ def mu(g: LabelledGraph) -> RankReport:
     raise AssertionError("unreachable: whole vertex set hits everything")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TwoGenWitness:
     rank: RankReport
     shape: Shape

@@ -48,7 +48,7 @@ def _validated_shape(g: LabelledGraph):
     return two_generated_shape(g)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SourceSet:
     """Symbolic description of {(m, n) : BS(m, n) ->> G}."""
 
@@ -82,7 +82,7 @@ def is_quotient_of_bs(g: LabelledGraph, m: int, n: int) -> bool:
     return bs_sources(g).contains(m, n)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MinimalSource:
     unique: tuple[int, int] | None
     pair: tuple[tuple[int, int], tuple[int, int]] | None

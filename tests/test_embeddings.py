@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -425,6 +426,24 @@ def test_a_multiplicity_past_the_int_to_str_limit_verifies_invalid(mult):
     ok, violations = verify_embedding_certificate(cert)
     assert not ok
     assert any("multiplicity" in v and "<16610-bit integer>" in v for v in violations), violations
+
+
+@pytest.mark.parametrize(
+    "record, shown",
+    [
+        (("x", 10**5000), "('x', <16610-bit integer>)"),
+        (("scale",), "('scale')"),
+        (("scale", "x"), "('scale', 'x')"),
+        (("scale", 2.5), "('scale', 2.5)"),
+    ],
+)
+def test_a_malformed_index_record_verifies_invalid(record, shown):
+    """A library caller's record may hold anything; each of these raised a
+    raw ValueError, IndexError or TypeError, or scaled by a float."""
+    cert = dataclasses.replace(embed_bs_construct(4, 9, 2, 3), aug_records=(record,))
+    ok, violations = verify_embedding_certificate(cert)
+    assert not ok
+    assert f"bad index record {shown}" in violations, violations
 
 
 def test_from_json_refuses_a_provenance_that_is_no_string():
