@@ -47,13 +47,24 @@ def _lowest_terms(p: int, q: int) -> tuple[int, int]:
     return p // g, q // g
 
 
-def power_of_ratio(r: int, s: int, m: int, n: int, *, _checked: bool = False):
+def loop_match(got: tuple[int, int], want: tuple[int, int]):
+    """The first (sign, direction) of (1, 1), (1, -1), (-1, 1), (-1, -1) with sign * got equal to want
+    (direction 1) or to want swapped (-1), or None: the one rule BS(m, n) = BS(n, m) = BS(-m, -n)."""
+    m, n = want
+    for sgn in (1, -1):
+        a, b = sgn * got[0], sgn * got[1]
+        if a == m and b == n:
+            return sgn, 1
+        if a == n and b == m:
+            return sgn, -1
+    return None
+
+
+def power_of_ratio(r: int, s: int, m: int, n: int):
     """Integer beta with r/s = (m/n)^beta in Q*, or None.  beta = 0 only for
     r/s = 1; sign compatibility is part of the test.  Integers only: the
-    final test cross-multiplies.  `_checked`: the caller has checked that
-    no parameter is 0."""
-    if not _checked:
-        _require_nonzero(r, s, m, n)
+    final test cross-multiplies."""
+    _require_nonzero(r, s, m, n)
     ta, tb = _lowest_terms(r, s)
     ba, bb = _lowest_terms(m, n)
     if ba == bb:
@@ -92,10 +103,9 @@ def equal_exponent_part(m: int, n: int) -> int:
 def embeds_bs(r: int, s: int, m: int, n: int) -> Decision:
     """BS(r,s) embeds into BS(m,n)?  Three-condition test; (r, s) must be
     non-elementary (route Z^2 and K through embeds_elementary)."""
-    _require_nonzero(r, s, m, n)
+    beta = power_of_ratio(r, s, m, n)  # checks that no parameter is 0 first
     if abs(r) == 1 and abs(s) == 1:
         raise DecisionError("elementary BS(r,s): use embeds_elementary")
-    beta = power_of_ratio(r, s, m, n, _checked=True)
     if beta is None:
         return Decision(False, "condition 1", (f"{r}/{s} is not a power of {m}/{n}",))
     # v_p(m) = v_p(n) iff p does not divide u, and then v_p(m) = v_p(delta1):

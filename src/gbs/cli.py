@@ -352,6 +352,9 @@ def main(argv=None) -> int:
     except (VertexCapError, FactorizationCapError, WordCapError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # the frames that held the memory are gone by now
+        print("cap exceeded: out of memory", file=sys.stderr)
+        return 2
     except (InputError, MalformedWordError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from itertools import chain
 from math import prod
 
 from .arith import gcd, lcm, sign, split_power
-from .bs_arith import embeds_bs, equal_exponent_part, power_of_ratio
+from .bs_arith import embeds_bs, equal_exponent_part, loop_match, power_of_ratio
 from .decision import Decision
 from .errors import CertificateError, DecisionError, InputError, NotReducedError, ShapeError, malformed
 from .graphs import (
@@ -26,11 +26,14 @@ from .graphs import (
     classify_shape,
     graph_from_edges,
     id_key,
+    loop_labels,
     reduce_graph,
     replay,
 )
 from .quotients import _detect_elementary
 from .words import modular_image
+
+_ENDS = {"0": 0, "1": 1}  # the one spelling of each edge end in an edge_map key
 
 
 @dataclass
@@ -55,14 +58,14 @@ class WeaklyAdmissibleMap:
     @classmethod
     @malformed("embedding")
     def from_json(cls, data: dict) -> "WeaklyAdmissibleMap":
-        """Images are names, and multiplicities and edge ends JSON integers;
-        InputError otherwise, and on a shape the readers do not unpack."""
+        """Images are names, multiplicities and edge ends JSON integers, and each edge key is "<edge>:0"
+        or "<edge>:1" (one spelling per end); InputError otherwise, and on a shape the readers do not unpack."""
         edge_map = {}
         for key, (image, end) in data["edge_map"].items():
             if type(image) is not str or type(end) is not int:
                 raise InputError(f"the image of {key} must be an edge and an end, not {[image, end]!r}")
             e, k = key.rsplit(":", 1)
-            edge_map[(e, int(k))] = (image, end)
+            edge_map[(e, _ENDS[k])] = (image, end)
         vertex_map, vertex_mult, edge_mult = dict(data["vertex_map"]), dict(data["vertex_mult"]), dict(data["edge_mult"])
         if set(map(type, chain(vertex_mult.values(), edge_mult.values()))) - {int}:
             raise InputError("each multiplicity must be an integer")
@@ -191,7 +194,7 @@ class EmbeddingCertificate:
     @malformed("embedding")
     def from_json(cls, data: dict) -> "EmbeddingCertificate":
         """InputError on a shape the readers do not unpack (a missing key, a
-        list for an object, an edge key with no integer end, ...)."""
+        list for an object, an edge key whose end is not 0 or 1, ...)."""
         return cls(
             map=WeaklyAdmissibleMap.from_json(data["map"]),
             claimed=_items(data["claimed"], (int, int), "claimed"),
@@ -204,21 +207,6 @@ class EmbeddingCertificate:
             target_reduce=tuple(MoveRecord.from_json(r) for r in data.get("target_reduce", ())),
             provenance=data.get("provenance", ""),
         )
-
-
-def _loop_labels(g: LabelledGraph):
-    if len(g.edges) == 1 and len(g.vertices) == 1:
-        (name,) = g.edges
-        return g.edges[name].labels
-    return None
-
-
-def _pair_matches(got: tuple[int, int], want: tuple[int, int]) -> bool:
-    a, b = got
-    return (a, b) in ((want[0], want[1]), (want[1], want[0])) or (-a, -b) in (
-        (want[0], want[1]),
-        (want[1], want[0]),
-    )
 
 
 def _int(x) -> str:
@@ -237,35 +225,38 @@ def _replayed_loop(g: LabelledGraph, records, side: str):
         g = replay(g, records)
     except Exception as exc:  # replay must not crash verification
         raise CertificateError(f"{side} reduction replay failed: {exc}") from exc
-    return _loop_labels(g)
+    return loop_labels(g)
+
+
+def _claim_violations(cert: EmbeddingCertificate, loop):
+    """Yield, in order, the violations of the source claims, given the loop the source reduces to (None: no
+    single loop): that loop against map_claimed, each index record, then claimed scaled by nu, the product
+    of the ("scale", nu) records, against map_claimed, all up to swap and sign (`loop_match`)."""
+    if loop is None:
+        yield "source reduction does not end in a single loop"
+    elif loop_match(loop, cert.map_claimed) is None:
+        yield f"source reduces to loop {_shown(loop)}, certificate claims {_shown(cert.map_claimed)}"
+    nu = 1
+    for rec in cert.aug_records:
+        if tuple(map(type, rec)) != (str, int) or rec[0] != "scale" or rec[1] == 0:
+            yield f"bad index record {_shown(rec)}"
+        else:
+            nu *= rec[1]
+    scaled = (cert.claimed[0] * nu, cert.claimed[1] * nu)
+    if loop_match(scaled, cert.map_claimed) is None:
+        yield f"index records scale {_shown(cert.claimed)} to {_shown(scaled)}, not {_shown(cert.map_claimed)}"
 
 
 def verify_embedding_certificate(cert: EmbeddingCertificate) -> tuple[bool, list[str]]:
     ok, violations = check_weakly_admissible(cert.map)
     try:
-        loop = _replayed_loop(cert.map.source, cert.source_reduce, "source")
-        if loop is None:
-            violations.append("source reduction does not end in a single loop")
-        elif not _pair_matches(loop, cert.map_claimed):
-            violations.append(f"source reduces to loop {_shown(loop)}, certificate claims {_shown(cert.map_claimed)}")
-        nu = 1
-        for rec in cert.aug_records:
-            if tuple(map(type, rec)) != (str, int) or rec[0] != "scale" or rec[1] == 0:
-                violations.append(f"bad index record {_shown(rec)}")
-            else:
-                nu *= rec[1]
-        scaled = (cert.claimed[0] * nu, cert.claimed[1] * nu)
-        if not _pair_matches(scaled, cert.map_claimed):
-            violations.append(
-                f"index records scale {_shown(cert.claimed)} to {_shown(scaled)}, not {_shown(cert.map_claimed)}"
-            )
+        violations += _claim_violations(cert, _replayed_loop(cert.map.source, cert.source_reduce, "source"))
         if cert.target_params is not None or cert.target_reduce:  # no records: the target itself
             loop = _replayed_loop(cert.map.target, cert.target_reduce, "target")
-            if cert.target_params is None or loop is None or not _pair_matches(loop, cert.target_params):
+            if cert.target_params is None or loop is None or loop_match(loop, cert.target_params) is None:
                 violations.append("target reduction does not reach the claimed loop")
     except CertificateError as exc:
         violations.append(str(exc))
-        return False, violations
     return not violations, violations
 
 
@@ -334,31 +325,19 @@ def _scale(nu: int) -> tuple:
 def _finish_cert(pattern: _Pattern, claimed) -> EmbeddingCertificate:
     """The certificate of a pattern: derive its map, check it is weakly
     admissible, reduce its source (around `protect` first, then fully) and
-    check that the loop reached is nu * claimed up to swap and sign, nu
-    being the product of the ("scale", nu) records in `aug`.  Every
+    check its claims with the verifier's own `_claim_violations`.  Every
     certificate is finished here once, so this is the one place a
-    construction's claim is checked."""
+    construction's claim is checked, and it is checked as `gbs verify` does."""
     wa = _derive_map(pattern)
     ok, violations = check_weakly_admissible(wa)
     if not ok:
         raise CertificateError(f"construction not weakly admissible: {violations[:3]}")
     cur, records = reduce_graph(wa.source, protect=pattern.protect)
-    records = list(records)
     if pattern.protect is not None:
         cur, more = reduce_graph(cur)
         records.extend(more)
-    loop = _loop_labels(cur)
-    if loop is None:
-        raise CertificateError("source graph does not reduce to a loop")
-    nu = 1
-    for rec in pattern.aug:
-        nu *= rec[1]
-    scaled = (claimed[0] * nu, claimed[1] * nu)
-    if not _pair_matches(scaled, loop):
-        raise CertificateError(
-            f"{pattern.provenance}: reduces to {loop}, expected +-{scaled} up to swap"
-        )
-    return EmbeddingCertificate(
+    loop = loop_labels(cur)
+    cert = EmbeddingCertificate(
         map=wa,
         claimed=tuple(claimed),
         map_claimed=loop,
@@ -368,6 +347,10 @@ def _finish_cert(pattern: _Pattern, claimed) -> EmbeddingCertificate:
         target_reduce=tuple(pattern.target_reduce),
         provenance=pattern.provenance,
     )
+    violation = next(_claim_violations(cert, loop), None)  # only the first: with no loop, map_claimed is None
+    if violation is not None:
+        raise CertificateError(f"{pattern.provenance}: {violation}")
+    return cert
 
 
 # -- the circle construction ---------------------------------------------------
@@ -577,8 +560,8 @@ def _pendant_extend(inner: _Pattern, delta1: int, m, n) -> _Pattern:
     if not coprime:
         raise CertificateError("no multiplicity coprime to the index: cannot extend")
     tgt_red, tgt_records = reduce_graph(target)
-    tgt_loop = _loop_labels(tgt_red)
-    if tgt_loop is None or not _pair_matches(tgt_loop, (m, n)):
+    tgt_loop = loop_labels(tgt_red)
+    if tgt_loop is None or loop_match(tgt_loop, (m, n)) is None:
         raise CertificateError("pendant target does not reduce to BS(m, n)")
     anchor = coprime[0]
     inner.target, inner.protect = target, anchor
@@ -637,7 +620,7 @@ def contains_z2_k(g: LabelledGraph) -> tuple[bool, Decision]:
     red, _ = reduce_graph(g)
     if not red.edges:
         return False, Decision(False, "infinite cyclic")
-    loop = _loop_labels(red)
+    loop = loop_labels(red)
     if loop is not None and 1 in (abs(loop[0]), abs(loop[1])):
         a, b = loop
         if abs(a) == 1 and abs(b) == 1:

@@ -257,43 +257,45 @@ def bs_graph(m: int, n: int) -> LabelledGraph:
     return graph_from_edges([("e0", "v0", "v0", m, n)])
 
 
+def _segment_circle(q_r: list[int], x_y: list[int]) -> LabelledGraph:
+    """Edges s<i> from v<i> to v<i+1> (the last to w0 if a circle follows), then c<j> from w<j> to w<(j+1) mod ell>."""
+    k, ell = len(q_r) // 2, len(x_y) // 2
+    edges = []
+    for i in range(k):
+        end = f"v{i+1}" if i < k - 1 or not ell else "w0"
+        edges.append((f"s{i}", f"v{i}", end, q_r[2 * i], q_r[2 * i + 1]))
+    for j in range(ell):
+        edges.append((f"c{j}", f"w{j}", f"w{(j + 1) % ell}", x_y[2 * j], x_y[2 * j + 1]))
+    return graph_from_edges(edges)
+
+
 def segment_graph(q_r: list[int]) -> LabelledGraph:
     """segment q0 r1 q1 r2 ... : k edges, labels q_i near v_i, r_{i+1} near v_{i+1}."""
     if len(q_r) < 2 or len(q_r) % 2:
         raise InputError("segment needs labels q0 r1 [q1 r2 ...]")
-    k = len(q_r) // 2
-    edges = []
-    for i in range(k):
-        edges.append((f"s{i}", f"v{i}", f"v{i+1}", q_r[2 * i], q_r[2 * i + 1]))
-    return graph_from_edges(edges)
+    return _segment_circle(q_r, [])
 
 
 def circle_graph(x_y: list[int]) -> LabelledGraph:
     """circle x0 y1 x1 y2 ... : cycle of ell edges, x_j near w_j, y_{j+1} near w_{j+1}."""
     if len(x_y) < 2 or len(x_y) % 2:
         raise InputError("circle needs labels x0 y1 [x1 y2 ...]")
-    ell = len(x_y) // 2
-    if ell == 1:
-        return graph_from_edges([("c0", "w0", "w0", x_y[0], x_y[1])])
-    edges = []
-    for j in range(ell):
-        edges.append((f"c{j}", f"w{j}", f"w{(j + 1) % ell}", x_y[2 * j], x_y[2 * j + 1]))
-    return graph_from_edges(edges)
+    return _segment_circle([], x_y)
 
 
 def lollipop_graph(q_r: list[int], x_y: list[int]) -> LabelledGraph:
     """Segment labels q0 r1 ... attached at w0, circle labels x0 y1 ...."""
     if len(q_r) < 2 or len(q_r) % 2 or len(x_y) < 2 or len(x_y) % 2:
         raise InputError("lollipop needs segment labels and circle labels")
-    k = len(q_r) // 2
-    ell = len(x_y) // 2
-    edges = []
-    for i in range(k):
-        target = f"v{i+1}" if i < k - 1 else "w0"
-        edges.append((f"s{i}", f"v{i}", target, q_r[2 * i], q_r[2 * i + 1]))
-    for j in range(ell):
-        edges.append((f"c{j}", f"w{j}", f"w{(j + 1) % ell}", x_y[2 * j], x_y[2 * j + 1]))
-    return graph_from_edges(edges)
+    return _segment_circle(q_r, x_y)
+
+
+def loop_labels(g: LabelledGraph) -> tuple[int, int] | None:
+    """The label pair of a graph with one vertex and one edge, None for any other graph."""
+    if len(g.edges) == 1 and len(g.vertices) == 1:
+        (ed,) = g.edges.values()
+        return ed.labels
+    return None
 
 
 def parse_graph(text: str) -> LabelledGraph:

@@ -25,7 +25,7 @@ stable letter to itself, every image Britton-reduced over the target.
 from dataclasses import dataclass
 
 from .arith import factorize, gcd, split_power, xgcd
-from .bs_arith import is_hopfian_bs, multiple_direction
+from .bs_arith import is_hopfian_bs, loop_match, multiple_direction
 from .errors import (
     CertificateError,
     DecisionError,
@@ -43,6 +43,7 @@ from .graphs import (
     collapse,
     contraction_move,
     expansion,
+    loop_labels,
     reduce_graph,
     sign_change,
 )
@@ -449,26 +450,26 @@ def reduce_cert(g: LabelledGraph, protect: str | None = None):
 def loop_relabel_cert(g: LabelledGraph, m: int, n: int) -> HomCertificate:
     """Iso from a one-vertex one-loop graph onto the standard BS(m, n) graph,
     absorbing sign and orientation differences."""
-    if len(g.vertices) != 1 or len(g.edges) != 1:
+    loop = loop_labels(g)
+    if loop is None:
         raise CertificateError("relabel expects a single loop")
     (vname,) = g.vertices
     (ename,) = g.edges
-    a, b = g.edges[ename].labels
     tgt = Presentation(bs_graph(m, n))
     src = Presentation(g)
-    for aexp, tdir in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        pattern = (m, n) if tdir == 1 else (n, m)
-        if (a * aexp, b * aexp) == pattern:
-            images = {
-                ("v", vname): (("v", "v0", aexp),),
-                ("t", ename): (("t", "e0", tdir),),
-            }
-            witnesses = {
-                ("v", "v0"): (("v", vname, aexp),),
-                ("t", "e0"): (("t", ename, tdir),),
-            }
-            return HomCertificate(src, tgt, images, witnesses, f"relabel->BS({m},{n})")
-    raise CertificateError(f"loop ({a},{b}) does not match BS({m},{n}) up to sign/swap")
+    match = loop_match(loop, (m, n))
+    if match is None:
+        raise CertificateError(f"loop ({loop[0]},{loop[1]}) does not match BS({m},{n}) up to sign/swap")
+    sgn, direction = match
+    images = {
+        ("v", vname): (("v", "v0", sgn),),
+        ("t", ename): (("t", "e0", direction),),
+    }
+    witnesses = {
+        ("v", "v0"): (("v", vname, sgn),),
+        ("t", "e0"): (("t", ename, direction),),
+    }
+    return HomCertificate(src, tgt, images, witnesses, f"relabel->BS({m},{n})")
 
 
 # -- surjectivity witness engine ---------------------------------------------

@@ -132,9 +132,7 @@ class RationalMultGroup:
         return self._lat.rank - 1  # the sign axis adds rank 1: (0,...,0,2) is in it
 
     def is_trivial(self) -> bool:
-        return all(g == 1 for g in self.generators) or (
-            self.exponent_rank == 0 and not self.contains(Fraction(-1))
-        )
+        return all(g == 1 for g in self.generators)
 
     def is_subgroup_of_pm1(self) -> bool:
         return self.exponent_rank == 0

@@ -17,6 +17,7 @@ from .graphs import (
     LabelledGraph,
     bs_graph,
     lollipop_graph,
+    loop_labels,
     reduce_graph,
     segment_graph,
 )
@@ -194,10 +195,9 @@ def is_rf_gbs(g: LabelledGraph) -> Decision:
         return Decision(True, "solvable (trivial graph)")
     if is_unimodular(g):
         return Decision(True, "unimodular")
-    single_loop = len(red.edges) == 1 and red.is_loop(red.sorted_edges()[0])
-    if single_loop:
-        a, b = red.edges[red.sorted_edges()[0]].labels
-        if abs(a) == 1 or abs(b) == 1:
+    loop = loop_labels(red)
+    if loop is not None:
+        if abs(loop[0]) == 1 or abs(loop[1]) == 1:
             return Decision(True, "solvable BS(1, n)")
         return Decision(False, "neither solvable nor unimodular")
     return Decision(

@@ -13,6 +13,7 @@ from gbs.bs_arith import (
     exists_epi_bs,
     is_hopfian_bs,
     is_rf_bs,
+    loop_match,
     multiple_direction,
     power_of_ratio,
 )
@@ -81,6 +82,48 @@ def test_embeds_examples():
     assert not embeds_bs(2, 3, 4, 9)
     with pytest.raises(DecisionError):
         embeds_bs(1, -1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [((1, 1, 0, 2), "parameters must be nonzero"), ((1, 1, 2, 3), "elementary BS\\(r,s\\): use embeds_elementary")],
+    ids=["zero-before-elementary", "elementary"],
+)
+def test_embeds_bs_refusals_keep_their_messages(args, message):
+    """power_of_ratio makes the one nonzero check, before embeds_bs refuses an elementary source."""
+    with pytest.raises(DecisionError, match=message):
+        embeds_bs(*args)
+
+
+def _relabel_search_reference(got, want):
+    """The four-way (aexp, tdir) search loop_relabel_cert made before loop_match."""
+    a, b = got
+    m, n = want
+    for aexp, tdir in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        pattern = (m, n) if tdir == 1 else (n, m)
+        if (a * aexp, b * aexp) == pattern:
+            return aexp, tdir
+    return None
+
+
+def _pair_matches_reference(got, want):
+    """The embeddings helper the verifier and builder used before loop_match."""
+    a, b = got
+    return (a, b) in ((want[0], want[1]), (want[1], want[0])) or (-a, -b) in (
+        (want[0], want[1]),
+        (want[1], want[0]),
+    )
+
+
+def test_loop_match_agrees_with_both_old_matchers():
+    """Every pair of label pairs with entries in [-6, 6] minus 0: negatives, m = n and m = -n included."""
+    values = [v for v in range(-6, 7) if v != 0]
+    pairs = list(product(values, repeat=2))
+    for got in pairs:
+        for want in pairs:
+            match = loop_match(got, want)
+            assert match == _relabel_search_reference(got, want), (got, want)
+            assert (match is not None) == _pair_matches_reference(got, want), (got, want)
 
 
 def test_embeds_reflexive():

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import gbs
 from gbs import bs_graph, bs_source_epi, embed_bs_construct, non_hopf_endo, quotients
 from gbs.cli import COMMANDS, main
 
@@ -592,3 +595,22 @@ def test_every_subcommand_has_a_pinned_case():
     pinned = [argv for argv, _, _, _ in CLI_PINS]
     missing = [path for path, _, _ in COMMANDS if not any(argv[: len(path.split())] == tuple(path.split()) for argv in pinned)]
     assert not missing, missing
+
+
+def test_running_out_of_memory_is_a_cap_exit_without_a_traceback():
+    """The family witnesses double with each count, so under a 120 MB
+    address-space limit (set in the child only) count 40 runs out of memory:
+    exit 2 and one line, where a raw MemoryError traceback exited 1."""
+    resource = pytest.importorskip("resource")
+    limit = 120 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(gbs.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gbs.cli", "quot", "family", "4", "6", "--count", "40"],
+        preexec_fn=cap, capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (2, "cap exceeded: out of memory\n")

@@ -15,7 +15,7 @@ from gbs import embeddings
 from gbs.arith import gcd, split_power
 from gbs.bs_arith import embeds_bs
 from gbs.decision import Decision
-from gbs.errors import DecisionError, InputError
+from gbs.errors import CertificateError, DecisionError, InputError
 from gbs.graphs import (
     EdgeData,
     LabelledGraph,
@@ -396,6 +396,12 @@ def _renamed_edge_key(new):
     [
         _renamed_edge_key("d0"),
         _renamed_edge_key("d0:x"),
+        _renamed_edge_key("d0:+0"),
+        _renamed_edge_key("d0: 0"),
+        _renamed_edge_key("d0:0_0"),
+        _renamed_edge_key("d0:\u0660"),
+        _renamed_edge_key("d0:2"),
+        lambda d: d["map"]["edge_map"].__setitem__("d0:+0", ["e0", 1]),  # read as d0:0, it replaced the JSON's "d0:0"
         lambda d: d["map"]["edge_map"].__setitem__("d0:0", ["e0"]),
         lambda d: d["map"]["edge_map"].__setitem__("d0:0", 5),
         lambda d: d["map"].__setitem__("edge_map", []),
@@ -404,16 +410,31 @@ def _renamed_edge_key(new):
         lambda d: d.__setitem__("source_reduce", [5]),
         lambda d: d.__setitem__("aug_records", 5),
     ],
-    ids=["key-no-colon", "key-end-not-int", "image-no-end", "image-a-number", "edge-map-a-list",
+    ids=["key-no-colon", "key-end-not-int", "key-end-plus", "key-end-space", "key-end-underscore",
+         "key-end-arabic-indic-digit", "key-end-2", "second-spelling", "image-no-end", "image-a-number", "edge-map-a-list",
          "vertex-map-a-list", "no-map", "record-a-number", "records-a-number"],
 )
 def test_from_json_refuses_shapes_with_an_input_error(edit):
     """Each of these raised a raw ValueError, TypeError, AttributeError or
-    KeyError to a library caller."""
+    KeyError to a library caller, or, an edge end spelt other than "0" or
+    "1", was read (int() took "+0", " 0", "0_0" and "\u0660" as 0) or kept
+    as a key the checker never reads ("2")."""
     data = embed_bs_construct(4, 9, 2, 3).to_json()
     edit(data)
     with pytest.raises(InputError, match="malformed embedding certificate"):
         EmbeddingCertificate.from_json(data)
+
+
+def test_the_builder_checks_its_claim_with_the_verifiers_text():
+    """A pattern with a wrong ("scale", nu) record: _finish_cert raises with
+    the message verify_embedding_certificate gives for the same certificate."""
+    pattern = embeddings._construct_core(4, 9, 2, 2, 3)
+    pattern.aug += (("scale", 5),)
+    with pytest.raises(CertificateError, match=r"index records scale \(4, 9\) to \(20, 45\), not \(4, 9\)"):
+        embeddings._finish_cert(pattern, (4, 9))
+    cert = embed_bs_construct(4, 9, 2, 3)
+    cert.aug_records += (("scale", 5),)
+    assert verify_embedding_certificate(cert) == (False, ["index records scale (4, 9) to (20, 45), not (4, 9)"])
 
 
 @pytest.mark.parametrize("mult", ["vertex_mult", "edge_mult"])

@@ -31,6 +31,7 @@ from gbs.graphs import (
     expansion,
     graph_from_edges,
     lollipop_graph,
+    loop_labels,
     parse_graph,
     reduce_graph,
     replay,
@@ -239,6 +240,81 @@ def test_parse_shorthand():
         parse_graph("edge e v w 1 0")
     with pytest.raises(InputError):
         parse_graph("lollipop 2 6 2 | 3 6")  # wrong segment label count
+
+
+def _segment_graph_reference(q_r):
+    """segment_graph before the shared edge-row writer."""
+    k = len(q_r) // 2
+    edges = []
+    for i in range(k):
+        edges.append((f"s{i}", f"v{i}", f"v{i+1}", q_r[2 * i], q_r[2 * i + 1]))
+    return graph_from_edges(edges)
+
+
+def _circle_graph_reference(x_y):
+    """circle_graph before the shared edge-row writer, with its one-edge branch."""
+    ell = len(x_y) // 2
+    if ell == 1:
+        return graph_from_edges([("c0", "w0", "w0", x_y[0], x_y[1])])
+    edges = []
+    for j in range(ell):
+        edges.append((f"c{j}", f"w{j}", f"w{(j + 1) % ell}", x_y[2 * j], x_y[2 * j + 1]))
+    return graph_from_edges(edges)
+
+
+def _lollipop_graph_reference(q_r, x_y):
+    """lollipop_graph before the shared edge-row writer."""
+    k = len(q_r) // 2
+    ell = len(x_y) // 2
+    edges = []
+    for i in range(k):
+        target = f"v{i+1}" if i < k - 1 else "w0"
+        edges.append((f"s{i}", f"v{i}", target, q_r[2 * i], q_r[2 * i + 1]))
+    for j in range(ell):
+        edges.append((f"c{j}", f"w{j}", f"w{(j + 1) % ell}", x_y[2 * j], x_y[2 * j + 1]))
+    return graph_from_edges(edges)
+
+
+def _same_graph(got, want):
+    assert got.to_json() == want.to_json()
+    assert list(got.edges.items()) == list(want.edges.items())  # the insertion order too
+    assert got.vertices == want.vertices
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_constructors_match_the_reference_writers(seed):
+    """Seeded label lists of 1 to 4 edges, signs included."""
+    rng = random.Random(seed)
+
+    def labels(edges):
+        return [rng.choice([-1, 1]) * rng.randint(1, 12) for _ in range(2 * edges)]
+
+    for edges in range(1, 5):
+        q_r, x_y = labels(edges), labels(edges)
+        _same_graph(segment_graph(q_r), _segment_graph_reference(q_r))
+        _same_graph(circle_graph(x_y), _circle_graph_reference(x_y))
+        _same_graph(lollipop_graph(q_r, x_y), _lollipop_graph_reference(q_r, x_y))
+        _same_graph(lollipop_graph(q_r, x_y[:2]), _lollipop_graph_reference(q_r, x_y[:2]))
+        _same_graph(lollipop_graph(q_r[:2], x_y), _lollipop_graph_reference(q_r[:2], x_y))
+
+
+def test_constructors_keep_their_own_label_checks():
+    for build, args, message in [
+        (segment_graph, ([2, 3, 5],), "segment needs labels"),
+        (circle_graph, ([],), "circle needs labels"),
+        (lollipop_graph, ([2, 3], [5]), "lollipop needs segment labels"),
+        (lollipop_graph, ([], [2, 3]), "lollipop needs segment labels"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            build(*args)
+
+
+def test_loop_labels_reads_only_a_one_vertex_one_edge_graph():
+    assert loop_labels(bs_graph(4, -6)) == (4, -6)
+    assert loop_labels(circle_graph([2, 3])) == (2, 3)
+    assert loop_labels(segment_graph([2, 3])) is None  # one edge, two vertices
+    assert loop_labels(graph_from_edges([("e0", "v", "v", 2, 3), ("e1", "v", "v", 5, 7)])) is None
+    assert loop_labels(LabelledGraph(["v"], {})) is None
 
 
 def test_betti():

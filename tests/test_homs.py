@@ -212,10 +212,16 @@ def test_reduce_cert():
 
 
 def test_loop_relabel_variants():
-    for labels, target in (((2, 3), (2, 3)), ((3, 2), (2, 3)), ((-2, -3), (2, 3)), ((-3, -2), (2, 3))):
+    for labels, target, sgn, direction in (((2, 3), (2, 3), 1, 1), ((3, 2), (2, 3), 1, -1),
+                                           ((-2, -3), (2, 3), -1, 1), ((-3, -2), (2, 3), -1, -1)):
         g = graph_from_edges([("z", "p", "p", *labels)])
         cert = loop_relabel_cert(g, *target)
         assert check_epi(cert), (labels, target)
+        assert cert.images == {("v", "p"): (("v", "v0", sgn),), ("t", "z"): (("t", "e0", direction),)}
+    with pytest.raises(CertificateError, match="^relabel expects a single loop$"):
+        loop_relabel_cert(segment_graph([2, 3]), 2, 3)
+    with pytest.raises(CertificateError, match=r"^loop \(2,3\) does not match BS\(2,5\) up to sign/swap$"):
+        loop_relabel_cert(bs_graph(2, 3), 2, 5)
 
 
 def test_compose_is_functorial():
