@@ -58,21 +58,28 @@ class WeaklyAdmissibleMap:
     @classmethod
     @malformed("embedding")
     def from_json(cls, data: dict) -> "WeaklyAdmissibleMap":
-        """Images are names, multiplicities and edge ends JSON integers, and each edge key is "<edge>:0"
-        or "<edge>:1" (one spelling per end); InputError otherwise, and on a shape the readers do not unpack."""
+        """Images are names, multiplicities and edge ends JSON integers, each edge key is "<edge>:0"
+        or "<edge>:1" (one spelling per end) and each key names a source vertex or edge (one text per
+        map); InputError otherwise, and on a shape the readers do not unpack."""
+        source = LabelledGraph.from_json(data["source"])
         edge_map = {}
         for key, (image, end) in data["edge_map"].items():
             if type(image) is not str or type(end) is not int:
                 raise InputError(f"the image of {key} must be an edge and an end, not {[image, end]!r}")
             e, k = key.rsplit(":", 1)
+            if e not in source.edges:
+                raise InputError(f"the map has an entry for {e}, not in the source graph")
             edge_map[(e, _ENDS[k])] = (image, end)
         vertex_map, vertex_mult, edge_mult = dict(data["vertex_map"]), dict(data["vertex_mult"]), dict(data["edge_mult"])
         if set(map(type, chain(vertex_mult.values(), edge_mult.values()))) - {int}:
             raise InputError("each multiplicity must be an integer")
         if set(map(type, vertex_map.values())) - {str}:
             raise InputError("each vertex image must be a vertex name")
+        stray = (vertex_map.keys() | vertex_mult.keys()) - source.vertices or edge_mult.keys() - source.edges.keys()
+        if stray:
+            raise InputError(f"the map has an entry for {min(stray)}, not in the source graph")
         return cls(
-            LabelledGraph.from_json(data["source"]),
+            source,
             LabelledGraph.from_json(data["target"]),
             vertex_map,
             edge_map,

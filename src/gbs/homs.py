@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .arith import factorize, gcd, split_power, xgcd
 from .bs_arith import is_hopfian_bs, loop_match, multiple_direction
+from .decision import Decision
 from .errors import (
     CertificateError,
     DecisionError,
@@ -88,12 +89,16 @@ def gen_name(gen: tuple[str, str]) -> str:
     return format_letters((gen + (1,),))
 
 
-def _parse_gen(key: str) -> tuple[str, str]:
-    """The generator a certificate key names: one plain letter, exponent 1."""
+def _parse_gen(key: str, pres: Presentation) -> tuple[str, str]:
+    """The generator of pres a certificate key names: one plain letter with
+    exponent 1, a vertex or an edge off the tree (one text per map)."""
     letters = parse_letters(key)
     if len(letters) != 1 or letters[0][2] != 1:  # a w<i> token names no entry here
         raise InputError(f"certificate key {key!r} names no generator a(v) or t(e)")
-    return letters[0][:2]
+    kind, name, _ = letters[0]
+    if (name not in pres.graph.vertices) if kind == "v" else (name not in pres.graph.edges or name in pres.tree):
+        raise InputError(f"certificate key {key!r} names no generator of its presentation")
+    return kind, name
 
 
 @dataclass
@@ -141,13 +146,14 @@ class HomCertificate:
         table: list = []
         for text in texts:
             table.append(parse_letters(text, table))
+        source, target = _pres_from_json(data["source"]), _pres_from_json(data["target"])
         return cls(
-            source=_pres_from_json(data["source"]),
-            target=_pres_from_json(data["target"]),
-            images={_parse_gen(k): parse_letters(v, table) for k, v in data["images"].items()},
+            source=source,
+            target=target,
+            images={_parse_gen(k, source): parse_letters(v, table) for k, v in data["images"].items()},
             witnesses=None
             if data.get("witnesses") is None
-            else {_parse_gen(k): parse_letters(v, table) for k, v in data["witnesses"].items()},
+            else {_parse_gen(k, target): parse_letters(v, table) for k, v in data["witnesses"].items()},
             provenance=data.get("provenance", ""),
             flags=tuple(flags),
         )
@@ -527,8 +533,6 @@ def solve_witnesses(tgt: Presentation, seeds, stable_handles: dict):
     queue: list[str] = []
 
     def offer(vertex, d, make):
-        if d == 0:
-            return
         cur = best.get(vertex)
         if cur is None:
             gg = abs(d)
@@ -719,10 +723,8 @@ def circle_minimal_epi(g: LabelledGraph, shape=None) -> HomCertificate:
     shape = shape or classify_shape(g)
     if shape.kind != "circle":
         raise ShapeError("circle_minimal_epi expects a circle")
+    _refuse_unless_onto(shape)
     X, Y = shape.X, shape.Y
-    i0 = _find_i0(shape.x, shape.y, gcd(X, Y))
-    if i0 is None:
-        raise DecisionError("no valid split index: G does not map onto BS(X, Y)")
     if shape.ell == 1:
         return loop_relabel_cert(g, X, Y)
     cur, certs = _circle_to_small(g, shape)
@@ -737,6 +739,33 @@ def _find_i0(xs, ys, bilateral):
         if all(gcd(x, bilateral) == 1 for x in xs[i0 + 1 :] + ys[:i0]):
             return i0
     return None
+
+
+def _onto_minimal(shape) -> Decision:
+    """The gcd-clause test of maps_onto_minimal_bs on a circle or lollipop shape."""
+    QX, QY = shape.Q * shape.X, shape.Q * shape.Y
+    for i in range(shape.k):
+        for j in range(i + 1, shape.k):  # paper's r_j, j < k
+            if gcd(shape.q[i], shape.r[j - 1]) != 1:
+                return Decision(False, "prefix", (f"gcd(q_{i}, r_{j}) > 1",))
+    if gcd(shape.X, QY) == 1:
+        return Decision(True, "X^QY=1")
+    if gcd(shape.Y, QX) == 1:
+        return Decision(True, "Y^QX=1")
+    if shape.kind == "lollipop" and gcd(shape.Q, shape.r[-1]) != 1:
+        return Decision(False, "all clauses fail", (f"gcd(Q, r_k) = {gcd(shape.Q, shape.r[-1])}",))
+    i0 = _find_i0(shape.x, shape.y, gcd(QX, QY))
+    if i0 is not None:
+        return Decision(True, "split index", (f"i0={i0}",))
+    return Decision(False, "all clauses fail", ("no split index",))
+
+
+def _refuse_unless_onto(shape):
+    """_onto_minimal's no as a DecisionError naming its clause and reasons."""
+    dec = _onto_minimal(shape)
+    if not dec:
+        QX, QY = shape.Q * shape.X, shape.Q * shape.Y
+        raise DecisionError(f"G does not map onto BS({QX},{QY}): {dec.clause} ({', '.join(dec.reasons)})")
 
 
 def _solve_alpha_beta(R, X, Y):
@@ -764,13 +793,11 @@ def _small_lollipop_explicit(g: LabelledGraph, shape) -> HomCertificate:
         b0_img = letters_concat(
             (("t", "e0", alpha),), (("v", "v0", rt * Q),), (("t", "e0", -alpha),)
         )
-    elif gcd(X, QY) == 1:
+    else:  # X^QY = 1: the caller enters only when X^QY = 1 or Y^QX = 1
         a0_img = (("v", "v0", X ** (alpha + beta)),)
         b0_img = letters_concat(
             (("t", "e0", -beta),), (("v", "v0", rt * Q),), (("t", "e0", beta),)
         )
-    else:
-        raise DecisionError("explicit route needs X^QY = 1 or Y^QX = 1")
     images = {
         ("v", a0): a0_img,
         ("v", b0): b0_img,
@@ -787,10 +814,9 @@ def minimal_bs_epi(g: LabelledGraph) -> HomCertificate:
         return circle_minimal_epi(g, shape)
     if shape.kind != "lollipop":
         raise ShapeError("minimal_bs_epi expects a circle or lollipop")
-    Q, R, X, Y = shape.Q, shape.R, shape.X, shape.Y
+    _refuse_unless_onto(shape)
+    Q, X, Y = shape.Q, shape.X, shape.Y
     if shape.k > 1:
-        if gcd(shape.q[0], shape.r[0]) != 1:
-            raise DecisionError("q_0 and r_1 share a factor: no epimorphism")
         edge = shape.seg_edges[0]
         g2, cert = contraction_cert(g, edge.edge, survivor_end=edge.end)
         rest = minimal_bs_epi(g2)
@@ -804,8 +830,6 @@ def minimal_bs_epi(g: LabelledGraph) -> HomCertificate:
         cur, red = reduce_cert(cur, protect=shape.circ_vertices[0])
         last = _small_lollipop_explicit(cur, classify_shape(cur))
         return compose_chain(*certs, red, last, provenance=f"lollipop->>BS({Q*X},{Q*Y})")
-    if gcd(Q, shape.r[-1]) != 1:
-        raise DecisionError("all three gcd clauses fail: no epimorphism")
     edge = shape.seg_edges[-1]
     g2, cert = contraction_cert(g, edge.edge, survivor_end=1 - edge.end)
     shape2 = classify_shape(g2)

@@ -21,7 +21,7 @@ from .graphs import (
     reduce_graph,
     segment_graph,
 )
-from .homs import HomCertificate, _find_i0, bs_source_epi, witnessed_cert
+from .homs import HomCertificate, _onto_minimal, bs_source_epi, witnessed_cert
 from .plateaus import is_two_generated, two_generated_shape
 from .words import Presentation, is_unimodular, modular_image
 
@@ -102,25 +102,6 @@ def maps_onto_minimal_bs(g: LabelledGraph) -> Decision:
     if shape.kind == "segment":
         raise ShapeError("segments have no minimal Baumslag-Solitar source")
     return _onto_minimal(shape)
-
-
-def _onto_minimal(shape) -> Decision:
-    """The gcd-clause test of maps_onto_minimal_bs on a circle or lollipop shape."""
-    QX, QY = shape.Q * shape.X, shape.Q * shape.Y
-    for i in range(shape.k):
-        for j in range(i + 1, shape.k):  # paper's r_j, j < k
-            if gcd(shape.q[i], shape.r[j - 1]) != 1:
-                return Decision(False, "prefix", (f"gcd(q_{i}, r_{j}) > 1",))
-    if gcd(shape.X, QY) == 1:
-        return Decision(True, "X^QY=1")
-    if gcd(shape.Y, QX) == 1:
-        return Decision(True, "Y^QX=1")
-    if shape.kind == "lollipop" and gcd(shape.Q, shape.r[-1]) != 1:
-        return Decision(False, "all clauses fail", (f"gcd(Q, r_k) = {gcd(shape.Q, shape.r[-1])}",))
-    i0 = _find_i0(shape.x, shape.y, gcd(QX, QY))
-    if i0 is not None:
-        return Decision(True, "split index", (f"i0={i0}",))
-    return Decision(False, "all clauses fail", ("no split index",))
 
 
 def epi_equivalent_bs(g: LabelledGraph):

@@ -134,33 +134,20 @@ def equal(g: LabelledGraph, w1: PathWord, w2: PathWord) -> bool:
 
 
 def is_elliptic(g: LabelledGraph, w: PathWord) -> bool:
-    """True iff w is conjugate into a vertex group: cyclic Britton reduction
-    removes every traversal.  A reduced word has no pinch, so each layer
-    pinches the outer traversal pair and merges the carried vertex power into
-    the last syllable, peeling the word in place from both ends."""
-    syls = list(britton_reduce(g, w).word.syllables)
-    traversals = sum(1 for s in syls if s[0] == "e")
-    lo = 0
-    while traversals:
-        lead = 0
-        if syls[lo][0] == "v":
-            lead = syls[lo][2]
-            lo += 1
-        tail = syls.pop()[2] if syls[-1][0] == "v" else 0
-        _, name, end = syls[-1]
-        ed = g.edges[name]
-        far = ed.labels[1 - end]
-        if syls[lo][1] != name or syls[lo][2] != 1 - end or (tail + lead) % far != 0:
-            return False
-        syls.pop()
-        lo += 1
-        traversals -= 2
-        exp = (tail + lead) // far * ed.labels[end]
-        if lo < len(syls) and syls[-1][0] == "v":
-            exp += syls.pop()[2]
-        if exp:
-            syls.append(("v", ed.endpoints[end], exp))
-    return True
+    """True iff w is conjugate into a vertex group.  A reduced word traces the
+    geodesic from x to wx in the Bass-Serre tree; for elliptic w it runs to
+    Fix(w) and back, its midpoint in Fix(w) (Serre, Trees, I.6), so turned at
+    its middle traversal it fixes its base and reduces to a vertex power.  A
+    hyperbolic w has an odd number of traversals, or keeps two when turned."""
+    syls = britton_reduce(g, w).word.syllables
+    at = [i for i, s in enumerate(syls) if s[0] == "e"]
+    if len(at) % 2:
+        return False
+    if not at:
+        return True
+    h = at[len(at) // 2]
+    _, name, end = syls[h]
+    return len(reduce_syllables(g.edges, syls[h:] + syls[:h], g.edges[name].endpoints[end])) < 2
 
 
 def modulus(g: LabelledGraph, w: PathWord) -> Fraction:

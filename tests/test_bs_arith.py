@@ -158,6 +158,7 @@ def test_embeds_elementary():
     assert embeds_elementary("K", 3, -3)
     assert not embeds_elementary("K", 3, 5)
     assert embeds_elementary("K", 2, 6)
+    assert embeds_elementary("K", 3, 2)  # even n, |m| != 1
     assert not embeds_elementary("K", 2, 1)
     assert not embeds_elementary("K", 1, 2)
     with pytest.raises(DecisionError):

@@ -103,6 +103,10 @@ def _replayed_past_the_limit(data):
         ],
     }
     data["source_reduce"] = [{"kind": "collapse", "params": ["d0", 1, "z1", "z0", big]}]
+    wa = data["map"]  # keep only the entries that name the new source's vertices and edges
+    for field, kept in (("vertex_map", {"z0", "z1"}), ("vertex_mult", {"z0", "z1"}), ("edge_mult", {"d0", "d1"})):
+        wa[field] = {k: v for k, v in wa[field].items() if k in kept}
+    wa["edge_map"] = {k: v for k, v in wa["edge_map"].items() if k.split(":")[0] in ("d0", "d1")}
 
 
 def _scaled_past_the_limit(data):

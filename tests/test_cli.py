@@ -248,6 +248,31 @@ def test_verify_malformed_shape_or_inexact_number_exit_1(tmp_path, capsys, case)
     assert case in MALFORMED_EMBEDDINGS or "must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "kind,field,key,value,message",
+    [
+        ("embedding", "edge_map", "zz:0", ["e0", 0], "the map has an entry for zz, not in the source graph"),
+        ("embedding", "vertex_mult", "nope", 7, "the map has an entry for nope, not in the source graph"),
+        ("embedding", "edge_mult", "zz", 3, "the map has an entry for zz, not in the source graph"),
+        ("embedding", "vertex_map", "ghost", "v0", "the map has an entry for ghost, not in the source graph"),
+        ("hom", "images", "a(nowhere)", "a(v0)", "certificate key 'a(nowhere)' names no generator of its presentation"),
+        ("hom", "witnesses", "t(ghost)", "t(e0)", "certificate key 't(ghost)' names no generator of its presentation"),
+    ],
+    ids=["edge-map", "vertex-mult", "edge-mult", "vertex-map", "image", "witness"],
+)
+def test_verify_entry_naming_nothing_exit_1(tmp_path, capsys, kind, field, key, value, message):
+    """An entry for no source vertex or edge, or for no generator, was read
+    and ignored, and the certificate verified valid: one map had more than
+    one text."""
+    data = seed_certificate(kind)
+    (data["map"] if kind == "embedding" else data)[field][key] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.strip() == f"input error: {message}"
+
+
 def test_verify_repeated_source_edge_exit_1(tmp_path, capsys):
     """A second d0 listed first, with labels of its own, used to be read over
     by the first d0 and the certificate verified as valid."""

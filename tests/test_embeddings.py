@@ -348,6 +348,8 @@ def test_contains_bs():
         contains_bs(bs_graph(2, 3), 2, 2)
     with pytest.raises(DecisionError):
         contains_bs(bs_graph(2, 3), 4, 6)
+    with pytest.raises(DecisionError, match="modulus criterion needs a non-elementary group"):
+        contains_bs(bs_graph(1, 1), 2, 3)
 
 
 def test_embed_construct_examples():
@@ -546,6 +548,8 @@ def test_contains_z2_k():
     assert z2 and k
     z2, k = contains_z2_k(bs_graph(1, 1))
     assert z2 and not k
+    z2, k = contains_z2_k(graph_from_edges([], extra_vertices=["v"]))
+    assert not z2 and k == Decision(False, "infinite cyclic")
 
 
 def test_embeds_decider_agrees_with_modulus_decider():

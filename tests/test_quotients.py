@@ -1,6 +1,8 @@
 import random
+import re
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,7 @@ def test_rf_gbs():
     assert is_rf_gbs(segment_graph([2, 3]))  # unimodular (trivial modulus)
     dec = is_rf_gbs(lollipop_graph([6, 4], [3, 6]))
     assert dec.caveat
+    assert is_rf_gbs(graph_from_edges([], extra_vertices=["v"])) == Decision(True, "solvable (trivial graph)")
 
 
 def test_rf_gbs_matches_bs_on_loops():
@@ -455,6 +458,35 @@ def test_hop_certificates_on_small_lollipop_grid():
                         assert check_epi(minimal_bs_epi(g)), (Q, R, X, Y)
                         verified += 1
     assert verified > 50
+
+
+def test_minimal_bs_epi_refuses_exactly_where_the_decider_says_no():
+    """Seeded circles and lollipops (k <= 3) with composite labels, kept when
+    reduced and 2-generated: the builder's certificate verifies exactly when
+    maps_onto_minimal_bs says yes, and otherwise it refuses with the
+    decider's clause and reasons."""
+    labels = (2, 3, 5, 6, 10, 12, 14, 15, 18, 20, 21, -3, -6)
+    rng = random.Random(1)
+    clauses = Counter()
+    for _ in range(5000):
+        k, ell = rng.choice((0, 1, 2, 2, 3)), rng.randint(1, 2)
+        circ = [rng.choice(labels) for _ in range(2 * ell)]
+        g = circle_graph(circ) if k == 0 else lollipop_graph([rng.choice(labels) for _ in range(2 * k)], circ)
+        try:
+            dec = maps_onto_minimal_bs(g)
+        except (NotReducedError, ElementaryGroupError, DecisionError):
+            continue
+        clauses[dec.clause] += 1
+        if dec:
+            assert check_epi(minimal_bs_epi(g)), g
+        else:
+            with pytest.raises(DecisionError, match=re.escape(f"{dec.clause} ({', '.join(dec.reasons)})")):
+                minimal_bs_epi(g)
+    assert clauses["prefix"] >= 20 and clauses["all clauses fail"] and clauses["split index"], clauses
+    g = lollipop_graph([4, 3, 7, 6, 5, -3], [5, 2, -3, 14])  # only the pair (q_0, r_2) shares a factor
+    assert maps_onto_minimal_bs(g) == Decision(False, "prefix", ("gcd(q_0, r_2) > 1",))
+    with pytest.raises(DecisionError, match=re.escape("prefix (gcd(q_0, r_2) > 1)")):
+        minimal_bs_epi(g)
 
 
 def test_iee_families_for_non_hopfian_pairs():
