@@ -22,7 +22,8 @@ a(v) to a(u)^k by the multiplier map the move applies to labels, and each
 stable letter to itself, every image Britton-reduced over the target.
 """
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, replace
+from types import MappingProxyType
 
 from .arith import factorize, gcd, split_power, xgcd
 from .bs_arith import is_hopfian_bs, loop_match, multiple_direction
@@ -89,26 +90,41 @@ def gen_name(gen: tuple[str, str]) -> str:
     return format_letters((gen + (1,),))
 
 
-def _parse_gen(key: str, pres: Presentation) -> tuple[str, str]:
-    """The generator of pres a certificate key names: one plain letter with
-    exponent 1, a vertex or an edge off the tree (one text per map)."""
-    letters = parse_letters(key)
-    if len(letters) != 1 or letters[0][2] != 1:  # a w<i> token names no entry here
-        raise InputError(f"certificate key {key!r} names no generator a(v) or t(e)")
-    kind, name, _ = letters[0]
-    if (name not in pres.graph.vertices) if kind == "v" else (name not in pres.graph.edges or name in pres.tree):
-        raise InputError(f"certificate key {key!r} names no generator of its presentation")
-    return kind, name
+def _gen_keys(pres: Presentation) -> dict:
+    """Each generator of pres under the one text gen_name gives it."""
+    keys = {f"a({v})": ("v", v) for v in pres.graph.vertices}
+    return keys | {f"t({e})": ("t", e) for e in pres.graph.edges if e not in pres.tree}
+
+
+def _read_map(words: dict, keys: dict, table: list) -> dict:
+    """A certificate map, each key read by its exact text: one text per generator."""
+    if bad := [key for key in words.keys() if key not in keys]:
+        raise InputError(f"certificate key {bad[0]!r} names no generator of its presentation")
+    return {keys[key]: parse_letters(text, table) for key, text in words.items()}
 
 
 @dataclass
 class HomCertificate:
+    """Immutable, fields and maps read-only, so check_hom and check_epi share
+    the relator check kept on it; __init__ fills __dict__ (no frozen cost)."""
+
     source: Presentation
     target: Presentation
     images: dict  # ("v"|"t", name) -> target letters
     witnesses: dict | None  # ("v"|"t", target name) -> source letters
     provenance: str = ""
     flags: tuple[str, ...] = ()
+
+    def __init__(self, source, target, images, witnesses, provenance="", flags=()):
+        d = self.__dict__  # written past __setattr__; copy() reads a proxy 7x faster than dict() does
+        d["source"], d["target"], d["provenance"], d["flags"], d["_checked"] = source, target, provenance, flags, None
+        d["images"] = MappingProxyType(images.copy())
+        d["witnesses"] = None if witnesses is None else MappingProxyType(witnesses.copy())
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"a hom certificate is immutable: {name!r} cannot be set or deleted")
+
+    __delattr__ = __setattr__
 
     def image_of(self, letters) -> tuple:
         return substitute_letters(letters, self.images)
@@ -146,14 +162,15 @@ class HomCertificate:
         table: list = []
         for text in texts:
             table.append(parse_letters(text, table))
-        source, target = _pres_from_json(data["source"]), _pres_from_json(data["target"])
+        source = _pres_from_json(data["source"])  # an endomorphism has one presentation
+        target = source if data["target"] == data["source"] else _pres_from_json(data["target"])
+        src_keys = _gen_keys(source)
+        tgt_keys = src_keys if target is source else _gen_keys(target)
         return cls(
             source=source,
             target=target,
-            images={_parse_gen(k, source): parse_letters(v, table) for k, v in data["images"].items()},
-            witnesses=None
-            if data.get("witnesses") is None
-            else {_parse_gen(k, target): parse_letters(v, table) for k, v in data["witnesses"].items()},
+            images=_read_map(data["images"], src_keys, table),
+            witnesses=None if data.get("witnesses") is None else _read_map(data["witnesses"], tgt_keys, table),
             provenance=data.get("provenance", ""),
             flags=tuple(flags),
         )
@@ -198,10 +215,10 @@ class _Reducer:
     reduced once.  A power of a reduced p a(v)^x p^-1 is written
     p a(v)^(kx) p^-1; any other power is written out, under the word cap."""
 
-    def __init__(self, cert: "HomCertificate"):
-        self.cert = cert
-        self.memos: tuple[dict, dict] = ({}, {})  # target words, source words
-        self.written = 0  # syllables written out so far, under the word cap
+    def __init__(self, images, target: Presentation, memos: tuple = ((), ()), written: int = 0):
+        self.images, self.target = images, target  # not the certificate that keeps it: no cycle
+        self.memos = (dict(memos[0]), dict(memos[1]))  # target words, source words
+        self.written = written  # syllables written out so far, under the word cap
 
     def pieces(self, word, source: bool) -> list:
         """The syllables of word (source letters through the images if
@@ -234,9 +251,9 @@ class _Reducer:
             memoize_shared(memo, name, lambda sub: self.reduce(sub, source))
             return memo[id(name)]
         if not source:
-            got = self.cert.target.reduced_generator(kind, name)
-        elif (kind, name) in self.cert.images:
-            got = tuple(self.pieces(self.cert.images[(kind, name)], False))
+            got = self.target.reduced_generator(kind, name)
+        elif (kind, name) in self.images:
+            got = tuple(self.pieces(self.images[(kind, name)], False))
         else:
             raise CertificateError(f"no image for generator {gen_name((kind, name))}")
         return memo.setdefault((kind, name), (None, got))
@@ -246,22 +263,26 @@ class _Reducer:
         syls.extend(tail)
         self.written += len(syls)
         check_word_cap(self.written)
-        return reduce_syllables(self.cert.target.graph.edges, syls, self.cert.target.base)
+        return reduce_syllables(self.target.graph.edges, syls, self.target.base)
 
 
 def check_hom(cert: HomCertificate) -> bool:
-    """Every source relator maps to a Britton-trivial target word."""
-    red = _Reducer(cert)
-    return all(not red.reduce(rel, True) for rel in cert.source.relations())
+    """Every source relator maps to a Britton-trivial target word: kept on
+    the certificate with its reducer once reached (a raise keeps nothing)."""
+    if cert._checked is None:
+        red = _Reducer(cert.images, cert.target)
+        cert.__dict__["_checked"] = red, all(not red.reduce(rel, True) for rel in cert.source.relations())
+    return cert._checked[1]
 
 
 def check_epi(cert: HomCertificate) -> bool:
-    """check_hom plus verification of every surjectivity witness."""
-    red = _Reducer(cert)
-    if any(red.reduce(rel, True) for rel in cert.source.relations()):
+    """check_hom plus verification of every surjectivity witness, on a copy
+    of the kept reducer: each check counts its witness words afresh."""
+    if not check_hom(cert):
         return False
     if cert.witnesses is None:
         raise MissingWitnessError(f"certificate {cert.provenance!r} has no witnesses")
+    red = _Reducer(cert.images, cert.target, cert._checked[0].memos, cert._checked[0].written)
     for gen in cert.target.generators():
         if gen not in cert.witnesses:
             raise MissingWitnessError(f"missing witness for {gen_name(gen)}")
@@ -335,9 +356,7 @@ def compose_chain(first: HomCertificate, *rest: HomCertificate, provenance: str 
     out = first
     for c in rest:
         out = compose(out, c)
-    if provenance:
-        out.provenance = provenance
-    return out
+    return replace(out, provenance=provenance) if provenance else out
 
 
 # -- move-induced certificates ----------------------------------------------
@@ -396,7 +415,7 @@ def expansion_cert(
     split = _identity_images(tgt)  # new vertex -> the power of `vertex` it splits off
     split[("v", new_vertex)] = (("v", vertex, sgn * label),)
     fwd = _move_cert(src, tgt, {}, f"expansion({new_edge})", split)
-    rev = HomCertificate(tgt, src, dict(split), _identity_images(src), f"expansion-inverse({new_edge})")
+    rev = HomCertificate(tgt, src, split, _identity_images(src), f"expansion-inverse({new_edge})")
     return g2, fwd, rev
 
 
@@ -408,8 +427,8 @@ def sign_change_cert(g: LabelledGraph, *, vertex: str | None = None, edge: str |
     for kind, name in src.generators():
         exp = -1 if (kind == "v" and name == vertex) else 1
         images[(kind, name)] = ((kind, name, exp),)
-    fwd = HomCertificate(src, tgt, images, dict(images), f"sign-change({vertex or edge})")
-    rev = HomCertificate(tgt, src, dict(images), dict(images), f"sign-change-inverse({vertex or edge})")
+    fwd = HomCertificate(src, tgt, images, images, f"sign-change({vertex or edge})")
+    rev = HomCertificate(tgt, src, images, images, f"sign-change-inverse({vertex or edge})")
     return g2, fwd, rev
 
 

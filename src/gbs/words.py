@@ -74,13 +74,13 @@ def britton_reduce(g: LabelledGraph, w: PathWord) -> NormalForm:
     return NormalForm(PathWord(w.base, stack), not stack)
 
 
-def reduce_syllables(edges, syllables, base) -> tuple:
+def reduce_syllables(edges, syllables, base, stack: list | None = None, end: str | None = None) -> tuple:
     """The pinch-free syllables of a loop at base, in one stack pass that
     checks each syllable where the path stands (MalformedWordError at the
-    first that does not fit) before it reduces it.  The stack is a path
-    from base to pos with no two vertex powers in a row, so a vertex power
-    on top stands at pos and a traversal under it ends there."""
-    stack: list = []
+    first that does not fit) before it reduces it.  The stack (empty, or a
+    reduced path from `end` to base) has no two vertex powers in a row, so
+    a vertex power on top stands at pos and a traversal under it ends there."""
+    stack = [] if stack is None else stack
     pos = base
     for syl in syllables:
         kind, name, x = syl
@@ -124,7 +124,7 @@ def reduce_syllables(edges, syllables, base) -> tuple:
                     stack.append(("v", pos, mid))
                 continue
         stack.append(syl)
-    if pos != base:
+    if pos != (base if end is None else end):
         raise MalformedWordError("word is not a loop at its base vertex")
     return tuple(stack)
 
@@ -147,7 +147,7 @@ def is_elliptic(g: LabelledGraph, w: PathWord) -> bool:
         return True
     h = at[len(at) // 2]
     _, name, end = syls[h]
-    return len(reduce_syllables(g.edges, syls[h:] + syls[:h], g.edges[name].endpoints[end])) < 2
+    return len(reduce_syllables(g.edges, syls[:h], w.base, list(syls[h:]), g.edges[name].endpoints[end])) < 2
 
 
 def modulus(g: LabelledGraph, w: PathWord) -> Fraction:

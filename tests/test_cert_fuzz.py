@@ -8,13 +8,18 @@ failure names a case that replays.  The malformed shapes and inexact numbers
 of test_cli come first, each an input error (exit 1)."""
 
 import dataclasses
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from conftest import cert_digest_script
 from gbs import circle_graph, descending_chain, embed_bs_construct, minimal_bs_epi
 from gbs.cli import main
+from gbs.errors import GBSError
+from gbs.homs import HomCertificate, check_epi, check_hom
 from gbs.words import expand_letters
 from test_cli import INEXACT_NUMBERS, MALFORMED_EMBEDDINGS, edit_json, seed_certificate
 
@@ -191,3 +196,51 @@ def test_source_and_index_records_checked(tmp_path, capsys, make, violation):
     payload = json.loads(out)
     assert payload["answer"] == "invalid" and err == "", payload
     assert violation in payload["violations"], payload["violations"]
+
+
+def _outcome(check, cert):
+    """What a check answers, or the type of what it raises."""
+    try:
+        return check(cert)
+    except Exception as exc:
+        return type(exc)
+
+
+def _checks_agree(data):
+    """check_hom then check_epi on one certificate, and again, answer or raise
+    as each does on a fresh parse of its own; so does check_epi run first."""
+    cert, fresh = HomCertificate.from_json(data), {}
+    for check in (check_hom, check_epi):
+        fresh[check] = _outcome(check, HomCertificate.from_json(data))
+    got = [_outcome(check, cert) for check in (check_hom, check_epi, check_hom, check_epi)]
+    assert got == [fresh[check_hom], fresh[check_epi]] * 2, data
+    cert = HomCertificate.from_json(data)
+    assert [_outcome(check, cert) for check in (check_epi, check_hom)] == [fresh[check_epi], fresh[check_hom]]
+    return fresh[check_epi]
+
+
+@pytest.mark.parametrize("kind", ["hom-v1", "hom-v2"])
+def test_kept_relator_check_never_changes_a_verdict_on_mutations(kind):
+    """Every readable mutation of a hom seed: among them are yes, no and raise."""
+    seed = _seeds()[kind]
+    rng = random.Random(f"cert-fuzz {kind}")
+    verdicts = Counter()
+    for _ in range(300):
+        data = _mutate(seed, rng)
+        try:
+            HomCertificate.from_json(data)
+        except GBSError:  # not readable
+            continue
+        got = _checks_agree(data)
+        verdicts[got if type(got) is bool else got.__name__] += 1
+    assert verdicts[True] and verdicts[False] and sum(verdicts.values()) - verdicts[True] - verdicts[False], verdicts
+
+
+def test_kept_relator_check_never_changes_a_verdict_on_digest_certificates():
+    """A seeded sample of scripts/cert_digest.py's hom certificates, after a JSON round trip."""
+    script = cert_digest_script()
+    rng = random.Random("kept relator check")
+    certs = [c for _, group in itertools.islice(script.groups(), 19) for c in group]  # up to the non-Hopfian group
+    certs += [c for g in rng.sample(list(script._seeded_graphs()), 12) for c in script._move_certs(g)]
+    for cert in rng.sample(certs, 120):
+        assert _checks_agree(cert.to_json()) is True, cert.provenance

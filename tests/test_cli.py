@@ -10,6 +10,8 @@ import pytest
 import gbs
 from gbs import bs_graph, bs_source_epi, embed_bs_construct, non_hopf_endo, quotients
 from gbs.cli import COMMANDS, main
+from gbs.homs import identity_cert
+from gbs.words import Presentation
 
 
 def run(capsys, *argv):
@@ -271,6 +273,29 @@ def test_verify_entry_naming_nothing_exit_1(tmp_path, capsys, kind, field, key, 
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1 and out == ""
     assert err.strip() == f"input error: {message}"
+
+
+@pytest.mark.parametrize(
+    "field,key,value",
+    [
+        ("images", "a(v0)^1", "a(v0)^5"),
+        ("images", "1 t(e0)^01", "t(e0)"),
+        ("images", "a(v0)^+1", "a(v0)"),
+        ("witnesses", " t(e0) ", "t(e0)"),
+    ],
+    ids=["power-1", "unit-and-01", "plus-1", "spaces"],
+)
+def test_verify_second_spelling_of_a_key_exit_1(tmp_path, capsys, field, key, value):
+    """A key is read by the exact text gen_name writes.  Read as a letter
+    word, "a(v0)^1" named a(v0) a second time, its image a(v0)^5 replaced
+    the identity's, and the certificate verified as a hom."""
+    data = identity_cert(Presentation(bs_graph(2, 3))).to_json()
+    data[field][key] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.strip() == f"input error: certificate key {key!r} names no generator of its presentation"
 
 
 def test_verify_repeated_source_edge_exit_1(tmp_path, capsys):

@@ -234,14 +234,38 @@ def test_compose_is_functorial():
 
 def test_missing_witness_error():
     pres = Presentation(bs_graph(2, 3))
-    cert = identity_cert(pres)
-    cert.witnesses = None
+    cert = dataclasses.replace(identity_cert(pres), witnesses=None)
     with pytest.raises(MissingWitnessError):
         check_epi(cert)
-    cert2 = identity_cert(pres)
-    del cert2.witnesses[("t", "e0")]
+    full = identity_cert(pres)
+    cert2 = dataclasses.replace(full, witnesses={gen: word for gen, word in full.witnesses.items() if gen != ("t", "e0")})
     with pytest.raises(MissingWitnessError):
         check_epi(cert2)
+
+
+def test_certificate_is_immutable_and_replace_starts_afresh():
+    """check_hom's answer is kept on the certificate, so nothing may change
+    what it was reached from; dataclasses.replace gives a new certificate
+    that is checked anew."""
+    pres = Presentation(bs_graph(2, 3))
+    images = {("v", "v0"): (("v", "v0", 1),), ("t", "e0"): (("t", "e0", 1),)}
+    cert = HomCertificate(pres, pres, images, dict(images), "identity")
+    assert check_hom(cert) and check_epi(cert)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.witnesses = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del cert.provenance
+    with pytest.raises(TypeError):
+        cert.images[("v", "v0")] = (("v", "v0", 5),)
+    with pytest.raises(TypeError):
+        del cert.witnesses[("t", "e0")]
+    images[("v", "v0")] = (("t", "e0", 1),)  # the caller's dict is not the certificate's
+    assert cert.images[("v", "v0")] == (("v", "v0", 1),) and check_hom(cert)
+    bad = dataclasses.replace(cert, images=images)
+    assert bad is not cert and bad == HomCertificate(pres, pres, images, cert.witnesses, "identity")
+    assert not check_hom(bad) and not check_epi(bad)
+    assert check_hom(cert) and check_epi(cert)
+    assert cert == HomCertificate(pres, pres, cert.images, cert.witnesses, "identity")  # the kept check is no field
 
 
 def test_check_hom_rejects_bad_images():
