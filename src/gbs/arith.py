@@ -24,13 +24,6 @@ def env_int(name: str, default: int) -> int:
         raise InputError(f"{name} must be an integer, not {os.environ[name]!r}") from None
 
 
-def lcm(a: int, b: int) -> int:
-    """lcm with the sign of a*b (matches m*n / (m^n): may be negative)."""
-    if a == 0 or b == 0:
-        return 0
-    return a * b // gcd(a, b)
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g, coefficients small."""
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -45,12 +38,12 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return r0, x0, y0
 
 
-def factorize(n: int, cap: int | None = None) -> dict[int, int]:
-    """Prime factorization of |n| as {p: exponent}.  Raises above the cap."""
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of |n| as {p: exponent}.  Raises above the cap,
+    GBS_TOOLKIT_FACTOR_CAP."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    if cap is None:
-        cap = env_int("GBS_TOOLKIT_FACTOR_CAP", FACTOR_CAP_DEFAULT)
+    cap = env_int("GBS_TOOLKIT_FACTOR_CAP", FACTOR_CAP_DEFAULT)
     n = abs(n)
     if n > cap:
         raise FactorizationCapError(f"|{n}| exceeds factorization cap {cap}")
@@ -125,9 +118,3 @@ def coprime_base(nums) -> list[int]:
         else:
             base.append(a)
     return sorted(base)
-
-
-def sign(n: int) -> int:
-    if n == 0:
-        return 0
-    return 1 if n > 0 else -1

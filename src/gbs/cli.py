@@ -252,6 +252,7 @@ def cmd_verify(args):
 
 
 def cmd_catalog(args):
+    """Print each entry's PASS or FAIL line; exit code 3 when an entry failed."""
     results = run_catalog(only=args.only)
     ok = all(r["ok"] for r in results)
     lines = [f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']:<18} {r['detail']}" for r in results]

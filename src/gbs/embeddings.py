@@ -12,9 +12,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import prod
+from math import lcm, prod
 
-from .arith import gcd, lcm, sign, split_power
+from .arith import gcd, split_power
 from .bs_arith import embeds_bs, equal_exponent_part, loop_match, power_of_ratio
 from .decision import Decision
 from .errors import CertificateError, DecisionError, InputError, NotReducedError, ShapeError, malformed
@@ -432,7 +432,7 @@ def _construct_core(rhat, shat, beta, m, n) -> _Pattern:
     # unimodular target
     if m == n or m == -n:
         mu = abs(m // rhat)
-        if sign(rhat * shat) == sign(m * n):
+        if (rhat * shat > 0) == (m * n > 0):
             return _ring(bs_graph(m, n), [("v0", mu)], [E_m], provenance=f"power loop in BS({m},{n})")
         verts = [("v0", mu), ("v0", abs(m))]
         return _ring(bs_graph(m, n), verts, [E_m, E_m], provenance=f"double wrap in BS({m},{n})")
@@ -614,10 +614,7 @@ def embeds_in_some_bs_nn(g: LabelledGraph):
     labels = _vertex_labels(g)
     if labels is None:
         return None
-    out = 1
-    for l in labels:
-        out = abs(lcm(out, l))
-    return max(out, 2)
+    return max(lcm(*labels), 2)
 
 
 def contains_z2_k(g: LabelledGraph) -> tuple[bool, Decision]:

@@ -7,7 +7,7 @@ families.  Positive answers come with certificates built in homs.py.
 """
 
 from dataclasses import dataclass
-from itertools import count as icount
+from itertools import count as icount, islice
 
 from .arith import factorize, gcd, least_prime_factor, split_power
 from .bs_arith import multiple_direction
@@ -314,8 +314,6 @@ def infinite_family(m: int, n: int, count: int = 5) -> list[FamilyMember]:
         )
         params = {"kind": "G_N", "delta": delta, "m_prime": mp, "n_prime": np_, "p": p, "swapped": swapped}
     members = []
-    for N, g in gen:
+    for N, g in islice(gen, count):
         members.append(FamilyMember(g, bs_source_epi(g, mm, nn), {**params, "N": N}))
-        if len(members) == count:
-            return members
-    raise AssertionError("family generator exhausted")
+    return members

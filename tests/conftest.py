@@ -13,7 +13,7 @@ from gbs.embeddings import embed_bs_construct
 from gbs.graphs import LabelledGraph, _Work, graph_from_edges, reduce_graph
 from gbs.words import Presentation
 
-CERT_DIGEST = Path(__file__).resolve().parents[1] / "scripts" / "cert_digest.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def small_connected_graph(rng: random.Random, max_vertices=4, max_extra=2, max_label=9):
@@ -45,6 +45,22 @@ def graphs(draw, max_vertices=4, max_extra=2, max_label=9):
     return small_connected_graph(
         random.Random(seed), max_vertices=max_vertices, max_extra=max_extra, max_label=max_label
     )
+
+
+def factorize_uncapped(n) -> dict[int, int]:
+    """Prime factorization of |n| by plain trial division, with no cap, for
+    the oracles: their values have only small primes."""
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    out, n, p = {}, abs(n), 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def random_letters(rng: random.Random, pres, length=4, max_exp=4):
@@ -111,9 +127,9 @@ def random_presentation(g, rng: random.Random, keep=()) -> Presentation:
     return Presentation(g, frozenset(tree), rng.choice(g.sorted_vertices()[1:] or g.sorted_vertices()))
 
 
-def cert_digest_script():
-    """scripts/cert_digest.py, loaded as a module."""
-    spec = importlib.util.spec_from_file_location("cert_digest", CERT_DIGEST)
+def load_script(name):
+    """scripts/<name>.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
@@ -122,7 +138,7 @@ def cert_digest_script():
 def grid_certificates(bound):
     """((r, s, m, n), embed_bs_construct(r, s, m, n)) for every
     BS(r, s) < BS(m, n) of the box |.| <= bound, in grid order."""
-    for params in cert_digest_script().criterion3_grid(bound):
+    for params in load_script("cert_digest").criterion3_grid(bound):
         if embeds_bs(*params):
             yield params, embed_bs_construct(*params)
 

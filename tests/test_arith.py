@@ -6,12 +6,13 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import factorize_uncapped
+
 from gbs.arith import (
     TRIAL_BOUND,
     coprime_base,
     factorize,
     gcd,
-    lcm,
     least_prime_factor,
     split_power,
     valuation,
@@ -29,11 +30,6 @@ def test_gcd_convention():
     assert gcd(0, -7) == 7
 
 
-def test_lcm_sign():
-    assert lcm(2, 3) == 6
-    assert lcm(-2, 3) == -6  # sign of the product
-
-
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
 def test_xgcd(a, b):
     g, x, y = xgcd(a, b)
@@ -41,12 +37,16 @@ def test_xgcd(a, b):
     assert a * x + b * y == g
 
 
-def test_factorize():
+def test_factorize(monkeypatch):
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(-7) == {7: 1}
     assert valuation(48, 2) == 4
+    for fn, args in ((factorize, (0,)), (valuation, (0, 2))):
+        with pytest.raises(ValueError):
+            fn(*args)
+    monkeypatch.setenv("GBS_TOOLKIT_FACTOR_CAP", str(10**6))
     with pytest.raises(FactorizationCapError):
-        factorize(10**9 + 7, cap=10**6)
+        factorize(10**9 + 7)
 
 
 def test_least_prime_factor_matches_factorize():
@@ -61,9 +61,9 @@ def test_least_prime_factor_factors_only_without_a_small_divisor(monkeypatch):
 
     calls = []
 
-    def counting(n, cap=None):
+    def counting(n):
         calls.append(n)
-        return factorize(n, cap)
+        return factorize(n)
 
     monkeypatch.setattr(arith, "factorize", counting)
     big = 10**12 + 39
@@ -252,6 +252,18 @@ def test_mult_group_examples():
     assert RationalMultGroup([]).is_trivial()
     assert not RationalMultGroup([2, -1]).is_cyclic()  # Z x Z/2
     assert RationalMultGroup([-2]).is_cyclic()
+    assert not g.contains(0)
+    with pytest.raises(ValueError, match="zero generator"):
+        RationalMultGroup([2, 0])
+
+
+def test_mult_group_equality_and_repr():
+    six = RationalMultGroup([6, Fraction(-1, 2)])
+    assert repr(six) == "RationalMultGroup(6, -1/2)"
+    assert six == RationalMultGroup([-2, -3]) and six.basis == (2, 3)
+    # another basis: compared by membership of the generators
+    assert RationalMultGroup([6]) != RationalMultGroup([2, 3]) and RationalMultGroup([2, 3]) != RationalMultGroup([6])
+    assert RationalMultGroup([6]) != 6 and not RationalMultGroup([6]) == RationalMultGroup([6]).generators
 
 
 @given(
@@ -328,22 +340,19 @@ def test_lattice_echelon_is_canonical(rows, moves):
 # -- the prime-vector RationalMultGroup the coprime base replaced, kept as oracle --
 
 
-BIG = 10**40  # the oracle's values have only small primes, so no cap is needed
-
-
 class _PrimeVectorGroupReference:
     def __init__(self, generators):
         self.generators = [Fraction(g) for g in generators]
         primes = set()
         for g in self.generators:
-            primes |= set(factorize(g.numerator, BIG)) | set(factorize(g.denominator, BIG))
+            primes |= set(factorize_uncapped(g.numerator)) | set(factorize_uncapped(g.denominator))
         self.primes = sorted(primes)
         rows = [self.vector(g) for g in self.generators] + [[0] * len(self.primes) + [2]]
         self.lat = IntLattice.from_rows(rows, len(self.primes) + 1)
 
     def vector(self, q):
-        fq = factorize(q.numerator, BIG)
-        for p, e in factorize(q.denominator, BIG).items():
+        fq = factorize_uncapped(q.numerator)
+        for p, e in factorize_uncapped(q.denominator).items():
             fq[p] = fq.get(p, 0) - e
         if set(fq) - set(self.primes):
             return None

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbs.arith import factorize, valuation
+from conftest import factorize_uncapped
+
+from gbs.arith import valuation
 from gbs.bs_arith import (
     embeds_bs,
     embeds_elementary,
@@ -187,15 +189,11 @@ def test_multiple_direction():
 
 # -- the factor-based deciders the gcd layer replaced, kept as oracles ---------
 
-BIG = 10**40  # the oracles see only small primes, so no cap is needed
-
-
-def _factorize(n):
-    return factorize(n, BIG)
+BIG = 10**40  # a factorization cap that no small prime product reaches
 
 
 def _prime_set_reference(n):
-    return frozenset(_factorize(n))
+    return frozenset(factorize_uncapped(n))
 
 
 def _is_hopfian_bs_reference(m, n):
@@ -212,11 +210,11 @@ def _power_of_ratio_reference(r, s, m, n):
         return 1 if target == -1 else None
     if target == 1:
         return 0
-    base_f = _factorize(base.numerator)
-    for p, e in _factorize(base.denominator).items():
+    base_f = factorize_uncapped(base.numerator)
+    for p, e in factorize_uncapped(base.denominator).items():
         base_f[p] = base_f.get(p, 0) - e
-    tgt_f = _factorize(target.numerator)
-    for p, e in _factorize(target.denominator).items():
+    tgt_f = factorize_uncapped(target.numerator)
+    for p, e in factorize_uncapped(target.denominator).items():
         tgt_f[p] = tgt_f.get(p, 0) - e
     p0, d0 = next((p, e) for p, e in sorted(base_f.items()) if e != 0)
     if tgt_f.get(p0, 0) % d0 != 0:

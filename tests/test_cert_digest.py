@@ -4,7 +4,7 @@ embedding routes is pinned by GRID12_DIGEST in tests/test_embeddings.py)."""
 
 import hashlib
 
-from conftest import cert_digest_script
+from conftest import load_script
 
 WANT = {
     "chain 1": ("84eac4f17784127a609763c5cd0081290ce965125edadbd420f9ba2fb24e9ce7", 3),
@@ -35,7 +35,7 @@ def _digest(script, certs):
 
 
 def test_certificate_digests_match_pinned_values():
-    script = cert_digest_script()
+    script = load_script("cert_digest")
     got = {}
     for name, certs in script.groups():
         if name.startswith("embed "):
@@ -46,6 +46,6 @@ def test_certificate_digests_match_pinned_values():
 
 def test_circle_subgroup_digest_matches_pinned_value():
     """The script's "circle subgroup" group: circle_bs_subgroup on its circles."""
-    script = cert_digest_script()
+    script = load_script("cert_digest")
     got = _digest(script, script.circle_subgroups())
     assert got == ("5b4929804d8bbb32e09d261b20e81b0e8d80986195faaf3d9dd5572fc8d3fc5f", 4)

@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import cert_digest_script
+from conftest import load_script
 from gbs import circle_graph, descending_chain, embed_bs_construct, minimal_bs_epi
 from gbs.cli import main
 from gbs.errors import GBSError
@@ -238,7 +238,7 @@ def test_kept_relator_check_never_changes_a_verdict_on_mutations(kind):
 
 def test_kept_relator_check_never_changes_a_verdict_on_digest_certificates():
     """A seeded sample of scripts/cert_digest.py's hom certificates, after a JSON round trip."""
-    script = cert_digest_script()
+    script = load_script("cert_digest")
     rng = random.Random("kept relator check")
     certs = [c for _, group in itertools.islice(script.groups(), 19) for c in group]  # up to the non-Hopfian group
     certs += [c for g in rng.sample(list(script._seeded_graphs()), 12) for c in script._move_certs(g)]

@@ -141,6 +141,25 @@ def test_input_errors_exit_1(capsys):
     assert code == 1
     code, _, err = run(capsys, "verify", "/nonexistent/cert.json")
     assert code == 1
+    code, _, err = run(capsys, "quot", "sources", "segment 2 3", "--test", "0", "1")
+    assert (code, err) == (1, "error: Baumslag-Solitar parameters must be nonzero\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty graph description"),
+        ("bs 2 3\nvertex v\n", "shorthand 'bs' must be the only line"),
+        ("bs 2\n", "bad shorthand line: 'bs 2'"),
+        ("vertex\n", "line 1: cannot parse 'vertex'"),
+        ("edge e a b 2 x\n", "line 1: bad integer in 'edge e a b 2 x'"),
+    ],
+    ids=["empty", "shorthand-then-more", "bs-one-parameter", "vertex-without-name", "non-integer-label"],
+)
+def test_graph_file_errors_exit_1(tmp_path, capsys, text, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert run(capsys, "graph", "info", str(path)) == (1, "", f"input error: {message}\n")
 
 
 @pytest.mark.parametrize(

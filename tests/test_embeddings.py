@@ -15,7 +15,7 @@ from gbs import embeddings
 from gbs.arith import gcd, split_power
 from gbs.bs_arith import embeds_bs
 from gbs.decision import Decision
-from gbs.errors import CertificateError, DecisionError, InputError
+from gbs.errors import CertificateError, DecisionError, InputError, NotReducedError, ShapeError
 from gbs.graphs import (
     EdgeData,
     LabelledGraph,
@@ -97,6 +97,8 @@ def test_trg_preconditions():
         circle_bs_subgroup(circle_graph([2, 2, 3, 5]), 6, 10)  # gcd != 1
     with pytest.raises(DecisionError):
         circle_bs_subgroup(circle_graph([2, 3, 5, 7]), 2, 3)  # wrong X, Y
+    with pytest.raises(ShapeError):
+        circle_bs_subgroup(segment_graph([2, 3]), 2, 3)
 
 
 def _mutations(cert, rng, count):
@@ -494,6 +496,8 @@ def test_subgroup_of_bs_nn():
     assert not subgroup_of_bs_nn(bs_graph(3, -3), 6)
     with pytest.raises(DecisionError):
         subgroup_of_bs_nn(four_n, 1)
+    with pytest.raises(NotReducedError):
+        subgroup_of_bs_nn(segment_graph([1, 2]), 6)
 
 
 def test_subgroup_of_bs_nn_divisibility_monotone(rng):

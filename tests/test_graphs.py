@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import inspect
 import pkgutil
+import pydoc
 import random
 import sys
 from collections import Counter
@@ -36,6 +37,7 @@ from gbs.graphs import (
     reduce_graph,
     replay,
     segment_graph,
+    Shape,
     sign_change,
     spanning_tree,
     _bfs_tree,
@@ -304,6 +306,9 @@ def test_constructors_keep_their_own_label_checks():
         (circle_graph, ([],), "circle needs labels"),
         (lollipop_graph, ([2, 3], [5]), "lollipop needs segment labels"),
         (lollipop_graph, ([], [2, 3]), "lollipop needs segment labels"),
+        (bs_graph, (0, 3), "BS parameters must be nonzero"),
+        (graph_from_edges, ([("e", "v", "w", 2, 3), ("e", "w", "v", 5, 7)],), "duplicate edge name e"),
+        (LabelledGraph, ([], {}), "graph needs at least one vertex"),
     ]:
         with pytest.raises(InputError, match=message):
             build(*args)
@@ -459,6 +464,9 @@ def test_sign_change_involution():
     s = segment_graph([2, 3])
     s1, _ = sign_change(s, vertex="v0")
     assert s1.edges["s0"].labels == (-2, 3)
+    for both_or_neither in ({}, {"vertex": "v0", "edge": "s0"}):
+        with pytest.raises(MoveError, match="exactly one of vertex / edge"):
+            sign_change(s, **both_or_neither)
 
 
 def test_contraction_rescales_both_sides():
@@ -570,9 +578,12 @@ _REPLAY_GRAPH = graph_from_edges([("mid", "v", "w", 5, 1), ("g1", "w", "a", 3, 1
         ("displacement", ("g1", "a", 0)),
         ("contraction", ("mid",)),
         ("expansion", ("w", (("g1", 0),), 0.5, 1, "u", "new")),
+        ("expansion", ("w", (("g1", 0),), 0, 1, "u", "new")),
+        ("expansion", ("w", (("mid", 0),), 1, 1, "u", "new")),
     ],
     ids=["collapse-end-5", "collapse-no-params", "expansion-unknown-edge", "sign-change-foo",
-         "displacement-end-2", "displacement-factor-a", "contraction-one-param", "expansion-label-0.5"],
+         "displacement-end-2", "displacement-factor-a", "contraction-one-param", "expansion-label-0.5",
+         "expansion-label-0", "expansion-end-elsewhere"],
 )
 def test_malformed_records_raise_move_error(kind, params):
     # records are read from certificate JSON: a bad one is a MoveError, never a crash
@@ -738,6 +749,8 @@ def test_qrxy():
     for product in ("Q", "R", "X", "Y"):
         with pytest.raises(ShapeError):
             getattr(other, product)
+    # read on the class, a product is its descriptor: help(Shape) reads each
+    assert Shape.Q is vars(Shape)["Q"] and "Q" in pydoc.render_doc(Shape)
 
 
 def test_shape_products_are_computed_once_and_are_not_fields(monkeypatch):
@@ -1035,6 +1048,9 @@ def test_value_types_keep_their_repr_equality_order_and_hash():
     assert hash(ed) == hash((("v", "w"), (2, -3)))
     assert hash(rec) == hash(("collapse", ("a", 0, "v0", "v1", 2)))
     assert len({oe, OrientedEdge("c1", 0), oe.reverse}) == 2
+    g = segment_graph([2, -3])
+    assert repr(g) == "LabelledGraph[s0:v0(2)-(-3)v1]" and repr(LabelledGraph(["v", "u"], {})) == "LabelledGraph[u,v]"
+    assert hash(g) == hash(parse_graph(g.to_text())) and len({g, parse_graph(g.to_text()), bs_graph(2, -3)}) == 2
 
 
 def _decider_values():
@@ -1195,3 +1211,4 @@ def test_graph_equals_itself_without_building_keys(monkeypatch):
     assert calls["_key"] == 0
     assert g == parse_graph("circle 2 3 5 7") and calls["_key"] == 2
     assert g != parse_graph("circle 2 3 5 11")
+    assert g != g.to_text() and not g == 1

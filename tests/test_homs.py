@@ -339,6 +339,9 @@ def test_bs_source_epi_segment_routes():
     assert check_epi(bs_source_epi(g, 2, 2))
     assert check_epi(bs_source_epi(g, 3, 3))
     assert check_epi(bs_source_epi(g, -6, -6))
+    for m, n in ((5, 5), (2, 4)):  # neither Q nor R divides m, or m != n
+        with pytest.raises(DecisionError, match="does not map onto this segment group"):
+            bs_source_epi(g, m, n)
 
 
 def test_minimal_bs_epi_all_routes():
@@ -355,6 +358,8 @@ def test_minimal_bs_epi_all_routes():
         assert check_epi(cert), g
     with pytest.raises(DecisionError):
         minimal_bs_epi(lollipop_graph([6, 2], [3, 6]))  # all gcd clauses fail
+    with pytest.raises(ShapeError, match="expects a circle or lollipop"):
+        minimal_bs_epi(segment_graph([2, 3]))
 
 
 @pytest.mark.parametrize(
@@ -381,6 +386,8 @@ def test_circle_minimal_epi_matches_decider():
     g = circle_graph([2, 3, 5, 7])
     assert maps_onto_minimal_bs(g).answer
     assert check_epi(circle_minimal_epi(g))
+    with pytest.raises(ShapeError, match="expects a circle"):
+        circle_minimal_epi(lollipop_graph([2, 5], [5, 7]))
 
 
 def test_checker_structural_properties():
@@ -487,6 +494,14 @@ def _solve_witnesses_reference(tgt, seeds, stable_handles):
     return witnesses
 
 
+def test_seed_to_plain_reads_only_a_conjugated_vertex_power():
+    tgt = Presentation(bs_graph(2, 3))
+    a, t, t_inv = ("v", "v0", 1), ("t", "e0", 1), ("t", "e0", -1)
+    assert _seed_to_plain(tgt, (a,), (t, a, t_inv)) is not None
+    for image in ((t, a), (t, a, t)):  # unequal sides; a side that is not the other's inverse
+        assert _seed_to_plain(tgt, (a,), image) is None
+
+
 def _witness_problem(rng):
     """A BS, lollipop or circle target with random elliptic seeds (some
     conjugated by stable letters) and handles for most stable edges."""
@@ -568,6 +583,8 @@ def test_tree_containing():
     g = lollipop_graph([2, 3, 5, 7], [11, 13])
     tree = tree_containing(g, "s1")
     assert "s1" in tree and len(tree) == len(g.vertices) - 1
+    with pytest.raises(CertificateError, match="cannot lie in a spanning tree"):
+        tree_containing(g, "c0")
 
 
 def test_hom_cert_json_round_trip():
@@ -850,6 +867,14 @@ def _bump_first_exponent(text):
     head, *rest = text.split(" ")
     base, caret, exp = head.partition("^")
     return " ".join([f"{base}^{int(exp) + 1 if caret else 2}", *rest])
+
+
+def test_zero_power_of_a_shared_word_reads_as_the_empty_word():
+    data = descending_chain(5).from_bs_18_36.to_json()
+    key = next(iter(data["witnesses"]))
+    data["witnesses"][key] = "w0^0 " + data["witnesses"][key]  # w0 seen first at power 0
+    back = HomCertificate.from_json(data)
+    assert check_hom(back) and check_epi(back)
 
 
 def test_tampered_version_2_entries_are_rejected():

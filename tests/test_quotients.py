@@ -113,6 +113,8 @@ def test_epi_equivalent():
     assert epi_equivalent_bs(lollipop_graph([6, 2], [3, 6])) is None
     got = epi_equivalent_bs(lollipop_graph([2, 5], [5, 7]))
     assert got == (10, 14)
+    with pytest.raises(NotReducedError):
+        epi_equivalent_bs(segment_graph([1, 5]))
 
 
 def test_finitely_many_clauses():
@@ -122,6 +124,10 @@ def test_finitely_many_clauses():
     assert "(a)" in finitely_many_quotients(3, 5).clause
     assert not finitely_many_quotients(4, 6)
     assert not finitely_many_quotients(2, 2)
+    for decider in (finitely_many_quotients, quotient_rigidity):
+        for m, n in ((0, 3), (3, 0)):
+            with pytest.raises(DecisionError, match="parameters must be nonzero"):
+                decider(m, n)
 
 
 def test_finitely_many_28_is_finite():
@@ -174,9 +180,9 @@ def test_quotient_deciders_match_reference_without_factoring(monkeypatch):
     # trial division decides every parameter of the grid: nothing is factored
     calls = []
 
-    def counting(n, cap=None):
+    def counting(n):
         calls.append(n)
-        return factorize(n, cap)
+        return factorize(n)
 
     monkeypatch.setattr(quotients, "factorize", counting)
     monkeypatch.setattr(arith, "factorize", counting)
@@ -191,9 +197,9 @@ def test_quotient_deciders_match_reference_without_factoring(monkeypatch):
 def test_quotient_deciders_factor_only_without_a_small_divisor(monkeypatch):
     calls = []
 
-    def counting(n, cap=None):
+    def counting(n):
         calls.append(n)
-        return factorize(n, cap)
+        return factorize(n)
 
     monkeypatch.setattr(arith, "factorize", counting)
     p, q = 1009, 1013  # no divisor below the trial bound
@@ -241,6 +247,8 @@ def test_large():
     assert is_large(segment_graph([2, 3]))
     assert not is_large(bs_graph(1, -1))  # K
     assert not is_large(bs_graph(1, 1))  # Z^2
+    with pytest.raises(NotReducedError):
+        is_large(segment_graph([1, 5]))
 
 
 def test_rf_gbs():

@@ -141,6 +141,11 @@ def test_malformed_words():
     p1 = Presentation(g2, base="v1")
     with pytest.raises(MalformedWordError):
         _ = p0.letters_to_path((("v", "v0", 1),)) * p1.letters_to_path((("v", "v1", 1),))
+    # letters: a tree edge is no stable letter, "x" is no kind, and a zero power is skipped
+    for letters in ((("t", "s0", 1),), (("x", "v0", 1),)):
+        with pytest.raises(MalformedWordError):
+            p0.letters_to_path(letters)
+    assert p0.letters_to_path((("v", "v1", 0),)) == PathWord("v0", ())
 
 
 # -- the two-pass kernel: a check, then a reduction ---------------------------
@@ -578,6 +583,9 @@ def test_center_index_examples():
     assert segment_center_index(4, [6], [10]) == 3  # q0 / gcd(r0, q0)
     assert segment_center_index(1, [2, 3], [5, 7]) == 6  # coprime: product of q
     assert segment_center_index(1, [2], [3]) == 2
+    for args in ((0, [2], [3]), (1, [2, 0], [3, 5]), (1, [2], [3, 5])):  # a zero, or unequal lengths
+        with pytest.raises(InputError):
+            segment_center_index(*args)
 
 
 def test_center_index_against_oracle(rng):
