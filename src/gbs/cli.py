@@ -3,7 +3,8 @@
 Graphs are given as a file path or an inline description (shorthand like
 "circle 2 3" / "bs 2 3", or the full vertex/edge format).  Words use the
 letter syntax a(v)^k / t(e)^-1.  Exit codes: 0 = decision computed (yes or
-no), 1 = input error, 2 = an internal cap was exceeded.
+no), 1 = input error, 2 = an internal cap was exceeded, 3 = a catalog entry
+failed.
 """
 
 import argparse

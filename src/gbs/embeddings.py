@@ -442,9 +442,11 @@ def _construct_core(rhat, shat, beta, m, n) -> _Pattern:
         k = max(beta, 1)
         return _ring(bs_graph(m, n), [("v0", 1)] * k, [E_m] * k, provenance=f"{k}-cycle in solvable BS({m},{n})")
 
-    # same-exponent primes split off first
-    delta1, nu1 = _equal_exponent_part(m, n, rhat)
+    # same-exponent primes split off first: delta1 is the product of p^v_p(m)
+    # over the primes with v_p(m) = v_p(n) > 0
+    delta1 = equal_exponent_part(m, n)
     if delta1 > 1:
+        nu1 = delta1 // gcd(delta1, rhat)
         r2, s2 = nu1 * rhat, nu1 * shat
         m1, n1 = m // delta1, n // delta1
         if abs(m1) == 1 or abs(n1) == 1:
@@ -463,14 +465,6 @@ def _construct_core(rhat, shat, beta, m, n) -> _Pattern:
 
     delta = gcd(m, n)
     return _delta_scale(_construct_core(rhat, shat, beta, m // delta, n // delta), delta, m, n)
-
-
-def _equal_exponent_part(m, n, rhat):
-    """(delta1, nu1): delta1 = bs_arith.equal_exponent_part(m, n), the
-    product of p^v_p(m) over the primes with v_p(m) = v_p(n) > 0;
-    nu1 = delta1 / gcd(delta1, rhat)."""
-    delta1 = equal_exponent_part(m, n)
-    return delta1, delta1 // gcd(delta1, rhat)
 
 
 def _block_circle(rhat, shat, beta, m, n) -> _Pattern:

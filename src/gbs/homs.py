@@ -22,7 +22,7 @@ a(v) to a(u)^k by the multiplier map the move applies to labels, and each
 stable letter to itself, every image Britton-reduced over the target.
 """
 
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass
 from types import MappingProxyType
 
 from .arith import factorize, gcd, split_power, xgcd
@@ -291,9 +291,15 @@ def check_epi(cert: HomCertificate) -> bool:
     return True
 
 
-def _identity_images(pres: Presentation) -> dict:
-    """Each generator of pres sent to itself, in generator order."""
-    return {(kind, name): ((kind, name, 1),) for kind, name in pres.generators()}
+def _identity_images(pres: Presentation, at: dict | None = None) -> dict:
+    """Each generator of pres sent to itself, in generator order, except
+    a(v) sent to a(u)^k, unreduced, where at[v] = (k, u)."""
+    at = at or {}
+    images = {}
+    for kind, name in pres.generators():
+        k, u = at.get(name, (1, name)) if kind == "v" else (1, name)
+        images[(kind, name)] = ((kind, u, k),)
+    return images
 
 
 def identity_cert(pres: Presentation, provenance: str = "identity") -> HomCertificate:
@@ -329,34 +335,28 @@ def _generator_map(pres_from: Presentation, pres_to: Presentation, images: dict)
     return through
 
 
-def compose(c1: HomCertificate, c2: HomCertificate, provenance: str = "") -> HomCertificate:
-    """Certificate for the composite map (c2 after c1): each word goes
-    through one generator map, each shared subword mapped once."""
-    if c1.target.graph != c2.source.graph:
-        raise CertificateError("composition: target/source graphs differ")
-    through = _generator_map(c1.target, c2.source, c2.images)
-    memo: dict = {}
-    images = {gen: substitute_letters(word, through, memo) for gen, word in c1.images.items()}
-    witnesses = None
-    if c1.witnesses is not None and c2.witnesses is not None:
-        through = _generator_map(c2.source, c1.target, c1.witnesses)
-        memo = {}
-        witnesses = {gen: substitute_letters(word, through, memo) for gen, word in c2.witnesses.items()}
-    return HomCertificate(
-        c1.source,
-        c2.target,
-        images,
-        witnesses,
-        provenance or f"{c1.provenance};{c2.provenance}",
-        tuple(dict.fromkeys(c1.flags + c2.flags)),
-    )
-
-
-def compose_chain(first: HomCertificate, *rest: HomCertificate, provenance: str = "") -> HomCertificate:
-    out = first
-    for c in rest:
-        out = compose(out, c)
-    return replace(out, provenance=provenance) if provenance else out
+def compose(first: HomCertificate, *rest: HomCertificate, provenance: str = "") -> HomCertificate:
+    """Certificate for the composite map (each certificate after the one
+    before it), folded from the left: each step sends every word through one
+    generator map, each shared subword mapped once, and one certificate is
+    built at the end."""
+    certs = (first, *rest)
+    images, witnesses = first.images, first.witnesses
+    for prev, c in zip(certs, rest):
+        if prev.target.graph != c.source.graph:
+            raise CertificateError("composition: target/source graphs differ")
+        through = _generator_map(prev.target, c.source, c.images)
+        memo: dict = {}
+        images = {gen: substitute_letters(word, through, memo) for gen, word in images.items()}
+        if witnesses is not None and c.witnesses is not None:
+            through = _generator_map(c.source, prev.target, witnesses)
+            memo = {}
+            witnesses = {gen: substitute_letters(word, through, memo) for gen, word in c.witnesses.items()}
+        else:
+            witnesses = None
+    provenance = provenance or ";".join(c.provenance for c in certs)
+    flags = tuple(dict.fromkeys(flag for c in certs for flag in c.flags))
+    return HomCertificate(first.source, certs[-1].target, images, witnesses, provenance, flags)
 
 
 # -- move-induced certificates ----------------------------------------------
@@ -392,10 +392,9 @@ def collapse_cert(g: LabelledGraph, edge: str, end: int | None = None):
     g2, rec = collapse(g, edge, end)
     removed, survivor, mult = rec.params[2:]
     src, tgt = _merged_presentations(g, g2, edge, survivor, removed)
-    fwd = _move_cert(src, tgt, {removed: (mult, survivor)}, f"collapse({edge})", _identity_images(tgt))
-    rev_witnesses = _identity_images(src)
-    rev_witnesses[("v", removed)] = (("v", survivor, mult),)
-    rev = HomCertificate(tgt, src, _identity_images(tgt), rev_witnesses, f"collapse-inverse({edge})")
+    at = {removed: (mult, survivor)}
+    fwd = _move_cert(src, tgt, at, f"collapse({edge})", _identity_images(tgt))
+    rev = HomCertificate(tgt, src, fwd.witnesses, _identity_images(src, at), f"collapse-inverse({edge})")
     return g2, fwd, rev
 
 
@@ -412,8 +411,7 @@ def expansion_cert(
     _, _, label, sgn, new_vertex, new_edge = rec.params
     src = Presentation(g)
     tgt = Presentation(g2, src.tree | {new_edge}, src.base)
-    split = _identity_images(tgt)  # new vertex -> the power of `vertex` it splits off
-    split[("v", new_vertex)] = (("v", vertex, sgn * label),)
+    split = _identity_images(tgt, {new_vertex: (sgn * label, vertex)})  # the power of `vertex` it splits off
     fwd = _move_cert(src, tgt, {}, f"expansion({new_edge})", split)
     rev = HomCertificate(tgt, src, split, _identity_images(src), f"expansion-inverse({new_edge})")
     return g2, fwd, rev
@@ -423,10 +421,7 @@ def sign_change_cert(g: LabelledGraph, *, vertex: str | None = None, edge: str |
     g2, rec = sign_change(g, vertex=vertex, edge=edge)
     src = Presentation(g)
     tgt = Presentation(g2, src.tree, src.base)
-    images = {}
-    for kind, name in src.generators():
-        exp = -1 if (kind == "v" and name == vertex) else 1
-        images[(kind, name)] = ((kind, name, exp),)
+    images = _identity_images(src, {vertex: (-1, vertex)})
     fwd = HomCertificate(src, tgt, images, images, f"sign-change({vertex or edge})")
     rev = HomCertificate(tgt, src, images, images, f"sign-change-inverse({vertex or edge})")
     return g2, fwd, rev
@@ -469,7 +464,7 @@ def reduce_cert(g: LabelledGraph, protect: str | None = None):
     for rec in records:
         cur, fwd, _ = collapse_cert(cur, rec.params[0], rec.params[1])
         certs.append(fwd)
-    return cur, compose_chain(*certs)
+    return cur, compose(*certs)
 
 
 def loop_relabel_cert(g: LabelledGraph, m: int, n: int) -> HomCertificate:
@@ -748,7 +743,7 @@ def circle_minimal_epi(g: LabelledGraph, shape=None) -> HomCertificate:
         return loop_relabel_cert(g, X, Y)
     cur, certs = _circle_to_small(g, shape)
     cur, red = reduce_cert(cur)
-    return compose_chain(*certs, red, loop_relabel_cert(cur, X, Y), provenance=f"circle->>BS({X},{Y})")
+    return compose(*certs, red, loop_relabel_cert(cur, X, Y), provenance=f"circle->>BS({X},{Y})")
 
 
 def _find_i0(xs, ys, bilateral):
@@ -799,7 +794,7 @@ def _solve_alpha_beta(R, X, Y):
 def _small_lollipop_explicit(g: LabelledGraph, shape) -> HomCertificate:
     """The k = l = 1 lollipop onto BS(QX, QY) by the explicit assignment
     a_0 -> a^(Y^(alpha+beta)), b_0 -> t^alpha a^(Rt*Q) t^-alpha, tau -> t
-    (or its X/Y-mirrored variant)."""
+    (or its X/Y-mirror, a^(X^(alpha+beta)) and t^-beta a^(Rt*Q) t^beta)."""
     Q, R, X, Y = shape.Q, shape.R, shape.X, shape.Y
     QX, QY = Q * X, Q * Y
     alpha, beta, rt = _solve_alpha_beta(R, X, Y)
@@ -807,19 +802,13 @@ def _small_lollipop_explicit(g: LabelledGraph, shape) -> HomCertificate:
     tgt = Presentation(bs_graph(QX, QY))
     a0 = shape.seg_vertices[0]
     b0 = shape.circ_vertices[0]
-    if gcd(Y, QX) == 1:
-        a0_img = (("v", "v0", Y ** (alpha + beta)),)
-        b0_img = letters_concat(
-            (("t", "e0", alpha),), (("v", "v0", rt * Q),), (("t", "e0", -alpha),)
-        )
-    else:  # X^QY = 1: the caller enters only when X^QY = 1 or Y^QX = 1
-        a0_img = (("v", "v0", X ** (alpha + beta)),)
-        b0_img = letters_concat(
-            (("t", "e0", -beta),), (("v", "v0", rt * Q),), (("t", "e0", beta),)
-        )
+    # else X^QY = 1: the caller enters only when Y^QX = 1 or X^QY = 1
+    power, s = (Y, alpha) if gcd(Y, QX) == 1 else (X, -beta)
     images = {
-        ("v", a0): a0_img,
-        ("v", b0): b0_img,
+        ("v", a0): (("v", "v0", power ** (alpha + beta)),),
+        ("v", b0): letters_concat(
+            (("t", "e0", s),), (("v", "v0", rt * Q),), (("t", "e0", -s),)
+        ),
         ("t", tau[0][1]): letters_power((("t", "e0", 1),), tau[0][2]),
     }
     return witnessed_cert(src, tgt, images, {"e0": letters_power(tau, 1)}, f"lollipop->>BS({QX},{QY})")
@@ -848,7 +837,7 @@ def minimal_bs_epi(g: LabelledGraph) -> HomCertificate:
         cur, certs = _circle_to_small(g, shape)
         cur, red = reduce_cert(cur, protect=shape.circ_vertices[0])
         last = _small_lollipop_explicit(cur, classify_shape(cur))
-        return compose_chain(*certs, red, last, provenance=f"lollipop->>BS({Q*X},{Q*Y})")
+        return compose(*certs, red, last, provenance=f"lollipop->>BS({Q*X},{Q*Y})")
     edge = shape.seg_edges[-1]
     g2, cert = contraction_cert(g, edge.edge, survivor_end=1 - edge.end)
     shape2 = classify_shape(g2)

@@ -170,7 +170,6 @@ def is_large(g: LabelledGraph) -> bool:
 def is_rf_gbs(g: LabelledGraph) -> Decision:
     """Residually finite iff solvable or unimodular; solvability is tested on
     the reduced graph only (caveat flag on negative answers elsewhere)."""
-    g.require_connected()
     red, _ = reduce_graph(g)
     if not red.edges:
         return Decision(True, "solvable (trivial graph)")
@@ -191,7 +190,6 @@ def is_rf_gbs(g: LabelledGraph) -> Decision:
 
 def exists_bs_quotient(g: LabelledGraph) -> Decision:
     """Does G have a Baumslag-Solitar quotient (besides possibly K)?"""
-    g.require_connected()
     red, _ = reduce_graph(g)
     if _detect_elementary(red) is not None:
         raise ElementaryGroupError("decider excludes elementary groups")

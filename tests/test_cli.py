@@ -615,7 +615,7 @@ CLI_PINS = [
     (("bs",), {}, "53bc9c80e6b03bdc", "53bc9c80e6b03bdc"),
     (("word", "equal", "bs 2 3", "a(v0)"), {}, "9633cb95baff04c7", "9633cb95baff04c7"),
     (("nope",), {}, "6919040d45c4c6ad", "6919040d45c4c6ad"),
-    (("--help",), {}, "2ffafda8a4f11897", "2ffafda8a4f11897"),
+    (("--help",), {}, "2f1ac4b5dece8af3", "2f1ac4b5dece8af3"),
     (("graph", "--help"), {}, "ad8c3d5bc8133f97", "ad8c3d5bc8133f97"),
     (("quot", "--help"), {}, "5a9bdbb88796d9c0", "5a9bdbb88796d9c0"),
     (("bs", "--help"), {}, "911f29dba0ec4284", "911f29dba0ec4284"),

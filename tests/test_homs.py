@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import random
 from collections import Counter
@@ -235,8 +236,9 @@ def test_compose_is_functorial():
 def test_missing_witness_error():
     pres = Presentation(bs_graph(2, 3))
     cert = dataclasses.replace(identity_cert(pres), witnesses=None)
-    with pytest.raises(MissingWitnessError):
-        check_epi(cert)
+    for c in (cert, compose(cert, identity_cert(pres)), compose(identity_cert(pres), cert)):  # None once any has none
+        with pytest.raises(MissingWitnessError):
+            check_epi(c)
     full = identity_cert(pres)
     cert2 = dataclasses.replace(full, witnesses={gen: word for gen, word in full.witnesses.items() if gen != ("t", "e0")})
     with pytest.raises(MissingWitnessError):
@@ -733,28 +735,31 @@ def convert_letters_reference(letters, pres_from, pres_to):
     return helper_to.path_to_letters(helper_from.letters_to_path(letters).syllables)
 
 
-def compose_reference(c1, c2, provenance=""):
-    """The eager composite: every word written out."""
-    if c1.target.graph != c2.source.graph:
-        raise CertificateError("composition: target/source graphs differ")
-    images = {}
-    for gen, word in c1.images.items():
-        mid = convert_letters_reference(word, c1.target, c2.source)
-        images[gen] = substitute_letters_reference(mid, c2.images)
-    witnesses = None
-    if c1.witnesses is not None and c2.witnesses is not None:
-        witnesses = {}
-        for gen, word in c2.witnesses.items():
-            mid = convert_letters_reference(word, c2.source, c1.target)
-            witnesses[gen] = substitute_letters_reference(mid, c1.witnesses)
-    return HomCertificate(
-        c1.source,
-        c2.target,
-        images,
-        witnesses,
-        provenance or f"{c1.provenance};{c2.provenance}",
-        tuple(dict.fromkeys(c1.flags + c2.flags)),
-    )
+def compose_reference(first, *rest, provenance=""):
+    """The eager composite, folded pair by pair: every word written out."""
+    c1 = first
+    for c2 in rest:
+        if c1.target.graph != c2.source.graph:
+            raise CertificateError("composition: target/source graphs differ")
+        images = {}
+        for gen, word in c1.images.items():
+            mid = convert_letters_reference(word, c1.target, c2.source)
+            images[gen] = substitute_letters_reference(mid, c2.images)
+        witnesses = None
+        if c1.witnesses is not None and c2.witnesses is not None:
+            witnesses = {}
+            for gen, word in c2.witnesses.items():
+                mid = convert_letters_reference(word, c2.source, c1.target)
+                witnesses[gen] = substitute_letters_reference(mid, c1.witnesses)
+        c1 = HomCertificate(
+            c1.source,
+            c2.target,
+            images,
+            witnesses,
+            f"{c1.provenance};{c2.provenance}",
+            tuple(dict.fromkeys(c1.flags + c2.flags)),
+        )
+    return dataclasses.replace(c1, provenance=provenance) if provenance else c1
 
 
 def _eager(mp):
@@ -963,6 +968,22 @@ def test_circle_composition_builds_no_duplicate_presentations(monkeypatch):
     assert check_epi(cert)
 
 
+def test_compose_folds_a_chain_into_one_certificate(monkeypatch):
+    """compose(c1, c2, ..., cn) is the nested pairs compose(compose(c1, c2),
+    c3)..., built as one certificate, not one per intermediate result."""
+    g = circle_graph([2, 3] * 3)
+    shape = classify_shape(g)
+    cur, certs = homs._circle_to_small(g, shape)
+    cur, red = reduce_cert(cur)
+    certs += [red, loop_relabel_cert(cur, shape.X, shape.Y)]
+    nested = functools.reduce(compose, certs)
+    calls = count_calls(monkeypatch, [(HomCertificate, "__init__")])
+    folded = compose(*certs)
+    assert len(certs) >= 4 and calls["__init__"] == 1
+    assert folded.to_json() == nested.to_json()
+    assert check_epi(folded)
+
+
 def test_compose_builds_no_presentation(monkeypatch):
     """compose changes spanning trees by conjugating with a tree path: on the
     circle (2 3)^8 it builds none of the 172 rebased presentations it once
@@ -970,9 +991,9 @@ def test_compose_builds_no_presentation(monkeypatch):
     calls = count_calls(monkeypatch, [(Presentation, "__init__")])
     inside = Counter()
 
-    def counted_compose(c1, c2, provenance="", _compose=homs.compose):
+    def counted_compose(*certs, provenance="", _compose=homs.compose):
         before = calls["__init__"]
-        out = _compose(c1, c2, provenance)
+        out = _compose(*certs, provenance=provenance)
         inside.update(calls=1, presentations=calls["__init__"] - before)
         return out
 

@@ -11,7 +11,7 @@ from conftest import count_calls, criterion_6_circles
 from gbs import arith, quotients
 from gbs.arith import factorize, gcd
 from gbs.decision import Decision
-from gbs.errors import DecisionError, ElementaryGroupError, InputError, NotReducedError, ShapeError
+from gbs.errors import DecisionError, DisconnectedGraphError, ElementaryGroupError, InputError, NotReducedError, ShapeError
 from gbs.graphs import (
     LabelledGraph,
     bs_graph,
@@ -260,6 +260,8 @@ def test_rf_gbs():
     dec = is_rf_gbs(lollipop_graph([6, 4], [3, 6]))
     assert dec.caveat
     assert is_rf_gbs(graph_from_edges([], extra_vertices=["v"])) == Decision(True, "solvable (trivial graph)")
+    with pytest.raises(DisconnectedGraphError, match="^graph is not connected$"):
+        is_rf_gbs(graph_from_edges([("e0", "u", "u", 2, 3)], extra_vertices=["w"]))
 
 
 def test_rf_gbs_matches_bs_on_loops():
@@ -283,6 +285,8 @@ def test_exists_bs_quotient():
     assert dec3
     with pytest.raises(ElementaryGroupError):
         exists_bs_quotient(bs_graph(1, -1))
+    with pytest.raises(DisconnectedGraphError, match="^graph is not connected$"):
+        exists_bs_quotient(graph_from_edges([("e0", "u", "u", 2, 3)], extra_vertices=["w"]))
 
 
 def test_descending_chain_certified():
