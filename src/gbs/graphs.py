@@ -764,11 +764,12 @@ def classify_shape(g: LabelledGraph, *, _plateau_sets=None) -> Shape:
     For circles the base w_0 is a vertex meeting every plateau when one
     exists (lowest id wins); otherwise the lowest id with a recording flag.
     `_plateau_sets` passes down the plateau family's vertex sets from a
-    caller that has built them (is_two_generated), so they are built once.
-    Every vertex a walk passes before its stop has valence 2, so it never
-    branches.
+    caller that has built them (is_two_generated), so they are built once;
+    that caller has also checked connectivity.  Every vertex a walk passes
+    before its stop has valence 2, so it never branches.
     """
-    g.require_connected()
+    if _plateau_sets is None:
+        g.require_connected()
     beta = len(g.edges) - len(g.vertices) + 1
     valences = {v: g.valence(v) for v in g.vertices}
     terminals = sorted((v for v, d in valences.items() if d == 1), key=id_key)
@@ -802,7 +803,7 @@ def classify_shape(g: LabelledGraph, *, _plateau_sets=None) -> Shape:
 def _circle_base(g: LabelledGraph, plateau_sets) -> tuple[str, bool]:
     from .plateaus import plateau_family
 
-    meeting = set(g.vertices).intersection(*(plateau_sets or [pl.vertices for pl in plateau_family(g)]))
+    meeting = set(g.vertices).intersection(*(plateau_sets or plateau_family(g)))
     if meeting:
         return sorted(meeting, key=id_key)[0], True
     return g.sorted_vertices()[0], False

@@ -13,6 +13,9 @@ disjoint.
 
 `plateaus(g, p)` reads "p divides" as gcd(label, p) > 1; for an element p of
 the labels' coprime base these are the q-plateaus of every prime q | p.
+One component search, `_components`, finds them all: it takes one gcd per
+distinct label and base element, and then walks by bit tests.  The plateau
+family that mu and the circle base read is a set of vertex sets.
 """
 
 from dataclasses import dataclass
@@ -20,14 +23,14 @@ from itertools import combinations
 
 from .arith import coprime_base, env_int, factorize, gcd, split_power
 from .errors import DecisionError, InputError, NotReducedError, ShapeError, VertexCapError
-from .graphs import LabelledGraph, Shape, classify_shape
+from .graphs import LabelledGraph, Shape, classify_shape, id_key
 
 VERTEX_CAP_DEFAULT = 24
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Plateau:
-    prime: int  # the p of plateaus(g, p): a coprime-base element in plateau_family
+    prime: int  # the p of plateaus(g, p); for a composite p, "p divides" is gcd > 1
     vertices: frozenset[str]
 
 
@@ -44,54 +47,56 @@ class RankReport:
 
 
 def plateaus(g: LabelledGraph, p: int) -> list[Plateau]:
-    """All p-plateaus by one DFS over the edges with neither label divisible
-    by p, in the order of their subset masks over sorted_vertices()."""
+    """All p-plateaus, in the order of their subset masks over
+    sorted_vertices()."""
     if p < 2:
         raise InputError(f"plateaus need a prime p, not {p}")
     g.require_connected()
-    return _plateaus(g, p)
-
-
-def _plateaus(g: LabelledGraph, p: int) -> list[Plateau]:
-    """plateaus(g, p) on a graph already known to be connected."""
-    index = {v: i for i, v in enumerate(g.sorted_vertices())}
-    seen: set[str] = set()
-    found = []
-    for v in index:
-        if v in seen:
-            continue
-        seen.add(v)
-        comp = [v]
-        stack = [v]
-        ok = True
-        while stack:
-            for oe in g.edges_at(stack.pop()):
-                if gcd(g.label(oe), p) > 1:
-                    continue
-                if gcd(g.colabel(oe), p) > 1:
-                    ok = False
-                    continue
-                w = g.terminus(oe)
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        if ok:
-            found.append(comp)
     # the masks of disjoint sets compare as their highest vertices do
-    found.sort(key=lambda comp: max(index[w] for w in comp))
-    return [Plateau(p, frozenset(comp)) for comp in found]
+    return [Plateau(p, s) for s in sorted(_components(g, [p]), key=lambda s: max(map(id_key, s)))]
 
 
-def plateau_family(g: LabelledGraph) -> list[Plateau]:
-    """Plateaus for every element of the labels' coprime base (the primes of
-    one element share their plateaus), plus the whole graph (the only
-    plateau for every prime dividing no label).  The graph must be connected:
-    mu and classify_shape check it first."""
-    fam = [Plateau(0, frozenset(g.vertices))]
-    for p in coprime_base(set(g.labels())):
-        fam.extend(_plateaus(g, p))
-    return fam
+def _components(g: LabelledGraph, base: list[int]) -> list[frozenset[str]]:
+    """The plateaus of every element of `base` on a connected graph.  Each
+    distinct label gets one mask, bit i set when it shares a prime with
+    base[i]; then one stack search per element walks the edges whose two
+    masks both lack its bit."""
+    masks = {l: sum(1 << i for i, p in enumerate(base) if gcd(l, p) > 1) for l in set(g.labels())}
+    nbrs = {v: [] for v in g.vertices}  # vertex -> (far vertex, near mask, far mask)
+    for ed in g.edges.values():
+        (a, b), (la, lb) = ed.endpoints, ed.labels
+        nbrs[a].append((b, masks[la], masks[lb]))
+        nbrs[b].append((a, masks[lb], masks[la]))
+    found = []
+    for i in range(len(base)):
+        bit, seen = 1 << i, set()
+        for v in nbrs:
+            if v in seen:
+                continue
+            seen.add(v)
+            comp, stack, ok = [v], [v], True
+            while stack:
+                for w, near, far in nbrs[stack.pop()]:
+                    if near & bit:
+                        continue
+                    if far & bit:
+                        ok = False
+                    elif w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        stack.append(w)
+            if ok:
+                found.append(frozenset(comp))
+    return found
+
+
+def plateau_family(g: LabelledGraph) -> set[frozenset[str]]:
+    """The distinct vertex sets of the plateaus of every element of the
+    labels' coprime base (the primes of one element share their plateaus),
+    plus the whole graph (the only plateau for every prime dividing no
+    label).  The graph must be connected: mu and classify_shape check it
+    first."""
+    return {frozenset(g.vertices), *_components(g, coprime_base(g.labels()))}
 
 
 def mu(g: LabelledGraph) -> RankReport:
@@ -110,7 +115,7 @@ def mu(g: LabelledGraph) -> RankReport:
     if len(g.vertices) > cap:
         raise VertexCapError(f"{len(g.vertices)} vertices exceeds cap {cap}")
     beta = len(g.edges) - len(g.vertices) + 1
-    sets = sorted({pl.vertices for pl in plateau_family(g)}, key=lambda s: (len(s), sorted(s)))
+    sets = sorted(plateau_family(g), key=lambda s: (len(s), sorted(s)))
     forced = frozenset(v for s in sets if len(s) == 1 for v in s)
     unhit = [s for s in sets if not forced & s]
     free = set().union(*unhit)

@@ -300,7 +300,7 @@ def test_criterion_10_rank_formula():
         if not g.is_reduced():
             continue
         report = mu(g)
-        sets = {p.vertices for p in plateau_family(g)}
+        sets = plateau_family(g)
         verts = list(reversed(g.sorted_vertices()))
         alt = None
         for size in range(1, len(verts) + 1):

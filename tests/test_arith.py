@@ -117,6 +117,7 @@ def test_coprime_base_is_a_gcd_free_basis(nums):
 def test_coprime_base_examples():
     assert coprime_base([]) == coprime_base([0, 1, -1]) == []
     assert coprime_base([12, 18]) == [2, 3]
+    assert coprime_base([2, -2, 4, 4, -6]) == [2, 3]
     assert coprime_base([6, 6, -36]) == [6]
     assert coprime_base([4, 6, 35]) == [2, 3, 35]
     assert coprime_base([10**30 + 57, 10**15]) == sorted([10**30 + 57, 10**15])

@@ -1195,7 +1195,7 @@ def test_classify_shape_checks_connectivity_once(monkeypatch):
     assert calls == {"is_connected": 1}
     calls.clear()
     assert is_two_generated(g)[1].shape.kind == "circle"
-    assert calls == {"is_connected": 2}
+    assert calls == {"is_connected": 1}
 
 
 def test_moves_keep_labels_nonzero():

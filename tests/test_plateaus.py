@@ -1,10 +1,12 @@
+import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, criterion_6_circles, graphs
+from conftest import count_calls, criterion_6_circles, graphs, small_connected_graph
 
 from gbs.arith import factorize
 from gbs.errors import InputError, NotReducedError, VertexCapError
@@ -98,10 +100,11 @@ def _label_primes_reference(g):
 
 
 def _plateau_family_reference(g):
-    """The whole graph plus the exhaustive p-plateaus of every label prime."""
-    fam = [Plateau(0, frozenset(g.vertices))]
+    """The vertex sets of the whole graph and of the exhaustive p-plateaus of
+    every label prime."""
+    fam = {frozenset(g.vertices)}
     for p in _label_primes_reference(g):
-        fam.extend(_plateaus_exhaustive(g, p))
+        fam.update(pl.vertices for pl in _plateaus_exhaustive(g, p))
     return fam
 
 
@@ -119,7 +122,7 @@ def _check_copr_reference(shape):
 
 def _mu_reference(g, family=plateau_family):
     """The full search: every vertex combination, smallest size first."""
-    sets = sorted({pl.vertices for pl in family(g)}, key=lambda s: (len(s), sorted(s)))
+    sets = sorted(family(g), key=lambda s: (len(s), sorted(s)))
     verts = g.sorted_vertices()
     for size in range(1, len(verts) + 1):
         for combo in combinations(verts, size):
@@ -226,7 +229,7 @@ def test_circle_base_matches_oracle_family(labels):
 def _mu_alternate(g):
     """Independent recomputation: plateau sets from the family, hitting sets
     searched over reversed vertex order."""
-    sets = {p.vertices for p in plateau_family(g)}
+    sets = plateau_family(g)
     verts = list(reversed(g.sorted_vertices()))
     for size in range(1, len(verts) + 1):
         for combo in combinations(verts, size):
@@ -310,9 +313,7 @@ def test_bil_two_generation_parity():
 @given(graphs(max_vertices=6, max_extra=3, max_label=30))
 @settings(max_examples=200, deadline=None)
 def test_plateau_family_and_mu_match_prime_oracle(g):
-    assert {pl.vertices for pl in plateau_family(g)} == {
-        pl.vertices for pl in _plateau_family_reference(g)
-    }
+    assert plateau_family(g) == _plateau_family_reference(g)
     g, _ = reduce_graph(g)
     assert mu(g) == _mu_reference(g, _plateau_family_reference)
 
@@ -323,6 +324,43 @@ def test_composite_p_gives_the_plateaus_of_its_primes():
         assert [pl.vertices for pl in plateaus(g, 6)] == [pl.vertices for pl in plateaus(g, p)]
     # "6 divides" reads as sharing a prime with 6, so 4 and 9 both count
     assert [pl.vertices for pl in plateaus(segment_graph([4, 9]), 6)] == [{"v0"}, {"v1"}]
+
+
+def _gcd_reading(g, p):
+    """g with each label that shares a prime with p replaced by p and every
+    other label by 1: its p-divisible labels are those that plateaus(g, p)
+    reads as divisible, so the exhaustive oracle applies to a composite p."""
+    rows = [(n, *ed.endpoints, *(p if gcd(l, p) > 1 else 1 for l in ed.labels)) for n, ed in g.edges.items()]
+    return graph_from_edges(rows, extra_vertices=g.vertices)
+
+
+def _differential_graphs():
+    """Loops, one-vertex graphs, repeated and negative labels, and labels
+    whose primes fall in different coprime-base elements, then 120 graphs
+    of a fixed seed."""
+    fixed = [
+        graph_from_edges([], extra_vertices=["v0"]),
+        bs_graph(6, -4),
+        bs_graph(-2, 2),
+        graph_from_edges([("e0", "v0", "v1", 6, 10), ("e1", "v1", "v2", 15, 35), ("x0", "v2", "v2", -6, 6),
+                          ("x1", "v0", "v2", 35, -10), ("x2", "v1", "v1", 15, 21)]),
+        segment_graph([6, 35, 36, 5]),
+        segment_graph([2, 3, 3, 2]),
+        circle_graph([6, 10, 15, 35, -6, 10]),
+        circle_graph([4, 4, -4, 4]),
+        lollipop_graph([2, -2], [4, 4, -6, 15]),
+    ]
+    rng = random.Random(34)
+    return fixed + [small_connected_graph(rng, max_vertices=6, max_extra=3, max_label=36) for _ in range(120)]
+
+
+def test_plateau_search_matches_oracles_on_fixed_graphs():
+    for g in _differential_graphs():
+        assert plateau_family(g) == _plateau_family_reference(g), g
+        for p in (2, 3, 5, 7):
+            assert plateaus(g, p) == _plateaus_exhaustive(g, p), (g, p)  # list order too
+        for p in (6, 10, 15, 35, 210):
+            assert plateaus(g, p) == _plateaus_exhaustive(_gcd_reading(g, p), p), (g, p)
 
 
 @st.composite
@@ -342,7 +380,7 @@ def test_check_copr_and_circle_base_match_prime_oracle(g):
     shape = classify_shape(g)
     assert check_copr(shape) == _check_copr_reference(shape)
     if shape.kind == "circle":
-        meeting = set(g.vertices).intersection(*(pl.vertices for pl in _plateau_family_reference(g)))
+        meeting = set(g.vertices).intersection(*_plateau_family_reference(g))
         assert shape.base_meets_all_plateaus == bool(meeting)
         if meeting:
             assert shape.circ_vertices[0] == min(meeting, key=id_key)
