@@ -112,8 +112,11 @@ def coprime_base(nums) -> list[int]:
         for i, b in enumerate(base):
             g = gcd(a, b)
             if g > 1:
-                del base[i]
-                pending.extend(x for x in (g, a // g, b // g) if x > 1)
+                if g < b:  # else b, a piece of a, stays as it is
+                    del base[i]
+                    pending += (g, b // g)
+                if g < a:
+                    pending.append(a // g)
                 break
         else:
             base.append(a)

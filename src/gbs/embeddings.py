@@ -579,19 +579,17 @@ def _pendant_extend(inner: _Pattern, delta1: int, m, n) -> _Pattern:
 def _vertex_labels(g: LabelledGraph, up_to_sign: bool = False) -> list[int] | None:
     """The one label near each vertex with edges (after greedy sign
     normalization; its absolute value with up_to_sign), or None when some
-    vertex carries two.  A vertex with no edges imposes no condition."""
+    vertex carries two, read from the edge rows.  A vertex with no edges
+    imposes no condition."""
     if not g.is_reduced():
         raise NotReducedError("test needs a reduced graph")
-    norm, _ = canonicalize_signs(g)
-    out = []
-    for v in norm.sorted_vertices():
-        labels = {norm.label(oe) for oe in norm.edges_at(v)}
-        if up_to_sign:
-            labels = {abs(l) for l in labels}
-        if len(labels) > 1:
-            return None
-        out.extend(labels)
-    return out
+    near = {}
+    for ed in canonicalize_signs(g)[0].edges.values():
+        for v, l in zip(ed.endpoints, ed.labels):
+            l = abs(l) if up_to_sign else l
+            if near.setdefault(v, l) != l:
+                return None
+    return list(near.values())
 
 
 def subgroup_of_bs_nn(g: LabelledGraph, n: int, up_to_sign: bool = False) -> bool:

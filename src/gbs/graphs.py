@@ -18,13 +18,14 @@ has checked its parameters.  No query result is cached on a graph (the
 incidence index `_incidence` is its only lazily built field, built by the
 first ordered query, `edges_at`; the connectivity check, which needs no
 order, and `reduce_graph` never build it); each public entry point computes
-an invariant once and passes it down."""
+an invariant once and passes it down.  The shape walker reads each edge row
+once and builds no `OrientedEdge` of its own: it returns the index's."""
 
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable
 
-from .arith import gcd
+from .arith import coprime_base, gcd
 from .errors import (
     DisconnectedGraphError,
     InputError,
@@ -740,22 +741,24 @@ class Shape:
     Y = _product("y")
 
 
-def _walk(g: LabelledGraph, first: OrientedEdge, stop) -> list[OrientedEdge]:
-    """The oriented edges of the walk along `first`: at each vertex it leaves
-    by the first edge end, in `edges_at` order, that is not the way back, and
-    it ends at the first vertex `stop` accepts."""
-    path = [first]
-    while not stop(cur := g.terminus(path[-1])):
-        back = path[-1].reverse
-        path.append(next(oe for oe in g.edges_at(cur) if oe != back))
-    return path
-
-
-def _read(g: LabelledGraph, path: list[OrientedEdge]):
-    """The vertices of a walk from its first origin on, its near labels and
-    its far labels."""
-    verts = (g.origin(path[0]), *(g.terminus(oe) for oe in path))
-    return verts, tuple(g.label(oe) for oe in path), tuple(g.colabel(oe) for oe in path)
+def _walk(g: LabelledGraph, first: OrientedEdge, stop):
+    """The walk along `first`: its oriented edges, its vertices from its first
+    origin on, its near and far labels.  At each vertex it leaves by the first
+    edge end, in `edges_at` order, of an edge other than the one it came by,
+    and it ends at the first vertex `stop` accepts.  Every vertex it passes
+    has valence 2, so it arrives by a loop only where it stops."""
+    oe, path, verts, near, far = first, [], [], [], []
+    while True:
+        ed, name, end = g.edges[oe.edge], oe.edge, oe.end
+        path.append(oe)
+        verts.append(ed.endpoints[end])
+        near.append(ed.labels[end])
+        far.append(ed.labels[1 - end])
+        if stop(cur := ed.endpoints[1 - end]):
+            return tuple(path), (*verts, cur), tuple(near), tuple(far)
+        for oe in g.edges_at(cur):
+            if oe.edge != name:
+                break
 
 
 def classify_shape(g: LabelledGraph, *, _plateau_sets=None) -> Shape:
@@ -775,36 +778,35 @@ def classify_shape(g: LabelledGraph, *, _plateau_sets=None) -> Shape:
     terminals = sorted((v for v, d in valences.items() if d == 1), key=id_key)
     if beta == 0:
         if len(terminals) == 2 and all(d <= 2 for d in valences.values()):
-            path = _walk(g, g.edges_at(terminals[0])[0], lambda v: valences[v] == 1)
-            verts, q, r = _read(g, path)
-            return Shape("segment", seg_vertices=verts, seg_edges=tuple(path), q=q, r=r)
+            path, verts, q, r = _walk(g, g.edges_at(terminals[0])[0], lambda v: valences[v] == 1)
+            return Shape("segment", seg_vertices=verts, seg_edges=path, q=q, r=r)
         return Shape("other")
     if beta != 1:
         return Shape("other")
     if all(d == 2 for d in valences.values()):
         base, meets_all = _circle_base(g, _plateau_sets)
-        cyc = _walk(g, g.edges_at(base)[0], lambda v: v == base)
-        verts, x, y = _read(g, cyc)
-        return Shape("circle", circ_vertices=verts[:-1], circ_edges=tuple(cyc), x=x, y=y,
+        cyc, verts, x, y = _walk(g, g.edges_at(base)[0], lambda v: v == base)
+        return Shape("circle", circ_vertices=verts[:-1], circ_edges=cyc, x=x, y=y,
                      base_meets_all_plateaus=meets_all)
     tri = [v for v, d in valences.items() if d == 3]
     if len(terminals) == 1 and len(tri) == 1 and all(d in (1, 2, 3) for d in valences.values()):
         w0 = tri[0]
         at_w0 = lambda v: v == w0
-        path = _walk(g, g.edges_at(terminals[0])[0], at_w0)
-        cyc = _walk(g, next(oe for oe in g.edges_at(w0) if oe.edge != path[-1].edge), at_w0)
-        verts, q, r = _read(g, path)
-        cverts, x, y = _read(g, cyc)
-        return Shape("lollipop", seg_vertices=verts, seg_edges=tuple(path), q=q, r=r,
-                     circ_vertices=cverts[:-1], circ_edges=tuple(cyc), x=x, y=y)
+        path, verts, q, r = _walk(g, g.edges_at(terminals[0])[0], at_w0)
+        cyc, cverts, x, y = _walk(g, next(oe for oe in g.edges_at(w0) if oe.edge != path[-1].edge), at_w0)
+        return Shape("lollipop", seg_vertices=verts, seg_edges=path, q=q, r=r,
+                     circ_vertices=cverts[:-1], circ_edges=cyc, x=x, y=y)
     return Shape("other")
 
 
 def _circle_base(g: LabelledGraph, plateau_sets) -> tuple[str, bool]:
-    from .plateaus import plateau_family
+    """The lowest vertex meeting every plateau (True), else the lowest vertex
+    (False); without `plateau_sets`, the search stops once no vertex meets all."""
+    from .plateaus import _components
 
-    meeting = set(g.vertices).intersection(*(plateau_sets or plateau_family(g)))
-    if meeting:
-        return sorted(meeting, key=id_key)[0], True
-    return g.sorted_vertices()[0], False
-
+    meeting = set(g.vertices)
+    for s in plateau_sets or _components(g, coprime_base(g.labels())):
+        meeting &= s
+        if not meeting:
+            return min(g.vertices, key=id_key), False
+    return min(meeting, key=id_key), True

@@ -387,15 +387,30 @@ def _merged_presentations(g: LabelledGraph, g2: LabelledGraph, edge: str, surviv
     return src, Presentation(g2, src.tree - {edge}, survivor if src.base == removed else src.base)
 
 
-def collapse_cert(g: LabelledGraph, edge: str, end: int | None = None):
-    """(new graph, forward iso certificate, reverse iso certificate)."""
+def _collapse_fwd(g: LabelledGraph, edge: str, end: int | None):
+    """(new graph, forward certificate, its multiplier map) of a collapse."""
     g2, rec = collapse(g, edge, end)
     removed, survivor, mult = rec.params[2:]
     src, tgt = _merged_presentations(g, g2, edge, survivor, removed)
     at = {removed: (mult, survivor)}
-    fwd = _move_cert(src, tgt, at, f"collapse({edge})", _identity_images(tgt))
-    rev = HomCertificate(tgt, src, fwd.witnesses, _identity_images(src, at), f"collapse-inverse({edge})")
-    return g2, fwd, rev
+    return g2, _move_cert(src, tgt, at, f"collapse({edge})", _identity_images(tgt)), at
+
+
+def collapse_cert(g: LabelledGraph, edge: str, end: int | None = None):
+    """(new graph, forward iso certificate, reverse iso certificate)."""
+    g2, fwd, at = _collapse_fwd(g, edge, end)
+    src = fwd.source
+    return g2, fwd, HomCertificate(fwd.target, src, fwd.witnesses, _identity_images(src, at), f"collapse-inverse({edge})")
+
+
+def _expansion_fwd(g: LabelledGraph, vertex: str, moved, label: int, sgn=1, new_vertex=None, new_edge=None):
+    """(new graph, forward certificate, new edge name) of an expansion."""
+    g2, rec = expansion(g, vertex, moved, label, sgn, new_vertex, new_edge)
+    _, _, label, sgn, new_vertex, new_edge = rec.params
+    src = Presentation(g)
+    tgt = Presentation(g2, src.tree | {new_edge}, src.base)
+    split = _identity_images(tgt, {new_vertex: (sgn * label, vertex)})  # the power of `vertex` it splits off
+    return g2, _move_cert(src, tgt, {}, f"expansion({new_edge})", split), new_edge
 
 
 def expansion_cert(
@@ -407,14 +422,9 @@ def expansion_cert(
     new_vertex: str | None = None,
     new_edge: str | None = None,
 ):
-    g2, rec = expansion(g, vertex, moved, label, sgn, new_vertex, new_edge)
-    _, _, label, sgn, new_vertex, new_edge = rec.params
-    src = Presentation(g)
-    tgt = Presentation(g2, src.tree | {new_edge}, src.base)
-    split = _identity_images(tgt, {new_vertex: (sgn * label, vertex)})  # the power of `vertex` it splits off
-    fwd = _move_cert(src, tgt, {}, f"expansion({new_edge})", split)
-    rev = HomCertificate(tgt, src, split, _identity_images(src), f"expansion-inverse({new_edge})")
-    return g2, fwd, rev
+    g2, fwd, new_edge = _expansion_fwd(g, vertex, moved, label, sgn, new_vertex, new_edge)
+    src = fwd.source
+    return g2, fwd, HomCertificate(fwd.target, src, fwd.witnesses, _identity_images(src), f"expansion-inverse({new_edge})")
 
 
 def sign_change_cert(g: LabelledGraph, *, vertex: str | None = None, edge: str | None = None):
@@ -448,8 +458,7 @@ def displacement_cert(g: LabelledGraph, edge: str, r: int, divided_end: int):
     work = _Work(g)
     work.displacement(edge, r, divided_end)
     s = work.edges[edge].labels[divided_end]  # rs // r
-    g1, c_exp, _ = expansion_cert(g, g.edges[edge].endpoints[divided_end], [OrientedEdge(edge, divided_end)], s, 1)
-    new_edge = next(e for e in g1.edges if e not in g.edges)
+    g1, c_exp, new_edge = _expansion_fwd(g, g.edges[edge].endpoints[divided_end], [OrientedEdge(edge, divided_end)], s)
     g2, c_con = contraction_cert(g1, edge, survivor_end=1 - divided_end)
     cert = compose(c_exp, c_con, provenance=f"displacement({edge},{r})")
     return g2, cert, new_edge
@@ -462,7 +471,7 @@ def reduce_cert(g: LabelledGraph, protect: str | None = None):
         return g, identity_cert(Presentation(g), "reduce(identity)")
     cur, certs = g, []
     for rec in records:
-        cur, fwd, _ = collapse_cert(cur, rec.params[0], rec.params[1])
+        cur, fwd, _ = _collapse_fwd(cur, rec.params[0], rec.params[1])
         certs.append(fwd)
     return cur, compose(*certs)
 

@@ -13,9 +13,9 @@ disjoint.
 
 `plateaus(g, p)` reads "p divides" as gcd(label, p) > 1; for an element p of
 the labels' coprime base these are the q-plateaus of every prime q | p.
-One component search, `_components`, finds them all: it takes one gcd per
-distinct label and base element, and then walks by bit tests.  The plateau
-family that mu and the circle base read is a set of vertex sets.
+One component search, `_components`, yields them all: one gcd per distinct
+label and base element, then bit tests.  mu reads the set of their vertex
+sets; `classify_shape`'s circle base reads them as they come, and stops early.
 """
 
 from dataclasses import dataclass
@@ -56,18 +56,21 @@ def plateaus(g: LabelledGraph, p: int) -> list[Plateau]:
     return [Plateau(p, s) for s in sorted(_components(g, [p]), key=lambda s: max(map(id_key, s)))]
 
 
-def _components(g: LabelledGraph, base: list[int]) -> list[frozenset[str]]:
-    """The plateaus of every element of `base` on a connected graph.  Each
-    distinct label gets one mask, bit i set when it shares a prime with
+def _components(g: LabelledGraph, base: list[int]):
+    """Yield the plateaus of every element of `base` on a connected graph,
+    element by element.  Each distinct label gets one mask at its first
+    appearance in the edge loop, bit i set when it shares a prime with
     base[i]; then one stack search per element walks the edges whose two
     masks both lack its bit."""
-    masks = {l: sum(1 << i for i, p in enumerate(base) if gcd(l, p) > 1) for l in set(g.labels())}
-    nbrs = {v: [] for v in g.vertices}  # vertex -> (far vertex, near mask, far mask)
+    masks, nbrs = {}, {v: [] for v in g.vertices}  # vertex -> (far vertex, near mask, far mask)
     for ed in g.edges.values():
         (a, b), (la, lb) = ed.endpoints, ed.labels
-        nbrs[a].append((b, masks[la], masks[lb]))
-        nbrs[b].append((a, masks[lb], masks[la]))
-    found = []
+        if (ma := masks.get(la)) is None:
+            ma = masks[la] = sum(1 << i for i, p in enumerate(base) if gcd(la, p) > 1)
+        if (mb := masks.get(lb)) is None:
+            mb = masks[lb] = sum(1 << i for i, p in enumerate(base) if gcd(lb, p) > 1)
+        nbrs[a].append((b, ma, mb))
+        nbrs[b].append((a, mb, ma))
     for i in range(len(base)):
         bit, seen = 1 << i, set()
         for v in nbrs:
@@ -86,8 +89,7 @@ def _components(g: LabelledGraph, base: list[int]) -> list[frozenset[str]]:
                         comp.append(w)
                         stack.append(w)
             if ok:
-                found.append(frozenset(comp))
-    return found
+                yield frozenset(comp)
 
 
 def plateau_family(g: LabelledGraph) -> set[frozenset[str]]:
@@ -119,7 +121,7 @@ def mu(g: LabelledGraph) -> RankReport:
     forced = frozenset(v for s in sets if len(s) == 1 for v in s)
     unhit = [s for s in sets if not forced & s]
     free = set().union(*unhit)
-    verts = [v for v in g.sorted_vertices() if v in free]
+    verts = sorted(free, key=id_key)
     for size in range(len(verts) + 1):
         for combo in combinations(verts, size):
             chosen = forced.union(combo)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -121,6 +122,50 @@ def test_coprime_base_examples():
     assert coprime_base([6, 6, -36]) == [6]
     assert coprime_base([4, 6, 35]) == [2, 3, 35]
     assert coprime_base([10**30 + 57, 10**15]) == sorted([10**30 + 57, 10**15])
+
+
+def _coprime_base_reference(nums):
+    """The naive refinement without the shortcut: every pair that meets is
+    split into its gcd and both cofactors, and all three go back to pending,
+    the gcd also when it equals the element met."""
+    base = []
+    pending = list({abs(a) for a in nums} - {0, 1})
+    while pending:
+        a = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                pending.extend(x for x in (g, a // g, b // g) if x > 1)
+                break
+        else:
+            base.append(a)
+    return sorted(base)
+
+
+def test_coprime_base_matches_the_naive_refinement():
+    rng, kinds = Random(35), Counter()
+    primes = (2, 3, 5, 7, 11, 13, 10**9 + 7)
+    for _ in range(20_000):
+        nums = []
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.choice(("unit", "prime power", "repeat", "large pair", "small"))
+            kind = "small" if kind == "repeat" and not nums else kind
+            if kind == "unit":
+                nums.append(rng.choice((0, 1, -1)))
+            elif kind == "prime power":
+                nums.append(rng.choice(primes[:6]) ** rng.randint(1, 40))
+            elif kind == "repeat":
+                nums.append(rng.choice(nums))
+            elif kind == "large pair":  # two values above 10**15 that share a factor
+                shared = rng.choice((rng.randint(2, 10**6), rng.choice(primes) ** rng.randint(1, 3)))
+                nums += [shared * rng.randint(10**15, 10**16) for _ in range(2)]
+            else:
+                nums.append(rng.randint(2, 10**4))
+            kinds[kind] += 1
+        nums = [x if rng.random() < 0.7 else -x for x in nums]
+        assert coprime_base(nums) == _coprime_base_reference(nums), nums
+    assert min(kinds.values()) > 5_000, kinds
 
 
 # -- the factor-and-loop routines split_power replaced, kept as oracles ----------

@@ -5,6 +5,7 @@ import random
 import re
 import time
 from collections import Counter
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from gbs.graphs import (
     EdgeData,
     LabelledGraph,
     bs_graph,
+    canonicalize_signs,
     circle_graph,
     graph_from_edges,
     parse_graph,
@@ -520,6 +522,67 @@ def test_embeds_in_some_bs_nn():
     assert embeds_in_some_bs_nn(segment_graph([2, 3])) == 6
     assert embeds_in_some_bs_nn(bs_graph(2, 3)) is None
     assert embeds_in_some_bs_nn(bs_graph(1, 1)) == 2
+
+
+def _vertex_labels_reference(g, up_to_sign=False):
+    """The near labels read vertex by vertex through `edges_at` on the
+    sign-normalized graph, as `_vertex_labels` read them before it read the
+    edge rows."""
+    if not g.is_reduced():
+        raise NotReducedError("test needs a reduced graph")
+    norm, _ = canonicalize_signs(g)
+    out = []
+    for v in norm.sorted_vertices():
+        labels = {norm.label(oe) for oe in norm.edges_at(v)}
+        if up_to_sign:
+            labels = {abs(l) for l in labels}
+        if len(labels) > 1:
+            return None
+        out.extend(labels)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the same error type and text count as the same answer
+        return type(exc), str(exc)
+
+
+def _near_label_graph(rng):
+    """A small connected graph, loops included, whose near labels agree at
+    each vertex up to sign (one label in five redrawn), or a lone vertex."""
+    n = rng.randint(1, 5)
+    if n == 1 and rng.random() < 0.2:
+        return parse_graph("vertex v")
+    own = [rng.choice((1, 2, 3, 4, 6, 9)) for _ in range(n)]
+
+    def near(v):
+        label = own[v] if rng.random() < 0.8 else rng.choice((1, 2, 3, 4, 5, 6))
+        return label if rng.random() < 0.6 else -label
+
+    rows = [(f"e{i}", f"v{rng.randrange(i)}", f"v{i}") for i in range(1, n)]
+    rows += [(f"x{j}", f"v{a}", f"v{a if rng.random() < 0.5 else rng.randrange(n)}")
+             for j, a in enumerate(rng.randrange(n) for _ in range(rng.randint(0, 3)))]
+    return graph_from_edges([(e, a, b, near(int(a[1:])), near(int(b[1:]))) for e, a, b in rows], [f"v{i}" for i in range(n)])
+
+
+def test_bs_nn_deciders_match_the_edges_at_reading():
+    rng, seen = random.Random(35), Counter()
+    for _ in range(1500):
+        g = _near_label_graph(rng)
+        for up_to_sign in (False, True):
+            labels = _outcome(_vertex_labels_reference, g, up_to_sign)
+            for n in (2, 3, 4, 6, 12, 36):
+                want = labels if type(labels) is tuple else labels is not None and all(n % l == 0 for l in labels)
+                assert _outcome(subgroup_of_bs_nn, g, n, up_to_sign) == want, (g, n, up_to_sign)
+        labels = _outcome(_vertex_labels_reference, g)
+        want = labels if type(labels) is tuple or labels is None else max(lcm(*labels), 2)
+        assert _outcome(embeds_in_some_bs_nn, g) == want, g
+        seen["lone" if not g.edges else "loop" if any(map(g.is_loop, g.edges)) else "no loop"] += 1
+        seen["negative" if any(l < 0 for l in g.labels()) else "positive"] += 1
+        seen["none" if labels is None else "error" if type(labels) is tuple else "labels"] += 1
+    assert min(seen.values()) > 30, seen
 
 
 @pytest.mark.parametrize("up_to_sign", [False, True])

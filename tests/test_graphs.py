@@ -1188,6 +1188,21 @@ def test_connectivity_check_builds_no_incidence_index():
     assert g._incidence is None
 
 
+@pytest.mark.parametrize(
+    "g", [circle_graph([2, 3, 4, 9, 6, 10, 15, 2]), circle_graph([6, 6]), lollipop_graph([2, 3, 4, 9], [6, 10, 15, 2])]
+)
+def test_shape_walk_on_an_indexed_graph_builds_no_oriented_edge(monkeypatch, g):
+    """The walk steps by the arriving edge's name and end: its edge ends are
+    the incidence index's own, with no reversed copy to compare against."""
+    g.edges_at(next(iter(g.vertices)))  # builds the index
+    want = classify_shape(g)
+    calls = count_calls(monkeypatch, [(OrientedEdge, "__init__")])
+    shape = classify_shape(g)
+    assert calls == {} and shape == want and shape.kind in ("circle", "lollipop")
+    index = {id(oe) for oes in g._incidence.values() for oe in oes}
+    assert all(id(oe) in index for oe in shape.seg_edges + shape.circ_edges)
+
+
 def test_classify_shape_checks_connectivity_once(monkeypatch):
     calls = count_calls(monkeypatch, [(LabelledGraph, "is_connected")])
     g = circle_graph([2, 3, 5, 7, 3, 4])

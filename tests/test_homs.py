@@ -184,6 +184,21 @@ def test_displacement_cert_builds_only_the_move_graphs(monkeypatch):
     assert sum(calls.values()) == 2
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_reduce_and_displacement_build_only_the_certificates_they_compose(monkeypatch, n):
+    """reduce_cert builds one forward certificate per collapse and their
+    composite, n + 1 in all; displacement_cert builds its expansion's, its
+    contraction's and their composite, 3.  Neither builds a reverse."""
+    g = segment_graph([1, 2] * n + [2, 3])
+    assert len(reduce_graph(g)[1]) == n
+    calls = count_calls(monkeypatch, [(HomCertificate, "__init__")])
+    red, cert = reduce_cert(g)
+    assert calls["__init__"] == n + 1 and len(red.edges) == 1 and check_epi(cert)
+    calls.clear()
+    g2, cert, new_edge = displacement_cert(circle_graph([2, 5, 3, 7]), "c1", 3, 0)
+    assert calls["__init__"] == 3 and new_edge in g2.edges and check_epi(cert)
+
+
 @pytest.mark.parametrize(
     "g,edge,r,end",
     [

@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import count_calls, criterion_6_circles, graphs, small_connected_graph
 
-from gbs.arith import factorize
+from gbs.arith import coprime_base, factorize
 from gbs.errors import InputError, NotReducedError, VertexCapError
 from gbs.graphs import (
     LabelledGraph,
@@ -384,6 +386,60 @@ def test_check_copr_and_circle_base_match_prime_oracle(g):
         assert shape.base_meets_all_plateaus == bool(meeting)
         if meeting:
             assert shape.circ_vertices[0] == min(meeting, key=id_key)
+
+
+# -- the circle base: one component search, stopped once no vertex meets all --
+
+
+def _emptied_at(g):
+    """The index of the coprime-base element whose plateaus (read through
+    `plateaus`) leave no vertex meeting every plateau so far; None when
+    some vertex meets them all."""
+    meeting = set(g.vertices)
+    for i, p in enumerate(coprime_base(g.labels())):
+        for pl in plateaus(g, p):
+            meeting &= pl.vertices
+        if not meeting:
+            return i
+    return None
+
+
+@pytest.mark.parametrize("labels, emptied", [([2, 6, 15, 5], None), ([2, 6, 6, 10], 0), ([5, 10, 10, 15], 2)])
+def test_circle_base_stops_where_the_meeting_set_empties(monkeypatch, labels, emptied):
+    g = circle_graph(labels)
+    base = coprime_base(g.labels())
+    assert base == [2, 3, 5] and _emptied_at(g) == emptied
+    counts = [len(plateaus(g, p)) for p in base]  # [1, 1, 1], [2, 1, 0] and [1, 0, 2]
+    mod = importlib.import_module("gbs.plateaus")  # the package's `plateaus` is the function
+    search, pulled = mod._components, []
+
+    def counted(*args):
+        for s in search(*args):
+            pulled.append(s)
+            yield s
+
+    family = tuple(plateau_family(g))
+    monkeypatch.setattr(mod, "_components", counted)
+    shape = classify_shape(g)
+    assert shape == classify_shape(g, _plateau_sets=family)  # every field
+    assert shape.base_meets_all_plateaus == (emptied is None)
+    if emptied is None:
+        assert len(pulled) == sum(counts)
+    else:  # it stops within the element that empties the meeting set
+        assert sum(counts[:emptied]) < len(pulled) <= sum(counts[: emptied + 1])
+    if emptied == 0:  # the third plateau, the 3-plateau, is never searched for
+        assert len(pulled) < sum(counts)
+
+
+def test_circle_shape_is_the_same_with_and_without_the_family():
+    rng, flags = random.Random(35), Counter()
+    pool = (1, -1, 2, 3, 4, 5, 6, 9, 10, 15, -6, 35)
+    for _ in range(400):
+        g = circle_graph([rng.choice(pool) for _ in range(2 * rng.randint(1, 8))])
+        shape = classify_shape(g)
+        assert shape == classify_shape(g, _plateau_sets=tuple(plateau_family(g))), g  # every field
+        flags[shape.base_meets_all_plateaus] += 1
+    assert min(flags[True], flags[False]) > 50, flags
 
 
 def test_rank_above_the_factor_cap():
