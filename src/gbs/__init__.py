@@ -9,7 +9,6 @@ from .graphs import (
     classify_shape,
     collapse,
     contraction_move,
-    displacement_move,
     expansion,
     lollipop_graph,
     parse_graph,

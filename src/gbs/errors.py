@@ -13,7 +13,7 @@ class InputError(GBSError):
 
 
 class DisconnectedGraphError(GBSError):
-    """Operation requires a connected graph."""
+    """A graph is not connected: the graph constructor refuses it."""
 
 
 class NotReducedError(GBSError):

@@ -13,13 +13,15 @@ on a fresh copy and builds one new graph; `reduce_graph`,
 `canonicalize_signs` and `replay` (a whole certificate trace) run many on one
 indexed copy and build their result once.  The boundary constructors
 (`LabelledGraph(...)`, `from_json`, `graph_from_edges`, `parse_graph`) check
-every edge; a move's result (`_Work.graph`) is not re-checked, as the move
-has checked its parameters.  No query result is cached on a graph (the
-incidence index `_incidence` is its only lazily built field, built by the
-first ordered query, `edges_at`; the connectivity check, which needs no
-order, and `reduce_graph` never build it); each public entry point computes
-an invariant once and passes it down.  The shape walker reads each edge row
-once and builds no `OrientedEdge` of its own: it returns the index's."""
+every edge and that the graph is connected, so every graph is; a move's
+result (`_Work.graph`) is not re-checked, as the move has checked its
+parameters and keeps a connected graph connected.  No query result is cached
+on a graph (the incidence index `_incidence` is its only lazily built field,
+built by the first ordered query, `edges_at`; the constructor's connectivity
+search, which needs no order, and `reduce_graph` never build it); each public
+entry point computes an invariant once and passes it down.  The shape walker
+reads each edge row once and builds no `OrientedEdge` of its own: it returns
+the index's."""
 
 from dataclasses import dataclass
 from math import prod
@@ -59,6 +61,7 @@ class LabelledGraph:
     def __init__(self, vertices: Iterable[str], edges: dict[str, EdgeData]):
         self.vertices = vertices = frozenset(vertices)
         self.edges = dict(edges)
+        nbrs = {v: [] for v in vertices}
         for name, ed in self.edges.items():
             (a, b), (la, lb) = ed.endpoints, ed.labels
             if not type(la) is type(lb) is int:  # a bool or float is refused, not truncated: labels stay exact
@@ -67,8 +70,20 @@ class LabelledGraph:
                 raise InputError(f"edge {name} has a zero label")
             if a not in vertices or b not in vertices:
                 raise InputError(f"edge {name} touches unknown vertex {a if a not in vertices else b}")
-        if not self.vertices:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        if not vertices:
             raise InputError("graph needs at least one vertex")
+        # one stack search over the edge endpoints: connectivity needs no order
+        stack = [next(iter(vertices))]
+        seen = set(stack)
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(vertices):
+            raise DisconnectedGraphError("graph is not connected")
         # vertex -> oriented edges at it, built on first use (graphs never change)
         self._incidence = None
 
@@ -115,28 +130,7 @@ class LabelledGraph:
 
     # -- global properties ----------------------------------------------
 
-    def is_connected(self) -> bool:
-        """One stack search over the edge endpoints: connectivity needs no
-        order, so no incidence index is built (`_bfs_tree` is the ordered search)."""
-        nbrs = {v: [] for v in self.vertices}
-        for a, b in (ed.endpoints for ed in self.edges.values()):
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        stack = [next(iter(self.vertices))]
-        seen = set(stack)
-        while stack:
-            for w in nbrs[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
-
-    def require_connected(self):
-        if not self.is_connected():
-            raise DisconnectedGraphError("graph is not connected")
-
     def betti(self) -> int:
-        self.require_connected()
         return len(self.edges) - len(self.vertices) + 1
 
     def is_reduced(self) -> bool:
@@ -191,8 +185,8 @@ class LabelledGraph:
         each with a name of its own, a list of two vertex names and a list of
         two JSON integer labels (InputError otherwise: a repeated edge does not
         replace the first, a string is no list, a missing key no value).  The
-        graph refuses an endpoint that is not a vertex, and a float or bool
-        label."""
+        graph refuses an endpoint that is not a vertex, a float or bool label,
+        and a disconnected graph."""
         if type(data) is not dict:
             raise InputError(f"a graph must be a JSON object, not {data!r:.60}")
         vertices, listed, edges = data.get("vertices"), data.get("edges"), {}
@@ -385,7 +379,10 @@ class _Work:
     move takes its record's parameters (the outputs, `*_`, are compared by
     `replay`), checks them (MoveError before any edit), returns its record.
     Its edits keep every label a nonzero integer and every endpoint a vertex
-    (and leave at least one vertex), so `graph` needs no check."""
+    (and leave at least one vertex), and keep the graph connected: a collapse
+    or contraction merges the two ends of a non-loop edge, an expansion
+    attaches its new vertex by its new edge, and a sign change or
+    displacement changes only labels.  So `graph` needs no check."""
 
     __slots__ = ("edges", "index", "vertices")
 
@@ -400,7 +397,7 @@ class _Work:
                 index[b].add(name)
 
     def graph(self) -> LabelledGraph:
-        """The copy as a graph, its edges not re-checked (see above); the copy is not edited after."""
+        """The copy as a graph, not re-checked (see above); the copy is not edited after."""
         g = LabelledGraph.__new__(LabelledGraph)
         g.vertices, g.edges, g._incidence = frozenset(self.vertices), self.edges, None
         return g
@@ -588,13 +585,6 @@ def contraction_move(g: LabelledGraph, edge: str, survivor_end: int = 0):
     return work.graph(), rec
 
 
-def displacement_move(g: LabelledGraph, edge: str, r: int, divided_end: int):
-    """Move the factor r of the label at `divided_end` across the edge: that
-    label is divided by r, every other label at the far endpoint is
-    multiplied by r.  Requires r coprime to the far label of the edge."""
-    return _one_move(g, _Work.displacement, edge, r, divided_end)
-
-
 def replay(g: LabelledGraph, records) -> LabelledGraph:
     """The graph a sequence of MoveRecords takes g to, built once (used to
     verify certificate traces).  Records are read from certificate JSON, so
@@ -628,7 +618,6 @@ def reduce_graph(g: LabelledGraph, protect: str | None = None):
     collapsible later: one pass in edge id order makes the same moves as
     rescanning after every collapse.  The collapses edit one indexed working
     copy; the result is built once."""
-    g.require_connected()
     work = _Work(g, indexed=True)
     edges = work.edges
     records = []
@@ -647,7 +636,10 @@ def canonicalize_signs(g: LabelledGraph):
 
     Tree labels become positive; each non-tree edge keeps at most one
     negative label, placed at end 1.  Deterministic.  The moves edit one
-    indexed working copy; the result is built once."""
+    indexed working copy; the result is built once.  A graph with no
+    negative label needs no move: it is returned as it is."""
+    if min(g.labels(), default=1) > 0:
+        return g, []
     order = _bfs_tree(g)
     tree = {oe.edge for oe in order}
     work = _Work(g, indexed=True)
@@ -666,8 +658,7 @@ def canonicalize_signs(g: LabelledGraph):
 
 def _bfs_tree(g: LabelledGraph) -> list[OrientedEdge]:
     """The edges of the deterministic BFS spanning tree, each oriented away
-    from the lowest vertex, in the order the search meets them
-    (DisconnectedGraphError if the search misses a vertex)."""
+    from the lowest vertex, in the order the search meets them."""
     root = min(g.vertices, key=id_key)
     seen = {root}
     order = []
@@ -679,8 +670,6 @@ def _bfs_tree(g: LabelledGraph) -> list[OrientedEdge]:
                 seen.add(w)
                 order.append(oe)
                 queue.append(w)
-    if len(seen) != len(g.vertices):
-        raise DisconnectedGraphError("graph is not connected")
     return order
 
 
@@ -767,13 +756,11 @@ def classify_shape(g: LabelledGraph, *, _plateau_sets=None) -> Shape:
     For circles the base w_0 is a vertex meeting every plateau when one
     exists (lowest id wins); otherwise the lowest id with a recording flag.
     `_plateau_sets` passes down the plateau family's vertex sets from a
-    caller that has built them (is_two_generated), so they are built once;
-    that caller has also checked connectivity.  Every vertex a walk passes
-    before its stop has valence 2, so it never branches.
+    caller that has built them (is_two_generated), so they are built once.
+    Every vertex a walk passes before its stop has valence 2, so it never
+    branches.
     """
-    if _plateau_sets is None:
-        g.require_connected()
-    beta = len(g.edges) - len(g.vertices) + 1
+    beta = g.betti()
     valences = {v: g.valence(v) for v in g.vertices}
     terminals = sorted((v for v, d in valences.items() if d == 1), key=id_key)
     if beta == 0:

@@ -51,17 +51,15 @@ def plateaus(g: LabelledGraph, p: int) -> list[Plateau]:
     sorted_vertices()."""
     if p < 2:
         raise InputError(f"plateaus need a prime p, not {p}")
-    g.require_connected()
     # the masks of disjoint sets compare as their highest vertices do
     return [Plateau(p, s) for s in sorted(_components(g, [p]), key=lambda s: max(map(id_key, s)))]
 
 
 def _components(g: LabelledGraph, base: list[int]):
-    """Yield the plateaus of every element of `base` on a connected graph,
-    element by element.  Each distinct label gets one mask at its first
-    appearance in the edge loop, bit i set when it shares a prime with
-    base[i]; then one stack search per element walks the edges whose two
-    masks both lack its bit."""
+    """Yield the plateaus of every element of `base`, element by element.
+    Each distinct label gets one mask at its first appearance in the edge
+    loop, bit i set when it shares a prime with base[i]; then one stack
+    search per element walks the edges whose two masks both lack its bit."""
     masks, nbrs = {}, {v: [] for v in g.vertices}  # vertex -> (far vertex, near mask, far mask)
     for ed in g.edges.values():
         (a, b), (la, lb) = ed.endpoints, ed.labels
@@ -96,8 +94,7 @@ def plateau_family(g: LabelledGraph) -> set[frozenset[str]]:
     """The distinct vertex sets of the plateaus of every element of the
     labels' coprime base (the primes of one element share their plateaus),
     plus the whole graph (the only plateau for every prime dividing no
-    label).  The graph must be connected: mu and classify_shape check it
-    first."""
+    label)."""
     return {frozenset(g.vertices), *_components(g, coprime_base(g.labels()))}
 
 
@@ -108,15 +105,13 @@ def mu(g: LabelledGraph) -> RankReport:
     a minimal one adds only vertices of U, the union of the plateaus F misses.
     Subsets of U are searched in the order of a search over all vertices, so
     the set found is the same.  The cost is exponential only in |U|, and
-    GBS_TOOLKIT_MAX_VERTICES caps the vertex count.  Connectivity is checked
-    once, here; beta and the plateau family rely on it."""
-    g.require_connected()
+    GBS_TOOLKIT_MAX_VERTICES caps the vertex count."""
     if not g.is_reduced():
         raise NotReducedError("rank formula needs a reduced graph")
     cap = env_int("GBS_TOOLKIT_MAX_VERTICES", VERTEX_CAP_DEFAULT)
     if len(g.vertices) > cap:
         raise VertexCapError(f"{len(g.vertices)} vertices exceeds cap {cap}")
-    beta = len(g.edges) - len(g.vertices) + 1
+    beta = g.betti()
     sets = sorted(plateau_family(g), key=lambda s: (len(s), sorted(s)))
     forced = frozenset(v for s in sets if len(s) == 1 for v in s)
     unhit = [s for s in sets if not forced & s]

@@ -190,23 +190,16 @@ class Presentation:
         self.graph = g
         self.tree = frozenset(tree) if tree is not None else spanning_tree(g)
         if len(self.tree) != len(g.vertices) - 1 or any(e not in g.edges for e in self.tree):
-            raise self._invalid("not a spanning tree")
+            raise InputError("not a spanning tree")
         self.base = base if base is not None else g.sorted_vertices()[0]
         if self.base not in g.vertices:
-            raise self._invalid(f"unknown base vertex {self.base}")
+            raise InputError(f"unknown base vertex {self.base}")
         self.up = tree_walk(g, self.tree, self.base)
         if len(self.up) != len(self.tree):
-            raise self._invalid("spanning tree does not span")
+            raise InputError("spanning tree does not span")
         self._paths: tuple | None = None
         self._reduced: dict = {}
         self._generators: tuple | None = None
-
-    def _invalid(self, message: str) -> InputError:
-        """A tree that spans proves the graph connected, so connectivity is
-        checked only when a check fails; a disconnected graph is reported
-        as such first."""
-        self.graph.require_connected()
-        return InputError(message)
 
     def tree_paths(self) -> tuple[dict, dict]:
         """Tree paths from the base to each vertex, and their inverses."""

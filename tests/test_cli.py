@@ -331,6 +331,31 @@ def test_verify_repeated_source_edge_exit_1(tmp_path, capsys):
     assert err.startswith("input error: edge 'd0' must have a string name no other edge has") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "kind,path",
+    [
+        ("embedding", ("map", "source")),
+        ("embedding", ("map", "target")),
+        ("hom", ("source", "graph")),
+        ("hom", ("target", "graph")),
+    ],
+    ids=["embedding-source", "embedding-target", "hom-source", "hom-target"],
+)
+def test_verify_disconnected_graph_exit_1(tmp_path, capsys, kind, path):
+    """One graph of a valid certificate given an isolated vertex zz is refused
+    when it is read.  An embedding whose target had one verified valid."""
+    data = (embed_bs_construct(4, 9, 2, 3) if kind == "embedding" else bs_source_epi(bs_graph(2, 3), 4, 6)).to_json()
+    graph = data
+    for key in path:
+        graph = graph[key]
+    graph["vertices"].append("zz")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(data))
+    code, out, err = run(capsys, "--json", "verify", str(cert))
+    assert code == 1 and out == ""
+    assert err == "error: graph is not connected\n"
+
+
 def test_verify_integer_too_long_to_read_exit_1(tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(seed_certificate("hom")).replace('"labels": [2,', f'"labels": [{"9" * 5000},'))

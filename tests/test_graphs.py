@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_calls, count_graph_builds, graphs, small_connected_graph
+from conftest import count_calls, count_graph_builds, displace, graphs, small_connected_graph
 
 import gbs
 from gbs.arith import gcd
@@ -28,7 +28,6 @@ from gbs.graphs import (
     classify_shape,
     collapse,
     contraction_move,
-    displacement_move,
     expansion,
     graph_from_edges,
     lollipop_graph,
@@ -376,11 +375,12 @@ def test_reduce_deterministic_and_idempotent():
 
 
 def _reduce_graph_reference(g, protect=None):
-    """The rescanning reduction: after every collapse, check connectivity
-    and restart the scan from the lowest edge id."""
+    """The rescanning reduction: after every collapse, rebuild the graph
+    through the checking constructor and restart the scan from the lowest
+    edge id."""
     records = []
     while True:
-        g.require_connected()
+        g = _checked(g)
         done = True
         for name in g.sorted_edges():
             if g.is_loop(name):
@@ -438,14 +438,16 @@ def test_long_segment_reduction_matches_rescanning_reference(seed):
 
 def test_multi_move_routines_build_no_graph_per_move(monkeypatch):
     mod = sys.modules["gbs.graphs"]
+    g = segment_graph([1, 2] * 200)
     calls = count_calls(
-        monkeypatch, [(mod, "collapse"), (mod, "sign_change"), (LabelledGraph, "is_connected")]
+        monkeypatch, [(mod, "collapse"), (mod, "sign_change"), (LabelledGraph, "__init__")]
     )
-    red, recs = reduce_graph(segment_graph([1, 2] * 200))
+    red, recs = reduce_graph(g)
     assert len(recs) == 200 and not red.edges
-    assert calls == {"is_connected": 1}
+    assert calls == {}
+    g = circle_graph([-2, 3, 5, -7] * 25)
     calls.clear()
-    out, recs = canonicalize_signs(circle_graph([-2, 3, 5, -7] * 25))
+    out, recs = canonicalize_signs(g)
     assert recs and sum(l < 0 for l in out.labels()) <= 1  # beta = 1
     assert calls == {}
     g = segment_graph([1, 2] * 200)
@@ -519,12 +521,12 @@ def test_displacement_moves_a_factor():
     g = graph_from_edges(
         [("eps", "v", "w", 7, 15), ("a1", "v", "x", 2, 9), ("a2", "v", "y", 11, 9)]
     )
-    out, rec = displacement_move(g, "eps", 3, 1)
+    out, rec = displace(g, "eps", 3, 1)
     assert out.edges["eps"].labels == (7, 5)
     assert out.edges["a1"].labels == (6, 9)
     assert out.edges["a2"].labels == (33, 9)
     assert apply_move(g, rec) == out
-    same, _ = displacement_move(g, "eps", 1, 1)
+    same, _ = displace(g, "eps", 1, 1)
     assert same == g
 
 
@@ -535,23 +537,23 @@ def test_displacement_unit_factor_subcases():
     g = graph_from_edges(
         [("eps", "v", "w", 7, 15), ("a1", "v", "x", 2, 9)]
     )
-    same, _ = displacement_move(g, "eps", 1, 1)
+    same, _ = displace(g, "eps", 1, 1)
     assert same == g
     # full-factor displacement on a (1, rs)-edge: the contraction step is a
     # collapse, so the certificate is invertible on generators
     g2 = graph_from_edges([("eps", "v", "w", 1, 15), ("a1", "v", "x", 2, 9)])
     out, cert, _ = displacement_cert(g2, "eps", 15, 1)
     assert check_epi(cert)
-    via_move, _ = displacement_move(g2, "eps", 15, 1)
+    via_move, _ = displace(g2, "eps", 15, 1)
     assert sorted(map(abs, out.labels())) == sorted(map(abs, via_move.labels()))
 
 
 def test_displacement_errors():
     g = graph_from_edges([("eps", "v", "w", 6, 15)])
     with pytest.raises(MoveError):
-        displacement_move(g, "eps", 4, 1)  # does not divide
+        displace(g, "eps", 4, 1)  # does not divide
     with pytest.raises(MoveError):
-        displacement_move(g, "eps", 3, 1)  # gcd(6, 3) != 1
+        displace(g, "eps", 3, 1)  # gcd(6, 3) != 1
 
 
 def test_displacement_preserves_label_products():
@@ -559,7 +561,7 @@ def test_displacement_preserves_label_products():
     g = circle_graph([2, 5, 3, 7])
     s = classify_shape(g)
     X, Y = s.X, s.Y
-    out, _ = displacement_move(g, s.circ_edges[1].edge, 3, s.circ_edges[1].end)
+    out, _ = displace(g, s.circ_edges[1].edge, 3, s.circ_edges[1].end)
     s2 = classify_shape(out)
     assert abs(s2.X) == abs(X) and abs(s2.Y) == abs(Y)
 
@@ -779,7 +781,7 @@ def test_qrxy_two_edge_circle():
 def _canonicalize_signs_reference(g):
     """Sign normalization one move at a time: each sign change builds a new
     graph with `_ref_sign_change`."""
-    g.require_connected()
+    g = _checked(g)
     tree = spanning_tree(g)
     records = []
     root = g.sorted_vertices()[0]
@@ -833,6 +835,15 @@ def test_canonicalize_signs_matches_per_move_reference(g):
     ref, ref_recs = _canonicalize_signs_reference(g)
     assert out == ref and list(out.edges) == list(ref.edges)
     assert [r.to_json() for r in recs] == [r.to_json() for r in ref_recs]
+    # with every label made positive, the reference makes no move: the graph
+    # itself comes back, with no graph built and no search (no incidence index)
+    pos = LabelledGraph(g.vertices, {n: EdgeData(ed.endpoints, (abs(ed.labels[0]), abs(ed.labels[1])))
+                                     for n, ed in g.edges.items()})
+    with pytest.MonkeyPatch.context() as mp:
+        builds = count_graph_builds(mp)
+        out, recs = canonicalize_signs(pos)
+    assert out is pos and recs == [] and builds == {} and pos._incidence is None
+    assert _canonicalize_signs_reference(pos) == (pos, [])
 
 
 _REF_MOVES = {
@@ -840,7 +851,7 @@ _REF_MOVES = {
     "collapse": (_ref_collapse, collapse),
     "expansion": (_ref_expansion, expansion),
     "contraction": (_ref_contraction, contraction_move),
-    "displacement": (_ref_displacement, displacement_move),
+    "displacement": (_ref_displacement, displace),
 }
 
 
@@ -941,7 +952,7 @@ _VALID_RECORDS = [
     sign_change(_FUZZ_GRAPH, edge="c")[1],
     expansion(_FUZZ_GRAPH, "v1", [OrientedEdge("c", 0), OrientedEdge("b", 0)], 2, -1, "n", "y")[1],
     contraction_move(_FUZZ_GRAPH, "b", 1)[1],
-    displacement_move(_FUZZ_GRAPH, "b", 2, 0)[1],
+    displace(_FUZZ_GRAPH, "b", 2, 0)[1],
 ]
 
 
@@ -989,7 +1000,9 @@ def _mutated(rec: MoveRecord, how: str) -> MoveRecord:
 
 def _checked(g: LabelledGraph) -> LabelledGraph:
     """g, asserted equal to its rebuild by the checking constructor (which
-    raises on a zero label, an unknown endpoint or no vertex)."""
+    raises on a zero label, an unknown endpoint, no vertex or a disconnected
+    graph).  So test_unchecked_move_results_pass_the_constructor_checks also
+    pins that every move kind keeps a connected graph connected."""
     assert g == LabelledGraph(g.vertices, dict(g.edges))
     return g
 
@@ -1049,7 +1062,7 @@ def test_value_types_keep_their_repr_equality_order_and_hash():
     assert hash(rec) == hash(("collapse", ("a", 0, "v0", "v1", 2)))
     assert len({oe, OrientedEdge("c1", 0), oe.reverse}) == 2
     g = segment_graph([2, -3])
-    assert repr(g) == "LabelledGraph[s0:v0(2)-(-3)v1]" and repr(LabelledGraph(["v", "u"], {})) == "LabelledGraph[u,v]"
+    assert repr(g) == "LabelledGraph[s0:v0(2)-(-3)v1]" and repr(LabelledGraph(["v"], {})) == "LabelledGraph[v]"
     assert hash(g) == hash(parse_graph(g.to_text())) and len({g, parse_graph(g.to_text()), bs_graph(2, -3)}) == 2
 
 
@@ -1164,25 +1177,31 @@ def _bfs_tree_reference(g):
 @settings(max_examples=200, deadline=None)
 def test_bfs_tree_and_connectivity_match_the_popping_reference(g, extra):
     """`_bfs_tree` meets the same edges in the same order as the reference;
-    `is_connected` (a search with no order) agrees on connectivity."""
+    the constructor's connectivity search (with no order) agrees with it on
+    connectivity, refusing the graphs the reference misses a vertex of."""
+    vertices, edges = g.vertices, g.edges
     if extra == "isolated vertex":
-        g = LabelledGraph(g.vertices | {"z0"}, g.edges)
+        vertices = vertices | {"z0"}
     elif extra == "separate edge":
-        g = LabelledGraph(g.vertices | {"z0", "z1"}, {**g.edges, "y0": EdgeData(("z0", "z1"), (2, 3))})
-    ref = _bfs_tree_reference(g)
-    assert g.is_connected() == (ref is not None) == (extra == "connected")
+        vertices, edges = vertices | {"z0", "z1"}, {**edges, "y0": EdgeData(("z0", "z1"), (2, 3))}
+    unchecked = LabelledGraph.__new__(LabelledGraph)  # as _Work.graph builds one
+    unchecked.vertices, unchecked.edges, unchecked._incidence = vertices, edges, None
+    ref = _bfs_tree_reference(unchecked)
+    assert (ref is not None) == (extra == "connected")
     if ref is None:
-        with pytest.raises(DisconnectedGraphError):
-            _bfs_tree(g)
+        with pytest.raises(DisconnectedGraphError, match="^graph is not connected$"):
+            LabelledGraph(vertices, edges)
     else:
         assert _bfs_tree(g) == ref
         assert spanning_tree(g) == frozenset(oe.edge for oe in ref)
 
 
 def test_connectivity_check_builds_no_incidence_index():
-    """`reduce_graph` checks connectivity without the sorted incidence index,
-    which the one-shot source graph never reads again."""
+    """The constructor checks connectivity without the sorted incidence
+    index, and `reduce_graph` does not build it either: the one-shot source
+    graph never reads it again."""
     g = segment_graph([1, 2] * 30 + [2, 3])
+    assert g._incidence is None
     red, recs = reduce_graph(g)
     assert len(recs) == 30 and len(red.edges) == 1
     assert g._incidence is None
@@ -1204,13 +1223,14 @@ def test_shape_walk_on_an_indexed_graph_builds_no_oriented_edge(monkeypatch, g):
 
 
 def test_classify_shape_checks_connectivity_once(monkeypatch):
-    calls = count_calls(monkeypatch, [(LabelledGraph, "is_connected")])
+    """Connectivity is checked once, when the graph is built: neither
+    classify_shape nor is_two_generated builds a graph."""
     g = circle_graph([2, 3, 5, 7, 3, 4])
+    calls = count_graph_builds(monkeypatch)
     assert classify_shape(g).kind == "circle"
-    assert calls == {"is_connected": 1}
-    calls.clear()
+    assert calls == {}
     assert is_two_generated(g)[1].shape.kind == "circle"
-    assert calls == {"is_connected": 1}
+    assert calls == {}
 
 
 def test_moves_keep_labels_nonzero():

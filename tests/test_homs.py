@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, count_graph_builds, graphs, random_presentation
+from conftest import count_calls, count_graph_builds, displace, graphs, random_presentation
 
 from gbs import homs, words
 from gbs.arith import gcd, xgcd
@@ -30,7 +30,6 @@ from gbs.graphs import (
     classify_shape,
     collapse,
     contraction_move,
-    displacement_move,
     expansion,
     graph_from_edges,
     lollipop_graph,
@@ -215,7 +214,7 @@ def test_reduce_and_displacement_build_only_the_certificates_they_compose(monkey
 )
 def test_displacement_cert_is_checked_by_the_move(g, edge, r, end):
     with pytest.raises(MoveError):
-        displacement_move(g, edge, r, end)
+        displace(g, edge, r, end)
     with pytest.raises(MoveError):
         displacement_cert(g, edge, r, end)
 

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, criterion_6_circles, graphs, small_connected_graph
+from conftest import count_calls, count_graph_builds, criterion_6_circles, graphs, small_connected_graph
 
 from gbs.arith import coprime_base, factorize
 from gbs.errors import InputError, NotReducedError, VertexCapError
 from gbs.graphs import (
-    LabelledGraph,
     Shape,
     bs_graph,
     circle_graph,
@@ -494,7 +493,9 @@ def test_two_generation_builds_one_plateau_family(monkeypatch):
 
 
 def test_mu_checks_connectivity_once(monkeypatch):
-    calls = count_calls(monkeypatch, [(LabelledGraph, "is_connected")])
-    report = mu(circle_graph([2, 3, 5, 7, 3, 4]))
-    assert calls == {"is_connected": 1}
+    """Connectivity is checked once, when the graph is built: mu builds no graph."""
+    g = circle_graph([2, 3, 5, 7, 3, 4])
+    calls = count_graph_builds(monkeypatch)
+    report = mu(g)
+    assert calls == {}
     assert report.beta == 1 and report.plateau_sets

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from conftest import count_calls, criterion_6_circles
+from conftest import count_calls, count_graph_builds, criterion_6_circles
 from gbs import arith, quotients
 from gbs.arith import factorize, gcd
 from gbs.decision import Decision
@@ -578,18 +578,18 @@ def test_epi_equivalence_runs_each_graph_query_once(monkeypatch):
             (mod, "mu"),
             (mod, "classify_shape"),
             (quotients, "_detect_elementary"),
-            (LabelledGraph, "is_connected"),
             (LabelledGraph, "is_reduced"),
         ],
     )
     g = graph_from_edges([("e0", "w0", "w1", 4, 2), ("e1", "w1", "w0", 3, 10)])
+    builds = count_graph_builds(monkeypatch)
     counts = []
     for _ in range(2):  # no cross-call cache: the second call does the same work
         calls.clear()
         assert epi_equivalent_bs(g) == (12, 20)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
-    # the double pass made 2, 2, 2, 20 and 4 calls (mu checks reducedness too)
+    # the double pass made 2, 2, 2 and 4 calls (mu checks reducedness too) and 20 connectivity searches
     assert counts[0]["mu"] == counts[0]["classify_shape"] == counts[0]["_detect_elementary"] == 1
-    assert counts[0]["is_connected"] <= 7
+    assert builds["__init__"] == 0  # connectivity was checked once, when g was built
     assert counts[0]["is_reduced"] == 2

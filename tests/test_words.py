@@ -74,10 +74,11 @@ def test_classic_nonhopf_witness_words():
     ],
 )
 def test_presentation_reports_a_disconnected_graph_first(tree, base):
-    g = graph_from_edges([("e0", "a", "b", 2, 3), ("e1", "c", "d", 2, 3), ("l0", "c", "c", 1, 2)])
-    with pytest.raises(DisconnectedGraphError):
-        Presentation(g, tree, base)
-    connected = graph_from_edges([("e0", "a", "b", 2, 3), ("e1", "b", "c", 2, 3), ("e2", "c", "d", 2, 3)])
+    """A disconnected graph is refused when it is built, before any tree or
+    base is read; a bad tree or base of a connected graph is an input error."""
+    with pytest.raises(DisconnectedGraphError, match="^graph is not connected$"):
+        Presentation(graph_from_edges([("e0", "a", "b", 2, 3), ("e1", "c", "d", 2, 3), ("l0", "c", "c", 1, 2)]), tree, base)
+    connected = graph_from_edges([("e0", "a", "b", 2, 3), ("e1", "b", "c", 2, 3), ("e2", "c", "d", 2, 3), ("l0", "c", "c", 1, 2)])
     if tree is not None or base is not None:  # the same bad tree or base on a connected graph
         with pytest.raises(InputError):
             Presentation(connected, tree, base)
