@@ -27,7 +27,7 @@ from .words import (
     modulus,
     segment_center_index,
 )
-from .plateaus import check_copr, is_two_generated, mu, plateaus
+from .plateaus import is_two_generated, mu, plateaus
 from .bs_arith import (
     embeds_bs,
     embeds_elementary,

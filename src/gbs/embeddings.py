@@ -582,7 +582,7 @@ def _vertex_labels(g: LabelledGraph, up_to_sign: bool = False) -> list[int] | No
     vertex carries two, read from the edge rows.  A vertex with no edges
     imposes no condition."""
     if not g.is_reduced():
-        raise NotReducedError("test needs a reduced graph")
+        raise NotReducedError("graph is not reduced")
     near = {}
     for ed in canonicalize_signs(g)[0].edges.values():
         for v, l in zip(ed.endpoints, ed.labels):

@@ -46,10 +46,6 @@ class OrientedEdge:
     edge: str
     end: int
 
-    @property
-    def reverse(self) -> "OrientedEdge":
-        return OrientedEdge(self.edge, 1 - self.end)
-
 
 @dataclass(slots=True, unsafe_hash=True)
 class EdgeData:
@@ -88,9 +84,6 @@ class LabelledGraph:
         self._incidence = None
 
     # -- basic accessors ------------------------------------------------
-
-    def origin(self, oe: OrientedEdge) -> str:
-        return self.edges[oe.edge].endpoints[oe.end]
 
     def terminus(self, oe: OrientedEdge) -> str:
         return self.edges[oe.edge].endpoints[1 - oe.end]

@@ -149,17 +149,3 @@ class RationalMultGroup:
         if r == 0:
             return True
         return not self._lat.contains([0] * len(self.basis) + [1])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalMultGroup):
-            return NotImplemented
-        if self.basis != other.basis:
-            # compare via mutual membership on generators
-            return all(other.contains(g) for g in self.generators) and all(
-                self.contains(g) for g in other.generators
-            )
-        return self._lat == other._lat
-
-    def __repr__(self) -> str:
-        gens = ", ".join(str(g) for g in self.generators)
-        return f"RationalMultGroup({gens})"

@@ -1,4 +1,4 @@
-"""Plateaus, the rank formula beta + mu, and coprimality cross-checks.
+"""Plateaus and the rank formula beta + mu.
 
 A p-plateau is a nonempty connected subgraph P such that an oriented edge
 whose origin lies in P carries a p-divisible label exactly when the edge is
@@ -21,7 +21,7 @@ sets; `classify_shape`'s circle base reads them as they come, and stops early.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arith import coprime_base, env_int, factorize, gcd, split_power
+from .arith import coprime_base, env_int, gcd
 from .errors import DecisionError, InputError, NotReducedError, ShapeError, VertexCapError
 from .graphs import LabelledGraph, Shape, classify_shape, id_key
 
@@ -39,7 +39,7 @@ class RankReport:
     beta: int
     mu: int
     hitting_set: frozenset[str]
-    plateau_sets: tuple[frozenset[str], ...]
+    plateau_sets: frozenset[frozenset[str]]
 
     @property
     def rank(self) -> int:
@@ -90,12 +90,12 @@ def _components(g: LabelledGraph, base: list[int]):
                 yield frozenset(comp)
 
 
-def plateau_family(g: LabelledGraph) -> set[frozenset[str]]:
+def plateau_family(g: LabelledGraph) -> frozenset[frozenset[str]]:
     """The distinct vertex sets of the plateaus of every element of the
     labels' coprime base (the primes of one element share their plateaus),
     plus the whole graph (the only plateau for every prime dividing no
     label)."""
-    return {frozenset(g.vertices), *_components(g, coprime_base(g.labels()))}
+    return frozenset({frozenset(g.vertices), *_components(g, coprime_base(g.labels()))})
 
 
 def mu(g: LabelledGraph) -> RankReport:
@@ -107,12 +107,12 @@ def mu(g: LabelledGraph) -> RankReport:
     the set found is the same.  The cost is exponential only in |U|, and
     GBS_TOOLKIT_MAX_VERTICES caps the vertex count."""
     if not g.is_reduced():
-        raise NotReducedError("rank formula needs a reduced graph")
+        raise NotReducedError("graph is not reduced")
     cap = env_int("GBS_TOOLKIT_MAX_VERTICES", VERTEX_CAP_DEFAULT)
     if len(g.vertices) > cap:
         raise VertexCapError(f"{len(g.vertices)} vertices exceeds cap {cap}")
     beta = g.betti()
-    sets = sorted(plateau_family(g), key=lambda s: (len(s), sorted(s)))
+    sets = plateau_family(g)
     forced = frozenset(v for s in sets if len(s) == 1 for v in s)
     unhit = [s for s in sets if not forced & s]
     free = set().union(*unhit)
@@ -121,7 +121,7 @@ def mu(g: LabelledGraph) -> RankReport:
         for combo in combinations(verts, size):
             chosen = forced.union(combo)
             if all(chosen & s for s in unhit):
-                return RankReport(beta, len(chosen), chosen, tuple(sets))
+                return RankReport(beta, len(chosen), chosen, sets)
     raise AssertionError("unreachable: whole vertex set hits everything")
 
 
@@ -148,26 +148,3 @@ def two_generated_shape(g: LabelledGraph) -> Shape:
     if witness.shape.kind == "other":
         raise ShapeError("graph is not a segment, circle or lollipop")
     return witness.shape
-
-
-def check_copr(shape: Shape) -> list[str]:
-    """Coprimality facts forced by 2-generation; nonempty list = violations."""
-    out = []
-    k = shape.k
-    for j in range(1, k):  # paper's q_j, 1 <= j <= k-1
-        for i in range(1, j + 1):  # paper's r_i
-            if gcd(shape.q[j], shape.r[i - 1]) != 1:
-                out.append(f"gcd(q_{j}, r_{i}) = {gcd(shape.q[j], shape.r[i - 1])} > 1")
-    if shape.kind in ("circle", "lollipop"):
-        ell = shape.ell
-        for j in range(1, ell):
-            for i in range(1, j + 1):
-                if gcd(shape.x[j], shape.y[i - 1]) != 1:
-                    out.append(f"gcd(x_{j}, y_{i}) = {gcd(shape.x[j], shape.y[i - 1])} > 1")
-        both = gcd(shape.R, shape.X, shape.Y)  # primes of R dividing X and Y
-        neither = split_power(shape.R, shape.X * shape.Y)[1]  # primes dividing neither
-        sides = [(p, "both of") for p in factorize(both)]
-        sides += [(p, "neither of") for p in factorize(neither)]
-        for p, side in sorted(sides):
-            out.append(f"prime {p} of R divides {side} X and Y")
-    return out

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from itertools import count as icount, islice
 
 from .arith import factorize, gcd, least_prime_factor, split_power
-from .bs_arith import multiple_direction
+from .bs_arith import _require_nonzero, multiple_direction
 from .decision import Decision
-from .errors import DecisionError, ElementaryGroupError, InputError, NotReducedError, ShapeError
+from .errors import DecisionError, ElementaryGroupError, InputError, ShapeError
 from .graphs import (
     LabelledGraph,
     bs_graph,
@@ -27,7 +27,9 @@ from .words import Presentation, is_unimodular, modular_image
 
 
 def _detect_elementary(g: LabelledGraph) -> str | None:
-    """'Z', 'Z2' or 'K' when the reduced graph presents one of them."""
+    """'Z', 'Z2' or 'K' when the reduced graph presents one of them.  No
+    edge, one (+-1, +-1) loop and one (2, 2) edge are all reduced, so a graph
+    that is not reduced gets None and meets mu's NotReducedError later."""
     if not g.edges:
         return "Z"
     if len(g.edges) == 1:
@@ -41,8 +43,6 @@ def _detect_elementary(g: LabelledGraph) -> str | None:
 
 
 def _validated_shape(g: LabelledGraph):
-    if not g.is_reduced():
-        raise NotReducedError("decider needs a reduced graph")
     kind = _detect_elementary(g)
     if kind == "Z" or kind == "K":
         raise ElementaryGroupError(f"excluded elementary group {kind}")
@@ -65,8 +65,7 @@ class SourceSet:
         return f"all integral multiples of ({self.QX}, {self.QY}) or ({self.QY}, {self.QX})"
 
     def contains(self, m: int, n: int) -> bool:
-        if m == 0 or n == 0:
-            raise DecisionError("Baumslag-Solitar parameters must be nonzero")
+        _require_nonzero(m, n)
         if self.kind == "segment":
             return m == n and (m % self.Q == 0 or m % self.R == 0)
         return multiple_direction(m, n, self.QX, self.QY) is not None
@@ -106,8 +105,6 @@ def maps_onto_minimal_bs(g: LabelledGraph) -> Decision:
 
 def epi_equivalent_bs(g: LabelledGraph):
     """The (m, n) with G epi-equivalent to BS(m, n), or None."""
-    if not g.is_reduced():
-        raise NotReducedError("decider needs a reduced graph")
     if _detect_elementary(g) in ("Z", "K"):
         return None
     ok, witness = is_two_generated(g)
@@ -120,8 +117,7 @@ def epi_equivalent_bs(g: LabelledGraph):
 
 def finitely_many_quotients(m: int, n: int) -> Decision:
     """Finitely many GBS quotients of BS(m, n) up to isomorphism?"""
-    if m == 0 or n == 0:
-        raise DecisionError("parameters must be nonzero")
+    _require_nonzero(m, n)
     p, q = least_prime_factor(m), least_prime_factor(n)  # |a| is prime iff its least prime is |a| > 1
     # powers of one prime: m * n has no prime but the least prime of |m|
     one_prime = 1 not in (p, q) and abs(split_power(m * n, p)[1]) == 1
@@ -142,8 +138,7 @@ def finitely_many_quotients(m: int, n: int) -> Decision:
 
 def quotient_rigidity(m: int, n: int) -> str:
     """'all_noncyclic_iso', 'all_nonsolvable_iso' or 'neither'."""
-    if m == 0 or n == 0:
-        raise DecisionError("parameters must be nonzero")
+    _require_nonzero(m, n)
     if 1 in (abs(m), abs(n)):  # a unit answers alone: the other parameter is never tested
         return "all_noncyclic_iso"
     m_prime = least_prime_factor(m) == abs(m)
@@ -157,8 +152,6 @@ def quotient_rigidity(m: int, n: int) -> str:
 
 def is_large(g: LabelledGraph) -> bool:
     """Large iff not a quotient of a coprime BS(m, n)."""
-    if not g.is_reduced():
-        raise NotReducedError("decider needs a reduced graph")
     if _detect_elementary(g) is not None:
         return False  # virtually abelian
     shape = two_generated_shape(g)

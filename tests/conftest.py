@@ -63,6 +63,12 @@ def factorize_uncapped(n) -> dict[int, int]:
     return out
 
 
+def same_group(a, b) -> bool:
+    """Two finitely generated subgroups of Q* are equal when each holds the
+    other's generators."""
+    return all(b.contains(q) for q in a.generators) and all(a.contains(q) for q in b.generators)
+
+
 def random_letters(rng: random.Random, pres, length=4, max_exp=4):
     gens = pres.generators()
     out = []

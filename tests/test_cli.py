@@ -145,6 +145,28 @@ def test_input_errors_exit_1(capsys):
     assert (code, err) == (1, "error: Baumslag-Solitar parameters must be nonzero\n")
 
 
+NOT_REDUCED = "circle 1 2 3 5"  # its unit label sits on a non-loop edge
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("rank", NOT_REDUCED), "graph is not reduced"),
+        (("quot", "sources", NOT_REDUCED), "graph is not reduced"),
+        (("quot", "minimal", NOT_REDUCED), "graph is not reduced"),
+        (("quot", "epi-equiv", NOT_REDUCED), "graph is not reduced"),
+        (("quot", "onto-minimal", NOT_REDUCED), "graph is not reduced"),
+        (("embed", "bsnn", NOT_REDUCED), "graph is not reduced"),
+        (("quot", "family", "0", "2"), "Baumslag-Solitar parameters must be nonzero"),
+    ],
+    ids=["rank", "quot-sources", "quot-minimal", "quot-epi-equiv", "quot-onto-minimal", "embed-bsnn", "quot-family-zero"],
+)
+def test_each_precondition_has_one_message(capsys, argv, message):
+    """A graph that is not reduced, and a zero parameter, are refused with
+    one wording whichever subcommand meets them."""
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

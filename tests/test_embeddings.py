@@ -529,7 +529,7 @@ def _vertex_labels_reference(g, up_to_sign=False):
     sign-normalized graph, as `_vertex_labels` read them before it read the
     edge rows."""
     if not g.is_reduced():
-        raise NotReducedError("test needs a reduced graph")
+        raise NotReducedError("graph is not reduced")
     norm, _ = canonicalize_signs(g)
     out = []
     for v in norm.sorted_vertices():

@@ -27,7 +27,6 @@ from gbs.plateaus import (
     Plateau,
     RankReport,
     TwoGenWitness,
-    check_copr,
     is_two_generated,
     mu,
     plateau_family,
@@ -90,7 +89,7 @@ def _plateaus_exhaustive(g, p):
     return out
 
 
-# -- the factor-based plateau family and check_copr, kept as oracles -----------
+# -- the factor-based plateau family and the coprimality facts, as oracles -----
 
 
 def _label_primes_reference(g):
@@ -110,9 +109,18 @@ def _plateau_family_reference(g):
 
 
 def _check_copr_reference(shape):
-    """check_copr with the prime loop over R: its R messages come last."""
-    out = [msg for msg in check_copr(shape) if not msg.startswith("prime ")]
+    """The coprimality facts that 2-generation forces on a shape, by a prime
+    loop over R; an empty list means none is violated."""
+    out = []
+    for j in range(1, shape.k):  # paper's q_j, 1 <= j <= k-1
+        for i in range(1, j + 1):  # paper's r_i
+            if gcd(shape.q[j], shape.r[i - 1]) != 1:
+                out.append(f"gcd(q_{j}, r_{i}) = {gcd(shape.q[j], shape.r[i - 1])} > 1")
     if shape.kind in ("circle", "lollipop"):
+        for j in range(1, shape.ell):
+            for i in range(1, j + 1):
+                if gcd(shape.x[j], shape.y[i - 1]) != 1:
+                    out.append(f"gcd(x_{j}, y_{i}) = {gcd(shape.x[j], shape.y[i - 1])} > 1")
         for p in factorize(shape.R):
             divides_x, divides_y = shape.X % p == 0, shape.Y % p == 0
             if divides_x == divides_y:
@@ -123,13 +131,13 @@ def _check_copr_reference(shape):
 
 def _mu_reference(g, family=plateau_family):
     """The full search: every vertex combination, smallest size first."""
-    sets = sorted(family(g), key=lambda s: (len(s), sorted(s)))
+    sets = frozenset(family(g))
     verts = g.sorted_vertices()
     for size in range(1, len(verts) + 1):
         for combo in combinations(verts, size):
             chosen = set(combo)
             if all(chosen & s for s in sets):
-                return RankReport(g.betti(), size, frozenset(chosen), tuple(sets))
+                return RankReport(g.betti(), size, frozenset(chosen), sets)
     raise AssertionError
 
 
@@ -254,13 +262,13 @@ def test_two_generated_implies_coprimality_facts(g):
         return
     ok, witness = is_two_generated(g)
     if ok and witness.shape.kind != "other":
-        assert check_copr(witness.shape) == []
+        assert _check_copr_reference(witness.shape) == []
 
 
-def test_check_copr_literal_arrays():
+def test_coprimality_oracle_literal_arrays():
     # literal circle numbering x=[2,3], y=[3,5]: shared prime 3
     shape = Shape("circle", circ_vertices=("w0", "w1"), circ_edges=((None, 0), (None, 0)), x=(2, 3), y=(3, 5))
-    assert check_copr(shape)
+    assert _check_copr_reference(shape)
     # two-edge lollipop with Q=6, R=4, X=3, Y=6: prime 2 divides R and Y only
     shape2 = Shape(
         "lollipop",
@@ -273,7 +281,7 @@ def test_check_copr_literal_arrays():
         x=(3,),
         y=(6,),
     )
-    assert check_copr(shape2) == []
+    assert _check_copr_reference(shape2) == []
     # R = 6 with X = 2, Y = 3: each prime of R divides exactly one
     shape3 = Shape(
         "lollipop",
@@ -286,7 +294,7 @@ def test_check_copr_literal_arrays():
         x=(2,),
         y=(3,),
     )
-    assert check_copr(shape3) == []
+    assert _check_copr_reference(shape3) == []
     # prime of R dividing neither
     shape4 = Shape(
         "lollipop",
@@ -299,7 +307,7 @@ def test_check_copr_literal_arrays():
         x=(5,),
         y=(7,),
     )
-    assert check_copr(shape4)
+    assert _check_copr_reference(shape4)
 
 
 def test_bil_two_generation_parity():
@@ -377,9 +385,8 @@ def circles_and_lollipops(draw):
 
 @given(circles_and_lollipops())
 @settings(max_examples=300, deadline=None)
-def test_check_copr_and_circle_base_match_prime_oracle(g):
+def test_circle_base_matches_prime_oracle(g):
     shape = classify_shape(g)
-    assert check_copr(shape) == _check_copr_reference(shape)
     if shape.kind == "circle":
         meeting = set(g.vertices).intersection(*_plateau_family_reference(g))
         assert shape.base_meets_all_plateaus == bool(meeting)

@@ -11,7 +11,7 @@ from conftest import count_calls, count_graph_builds, criterion_6_circles
 from gbs import arith, quotients
 from gbs.arith import factorize, gcd
 from gbs.decision import Decision
-from gbs.errors import DecisionError, DisconnectedGraphError, ElementaryGroupError, InputError, NotReducedError, ShapeError
+from gbs.errors import DecisionError, ElementaryGroupError, InputError, NotReducedError, ShapeError
 from gbs.graphs import (
     LabelledGraph,
     bs_graph,
@@ -260,8 +260,6 @@ def test_rf_gbs():
     dec = is_rf_gbs(lollipop_graph([6, 4], [3, 6]))
     assert dec.caveat
     assert is_rf_gbs(graph_from_edges([], extra_vertices=["v"])) == Decision(True, "solvable (trivial graph)")
-    with pytest.raises(DisconnectedGraphError, match="^graph is not connected$"):
-        is_rf_gbs(graph_from_edges([("e0", "u", "u", 2, 3)], extra_vertices=["w"]))
 
 
 def test_rf_gbs_matches_bs_on_loops():
@@ -285,8 +283,6 @@ def test_exists_bs_quotient():
     assert dec3
     with pytest.raises(ElementaryGroupError):
         exists_bs_quotient(bs_graph(1, -1))
-    with pytest.raises(DisconnectedGraphError, match="^graph is not connected$"):
-        exists_bs_quotient(graph_from_edges([("e0", "u", "u", 2, 3)], extra_vertices=["w"]))
 
 
 def test_descending_chain_certified():
@@ -539,7 +535,7 @@ def _epi_equivalent_bs_reference(g):
     """The double pass: maps_onto_minimal_bs reruns reducedness, the
     elementary check and the 2-generation test."""
     if not g.is_reduced():
-        raise NotReducedError("decider needs a reduced graph")
+        raise NotReducedError("graph is not reduced")
     if quotients._detect_elementary(g) in ("Z", "K"):
         return None
     ok, witness = is_two_generated(g)
@@ -592,4 +588,4 @@ def test_epi_equivalence_runs_each_graph_query_once(monkeypatch):
     # the double pass made 2, 2, 2 and 4 calls (mu checks reducedness too) and 20 connectivity searches
     assert counts[0]["mu"] == counts[0]["classify_shape"] == counts[0]["_detect_elementary"] == 1
     assert builds["__init__"] == 0  # connectivity was checked once, when g was built
-    assert counts[0]["is_reduced"] == 2
+    assert counts[0]["is_reduced"] == 1  # only mu checks reducedness
