@@ -7,14 +7,11 @@ from .graphs import (
     bs_graph,
     circle_graph,
     classify_shape,
-    collapse,
-    contraction_move,
-    expansion,
     lollipop_graph,
+    move,
     parse_graph,
     reduce_graph,
     segment_graph,
-    sign_change,
 )
 from .words import (
     Presentation,

@@ -357,7 +357,7 @@ def main(argv=None) -> int:
     except MemoryError:  # the frames that held the memory are gone by now
         print("cap exceeded: out of memory", file=sys.stderr)
         return 2
-    except (InputError, MalformedWordError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (InputError, MalformedWordError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except GBSError as exc:

@@ -8,8 +8,8 @@ endpoints, two labels).
 
 Graph values are immutable by convention.  Each move kind has one body, a
 method of the working copy `_Work` that edits it in place and returns a
-replayable MoveRecord.  A single move (`collapse`, `expansion`, ...) runs it
-on a fresh copy and builds one new graph; `reduce_graph`,
+replayable MoveRecord.  `move(g, kind, *params)` runs one on a fresh copy
+and builds one new graph; `reduce_graph`,
 `canonicalize_signs` and `replay` (a whole certificate trace) run many on one
 indexed copy and build their result once.  The boundary constructors
 (`LabelledGraph(...)`, `from_json`, `graph_from_edges`, `parse_graph`) check
@@ -28,6 +28,7 @@ from math import prod
 from typing import Iterable
 
 from .arith import coprime_base, gcd
+from .bs_arith import _require_nonzero
 from .errors import (
     DisconnectedGraphError,
     InputError,
@@ -240,8 +241,7 @@ def graph_from_edges(edge_list, extra_vertices=()) -> LabelledGraph:
 
 def bs_graph(m: int, n: int) -> LabelledGraph:
     """The one-loop graph of BS(m, n): t a^m t^-1 = a^n."""
-    if m == 0 or n == 0:
-        raise InputError("BS parameters must be nonzero")
+    _require_nonzero(m, n)
     return graph_from_edges([("e0", "v0", "v0", m, n)])
 
 
@@ -434,6 +434,7 @@ class _Work:
                 index[image] |= index.pop(u)
 
     def sign_change(self, what, name) -> MoveRecord:
+        """Negate all labels near a vertex, or both labels of an edge."""
         if what == "vertex":
             self._merge(self._vertex(name), -1, name)
         elif what == "edge":
@@ -444,6 +445,9 @@ class _Work:
         return MoveRecord("sign-change", (what, name))
 
     def collapse(self, edge, end=None, *_) -> MoveRecord:
+        """Collapse a non-loop edge with a +-1 label at `end` (the first unit
+        end if None): that end's vertex goes, and every other label near it
+        is multiplied by (unit label) * (far label)."""
         ed = self._edge(edge, "collapse")
         end = (0 if abs(ed.labels[0]) == 1 else 1) if end is None else _end(end)
         if abs(ed.labels[end]) != 1:
@@ -459,6 +463,9 @@ class _Work:
         return MoveRecord("collapse", (edge, end, removed, survivor, mult))
 
     def expansion(self, vertex, moved, label, sgn, new_vertex, new_edge) -> MoveRecord:
+        """Inverse of collapse: split new_vertex off `vertex` by new_edge (label
+        near `vertex`, sgn near new_vertex), re-rooting the (edge, end) pairs
+        `moved` at new_vertex, their labels divided by sgn*label."""
         self._vertex(vertex)
         if _exact(label, "expansion label") == 0 or _exact(sgn, "expansion sign") not in (1, -1):
             raise MoveError("expansion needs a nonzero label and sign +-1")
@@ -492,6 +499,9 @@ class _Work:
         return MoveRecord("expansion", (vertex, moved, label, sgn, new_vertex, new_edge))
 
     def contraction(self, edge, survivor, *_) -> MoveRecord:
+        """Contract a non-loop edge vw with labels q, r: labels near v are
+        multiplied by r/(q^r), labels near w by q/(q^r), and `survivor`
+        absorbs the other end.  An epimorphism (proper unless q or r is a unit)."""
         ed = self._edge(edge, "contract")
         if survivor not in ed.endpoints:
             raise MoveError(f"the survivor of contracting {edge} is one of its ends, not {survivor!r}")
@@ -525,56 +535,13 @@ _MOVES = {"sign-change": (2, _Work.sign_change), "collapse": (5, _Work.collapse)
           "displacement": (3, _Work.displacement)}
 
 
-def _one_move(g: LabelledGraph, move, *args):
+def move(g: LabelledGraph, kind: str, *params):
+    """(new graph, full MoveRecord) of one move of `kind` on g.  `params` are
+    the record's inputs; its outputs may be left off."""
+    if type(kind) is not str or kind not in _MOVES:
+        raise MoveError(f"unknown move kind {kind!r}")
     work = _Work(g)
-    rec = move(work, *args)
-    return work.graph(), rec
-
-
-def sign_change(g: LabelledGraph, *, vertex: str | None = None, edge: str | None = None):
-    """Negate all labels near a vertex, or both labels of an edge."""
-    if (vertex is None) == (edge is None):
-        raise MoveError("sign change needs exactly one of vertex / edge")
-    return _one_move(g, _Work.sign_change, *(("edge", edge) if vertex is None else ("vertex", vertex)))
-
-
-def collapse(g: LabelledGraph, edge: str, end: int | None = None):
-    """Elementary collapse of a non-loop edge carrying a +-1 label.
-
-    The vertex at the unit-label end disappears; every other label near it
-    is multiplied by (unit sign) * (far label).
-    """
-    return _one_move(g, _Work.collapse, edge, end)
-
-
-def expansion(
-    g: LabelledGraph,
-    vertex: str,
-    moved: list[OrientedEdge],
-    label: int,
-    sgn: int = 1,
-    new_vertex: str | None = None,
-    new_edge: str | None = None,
-):
-    """Inverse of collapse: split a new vertex off `vertex`.
-
-    A new edge (label near `vertex`, sgn near the new vertex) is created and
-    the oriented edges in `moved` are re-rooted at the new vertex, their
-    labels divided by sgn*label.  Unnamed, the new vertex and edge get the
-    first free names u0, u1, ... and x0, x1, ....
-    """
-    pairs = tuple((oe.edge, oe.end) for oe in moved)
-    names = new_vertex or g.fresh_vertex(), new_edge or g.fresh_edge()
-    return _one_move(g, _Work.expansion, vertex, pairs, label, sgn, *names)
-
-
-def contraction_move(g: LabelledGraph, edge: str, survivor_end: int = 0):
-    """Contract a non-loop edge vw with labels q, r: labels near v are
-    multiplied by r/(q^r), labels near w by q/(q^r), and the endpoint at
-    `survivor_end` absorbs the other.  An epimorphism (proper unless q or r
-    is a unit).  The record is (edge, survivor, removed, q, r, q^r)."""
-    work = _Work(g)
-    rec = work.contraction(edge, work._edge(edge, "contract").endpoints[_end(survivor_end, "survivor_end")])
+    rec = _MOVES[kind][1](work, *params)
     return work.graph(), rec
 
 

@@ -33,6 +33,7 @@ from .errors import (
     DecisionError,
     InputError,
     MissingWitnessError,
+    MoveError,
     ShapeError,
     malformed,
 )
@@ -40,14 +41,12 @@ from .graphs import (
     LabelledGraph,
     OrientedEdge,
     _Work,
+    _end,
     bs_graph,
     classify_shape,
-    collapse,
-    contraction_move,
-    expansion,
     loop_labels,
+    move,
     reduce_graph,
-    sign_change,
 )
 from .plateaus import two_generated_shape
 from .words import (
@@ -389,7 +388,7 @@ def _merged_presentations(g: LabelledGraph, g2: LabelledGraph, edge: str, surviv
 
 def _collapse_fwd(g: LabelledGraph, edge: str, end: int | None):
     """(new graph, forward certificate, its multiplier map) of a collapse."""
-    g2, rec = collapse(g, edge, end)
+    g2, rec = move(g, "collapse", edge, end)
     removed, survivor, mult = rec.params[2:]
     src, tgt = _merged_presentations(g, g2, edge, survivor, removed)
     at = {removed: (mult, survivor)}
@@ -405,8 +404,8 @@ def collapse_cert(g: LabelledGraph, edge: str, end: int | None = None):
 
 def _expansion_fwd(g: LabelledGraph, vertex: str, moved, label: int, sgn=1, new_vertex=None, new_edge=None):
     """(new graph, forward certificate, new edge name) of an expansion."""
-    g2, rec = expansion(g, vertex, moved, label, sgn, new_vertex, new_edge)
-    _, _, label, sgn, new_vertex, new_edge = rec.params
+    new_vertex, new_edge = new_vertex or g.fresh_vertex(), new_edge or g.fresh_edge()
+    g2, _ = move(g, "expansion", vertex, tuple((oe.edge, oe.end) for oe in moved), label, sgn, new_vertex, new_edge)
     src = Presentation(g)
     tgt = Presentation(g2, src.tree | {new_edge}, src.base)
     split = _identity_images(tgt, {new_vertex: (sgn * label, vertex)})  # the power of `vertex` it splits off
@@ -428,7 +427,9 @@ def expansion_cert(
 
 
 def sign_change_cert(g: LabelledGraph, *, vertex: str | None = None, edge: str | None = None):
-    g2, rec = sign_change(g, vertex=vertex, edge=edge)
+    if (vertex is None) == (edge is None):
+        raise MoveError("sign change needs exactly one of vertex / edge")
+    g2, _ = move(g, "sign-change", *(("edge", edge) if vertex is None else ("vertex", vertex)))
     src = Presentation(g)
     tgt = Presentation(g2, src.tree, src.base)
     images = _identity_images(src, {vertex: (-1, vertex)})
@@ -439,8 +440,9 @@ def sign_change_cert(g: LabelledGraph, *, vertex: str | None = None, edge: str |
 
 def contraction_cert(g: LabelledGraph, edge: str, survivor_end: int = 0):
     """Contraction epimorphism with full Bezout surjectivity witnesses."""
-    g2, rec = contraction_move(g, edge, survivor_end)
-    _, survivor, removed, q, r, d = rec.params
+    work = _Work(g)
+    rec = work.contraction(edge, work._edge(edge, "contract").endpoints[_end(survivor_end, "survivor_end")])
+    g2, (_, survivor, removed, q, r, d) = work.graph(), rec.params
     v, w = g.edges[edge].endpoints
     rp, qp = r // d, q // d  # multipliers: near v -> rp, near w -> qp
     src, tgt = _merged_presentations(g, g2, edge, survivor, removed)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gbs import embeddings
 from gbs.bs_arith import embeds_bs
 from gbs.embeddings import embed_bs_construct
-from gbs.graphs import LabelledGraph, MoveRecord, _Work, apply_move, graph_from_edges, reduce_graph
+from gbs.graphs import LabelledGraph, _Work, graph_from_edges, reduce_graph
 from gbs.words import Presentation
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -89,12 +89,6 @@ def criterion_6_circles():
                 g = graph_from_edges([("e0", "w0", "w1", 2 * beta, 2), ("e1", "w1", "w0", gamma, 2 * alpha)])
                 out.append((alpha, beta, gamma, reduce_graph(g)[0]))
     return out
-
-
-def displace(g, edge, r, divided_end):
-    """The displacement move, run by replaying its record: (new graph, record)."""
-    rec = MoveRecord("displacement", (edge, r, divided_end))
-    return apply_move(g, rec), rec
 
 
 def count_calls(monkeypatch, targets) -> Counter:

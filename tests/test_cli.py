@@ -158,8 +158,11 @@ NOT_REDUCED = "circle 1 2 3 5"  # its unit label sits on a non-loop edge
         (("quot", "onto-minimal", NOT_REDUCED), "graph is not reduced"),
         (("embed", "bsnn", NOT_REDUCED), "graph is not reduced"),
         (("quot", "family", "0", "2"), "Baumslag-Solitar parameters must be nonzero"),
+        (("graph", "info", "bs 0 2"), "Baumslag-Solitar parameters must be nonzero"),
+        (("bs", "hopfian", "0", "2"), "Baumslag-Solitar parameters must be nonzero"),
     ],
-    ids=["rank", "quot-sources", "quot-minimal", "quot-epi-equiv", "quot-onto-minimal", "embed-bsnn", "quot-family-zero"],
+    ids=["rank", "quot-sources", "quot-minimal", "quot-epi-equiv", "quot-onto-minimal", "embed-bsnn", "quot-family-zero",
+         "graph-info-bs-zero", "bs-hopfian-zero"],
 )
 def test_each_precondition_has_one_message(capsys, argv, message):
     """A graph that is not reduced, and a zero parameter, are refused with

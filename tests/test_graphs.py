@@ -11,11 +11,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_calls, count_graph_builds, displace, graphs, small_connected_graph
+from conftest import count_calls, count_graph_builds, graphs, small_connected_graph
 
 import gbs
 from gbs.arith import gcd
-from gbs.errors import DisconnectedGraphError, InputError, MoveError, ShapeError
+from gbs.errors import DecisionError, DisconnectedGraphError, InputError, MoveError, ShapeError
 from gbs.graphs import (
     EdgeData,
     LabelledGraph,
@@ -26,18 +26,15 @@ from gbs.graphs import (
     canonicalize_signs,
     circle_graph,
     classify_shape,
-    collapse,
-    contraction_move,
-    expansion,
     graph_from_edges,
     lollipop_graph,
     loop_labels,
+    move,
     parse_graph,
     reduce_graph,
     replay,
     segment_graph,
     Shape,
-    sign_change,
     spanning_tree,
     _bfs_tree,
 )
@@ -50,6 +47,7 @@ from gbs.quotients import MinimalSource, SourceSet
 # -- reference moves ---------------------------------------------------------
 # Each move rebuilds every edge of a new graph, independently of the working
 # copy engine in gbs.graphs; the engine must match them record for record.
+# Each takes the parameters of its move body, so it replays a record too.
 
 
 def _ref_rescaled(ed, at):
@@ -67,18 +65,19 @@ def _ref_rescaled_edges(g, at, drop=None):
     return edges
 
 
-def _ref_sign_change(g, *, vertex=None, edge=None):
-    if vertex is not None:
-        assert vertex in g.vertices
-        edges = _ref_rescaled_edges(g, {vertex: (-1, vertex)})
-        return LabelledGraph(g.vertices, edges), MoveRecord("sign-change", ("vertex", vertex))
-    ed = g.edges[edge]
+def _ref_sign_change(g, what, name):
+    if what == "vertex":
+        assert name in g.vertices
+        edges = _ref_rescaled_edges(g, {name: (-1, name)})
+        return LabelledGraph(g.vertices, edges), MoveRecord("sign-change", ("vertex", name))
+    assert what == "edge"
+    edge, ed = name, g.edges[name]
     edges = dict(g.edges)
     edges[edge] = EdgeData(ed.endpoints, (-ed.labels[0], -ed.labels[1]))
     return LabelledGraph(g.vertices, edges), MoveRecord("sign-change", ("edge", edge))
 
 
-def _ref_collapse(g, edge, end=None):
+def _ref_collapse(g, edge, end=None, *_):
     assert not g.is_loop(edge)
     ed = g.edges[edge]
     if end is None:
@@ -91,13 +90,11 @@ def _ref_collapse(g, edge, end=None):
     return LabelledGraph(g.vertices - {removed}, edges), rec
 
 
-def _ref_expansion(g, vertex, moved, label, sgn=1, new_vertex=None, new_edge=None):
+def _ref_expansion(g, vertex, moved, label, sgn, new_vertex, new_edge):
     div = sgn * label
-    assert all(g.edges[oe.edge].endpoints[oe.end] == vertex and g.label(oe) % div == 0 for oe in moved)
-    new_vertex = new_vertex or g.fresh_vertex()
-    new_edge = new_edge or g.fresh_edge()
+    assert all(g.edges[e].endpoints[k] == vertex and g.edges[e].labels[k] % div == 0 for e, k in moved)
     assert new_vertex not in g.vertices and new_edge not in g.edges
-    moved_set = {(oe.edge, oe.end) for oe in moved}
+    moved_set = set(moved)
     edges = {}
     for name, ed in g.edges.items():
         endpoints, labels = list(ed.endpoints), list(ed.labels)
@@ -111,13 +108,14 @@ def _ref_expansion(g, vertex, moved, label, sgn=1, new_vertex=None, new_edge=Non
     return LabelledGraph(g.vertices | {new_vertex}, edges), rec
 
 
-def _ref_contraction(g, edge, survivor_end=0):
+def _ref_contraction(g, edge, survivor, *_):
     assert not g.is_loop(edge)
     ed = g.edges[edge]
     v, w = ed.endpoints
+    assert survivor in (v, w)
     q, r = ed.labels
     d = gcd(q, r)
-    survivor, removed = ed.endpoints[survivor_end], ed.endpoints[1 - survivor_end]
+    removed = w if survivor == v else v
     edges = _ref_rescaled_edges(g, {v: (r // d, survivor), w: (q // d, survivor)}, drop=edge)
     rec = MoveRecord("contraction", (edge, survivor, removed, q, r, d))
     return LabelledGraph(g.vertices - {removed}, edges), rec
@@ -133,22 +131,6 @@ def _ref_displacement(g, edge, r, divided_end):
     labels[divided_end] //= r
     edges[edge] = EdgeData(ed.endpoints, tuple(labels))
     return LabelledGraph(g.vertices, edges), MoveRecord("displacement", (edge, r, divided_end))
-
-
-def _ref_apply_move(g, rec):
-    """Replay a valid record through the reference moves."""
-    kind, params = rec.kind, rec.params
-    if kind == "collapse":
-        return _ref_collapse(g, *params[:2])[0]
-    if kind == "sign-change":
-        return _ref_sign_change(g, **{params[0]: params[1]})[0]
-    if kind == "expansion":
-        vertex, moved, label, sgn, new_vertex, new_edge = params
-        return _ref_expansion(g, vertex, [OrientedEdge(e, k) for e, k in moved], label, sgn, new_vertex, new_edge)[0]
-    if kind == "contraction":
-        edge, survivor = params[:2]
-        return _ref_contraction(g, edge, int(g.edges[edge].endpoints[1] == survivor))[0]
-    return _ref_displacement(g, *params)[0]
 
 
 def test_parse_and_serialize_round_trip():
@@ -305,12 +287,14 @@ def test_constructors_keep_their_own_label_checks():
         (circle_graph, ([],), "circle needs labels"),
         (lollipop_graph, ([2, 3], [5]), "lollipop needs segment labels"),
         (lollipop_graph, ([], [2, 3]), "lollipop needs segment labels"),
-        (bs_graph, (0, 3), "BS parameters must be nonzero"),
         (graph_from_edges, ([("e", "v", "w", 2, 3), ("e", "w", "v", 5, 7)],), "duplicate edge name e"),
         (LabelledGraph, ([], {}), "graph needs at least one vertex"),
     ]:
         with pytest.raises(InputError, match=message):
             build(*args)
+    # a zero Baumslag-Solitar parameter gets the deciders' one message
+    with pytest.raises(DecisionError, match="^Baumslag-Solitar parameters must be nonzero$"):
+        bs_graph(0, 3)
 
 
 def test_loop_labels_reads_only_a_one_vertex_one_edge_graph():
@@ -342,7 +326,7 @@ def test_collapse_rescales_far_labels():
             ("g2", "w", "b", 7, 13),
         ]
     )
-    out, rec = collapse(g, "mid")
+    out, rec = move(g, "collapse", "mid")
     assert out.vertices == frozenset({"v", "a", "b"})
     assert out.edges["g1"].labels == (15, 11)
     assert out.edges["g2"].labels == (35, 13)
@@ -351,15 +335,15 @@ def test_collapse_rescales_far_labels():
 
 def test_collapse_unit_pair():
     g = segment_graph([1, 1])
-    out, _ = collapse(g, "s0")
+    out, _ = move(g, "collapse", "s0")
     assert not out.edges and len(out.vertices) == 1
 
 
 def test_collapse_errors():
     with pytest.raises(MoveError):
-        collapse(bs_graph(1, 2), "e0")  # loop
+        move(bs_graph(1, 2), "collapse", "e0")  # loop
     with pytest.raises(MoveError):
-        collapse(segment_graph([2, 3]), "s0")  # no unit label
+        move(segment_graph([2, 3]), "collapse", "s0")  # no unit label
 
 
 def test_reduce_deterministic_and_idempotent():
@@ -440,7 +424,7 @@ def test_multi_move_routines_build_no_graph_per_move(monkeypatch):
     mod = sys.modules["gbs.graphs"]
     g = segment_graph([1, 2] * 200)
     calls = count_calls(
-        monkeypatch, [(mod, "collapse"), (mod, "sign_change"), (LabelledGraph, "__init__")]
+        monkeypatch, [(mod, "move"), (LabelledGraph, "__init__")]
     )
     red, recs = reduce_graph(g)
     assert len(recs) == 200 and not red.edges
@@ -459,16 +443,15 @@ def test_multi_move_routines_build_no_graph_per_move(monkeypatch):
 
 def test_sign_change_involution():
     g = bs_graph(2, 3)
-    g1, _ = sign_change(g, edge="e0")
+    g1, _ = move(g, "sign-change", "edge", "e0")
     assert g1.edges["e0"].labels == (-2, -3)
-    g2, _ = sign_change(g1, edge="e0")
+    g2, _ = move(g1, "sign-change", "edge", "e0")
     assert g2 == g
     s = segment_graph([2, 3])
-    s1, _ = sign_change(s, vertex="v0")
+    s1, _ = move(s, "sign-change", "vertex", "v0")
     assert s1.edges["s0"].labels == (-2, 3)
-    for both_or_neither in ({}, {"vertex": "v0", "edge": "s0"}):
-        with pytest.raises(MoveError, match="exactly one of vertex / edge"):
-            sign_change(s, **both_or_neither)
+    with pytest.raises(MoveError, match="a sign change is at a vertex or an edge"):
+        move(s, "sign-change", "loop", "s0")
 
 
 def test_contraction_rescales_both_sides():
@@ -480,7 +463,7 @@ def test_contraction_rescales_both_sides():
             ("c1", "w", "y", 7, 9),
         ]
     )
-    out, _ = contraction_move(g, "eps")
+    out, _ = move(g, "contraction", "eps", "v")
     assert out.edges["a1"].labels == (25, 9)  # alpha * r' = 5 * 5
     assert out.edges["c1"].labels == (21, 9)  # gamma * q' = 7 * 3
     assert "w" not in out.vertices
@@ -498,7 +481,7 @@ def test_contraction_replay_keeps_survivor(survivor_end):
         ]
     )
     survivor, removed = ("v", "w") if survivor_end == 0 else ("w", "v")
-    out, rec = contraction_move(g, "eps", survivor_end)
+    out, rec = move(g, "contraction", "eps", survivor)
     assert rec.params == ("eps", survivor, removed, 6, 10, 2)
     assert out.vertices == frozenset({survivor, "x", "y"})
     assert out.edges["a1"] == EdgeData((survivor, "x"), (25, 9))
@@ -511,8 +494,8 @@ def test_contraction_replay_keeps_survivor(survivor_end):
 
 def test_contraction_unit_is_collapse():
     g = graph_from_edges([("eps", "v", "w", 5, 1), ("g1", "w", "a", 3, 11)])
-    via_contraction, _ = contraction_move(g, "eps")
-    via_collapse, _ = collapse(g, "eps")
+    via_contraction, _ = move(g, "contraction", "eps", "v")
+    via_collapse, _ = move(g, "collapse", "eps")
     assert via_contraction == via_collapse
 
 
@@ -521,12 +504,12 @@ def test_displacement_moves_a_factor():
     g = graph_from_edges(
         [("eps", "v", "w", 7, 15), ("a1", "v", "x", 2, 9), ("a2", "v", "y", 11, 9)]
     )
-    out, rec = displace(g, "eps", 3, 1)
+    out, rec = move(g, "displacement", "eps", 3, 1)
     assert out.edges["eps"].labels == (7, 5)
     assert out.edges["a1"].labels == (6, 9)
     assert out.edges["a2"].labels == (33, 9)
     assert apply_move(g, rec) == out
-    same, _ = displace(g, "eps", 1, 1)
+    same, _ = move(g, "displacement", "eps", 1, 1)
     assert same == g
 
 
@@ -537,23 +520,23 @@ def test_displacement_unit_factor_subcases():
     g = graph_from_edges(
         [("eps", "v", "w", 7, 15), ("a1", "v", "x", 2, 9)]
     )
-    same, _ = displace(g, "eps", 1, 1)
+    same, _ = move(g, "displacement", "eps", 1, 1)
     assert same == g
     # full-factor displacement on a (1, rs)-edge: the contraction step is a
     # collapse, so the certificate is invertible on generators
     g2 = graph_from_edges([("eps", "v", "w", 1, 15), ("a1", "v", "x", 2, 9)])
     out, cert, _ = displacement_cert(g2, "eps", 15, 1)
     assert check_epi(cert)
-    via_move, _ = displace(g2, "eps", 15, 1)
+    via_move, _ = move(g2, "displacement", "eps", 15, 1)
     assert sorted(map(abs, out.labels())) == sorted(map(abs, via_move.labels()))
 
 
 def test_displacement_errors():
     g = graph_from_edges([("eps", "v", "w", 6, 15)])
     with pytest.raises(MoveError):
-        displace(g, "eps", 4, 1)  # does not divide
+        move(g, "displacement", "eps", 4, 1)  # does not divide
     with pytest.raises(MoveError):
-        displace(g, "eps", 3, 1)  # gcd(6, 3) != 1
+        move(g, "displacement", "eps", 3, 1)  # gcd(6, 3) != 1
 
 
 def test_displacement_preserves_label_products():
@@ -561,7 +544,7 @@ def test_displacement_preserves_label_products():
     g = circle_graph([2, 5, 3, 7])
     s = classify_shape(g)
     X, Y = s.X, s.Y
-    out, _ = displace(g, s.circ_edges[1].edge, 3, s.circ_edges[1].end)
+    out, _ = move(g, "displacement", s.circ_edges[1].edge, 3, s.circ_edges[1].end)
     s2 = classify_shape(out)
     assert abs(s2.X) == abs(X) and abs(s2.Y) == abs(Y)
 
@@ -607,37 +590,50 @@ def test_replay_move_errors_on_labels_past_the_int_to_str_limit(rec):
     # the error names the oriented edge, never formats its label
     big = 10**2500
     g = graph_from_edges([("d0", "z0", "z1", big, 1), ("d1", "z1", "z1", big, 1), ("d2", "z1", "z2", big, 2)])
-    _, first = collapse(g, "d0", 1)
+    _, first = move(g, "collapse", "d0", 1)
     with pytest.raises(MoveError):
         replay(g, [first, rec])
 
 
 def test_expansion_of_an_unknown_edge_is_a_move_error():
-    with pytest.raises(MoveError):
-        expansion(_REPLAY_GRAPH, "w", [OrientedEdge("zz", 0)], 3)
+    from gbs.homs import expansion_cert
+
+    with pytest.raises(MoveError, match="unknown edge zz"):
+        move(_REPLAY_GRAPH, "expansion", "w", (("zz", 0),), 3, 1, "u", "new")
+    with pytest.raises(MoveError, match="unknown edge zz"):
+        expansion_cert(_REPLAY_GRAPH, "w", [OrientedEdge("zz", 0)], 3)
+
+
+def test_move_of_an_unknown_kind_is_a_move_error():
+    for kind in ("foo", 3, ["collapse"]):  # a list is unhashable
+        with pytest.raises(MoveError, match="unknown move kind"):
+            move(_REPLAY_GRAPH, kind, "mid")
 
 
 @pytest.mark.parametrize("names", [(None, None), ("", ""), ("u", None)])
 def test_replayed_expansion_names_its_new_vertex_and_edge(names):
-    # no move makes such a record: replay would have to invent the names
+    # no move makes such a record: neither move nor replay invents the names
+    from gbs.homs import expansion_cert
+
     rec = MoveRecord("expansion", ("w", (), 3, 1) + names)
     with pytest.raises(MoveError):
         apply_move(_REPLAY_GRAPH, rec)
     with pytest.raises(MoveError):
         replay(_REPLAY_GRAPH, [rec, rec])
-    out, made = expansion(_REPLAY_GRAPH, "w", [], 3, 1, *names)  # a direct call picks free names
-    assert made.params[4:] == ((names[0] or "u0"), "x0")
+    with pytest.raises(MoveError):
+        move(_REPLAY_GRAPH, "expansion", *rec.params)
+    out = expansion_cert(_REPLAY_GRAPH, "w", [], 3, 1, *names)[0]  # the certificate builder picks free names
+    made = MoveRecord("expansion", ("w", (), 3, 1, names[0] or "u0", "x0"))
     assert apply_move(_REPLAY_GRAPH, made) == out
 
 
 def test_expansion_round_trip():
     g = graph_from_edges([("e", "v", "w", 6, 10), ("f", "v", "v", 9, 12)])
-    moved = [OrientedEdge("e", 0), OrientedEdge("f", 1)]
-    out, rec = expansion(g, "v", moved, 3, 1, "u", "new")
+    out, rec = move(g, "expansion", "v", (("e", 0), ("f", 1)), 3, 1, "u", "new")
     assert out.edges["new"].labels == (3, 1)
     assert out.edges["e"].labels == (2, 10)
     assert out.edges["f"].labels == (9, 4)
-    back, _ = collapse(out, "new", 1)
+    back, _ = move(out, "collapse", "new", 1)
     assert back == g
 
 
@@ -645,7 +641,7 @@ def test_expansion_makes_trivalent_form():
     # one vertex with four labels n expands to the tree-with-loop picture
     n = 6
     g = graph_from_edges([("e0", "v", "v", n, n), ("e1", "v", "v", n, n)])
-    out, _ = expansion(g, "v", [OrientedEdge("e0", 0), OrientedEdge("e0", 1)], n, 1)
+    out, _ = move(g, "expansion", "v", (("e0", 0), ("e0", 1)), n, 1, "u0", "x0")
     assert len(out.vertices) == 2
     red, _ = reduce_graph(out)
     assert red == g
@@ -800,18 +796,18 @@ def _canonicalize_signs_reference(g):
         child_label = g.colabel(oe)
         child = g.terminus(oe)
         if parent_label < 0:
-            g, rec = _ref_sign_change(g, edge=oe.edge)
+            g, rec = _ref_sign_change(g, "edge", oe.edge)
             records.append(rec)
             child_label = -child_label
         if child_label < 0:
-            g, rec = _ref_sign_change(g, vertex=child)
+            g, rec = _ref_sign_change(g, "vertex", child)
             records.append(rec)
     for name in g.sorted_edges():
         if name in tree:
             continue
         l0, l1 = g.edges[name].labels
         if (l0 < 0 and l1 < 0) or (l0 < 0 < l1):
-            g, rec = _ref_sign_change(g, edge=name)
+            g, rec = _ref_sign_change(g, "edge", name)
             records.append(rec)
     return g, records
 
@@ -847,41 +843,41 @@ def test_canonicalize_signs_matches_per_move_reference(g):
 
 
 _REF_MOVES = {
-    "sign-change": (_ref_sign_change, sign_change),
-    "collapse": (_ref_collapse, collapse),
-    "expansion": (_ref_expansion, expansion),
-    "contraction": (_ref_contraction, contraction_move),
-    "displacement": (_ref_displacement, displace),
+    "sign-change": _ref_sign_change,
+    "collapse": _ref_collapse,
+    "expansion": _ref_expansion,
+    "contraction": _ref_contraction,
+    "displacement": _ref_displacement,
 }
 
 
 def _draw_move(data, g, step):
-    """A valid move on g: (kind, args, kwargs), drawn with `data`."""
+    """A valid move on g: (kind, the inputs of its record), drawn with `data`."""
     non_loops = [n for n in g.sorted_edges() if not g.is_loop(n)]
     unit_ends = [(n, k) for n in non_loops for k in (0, 1) if abs(g.edges[n].labels[k]) == 1]
     kinds = ["sign-change", "expansion"] + ["collapse"] * bool(unit_ends) + ["contraction", "displacement"] * bool(non_loops)
     kind = data.draw(st.sampled_from(kinds))
     if kind == "sign-change":
         if g.edges and data.draw(st.booleans()):
-            return kind, (), {"edge": data.draw(st.sampled_from(g.sorted_edges()))}
-        return kind, (), {"vertex": data.draw(st.sampled_from(g.sorted_vertices()))}
+            return kind, ("edge", data.draw(st.sampled_from(g.sorted_edges())))
+        return kind, ("vertex", data.draw(st.sampled_from(g.sorted_vertices())))
     if kind == "collapse":
         edge, end = data.draw(st.sampled_from(unit_ends))
-        return kind, (edge, data.draw(st.sampled_from([end, None]))), {}
+        return kind, (edge, data.draw(st.sampled_from([end, None])))
     if kind == "expansion":
         vertex = data.draw(st.sampled_from(g.sorted_vertices()))
         label, sgn = data.draw(st.sampled_from([1, 2, 3])), data.draw(st.sampled_from([1, -1]))
-        ends = [oe for oe in g.edges_at(vertex) if g.label(oe) % (sgn * label) == 0]
-        moved = [oe for oe in ends if data.draw(st.booleans())]
-        names = data.draw(st.sampled_from([(None, None), (f"n{step}", f"y{step}")]))
-        return kind, (vertex, moved, label, sgn) + names, {}
+        ends = [(oe.edge, oe.end) for oe in g.edges_at(vertex) if g.label(oe) % (sgn * label) == 0]
+        moved = tuple(end for end in ends if data.draw(st.booleans()))
+        names = data.draw(st.sampled_from([(g.fresh_vertex(), g.fresh_edge()), (f"n{step}", f"y{step}")]))
+        return kind, (vertex, moved, label, sgn) + names
     edge = data.draw(st.sampled_from(non_loops))
     end = data.draw(st.sampled_from([0, 1]))
     if kind == "contraction":
-        return kind, (edge, end), {}
+        return kind, (edge, g.edges[edge].endpoints[end])
     rs, q = g.edges[edge].labels[end], g.edges[edge].labels[1 - end]
     r = data.draw(st.sampled_from([d for d in range(1, abs(rs) + 1) if rs % d == 0 and gcd(q, d) == 1]))
-    return kind, (edge, r * data.draw(st.sampled_from([1, -1])), end), {}
+    return kind, (edge, r * data.draw(st.sampled_from([1, -1])), end)
 
 
 @st.composite
@@ -899,10 +895,9 @@ def graphs_with_loops_and_parallels(draw):
 def test_moves_and_replay_match_the_reference_moves(g, data):
     ref, records = g, []
     for step in range(data.draw(st.integers(min_value=1, max_value=6))):
-        kind, args, kwargs = _draw_move(data, ref, step)
-        ref_move, move = _REF_MOVES[kind]
-        out, rec = move(ref, *args, **kwargs)
-        ref, ref_rec = ref_move(ref, *args, **kwargs)
+        kind, params = _draw_move(data, ref, step)
+        out, rec = move(ref, kind, *params)
+        ref, ref_rec = _REF_MOVES[kind](ref, *params)
         assert out == ref and list(out.edges) == list(ref.edges)
         assert rec == ref_rec and rec.to_json() == ref_rec.to_json()
         records.append(rec)
@@ -910,7 +905,7 @@ def test_moves_and_replay_match_the_reference_moves(g, data):
     assert replayed == ref and list(replayed.edges) == list(ref.edges)
     cur = ref_cur = g
     for rec in records:
-        cur, ref_cur = apply_move(cur, rec), _ref_apply_move(ref_cur, rec)
+        cur, ref_cur = apply_move(cur, rec), _REF_MOVES[rec.kind](ref_cur, *rec.params)[0]
         assert cur == ref_cur and list(cur.edges) == list(ref_cur.edges)
     assert cur == ref
 
@@ -946,13 +941,13 @@ def json_move_records(draw):
 
 
 _VALID_RECORDS = [
-    collapse(_FUZZ_GRAPH, "a", 0)[1],
-    collapse(_FUZZ_GRAPH, "e", 1)[1],
-    sign_change(_FUZZ_GRAPH, vertex="v1")[1],
-    sign_change(_FUZZ_GRAPH, edge="c")[1],
-    expansion(_FUZZ_GRAPH, "v1", [OrientedEdge("c", 0), OrientedEdge("b", 0)], 2, -1, "n", "y")[1],
-    contraction_move(_FUZZ_GRAPH, "b", 1)[1],
-    displace(_FUZZ_GRAPH, "b", 2, 0)[1],
+    move(_FUZZ_GRAPH, "collapse", "a", 0)[1],
+    move(_FUZZ_GRAPH, "collapse", "e", 1)[1],
+    move(_FUZZ_GRAPH, "sign-change", "vertex", "v1")[1],
+    move(_FUZZ_GRAPH, "sign-change", "edge", "c")[1],
+    move(_FUZZ_GRAPH, "expansion", "v1", (("c", 0), ("b", 0)), 2, -1, "n", "y")[1],
+    move(_FUZZ_GRAPH, "contraction", "b", "v2")[1],
+    move(_FUZZ_GRAPH, "displacement", "b", 2, 0)[1],
 ]
 
 
@@ -1007,10 +1002,10 @@ def _checked(g: LabelledGraph) -> LabelledGraph:
     return g
 
 
-def _unless_move_error(call, *args, **kwargs):
+def _unless_move_error(call, *args):
     """The graph call returns (checked), or None when it raises MoveError."""
     try:
-        out = call(*args, **kwargs)
+        out = call(*args)
     except MoveError:
         return None
     return _checked(out[0] if type(out) is tuple else out)
@@ -1023,12 +1018,11 @@ def test_unchecked_move_results_pass_the_constructor_checks(g, data):
     # each call raises MoveError or returns a graph that passes them
     start, records = g, []
     for step in range(data.draw(st.integers(min_value=1, max_value=4))):
-        kind, args, kwargs = _draw_move(data, g, step)
-        move = _REF_MOVES[kind][1]
-        if args and data.draw(st.booleans()):  # an unknown name, or a factor that divides no label
+        kind, params = _draw_move(data, g, step)
+        if data.draw(st.booleans()):  # an unknown name, or a factor that divides no label
             i = data.draw(st.sampled_from([0, 2 if kind == "expansion" else 1]))
-            _unless_move_error(move, g, *args[:i], data.draw(st.sampled_from(["zz", 97])), *args[i + 1 :], **kwargs)
-        out, rec = move(g, *args, **kwargs)
+            _unless_move_error(move, g, kind, *params[:i], data.draw(st.sampled_from(["zz", 97])), *params[i + 1 :])
+        out, rec = move(g, kind, *params)
         _checked(out)
         how = data.draw(st.sampled_from([None, "kind", "arity", "factor", "name"]))
         rec = rec if how is None else _mutated(rec, how)
@@ -1140,7 +1134,7 @@ def test_qrxy_abs_invariant_under_sign_change(g):
     s = classify_shape(g)
     if s.kind == "other":
         return
-    g2, _ = sign_change(g, vertex=g.sorted_vertices()[0])
+    g2, _ = move(g, "sign-change", "vertex", g.sorted_vertices()[0])
     s2 = classify_shape(g2)
     if s2.kind != s.kind:
         return

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, count_graph_builds, displace, graphs, random_presentation
+from conftest import count_calls, count_graph_builds, graphs, random_presentation
 
 from gbs import homs, words
 from gbs.arith import gcd, xgcd
@@ -28,11 +28,9 @@ from gbs.graphs import (
     bs_graph,
     circle_graph,
     classify_shape,
-    collapse,
-    contraction_move,
-    expansion,
     graph_from_edges,
     lollipop_graph,
+    move,
     reduce_graph,
     segment_graph,
 )
@@ -142,6 +140,9 @@ def test_sign_change_cert():
     _round_trip_fixes_generators(fwd, rev)
     g3, fwd2, rev2 = sign_change_cert(g, edge="s0")
     assert check_epi(fwd2) and check_epi(rev2)
+    for both_or_neither in ({}, {"vertex": "v0", "edge": "s0"}):
+        with pytest.raises(MoveError, match="exactly one of vertex / edge"):
+            sign_change_cert(g, **both_or_neither)
 
 
 def test_contraction_cert_two_edge_circle():
@@ -214,7 +215,7 @@ def test_reduce_and_displacement_build_only_the_certificates_they_compose(monkey
 )
 def test_displacement_cert_is_checked_by_the_move(g, edge, r, end):
     with pytest.raises(MoveError):
-        displace(g, edge, r, end)
+        move(g, "displacement", edge, r, end)
     with pytest.raises(MoveError):
         displacement_cert(g, edge, r, end)
 
@@ -1048,9 +1049,9 @@ def _random_moves(g, rng):
             continue
         v, w = g.edges[e].endpoints
         for end in (0, 1):
-            moves = [contraction_move(g, e, end)]
+            moves = [move(g, "contraction", e, g.edges[e].endpoints[end])]
             if abs(g.edges[e].labels[1 - end]) == 1:
-                moves.append(collapse(g, e, 1 - end))
+                moves.append(move(g, "collapse", e, 1 - end))
             for g2, rec in moves:
                 if rec.kind == "collapse":
                     removed, survivor, mult = rec.params[2:]
@@ -1062,8 +1063,9 @@ def _random_moves(g, rng):
                 yield src, Presentation(g2, src.tree - {e}, survivor if src.base == removed else src.base), at
     for vertex in g.sorted_vertices():
         label = rng.choice((1, 2, 3))
-        ends = [oe for oe in g.edges_at(vertex) if g.label(oe) % label == 0]
-        g2, rec = expansion(g, vertex, ends[rng.randrange(2) :: 2], label, rng.choice((1, -1)))
+        ends = [(oe.edge, oe.end) for oe in g.edges_at(vertex) if g.label(oe) % label == 0]
+        moved = tuple(ends[rng.randrange(2) :: 2])
+        g2, rec = move(g, "expansion", vertex, moved, label, rng.choice((1, -1)), g.fresh_vertex(), g.fresh_edge())
         src = random_presentation(g, rng)
         yield src, Presentation(g2, src.tree | {rec.params[5]}, src.base), {}
 

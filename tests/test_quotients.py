@@ -18,10 +18,12 @@ from gbs.graphs import (
     circle_graph,
     graph_from_edges,
     lollipop_graph,
+    move,
+    reduce_graph,
     segment_graph,
 )
 from gbs.homs import check_epi, bs_source_epi, minimal_bs_epi
-from gbs.plateaus import is_two_generated
+from gbs.plateaus import is_two_generated, mu
 from test_plateaus import reduced_segments_circles_lollipops
 from gbs.bs_arith import exists_epi_bs
 from gbs.quotients import (
@@ -589,3 +591,66 @@ def test_epi_equivalence_runs_each_graph_query_once(monkeypatch):
     assert counts[0]["mu"] == counts[0]["classify_shape"] == counts[0]["_detect_elementary"] == 1
     assert builds["__init__"] == 0  # connectivity was checked once, when g was built
     assert counts[0]["is_reduced"] == 1  # only mu checks reducedness
+
+
+_BOX = [(m, n) for m in range(-12, 13) for n in range(-12, 13) if m and n]
+
+
+def _random_shape(rng):
+    """A segment, circle or lollipop with labels from +-2, 3, 4, 5, 6, 9:
+    reduced, as no label is a unit."""
+    labels = lambda k: [rng.choice((2, -2, 3, 4, 5, 6, 9)) for _ in range(2 * k)]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return segment_graph(labels(rng.randint(1, 3)))
+    if kind == 1:
+        return circle_graph(labels(rng.randint(1, 3)))
+    return lollipop_graph(labels(rng.randint(1, 2)), labels(rng.randint(1, 2)))
+
+
+def _sources_and_rank(g):
+    """(the (m, n) of _BOX with BS(m, n) ->> g, the rank of g), or None when
+    the deciders refuse g."""
+    try:
+        src = bs_sources(g)
+    except (DecisionError, ElementaryGroupError, ShapeError):
+        return None
+    return {mn for mn in _BOX if src.contains(*mn)}, mu(g).rank
+
+
+def test_moves_keep_sources_and_rank_as_their_maps_do():
+    """Move relations, which need no oracle.  A vertex sign change is an
+    isomorphism: the sources and the rank stay.  A displacement G ->> H (an
+    expansion, then a contraction) is an epimorphism: sources(G) is in
+    sources(H) and rank(H) <= rank(G), read on reduce_graph(H).  A graph the
+    deciders refuse is drawn again, within a cap on the draws."""
+    rng = random.Random(7)
+    checked = Counter()
+    for _ in range(3000):
+        if checked["displacement"] == 300:
+            break
+        g = _random_shape(rng)
+        before = _sources_and_rank(g)
+        if before is None:
+            continue
+        if checked["sign-change"] < 300:
+            flipped, _ = move(g, "sign-change", "vertex", rng.choice(g.sorted_vertices()))
+            assert _sources_and_rank(flipped) == before, (g, flipped)
+            checked["sign-change"] += 1
+        factors = [
+            (e, r, end)
+            for e, ed in g.edges.items()
+            if not g.is_loop(e)
+            for end in (0, 1)
+            for r in range(2, abs(ed.labels[end]) + 1)
+            if ed.labels[end] % r == 0 and gcd(ed.labels[1 - end], r) == 1
+        ]
+        if not factors:
+            continue
+        e, r, end = rng.choice(factors)
+        h = reduce_graph(move(g, "displacement", e, r * rng.choice((1, -1)), end)[0])[0]
+        after = _sources_and_rank(h)
+        if after is not None:
+            assert before[0] <= after[0] and after[1] <= before[1], (g, h)
+            checked["displacement"] += 1
+    assert checked == {"sign-change": 300, "displacement": 300}

@@ -639,7 +639,7 @@ def test_britton_against_affine_oracle(rng):
 def test_moves_preserve_group_invariants(rng):
     """Collapses and sign changes keep the modular image and its flags."""
     from conftest import same_group, small_connected_graph
-    from gbs.graphs import reduce_graph, sign_change
+    from gbs.graphs import move, reduce_graph
 
     for _ in range(30):
         g = small_connected_graph(rng, max_vertices=4, max_label=6)
@@ -647,7 +647,7 @@ def test_moves_preserve_group_invariants(rng):
         before, after = modular_image(g), modular_image(red)
         assert same_group(before, after)
         assert is_unimodular(g) == is_unimodular(red)
-        flipped, _ = sign_change(g, vertex=g.sorted_vertices()[0])
+        flipped, _ = move(g, "sign-change", "vertex", g.sorted_vertices()[0])
         assert same_group(modular_image(flipped), before)
 
 
