@@ -11,10 +11,12 @@ comes first, the digest of all last.  The set:
   (4, 6, 8), whose first members are the family ladder's smaller steps;
 * minimal_bs_epi on the circles (2 3)^l for l = 1 .. 4;
 * non_hopf_endo(m, n) for every non-Hopfian BS(m, n) with 0 < |m|, |n| <= 12;
-* the move certificates of 400 seeded segments, circles and lollipops:
-  collapse (each unit end), contraction (both survivor ends), sign change
-  (a vertex and an edge), expansion and displacement (each prime of each
-  label that the move allows), reduce_cert, and, on the reduced graph
+* the move certificates of 400 seeded segments, circles and lollipops,
+  each built by move_cert, with its reverse by inverse_cert for the
+  isomorphisms: collapse (each unit end), contraction (each end as the
+  survivor), sign change (a vertex and an edge), expansion (each prime of
+  each label, split off with fresh names) and displacement_cert (each
+  prime the move allows), reduce_cert, and, on the reduced graph
   when it is 2-generated, bs_source_epi from each minimal source and
   minimal_bs_epi where it exists;
 * embed_bs_construct for every BS(r, s) < BS(m, n) on the grid
@@ -36,16 +38,7 @@ from itertools import product
 import gbs
 from gbs.arith import factorize, gcd
 from gbs.errors import GBSError
-from gbs.graphs import OrientedEdge
-from gbs.homs import (
-    HomCertificate,
-    collapse_cert,
-    contraction_cert,
-    displacement_cert,
-    expansion_cert,
-    reduce_cert,
-    sign_change_cert,
-)
+from gbs.homs import HomCertificate, displacement_cert, inverse_cert, move_cert, reduce_cert
 from gbs.words import expand_letters
 
 FAMILIES = ((4, 6, 8), (6, 10, 4), (4, 12, 5), (6, 6, 8), (9, 6, 3), (8, 12, 3))
@@ -75,6 +68,12 @@ def _seeded_graphs():
             yield gbs.lollipop_graph(labels(rng.randint(1, 2)), labels(1))
 
 
+def _both_ways(g, kind, *params):
+    """The forward and the reverse certificate of one isomorphism move."""
+    _, cert, rec = move_cert(g, kind, *params)
+    return cert, inverse_cert(cert, rec)
+
+
 def _move_certs(g):
     out = []
     vertices, edges = g.sorted_vertices(), g.sorted_edges()
@@ -84,8 +83,8 @@ def _move_certs(g):
         labels = g.edges[e].labels
         for end in (0, 1):
             if abs(labels[end]) == 1:
-                out.extend(collapse_cert(g, e, end)[1:])
-            out.append(contraction_cert(g, e, survivor_end=end)[1])
+                out.extend(_both_ways(g, "collapse", e, end))
+            out.append(move_cert(g, "contraction", e, g.edges[e].endpoints[end])[1])
             for r in sorted(_prime_set(labels[end])):
                 if gcd(labels[1 - end], r) == 1:
                     out.append(displacement_cert(g, e, r, end)[1])
@@ -93,9 +92,10 @@ def _move_certs(g):
         for end in (0, 1):
             origin = g.edges[e].endpoints[end]
             for r in sorted(_prime_set(g.edges[e].labels[end])):
-                out.extend(expansion_cert(g, origin, [OrientedEdge(e, end)], r, -1 if r % 2 else 1)[1:])
-    out.extend(sign_change_cert(g, vertex=vertices[-1])[1:])
-    out.extend(sign_change_cert(g, edge=edges[0])[1:])
+                sgn = -1 if r % 2 else 1
+                out.extend(_both_ways(g, "expansion", origin, ((e, end),), r, sgn, g.fresh_vertex(), g.fresh_edge()))
+    out.extend(_both_ways(g, "sign-change", "vertex", vertices[-1]))
+    out.extend(_both_ways(g, "sign-change", "edge", edges[0]))
     red, cert = reduce_cert(g)
     out.append(cert)
     try:

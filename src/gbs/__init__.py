@@ -37,10 +37,10 @@ from .homs import (
     HomCertificate,
     check_epi,
     check_hom,
-    contraction_cert,
     non_hopf_endo,
     bs_source_epi,
     minimal_bs_epi,
+    move_cert,
 )
 from .quotients import (
     bs_sources,

@@ -40,7 +40,7 @@ from . import (
 )
 from .arith import gcd
 from .graphs import graph_from_edges, reduce_graph
-from .homs import contraction_cert
+from .homs import move_cert
 from .quotients import descending_chain
 from .words import Presentation, britton_reduce, modulus
 
@@ -133,8 +133,8 @@ def entry_descending_chain():
 
 def entry_onto_minimal():
     g = graph_from_edges([("e1", "u", "w", 3, 3), ("e2", "w", "u", 2, 4)])
-    g1, c1 = contraction_cert(g, "e1")
-    g2, c2 = contraction_cert(g, "e2")
+    g1, c1, _ = move_cert(g, "contraction", "e1", "u")
+    g2, c2, _ = move_cert(g, "contraction", "e2", "w")
     got1 = tuple(sorted(abs(l) for l in g1.labels()))
     got2 = tuple(sorted(abs(l) for l in g2.labels()))
     onto_min = maps_onto_minimal_bs(g).answer

@@ -213,7 +213,8 @@ def cmd_embed_bsnn(args):
 
 def cmd_word(args):
     g = load_graph(args.graph)
-    pres = Presentation(g, frozenset(args.tree.split(",")) if args.tree else None, args.base)
+    tree = None if args.tree is None else frozenset(args.tree.split(",") if args.tree else ())  # "" is the empty tree
+    pres = Presentation(g, tree, args.base)
     w = pres.letters_to_path(parse_letters(args.word))
     if args.op == "reduce":
         nf = britton_reduce(g, w)

@@ -16,10 +16,8 @@ graph moves (collapse, expansion, sign change, contraction, displacement),
 the non-Hopfian self-epimorphism, and the two families of quotient
 constructions for 2-generated groups (smallest-source quotients, which
 include BS(m, n) ->> BS(m', n') on a one-loop target, and maps onto the
-minimal Baumslag-Solitar quotient).  A move certificate is a substitution
-of the moved generators: collapse, contraction and expansion send each
-a(v) to a(u)^k by the multiplier map the move applies to labels, and each
-stable letter to itself, every image Britton-reduced over the target.
+minimal Baumslag-Solitar quotient).  move_cert builds the certificate
+of one move from the move's record.
 """
 
 from dataclasses import FrozenInstanceError, dataclass
@@ -39,9 +37,8 @@ from .errors import (
 )
 from .graphs import (
     LabelledGraph,
-    OrientedEdge,
+    MoveRecord,
     _Work,
-    _end,
     bs_graph,
     classify_shape,
     loop_labels,
@@ -361,6 +358,18 @@ def compose(first: HomCertificate, *rest: HomCertificate, provenance: str = "") 
 # -- move-induced certificates ----------------------------------------------
 
 
+def _iso_at(rec: MoveRecord) -> dict:
+    """The multiplier map at of a collapse, expansion or sign change record:
+    a collapse multiplies the labels at its removed vertex by mult onto the
+    survivor, a vertex sign change negates those at its vertex."""
+    p = rec.params
+    if rec.kind == "collapse":
+        return {p[2]: (p[4], p[3])}
+    if rec.kind not in ("expansion", "sign-change"):
+        raise MoveError(f"a {rec.kind} certificate has no inverse")
+    return {p[1]: (-1, p[1])} if rec.kind == "sign-change" and p[0] == "vertex" else {}
+
+
 def _move_cert(src: Presentation, tgt: Presentation, at: dict, provenance: str, witnesses: dict) -> HomCertificate:
     """The certificate of a move: a(v) goes to a(u)^k where at[v] = (k, u)
     (the multiplier map the move applies to the labels at v; (1, v) when v
@@ -379,78 +388,46 @@ def _move_cert(src: Presentation, tgt: Presentation, at: dict, provenance: str, 
     return HomCertificate(src, tgt, images, witnesses, provenance)
 
 
-def _merged_presentations(g: LabelledGraph, g2: LabelledGraph, edge: str, survivor, removed):
-    """Presentations of g and of g2, which is g with the non-loop `edge`
-    dropped and `removed` merged into `survivor`: g2's tree is g's less `edge`."""
-    src = Presentation(g, tree_containing(g, edge))
-    return src, Presentation(g2, src.tree - {edge}, survivor if src.base == removed else src.base)
+def move_cert(g: LabelledGraph, kind: str, *params):
+    """(new graph, forward certificate, MoveRecord) of one move of `kind` on
+    g, with graphs.move's parameters.  The certificate is _move_cert's, the
+    target tree the source's less the merged edge or plus the expansion's new
+    edge; a sign change's is its own witness map, unreduced.  A displacement
+    renames its edge, so its certificate is displacement_cert's."""
+    if kind == "displacement":
+        raise MoveError("a displacement certificate is an expansion and a contraction: use displacement_cert")
+    g2, rec = move(g, kind, *params)
+    p = rec.params
+    provenance = f"{kind}({p[5] if kind == 'expansion' else p[1] if kind == 'sign-change' else p[0]})"
+    src = Presentation(g, tree_containing(g, p[0]) if kind in ("collapse", "contraction") else None)
+    if kind == "sign-change":
+        images = _identity_images(src, _iso_at(rec))
+        return g2, HomCertificate(src, Presentation(g2, src.tree, src.base), images, images, provenance), rec
+    if kind == "expansion":
+        vertex, _, label, sgn, new_vertex, new_edge = p
+        tgt = Presentation(g2, src.tree | {new_edge}, src.base)
+        at, witnesses = {}, _identity_images(tgt, {new_vertex: (sgn * label, vertex)})  # splits off that power
+    else:  # g2 is g less the non-loop edge, `removed` merged into `survivor`
+        edge, (survivor, removed) = p[0], (p[3], p[2]) if kind == "collapse" else p[1:3]
+        tgt = Presentation(g2, src.tree - {edge}, survivor if src.base == removed else src.base)
+        witnesses = _identity_images(tgt)
+        if kind == "collapse":
+            at = _iso_at(rec)
+        else:
+            (v, w), (q, r, d) = g.edges[edge].endpoints, p[3:]
+            at = {v: (r // d, survivor), w: (q // d, survivor)}
+            _, x, y = xgcd(r // d, q // d)  # the Bezout witness of a(survivor)
+            witnesses[("v", survivor)] = letters_concat((("v", v, x),), (("v", w, y),))
+    return g2, _move_cert(src, tgt, at, provenance, witnesses), rec
 
 
-def _collapse_fwd(g: LabelledGraph, edge: str, end: int | None):
-    """(new graph, forward certificate, its multiplier map) of a collapse."""
-    g2, rec = move(g, "collapse", edge, end)
-    removed, survivor, mult = rec.params[2:]
-    src, tgt = _merged_presentations(g, g2, edge, survivor, removed)
-    at = {removed: (mult, survivor)}
-    return g2, _move_cert(src, tgt, at, f"collapse({edge})", _identity_images(tgt)), at
-
-
-def collapse_cert(g: LabelledGraph, edge: str, end: int | None = None):
-    """(new graph, forward iso certificate, reverse iso certificate)."""
-    g2, fwd, at = _collapse_fwd(g, edge, end)
-    src = fwd.source
-    return g2, fwd, HomCertificate(fwd.target, src, fwd.witnesses, _identity_images(src, at), f"collapse-inverse({edge})")
-
-
-def _expansion_fwd(g: LabelledGraph, vertex: str, moved, label: int, sgn=1, new_vertex=None, new_edge=None):
-    """(new graph, forward certificate, new edge name) of an expansion."""
-    new_vertex, new_edge = new_vertex or g.fresh_vertex(), new_edge or g.fresh_edge()
-    g2, _ = move(g, "expansion", vertex, tuple((oe.edge, oe.end) for oe in moved), label, sgn, new_vertex, new_edge)
-    src = Presentation(g)
-    tgt = Presentation(g2, src.tree | {new_edge}, src.base)
-    split = _identity_images(tgt, {new_vertex: (sgn * label, vertex)})  # the power of `vertex` it splits off
-    return g2, _move_cert(src, tgt, {}, f"expansion({new_edge})", split), new_edge
-
-
-def expansion_cert(
-    g: LabelledGraph,
-    vertex: str,
-    moved: list[OrientedEdge],
-    label: int,
-    sgn: int = 1,
-    new_vertex: str | None = None,
-    new_edge: str | None = None,
-):
-    g2, fwd, new_edge = _expansion_fwd(g, vertex, moved, label, sgn, new_vertex, new_edge)
-    src = fwd.source
-    return g2, fwd, HomCertificate(fwd.target, src, fwd.witnesses, _identity_images(src), f"expansion-inverse({new_edge})")
-
-
-def sign_change_cert(g: LabelledGraph, *, vertex: str | None = None, edge: str | None = None):
-    if (vertex is None) == (edge is None):
-        raise MoveError("sign change needs exactly one of vertex / edge")
-    g2, _ = move(g, "sign-change", *(("edge", edge) if vertex is None else ("vertex", vertex)))
-    src = Presentation(g)
-    tgt = Presentation(g2, src.tree, src.base)
-    images = _identity_images(src, {vertex: (-1, vertex)})
-    fwd = HomCertificate(src, tgt, images, images, f"sign-change({vertex or edge})")
-    rev = HomCertificate(tgt, src, images, images, f"sign-change-inverse({vertex or edge})")
-    return g2, fwd, rev
-
-
-def contraction_cert(g: LabelledGraph, edge: str, survivor_end: int = 0):
-    """Contraction epimorphism with full Bezout surjectivity witnesses."""
-    work = _Work(g)
-    rec = work.contraction(edge, work._edge(edge, "contract").endpoints[_end(survivor_end, "survivor_end")])
-    g2, (_, survivor, removed, q, r, d) = work.graph(), rec.params
-    v, w = g.edges[edge].endpoints
-    rp, qp = r // d, q // d  # multipliers: near v -> rp, near w -> qp
-    src, tgt = _merged_presentations(g, g2, edge, survivor, removed)
-    _, x, y = xgcd(rp, qp)
-    witnesses = _identity_images(tgt)
-    witnesses[("v", survivor)] = letters_concat((("v", v, x),), (("v", w, y),))
-    fwd = _move_cert(src, tgt, {v: (rp, survivor), w: (qp, survivor)}, f"contraction({edge})", witnesses)
-    return g2, fwd
+def inverse_cert(cert: HomCertificate, rec: MoveRecord) -> HomCertificate:
+    """The reverse isomorphism of move_cert's certificate of a collapse,
+    expansion or sign change with record rec: the forward witnesses are its
+    images, and each generator sent by the move's multiplier map, unreduced,
+    its witnesses.  MoveError for a contraction."""
+    back = _identity_images(cert.source, _iso_at(rec))
+    return HomCertificate(cert.target, cert.source, cert.witnesses, back, cert.provenance.replace("(", "-inverse(", 1))
 
 
 def displacement_cert(g: LabelledGraph, edge: str, r: int, divided_end: int):
@@ -460,10 +437,11 @@ def displacement_cert(g: LabelledGraph, edge: str, r: int, divided_end: int):
     work = _Work(g)
     work.displacement(edge, r, divided_end)
     s = work.edges[edge].labels[divided_end]  # rs // r
-    g1, c_exp, new_edge = _expansion_fwd(g, g.edges[edge].endpoints[divided_end], [OrientedEdge(edge, divided_end)], s)
-    g2, c_con = contraction_cert(g1, edge, survivor_end=1 - divided_end)
+    ends, moved = g.edges[edge].endpoints, ((edge, divided_end),)
+    g1, c_exp, rec = move_cert(g, "expansion", ends[divided_end], moved, s, 1, g.fresh_vertex(), g.fresh_edge())
+    g2, c_con, _ = move_cert(g1, "contraction", edge, ends[1 - divided_end])
     cert = compose(c_exp, c_con, provenance=f"displacement({edge},{r})")
-    return g2, cert, new_edge
+    return g2, cert, rec.params[5]
 
 
 def reduce_cert(g: LabelledGraph, protect: str | None = None):
@@ -473,7 +451,7 @@ def reduce_cert(g: LabelledGraph, protect: str | None = None):
         return g, identity_cert(Presentation(g), "reduce(identity)")
     cur, certs = g, []
     for rec in records:
-        cur, fwd, _ = _collapse_fwd(cur, rec.params[0], rec.params[1])
+        cur, fwd, _ = move_cert(cur, "collapse", *rec.params[:2])
         certs.append(fwd)
     return cur, compose(*certs)
 
@@ -837,7 +815,7 @@ def minimal_bs_epi(g: LabelledGraph) -> HomCertificate:
     Q, X, Y = shape.Q, shape.X, shape.Y
     if shape.k > 1:
         edge = shape.seg_edges[0]
-        g2, cert = contraction_cert(g, edge.edge, survivor_end=edge.end)
+        g2, cert, _ = move_cert(g, "contraction", edge.edge, g.edges[edge.edge].endpoints[edge.end])
         rest = minimal_bs_epi(g2)
         return compose(cert, rest, provenance=f"lollipop->>BS({Q*X},{Q*Y})")
     if gcd(Y, Q * X) == 1 or gcd(X, Q * Y) == 1:
@@ -850,7 +828,7 @@ def minimal_bs_epi(g: LabelledGraph) -> HomCertificate:
         last = _small_lollipop_explicit(cur, classify_shape(cur))
         return compose(*certs, red, last, provenance=f"lollipop->>BS({Q*X},{Q*Y})")
     edge = shape.seg_edges[-1]
-    g2, cert = contraction_cert(g, edge.edge, survivor_end=1 - edge.end)
+    g2, cert, _ = move_cert(g, "contraction", edge.edge, g.terminus(edge))
     shape2 = classify_shape(g2)
     rest = circle_minimal_epi(g2, shape2)
     return compose(cert, rest, provenance=f"lollipop->>BS({Q*X},{Q*Y})")

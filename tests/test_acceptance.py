@@ -156,10 +156,10 @@ def test_criterion_5_smallest_sources():
 
 def test_criterion_6_onto_minimal():
     g = graph_from_edges([("e1", "u", "w", 3, 3), ("e2", "w", "u", 2, 4)])
-    from gbs.homs import contraction_cert
+    from gbs.homs import move_cert
 
-    _, c1 = contraction_cert(g, "e1")
-    _, c2 = contraction_cert(g, "e2")
+    _, c1, _ = move_cert(g, "contraction", "e1", "u")
+    _, c2, _ = move_cert(g, "contraction", "e2", "w")
     assert check_epi(c1) and check_epi(c2)
     assert maps_onto_minimal_bs(g).answer is False
     from gbs.arith import gcd

@@ -103,6 +103,15 @@ def test_word_with_custom_tree_and_base(capsys):
     assert code == 0 and "trivial: True" in out
 
 
+def test_word_empty_tree_is_the_empty_tree(capsys):
+    # "" names the empty tree, not the default one: it spans one vertex, not two
+    code, out, _ = run(capsys, "word", "reduce", "bs 2 3", "t(e0) a(v0)^2 t(e0)^-1 a(v0)^-3", "--tree", "")
+    assert code == 0 and "trivial: True" in out
+    for tree in ("", ","):
+        code, out, err = run(capsys, "word", "reduce", "circle 2 3 5 7", "t(c1)", "--tree", tree)
+        assert (code, out, err) == (1, "", "input error: not a spanning tree\n")
+
+
 def test_embed_construct_verify_round_trip(tmp_path, capsys):
     cert_path = tmp_path / "embed.json"
     code, out, _ = run(

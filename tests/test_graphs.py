@@ -471,7 +471,7 @@ def test_contraction_rescales_both_sides():
 
 @pytest.mark.parametrize("survivor_end", [0, 1])
 def test_contraction_replay_keeps_survivor(survivor_end):
-    from gbs.homs import contraction_cert
+    from gbs.homs import move_cert
 
     g = graph_from_edges(
         [
@@ -487,7 +487,7 @@ def test_contraction_replay_keeps_survivor(survivor_end):
     assert out.edges["a1"] == EdgeData((survivor, "x"), (25, 9))
     assert out.edges["c1"] == EdgeData((survivor, "y"), (21, 9))
     assert apply_move(g, rec) == out
-    assert contraction_cert(g, "eps", survivor_end)[0] == out
+    assert move_cert(g, "contraction", "eps", survivor)[::2] == (out, rec)
     with pytest.raises(MoveError):
         apply_move(g, MoveRecord("contraction", ("eps", "x") + rec.params[2:]))
 
@@ -596,12 +596,12 @@ def test_replay_move_errors_on_labels_past_the_int_to_str_limit(rec):
 
 
 def test_expansion_of_an_unknown_edge_is_a_move_error():
-    from gbs.homs import expansion_cert
+    from gbs.homs import move_cert
 
     with pytest.raises(MoveError, match="unknown edge zz"):
         move(_REPLAY_GRAPH, "expansion", "w", (("zz", 0),), 3, 1, "u", "new")
     with pytest.raises(MoveError, match="unknown edge zz"):
-        expansion_cert(_REPLAY_GRAPH, "w", [OrientedEdge("zz", 0)], 3)
+        move_cert(_REPLAY_GRAPH, "expansion", "w", (("zz", 0),), 3, 1, "u", "new")
 
 
 def test_move_of_an_unknown_kind_is_a_move_error():
@@ -612,8 +612,8 @@ def test_move_of_an_unknown_kind_is_a_move_error():
 
 @pytest.mark.parametrize("names", [(None, None), ("", ""), ("u", None)])
 def test_replayed_expansion_names_its_new_vertex_and_edge(names):
-    # no move makes such a record: neither move nor replay invents the names
-    from gbs.homs import expansion_cert
+    # no move makes such a record: neither move, move_cert nor replay invents the names
+    from gbs.homs import move_cert
 
     rec = MoveRecord("expansion", ("w", (), 3, 1) + names)
     with pytest.raises(MoveError):
@@ -622,7 +622,10 @@ def test_replayed_expansion_names_its_new_vertex_and_edge(names):
         replay(_REPLAY_GRAPH, [rec, rec])
     with pytest.raises(MoveError):
         move(_REPLAY_GRAPH, "expansion", *rec.params)
-    out = expansion_cert(_REPLAY_GRAPH, "w", [], 3, 1, *names)[0]  # the certificate builder picks free names
+    with pytest.raises(MoveError):
+        move_cert(_REPLAY_GRAPH, "expansion", *rec.params)
+    free = names[0] or _REPLAY_GRAPH.fresh_vertex(), _REPLAY_GRAPH.fresh_edge()  # as displacement_cert picks them
+    out = move_cert(_REPLAY_GRAPH, "expansion", "w", (), 3, 1, *free)[0]
     made = MoveRecord("expansion", ("w", (), 3, 1, names[0] or "u0", "x0"))
     assert apply_move(_REPLAY_GRAPH, made) == out
 

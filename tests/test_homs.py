@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import count_calls, count_graph_builds, graphs, random_presentation
 
 from gbs import homs, words
-from gbs.arith import gcd, xgcd
+from gbs.arith import factorize, gcd, xgcd
 from gbs.bs_arith import exists_epi_bs
 from gbs.errors import (
     CertificateError,
@@ -24,7 +24,6 @@ from gbs.errors import (
 )
 from gbs.graphs import (
     LabelledGraph,
-    OrientedEdge,
     bs_graph,
     circle_graph,
     classify_shape,
@@ -39,17 +38,15 @@ from gbs.homs import (
     _seed_to_plain,
     check_epi,
     check_hom,
-    collapse_cert,
     compose,
-    contraction_cert,
     displacement_cert,
-    expansion_cert,
     identity_cert,
+    inverse_cert,
     loop_relabel_cert,
+    move_cert,
     non_hopf_endo,
     circle_minimal_epi,
     reduce_cert,
-    sign_change_cert,
     solve_witnesses,
     substitute_letters,
     bs_source_epi,
@@ -112,7 +109,8 @@ def test_collapse_cert_round_trip():
     g = graph_from_edges(
         [("mid", "v", "w", 5, 1), ("g1", "w", "a", 3, 11), ("g2", "w", "w", 7, 13)]
     )
-    g2, fwd, rev = collapse_cert(g, "mid")
+    g2, fwd, rec = move_cert(g, "collapse", "mid")
+    rev = inverse_cert(fwd, rec)
     assert check_epi(fwd) and check_epi(rev)
     _round_trip_fixes_generators(fwd, rev)
     _round_trip_fixes_generators(rev, fwd)
@@ -120,7 +118,8 @@ def test_collapse_cert_round_trip():
 
 def test_expansion_cert_round_trip():
     g = graph_from_edges([("e", "v", "w", 6, 10), ("f", "v", "v", 9, 12)])
-    g2, fwd, rev = expansion_cert(g, "v", [OrientedEdge("e", 0), OrientedEdge("f", 1)], 3)
+    g2, fwd, rec = move_cert(g, "expansion", "v", (("e", 0), ("f", 1)), 3, 1, "u0", "x0")
+    rev = inverse_cert(fwd, rec)
     assert check_epi(fwd) and check_epi(rev)
     _round_trip_fixes_generators(fwd, rev)
 
@@ -128,45 +127,50 @@ def test_expansion_cert_round_trip():
 def test_expansion_cert_moves_both_ends_of_a_loop():
     # the loop's traversals must cross the new edge both before and after it
     g = graph_from_edges([("e0", "v", "v", 6, 6), ("e1", "v", "v", 6, 6)])
-    g2, fwd, rev = expansion_cert(g, "v", [OrientedEdge("e0", 0), OrientedEdge("e0", 1)], 6)
+    g2, fwd, rec = move_cert(g, "expansion", "v", (("e0", 0), ("e0", 1)), 6, 1, "u0", "x0")
+    rev = inverse_cert(fwd, rec)
     assert check_epi(fwd) and check_epi(rev)
     _round_trip_fixes_generators(fwd, rev)
 
 
 def test_sign_change_cert():
     g = segment_graph([2, 3])
-    g2, fwd, rev = sign_change_cert(g, vertex="v1")
+    g2, fwd, rec = move_cert(g, "sign-change", "vertex", "v1")
+    rev = inverse_cert(fwd, rec)
     assert check_epi(fwd) and check_epi(rev)
     _round_trip_fixes_generators(fwd, rev)
-    g3, fwd2, rev2 = sign_change_cert(g, edge="s0")
+    g3, fwd2, rec2 = move_cert(g, "sign-change", "edge", "s0")
+    rev2 = inverse_cert(fwd2, rec2)
     assert check_epi(fwd2) and check_epi(rev2)
-    for both_or_neither in ({}, {"vertex": "v0", "edge": "s0"}):
-        with pytest.raises(MoveError, match="exactly one of vertex / edge"):
-            sign_change_cert(g, **both_or_neither)
+    for what, name, message in (("loop", "s0", "at a vertex or an edge"), ("vertex", "s0", "unknown vertex"),
+                                ("edge", "v0", "unknown edge")):
+        with pytest.raises(MoveError, match=message):
+            move_cert(g, "sign-change", what, name)
 
 
 def test_contraction_cert_two_edge_circle():
     # the two contractions of <a,b,t | a^3=b^3, t b^2 t^-1 = a^4>
     g = graph_from_edges([("e1", "u", "w", 3, 3), ("e2", "w", "u", 2, 4)])
-    g1, c1 = contraction_cert(g, "e1")
+    g1, c1, _ = move_cert(g, "contraction", "e1", "u")
     assert sorted(map(abs, g1.labels())) == [2, 4]
     assert check_epi(c1)
-    g2, c2 = contraction_cert(g, "e2")
+    g2, c2, _ = move_cert(g, "contraction", "e2", "w")
     assert sorted(map(abs, g2.labels())) == [3, 6]
     assert check_epi(c2)
 
 
 def test_contraction_cert_bezout_witness():
     g = graph_from_edges([("eps", "v", "w", 6, 10), ("lp", "v", "v", 7, 11)])
-    g2, cert = contraction_cert(g, "eps")
+    g2, cert, _ = move_cert(g, "contraction", "eps", "v")
     assert check_epi(cert)
 
 
 @pytest.mark.parametrize("survivor_end", [2, True])
 def test_contraction_cert_survivor_end_is_checked_by_the_move(survivor_end):
+    # the survivor is one of the edge's ends, named as a vertex: an end number is refused
     g = graph_from_edges([("eps", "v", "w", 6, 10), ("lp", "v", "v", 7, 11)])
-    with pytest.raises(MoveError):
-        contraction_cert(g, "eps", survivor_end)
+    with pytest.raises(MoveError, match="survivor of contracting eps"):
+        move_cert(g, "contraction", "eps", survivor_end)
 
 
 def test_displacement_cert():
@@ -218,6 +222,57 @@ def test_displacement_cert_is_checked_by_the_move(g, edge, r, end):
         move(g, "displacement", edge, r, end)
     with pytest.raises(MoveError):
         displacement_cert(g, edge, r, end)
+
+
+def _moves_of(g):
+    """(kind, params) of every collapse, contraction, vertex and edge sign
+    change of g, and of an expansion splitting each label's least prime
+    (sign -1 for an odd prime) off its end."""
+    for e in g.sorted_edges():
+        ed = g.edges[e]
+        yield "sign-change", ("edge", e)
+        for end in (0, 1):
+            if not g.is_loop(e):
+                yield "contraction", (e, ed.endpoints[end])
+                if abs(ed.labels[end]) == 1:
+                    yield "collapse", (e, end)
+            if abs(ed.labels[end]) > 1:
+                p = min(factorize(ed.labels[end]))
+                names = g.fresh_vertex(), g.fresh_edge()
+                yield "expansion", (ed.endpoints[end], ((e, end),), p, -1 if p % 2 else 1, *names)
+    for v in g.sorted_vertices():
+        yield "sign-change", ("vertex", v)
+
+
+def test_move_cert_matches_move():
+    """On seeded segments, circles and lollipops (labels +-1 included),
+    move_cert makes move's graph and record, its certificate is an
+    epimorphism, and inverse_cert's is one for the three isomorphism kinds."""
+    rng = random.Random(39)
+    counts = Counter()
+    for i in range(60):
+        labels = [rng.choice((1, -1, 2, -2, 3, 4, -6, 9)) for _ in range(4)]
+        g = (segment_graph, circle_graph, lambda ls: lollipop_graph(ls[:2], ls[2:]))[i % 3](labels)
+        for kind, params in _moves_of(g):
+            g2, cert, rec = move_cert(g, kind, *params)
+            assert (g2, rec) == move(g, kind, *params)
+            assert check_epi(cert), (g, kind, params)
+            if kind == "contraction":
+                with pytest.raises(MoveError, match="a contraction certificate has no inverse"):
+                    inverse_cert(cert, rec)
+            else:
+                assert check_epi(inverse_cert(cert, rec)), (g, kind, params)
+            counts[kind] += 1
+    assert min(counts[kind] for kind in ("collapse", "contraction", "expansion", "sign-change")) >= 40, counts
+
+
+def test_move_cert_refuses_a_displacement():
+    g = circle_graph([6, 5, 7, 3])
+    with pytest.raises(MoveError, match="use displacement_cert"):
+        move_cert(g, "displacement", "c0", 2, 0)
+    g2, _, new_edge = displacement_cert(g, "c0", 2, 0)
+    assert "c0" not in g2.edges and new_edge == "x0"  # the displaced edge is renamed; move keeps it
+    assert "c0" in move(g, "displacement", "c0", 2, 0)[0].edges
 
 
 def test_reduce_cert():
@@ -613,7 +668,7 @@ def test_hom_cert_json_round_trip():
 
 def test_move_cert_json_round_trips():
     g = graph_from_edges([("eps", "v", "w", 6, 10), ("lp", "v", "v", 7, 11)])
-    _, c_con = contraction_cert(g, "eps")
+    _, c_con, _ = move_cert(g, "contraction", "eps", "v")
     g2 = circle_graph([2, 3, 5, 7])
     c_min = minimal_bs_epi(g2)
     for cert in (c_con, c_min):
@@ -627,7 +682,7 @@ def test_structural_invariants_on_family_and_move_certs():
     certs = [descending_chain(2).to_bs_9_18]
     certs += [mem.cert for mem in infinite_family(4, 6, count=2)]
     g = graph_from_edges([("eps", "v", "w", 6, 10), ("lp", "v", "v", 7, 11)])
-    certs.append(contraction_cert(g, "eps")[1])
+    certs.append(move_cert(g, "contraction", "eps", "v")[1])
     for cert in certs:
         assert images_of_elliptics_are_elliptic(cert)
         assert preserves_moduli(cert)
@@ -709,19 +764,20 @@ def test_move_certs_match_the_syllable_map(g):
         (v, w), (q, r) = g.edges[e].endpoints, g.edges[e].labels
         for end in (0, 1):
             survivor, removed = (v, w)[end], (v, w)[1 - end]
-            if abs((q, r)[1 - end]) == 1:  # collapse_cert names the removed end
-                _, fwd, _ = collapse_cert(g, e, 1 - end)
+            if abs((q, r)[1 - end]) == 1:  # a collapse names the removed end
+                _, fwd, _ = move_cert(g, "collapse", e, 1 - end)
                 assert fwd.images == _merging_images(fwd, g, e, survivor, removed, {removed: q * r})
-            _, con = contraction_cert(g, e, survivor_end=end)
+            _, con, _ = move_cert(g, "contraction", e, survivor)
             d = gcd(q, r)
             assert con.images == _merging_images(con, g, e, survivor, removed, {v: r // d, w: q // d})
     for vertex in g.sorted_vertices():
         for label in (1, 2, 3):
-            ends = [oe for oe in g.edges_at(vertex) if g.label(oe) % label == 0]
+            ends = tuple((oe.edge, oe.end) for oe in g.edges_at(vertex) if g.label(oe) % label == 0)
             for moved in (ends, ends[::2], ends[1::2]):
-                g2, fwd, _ = expansion_cert(g, vertex, moved, label, -1 if label == 2 else 1)
+                sgn = -1 if label == 2 else 1
+                g2, fwd, _ = move_cert(g, "expansion", vertex, moved, label, sgn, g.fresh_vertex(), g.fresh_edge())
                 (new_edge,) = set(g2.edges) - set(g.edges)
-                want = _expansion_images(fwd, g, {(oe.edge, oe.end) for oe in moved}, new_edge)
+                want = _expansion_images(fwd, g, set(moved), new_edge)
                 assert fwd.images == want
 
 
@@ -838,7 +894,7 @@ def _move_chain(seed):
         if primes and rng.random() < 0.6:
             g, step, _ = displacement_cert(g, e, rng.choice(primes), end)
         else:
-            g, step = contraction_cert(g, e, survivor_end=end)
+            g, step, _ = move_cert(g, "contraction", e, g.edges[e].endpoints[end])
         cert = homs.compose(cert, step)
     g, red = reduce_cert(g)
     return homs.compose(cert, red)

@@ -10,12 +10,12 @@ PUBLIC = [
     "EmbeddingCertificate", "HomCertificate", "LabelledGraph", "Presentation", "WeaklyAdmissibleMap",
     "britton_reduce", "bs_graph", "bs_source_epi", "bs_sources", "check_admissible", "check_epi",
     "check_hom", "check_weakly_admissible", "circle_bs_subgroup", "circle_graph", "classify_shape",
-    "contains_bs", "contains_z2_k", "contraction_cert", "descending_chain", "embed_bs_construct",
+    "contains_bs", "contains_z2_k", "descending_chain", "embed_bs_construct",
     "embeds_bs", "embeds_elementary", "embeds_in_some_bs_nn", "epi_equivalent_bs", "equal",
     "exists_bs_quotient", "exists_epi_bs", "finitely_many_quotients", "has_nontrivial_center",
     "infinite_family", "is_elliptic", "is_hopfian_bs", "is_large", "is_quotient_of_bs", "is_rf_bs",
     "is_rf_gbs", "is_two_generated", "is_unimodular", "lollipop_graph", "maps_onto_minimal_bs",
-    "minimal_bs_epi", "minimal_bs_source", "modular_image", "modulus", "move", "mu", "non_hopf_endo",
+    "minimal_bs_epi", "minimal_bs_source", "modular_image", "modulus", "move", "move_cert", "mu", "non_hopf_endo",
     "parse_graph", "plateaus", "power_of_ratio", "quotient_rigidity", "reduce_graph",
     "segment_center_index", "segment_graph", "subgroup_of_bs_nn", "verify_embedding_certificate",
 ]
