@@ -2,9 +2,10 @@
 and trial-division factoring (with a hard cap) on arbitrary-precision ints.
 
 `split_power` and `coprime_base` compare valuations by gcd alone.  Only
-three kinds of caller factor: to name a prime (a failing condition), to
-choose one (`non_hopf_endo`, `infinite_family`), or to test primality
-(`least_prime_factor`, which tries small divisors first).
+three kinds of caller factor: to name a prime (of R, for a small lollipop),
+to choose one (`non_hopf_endo`, `infinite_family`), or to find the least
+one (`least_prime_factor`, only where trial division finds no divisor:
+primality tests and the condition-2 prime of `embeds_bs`).
 """
 
 import os
@@ -12,7 +13,6 @@ from math import gcd  # positive gcd, gcd(0, 0) == 0
 
 from .errors import FactorizationCapError, InputError
 
-FACTOR_CAP_DEFAULT = 10**9
 TRIAL_BOUND = 1000  # least_prime_factor's trial divisors stay below this
 
 
@@ -22,6 +22,10 @@ def env_int(name: str, default: int) -> int:
         return int(os.environ.get(name, default))
     except ValueError:
         raise InputError(f"{name} must be an integer, not {os.environ[name]!r}") from None
+
+
+def factor_cap() -> int:  # the largest |n| that factorize splits; every caller reads it here
+    return env_int("GBS_TOOLKIT_FACTOR_CAP", 10**9)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -39,11 +43,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {p: exponent}.  Raises above the cap,
-    GBS_TOOLKIT_FACTOR_CAP."""
+    """Prime factorization of |n| as {p: exponent}.  Raises above factor_cap()."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    cap = env_int("GBS_TOOLKIT_FACTOR_CAP", FACTOR_CAP_DEFAULT)
+    cap = factor_cap()
     n = abs(n)
     if n > cap:
         raise FactorizationCapError(f"|{n}| exceeds factorization cap {cap}")

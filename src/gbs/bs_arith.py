@@ -5,9 +5,9 @@ pure integer arithmetic; graph-level questions live in quotients.py and
 embeddings.py.
 """
 
-from .arith import factorize, gcd, split_power, valuation
+from .arith import factor_cap, gcd, least_prime_factor, split_power, valuation
 from .decision import Decision
-from .errors import DecisionError, FactorizationCapError
+from .errors import DecisionError
 
 
 def _require_nonzero(*values):
@@ -113,14 +113,12 @@ def embeds_bs(r: int, s: int, m: int, n: int) -> Decision:
     u, delta1 = m * n // gcd(m, n) ** 2, equal_exponent_part(m, n)
     rests = [abs(split_power(x, u)[1]) for x in (r, s)]
     failing = [rest // gcd(rest, delta1) for rest in rests if delta1 % rest]
-    if failing:
-        primes = []
-        for f in failing:  # the answer is known; only naming the least p needs factoring
-            try:
-                primes.append(min(factorize(f)))
-            except FactorizationCapError:
+    if failing:  # the answer is known; naming the least p tries small divisors first
+        cap = factor_cap()
+        for f in failing:
+            if f > cap:
                 return Decision(False, "condition 2", (f"failing part {f} is above the factorization cap",))
-        p = min(primes)
+        p = min(map(least_prime_factor, failing))
         return Decision(False, "condition 2", (f"p={p}, alpha={valuation(m, p)}",))
     if (abs(m) == 1 or abs(n) == 1) and not (abs(r) == 1 or abs(s) == 1):
         return Decision(False, "condition 3", ("target is solvable, source is not",))

@@ -24,6 +24,7 @@ reads each edge row once and builds no `OrientedEdge` of its own: it returns
 the index's."""
 
 from dataclasses import dataclass
+from itertools import count
 from math import prod
 from typing import Iterable
 
@@ -210,17 +211,11 @@ class LabelledGraph:
             )
         return "\n".join(lines) + "\n"
 
-    def fresh_vertex(self, stem: str = "u") -> str:
-        i = 0
-        while f"{stem}{i}" in self.vertices:
-            i += 1
-        return f"{stem}{i}"
+    def fresh_vertex(self, stem: str = "u") -> str:  # the first unused name of stem0, stem1, ...
+        return next(f"{stem}{i}" for i in count() if f"{stem}{i}" not in self.vertices)
 
     def fresh_edge(self, stem: str = "x") -> str:
-        i = 0
-        while f"{stem}{i}" in self.edges:
-            i += 1
-        return f"{stem}{i}"
+        return next(f"{stem}{i}" for i in count() if f"{stem}{i}" not in self.edges)
 
 
 # -- constructors ---------------------------------------------------------
@@ -529,19 +524,21 @@ class _Work:
         return MoveRecord("displacement", (edge, r, divided_end))
 
 
-# each record kind's number of parameters and move body
-_MOVES = {"sign-change": (2, _Work.sign_change), "collapse": (5, _Work.collapse),
-          "expansion": (6, _Work.expansion), "contraction": (6, _Work.contraction),
-          "displacement": (3, _Work.displacement)}
+# each record kind's number of inputs, number of parameters and move body
+_MOVES = {"sign-change": (2, 2, _Work.sign_change), "collapse": (1, 5, _Work.collapse),
+          "expansion": (6, 6, _Work.expansion), "contraction": (2, 6, _Work.contraction),
+          "displacement": (3, 3, _Work.displacement)}
 
 
 def move(g: LabelledGraph, kind: str, *params):
     """(new graph, full MoveRecord) of one move of `kind` on g.  `params` are
     the record's inputs; its outputs may be left off."""
-    if type(kind) is not str or kind not in _MOVES:
-        raise MoveError(f"unknown move kind {kind!r}")
+    spec = _MOVES.get(kind) if type(kind) is str else None
+    if spec is None or not spec[0] <= len(params) <= spec[1]:
+        raise MoveError(f"a {kind} move takes at least {spec[0]} and at most {spec[1]} parameters, not {len(params)}"
+                        if spec else f"unknown move kind {kind!r}")
     work = _Work(g)
-    rec = _MOVES[kind][1](work, *params)
+    rec = spec[2](work, *params)
     return work.graph(), rec
 
 
@@ -555,7 +552,7 @@ def replay(g: LabelledGraph, records) -> LabelledGraph:
     work = _Work(g, indexed=len(records) > 1)
     for rec in records:
         kind, params = rec.kind, rec.params
-        arity, move = _MOVES.get(kind, (None, None)) if type(kind) is str else (None, None)
+        _, arity, move = _MOVES.get(kind, (None, None, None)) if type(kind) is str else (None, None, None)
         if type(params) is not tuple or arity != len(params):
             raise MoveError(f"malformed move record {kind!r} {params!r}")
         if move(work, *params).params != params:

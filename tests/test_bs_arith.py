@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import factorize_uncapped
+from conftest import count_calls, factorize_uncapped
 
+from gbs import arith, bs_arith
 from gbs.arith import valuation
 from gbs.bs_arith import (
     embeds_bs,
@@ -295,6 +296,42 @@ def test_condition_2_names_the_failing_part_above_the_cap():
     assert not got and got.clause == "condition 2"
     assert got.reasons == (f"failing part {P} is above the factorization cap",)
     assert not embeds_bs(4, 4, 2, 2) and embeds_bs(4, 4, 2, 2).reasons == ("p=2, alpha=1",)
+
+
+def _count_factorize(monkeypatch):
+    """Count factorize calls, through arith and through any name bs_arith binds it to."""
+    return count_calls(monkeypatch, [(mod, "factorize") for mod in (arith, bs_arith) if hasattr(mod, "factorize")])
+
+
+def test_condition_2_names_its_prime_without_factoring(monkeypatch):
+    """On the |.| <= 5 box every failing part has a divisor below
+    TRIAL_BOUND, so naming the least prime factors nothing."""
+    calls = _count_factorize(monkeypatch)
+    box = [i for i in range(-5, 6) if i != 0]
+    named = 0
+    for r, s, m, n in product(box, box, box, box):
+        if abs(r) != 1 or abs(s) != 1:
+            named += embeds_bs(r, s, m, n).clause == "condition 2"
+    assert calls["factorize"] == 0 and named == 468
+
+
+def test_condition_2_cap_boundary(monkeypatch):
+    # the failing part 7 is named by its prime at the cap, and as a part above it
+    monkeypatch.setenv("GBS_TOOLKIT_FACTOR_CAP", "7")
+    assert embeds_bs(49, 49, 7, 7).reasons == ("p=7, alpha=1",)
+    monkeypatch.setenv("GBS_TOOLKIT_FACTOR_CAP", "6")
+    assert embeds_bs(49, 49, 7, 7).reasons == ("failing part 7 is above the factorization cap",)
+
+
+def test_condition_2_factors_a_failing_part_with_no_small_prime(monkeypatch):
+    # N's primes are both above TRIAL_BOUND: least_prime_factor falls back to factorize(N)
+    calls = _count_factorize(monkeypatch)
+    N = 1009 * 1013
+    assert 1009 > arith.TRIAL_BOUND
+    got = embeds_bs(N**2, N**2, N, N)
+    assert calls["factorize"] == 2  # once for each failing part, r's and s's
+    assert got.clause == "condition 2" and got.reasons == ("p=1009, alpha=1",)
+    assert got == _embeds_bs_reference(N**2, N**2, N, N)
 
 
 def test_condition_2_reasons_under_a_low_cap(monkeypatch):

@@ -610,6 +610,38 @@ def test_move_of_an_unknown_kind_is_a_move_error():
             move(_REPLAY_GRAPH, kind, "mid")
 
 
+@pytest.mark.parametrize(
+    "kind,inputs,arity",
+    [
+        ("sign-change", ("vertex", "v"), 2),
+        ("collapse", ("mid",), 5),
+        ("expansion", ("w", (), 3, 1, "u", "new"), 6),
+        ("contraction", ("g1", "w"), 6),
+        ("displacement", ("g1", 3, 0), 3),
+    ],
+)
+def test_a_move_takes_its_inputs_up_to_its_whole_record(kind, inputs, arity):
+    """Between the move's inputs and its record's arity, any number of
+    parameters is accepted; one fewer or one more is a MoveError naming the
+    kind, from move and move_cert alike (which refuses every displacement)."""
+    from gbs.homs import move_cert
+
+    g2, rec = move(_REPLAY_GRAPH, kind, *inputs)
+    assert len(rec.params) == arity and move(_REPLAY_GRAPH, kind, *rec.params) == (g2, rec)
+    if kind != "displacement":
+        assert move_cert(_REPLAY_GRAPH, kind, *rec.params)[0] == g2
+    for params in (inputs[:-1], rec.params + ("x",)):
+        for run in (move, move_cert):
+            with pytest.raises(MoveError, match=kind):
+                run(_REPLAY_GRAPH, kind, *params)
+
+
+def test_a_sign_change_with_the_wrong_number_of_parameters_is_a_move_error():
+    for params in ((), ("vertex",), ("vertex", "v0", "v1")):
+        with pytest.raises(MoveError, match="a sign-change move takes at least 2 and at most 2 parameters"):
+            move(segment_graph([2, 3]), "sign-change", *params)
+
+
 @pytest.mark.parametrize("names", [(None, None), ("", ""), ("u", None)])
 def test_replayed_expansion_names_its_new_vertex_and_edge(names):
     # no move makes such a record: neither move, move_cert nor replay invents the names
