@@ -28,6 +28,10 @@ def factor_cap() -> int:  # the largest |n| that factorize splits; every caller 
     return env_int("GBS_TOOLKIT_FACTOR_CAP", 10**9)
 
 
+def vertex_cap() -> int:  # the most vertices mu's hitting-set search takes; read only here
+    return env_int("GBS_TOOLKIT_MAX_VERTICES", 24)
+
+
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g, coefficients small."""
     x0, x1, y0, y1 = 1, 0, 0, 1

@@ -6,43 +6,50 @@ Every entry is an independent callable returning (ok, detail).  The CLI's
 
 from fractions import Fraction
 
-from . import (
-    bs_graph,
+from .arith import gcd
+from .bs_arith import (
+    embeds_bs,
+    embeds_elementary,
+    exists_epi_bs,
+    is_hopfian_bs,
+    is_rf_bs,
+)
+from .embeddings import (
     check_admissible,
-    check_epi,
     circle_bs_subgroup,
-    circle_graph,
     contains_bs,
     contains_z2_k,
     embed_bs_construct,
-    embeds_bs,
-    embeds_elementary,
-    epi_equivalent_bs,
-    exists_epi_bs,
-    finitely_many_quotients,
-    infinite_family,
-    is_hopfian_bs,
-    is_large,
-    is_quotient_of_bs,
-    is_rf_bs,
-    is_two_generated,
-    is_unimodular,
-    lollipop_graph,
-    maps_onto_minimal_bs,
-    modular_image,
-    mu,
-    non_hopf_endo,
-    segment_center_index,
-    segment_graph,
     subgroup_of_bs_nn,
-    bs_source_epi,
     verify_embedding_certificate,
 )
-from .arith import gcd
-from .graphs import graph_from_edges, reduce_graph
-from .homs import move_cert
-from .quotients import descending_chain
-from .words import Presentation, britton_reduce, modulus
+from .graphs import (
+    bs_graph,
+    circle_graph,
+    graph_from_edges,
+    lollipop_graph,
+    reduce_graph,
+    segment_graph,
+)
+from .homs import bs_source_epi, check_epi, move_cert, non_hopf_endo
+from .plateaus import is_two_generated, mu
+from .quotients import (
+    descending_chain,
+    epi_equivalent_bs,
+    finitely_many_quotients,
+    infinite_family,
+    is_large,
+    is_quotient_of_bs,
+    maps_onto_minimal_bs,
+)
+from .words import (
+    Presentation,
+    britton_reduce,
+    is_unimodular,
+    modular_image,
+    modulus,
+    segment_center_index,
+)
 
 
 def _table(fn, cases):

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .arith import env_int, least_prime_factor
+from .arith import factor_cap, least_prime_factor, vertex_cap
 from .bs_arith import embeds_bs, exists_epi_bs, is_hopfian_bs, is_rf_bs
 from .catalog import ENTRIES, run_catalog
 from .embeddings import (
@@ -349,8 +349,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.json = json_flag
     try:
-        for name in ("GBS_TOOLKIT_FACTOR_CAP", "GBS_TOOLKIT_MAX_VERTICES"):
-            env_int(name, 0)  # a malformed value is an input error for every subcommand
+        factor_cap()  # a malformed cap is an input error for every subcommand
+        vertex_cap()
         args.fn(args)
     except (VertexCapError, FactorizationCapError, WordCapError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

@@ -21,11 +21,9 @@ sets; `classify_shape`'s circle base reads them as they come, and stops early.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arith import coprime_base, env_int, gcd
+from .arith import coprime_base, gcd, vertex_cap
 from .errors import DecisionError, InputError, NotReducedError, ShapeError, VertexCapError
 from .graphs import LabelledGraph, Shape, classify_shape, id_key
-
-VERTEX_CAP_DEFAULT = 24
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -105,10 +103,10 @@ def mu(g: LabelledGraph) -> RankReport:
     a minimal one adds only vertices of U, the union of the plateaus F misses.
     Subsets of U are searched in the order of a search over all vertices, so
     the set found is the same.  The cost is exponential only in |U|, and
-    GBS_TOOLKIT_MAX_VERTICES caps the vertex count."""
+    `arith.vertex_cap()` caps the vertex count."""
     if not g.is_reduced():
         raise NotReducedError("graph is not reduced")
-    cap = env_int("GBS_TOOLKIT_MAX_VERTICES", VERTEX_CAP_DEFAULT)
+    cap = vertex_cap()
     if len(g.vertices) > cap:
         raise VertexCapError(f"{len(g.vertices)} vertices exceeds cap {cap}")
     beta = g.betti()

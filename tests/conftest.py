@@ -1,5 +1,9 @@
 import importlib.util
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,6 +18,7 @@ from gbs.graphs import LabelledGraph, _Work, graph_from_edges, reduce_graph
 from gbs.words import Presentation
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 def small_connected_graph(rng: random.Random, max_vertices=4, max_extra=2, max_label=9):
@@ -162,3 +167,11 @@ def grid12():
         checks = count_calls(mp, [(embeddings, "check_weakly_admissible")])
         certs = list(grid_certificates(12))
     return SimpleNamespace(certs=certs, block_circle=attempts, checks=checks["check_weakly_admissible"])
+
+
+def fresh_json(code: str):
+    """The JSON that `code` prints when it runs in a new interpreter that
+    imports gbs from src/, so that it sees what a fresh process loads."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)

@@ -1,7 +1,9 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -49,6 +51,18 @@ def test_factorize(monkeypatch):
     monkeypatch.setenv("GBS_TOOLKIT_FACTOR_CAP", str(10**6))
     with pytest.raises(FactorizationCapError):
         factorize(10**9 + 7)
+
+
+def test_each_cap_variable_is_named_once_in_the_package():
+    """Each GBS_TOOLKIT_* variable has one reader in arith; the CLI and the
+    deciders call it, so a renamed variable cannot be read under its old name."""
+    from gbs import arith
+
+    package = Path(arith.__file__).parent
+    named = Counter(m for path in package.glob("*.py") for m in re.findall(r"GBS_TOOLKIT_\w+", path.read_text()))
+    assert {"GBS_TOOLKIT_FACTOR_CAP", "GBS_TOOLKIT_MAX_VERTICES"} <= set(named)
+    assert all(n == 1 for n in named.values()), named
+    assert Counter(re.findall(r"GBS_TOOLKIT_\w+", Path(arith.__file__).read_text())) == named
 
 
 def test_least_prime_factor_matches_factorize():

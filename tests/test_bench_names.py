@@ -8,7 +8,12 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
+from conftest import fresh_json
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+LAYER = ("homs", "quotients", "embeddings")  # what `import gbs` leaves unloaded
 
 
 def _resolves(module: str, qualname: str) -> bool:
@@ -69,3 +74,16 @@ def test_names_the_workloads_use_resolve():
         assert name in names, name
     missing = sorted(n for n in names if not _resolves(*n))
     assert not missing, missing
+
+
+@pytest.mark.parametrize("name", ["finitely_many_quotients", "embed_bs_construct", "embeds_in_some_bs_nn"])
+def test_one_layer_lookup_loads_every_traced_module(name):
+    """The tracer reads every TRACED module from sys.modules, and each workload
+    looks up one of these names before its first traced pass."""
+    code = (
+        "import json, sys, gbs\n"
+        f"early = [m for m in {LAYER!r} if 'gbs.' + m in sys.modules]\n"
+        f"gbs.{name}\n"
+        f"print(json.dumps([early, [m for m, _ in {_traced()!r} if 'gbs.' + m not in sys.modules]]))"
+    )
+    assert fresh_json(code) == [[], []]

@@ -3,8 +3,12 @@ deliberate edit of PUBLIC, and a lazily importing `gbs/__init__` must still
 resolve every one of them."""
 
 import inspect
+import sys
+
+import pytest
 
 import gbs
+from conftest import fresh_json
 
 PUBLIC = [
     "EmbeddingCertificate", "HomCertificate", "LabelledGraph", "Presentation", "WeaklyAdmissibleMap",
@@ -30,3 +34,37 @@ def test_every_public_name_resolves_to_what_its_module_defines():
     for name in PUBLIC:
         obj = getattr(gbs, name)
         assert callable(obj) and getattr(obj, "__name__", name) == name, name
+
+
+def test_star_import_binds_every_public_name():
+    bound = fresh_json("from gbs import *\nimport json; print(json.dumps(sorted(dir())))")
+    assert set(PUBLIC) <= set(bound)
+
+
+def test_a_layer_module_resolves_after_a_plain_import():
+    out = fresh_json(
+        "import json, sys, gbs\n"
+        "early = sorted(m for m in sys.modules if m.startswith('gbs.'))\n"
+        "print(json.dumps([early, gbs.homs.__name__]))"
+    )
+    core = ["gbs.arith", "gbs.bs_arith", "gbs.decision", "gbs.errors", "gbs.graphs", "gbs.lattice", "gbs.plateaus"]
+    assert out == [core + ["gbs.words"], "gbs.homs"]
+
+
+@pytest.mark.parametrize("first", ["import gbs.cli, gbs", "import gbs.homs; from gbs import plateaus"])
+def test_plateaus_stays_the_function_whatever_loads_first(first):
+    # a layer module imported by its dotted path loads gbs.plateaus too; the
+    # package's `plateaus` must still be the function, not its module
+    out = fresh_json(f"{first}\nimport json, gbs\nprint(json.dumps(type(gbs.plateaus).__name__))")
+    assert out == "function"
+
+
+def test_each_public_name_is_its_defining_modules_attribute():
+    for name in PUBLIC:
+        obj = getattr(gbs, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_an_unknown_name_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        gbs.no_such_name
