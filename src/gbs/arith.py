@@ -113,7 +113,7 @@ def coprime_base(nums) -> list[int]:
     of their powers (a gcd-free basis by naive refinement): each prime of an
     input divides one element, whose primes all divide the same inputs."""
     base: list[int] = []
-    pending = list({abs(a) for a in nums} - {0, 1})
+    pending = [a for a in {abs(a) for a in nums} if a > 1]
     while pending:
         a = pending.pop()
         for i, b in enumerate(base):

@@ -72,16 +72,16 @@ class LabelledGraph:
             nbrs[b].append(a)
         if not vertices:
             raise InputError("graph needs at least one vertex")
-        # one stack search over the edge endpoints: connectivity needs no order
-        stack = [next(iter(vertices))]
-        seen = set(stack)
-        while stack:
-            for w in nbrs[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(vertices):
-            raise DisconnectedGraphError("graph is not connected")
+        if len(vertices) > 1:  # one vertex is connected; else one stack search over the endpoints, needing no order
+            stack = [next(iter(vertices))]
+            seen = set(stack)
+            while stack:
+                for w in nbrs[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) != len(vertices):
+                raise DisconnectedGraphError("graph is not connected")
         # vertex -> oriented edges at it, built on first use (graphs never change)
         self._incidence = None
 
@@ -717,12 +717,12 @@ def classify_shape(g: LabelledGraph, *, _plateau_sets=None) -> Shape:
     Every vertex a walk passes before its stop has valence 2, so it never
     branches.
     """
-    beta = g.betti()
-    valences = {v: g.valence(v) for v in g.vertices}
-    terminals = sorted((v for v, d in valences.items() if d == 1), key=id_key)
+    beta = len(g.edges) - len(g.vertices) + 1
+    valences = {v: len(g.edges_at(v)) for v in g.vertices}
+    terminals = [v for v, d in valences.items() if d == 1]
     if beta == 0:
         if len(terminals) == 2 and all(d <= 2 for d in valences.values()):
-            path, verts, q, r = _walk(g, g.edges_at(terminals[0])[0], lambda v: valences[v] == 1)
+            path, verts, q, r = _walk(g, g.edges_at(min(terminals, key=id_key))[0], lambda v: valences[v] == 1)
             return Shape("segment", seg_vertices=verts, seg_edges=path, q=q, r=r)
         return Shape("other")
     if beta != 1:
@@ -746,10 +746,11 @@ def classify_shape(g: LabelledGraph, *, _plateau_sets=None) -> Shape:
 def _circle_base(g: LabelledGraph, plateau_sets) -> tuple[str, bool]:
     """The lowest vertex meeting every plateau (True), else the lowest vertex
     (False); without `plateau_sets`, the search stops once no vertex meets all."""
-    from .plateaus import _components
-
+    if plateau_sets is None:
+        from .plateaus import _components
+        plateau_sets = _components(g, coprime_base(g.labels()))
     meeting = set(g.vertices)
-    for s in plateau_sets or _components(g, coprime_base(g.labels())):
+    for s in plateau_sets:
         meeting &= s
         if not meeting:
             return min(g.vertices, key=id_key), False

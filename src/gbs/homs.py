@@ -55,6 +55,7 @@ from .words import (
     letters_inverse,
     letters_power,
     memoize_shared,
+    middle_turn,
     parse_letters,
     reduce_syllables,
     syllables_inverse,
@@ -66,12 +67,12 @@ def tree_containing(g: LabelledGraph, edge: str) -> frozenset[str]:
     """Deterministic spanning tree containing the given non-loop edge."""
     if g.is_loop(edge):
         raise CertificateError(f"loop {edge} cannot lie in a spanning tree")
-    tree = {edge}
+    tree, names = {edge}, g.sorted_edges()
     seen = set(g.edges[edge].endpoints)
     changed = True
     while changed:
         changed = False
-        for name in g.sorted_edges():
+        for name in names:
             if name in tree:
                 continue
             a, b = g.edges[name].endpoints
@@ -207,9 +208,9 @@ def substitute_letters(letters, images: dict, memo: dict | None = None) -> tuple
 
 
 class _Reducer:
-    """Britton-reduced images under a certificate, each shared subword
-    reduced once.  A power of a reduced p a(v)^x p^-1 is written
-    p a(v)^(kx) p^-1; any other power is written out, under the word cap."""
+    """Britton-reduced images under a certificate, each shared subword reduced once.  A power of
+    an elliptic piece h a(u)^x h^-1 (a palindrome as written, else found by its middle turn) is
+    written h a(u)^(kx) h^-1; any other power is written out, under the word cap."""
 
     def __init__(self, images, target: Presentation, memos: tuple = ((), ()), written: int = 0):
         self.images, self.target = images, target  # not the certificate that keeps it: no cycle
@@ -220,6 +221,7 @@ class _Reducer:
         """The syllables of word (source letters through the images if
         `source`), reduced within each letter only."""
         memo, syls = self.memos[source], []
+        edges, base = self.target.graph.edges, self.target.base
         for kind, name, exp in word:
             got = memo.get(id(name) if kind == "w" else (kind, name))
             if got is None:
@@ -232,9 +234,12 @@ class _Reducer:
                 syls.extend(piece)
             elif exp:
                 mid = len(piece) // 2
-                elliptic = len(piece) % 2 and piece[mid][0] == "v"  # p a(v)^x p^-1
+                elliptic = len(piece) % 2 and piece[mid][0] == "v"  # p a(v)^x p^-1 as written
                 if elliptic and (not mid or piece[mid + 1 :] == syllables_inverse(piece[:mid])):
                     syls.extend(piece[:mid] + (("v", piece[mid][1], piece[mid][2] * exp),) + piece[mid + 1 :])
+                elif abs(exp) > 1 and (turned := middle_turn(edges, piece, base)) and len(turned[1]) == 1:
+                    h, ((_, u, x),) = turned  # piece = h a(u)^x h^-1 for h = piece[:h]
+                    syls.extend(piece[:h] + (("v", u, x * exp),) + syllables_inverse(piece[:h]))
                 else:
                     check_word_cap(self.written + len(syls) + abs(exp) * len(piece))
                     syls.extend((piece if exp > 0 else syllables_inverse(piece)) * abs(exp))
@@ -746,9 +751,9 @@ def _find_i0(xs, ys, bilateral):
 
 def _onto_minimal(shape) -> Decision:
     """The gcd-clause test of maps_onto_minimal_bs on a circle or lollipop shape."""
-    QX, QY = shape.Q * shape.X, shape.Q * shape.Y
-    for i in range(shape.k):
-        for j in range(i + 1, shape.k):  # paper's r_j, j < k
+    QX, QY, k = shape.Q * shape.X, shape.Q * shape.Y, shape.k
+    for i in range(k):
+        for j in range(i + 1, k):  # paper's r_j, j < k
             if gcd(shape.q[i], shape.r[j - 1]) != 1:
                 return Decision(False, "prefix", (f"gcd(q_{i}, r_{j}) > 1",))
     if gcd(shape.X, QY) == 1:

@@ -56,15 +56,15 @@ def plateaus(g: LabelledGraph, p: int) -> list[Plateau]:
 def _components(g: LabelledGraph, base: list[int]):
     """Yield the plateaus of every element of `base`, element by element.
     Each distinct label gets one mask at its first appearance in the edge
-    loop, bit i set when it shares a prime with base[i]; then one stack
-    search per element walks the edges whose two masks both lack its bit."""
+    loop, bit i set when it shares a prime with base[i]; then one search
+    per element walks the edges whose two masks both lack its bit."""
     masks, nbrs = {}, {v: [] for v in g.vertices}  # vertex -> (far vertex, near mask, far mask)
     for ed in g.edges.values():
         (a, b), (la, lb) = ed.endpoints, ed.labels
         if (ma := masks.get(la)) is None:
-            ma = masks[la] = sum(1 << i for i, p in enumerate(base) if gcd(la, p) > 1)
+            ma = masks[la] = sum([1 << i for i, p in enumerate(base) if gcd(la, p) > 1])
         if (mb := masks.get(lb)) is None:
-            mb = masks[lb] = sum(1 << i for i, p in enumerate(base) if gcd(lb, p) > 1)
+            mb = masks[lb] = sum([1 << i for i, p in enumerate(base) if gcd(lb, p) > 1])
         nbrs[a].append((b, ma, mb))
         nbrs[b].append((a, mb, ma))
     for i in range(len(base)):
@@ -73,9 +73,9 @@ def _components(g: LabelledGraph, base: list[int]):
             if v in seen:
                 continue
             seen.add(v)
-            comp, stack, ok = [v], [v], True
-            while stack:
-                for w, near, far in nbrs[stack.pop()]:
+            comp, ok = [v], True
+            for u in comp:  # the list grows as the search reaches new vertices
+                for w, near, far in nbrs[u]:
                     if near & bit:
                         continue
                     if far & bit:
@@ -83,7 +83,6 @@ def _components(g: LabelledGraph, base: list[int]):
                     elif w not in seen:
                         seen.add(w)
                         comp.append(w)
-                        stack.append(w)
             if ok:
                 yield frozenset(comp)
 
@@ -93,7 +92,7 @@ def plateau_family(g: LabelledGraph) -> frozenset[frozenset[str]]:
     labels' coprime base (the primes of one element share their plateaus),
     plus the whole graph (the only plateau for every prime dividing no
     label)."""
-    return frozenset({frozenset(g.vertices), *_components(g, coprime_base(g.labels()))})
+    return frozenset({g.vertices, *_components(g, coprime_base(g.labels()))})
 
 
 def mu(g: LabelledGraph) -> RankReport:
@@ -106,19 +105,20 @@ def mu(g: LabelledGraph) -> RankReport:
     `arith.vertex_cap()` caps the vertex count."""
     if not g.is_reduced():
         raise NotReducedError("graph is not reduced")
-    cap = vertex_cap()
-    if len(g.vertices) > cap:
-        raise VertexCapError(f"{len(g.vertices)} vertices exceeds cap {cap}")
-    beta = g.betti()
+    cap, n = vertex_cap(), len(g.vertices)
+    if n > cap:
+        raise VertexCapError(f"{n} vertices exceeds cap {cap}")
+    beta = len(g.edges) - n + 1
     sets = plateau_family(g)
-    forced = frozenset(v for s in sets if len(s) == 1 for v in s)
-    unhit = [s for s in sets if not forced & s]
-    free = set().union(*unhit)
-    verts = sorted(free, key=id_key)
-    for size in range(len(verts) + 1):
+    forced = frozenset([v for s in sets if len(s) == 1 for v in s])
+    unhit = [s for s in sets if forced.isdisjoint(s)]
+    if not unhit:
+        return RankReport(beta, len(forced), forced, sets)
+    verts = sorted(set().union(*unhit), key=id_key)
+    for size in range(1, len(verts) + 1):
         for combo in combinations(verts, size):
             chosen = forced.union(combo)
-            if all(chosen & s for s in unhit):
+            if not any(map(chosen.isdisjoint, unhit)):
                 return RankReport(beta, len(chosen), chosen, sets)
     raise AssertionError("unreachable: whole vertex set hits everything")
 

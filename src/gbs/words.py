@@ -139,15 +139,23 @@ def is_elliptic(g: LabelledGraph, w: PathWord) -> bool:
     Fix(w) and back, its midpoint in Fix(w) (Serre, Trees, I.6), so turned at
     its middle traversal it fixes its base and reduces to a vertex power.  A
     hyperbolic w has an odd number of traversals, or keeps two when turned."""
-    syls = britton_reduce(g, w).word.syllables
+    turned = middle_turn(g.edges, britton_reduce(g, w).word.syllables, w.base)
+    return turned is not None and len(turned[1]) < 2
+
+
+def middle_turn(edges, syls, base) -> tuple[int, tuple] | None:
+    """(h, the reduced syls[h:] + syls[:h], a loop at the origin of traversal h)
+    for reduced syls, a loop at base, h the index of its middle traversal (0
+    with none); None for an odd number of traversals.  Elliptic syls turn to
+    at most one vertex power a(u)^x, and are then syls[:h] a(u)^x syls[:h]^-1."""
     at = [i for i, s in enumerate(syls) if s[0] == "e"]
     if len(at) % 2:
-        return False
+        return None
     if not at:
-        return True
+        return 0, syls
     h = at[len(at) // 2]
     _, name, end = syls[h]
-    return len(reduce_syllables(g.edges, syls[:h], w.base, list(syls[h:]), g.edges[name].endpoints[end])) < 2
+    return h, reduce_syllables(edges, syls[:h], base, list(syls[h:]), edges[name].endpoints[end])
 
 
 def modulus(g: LabelledGraph, w: PathWord) -> Fraction:
@@ -183,8 +191,8 @@ def tree_walk(g: LabelledGraph, tree, root: str) -> dict[str, tuple]:
 
 
 class Presentation:
-    """Standard presentation attached to (graph, spanning tree, base); `up`
-    is tree_walk from the base, tree paths and generators built on first use."""
+    """Standard presentation attached to (graph, spanning tree, base); `up` is
+    tree_walk from the base; tree paths, generators and relations built on first use."""
 
     def __init__(self, g: LabelledGraph, tree: frozenset[str] | None = None, base: str | None = None):
         self.graph = g
@@ -200,6 +208,7 @@ class Presentation:
         self._paths: tuple | None = None
         self._reduced: dict = {}
         self._generators: tuple | None = None
+        self._relations: tuple | None = None
 
     def tree_paths(self) -> tuple[dict, dict]:
         """Tree paths from the base to each vertex, and their inverses."""
@@ -228,18 +237,20 @@ class Presentation:
             self._generators = tuple(gens + [("t", e) for e in self.stable_edges])
         return self._generators
 
-    def relations(self) -> list[tuple]:
-        """One relator letter-word per non-oriented edge."""
-        rels = []
-        for name in self.graph.sorted_edges():
-            ed = self.graph.edges[name]
-            v, w = ed.endpoints
-            lv, lw = ed.labels
-            if name in self.tree:
-                rels.append((("v", v, lv), ("v", w, -lw)))
-            else:
-                rels.append((("t", name, 1), ("v", v, lv), ("t", name, -1), ("v", w, -lw)))
-        return rels
+    def relations(self) -> tuple[tuple, ...]:
+        """One relator letter-word per non-oriented edge, built once."""
+        if self._relations is None:
+            rels = []
+            for name in self.graph.sorted_edges():
+                ed = self.graph.edges[name]
+                v, w = ed.endpoints
+                lv, lw = ed.labels
+                if name in self.tree:
+                    rels.append((("v", v, lv), ("v", w, -lw)))
+                else:
+                    rels.append((("t", name, 1), ("v", v, lv), ("t", name, -1), ("v", w, -lw)))
+            self._relations = tuple(rels)
+        return self._relations
 
     # letter words: tuples of ("v", vertex, exp) | ("t", edge, exp) | ("w", word, exp)
 

@@ -12,6 +12,7 @@ from gbs import bs_graph, bs_source_epi, embed_bs_construct, non_hopf_endo, quot
 from gbs.cli import COMMANDS, main
 from gbs.homs import identity_cert
 from gbs.words import Presentation
+from test_homs import source_cert_of_circle
 
 
 def run(capsys, *argv):
@@ -70,6 +71,16 @@ def test_quot_pipeline(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 0 and "epi: True" in out
+
+
+@pytest.mark.parametrize("k", [22, 24])
+def test_verify_accepts_long_circle_source_certificates(tmp_path, capsys, k):
+    """At k = 22 the verifier once wrote its elliptic powers out in full and
+    stopped at the word cap, with exit 2, on this valid certificate."""
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(source_cert_of_circle(k).to_json()))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert (code, out) == (0, "hom: True, epi: True\n")
 
 
 def test_word_commands(capsys):

@@ -1276,3 +1276,24 @@ def test_graph_equals_itself_without_building_keys(monkeypatch):
     assert g == parse_graph("circle 2 3 5 7") and calls["_key"] == 2
     assert g != parse_graph("circle 2 3 5 11")
     assert g != g.to_text() and not g == 1
+
+
+def test_a_one_vertex_graph_is_built_without_a_connectivity_search(monkeypatch):
+    """One vertex is connected whatever its loops: the search starts (with
+    `next(iter(vertices))`) only on a graph of two or more vertices, and
+    every other graph keeps its errors."""
+    starts = []
+    monkeypatch.setattr(sys.modules["gbs.graphs"], "next", lambda it: starts.append(1) or next(it), raising=False)
+    bs_graph(2, 3)
+    LabelledGraph.from_json(bs_graph(4, -6).to_json())
+    graph_from_edges([("e0", "v", "v", 2, 3), ("e1", "v", "v", 5, 5)])
+    graph_from_edges([], extra_vertices=["v"])
+    assert starts == []
+    segment_graph([2, 3])
+    assert starts == [1]
+    with pytest.raises(InputError, match="^graph needs at least one vertex$"):
+        LabelledGraph([], {})
+    with pytest.raises(InputError, match="^edge e0 touches unknown vertex w$"):
+        LabelledGraph(["v"], {"e0": EdgeData(("v", "w"), (2, 3))})
+    with pytest.raises(DisconnectedGraphError, match="^graph is not connected$"):
+        graph_from_edges([("e0", "v", "v", 2, 3)], extra_vertices=["w"])

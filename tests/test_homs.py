@@ -53,7 +53,7 @@ from gbs.homs import (
     minimal_bs_epi,
     tree_containing,
 )
-from gbs.quotients import descending_chain
+from gbs.quotients import descending_chain, minimal_bs_source
 from gbs.words import (
     PathWord,
     Presentation,
@@ -651,10 +651,11 @@ def test_ladder_tops_verify_after_json_round_trip():
         assert check_hom(back) and check_epi(back), cert.provenance
 
 
-def test_tree_containing():
+def test_tree_containing(monkeypatch):
     g = lollipop_graph([2, 3, 5, 7], [11, 13])
+    calls = count_calls(monkeypatch, [(LabelledGraph, "sorted_edges")])
     tree = tree_containing(g, "s1")
-    assert "s1" in tree and len(tree) == len(g.vertices) - 1
+    assert tree == {"s0", "s1"} and calls["sorted_edges"] == 1  # sorted once, not once per sweep
     with pytest.raises(CertificateError, match="cannot lie in a spanning tree"):
         tree_containing(g, "c0")
 
@@ -1021,6 +1022,32 @@ def test_reducer_caps_what_it_writes_out(monkeypatch):
     monkeypatch.setattr(words, "WORD_CAP", 10_000)
     with pytest.raises(WordCapError):
         check_hom(cert)
+
+
+def source_cert_of_circle(k: int) -> HomCertificate:
+    """BS(m, n) ->> G for G the circle (2 3)^k and (m, n) its minimal source,
+    read back from JSON: its witnesses raise shared elliptic words to powers."""
+    g = circle_graph([2, 3] * k)
+    return HomCertificate.from_json(json.loads(json.dumps(bs_source_epi(g, *minimal_bs_source(g).unique).to_json())))
+
+
+def test_elliptic_powers_stay_polynomial_in_the_certificate(monkeypatch):
+    """Each elliptic power is written as h a(u)^(kx) h^-1 from the word's
+    middle turn, so the syllables check_epi writes grow about fourfold as the
+    circle doubles: 431, 1,759 and 7,103 at k = 8, 16 and 32.  Written out in
+    full the powers multiply along the witness chain: 286,950 syllables at
+    k = 16, past this cap."""
+    monkeypatch.setenv("GBS_TOOLKIT_MAX_VERTICES", "32")
+    certs = {k: source_cert_of_circle(k) for k in (8, 16, 24, 32)}
+    monkeypatch.setattr(words, "WORD_CAP", 2 * 10**4)
+    written = []
+    monkeypatch.setattr(homs, "check_word_cap", lambda size: written.append(size) or words.check_word_cap(size))
+    most = {}
+    for k, cert in certs.items():
+        written.clear()
+        assert check_epi(cert), k
+        most[k] = max(written)
+    assert most[16] <= 5 * most[8] and most[32] <= 5 * most[16], most
 
 
 def test_circle_composition_builds_no_duplicate_presentations(monkeypatch):

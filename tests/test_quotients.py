@@ -1,8 +1,10 @@
+import hashlib
 import random
 import re
 import sys
 import time
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,12 @@ from conftest import count_calls, count_graph_builds, criterion_6_circles
 from gbs import arith, quotients
 from gbs.arith import factorize, gcd
 from gbs.decision import Decision
-from gbs.errors import DecisionError, ElementaryGroupError, InputError, NotReducedError, ShapeError
+from gbs.errors import DecisionError, ElementaryGroupError, GBSError, InputError, NotReducedError, ShapeError
 from gbs.graphs import (
     LabelledGraph,
     bs_graph,
     circle_graph,
+    classify_shape,
     graph_from_edges,
     lollipop_graph,
     move,
@@ -24,6 +27,7 @@ from gbs.graphs import (
 )
 from gbs.homs import check_epi, bs_source_epi, minimal_bs_epi
 from gbs.plateaus import is_two_generated, mu
+from test_graphs import _shape_graphs
 from test_plateaus import reduced_segments_circles_lollipops
 from gbs.bs_arith import exists_epi_bs
 from gbs.quotients import (
@@ -654,3 +658,44 @@ def test_moves_keep_sources_and_rank_as_their_maps_do():
             assert before[0] <= after[0] and after[1] <= before[1], (g, h)
             checked["displacement"] += 1
     assert checked == {"sign-change": 300, "displacement": 300}
+
+
+DECIDER_GRAPHS, DECIDER_DIGEST = 600, "ddfccf7927176a7f57f68407e1fb5f327c9ddf78f5d3aed53002ac0691febaec"
+
+
+def _decider_graphs():
+    """The first 600 reductions of the shape digest's graphs (test_graphs)
+    that are segments, circles or lollipops of at most 6 vertices."""
+    reduced = (reduce_graph(g)[0] for g in _shape_graphs())
+    return list(islice((h for h in reduced if len(h.vertices) <= 6 and classify_shape(h).kind != "other"),
+                       DECIDER_GRAPHS))
+
+
+def _rank_row(g):
+    ok, witness = is_two_generated(g)
+    r = witness.rank
+    return ok, r.beta, r.mu, sorted(r.hitting_set), sorted(sorted(s) for s in r.plateau_sets)
+
+
+def _onto_row(g):
+    dec = maps_onto_minimal_bs(g)
+    return dec.answer, dec.clause, dec.reasons
+
+
+def test_quotient_deciders_match_pinned_digest():
+    """The rank report, epi-equivalence, sources and onto-minimal clause of
+    each graph, or the type and message of the error raised: the answers
+    behind the paper's first two results."""
+    digest, errors = hashlib.sha256(), Counter()
+    graphs = _decider_graphs()
+    for g in graphs:
+        for fn in (_rank_row, epi_equivalent_bs, lambda h: bs_sources(h).describe(), _onto_row):
+            try:
+                row = fn(g)
+            except GBSError as exc:
+                row = type(exc).__name__, str(exc)
+                errors[row[0]] += 1
+            digest.update(repr(row).encode() + b"\n")
+    assert len(graphs) == DECIDER_GRAPHS
+    assert set(errors) == {"DecisionError", "ElementaryGroupError", "ShapeError"}, errors
+    assert digest.hexdigest() == DECIDER_DIGEST

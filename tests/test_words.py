@@ -45,6 +45,16 @@ def _relator_word(g, pres):
     return rels
 
 
+def test_relations_are_built_once():
+    pres = Presentation(lollipop_graph([2, 3], [5, 7]))
+    rels = pres.relations()
+    assert pres.relations() is rels and type(rels) is tuple
+    assert rels == (
+        (("t", "c0", 1), ("v", "w0", 5), ("t", "c0", -1), ("v", "w0", -7)),
+        (("v", "v0", 2), ("v", "w0", -3)),
+    )
+
+
 def test_bs_relator_trivial():
     g = bs_graph(2, 3)
     pres = Presentation(g)
